@@ -176,29 +176,21 @@ type benchRecord struct {
 
 // skipRecord is trace.SkipReport in the -bench-json wire shape.
 type skipRecord struct {
-	ChunksSkipped     uint64  `json:"chunks_skipped"`
 	ChunksDecoded     uint64  `json:"chunks_decoded"`
-	BytesSkipped      uint64  `json:"bytes_skipped"`
 	BytesDecoded      uint64  `json:"bytes_decoded"`
-	AccessesSkipped   int64   `json:"accesses_skipped"`
 	AccessesPruned    int64   `json:"accesses_pruned"`
 	AccessesDelivered int64   `json:"accesses_delivered"`
 	SkipRatio         float64 `json:"skip_ratio"`
-	ChunkSkipRatio    float64 `json:"chunk_skip_ratio"`
 }
 
 // newSkipRecord converts a session's skip accounting for -bench-json.
 func newSkipRecord(rep trace.SkipReport) *skipRecord {
 	return &skipRecord{
-		ChunksSkipped:     rep.ChunksSkipped,
 		ChunksDecoded:     rep.ChunksDecoded,
-		BytesSkipped:      rep.BytesSkipped,
 		BytesDecoded:      rep.BytesDecoded,
-		AccessesSkipped:   rep.AccessesSkipped,
 		AccessesPruned:    rep.AccessesPruned,
 		AccessesDelivered: rep.AccessesDelivered,
 		SkipRatio:         rep.SkipRatio(),
-		ChunkSkipRatio:    rep.ChunkSkipRatio(),
 	}
 }
 
@@ -567,9 +559,9 @@ func runSingleSampled(o *options) error {
 	fmt.Printf("workload: %s app=%s reorder=%s policy=%s (sampled 1/%d)\n",
 		ds.Name, o.app, o.reorder, o.policy, r.SampleK)
 	printSampledMetrics(os.Stdout, r)
-	if skip := session.SampledSkip(); skip.ChunksSkipped+skip.ChunksDecoded > 0 {
-		fmt.Printf("codec skip: %.1f%% of recorded accesses never materialized (%d chunks skipped whole, %d decoded)\n",
-			100*skip.SkipRatio(), skip.ChunksSkipped, skip.ChunksDecoded)
+	if skip := session.SampledSkip(); skip.ChunksDecoded > 0 {
+		fmt.Printf("codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
+			100*skip.SkipRatio(), skip.ChunksDecoded)
 	}
 	return nil
 }
@@ -660,8 +652,8 @@ func runSampledSweep(o *options, w io.Writer) error {
 	if phases["sampled"] > 0 {
 		fmt.Fprintf(os.Stderr, "graspsim: replay time for %d datapoints: sampled %.3fs vs full %.3fs (%.1fx)\n",
 			len(sweep), phases["sampled"], phases["replay"], phases["replay"]/phases["sampled"])
-		fmt.Fprintf(os.Stderr, "graspsim: codec skip: %.1f%% of recorded accesses never materialized (%d chunks skipped whole, %d decoded)\n",
-			100*skip.SkipRatio(), skip.ChunksSkipped, skip.ChunksDecoded)
+		fmt.Fprintf(os.Stderr, "graspsim: codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
+			100*skip.SkipRatio(), skip.ChunksDecoded)
 	}
 	return writeBenchRecord(o.benchJSON, record)
 }

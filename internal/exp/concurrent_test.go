@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -28,6 +29,20 @@ func hammerPoints() []Datapoint {
 	return pts
 }
 
+// optPrefixLen decodes the OPT study's bounded prefix of one (dataset,
+// app) recording under DBG reordering — recording on first use, exactly as
+// a declared Trace datapoint does — and returns its length.
+func optPrefixLen(s *Session, dsName, app string) (int, error) {
+	var n int
+	k := groupKey{ds: dsName, reorder: "DBG", app: app, layout: apps.LayoutMerged}
+	err := s.withRecording(context.Background(), k, true, func(rec recording) error {
+		accs, err := rec.tr.Accesses(optTraceCap)
+		n = len(accs)
+		return err
+	})
+	return n, err
+}
+
 // TestSessionConcurrentDeterminism hammers one Session from many goroutines
 // (each walking the same datapoints in a different order) and asserts that
 // (a) every result is identical to a sequentially computed baseline, and
@@ -43,11 +58,11 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 	baseline := make([]interface{}, len(pts))
 	for i, p := range pts {
 		if p.Trace {
-			addrs, _, err := seq.LLCTrace(p.DS, p.App)
+			n, err := optPrefixLen(seq, p.DS, p.App)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline[i] = len(addrs)
+			baseline[i] = n
 			continue
 		}
 		r, err := seq.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
@@ -89,13 +104,13 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 	// Determinism: concurrent results match the sequential baseline.
 	for i, p := range pts {
 		if p.Trace {
-			addrs, _, err := conc.LLCTrace(p.DS, p.App)
+			n, err := optPrefixLen(conc, p.DS, p.App)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(addrs) != baseline[i].(int) {
-				t.Fatalf("trace %s/%s: %d addrs, sequential had %d",
-					p.DS, p.App, len(addrs), baseline[i].(int))
+			if n != baseline[i].(int) {
+				t.Fatalf("trace %s/%s: %d accesses, sequential had %d",
+					p.DS, p.App, n, baseline[i].(int))
 			}
 			continue
 		}

@@ -246,10 +246,10 @@ type Session struct {
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
 	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
 
-	// skipMu/skip accumulate the codec-layer skip accounting of this
-	// session's sampled replays (chunks skipped whole, records pruned in
-	// the decode loop); SampledSkip exposes it for the bench tooling's
-	// skip-ratio evidence alongside the process-wide trace.SkipStats.
+	// skipMu/skip accumulate the codec-layer accounting of this session's
+	// sampled replays (records pruned in the decode loop vs delivered);
+	// SampledSkip exposes it for the bench tooling's skip-ratio evidence
+	// alongside the process-wide trace.SkipStats.
 	skipMu sync.Mutex
 	skip   trace.SkipReport
 
@@ -686,9 +686,9 @@ func (s *Session) cappedRecord(ctx context.Context, k groupKey) (recording, erro
 	}
 }
 
-// optRecording serves bounded-prefix consumers (Session.LLCTrace, the
-// OPT study): the full recording when one is already cached — its prefix
-// is identical and decoding stops at the cap — otherwise a capped one.
+// optRecording serves bounded-prefix consumers (the OPT study): the full
+// recording when one is already cached — its prefix is identical and
+// decoding stops at the cap — otherwise a capped one.
 func (s *Session) optRecording(ctx context.Context, k groupKey) (recording, error) {
 	if s.traceReady(k) {
 		return s.record(ctx, k)
@@ -751,29 +751,6 @@ func (s *Session) withRecording(ctx context.Context, k groupKey, capped bool, fn
 // and healthy, without blocking on one in flight.
 func (s *Session) traceReady(k groupKey) bool {
 	return s.traces.ready(fmt.Sprintf("%s|%s|%s|%v|rec", s.datasetKey(k.ds), k.reorder, k.app, k.layout))
-}
-
-// LLCTrace returns the LLC access trace (byte addresses, capped at the OPT
-// study's trace length) and ABR bounds for one (dataset, app) datapoint
-// under DBG reordering, recording on first use. Only the underlying
-// recording is cached — each call decodes a fresh address slice (up to
-// 64MB at the cap), so callers needing repeated access should hold the
-// returned slice; in-tree consumers replay the recording directly
-// (runOPTStudy via optRecording) and never pay this decode per datapoint.
-func (s *Session) LLCTrace(dsName, app string) ([]uint64, [][2]uint64, error) {
-	var addrs []uint64
-	var bounds [][2]uint64
-	err := s.withRecording(context.Background(), groupKey{ds: dsName, reorder: "DBG", app: app, layout: apps.LayoutMerged}, true,
-		func(rec recording) error {
-			var derr error
-			addrs, derr = rec.tr.Addrs(optTraceCap)
-			bounds = rec.bounds
-			return derr
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return addrs, bounds, nil
 }
 
 // Workload returns the prepared (dataset, reorder) pair, preparing and
@@ -932,31 +909,27 @@ func (s *Session) compute(p Datapoint) error {
 // earliest (by batch position) failure, matching what a sequential pass
 // would report first.
 func (s *Session) Prefetch(points []Datapoint) error {
-	return s.PrefetchObserved(points, nil)
+	return s.PrefetchObservedCtx(context.Background(), points, nil)
 }
 
-// PrefetchObserved is Prefetch with a progress callback: after each
-// datapoint of the deduplicated batch completes (success or error),
-// onProgress is invoked with the number done so far and the batch total.
-// It is called concurrently from the worker pool, so it must be
-// goroutine-safe; `done` values are each delivered exactly once but may
-// arrive out of order (a broadcast group delivers all of its datapoints
-// when the group's fan-out completes). A nil onProgress makes this
-// identical to Prefetch. Long-running callers (the graspd job service)
-// use the callback to surface per-job completion percentages while a
-// batch is in flight.
-func (s *Session) PrefetchObserved(points []Datapoint, onProgress func(done, total int)) error {
-	return s.PrefetchObservedCtx(context.Background(), points, onProgress)
-}
-
-// PrefetchObservedCtx is PrefetchObserved with cooperative cancellation
-// and per-unit fault containment. Cancellation is checked before each
-// scheduling unit starts and at chunk boundaries inside recordings and
-// replays, so a cancelled batch unwinds within one chunk of work; units
-// already complete stay cached, unfinished ones are dropped (transient
-// semantics) and recompute identically on a later request. A panic inside
-// one unit's simulation fails only that unit's datapoints — the stack is
-// attached to their error — and the rest of the batch keeps running.
+// PrefetchObservedCtx is Prefetch with a progress callback, cooperative
+// cancellation and per-unit fault containment. After each datapoint of
+// the deduplicated batch completes (success or error), onProgress is
+// invoked with the number done so far and the batch total. It is called
+// concurrently from the worker pool, so it must be goroutine-safe; `done`
+// values are each delivered exactly once but may arrive out of order (a
+// broadcast group delivers all of its datapoints when the group's fan-out
+// completes). A nil onProgress is allowed. Long-running callers (the
+// graspd job service) use the callback to surface per-job completion
+// percentages while a batch is in flight.
+//
+// Cancellation is checked before each scheduling unit starts and at chunk
+// boundaries inside recordings and replays, so a cancelled batch unwinds
+// within one chunk of work; units already complete stay cached, unfinished
+// ones are dropped (transient semantics) and recompute identically on a
+// later request. A panic inside one unit's simulation fails only that
+// unit's datapoints — the stack is attached to their error — and the rest
+// of the batch keeps running.
 func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, onProgress func(done, total int)) error {
 	uniq := points
 	if len(points) > 1 {

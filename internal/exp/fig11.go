@@ -84,7 +84,7 @@ func runOPTStudy(s *Session, llcCfg cache.Config) (map[[2]string]optDatapoint, e
 				}
 			})
 			start := time.Now()
-			err := rec.tr.BroadcastN(optTraceCap, consumers)
+			err := rec.tr.BroadcastNCtx(context.Background(), optTraceCap, consumers)
 			s.phase.replay.Add(int64(time.Since(start)))
 			if err != nil {
 				return err

@@ -22,12 +22,10 @@ import (
 // fast-tier twin of SimRuns, surfaced by graspd /metrics.
 func (s *Session) SampledRuns() uint64 { return s.sampledRun.Load() }
 
-// SampledSkip returns the accumulated codec-layer skip accounting of this
-// session's sampled replays: chunks skipped whole by the presence-bitmap
-// test, records pruned inside the decode loop, and what was actually
-// decoded and delivered (zero while the skip path is disabled). The bench
-// tooling records its SkipRatio next to the sampled phase times as the
-// decode-bound evidence.
+// SampledSkip returns the accumulated codec-layer accounting of this
+// session's sampled replays: records pruned inside the decode loop, and
+// what was actually decoded and delivered. The bench tooling records its
+// SkipRatio next to the sampled phase times as the decode-bound evidence.
 func (s *Session) SampledSkip() trace.SkipReport {
 	s.skipMu.Lock()
 	defer s.skipMu.Unlock()

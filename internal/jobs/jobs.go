@@ -843,11 +843,10 @@ type Metrics struct {
 	// Together with SimRuns these expose whether multi-policy sweeps are
 	// actually riding the broadcast decoder.
 	BroadcastGroups, BroadcastReplays, BroadcastConsumers uint64
-	// Skip is the process-wide codec-layer skip accounting of masked
-	// (sampled) replays: chunks skipped whole via presence bitmaps vs
-	// decoded, their encoded bytes, and records skipped/pruned/delivered
-	// (DESIGN.md Sec. 14). Exposes whether the sampled tier is actually
-	// dodging decode work in production, not only in BENCH files.
+	// Skip is the process-wide codec-layer accounting of masked (sampled)
+	// replays: chunks decoded, their encoded bytes, and records pruned vs
+	// delivered (DESIGN.md Sec. 14). Exposes whether the sampled tier is
+	// actually dodging decode work in production, not only in BENCH files.
 	Skip trace.SkipReport
 	// TraceBytesRetained is the total encoded bytes of recordings cached
 	// across all sessions (bounded per session by the trace budget).

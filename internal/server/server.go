@@ -352,11 +352,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("broadcast_groups_total", "Recording groups served via decode-once broadcast replay.", m.BroadcastGroups)
 	counter("broadcast_replays_total", "Completed broadcast fan-outs (incl. OPT-study prefix replays).", m.BroadcastReplays)
 	counter("broadcast_consumers_total", "Total replays served by broadcast fan-outs.", m.BroadcastConsumers)
-	counter("chunks_skipped_total", "Trace chunks skipped whole by presence-bitmap masks in sampled replays.", m.Skip.ChunksSkipped)
 	counter("chunks_decoded_total", "Trace chunks decoded by masked (sampled) replays.", m.Skip.ChunksDecoded)
-	counter("chunk_bytes_skipped_total", "Encoded bytes of chunks skipped by masked replays.", m.Skip.BytesSkipped)
 	counter("chunk_bytes_decoded_total", "Encoded bytes of chunks decoded by masked replays.", m.Skip.BytesDecoded)
-	counter("accesses_skipped_total", "Recorded accesses inside chunks masked replays skipped whole.", uint64(m.Skip.AccessesSkipped))
 	counter("accesses_pruned_total", "Records dropped inside the masked decode loop before materialization.", uint64(m.Skip.AccessesPruned))
 	counter("accesses_delivered_total", "Records materialized and delivered to masked-replay consumers.", uint64(m.Skip.AccessesDelivered))
 	gauge("trace_bytes_retained", "Encoded bytes of recordings cached across sessions.", float64(m.TraceBytesRetained))

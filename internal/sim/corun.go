@@ -134,11 +134,6 @@ func addStats(s *cache.Stats, d cache.Stats) {
 	s.Writebacks += d.Writebacks
 }
 
-// CorunReplayResult is CorunReplayResultCtx with a background context.
-func CorunReplayResult(streams []CorunStream, policyName string, hcfg cache.HierarchyConfig, workloadName string) (CorunResult, error) {
-	return CorunReplayResultCtx(context.Background(), streams, policyName, hcfg, workloadName)
-}
-
 // CorunReplayResultCtx replays the streams' recordings, interleaved
 // round-robin in Weight-sized quanta, into one shared LLC of the given
 // policy and geometry, and computes the per-app attribution and fairness
@@ -233,35 +228,4 @@ func CorunReplayResultCtx(ctx context.Context, streams []CorunStream, policyName
 		out.Unfairness = maxSlow / minSlow
 	}
 	return out, nil
-}
-
-// CorunSoloSpecs returns the solo-replay Spec of each stream under the
-// shared policy and geometry: the baselines CorunReplayResultCtx expects
-// in CorunStream.Solo. Exposed so callers with a result cache (the
-// experiment session) and callers without one (the CLI, tests) price the
-// identical baseline.
-func CorunSoloSpecs(streams []CorunStream, policyName string, hcfg cache.HierarchyConfig) []Spec {
-	out := make([]Spec, len(streams))
-	for i, st := range streams {
-		out[i] = Spec{App: st.App, Layout: st.Layout, Policy: policyName, HCfg: hcfg}
-	}
-	return out
-}
-
-// CorunReplayWithSolosCtx fills each stream's solo baseline by a
-// dedicated replay of its own recording (same policy and geometry, LLC to
-// itself), then runs the co-run — the self-contained entry point for
-// callers without a cached solo result (graspsim's -corun mode, the
-// property suites). AppTime note: the solo Result's AppTime is the
-// recording run's wall-clock, as on every replay path.
-func CorunReplayWithSolosCtx(ctx context.Context, streams []CorunStream, policyName string, hcfg cache.HierarchyConfig, workloadName string) (CorunResult, error) {
-	specs := CorunSoloSpecs(streams, policyName, hcfg)
-	for i := range streams {
-		solo, err := ReplayResultCtx(ctx, streams[i].Trace, specs[i], workloadName, streams[i].Bounds)
-		if err != nil {
-			return CorunResult{}, err
-		}
-		streams[i].Solo = solo
-	}
-	return CorunReplayResultCtx(ctx, streams, policyName, hcfg, workloadName)
 }

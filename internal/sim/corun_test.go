@@ -36,7 +36,7 @@ func newCorunFixture(t *testing.T, appNames ...string) *corunFixture {
 	fx := &corunFixture{hcfg: replayTestHCfg(), w: w,
 		traces: make(map[string]*trace.Trace), bounds: make(map[string][][2]uint64)}
 	for _, app := range appNames {
-		tr, err := RecordTrace(w, app, apps.LayoutMerged, fx.hcfg)
+		tr, err := RecordTraceNCtx(context.Background(), w, app, apps.LayoutMerged, fx.hcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,6 +59,22 @@ func (fx *corunFixture) stream(app string, weight int) CorunStream {
 		Trace: fx.traces[app], Bounds: fx.bounds[app]}
 }
 
+// corunWithSolos fills each stream's solo baseline by a dedicated replay
+// of its own recording (same policy and geometry, LLC to itself), then
+// runs the co-run — what a caller without a cached solo result does.
+func (fx *corunFixture) corunWithSolos(streams []CorunStream, policyName string) (CorunResult, error) {
+	ctx := context.Background()
+	for i, st := range streams {
+		spec := Spec{App: st.App, Layout: st.Layout, Policy: policyName, HCfg: fx.hcfg}
+		solo, err := ReplayResultCtx(ctx, st.Trace, spec, fx.w.Dataset.Name, st.Bounds)
+		if err != nil {
+			return CorunResult{}, err
+		}
+		streams[i].Solo = solo
+	}
+	return CorunReplayResultCtx(ctx, streams, policyName, fx.hcfg, fx.w.Dataset.Name)
+}
+
 // TestCorunSingleAppBitIdentical is the co-run equivalence suite: for
 // EVERY registered policy, a 1-app co-run must be bit-identical to the
 // plain single-app replay — same private-level stats, same attributed and
@@ -68,12 +84,11 @@ func TestCorunSingleAppBitIdentical(t *testing.T) {
 	fx := newCorunFixture(t, "PR")
 	for _, pinfo := range Policies() {
 		spec := Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: fx.hcfg}
-		solo, err := ReplayResult(fx.traces["PR"], spec, fx.w.Dataset.Name, fx.bounds["PR"])
+		solo, err := ReplayResultCtx(context.Background(), fx.traces["PR"], spec, fx.w.Dataset.Name, fx.bounds["PR"])
 		if err != nil {
 			t.Fatalf("%s: solo replay: %v", pinfo.Name, err)
 		}
-		r, err := CorunReplayWithSolosCtx(context.Background(),
-			[]CorunStream{fx.stream("PR", 1)}, pinfo.Name, fx.hcfg, fx.w.Dataset.Name)
+		r, err := fx.corunWithSolos([]CorunStream{fx.stream("PR", 1)}, pinfo.Name)
 		if err != nil {
 			t.Fatalf("%s: co-run: %v", pinfo.Name, err)
 		}
@@ -108,7 +123,7 @@ func TestCorunDeterministic(t *testing.T) {
 	fx := newCorunFixture(t, "BFS", "PR")
 	streams := []CorunStream{fx.stream("BFS", 2), fx.stream("PR", 1), fx.stream("BFS", 1)}
 	run := func() CorunResult {
-		r, err := CorunReplayWithSolosCtx(context.Background(), streams, "GRASP", fx.hcfg, fx.w.Dataset.Name)
+		r, err := fx.corunWithSolos(streams, "GRASP")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +152,7 @@ func TestCorunAttributionSums(t *testing.T) {
 	}
 	for _, polName := range []string{"RRIP", "GRASP", "SHiP-PC"} {
 		for mi, streams := range mixes {
-			r, err := CorunReplayWithSolosCtx(context.Background(), streams, polName, fx.hcfg, fx.w.Dataset.Name)
+			r, err := fx.corunWithSolos(streams, polName)
 			if err != nil {
 				t.Fatalf("%s mix %d: %v", polName, mi, err)
 			}
@@ -199,7 +214,7 @@ func TestCorunOPTLowerBound(t *testing.T) {
 	llcCfg := fx.hcfg.LLC
 	opt := policy.SimulateOPT(blocks, llcCfg.Sets(), llcCfg.Ways)
 	for _, pinfo := range Policies() {
-		r, err := CorunReplayWithSolosCtx(context.Background(), streams, pinfo.Name, fx.hcfg, fx.w.Dataset.Name)
+		r, err := fx.corunWithSolos(streams, pinfo.Name)
 		if err != nil {
 			t.Fatalf("%s: %v", pinfo.Name, err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"grasp/internal/apps"
@@ -43,7 +44,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := RecordTrace(w, appName, apps.LayoutMerged, hcfg)
+			tr, err := RecordTraceNCtx(context.Background(), w, appName, apps.LayoutMerged, hcfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: direct: %v", pinfo.Name, err)
 				}
-				replayed, err := ReplayResult(tr, spec, w.Dataset.Name, bounds)
+				replayed, err := ReplayResultCtx(context.Background(), tr, spec, w.Dataset.Name, bounds)
 				if err != nil {
 					t.Fatalf("%s: replay: %v", pinfo.Name, err)
 				}
@@ -79,7 +80,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 
 // TestBroadcastMatchesDirect extends the replay-equivalence suite to the
 // decode-once broadcast path: for every registered policy and the same
-// application spread, the Results of ONE BroadcastResults fan-out over
+// application spread, the Results of ONE BroadcastResultsCtx fan-out over
 // all policies at once must be identical to direct execution-driven
 // simulation. This is the invariant that lets exp.Session serve a whole
 // Prefetch group from a single decode.
@@ -100,7 +101,7 @@ func TestBroadcastMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := RecordTrace(w, appName, apps.LayoutMerged, hcfg)
+			tr, err := RecordTraceNCtx(context.Background(), w, appName, apps.LayoutMerged, hcfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestBroadcastMatchesDirect(t *testing.T) {
 			for i, pinfo := range Policies() {
 				specs[i] = Spec{App: appName, Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
 			}
-			broadcast, err := BroadcastResults(tr, specs, w.Dataset.Name, bounds)
+			broadcast, err := BroadcastResultsCtx(context.Background(), tr, specs, w.Dataset.Name, bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestBroadcastMatchesDirectAcrossGeometries(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := replayTestHCfg()
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestBroadcastMatchesDirectAcrossGeometries(t *testing.T) {
 		cfg.LLC = cache.Config{SizeBytes: size, Ways: 16}
 		specs = append(specs, Spec{App: "PR", Layout: apps.LayoutMerged, Policy: "GRASP", HCfg: cfg})
 	}
-	broadcast, err := BroadcastResults(tr, specs, w.Dataset.Name, bounds)
+	broadcast, err := BroadcastResultsCtx(context.Background(), tr, specs, w.Dataset.Name, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestReplayMatchesDirectAcrossGeometries(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := replayTestHCfg()
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestReplayMatchesDirectAcrossGeometries(t *testing.T) {
 		}
 		// The recording's L1/L2 filter came from hcfg; Run's came from cfg —
 		// identical by construction since only the LLC differs.
-		replayed, err := ReplayResult(tr, spec, w.Dataset.Name, bounds)
+		replayed, err := ReplayResultCtx(context.Background(), tr, spec, w.Dataset.Name, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"grasp/internal/cache"
@@ -17,24 +16,6 @@ import (
 	"grasp/internal/stats"
 	"grasp/internal/trace"
 )
-
-// sampledChunkSkip gates the codec-layer skip path (chunk presence
-// bitmaps + in-loop pruning, DESIGN.md Sec. 14) for sampled replays.
-// Default on; the equivalence suite forces it off to prove the skip path
-// changes nothing but the work done.
-var sampledChunkSkip atomic.Bool
-
-func init() { sampledChunkSkip.Store(true) }
-
-// SetSampledChunkSkip toggles the codec-layer skip path for sampled
-// replays process-wide and returns the previous setting. Off, the
-// sampled tier decodes every chunk fully and filters after decode —
-// PR 7's reference behavior.
-func SetSampledChunkSkip(on bool) bool { return sampledChunkSkip.Swap(on) }
-
-// SampledChunkSkip reports whether sampled replays use the codec-layer
-// skip path.
-func SampledChunkSkip() bool { return sampledChunkSkip.Load() }
 
 // SampledResult is the fast-tier counterpart of Result: exact L1/L2 stats
 // from the recording, observed LLC stats over the sampled sets only, and
@@ -62,29 +43,16 @@ type SampledResult struct {
 // MissRatio returns the estimated whole-cache LLC miss ratio.
 func (r SampledResult) MissRatio() float64 { return r.Est.MissRatio }
 
-// SampledReplayResult is the context-free convenience form of
-// SampledReplayResultCtx.
-func SampledReplayResult(tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) (SampledResult, error) {
-	return SampledReplayResultCtx(context.Background(), tr, spec, workloadName, abrArrays, sampleK)
-}
-
-// SampledReplayResultCtx produces one datapoint's sampled estimate from a
-// recorded trace: the recording is decoded once (broadcast path) and fed
-// through a set filter in front of a fresh replay LLC. With sampleK=1 the
-// filter passes every access and SampledLLC equals a full replay's stats
-// bit for bit.
-func SampledReplayResultCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) (SampledResult, error) {
-	res, _, err := SampledReplayResultSkipCtx(ctx, tr, spec, workloadName, abrArrays, sampleK)
-	return res, err
-}
-
-// SampledReplayResultSkipCtx is SampledReplayResultCtx returning the
-// codec-layer SkipReport alongside the estimate. The skip accounting
-// lives OUTSIDE SampledResult deliberately: the estimate is a pure
-// function of (trace, spec, K) however the decode was planned — a solo
-// replay masks only its own sampled sets while a fan-out masks the union
-// — so results stay comparable across paths while the work saved is
-// reported per run.
+// SampledReplayResultSkipCtx produces one datapoint's sampled estimate
+// from a recorded trace: the recording is decoded once (masked broadcast
+// path) and fed through a set filter in front of a fresh replay LLC. With
+// sampleK=1 the filter passes every access and SampledLLC equals a full
+// replay's stats bit for bit. The codec-layer SkipReport is returned
+// alongside the estimate and lives OUTSIDE SampledResult deliberately:
+// the estimate is a pure function of (trace, spec, K) however the decode
+// was planned — a solo replay masks only its own sampled sets while a
+// fan-out masks the union — so results stay comparable across paths while
+// the work saved is reported per run.
 func SampledReplayResultSkipCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) (SampledResult, trace.SkipReport, error) {
 	res, rep, err := BroadcastSampledResultsSkipCtx(ctx, tr, []Spec{spec}, workloadName, abrArrays, sampleK)
 	if err != nil {
@@ -93,29 +61,18 @@ func SampledReplayResultSkipCtx(ctx context.Context, tr *trace.Trace, spec Spec,
 	return res[0], rep, nil
 }
 
-// BroadcastSampledResultsCtx fans ONE decode pass of the recording out to
-// a set-filtered replay LLC per spec: the sampled twin of
-// BroadcastResultsCtx. All specs share the sampling divisor, but each
-// spec's filter derives its own set selection from its own LLC geometry,
-// so specs may differ in policy and geometry alike.
-func BroadcastSampledResultsCtx(ctx context.Context, tr *trace.Trace, specs []Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) ([]SampledResult, error) {
-	res, _, err := BroadcastSampledResultsSkipCtx(ctx, tr, specs, workloadName, abrArrays, sampleK)
-	return res, err
-}
-
-// BroadcastSampledResultsSkipCtx is BroadcastSampledResultsCtx returning
-// the codec-layer SkipReport alongside the results. It is the sampled
-// decode planner: it intersects every consumer's sampled-set selection
-// with the trace once per broadcast — each spec's selection, derived
-// from its own LLC geometry, projects onto the presence buckets via
-// trace.SampledSetsMask and the union drives the masked fan-out — so
-// chunks no consumer samples skip decode entirely and non-sampled
-// records prune inside the decode loop. Each SetFilter still applies its
-// exact per-set test to what survives, so a spec whose geometry samples
-// fewer buckets than the union sees identical results to a dedicated
-// replay. With the skip path disabled (SetSampledChunkSkip(false)) the
-// fan-out decodes every chunk and the report is zero — PR 7's reference
-// path, which the equivalence suite pins against this one bit for bit.
+// BroadcastSampledResultsSkipCtx fans ONE decode pass of the recording out
+// to a set-filtered replay LLC per spec — the sampled twin of
+// BroadcastResultsCtx — and returns the codec-layer SkipReport alongside
+// the results. All specs share the sampling divisor, but each spec's
+// filter derives its own set selection from its own LLC geometry, so specs
+// may differ in policy and geometry alike. It is the sampled decode
+// planner: each spec's selection projects onto the presence buckets via
+// trace.SampledSetsMask and the union drives the masked fan-out, so
+// non-sampled records prune inside the decode loop. Each SetFilter still
+// applies its exact per-set test to what survives, so a spec whose
+// geometry samples fewer buckets than the union sees identical results to
+// a dedicated replay.
 func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs []Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) ([]SampledResult, trace.SkipReport, error) {
 	var rep trace.SkipReport
 	if sampleK == 0 {
@@ -142,31 +99,32 @@ func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs 
 		consumers[i] = f.Consume
 		mask.Or(trace.SampledSetsMask(llc.NumSets(), sampled))
 	}
-	if SampledChunkSkip() {
-		r, err := tr.BroadcastMaskedNCtx(ctx, 0, mask, consumers)
-		if err != nil {
-			return nil, rep, err
-		}
-		rep = r
-	} else if err := tr.BroadcastNCtx(ctx, 0, consumers); err != nil {
+	rep, err := tr.BroadcastMaskedNCtx(ctx, 0, mask, consumers)
+	if err != nil {
 		return nil, rep, err
 	}
 	out := make([]SampledResult, len(specs))
 	for i, spec := range specs {
-		f := filters[i]
-		acc, miss := f.Counts()
-		est := stats.EstimateSetSample(acc, miss, int(f.LLC().NumSets()), uint64(tr.Len()))
-		out[i] = SampledResult{
-			Spec:       spec,
-			Workload:   workloadName,
-			SampleK:    sampleK,
-			L1:         tr.L1Stats(),
-			L2:         tr.L2Stats(),
-			SampledLLC: f.LLC().Stats,
-			Est:        est,
-			EstCycles:  cache.MemoryCyclesEst(spec.HCfg, tr.L1Stats(), tr.L2Stats(), est.EstMisses),
-			AppTime:    tr.AppTime(),
-		}
+		out[i] = sampledResultOf(filters[i], tr, spec, workloadName, sampleK)
 	}
 	return out, rep, nil
+}
+
+// sampledResultOf prices one finished set filter: the estimate is a pure
+// function of the filter's per-set counts and the recording, however the
+// accesses reached the filter.
+func sampledResultOf(f *trace.SetFilter, tr *trace.Trace, spec Spec, workloadName string, sampleK uint32) SampledResult {
+	acc, miss := f.Counts()
+	est := stats.EstimateSetSample(acc, miss, int(f.LLC().NumSets()), uint64(tr.Len()))
+	return SampledResult{
+		Spec:       spec,
+		Workload:   workloadName,
+		SampleK:    sampleK,
+		L1:         tr.L1Stats(),
+		L2:         tr.L2Stats(),
+		SampledLLC: f.LLC().Stats,
+		Est:        est,
+		EstCycles:  cache.MemoryCyclesEst(spec.HCfg, tr.L1Stats(), tr.L2Stats(), est.EstMisses),
+		AppTime:    tr.AppTime(),
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestSampledAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+			tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,14 +79,14 @@ func TestSampledAccuracy(t *testing.T) {
 			for i, pinfo := range pols {
 				specs[i] = Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
 			}
-			full, err := BroadcastResultsCtx(t.Context(), tr, specs, w.Dataset.Name, bounds)
+			full, err := BroadcastResultsCtx(context.Background(), tr, specs, w.Dataset.Name, bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// sampled[ki][pi] is policy pi's estimate at divisor ks[ki].
 			sampled := make([][]SampledResult, len(ks))
 			for ki, k := range ks {
-				sampled[ki], err = BroadcastSampledResultsCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, k)
+				sampled[ki], _, err = BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, k)
 				if err != nil {
 					t.Fatalf("k=%d: %v", k, err)
 				}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -27,7 +28,7 @@ func TestSampledK1MatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func TestSampledK1MatchesFullReplay(t *testing.T) {
 	}
 	for _, pinfo := range Policies() {
 		spec := Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
-		full, err := ReplayResult(tr, spec, w.Dataset.Name, bounds)
+		full, err := ReplayResultCtx(context.Background(), tr, spec, w.Dataset.Name, bounds)
 		if err != nil {
 			t.Fatalf("%s: full replay: %v", pinfo.Name, err)
 		}
-		sampled, err := SampledReplayResult(tr, spec, w.Dataset.Name, bounds, 1)
+		sampled, _, err := SampledReplayResultSkipCtx(context.Background(), tr, spec, w.Dataset.Name, bounds, 1)
 		if err != nil {
 			t.Fatalf("%s: sampled replay: %v", pinfo.Name, err)
 		}
@@ -93,7 +94,7 @@ func TestSampledReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSampledReplayDeterministic(t *testing.T) {
 		specs[i] = Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
 	}
 	const sampleK = 4
-	ref, err := BroadcastSampledResultsCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, sampleK)
+	ref, _, err := BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, sampleK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSampledReplayDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 2, prev} {
 		runtime.GOMAXPROCS(procs)
-		got, err := BroadcastSampledResultsCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, sampleK)
+		got, _, err := BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, sampleK)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -126,7 +127,7 @@ func TestSampledReplayDeterministic(t *testing.T) {
 			}
 		}
 		// A solo replay must match its slot in the all-policy fan-out.
-		solo, err := SampledReplayResult(tr, specs[procs%len(specs)], w.Dataset.Name, bounds, sampleK)
+		solo, _, err := SampledReplayResultSkipCtx(context.Background(), tr, specs[procs%len(specs)], w.Dataset.Name, bounds, sampleK)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,32 +249,25 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 	}, nil
 }
 
-// RecordTrace executes the app once behind the policy-independent L1/L2
-// filter of hcfg and returns the full encoded LLC-bound access stream —
+// RecordTraceNCtx executes the app once behind the policy-independent
+// L1/L2 filter of hcfg and returns the encoded LLC-bound access stream —
 // the record half of the record-once/replay-many engine (DESIGN.md
 // Sec. 11). The trace, combined with the filter stats it carries, is
 // sufficient to reproduce Run's Result exactly for ANY LLC policy and
 // geometry, because the upper levels never observe the LLC.
-func RecordTrace(w *Workload, appName string, layout apps.Layout, hcfg cache.HierarchyConfig) (*trace.Trace, error) {
-	return RecordTraceN(w, appName, layout, hcfg, 0)
-}
-
-// RecordTraceN is RecordTrace with an encode cap: at most limit LLC-bound
-// accesses are stored (limit <= 0: all); the L1/L2 filter still runs over
-// the whole execution, so the stored prefix is exactly the first limit
-// accesses of an unlimited recording. Capped traces serve bounded-prefix
-// consumers like the OPT study without holding (or spilling) the full
-// stream; they must NOT back full-result replays.
-func RecordTraceN(w *Workload, appName string, layout apps.Layout, hcfg cache.HierarchyConfig, limit int64) (*trace.Trace, error) {
-	return RecordTraceNCtx(context.Background(), w, appName, layout, hcfg, limit)
-}
-
-// RecordTraceNCtx is RecordTraceN with cooperative cancellation: the
-// recorder polls the context as it encodes and unwinds the application
-// with the abort sentinel once it is cancelled; the partial recording is
-// abandoned (resident bytes and spill space released) and the context's
-// error returned. A non-cancellable context records exactly as before —
-// the recorder's hot path gains one nil check per access.
+//
+// limit caps the encoding: at most limit LLC-bound accesses are stored
+// (limit <= 0: all); the L1/L2 filter still runs over the whole execution,
+// so the stored prefix is exactly the first limit accesses of an unlimited
+// recording. Capped traces serve bounded-prefix consumers like the OPT
+// study without holding (or spilling) the full stream; they must NOT back
+// full-result replays.
+//
+// Cancellation is cooperative: the recorder polls the context as it
+// encodes and unwinds the application with the abort sentinel once it is
+// cancelled; the partial recording is abandoned (resident bytes and spill
+// space released) and the context's error returned. A non-cancellable
+// context adds one nil check per access to the recorder's hot path.
 func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout apps.Layout, hcfg cache.HierarchyConfig, limit int64) (tr *trace.Trace, err error) {
 	fg := ligra.NewGraph(w.Graph)
 	app, err := apps.New(appName, fg, layout)
@@ -327,21 +320,16 @@ func NewReplayLLC(llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64) 
 	return llc, nil
 }
 
-// ReplayResult produces the Result of one (app, layout, policy) datapoint
-// from a recorded trace instead of re-executing the application: the
-// replay half of the engine. The returned metrics are identical to what
-// Run would report for the same spec — L1/L2 stats come from the
+// ReplayResultCtx produces the Result of one (app, layout, policy)
+// datapoint from a recorded trace instead of re-executing the application:
+// the replay half of the engine. The returned metrics are identical to
+// what Run would report for the same spec — L1/L2 stats come from the
 // recording, the LLC is simulated fresh from the decoded stream, and the
 // memory-time model prices the combination exactly as a live hierarchy
 // would. AppTime is the recording run's execution time (the trace shares
 // one execution across every policy, so per-policy app wall-clock does not
-// exist on this path).
-func ReplayResult(tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64) (Result, error) {
-	return ReplayResultCtx(context.Background(), tr, spec, workloadName, abrArrays)
-}
-
-// ReplayResultCtx is ReplayResult with cooperative cancellation,
-// delegated to the trace's per-chunk context check.
+// exist on this path). Cancellation is the trace cursor's per-chunk
+// context check.
 func ReplayResultCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64) (Result, error) {
 	pinfo, err := PolicyByName(spec.Policy)
 	if err != nil {
@@ -363,37 +351,15 @@ func ReplayResultCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadNa
 	}, nil
 }
 
-// ReplayStats replays at most limit accesses (limit <= 0: all) of a
-// recorded trace through an LLC of the given geometry and policy,
-// returning its stats: the single-replay variant for callers evaluating
-// one (policy, geometry) at a time. Sweeps that evaluate several per
-// trace (the Fig. 11 / Table VII OPT study) instead compose NewReplayLLC
-// with trace.Trace.BroadcastN so the decode is paid once.
-func ReplayStats(tr *trace.Trace, llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64, limit int64) (cache.Stats, error) {
-	llc, err := NewReplayLLC(llcCfg, pinfo, abrArrays)
-	if err != nil {
-		return cache.Stats{}, err
-	}
-	if err := tr.ReplayN(llc, limit); err != nil {
-		return cache.Stats{}, err
-	}
-	return llc.Stats, nil
-}
-
-// BroadcastResults produces the Results of several policies' datapoints
+// BroadcastResultsCtx produces the Results of several policies' datapoints
 // from ONE decode pass over a recorded trace: each spec gets its own
-// replay LLC, and trace.Broadcast fans every decoded slab out to all of
-// them concurrently. Each returned Result is identical to what ReplayResult
-// — and therefore Run — would produce for the same spec; an N-policy sweep
-// just pays one decode instead of N, and the N LLC simulations overlap on
-// multi-core hosts. The specs may differ in policy AND LLC geometry (the
-// recording is valid for any LLC configuration).
-func BroadcastResults(tr *trace.Trace, specs []Spec, workloadName string, abrArrays [][2]uint64) ([]Result, error) {
-	return BroadcastResultsCtx(context.Background(), tr, specs, workloadName, abrArrays)
-}
-
-// BroadcastResultsCtx is BroadcastResults with cooperative cancellation:
-// the fan-out's producer checks the context per decoded chunk, so a
+// replay LLC, and trace.BroadcastNCtx fans every decoded slab out to all
+// of them concurrently. Each returned Result is identical to what
+// ReplayResultCtx — and therefore Run — would produce for the same spec;
+// an N-policy sweep just pays one decode instead of N, and the N LLC
+// simulations overlap on multi-core hosts. The specs may differ in policy
+// AND LLC geometry (the recording is valid for any LLC configuration).
+// The fan-out's producer checks the context per decoded chunk, so a
 // cancelled N-policy sweep stops within one chunk boundary across all N
 // replays at once.
 func BroadcastResultsCtx(ctx context.Context, tr *trace.Trace, specs []Spec, workloadName string, abrArrays [][2]uint64) ([]Result, error) {
@@ -432,10 +398,9 @@ func BroadcastResultsCtx(ctx context.Context, tr *trace.Trace, specs []Spec, wor
 }
 
 // ABRBoundsFor computes the [start, end) bounds of the app's ABR arrays on
-// a fresh graph wrapper (layout-dependent), for use with ReplayResult and
-// ReplayStats. The
-// address space layout is deterministic, so bounds from a fresh wrapper
-// match those of the run that produced the trace.
+// a fresh graph wrapper (layout-dependent), for use with ReplayResultCtx
+// and NewReplayLLC. The address space layout is deterministic, so bounds
+// from a fresh wrapper match those of the run that produced the trace.
 func ABRBoundsFor(w *Workload, appName string, layout apps.Layout) ([][2]uint64, error) {
 	fg := ligra.NewGraph(w.Graph)
 	app, err := apps.New(appName, fg, layout)

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
 	"grasp/internal/graph"
 	"grasp/internal/policy"
+	"grasp/internal/trace"
 )
 
 // testHCfg returns a tiny hierarchy so tests run fast while preserving the
@@ -166,12 +168,26 @@ func TestSpeedupAndMissReductionMath(t *testing.T) {
 	}
 }
 
+// replayStats replays the whole trace through a fresh LLC of the given
+// geometry and policy and returns its stats.
+func replayStats(t *testing.T, tr *trace.Trace, llcCfg cache.Config, pinfo PolicyInfo, bounds [][2]uint64) cache.Stats {
+	t.Helper()
+	llc, err := NewReplayLLC(llcCfg, pinfo, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
+		t.Fatal(err)
+	}
+	return llc.Stats
+}
+
 func TestRecordAndReplayTraceConsistency(t *testing.T) {
 	// Replaying the recorded LLC trace under a policy must give the same
 	// LLC stats as the execution-driven run with that policy.
 	w := testWorkload(t, "tw", "DBG", false)
 	hcfg := testHCfg()
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +200,7 @@ func TestRecordAndReplayTraceConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	rrip, _ := PolicyByName("RRIP")
-	replayed, err := ReplayStats(tr, hcfg.LLC, rrip, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := replayStats(t, tr, hcfg.LLC, rrip, nil)
 	if replayed.Misses != full.LLC.Misses || replayed.Hits != full.LLC.Hits {
 		t.Fatalf("replay (%d/%d) != run (%d/%d)",
 			replayed.Hits, replayed.Misses, full.LLC.Hits, full.LLC.Misses)
@@ -197,7 +210,7 @@ func TestRecordAndReplayTraceConsistency(t *testing.T) {
 func TestReplayWithGRASPHints(t *testing.T) {
 	w := testWorkload(t, "tw", "DBG", false)
 	hcfg := testHCfg()
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +223,7 @@ func TestReplayWithGRASPHints(t *testing.T) {
 		t.Fatalf("merged PR should have 1 ABR pair, got %d", len(bounds))
 	}
 	gr, _ := PolicyByName("GRASP")
-	gst, err := ReplayStats(tr, hcfg.LLC, gr, bounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gst := replayStats(t, tr, hcfg.LLC, gr, bounds)
 	full, err := Run(w, Spec{App: "PR", Layout: apps.LayoutMerged, Policy: "GRASP", HCfg: hcfg})
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +236,18 @@ func TestReplayWithGRASPHints(t *testing.T) {
 func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 	w := testWorkload(t, "lj", "DBG", false)
 	hcfg := testHCfg()
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Release()
-	blocks, err := tr.Blocks(0)
+	accs, err := tr.Accesses(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	blocks := make([]uint64, len(accs))
+	for i, a := range accs {
+		blocks[i] = cache.BlockAddr(a.Addr)
 	}
 	opt := policy.SimulateOPT(blocks, hcfg.LLC.Sets(), hcfg.LLC.Ways)
 	for _, pname := range []string{"LRU", "RRIP", "GRASP"} {
@@ -242,10 +256,7 @@ func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 		if pinfo.NeedsABRs {
 			bounds, _ = ABRBoundsFor(w, "PR", apps.LayoutMerged)
 		}
-		st, err := ReplayStats(tr, hcfg.LLC, pinfo, bounds, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := replayStats(t, tr, hcfg.LLC, pinfo, bounds)
 		if opt.Misses > st.Misses {
 			t.Fatalf("OPT misses %d > %s misses %d", opt.Misses, pname, st.Misses)
 		}
@@ -254,16 +265,16 @@ func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 
 func TestTraceLimit(t *testing.T) {
 	w := testWorkload(t, "lj", "DBG", false)
-	tr, err := RecordTrace(w, "PR", apps.LayoutMerged, testHCfg())
+	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, testHCfg(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Release()
-	addrs, err := tr.Addrs(1000)
+	accs, err := tr.Accesses(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != 1000 {
-		t.Fatalf("bounded decode length %d, want capped at 1000", len(addrs))
+	if len(accs) != 1000 {
+		t.Fatalf("bounded decode length %d, want capped at 1000", len(accs))
 	}
 }

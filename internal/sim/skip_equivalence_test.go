@@ -1,28 +1,59 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"grasp/internal/apps"
 	"grasp/internal/graph"
+	"grasp/internal/mem"
 	"grasp/internal/trace"
 )
 
-// TestChunkSkipEquivalence is the chunk-skip suite behind the codec-layer
-// fast path's honesty claim: for every registered policy on two high-skew
-// datasets at K in {4, 16, 64}, sampled results with skipping enabled
-// must be BIT-IDENTICAL to the decode-then-filter reference (the skip
-// path disabled — PR 7's behavior), and the forced mask-off run must
-// reconcile with the skip run's access accounting. The skip machinery may
-// only remove work, never change what any consumer observes.
-func TestChunkSkipEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skip-equivalence sweep skipped in -short mode")
+// filterAfterDecode is the sampled tier's reference path, built from
+// parts the masked decode does not touch: a FULL broadcast decode feeding
+// one SetFilter per spec, priced by the planner's own sampledResultOf.
+// PR 7 shipped this shape; the masked kernel may only remove work from
+// it, never change what a consumer observes.
+func filterAfterDecode(t *testing.T, tr *trace.Trace, specs []Spec, workloadName string, bounds [][2]uint64, k uint32) []SampledResult {
+	t.Helper()
+	filters := make([]*trace.SetFilter, len(specs))
+	consumers := make([]func([]mem.Access), len(specs))
+	for i, spec := range specs {
+		pinfo, err := PolicyByName(spec.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := trace.NewSetFilter(llc, trace.SampledSets(llc.NumSets(), k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters[i], consumers[i] = f, f.Consume
 	}
-	// The toggle is process-global: run the suite serially and restore.
-	prev := SetSampledChunkSkip(true)
-	defer SetSampledChunkSkip(prev)
+	if err := tr.BroadcastNCtx(context.Background(), 0, consumers); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]SampledResult, len(specs))
+	for i, spec := range specs {
+		out[i] = sampledResultOf(filters[i], tr, spec, workloadName, k)
+	}
+	return out
+}
 
+// TestMaskedDecodeEquivalence is the suite behind the codec-layer fast
+// path's honesty claim: for every registered policy on two high-skew
+// datasets at K in {4, 16, 64}, sampled results off the masked decode
+// must be BIT-IDENTICAL to the decode-then-filter reference, and the
+// masked run's report must account for every recorded access exactly
+// once.
+func TestMaskedDecodeEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("masked-decode equivalence sweep skipped in -short mode")
+	}
 	hcfg := accuracyTestHCfg()
 	for _, dsName := range []string{"lj", "tw"} {
 		ds, err := graph.DatasetByName(dsName)
@@ -33,7 +64,7 @@ func TestChunkSkipEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := RecordTrace(w, "PR", apps.LayoutMerged, hcfg)
+		tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,53 +79,38 @@ func TestChunkSkipEquivalence(t *testing.T) {
 			specs[i] = Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
 		}
 		for _, k := range []uint32{4, 16, 64} {
-			SetSampledChunkSkip(true)
-			skip, rep, err := BroadcastSampledResultsSkipCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, k)
+			masked, rep, err := BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, k)
 			if err != nil {
-				t.Fatalf("%s k=%d skip-on: %v", dsName, k, err)
+				t.Fatalf("%s k=%d masked: %v", dsName, k, err)
 			}
-			SetSampledChunkSkip(false)
-			ref, refRep, err := BroadcastSampledResultsSkipCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, k)
-			if err != nil {
-				t.Fatalf("%s k=%d skip-off: %v", dsName, k, err)
-			}
+			ref := filterAfterDecode(t, tr, specs, w.Dataset.Name, bounds, k)
 			for i, pinfo := range pols {
-				if skip[i] != ref[i] {
-					t.Errorf("%s %s k=%d: skip-enabled result diverges from decode-then-filter reference:\n  skip: %+v\n  ref:  %+v",
-						dsName, pinfo.Name, k, skip[i], ref[i])
+				if masked[i] != ref[i] {
+					t.Errorf("%s %s k=%d: masked-decode result diverges from decode-then-filter reference:\n  masked: %+v\n  ref:    %+v",
+						dsName, pinfo.Name, k, masked[i], ref[i])
 				}
 			}
-			// Mask-off reconciliation: the reference run does no codec-layer
-			// work avoidance at all, and the skip run must account for every
-			// recorded access exactly once.
-			if refRep != (trace.SkipReport{}) {
-				t.Errorf("%s k=%d: mask-off run reported codec-layer skipping: %+v", dsName, k, refRep)
+			if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+				t.Errorf("%s k=%d: report accounts %d accesses, trace has %d", dsName, k, total, tr.Len())
 			}
-			if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
-				t.Errorf("%s k=%d: skip report accounts %d accesses, trace has %d", dsName, k, total, tr.Len())
-			}
-			if rep.AccessesPruned+rep.AccessesSkipped == 0 {
-				t.Errorf("%s k=%d: skip path avoided no work — masked decode not engaged", dsName, k)
+			if rep.AccessesPruned == 0 {
+				t.Errorf("%s k=%d: nothing pruned — masked decode not engaged", dsName, k)
 			}
 		}
-		// Solo (single-spec) masked replays must agree with their fan-out
-		// slots too: the solo mask covers only its own sampled sets, the
+		// A solo (single-spec) masked replay must agree with its fan-out
+		// slot too: the solo mask covers only its own sampled sets, the
 		// union mask potentially more, and neither may change results.
-		SetSampledChunkSkip(true)
-		for i, pinfo := range pols {
-			solo, _, err := SampledReplayResultSkipCtx(t.Context(), tr, specs[i], w.Dataset.Name, bounds, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fan, err := BroadcastSampledResultsCtx(t.Context(), tr, specs, w.Dataset.Name, bounds, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if solo != fan[i] {
-				t.Errorf("%s %s: solo masked replay diverges from fan-out slot:\n  solo: %+v\n  fan:  %+v",
-					dsName, pinfo.Name, solo, fan[i])
-			}
-			break // one policy suffices; the loop above covered them all
+		solo, _, err := SampledReplayResultSkipCtx(context.Background(), tr, specs[0], w.Dataset.Name, bounds, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fan, _, err := BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo != fan[0] {
+			t.Errorf("%s %s: solo masked replay diverges from fan-out slot:\n  solo: %+v\n  fan:  %+v",
+				dsName, pols[0].Name, solo, fan[0])
 		}
 	}
 }

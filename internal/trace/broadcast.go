@@ -1,15 +1,15 @@
 // Broadcast replay: the decode-once half of the trace engine. A plain
-// ReplayN pays the full decode (spill read-back, word unpacking, delta
+// ReplayNCtx pays the full decode (spill read-back, word unpacking, delta
 // reconstruction) per replay, so an N-policy sweep of one recording decodes
-// the same encoded stream N times. BroadcastN decodes each chunk exactly
-// once into a slab of mem.Access values and fans the slab out to every
-// consumer, so a group pays one decode regardless of how many policies
-// replay it — and the consumers run on their own goroutines, so the
-// replays of one recording proceed in parallel on multi-core hosts
-// (DESIGN.md Sec. 12).
+// the same encoded stream N times. BroadcastNCtx runs one cursor over the
+// trace, decoding each chunk exactly once into a slab of mem.Access values,
+// and fans the slab out to every consumer, so a group pays one decode
+// regardless of how many policies replay it — and the consumers run on
+// their own goroutines, so the replays of one recording proceed in
+// parallel on multi-core hosts (DESIGN.md Sec. 12).
 //
 // Ownership and recycling: decoded slabs live in a fixed-size ring. The
-// producer takes a free slab, decodes a chunk into it, sets its refcount
+// producer takes a free slab, has the cursor decode into it, sets its refcount
 // to the consumer count and hands it to every consumer channel; each
 // consumer drops one reference after applying the slab, and the last drop
 // returns the slab to the ring. The ring bounds decoded-slab memory
@@ -25,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"grasp/internal/cache"
-	"grasp/internal/fail"
 	"grasp/internal/mem"
 )
 
@@ -57,67 +55,53 @@ type slab struct {
 	refs atomic.Int32
 }
 
-// Broadcast decodes the whole trace once and fans every decoded slab out
-// to each consumer, which receives the exact access sequence (in recording
-// order, split at chunk boundaries) that a dedicated ReplayN would have
-// decoded for it. Consumers run concurrently with each other and with the
-// decode; each individual consumer is invoked sequentially, so an
-// unsynchronized LLC simulation is a valid consumer.
-func (t *Trace) Broadcast(consumers []func(accs []mem.Access)) error {
-	return t.BroadcastN(0, consumers)
-}
-
-// BroadcastN is Broadcast over at most limit accesses (limit <= 0: all) —
-// the OPT study fans its bounded-prefix replays out this way.
-func (t *Trace) BroadcastN(limit int64, consumers []func(accs []mem.Access)) error {
-	return t.BroadcastNCtx(context.Background(), limit, consumers)
-}
-
-// BroadcastNCtx is BroadcastN with cooperative cancellation and fault
-// containment. The producer checks the context once per chunk, so a
-// cancelled fan-out stops decoding within one chunk boundary (the
-// consumers then drain their bounded channels and exit). A panic inside a
-// consumer is recovered ON the consumer goroutine — letting it escape
-// would kill the whole process — and the goroutine keeps draining its
-// channel, dropping slab references without applying them, because the
-// producer blocks on slab reuse and a consumer that simply died would
-// deadlock it. The first panic is reported as the fan-out's error, stack
-// attached.
+// BroadcastNCtx decodes at most limit accesses (limit <= 0: all) once and
+// fans every decoded slab out to each consumer, which receives the exact
+// access sequence (in recording order, split at chunk boundaries) that a
+// dedicated ReplayNCtx would have decoded for it — the OPT study fans its
+// bounded-prefix replays out this way. Consumers run concurrently with
+// each other and with the decode; each individual consumer is invoked
+// sequentially, so an unsynchronized LLC simulation is a valid consumer.
+//
+// The producer's cursor checks the context once per chunk, so a cancelled
+// fan-out stops decoding within one chunk boundary (the consumers then
+// drain their bounded channels and exit). A panic inside a consumer is
+// recovered ON the consumer goroutine — letting it escape would kill the
+// whole process — and the goroutine keeps draining its channel, dropping
+// slab references without applying them, because the producer blocks on
+// slab reuse and a consumer that simply died would deadlock it. The first
+// panic is reported as the fan-out's error, stack attached.
 func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func(accs []mem.Access)) error {
-	return t.broadcastNCtx(ctx, limit, nil, consumers, nil)
+	_, err := t.broadcast(ctx, limit, nil, consumers)
+	return err
 }
 
 // BroadcastMaskedNCtx is BroadcastNCtx restricted to records whose
 // block-address congruence class is in mask — the sampled tier's fan-out
-// (DESIGN.md Sec. 14). Chunks whose presence bitmap does not intersect
-// mask are skipped whole (no materialization, no pread for spilled
-// chunks, no decode); intersecting chunks decode with in-loop pruning,
-// so slabs carry only the masked residue and every consumer's filter
-// loop shrinks by the skip ratio. Consumers see exactly the subsequence
-// of accesses a full BroadcastNCtx would deliver whose class is masked,
-// in order — with sets <= PresenceBuckets that IS the sampled-set
-// subsequence. The per-run SkipReport is returned and, on success, added
-// to the process-wide SkipStats.
+// (DESIGN.md Sec. 14). Chunks decode with in-loop pruning, so slabs carry
+// only the masked residue and every consumer's filter loop shrinks by the
+// prune ratio. Consumers see exactly the subsequence of accesses a full
+// BroadcastNCtx would deliver whose class is masked, in order — with sets
+// <= PresenceBuckets that IS the sampled-set subsequence. The per-run
+// SkipReport is returned and, on success, added to the process-wide
+// SkipStats.
 func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
-	var rep SkipReport
-	err := t.broadcastNCtx(ctx, limit, &mask, consumers, &rep)
+	rep, err := t.broadcast(ctx, limit, &mask, consumers)
 	if err == nil {
 		countSkip(rep)
 	}
 	return rep, err
 }
 
-// broadcastNCtx is the shared producer/fan-out engine; mask == nil is the
-// full-fidelity path, mask != nil the sampled skip path (rep non-nil).
-func (t *Trace) broadcastNCtx(ctx context.Context, limit int64, mask *PresenceMask, consumers []func(accs []mem.Access), rep *SkipReport) error {
-	if t.destroyed.Load() {
-		return errReleased
+// broadcast is the shared producer/fan-out engine; mask == nil is the
+// full-fidelity path, mask != nil the sampled prune path.
+func (t *Trace) broadcast(ctx context.Context, limit int64, mask *PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
+	c, err := t.newCursor(ctx, limit, mask)
+	if err != nil {
+		return SkipReport{}, err
 	}
 	if len(consumers) == 0 {
-		return nil
-	}
-	if limit <= 0 || limit > t.n {
-		limit = t.n
+		return SkipReport{}, nil
 	}
 	n := len(consumers)
 	free := make(chan *slab, broadcastSlabs)
@@ -156,55 +140,10 @@ func (t *Trace) broadcastNCtx(ctx context.Context, limit int64, mask *PresenceMa
 			}
 		}(chans[i], consumers[i])
 	}
-	ctxDone := ctx.Done()
-	var scratch []uint64
-	var buf []byte
-	var done int64
-	var err error
-	for ci := 0; ci < len(t.chunks) && done < limit; ci++ {
-		if ctxDone != nil {
-			select {
-			case <-ctxDone:
-				err = ContextErr(ctx)
-			default:
-			}
-			if err != nil {
-				break
-			}
-		}
-		c := &t.chunks[ci]
-		// Whole-chunk skip: the presence bitmap proves no masked access
-		// inside. A chunk straddling the limit still decodes, so a bounded
-		// masked fan-out delivers exactly the masked subsequence of the
-		// first limit accesses.
-		if mask != nil && !c.bitmap.Intersects(*mask) && done+c.accs <= limit {
-			rep.ChunksSkipped++
-			rep.BytesSkipped += c.sizeBytes()
-			rep.AccessesSkipped += c.accs
-			done += c.accs
-			continue
-		}
-		if err = fail.Hit("trace.replay.chunk"); err != nil {
-			err = fmt.Errorf("trace: replay: %w", err)
-			break
-		}
-		var words []uint64
-		words, err = t.materialize(ci, &scratch, &buf)
-		if err != nil {
-			break
-		}
+	for {
 		s := <-free
-		if mask != nil {
-			s.accs, done = t.decodeAppendMasked(words, s.accs[:0], c.base, done, limit, *mask, rep)
-			rep.ChunksDecoded++
-			rep.BytesDecoded += c.sizeBytes()
-			if len(s.accs) == 0 {
-				// Everything pruned: nothing for consumers, recycle directly.
-				free <- s
-				continue
-			}
-		} else {
-			s.accs, done = t.decodeAppend(words, s.accs[:0], c.base, done, limit)
+		if s.accs, err = c.next(s.accs); err != nil || len(s.accs) == 0 {
+			break
 		}
 		s.refs.Store(int32(n))
 		for _, ch := range chans {
@@ -217,83 +156,10 @@ func (t *Trace) broadcastNCtx(ctx context.Context, limit int64, mask *PresenceMa
 	wg.Wait()
 	if err == nil {
 		if pe := panicErr.Load(); pe != nil {
-			return *pe
+			return c.rep, *pe
 		}
 		broadcastRuns.Add(1)
 		broadcastConsumers.Add(uint64(n))
 	}
-	return err
-}
-
-// decodeAppend decodes one chunk's words into dst, stopping once done
-// reaches limit, and returns the extended slice plus the progress count.
-// base is the chunk's self-contained block-delta seed (chunk.base), so a
-// chunk decodes in isolation; chunks never split an escape pair (the
-// recorder seals early), so the scan always terminates on a record
-// boundary.
-func (t *Trace) decodeAppend(words []uint64, dst []mem.Access, base uint64, done, limit int64) ([]mem.Access, int64) {
-	lastBlock := base
-	for i := 0; i < len(words) && done < limit; i++ {
-		w := words[i]
-		var block uint64
-		var pc uint32
-		if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
-			pc = uint32(w >> deltaShift)
-			i++
-			block = words[i]
-		} else {
-			pc = t.pcs[idx]
-			block = lastBlock + uint64(int64(w)>>deltaShift)
-		}
-		lastBlock = block
-		dst = append(dst, mem.Access{
-			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-			PC:       pc,
-			Write:    w&flagWrite != 0,
-			Property: w&flagProp != 0,
-		})
-		done++
-	}
-	return dst, done
-}
-
-// decodeAppendMasked is decodeAppend with in-loop pruning: every word is
-// still scanned (the delta chain demands it) but records whose block
-// congruence class is outside mask drop before the PC lookup and the
-// mem.Access materialization — the step that removes the decode share
-// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14). rep accounts
-// pruned vs delivered records.
-func (t *Trace) decodeAppendMasked(words []uint64, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask, rep *SkipReport) ([]mem.Access, int64) {
-	lastBlock := base
-	for i := 0; i < len(words) && done < limit; i++ {
-		w := words[i]
-		var block uint64
-		escape := (w>>pcShift)&pcMask == escapeIdx
-		if escape {
-			i++
-			block = words[i]
-		} else {
-			block = lastBlock + uint64(int64(w)>>deltaShift)
-		}
-		lastBlock = block
-		done++
-		if !mask.test(block) {
-			rep.AccessesPruned++
-			continue
-		}
-		var pc uint32
-		if escape {
-			pc = uint32(w >> deltaShift)
-		} else {
-			pc = t.pcs[(w>>pcShift)&pcMask]
-		}
-		rep.AccessesDelivered++
-		dst = append(dst, mem.Access{
-			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-			PC:       pc,
-			Write:    w&flagWrite != 0,
-			Property: w&flagProp != 0,
-		})
-	}
-	return dst, done
+	return c.rep, err
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func collectBroadcast(t *testing.T, tr *Trace, n int, limit int64) [][]mem.Acces
 			got[i] = append(got[i], accs...)
 		}
 	}
-	if err := tr.BroadcastN(limit, consumers); err != nil {
+	if err := tr.BroadcastNCtx(context.Background(), limit, consumers); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -163,7 +164,7 @@ func TestBroadcastConcurrentWithRelease(t *testing.T) {
 				i := i
 				consumers[i] = func(a []mem.Access) { counts[i].Add(int64(len(a))) }
 			}
-			done <- tr.Broadcast(consumers)
+			done <- tr.BroadcastNCtx(context.Background(), 0, consumers)
 		}()
 		tr.Release()
 		if err := <-done; err != nil {

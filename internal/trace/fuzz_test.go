@@ -70,21 +70,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzChunkSkip drives the masked (chunk-skipping) replay with hostile
-// recordings across geometries: arbitrary bytes become an access stream
-// (13-byte records as in FuzzCodecRoundTrip; an input byte toggles the
-// spill layout, picks the set count and the sampling divisor), replayed
-// masked and reconciled against a reference filter over the full decode.
-// The conservative presence bitmap must NEVER skip a chunk containing a
-// sampled-set access — delivered accesses, their order, and the
-// skip/prune/deliver accounting must match the reference exactly for any
+// FuzzChunkSkip drives the masked (in-loop pruning) decode with hostile
+// recordings across geometries from 2 to 512 sets (the name predates the
+// removal of whole-chunk skipping; it is kept because every committed
+// seed is a pinned regression test under it): arbitrary bytes become
+// an access stream (13-byte records as in FuzzCodecRoundTrip; an input
+// byte toggles the spill layout, picks the set count and the sampling
+// divisor), decoded masked and reconciled against a filter applied after
+// the independent reference decode. The conservative mask must NEVER
+// drop a sampled-set access — delivered accesses, their order, and the
+// prune/deliver accounting must match the reference exactly for any
 // address pattern, including delta overflows, escape records straddling
 // seal-early boundaries, and addresses engineered to alias one bucket.
 func FuzzChunkSkip(f *testing.F) {
 	f.Add([]byte{})
-	// Seed one stream clustered in a single congruence class (whole-chunk
-	// skips for most masks), one striding every class with spill + a large
-	// divisor, and one hammering escape records.
+	// Seed one stream clustered in a single congruence class (everything
+	// prunes for most masks), one striding every class with spill + a
+	// large divisor, and one hammering escape records.
 	cluster := make([]byte, 0, 13*64)
 	for i := 0; i < 64; i++ {
 		var rec [13]byte
@@ -155,13 +157,21 @@ func FuzzChunkSkip(f *testing.F) {
 		for _, s := range sampled {
 			inSample[s] = true
 		}
-		// Reference: the masked subsequence of the raw stream. The mask can
-		// admit more than the sampled sets when sets > PresenceBuckets, so
-		// the reference applies the same mask — and separately asserts the
-		// mask never excludes a sampled-set block (the no-false-negative
-		// property skipping relies on).
+		// Reference: filter-after-decode — the mask applied to the stream
+		// the independent decoder (Accesses) yields. The mask can admit
+		// more than the sampled sets when sets > PresenceBuckets, so the
+		// reference applies the same mask — and separately asserts the mask
+		// never excludes a sampled-set block (the no-false-negative
+		// property pruning relies on).
+		decoded, err := tr.Accesses(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(decoded) != len(accs) {
+			t.Fatalf("reference decode yielded %d accesses, recorded %d", len(decoded), len(accs))
+		}
 		var want []mem.Access
-		for _, a := range accs {
+		for _, a := range decoded {
 			block := cache.BlockAddr(a.Addr)
 			if inSample[uint32(block&uint64(sets-1))] && !mask.test(block) {
 				t.Fatalf("block %#x maps to a sampled set but the mask excludes it", block)
@@ -170,16 +180,9 @@ func FuzzChunkSkip(f *testing.F) {
 				want = append(want, a)
 			}
 		}
-		var got []mem.Access
-		rep, err := tr.ReplayMaskedNCtx(context.Background(), 0, mask, func(a mem.Access) {
-			got = append(got, a)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, rep := maskedDecode(t, tr, 0, mask)
 		if len(got) != len(want) {
-			t.Fatalf("masked replay delivered %d accesses, reference has %d (skipped %d chunks)",
-				len(got), len(want), rep.ChunksSkipped)
+			t.Fatalf("masked decode delivered %d accesses, reference has %d", len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -189,7 +192,7 @@ func FuzzChunkSkip(f *testing.F) {
 		if rep.AccessesDelivered != int64(len(want)) {
 			t.Fatalf("report delivered %d, reference has %d", rep.AccessesDelivered, len(want))
 		}
-		if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+		if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
 			t.Fatalf("report accounts %d accesses, trace has %d", total, tr.Len())
 		}
 	})
@@ -265,7 +268,7 @@ func FuzzSetFilterReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Broadcast([]func([]mem.Access){filter.Consume}); err != nil {
+		if err := tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){filter.Consume}); err != nil {
 			t.Fatal(err)
 		}
 		// Reference count straight off the raw stream.

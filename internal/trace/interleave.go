@@ -1,17 +1,17 @@
 // Interleaved multi-stream replay: the co-run consumer shape of the trace
-// engine (DESIGN.md Sec. 15). A broadcast replay fans ONE recording out to
+// engine (DESIGN.md Sec. 15). A broadcast replay fans ONE cursor out to
 // many LLCs; an interleaved replay does the inverse — it merges MANY
-// recordings into one consumer, round-robin in ratio-weighted quanta, the
-// way a shared LLC observes the miss streams of co-scheduled cores
-// (sim.Multicore's drain loop, lifted to recorded streams). Each delivered
-// batch carries the index of the stream it came from, so the consumer can
-// attribute shared-cache activity back to the application that caused it.
+// cursors into one consumer, round-robin in ratio-weighted quanta, the way
+// a shared LLC observes the miss streams of co-scheduled cores. Each
+// delivered batch carries the index of the stream it came from, so the
+// consumer can attribute shared-cache activity back to the application
+// that caused it.
 //
 // Determinism: the merged order is a pure function of the streams, their
 // weights and the limit — no goroutines, no channels — so a co-run replay
 // is exactly reproducible across runs and GOMAXPROCS settings, and a
 // single-stream interleave degenerates to the recording order of a plain
-// ReplayN (the equivalence the co-run suite pins).
+// ReplayNCtx (the equivalence the co-run suite pins).
 package trace
 
 import (
@@ -22,181 +22,82 @@ import (
 )
 
 // InterleaveStream pairs one recorded trace with its round-robin ratio
-// weight: the stream issues Weight accesses per turn of the interleave
-// (sim.Multicore's QuantumAccesses, per stream). Streams may share one
-// *Trace — each entry decodes through its own cursor. A non-nil Mask
-// restricts the stream to records whose block congruence class is masked
-// (the sampled co-run form): the cursor skips chunks the presence bitmap
-// proves irrelevant and prunes in the decode loop, exactly like
-// BroadcastMaskedNCtx, while the round-robin rotation stays correct —
-// quanta are counted in DELIVERED accesses, so a stream that skips
-// chunks simply advances its decode position without disturbing the
-// merge order of what it does deliver.
+// weight: the stream issues Weight accesses per turn of the interleave.
+// Streams may share one *Trace — each entry decodes through its own
+// cursor.
 type InterleaveStream struct {
 	Trace  *Trace
 	Weight int
-	Mask   *PresenceMask
 }
 
-// interleaveCursor is one stream's private decode position: the next chunk
-// to materialize, the decoded accesses of the current chunk, and the
-// bounded-prefix progress. Chunks decode self-contained from their header
-// base, so a cursor that skips chunks needs no predecessor state. Cursors
-// never share scratch space, so two streams over the same spilled trace
-// pread independently.
+// interleaveCursor is one stream's private decode position: its chunk
+// cursor, the decoded accesses of the current chunk, and how many of them
+// the merge has already delivered.
 type interleaveCursor struct {
-	t       *Trace
-	ci      int          // next chunk index to decode
-	buf     []mem.Access // decoded accesses of the current chunk
-	pos     int          // next undelivered index in buf
-	done    int64
-	limit   int64
-	dead    bool
-	mask    *PresenceMask
-	skip    *SkipReport
-	scratch []uint64
-	rbuf    []byte
-}
-
-// refill decodes the cursor's next chunk into buf, marking the cursor dead
-// when the stream (or its per-stream limit) is exhausted. A masked cursor
-// loops: chunks proven empty by their bitmap are skipped without decode,
-// and a chunk whose every record prunes yields an empty buf — neither
-// means the stream is dead, so the scan continues until something is
-// delivered or the stream truly ends. The context is checked here — once
-// per chunk per stream, the same cancellation cadence as ReplayNCtx.
-func (c *interleaveCursor) refill(ctx context.Context, ctxDone <-chan struct{}) error {
-	for {
-		if c.done >= c.limit || c.ci >= len(c.t.chunks) {
-			c.dead = true
-			return nil
-		}
-		if ctxDone != nil {
-			select {
-			case <-ctxDone:
-				return ContextErr(ctx)
-			default:
-			}
-		}
-		ch := &c.t.chunks[c.ci]
-		if c.mask != nil && !ch.bitmap.Intersects(*c.mask) && c.done+ch.accs <= c.limit {
-			c.skip.ChunksSkipped++
-			c.skip.BytesSkipped += ch.sizeBytes()
-			c.skip.AccessesSkipped += ch.accs
-			c.done += ch.accs
-			c.ci++
-			continue
-		}
-		words, err := c.t.materialize(c.ci, &c.scratch, &c.rbuf)
-		if err != nil {
-			return err
-		}
-		c.ci++
-		if c.mask != nil {
-			c.buf, c.done = c.t.decodeAppendMasked(words, c.buf[:0], ch.base, c.done, c.limit, *c.mask, c.skip)
-			c.skip.ChunksDecoded++
-			c.skip.BytesDecoded += ch.sizeBytes()
-		} else {
-			c.buf, c.done = c.t.decodeAppend(words, c.buf[:0], ch.base, c.done, c.limit)
-		}
-		c.pos = 0
-		if len(c.buf) > 0 {
-			return nil
-		}
-	}
-}
-
-// InterleaveReplay is InterleaveReplayCtx with a background context.
-func InterleaveReplay(streams []InterleaveStream, limit int64, consume func(stream int, accs []mem.Access)) error {
-	return InterleaveReplayCtx(context.Background(), streams, limit, consume)
+	cursor
+	buf  []mem.Access // decoded accesses of the current chunk
+	pos  int          // next undelivered index in buf
+	dead bool         // stream (or its per-stream limit) exhausted
 }
 
 // InterleaveReplayCtx merges the streams' decoded access sequences into
 // consume, deterministically: streams take turns in argument order, stream
 // i delivering up to Weight_i accesses per turn, until every stream is
 // exhausted (limit > 0 caps the accesses taken from EACH stream — the
-// bounded-prefix form, mirroring ReplayN). A stream that runs out simply
+// bounded-prefix form, mirroring ReplayNCtx). A stream that runs out simply
 // drops from the rotation; the survivors keep their weights, as live cores
 // keep issuing after a neighbor finishes.
 //
 // consume(stream, accs) receives each stream's accesses in that stream's
 // recording order, in batches of at most Weight_stream (smaller at chunk
 // seams); the concatenation of all batches for one stream is exactly what
-// a dedicated ReplayN of that trace would have decoded. Batches borrow the
+// a dedicated ReplayNCtx of that trace would have decoded. Batches borrow the
 // cursor's decode buffer and are only valid during the call — consumers
 // must not retain them. consume runs on the calling goroutine; an
 // unsynchronized LLC simulation is a valid consumer.
 func InterleaveReplayCtx(ctx context.Context, streams []InterleaveStream, limit int64, consume func(stream int, accs []mem.Access)) error {
-	_, err := InterleaveReplayMaskedCtx(ctx, streams, limit, consume)
-	return err
-}
-
-// InterleaveReplayMaskedCtx is InterleaveReplayCtx returning the
-// aggregate SkipReport of the masked streams (zero when no stream
-// carries a Mask). On success the report is added to the process-wide
-// SkipStats, matching the broadcast and solo masked paths.
-func InterleaveReplayMaskedCtx(ctx context.Context, streams []InterleaveStream, limit int64, consume func(stream int, accs []mem.Access)) (SkipReport, error) {
-	var rep SkipReport
 	if len(streams) == 0 {
-		return rep, fmt.Errorf("trace: interleave needs at least one stream")
+		return fmt.Errorf("trace: interleave needs at least one stream")
 	}
-	masked := false
 	cursors := make([]interleaveCursor, len(streams))
 	for i, st := range streams {
 		if st.Trace == nil {
-			return rep, fmt.Errorf("trace: interleave stream %d has no trace", i)
+			return fmt.Errorf("trace: interleave stream %d has no trace", i)
 		}
 		if st.Weight <= 0 {
-			return rep, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
+			return fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
-		if st.Trace.destroyed.Load() {
-			return rep, errReleased
+		c, err := st.Trace.newCursor(ctx, limit, nil)
+		if err != nil {
+			return err
 		}
-		lim := st.Trace.n
-		if limit > 0 && limit < lim {
-			lim = limit
-		}
-		cursors[i] = interleaveCursor{t: st.Trace, limit: lim, dead: lim == 0, mask: st.Mask, skip: &rep}
-		if st.Mask != nil {
-			masked = true
-		}
+		cursors[i].cursor = c
 	}
-	ctxDone := ctx.Done()
-	alive := 0
-	for i := range cursors {
-		if !cursors[i].dead {
-			alive++
-		}
-	}
-	for alive > 0 {
+	for alive := len(cursors); alive > 0; {
 		for i := range cursors {
 			c := &cursors[i]
 			if c.dead {
 				continue
 			}
-			q := streams[i].Weight
-			for q > 0 {
+			for q := streams[i].Weight; q > 0; {
 				if c.pos >= len(c.buf) {
-					if err := c.refill(ctx, ctxDone); err != nil {
-						return rep, err
+					var err error
+					if c.buf, err = c.next(c.buf); err != nil {
+						return err
 					}
-					if c.dead {
+					c.pos = 0
+					if len(c.buf) == 0 {
+						c.dead = true
 						alive--
 						break
 					}
 				}
-				take := len(c.buf) - c.pos
-				if take > q {
-					take = q
-				}
+				take := min(len(c.buf)-c.pos, q)
 				consume(i, c.buf[c.pos:c.pos+take])
 				c.pos += take
 				q -= take
 			}
 		}
 	}
-	if masked {
-		countSkip(rep)
-	}
-	return rep, nil
+	return nil
 }

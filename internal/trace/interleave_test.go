@@ -41,7 +41,7 @@ func seqAccesses(stream, n int) []mem.Access {
 func collectInterleave(t testing.TB, streams []InterleaveStream, limit int64) (merged []int, perStream [][]mem.Access) {
 	t.Helper()
 	perStream = make([][]mem.Access, len(streams))
-	err := InterleaveReplay(streams, limit, func(stream int, accs []mem.Access) {
+	err := InterleaveReplayCtx(context.Background(), streams, limit, func(stream int, accs []mem.Access) {
 		for _, a := range accs {
 			merged = append(merged, stream)
 			perStream[stream] = append(perStream[stream], a)
@@ -118,7 +118,7 @@ func TestInterleaveSharedTrace(t *testing.T) {
 }
 
 // TestInterleaveLimit: limit > 0 caps the accesses taken from EACH stream
-// (the bounded-prefix form, mirroring ReplayN).
+// (the bounded-prefix form, mirroring ReplayNCtx).
 func TestInterleaveLimit(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 100))
 	defer a.Release()
@@ -140,7 +140,7 @@ func TestInterleaveBatchesRespectWeight(t *testing.T) {
 	b := recordAccesses(t, seqAccesses(1, 400))
 	defer b.Release()
 	streams := []InterleaveStream{{Trace: a, Weight: 5}, {Trace: b, Weight: 3}}
-	err := InterleaveReplay(streams, 0, func(stream int, accs []mem.Access) {
+	err := InterleaveReplayCtx(context.Background(), streams, 0, func(stream int, accs []mem.Access) {
 		if len(accs) == 0 || len(accs) > streams[stream].Weight {
 			t.Fatalf("stream %d delivered a batch of %d (weight %d)", stream, len(accs), streams[stream].Weight)
 		}
@@ -174,17 +174,17 @@ func TestInterleaveDeterministic(t *testing.T) {
 func TestInterleaveValidation(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, 4))
 	consume := func(int, []mem.Access) {}
-	if err := InterleaveReplay(nil, 0, consume); err == nil {
+	if err := InterleaveReplayCtx(context.Background(), nil, 0, consume); err == nil {
 		t.Error("no streams accepted")
 	}
-	if err := InterleaveReplay([]InterleaveStream{{Trace: nil, Weight: 1}}, 0, consume); err == nil {
+	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: nil, Weight: 1}}, 0, consume); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if err := InterleaveReplay([]InterleaveStream{{Trace: tr, Weight: 0}}, 0, consume); err == nil {
+	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 0}}, 0, consume); err == nil {
 		t.Error("zero weight accepted")
 	}
 	tr.Release()
-	if err := InterleaveReplay([]InterleaveStream{{Trace: tr, Weight: 1}}, 0, consume); err == nil {
+	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 1}}, 0, consume); err == nil {
 		t.Error("released trace accepted")
 	}
 }
@@ -262,7 +262,7 @@ func FuzzInterleaveReplay(f *testing.F) {
 			{Trace: trA, Weight: weightB},
 		}
 		got := make([][]mem.Access, len(streams))
-		err := InterleaveReplay(streams, limit, func(stream int, accs []mem.Access) {
+		err := InterleaveReplayCtx(context.Background(), streams, limit, func(stream int, accs []mem.Access) {
 			if len(accs) == 0 || len(accs) > streams[stream].Weight {
 				t.Fatalf("stream %d: batch of %d exceeds weight %d", stream, len(accs), streams[stream].Weight)
 			}

@@ -1,18 +1,14 @@
-// Set-aware chunk metadata: the codec-layer half of the sampled fast tier
-// (DESIGN.md Sec. 11). Every sealed chunk carries a presence bitmap over
-// PresenceBuckets block-address congruence classes, stamped at record
-// time. Because a set-associative cache indexes sets by the low block
-// bits, a sampled-set selection projects onto those congruence classes,
-// and a chunk whose bitmap does not intersect the sampled projection
-// PROVABLY contains no sampled-set access: the replay skips its
-// materialization (for spilled chunks, the pread) and decode outright.
-// Chunks that do intersect still decode — the delta chain demands a
-// linear word scan — but the masked decoder prunes non-sampled records
-// in place, so only the ~1/K sampled residue is materialized into
-// mem.Access values and shipped to consumers. The pruning is what breaks
-// PR 7's decode-share Amdahl bound (DESIGN.md Sec. 14): the filter runs
-// inside the decode loop on the raw words instead of after full
-// materialization.
+// Set-aware decode: the codec-layer half of the sampled fast tier
+// (DESIGN.md Sec. 14). Because a set-associative cache indexes sets by the
+// low block bits, a sampled-set selection projects onto PresenceBuckets
+// block-address congruence classes, and the masked decode kernel
+// (decodeAppendMasked) tests each record's class on the reconstructed
+// block address alone: every word is still scanned — the delta chain
+// demands it — but non-sampled records drop before the PC lookup and the
+// mem.Access materialization, so only the ~1/K sampled residue is shipped
+// to consumers. Running the filter inside the decode loop on the raw
+// words, instead of after full materialization, is what breaks PR 7's
+// decode-share Amdahl bound.
 //
 // Conservatism: with sets <= PresenceBuckets (every geometry this repo
 // simulates) a bucket maps to exactly one set, so the mask test IS the
@@ -20,7 +16,7 @@
 // several sets alias one bucket and the mask only over-approximates —
 // a consumer-side SetFilter still applies its exact per-set test, so
 // false positives cost work, never correctness. A false NEGATIVE is
-// impossible by construction, which the chunk-skip fuzz target
+// impossible by construction, which the masked-decode fuzz target
 // (FuzzChunkSkip) hammers with hostile recordings.
 package trace
 
@@ -29,9 +25,9 @@ import (
 	"sync/atomic"
 )
 
-// PresenceBuckets is the width of the per-chunk presence bitmap: block
-// addresses are bucketed by their low log2(PresenceBuckets) bits, the
-// same bits every power-of-two set indexing draws from.
+// PresenceBuckets is the width of the prune mask: block addresses are
+// bucketed by their low log2(PresenceBuckets) bits, the same bits every
+// power-of-two set indexing draws from.
 const PresenceBuckets = 256
 
 // presenceWords is the bitmap size in uint64 words.
@@ -41,10 +37,9 @@ const presenceWords = PresenceBuckets / 64
 const presenceBucketMask = PresenceBuckets - 1
 
 // PresenceMask is a bitmap over the PresenceBuckets block-address
-// congruence classes: per chunk it records which classes occur in the
-// chunk (stamped by the Recorder), and per replay it encodes which
-// classes the consumers' sampled sets can map to (built by
-// SampledSetsMask, unioned across consumers by the decode planner).
+// congruence classes: per replay it encodes which classes the consumers'
+// sampled sets can map to (built by SampledSetsMask, unioned across
+// consumers by the decode planner).
 type PresenceMask [presenceWords]uint64
 
 // set marks the congruence class of block.
@@ -67,18 +62,6 @@ func (m *PresenceMask) Or(o PresenceMask) {
 	}
 }
 
-// Empty reports whether no bucket is marked.
-func (m PresenceMask) Empty() bool {
-	return m[0]|m[1]|m[2]|m[3] == 0
-}
-
-// Intersects reports whether m and o share a marked bucket — the chunk
-// skip test: a chunk whose bitmap does not intersect the replay mask
-// contains no access any consumer samples.
-func (m PresenceMask) Intersects(o PresenceMask) bool {
-	return m[0]&o[0]|m[1]&o[1]|m[2]&o[2]|m[3]&o[3] != 0
-}
-
 // SampledSetsMask projects a sampled-set selection (as returned by
 // SampledSets for an LLC with the given power-of-two set count) onto the
 // presence buckets. The projection is conservative in exactly one
@@ -87,7 +70,7 @@ func (m PresenceMask) Intersects(o PresenceMask) bool {
 // (bucket & (sets-1)), so each sampled set owns PresenceBuckets/sets
 // buckets and the projection is exact; with sets > PresenceBuckets all
 // sets aliasing a bucket share it, so the mask admits non-sampled sets
-// (false positives prune less, never skip wrongly).
+// (false positives prune less, never drop wrongly).
 func SampledSetsMask(sets uint32, sampled []uint32) PresenceMask {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("trace: set count %d is not a positive power of two", sets))
@@ -110,75 +93,55 @@ func SampledSetsMask(sets uint32, sampled []uint32) PresenceMask {
 
 // SkipReport accounts one masked replay's codec-layer savings.
 type SkipReport struct {
-	// ChunksSkipped counts chunks proven empty of sampled-set accesses by
-	// their presence bitmap and never materialized (spilled ones save the
-	// pread) or decoded; ChunksDecoded counts chunks the masked decoder
-	// scanned. BytesSkipped/BytesDecoded are their encoded footprints.
-	ChunksSkipped, ChunksDecoded uint64
-	BytesSkipped, BytesDecoded   uint64
-	// AccessesSkipped counts recorded accesses inside skipped chunks;
+	// ChunksSkipped is always zero: whole-chunk skipping was measured to
+	// fire on 0 of 1132 chunks and removed (DESIGN.md Sec. 14). The field
+	// stays only because the frozen benchmark reads it for its
+	// trace.chunks_skipped rung; it goes when that rung does.
+	ChunksSkipped uint64
+	// ChunksDecoded counts chunks the masked decoder scanned and
+	// BytesDecoded their encoded footprint.
+	ChunksDecoded, BytesDecoded uint64
 	// AccessesPruned counts records the masked decoder scanned but dropped
 	// before materialization (bucket outside the mask); AccessesDelivered
 	// counts records materialized and shipped to consumers.
-	AccessesSkipped, AccessesPruned, AccessesDelivered int64
+	AccessesPruned, AccessesDelivered int64
 }
 
 // Add accumulates o into r (session- and process-level aggregation).
 func (r *SkipReport) Add(o SkipReport) {
-	r.ChunksSkipped += o.ChunksSkipped
 	r.ChunksDecoded += o.ChunksDecoded
-	r.BytesSkipped += o.BytesSkipped
 	r.BytesDecoded += o.BytesDecoded
-	r.AccessesSkipped += o.AccessesSkipped
 	r.AccessesPruned += o.AccessesPruned
 	r.AccessesDelivered += o.AccessesDelivered
 }
 
-// SkipRatio returns the fraction of recorded accesses the codec layer
-// kept away from consumers — skipped with their chunk or pruned in the
-// decode loop — out of everything a mask-less replay would have
-// materialized. 0 when nothing was replayed.
+// SkipRatio returns the fraction of recorded accesses the masked decoder
+// pruned before materialization, out of everything a mask-less replay
+// would have delivered. 0 when nothing was replayed.
 func (r SkipReport) SkipRatio() float64 {
-	total := r.AccessesSkipped + r.AccessesPruned + r.AccessesDelivered
+	total := r.AccessesPruned + r.AccessesDelivered
 	if total == 0 {
 		return 0
 	}
-	return float64(r.AccessesSkipped+r.AccessesPruned) / float64(total)
+	return float64(r.AccessesPruned) / float64(total)
 }
 
-// ChunkSkipRatio returns the fraction of chunks skipped whole. 0 when
-// nothing was replayed.
-func (r SkipReport) ChunkSkipRatio() float64 {
-	total := r.ChunksSkipped + r.ChunksDecoded
-	if total == 0 {
-		return 0
-	}
-	return float64(r.ChunksSkipped) / float64(total)
-}
-
-// Process-wide skip counters (observability): every masked replay adds
-// its SkipReport here; graspd /metrics exports them as
-// chunks_skipped_total / chunks_decoded_total and friends, so the
+// Process-wide masked-replay counters (observability): every masked
+// replay adds its SkipReport here; graspd /metrics exports them as
+// chunks_decoded_total, accesses_pruned_total and friends, so the
 // decode-bound retreat is visible in production, not only in BENCH
-// files. Unmasked (full-fidelity) replays do not count: the ratios
-// stay meaningful as "of the skip-eligible work, how much was skipped".
+// files. Unmasked (full-fidelity) replays do not count.
 var (
-	skipChunksSkipped atomic.Uint64
 	skipChunksDecoded atomic.Uint64
-	skipBytesSkipped  atomic.Uint64
 	skipBytesDecoded  atomic.Uint64
-	skipAccSkipped    atomic.Int64
 	skipAccPruned     atomic.Int64
 	skipAccDelivered  atomic.Int64
 )
 
 // countSkip folds one masked replay's report into the process totals.
 func countSkip(r SkipReport) {
-	skipChunksSkipped.Add(r.ChunksSkipped)
 	skipChunksDecoded.Add(r.ChunksDecoded)
-	skipBytesSkipped.Add(r.BytesSkipped)
 	skipBytesDecoded.Add(r.BytesDecoded)
-	skipAccSkipped.Add(r.AccessesSkipped)
 	skipAccPruned.Add(r.AccessesPruned)
 	skipAccDelivered.Add(r.AccessesDelivered)
 }
@@ -186,11 +149,8 @@ func countSkip(r SkipReport) {
 // SkipStats returns the process-wide masked-replay totals.
 func SkipStats() SkipReport {
 	return SkipReport{
-		ChunksSkipped:     skipChunksSkipped.Load(),
 		ChunksDecoded:     skipChunksDecoded.Load(),
-		BytesSkipped:      skipBytesSkipped.Load(),
 		BytesDecoded:      skipBytesDecoded.Load(),
-		AccessesSkipped:   skipAccSkipped.Load(),
 		AccessesPruned:    skipAccPruned.Load(),
 		AccessesDelivered: skipAccDelivered.Load(),
 	}

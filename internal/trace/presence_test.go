@@ -10,7 +10,7 @@ import (
 
 // classStream builds a stream whose accesses cluster per chunk: each
 // segment of chunkWords accesses stays inside one block congruence class,
-// so whole chunks are provably skippable for masks excluding that class.
+// so a mask excluding that class prunes the chunk's every record.
 func classStream(segments int, classes []uint64) []mem.Access {
 	var accs []mem.Access
 	for s := 0; s < segments; s++ {
@@ -36,10 +36,23 @@ func maskOf(classes ...uint64) PresenceMask {
 	return m
 }
 
+// maskedDecode collects what a one-consumer masked fan-out delivers.
+func maskedDecode(t *testing.T, tr *Trace, limit int64, mask PresenceMask) ([]mem.Access, SkipReport) {
+	t.Helper()
+	var got []mem.Access
+	rep, err := tr.BroadcastMaskedNCtx(context.Background(), limit, mask, []func([]mem.Access){
+		func(accs []mem.Access) { got = append(got, accs...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, rep
+}
+
 // TestChunkHeadersSelfContained asserts every sealed chunk's header lets
 // it decode in isolation: the per-chunk base plus the chunk's words must
 // reproduce exactly the corresponding slice of the full decode, resident
-// and spilled alike, and the access counts must partition the stream.
+// and spilled alike, and the chunks must partition the stream.
 func TestChunkHeadersSelfContained(t *testing.T) {
 	// interesting() alone fits one chunk; repeat it until the encoding
 	// crosses several chunk boundaries (escape forms land mid-stream, so
@@ -60,10 +73,8 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 		var scratch []uint64
 		var buf []byte
 		var off int64
-		var accSum int64
 		for ci := range tr.chunks {
 			c := &tr.chunks[ci]
-			accSum += c.accs
 			words, err := tr.materialize(ci, &scratch, &buf)
 			if err != nil {
 				t.Fatal(err)
@@ -72,23 +83,16 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 				t.Fatalf("chunk %d: %d words materialized, header says %d", ci, len(words), c.n)
 			}
 			// Decode this chunk alone, seeded only by its header base.
-			got, _ := tr.decodeAppend(words, nil, c.base, 0, c.accs)
-			if int64(len(got)) != c.accs {
-				t.Fatalf("chunk %d: isolated decode yielded %d accesses, header says %d", ci, len(got), c.accs)
-			}
+			got, _ := tr.decodeAppend(words, nil, c.base, 0, tr.Len())
 			for i, a := range got {
 				if a != ref[off+int64(i)] {
 					t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
 				}
-				// The presence bitmap must cover every block in the chunk.
-				if !c.bitmap.test(cache.BlockAddr(a.Addr)) {
-					t.Fatalf("chunk %d access %d: block class missing from presence bitmap", ci, i)
-				}
 			}
-			off += c.accs
+			off += int64(len(got))
 		}
-		if accSum != tr.Len() {
-			t.Fatalf("chunk access counts sum to %d, trace has %d", accSum, tr.Len())
+		if off != tr.Len() {
+			t.Fatalf("isolated chunk decodes sum to %d accesses, trace has %d", off, tr.Len())
 		}
 	}
 }
@@ -117,12 +121,12 @@ func TestSampledSetsMaskConservative(t *testing.T) {
 			}
 		}
 	}
-	if got := SampledSetsMask(16, nil); !got.Empty() {
+	if got := SampledSetsMask(16, nil); got != (PresenceMask{}) {
 		t.Fatal("empty selection produced a non-empty mask")
 	}
 }
 
-// TestReplayMaskedEquivalence: the masked solo replay must deliver
+// TestReplayMaskedEquivalence: a one-consumer masked fan-out must deliver
 // exactly the masked subsequence of a full decode, in order, with the
 // report reconciling every recorded access — resident and spilled.
 func TestReplayMaskedEquivalence(t *testing.T) {
@@ -136,13 +140,7 @@ func TestReplayMaskedEquivalence(t *testing.T) {
 				want = append(want, a)
 			}
 		}
-		var got []mem.Access
-		rep, err := tr.ReplayMaskedNCtx(context.Background(), 0, mask, func(a mem.Access) {
-			got = append(got, a)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, rep := maskedDecode(t, tr, 0, mask)
 		if len(got) != len(want) {
 			t.Fatalf("masked replay delivered %d accesses, want %d", len(got), len(want))
 		}
@@ -154,15 +152,16 @@ func TestReplayMaskedEquivalence(t *testing.T) {
 		if rep.AccessesDelivered != int64(len(want)) {
 			t.Fatalf("report delivered %d, want %d", rep.AccessesDelivered, len(want))
 		}
-		if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+		if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
 			t.Fatalf("report accounts %d accesses, trace has %d", total, tr.Len())
 		}
 	}
 }
 
 // TestReplayMaskedLimit: a bounded masked replay delivers exactly the
-// masked subsequence of the first limit accesses, whether or not chunk
-// skips would overshoot the bound.
+// masked subsequence of the first limit accesses — the limit counts
+// recorded accesses scanned, pruned ones included, not the residue
+// delivered.
 func TestReplayMaskedLimit(t *testing.T) {
 	accs := classStream(4, []uint64{1, 2, 1, 3})
 	tr := record(t, accs, 0)
@@ -174,13 +173,7 @@ func TestReplayMaskedLimit(t *testing.T) {
 			want = append(want, a)
 		}
 	}
-	var got []mem.Access
-	rep, err := tr.ReplayMaskedNCtx(context.Background(), limit, mask, func(a mem.Access) {
-		got = append(got, a)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, rep := maskedDecode(t, tr, limit, mask)
 	if len(got) != len(want) {
 		t.Fatalf("bounded masked replay delivered %d accesses, want %d", len(got), len(want))
 	}
@@ -189,56 +182,15 @@ func TestReplayMaskedLimit(t *testing.T) {
 			t.Fatalf("access %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != limit {
+	if total := rep.AccessesPruned + rep.AccessesDelivered; total != limit {
 		t.Fatalf("report accounts %d accesses, limit was %d", total, limit)
-	}
-}
-
-// TestMaskedReplaySkipsChunks: a class-clustered stream must exercise the
-// whole-chunk skip layer — the bitmap proof, not only in-loop pruning —
-// and spilled skipped chunks must not even be read back.
-func TestMaskedReplaySkipsChunks(t *testing.T) {
-	accs := classStream(6, []uint64{1, 2, 1, 2, 1, 9})
-	mask := maskOf(9)
-	for _, override := range []int64{0, -1} {
-		tr := record(t, accs, override)
-		var got []mem.Access
-		rep, err := tr.ReplayMaskedNCtx(context.Background(), 0, mask, func(a mem.Access) {
-			got = append(got, a)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.ChunksSkipped == 0 {
-			t.Fatal("class-clustered stream skipped no chunks")
-		}
-		if rep.BytesSkipped == 0 {
-			t.Fatal("skipped chunks reported zero bytes")
-		}
-		var want []mem.Access
-		for _, a := range accs {
-			if mask.test(cache.BlockAddr(a.Addr)) {
-				want = append(want, a)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("delivered %d accesses, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("access %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
-			t.Fatalf("report accounts %d accesses, trace has %d", total, tr.Len())
-		}
 	}
 }
 
 // TestBroadcastMaskedMatchesFilterAfterDecode pins the PR 7 equivalence
 // at the trace layer: a SetFilter fed by the masked fan-out must land in
 // the exact same state as one fed by the full decode-then-filter path,
-// for divisors above, at, and below the point where skipping bites.
+// for divisors above, at, and below the point where pruning bites.
 func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 	accs := interesting()
 	cfg := cache.Config{SizeBytes: 16 << 10, Ways: 16} // 16 sets
@@ -279,7 +231,7 @@ func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 						k, override, i, gotAcc[i], gotMiss[i], refAcc[i], refMiss[i])
 				}
 			}
-			if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+			if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
 				t.Fatalf("k=%d: report accounts %d accesses, trace has %d", k, total, tr.Len())
 			}
 			// With 16 sets the mask is exact: everything delivered lands in a
@@ -292,82 +244,17 @@ func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 	}
 }
 
-// TestInterleaveMaskedStreams: masked interleave streams must deliver
-// each stream's masked subsequence in stream order while the round-robin
-// rotation keeps serving unmasked co-runners, including across chunks the
-// masked stream skips whole.
-func TestInterleaveMaskedStreams(t *testing.T) {
-	a := classStream(4, []uint64{1, 5, 1, 5})
-	b := classStream(4, []uint64{2, 2, 2, 2})
-	trA := record(t, a, 0)
-	trB := record(t, b, 0)
-	mask := maskOf(5)
-
-	perStream := make(map[int][]mem.Access)
-	rep, err := InterleaveReplayMaskedCtx(context.Background(), []InterleaveStream{
-		{Trace: trA, Weight: 3, Mask: &mask},
-		{Trace: trB, Weight: 2},
-	}, 0, func(stream int, accs []mem.Access) {
-		perStream[stream] = append(perStream[stream], accs...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wantA []mem.Access
-	for _, x := range a {
-		if mask.test(cache.BlockAddr(x.Addr)) {
-			wantA = append(wantA, x)
-		}
-	}
-	if len(perStream[0]) != len(wantA) {
-		t.Fatalf("masked stream delivered %d accesses, want %d", len(perStream[0]), len(wantA))
-	}
-	for i := range wantA {
-		if perStream[0][i] != wantA[i] {
-			t.Fatalf("masked stream access %d: got %+v, want %+v", i, perStream[0][i], wantA[i])
-		}
-	}
-	if len(perStream[1]) != len(b) {
-		t.Fatalf("unmasked co-runner delivered %d accesses, want all %d", len(perStream[1]), len(b))
-	}
-	for i := range b {
-		if perStream[1][i] != b[i] {
-			t.Fatalf("unmasked stream access %d: got %+v, want %+v", i, perStream[1][i], b[i])
-		}
-	}
-	if rep.ChunksSkipped == 0 {
-		t.Fatal("masked stream skipped no chunks despite class clustering")
-	}
-	if total := rep.AccessesSkipped + rep.AccessesPruned + rep.AccessesDelivered; total != trA.Len() {
-		t.Fatalf("report accounts %d accesses, masked stream has %d", total, trA.Len())
-	}
-}
-
 // TestMaskedEmptyDelivery: a mask matching nothing must deliver nothing
-// and still terminate, with every access accounted as skipped or pruned.
+// and still terminate (the cursor walks past every all-pruned chunk),
+// with every access accounted as pruned.
 func TestMaskedEmptyDelivery(t *testing.T) {
 	accs := classStream(2, []uint64{1, 2})
 	tr := record(t, accs, 0)
-	mask := maskOf(77)
-	calls := 0
-	rep, err := tr.ReplayMaskedNCtx(context.Background(), 0, mask, func(mem.Access) { calls++ })
-	if err != nil {
-		t.Fatal(err)
+	got, rep := maskedDecode(t, tr, 0, maskOf(77))
+	if len(got) != 0 || rep.AccessesDelivered != 0 {
+		t.Fatalf("empty mask delivered %d accesses", len(got))
 	}
-	if calls != 0 || rep.AccessesDelivered != 0 {
-		t.Fatalf("empty mask delivered %d accesses", calls)
-	}
-	if rep.AccessesSkipped+rep.AccessesPruned != tr.Len() {
-		t.Fatalf("report accounts %d accesses, trace has %d", rep.AccessesSkipped+rep.AccessesPruned, tr.Len())
-	}
-	got := 0
-	if _, err := tr.BroadcastMaskedNCtx(context.Background(), 0, mask, []func([]mem.Access){
-		func(accs []mem.Access) { got += len(accs) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("empty-mask broadcast delivered %d accesses", got)
+	if rep.AccessesPruned != tr.Len() {
+		t.Fatalf("report accounts %d accesses, trace has %d", rep.AccessesPruned, tr.Len())
 	}
 }

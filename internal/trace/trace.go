@@ -147,20 +147,16 @@ func MemoryInUse() int64 { return memoryInUse.Load() }
 // or spilled (n words at byte offset off in the trace's spill file), plus
 // the self-contained decode header stamped at seal time. The header makes
 // every chunk decodable in isolation — base is the block-delta state the
-// first record's delta applies to, so a consumer can start (or resume,
-// after skipping predecessors) at any chunk boundary without threading
-// lastBlock through the chunks before it — and carries the presence
-// bitmap plus the access count the skip planner needs to prove a chunk
-// irrelevant and still account for it. The header always stays resident;
-// only the words spill (DESIGN.md Sec. 11; traces are process-lifetime
-// only, so the header needs no on-disk form or version negotiation).
+// first record's delta applies to, so a cursor decodes each chunk from its
+// own header without threading lastBlock through the chunks before it.
+// The header always stays resident; only the words spill (DESIGN.md
+// Sec. 11; traces are process-lifetime only, so the header needs no
+// on-disk form or version negotiation).
 type chunk struct {
-	words  []uint64
-	off    int64
-	n      int          // word count (resident and spilled alike)
-	base   uint64       // lastBlock before the chunk's first record
-	accs   int64        // accesses encoded in the chunk
-	bitmap PresenceMask // block-address congruence classes present
+	words []uint64
+	off   int64
+	n     int    // word count (resident and spilled alike)
+	base  uint64 // lastBlock before the chunk's first record
 }
 
 // sizeBytes returns the chunk's encoded footprint.
@@ -180,9 +176,7 @@ type Recorder struct {
 	cur       []uint64
 	chunks    []chunk
 	lastBlock uint64
-	curBase   uint64       // lastBlock when the current chunk opened
-	curAccs   int64        // accesses encoded into the current chunk
-	curBitmap PresenceMask // congruence classes seen in the current chunk
+	curBase   uint64 // lastBlock when the current chunk opened
 	pcs       []uint32
 	pcIdx     map[uint32]uint16
 	lastPC    uint32
@@ -312,10 +306,6 @@ func (r *Recorder) Record(a mem.Access) {
 	} else {
 		r.push2(w|escapeIdx<<pcShift|uint64(a.PC)<<deltaShift, block)
 	}
-	// Stamp the chunk header the record landed in (push/push2 open a new
-	// chunk before appending, so cur is the right one).
-	r.curBitmap.set(block)
-	r.curAccs++
 	r.lastBlock = block
 	r.n++
 }
@@ -355,14 +345,13 @@ func (r *Recorder) push2(w0, w1 uint64) {
 
 // seal closes the current chunk: it stays resident if the budget allows,
 // otherwise it is appended to the spill file and its buffer reused. Either
-// way the chunk carries its self-contained header (decode base, access
-// count, presence bitmap), which always stays resident.
+// way the chunk carries its self-contained header (the decode base),
+// which always stays resident.
 func (r *Recorder) seal() {
 	if len(r.cur) == 0 {
 		return
 	}
-	hdr := chunk{n: len(r.cur), base: r.curBase, accs: r.curAccs, bitmap: r.curBitmap}
-	r.curAccs, r.curBitmap = 0, PresenceMask{}
+	hdr := chunk{n: len(r.cur), base: r.curBase}
 	bytes := int64(len(r.cur)) * 8
 	budget := r.budget
 	if budget == 0 {
@@ -616,175 +605,172 @@ func (t *Trace) materialize(ci int, scratch *[]uint64, buf *[]byte) ([]uint64, e
 	return words, nil
 }
 
-// Replay decodes the whole trace into the LLC in recording order. The
-// inner loop is closure-free: each word decodes in place and feeds
-// llc.Access directly, which is the hot path of every policy/geometry
-// sweep datapoint.
-func (t *Trace) Replay(llc *cache.Cache) error { return t.ReplayN(llc, 0) }
-
-// ReplayN decodes at most limit accesses into the LLC (limit <= 0: all).
-// The OPT study replays the same bounded prefix the dedicated
-// trace-collection path used to record (exp's optTraceCap).
-func (t *Trace) ReplayN(llc *cache.Cache, limit int64) error {
-	return t.ReplayNCtx(context.Background(), llc, limit)
+// cursor is the engine's one chunk walker (DESIGN.md Sec. 11). Every
+// replay shape — ReplayNCtx into one LLC, the broadcast producer, each
+// stream of an interleave — advances through a trace by calling next, so
+// the bounded-prefix limit, the per-chunk context poll, the
+// trace.replay.chunk failpoint, spill read-back and the choice of decode
+// kernel exist exactly once. Cursors never share scratch space, so any
+// number of them read one (possibly spilled) trace concurrently.
+type cursor struct {
+	t       *Trace
+	ctx     context.Context
+	mask    *PresenceMask // non-nil: prune records outside it while decoding
+	ci      int           // next chunk to decode
+	done    int64         // recorded accesses consumed so far, pruned ones included
+	limit   int64
+	rep     SkipReport // masked cursors only: what the prune dropped and kept
+	scratch []uint64
+	rbuf    []byte
 }
 
-// ReplayNCtx is ReplayN with cooperative cancellation: the context is
-// checked once per chunk (65536 words ≈ half a million cycles of LLC
-// simulation), so a cancelled replay returns within one chunk boundary
-// while the decode loop itself stays closure-free and check-free. A
-// background context compiles down to one nil-channel test per chunk.
-func (t *Trace) ReplayNCtx(ctx context.Context, llc *cache.Cache, limit int64) error {
+// newCursor opens a cursor over the first limit accesses of t (limit <= 0:
+// all). A nil mask decodes every record; a non-nil one delivers only
+// records whose block congruence class it marks.
+func (t *Trace) newCursor(ctx context.Context, limit int64, mask *PresenceMask) (cursor, error) {
 	if t.destroyed.Load() {
-		return errReleased
+		return cursor{}, errReleased
 	}
 	if limit <= 0 || limit > t.n {
 		limit = t.n
 	}
-	ctxDone := ctx.Done()
-	var scratch []uint64
-	var buf []byte
-	var done int64
-	for ci := range t.chunks {
-		if done >= limit {
-			break
-		}
-		if ctxDone != nil {
-			select {
-			case <-ctxDone:
-				return ContextErr(ctx)
-			default:
-			}
+	return cursor{t: t, ctx: ctx, mask: mask, limit: limit}, nil
+}
+
+// next decodes the cursor's next chunk into dst[:0] and returns the
+// decoded accesses, in recording order; an empty result means the stream
+// (or its limit) is exhausted. A masked cursor keeps walking past chunks
+// whose every record pruned, so a non-empty result is always work to
+// deliver. The context and the failpoint are checked once per chunk
+// (65536 words ≈ half a million cycles of LLC simulation): a cancelled
+// replay returns within one chunk boundary while the decode kernels stay
+// closure-free and check-free.
+func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
+	dst = dst[:0]
+	for len(dst) == 0 && c.done < c.limit && c.ci < len(c.t.chunks) {
+		if err := ContextErr(c.ctx); err != nil {
+			return nil, err
 		}
 		if err := fail.Hit("trace.replay.chunk"); err != nil {
-			return fmt.Errorf("trace: replay: %w", err)
+			return nil, fmt.Errorf("trace: replay: %w", err)
 		}
-		words, err := t.materialize(ci, &scratch, &buf)
+		ch := &c.t.chunks[c.ci]
+		words, err := c.t.materialize(c.ci, &c.scratch, &c.rbuf)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		lastBlock := t.chunks[ci].base
-		for i := 0; i < len(words) && done < limit; i++ {
-			w := words[i]
-			var block uint64
-			var pc uint32
-			if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
-				pc = uint32(w >> deltaShift)
-				i++
-				block = words[i]
-			} else {
-				pc = t.pcs[idx]
-				block = lastBlock + uint64(int64(w)>>deltaShift)
-			}
-			lastBlock = block
-			llc.Access(mem.Access{
-				Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-				PC:       pc,
-				Write:    w&flagWrite != 0,
-				Property: w&flagProp != 0,
-			})
-			done++
+		c.ci++
+		if c.mask == nil {
+			dst, c.done = c.t.decodeAppend(words, dst, ch.base, c.done, c.limit)
+		} else {
+			before := c.done
+			dst, c.done = c.t.decodeAppendMasked(words, dst, ch.base, c.done, c.limit, *c.mask)
+			c.rep.ChunksDecoded++
+			c.rep.BytesDecoded += ch.sizeBytes()
+			c.rep.AccessesDelivered += int64(len(dst))
+			c.rep.AccessesPruned += c.done - before - int64(len(dst))
 		}
 	}
-	return nil
+	return dst, nil
 }
 
-// ReplayMaskedNCtx decodes at most limit accesses (limit <= 0: all)
-// through consume, delivering ONLY records whose block-address congruence
-// class is in mask — the sampled fast path (DESIGN.md Sec. 14). Two
-// codec-layer savings stack: a chunk whose presence bitmap does not
-// intersect mask is skipped whole, without materialization (spilled
-// chunks save the pread) or decode; chunks that do intersect still scan
-// every word (the delta chain demands it) but prune non-masked records
-// before the PC lookup and mem.Access materialization. With sets <=
-// PresenceBuckets the mask test is exact, so consume sees precisely the
-// accesses a SetFilter over a full replay would keep, in the same order.
-// The returned SkipReport accounts both layers and, on success, is added
-// to the process-wide SkipStats.
-func (t *Trace) ReplayMaskedNCtx(ctx context.Context, limit int64, mask PresenceMask, consume func(a mem.Access)) (SkipReport, error) {
-	var rep SkipReport
-	if t.destroyed.Load() {
-		return rep, errReleased
-	}
-	if limit <= 0 || limit > t.n {
-		limit = t.n
-	}
-	ctxDone := ctx.Done()
-	var scratch []uint64
-	var buf []byte
-	var done int64
-	for ci := range t.chunks {
-		if done >= limit {
-			break
+// decodeAppend decodes one chunk's words into dst, stopping once done
+// reaches limit, and returns the extended slice plus the progress count.
+// base is the chunk's self-contained block-delta seed (chunk.base), so a
+// chunk decodes in isolation; chunks never split an escape pair (the
+// recorder seals early), so the scan always terminates on a record
+// boundary.
+func (t *Trace) decodeAppend(words []uint64, dst []mem.Access, base uint64, done, limit int64) ([]mem.Access, int64) {
+	lastBlock := base
+	for i := 0; i < len(words) && done < limit; i++ {
+		w := words[i]
+		var block uint64
+		var pc uint32
+		if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
+			pc = uint32(w >> deltaShift)
+			i++
+			block = words[i]
+		} else {
+			pc = t.pcs[idx]
+			block = lastBlock + uint64(int64(w)>>deltaShift)
 		}
-		if ctxDone != nil {
-			select {
-			case <-ctxDone:
-				return rep, ContextErr(ctx)
-			default:
-			}
+		lastBlock = block
+		dst = append(dst, mem.Access{
+			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
+			PC:       pc,
+			Write:    w&flagWrite != 0,
+			Property: w&flagProp != 0,
+		})
+		done++
+	}
+	return dst, done
+}
+
+// decodeAppendMasked is decodeAppend with in-loop pruning: every word is
+// still scanned (the delta chain demands it) but records whose block
+// congruence class is outside mask drop before the PC lookup and the
+// mem.Access materialization — the step that removes the decode share
+// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14). done counts
+// pruned records too, so the limit bounds the recorded prefix scanned,
+// not the residue delivered.
+func (t *Trace) decodeAppendMasked(words []uint64, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask) ([]mem.Access, int64) {
+	lastBlock := base
+	for i := 0; i < len(words) && done < limit; i++ {
+		w := words[i]
+		var block uint64
+		escape := (w>>pcShift)&pcMask == escapeIdx
+		if escape {
+			i++
+			block = words[i]
+		} else {
+			block = lastBlock + uint64(int64(w)>>deltaShift)
 		}
-		c := &t.chunks[ci]
-		// Whole-chunk skip: provably no masked access inside. A chunk that
-		// straddles the limit still decodes, so a bounded masked replay
-		// sees exactly the sampled subset of the first limit accesses.
-		if !c.bitmap.Intersects(mask) && done+c.accs <= limit {
-			rep.ChunksSkipped++
-			rep.BytesSkipped += c.sizeBytes()
-			rep.AccessesSkipped += c.accs
-			done += c.accs
+		lastBlock = block
+		done++
+		if !mask.test(block) {
 			continue
 		}
-		if err := fail.Hit("trace.replay.chunk"); err != nil {
-			return rep, fmt.Errorf("trace: replay: %w", err)
+		var pc uint32
+		if escape {
+			pc = uint32(w >> deltaShift)
+		} else {
+			pc = t.pcs[(w>>pcShift)&pcMask]
 		}
-		words, err := t.materialize(ci, &scratch, &buf)
-		if err != nil {
-			return rep, err
-		}
-		rep.ChunksDecoded++
-		rep.BytesDecoded += c.sizeBytes()
-		lastBlock := c.base
-		for i := 0; i < len(words) && done < limit; i++ {
-			w := words[i]
-			var block uint64
-			escape := (w>>pcShift)&pcMask == escapeIdx
-			if escape {
-				i++
-				block = words[i]
-			} else {
-				block = lastBlock + uint64(int64(w)>>deltaShift)
-			}
-			lastBlock = block
-			done++
-			// Prune before the PC lookup and materialization: this in-loop
-			// test, not the chunk skip, is what removes the decode share
-			// from the sampled tier's Amdahl bound.
-			if !mask.test(block) {
-				rep.AccessesPruned++
-				continue
-			}
-			var pc uint32
-			if escape {
-				pc = uint32(w >> deltaShift)
-			} else {
-				pc = t.pcs[(w>>pcShift)&pcMask]
-			}
-			rep.AccessesDelivered++
-			consume(mem.Access{
-				Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-				PC:       pc,
-				Write:    w&flagWrite != 0,
-				Property: w&flagProp != 0,
-			})
-		}
+		dst = append(dst, mem.Access{
+			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
+			PC:       pc,
+			Write:    w&flagWrite != 0,
+			Property: w&flagProp != 0,
+		})
 	}
-	countSkip(rep)
-	return rep, nil
+	return dst, done
 }
 
-// each decodes at most limit accesses (limit <= 0: all) through fn — the
-// cold-path twin of ReplayN for extraction helpers and tests.
+// ReplayNCtx decodes at most limit accesses (limit <= 0: all) into the LLC
+// in recording order — the single-policy replay, and the bounded-prefix
+// form the OPT study's consumers rely on. Cancellation and fault injection
+// are the cursor's: checked once per chunk.
+func (t *Trace) ReplayNCtx(ctx context.Context, llc *cache.Cache, limit int64) error {
+	c, err := t.newCursor(ctx, limit, nil)
+	if err != nil {
+		return err
+	}
+	buf := make([]mem.Access, 0, min(c.limit, chunkWords))
+	for {
+		accs, err := c.next(buf)
+		if err != nil || len(accs) == 0 {
+			return err
+		}
+		for _, a := range accs {
+			llc.Access(a)
+		}
+	}
+}
+
+// each decodes at most limit accesses (limit <= 0: all) through fn. It
+// deliberately shares nothing with the cursor and its kernels: Accesses is
+// the independent reference decoder the equivalence tests and fuzz targets
+// compare every replay shape against.
 func (t *Trace) each(limit int64, fn func(a mem.Access)) error {
 	if t.destroyed.Load() {
 		return errReleased
@@ -838,32 +824,5 @@ func (t *Trace) Accesses(limit int64) ([]mem.Access, error) {
 	}
 	out := make([]mem.Access, 0, n)
 	err := t.each(limit, func(a mem.Access) { out = append(out, a) })
-	return out, err
-}
-
-// Addrs decodes the byte addresses of the first limit accesses (limit <=
-// 0: all) — the shape Session.LLCTrace has always returned for the OPT
-// study.
-func (t *Trace) Addrs(limit int64) ([]uint64, error) {
-	n := t.n
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]uint64, 0, n)
-	err := t.each(limit, func(a mem.Access) { out = append(out, a.Addr) })
-	return out, err
-}
-
-// Blocks decodes the block addresses of the first limit accesses (limit
-// <= 0: all), the input shape of policy.SimulateOPT — a standalone
-// extraction helper; the OPT study itself collects blocks from a
-// BroadcastN consumer so the decode is shared with its policy replays.
-func (t *Trace) Blocks(limit int64) ([]uint64, error) {
-	n := t.n
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]uint64, 0, n)
-	err := t.each(limit, func(a mem.Access) { out = append(out, cache.BlockAddr(a.Addr)) })
 	return out, err
 }

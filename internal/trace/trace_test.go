@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"grasp/internal/cache"
+	"grasp/internal/fail"
 	"grasp/internal/mem"
 )
 
@@ -128,7 +132,7 @@ func TestReplayN(t *testing.T) {
 	tr := record(t, accs, 0)
 	llcCfg := cache.Config{SizeBytes: 4096, Ways: 4}
 	full := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.Replay(full); err != nil {
+	if err := tr.ReplayNCtx(context.Background(), full, 0); err != nil {
 		t.Fatal(err)
 	}
 	if full.Stats.Accesses() != uint64(len(accs)) {
@@ -138,7 +142,7 @@ func TestReplayN(t *testing.T) {
 	// A bounded replay must equal a direct simulation of the prefix.
 	const limit = 1234
 	bounded := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.ReplayN(bounded, limit); err != nil {
+	if err := tr.ReplayNCtx(context.Background(), bounded, limit); err != nil {
 		t.Fatal(err)
 	}
 	direct := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
@@ -182,7 +186,7 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 			tr.Len(), h.LLC.Stats.Accesses())
 	}
 	llc := cache.MustNew(hcfg.LLC, cache.NewLRU(hcfg.LLC.Sets(), hcfg.LLC.Ways))
-	if err := tr.Replay(llc); err != nil {
+	if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
 		t.Fatal(err)
 	}
 	if llc.Stats != h.LLC.Stats {
@@ -214,7 +218,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if MemoryInUse() != before {
 		t.Fatalf("Release leaked accounting: %d != %d", MemoryInUse(), before)
 	}
-	if err := tr.Replay(cache.MustNew(cache.Config{SizeBytes: 1024, Ways: 2}, cache.NewLRU(8, 2))); err == nil {
+	if err := tr.ReplayNCtx(context.Background(), cache.MustNew(cache.Config{SizeBytes: 1024, Ways: 2}, cache.NewLRU(8, 2)), 0); err == nil {
 		t.Fatal("replay of released trace succeeded")
 	}
 	if _, err := tr.Accesses(0); err == nil {
@@ -229,14 +233,14 @@ func TestConcurrentSpilledReplay(t *testing.T) {
 	tr := record(t, accs, -1)
 	llcCfg := cache.Config{SizeBytes: 8192, Ways: 8}
 	ref := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.Replay(ref); err != nil {
+	if err := tr.ReplayNCtx(context.Background(), ref, 0); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan cache.Stats, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
 			llc := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-			if err := tr.Replay(llc); err != nil {
+			if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
 				t.Error(err)
 			}
 			done <- llc.Stats
@@ -245,6 +249,101 @@ func TestConcurrentSpilledReplay(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if got := <-done; got != ref.Stats {
 			t.Fatalf("concurrent replay stats %+v != reference %+v", got, ref.Stats)
+		}
+	}
+}
+
+// cancelOnClassify is an LLC classifier that reports each access it sees:
+// the hook that lets a test observe (and cancel from inside) a ReplayNCtx,
+// which takes no consumer callback.
+type cancelOnClassify struct{ seen func(n int) }
+
+func (c cancelOnClassify) Classify(uint64) mem.Hint {
+	c.seen(1)
+	return mem.HintDefault
+}
+
+// TestCursorCancelAndFailpoint drives the four replay shapes that sit on
+// the shared chunk cursor — replay, broadcast, masked broadcast and
+// interleave — through the same three faults, over a resident and a
+// spilled multi-chunk trace: a context cancelled up front delivers nothing
+// and returns ContextErr with its cause; one cancelled from inside the
+// first delivery stops within the chunks already in flight; and the
+// trace.replay.chunk failpoint armed to fire on the second chunk surfaces
+// as "trace: replay: …" after exactly the work of the first.
+func TestCursorCancelAndFailpoint(t *testing.T) {
+	const chunks = 6
+	accs := make([]mem.Access, chunks*chunkWords)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: uint64(i) << cache.BlockBits, PC: uint32(i % 7)}
+	}
+	llcCfg := cache.Config{SizeBytes: 4096, Ways: 4}
+	collect := func(seen func(int)) []func([]mem.Access) {
+		return []func([]mem.Access){func(a []mem.Access) { seen(len(a)) }}
+	}
+	entries := []struct {
+		name  string
+		ahead int64 // chunks the shape may decode ahead of its consumer
+		run   func(ctx context.Context, tr *Trace, seen func(n int)) error
+	}{
+		{"replay", 0, func(ctx context.Context, tr *Trace, seen func(int)) error {
+			llc := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
+			llc.SetClassifier(cancelOnClassify{seen})
+			return tr.ReplayNCtx(ctx, llc, 0)
+		}},
+		{"broadcast", broadcastSlabs, func(ctx context.Context, tr *Trace, seen func(int)) error {
+			return tr.BroadcastNCtx(ctx, 0, collect(seen))
+		}},
+		{"masked broadcast", broadcastSlabs, func(ctx context.Context, tr *Trace, seen func(int)) error {
+			_, err := tr.BroadcastMaskedNCtx(ctx, 0, maskOf(0, 1, 2, 3), collect(seen))
+			return err
+		}},
+		{"interleave", 0, func(ctx context.Context, tr *Trace, seen func(int)) error {
+			streams := []InterleaveStream{{Trace: tr, Weight: 3}, {Trace: tr, Weight: 2}}
+			return InterleaveReplayCtx(ctx, streams, 0, func(_ int, a []mem.Access) { seen(len(a)) })
+		}},
+	}
+	cause := errors.New("test: job deleted")
+	for layout, override := range map[string]int64{"resident": 0, "spilled": -1} {
+		tr := record(t, accs, override)
+		if len(tr.chunks) != chunks {
+			t.Fatalf("%s: want %d chunks, got %d", layout, chunks, len(tr.chunks))
+		}
+		for _, e := range entries {
+			t.Run(layout+"/"+e.name, func(t *testing.T) {
+				var delivered int64
+				count := func(n int) { delivered += int64(n) }
+
+				ctx, cancel := context.WithCancelCause(context.Background())
+				cancel(cause)
+				err := e.run(ctx, tr, count)
+				if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+					t.Fatalf("cancelled up front: err = %v, want ContextErr carrying the cause", err)
+				}
+				if delivered != 0 {
+					t.Fatalf("cancelled up front: %d accesses delivered", delivered)
+				}
+
+				ctx, cancel = context.WithCancelCause(context.Background())
+				err = e.run(ctx, tr, func(n int) { count(n); cancel(cause) })
+				if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+					t.Fatalf("cancelled mid-stream: err = %v, want ContextErr carrying the cause", err)
+				}
+				if bound := (1 + e.ahead) * chunkWords; delivered == 0 || delivered > bound {
+					t.Fatalf("cancelled mid-stream: %d accesses delivered, want 1..%d", delivered, bound)
+				}
+
+				delivered = 0
+				fail.ArmAfter("trace.replay.chunk", 1, nil)
+				defer fail.Disarm("trace.replay.chunk")
+				err = e.run(context.Background(), tr, count)
+				if !errors.Is(err, fail.ErrInjected) || !strings.HasPrefix(err.Error(), "trace: replay: ") {
+					t.Fatalf("failpoint: err = %v, want trace: replay: %v", err, fail.ErrInjected)
+				}
+				if delivered == 0 || delivered > chunkWords {
+					t.Fatalf("failpoint on the second chunk: %d accesses delivered, want 1..%d", delivered, chunkWords)
+				}
+			})
 		}
 	}
 }

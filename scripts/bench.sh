@@ -46,9 +46,9 @@ echo "running full experiment sweep at 1/$scale scale..." >&2
 go run ./cmd/graspsim -exp all -scale "$scale" -bench-json "$out" > /dev/null
 
 # Sampled fast tier on the fig2 sweep: each run records a replay-sampled
-# vs replay-full phase pair plus its sample_k and codec-layer skip ratio
+# vs replay-full phase pair plus its sample_k and codec-layer prune ratio
 # in the snapshot, so the fast tier's real speedup (past the decode bound
-# via chunk skipping + masked decode — DESIGN.md Sec. 14) is tracked per
+# via masked decode — DESIGN.md Sec. 14) is tracked per
 # release and per divisor instead of assumed. <out>-sampled.json holds
 # the default-K run (benchcmp-compatible with pre-PR-9 snapshots);
 # <out>-sampled-k{4,16,64}.json hold the K sweep.
