@@ -53,6 +53,7 @@ type options struct {
 	app        string
 	policy     string
 	reorder    string
+	arrays     bool
 	fidelity   string
 	sampleK    uint
 	corun      string
@@ -78,6 +79,10 @@ const usageExamples = `Examples:
                                        one simulation on an ingested graph file
                                        (.txt/.el/.wel/.mtx/.gcsr; converted once,
                                        cached in a .gcsr sidecar)
+
+  graspsim -graph uni -app Radii -policy PIN-100 -arrays
+                                       also attribute LLC accesses and misses to the
+                                       data structure they touch (paper Sec. II-C)
 
   graspsim -remote localhost:8337 -graph lj -app PR -policy GRASP -scale 64
                                        run via a graspd daemon: repeat runs are
@@ -119,6 +124,8 @@ func newFlags() (*flag.FlagSet, *options) {
 		fmt.Sprintf("-graph mode: application, one of %v", apps.ExtendedNames()))
 	fs.StringVar(&o.policy, "policy", "GRASP", "-graph mode: LLC policy (see sim.Policies)")
 	fs.StringVar(&o.reorder, "reorder", "DBG", "-graph mode: reordering technique")
+	fs.BoolVar(&o.arrays, "arrays", false,
+		"-graph mode: also print the per-array LLC breakdown (local, full fidelity, no -corun)")
 	fs.StringVar(&o.fidelity, "fidelity", "full",
 		"simulation tier: 'full' (exact) or 'sampled' (simulate 1/K of the LLC sets, report estimates with a 95% CI)")
 	fs.UintVar(&o.sampleK, "sample-k", 0,
@@ -286,6 +293,11 @@ func realMain(o *options) int {
 		}
 	}
 
+	if o.arrays && (o.graphSpec == "" || o.remote != "" || o.corun != "" || o.fidelity == jobs.FidelitySampled) {
+		fmt.Fprintln(os.Stderr, "graspsim: -arrays applies to a local full-fidelity -graph run without -corun")
+		return 1
+	}
+
 	stopProfiles, err := startProfiles(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graspsim:", err)
@@ -317,7 +329,7 @@ func realMain(o *options) int {
 		case o.fidelity == jobs.FidelitySampled:
 			err = runSingleSampled(o)
 		default:
-			err = runSingle(o.graphSpec, o.app, o.policy, o.reorder, uint32(o.scale))
+			err = runSingle(o.graphSpec, o.app, o.policy, o.reorder, uint32(o.scale), o.arrays)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graspsim:", err)
@@ -505,8 +517,9 @@ func runRemote(o *options, w io.Writer) error {
 
 // runSingle executes one (graph, reorder, app, policy) simulation — the
 // -graph mode, for ingested real-world datasets as much as for the paper's
-// synthetic ones — and prints the per-level cache metrics.
-func runSingle(spec, appName, polName, reorderName string, scale uint32) error {
+// synthetic ones — and prints the per-level cache metrics, plus the
+// per-array LLC breakdown when arrays is set.
+func runSingle(spec, appName, polName, reorderName string, scale uint32, arrays bool) error {
 	ds, err := graph.Resolve(spec)
 	if err != nil {
 		return err
@@ -523,14 +536,23 @@ func runSingle(spec, appName, polName, reorderName string, scale uint32) error {
 	if err != nil {
 		return err
 	}
-	r, err := sim.Run(w, sim.Spec{App: appName, Layout: apps.LayoutMerged,
-		Policy: polName, HCfg: cfg.HCfg})
+	simSpec := sim.Spec{App: appName, Layout: apps.LayoutMerged, Policy: polName, HCfg: cfg.HCfg}
+	var r sim.Result
+	var byArray *arraySink
+	if arrays {
+		r, byArray, err = runByArray(w, simSpec)
+	} else {
+		r, err = sim.Run(w, simSpec)
+	}
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload: %s app=%s reorder=%s policy=%s\n", ds.Name, appName, reorderName, polName)
 	fmt.Printf("graph:    %v\n", w.Graph)
 	printMetrics(os.Stdout, r)
+	if byArray != nil {
+		byArray.print(os.Stdout, r)
+	}
 	return nil
 }
 

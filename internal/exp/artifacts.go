@@ -1,0 +1,357 @@
+package exp
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"grasp/internal/apps"
+)
+
+// kind names one class of artifact in the session's store. Every artifact
+// is a pure function of its key; kinds differ only in what the value is
+// and in whether a failure is worth remembering.
+type kind uint8
+
+const (
+	kindBase      kind = iota // *graph.CSR: loaded base graph of (dataset, weighted)
+	kindWorkload              // *sim.Workload: reordered (dataset, reorder, weighted)
+	kindRecording             // recording: LLC-bound trace of a group; n = prefix cap, 0 = full
+	kindResult                // sim.Result of (group, policy)
+	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
+	kindCorun                 // sim.CorunResult of (mix, policy, weights)
+)
+
+// transient marks the kinds whose failures are dropped instead of cached.
+// Loading and reordering are deterministic — a retry would fail
+// identically — but recordings and replays touch disk once the spill
+// budget engages and run under a caller's context: a daemon must not
+// serve a transient ENOSPC or somebody's cancellation from cache forever.
+var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true}
+
+// fileStamp is one observed (size, mtime) state of a graph file.
+type fileStamp struct {
+	size    int64
+	modNano int64
+}
+
+// supersedes reports whether st is a forward transition from prev. Never
+// to an older mtime: a goroutine still holding a stat taken just before a
+// concurrent edit must not roll the recorded stamp back, evicting the
+// newer entries and thrashing the store; it keys under what it observed
+// and moves on (at most one stale generation, swept by the next advance).
+func (st fileStamp) supersedes(prev fileStamp) bool {
+	return st.modNano > prev.modNano || (st.modNano == prev.modNano && st.size != prev.size)
+}
+
+// dataset is a request's handle on its dataset: the spec plus, for a
+// graph file, the stamp observed when the request began. Synthetic
+// datasets (generation is deterministic) carry the zero stamp, key as
+// their name alone and are exempt from the file budget. A Session can
+// outlive many edits of a file (graspd keeps one per scale for the
+// daemon's lifetime); the stamp in every key is what keeps it from
+// serving the parse of the original bytes after an edit.
+type dataset struct {
+	name  string
+	stamp fileStamp
+}
+
+func (d dataset) fileBacked() bool { return d.stamp != fileStamp{} }
+
+// artifactKey is the content address of one artifact. Fields a kind does
+// not use stay zero.
+type artifactKey struct {
+	ds       dataset
+	kind     kind
+	reorder  string
+	app      string // corun: the mix, "+"-joined in stream order
+	layout   apps.Layout
+	policy   string
+	weighted bool   // base and workload
+	n        uint32 // recording: prefix cap; sampled: K
+	weights  string // corun: per-stream turn weights, ","-joined
+}
+
+// charge is what one settled entry adds to the store's two totals, and
+// how to free what it holds beyond GC's reach.
+type charge struct {
+	fileBytes  int64  // counted against the file budget (file-backed datasets only)
+	traceBytes int64  // counted against the trace budget
+	release    func() // run once when the entry leaves the store
+}
+
+// entry is one in-flight or settled computation.
+type entry struct {
+	done    chan struct{} // closed when val/err are set
+	val     any
+	err     error
+	settled bool // done is closed; readable under mu without blocking
+	recency uint64
+	charge  // exactly what settling added to the totals; eviction subtracts it
+}
+
+// fileEntryOverhead is the nominal accounting charge for merely knowing a
+// file-backed dataset (its slot and any error-cached entries): far above
+// the true footprint, so the byte budget also bounds how many distinct
+// paths — including ones that never parse — a session retains state for.
+const fileEntryOverhead = 64 << 10
+
+// fileSlot is the per-file state the file budget evicts by: the latest
+// stamp accepted for the path and when it was last requested.
+type fileSlot struct {
+	stamp   fileStamp
+	recency uint64
+}
+
+// artifacts is the session's one cache: a singleflight memo of every
+// artifact kind under one mutex and one recency order, with two byte
+// budgets drawn over it. The file budget bounds what file-backed datasets
+// pin (graphs plus resident trace bytes) and evicts the least-recently-
+// requested DATASET whole; the trace budget bounds encoded recording
+// bytes (resident + spilled) across all datasets and evicts the
+// least-recently-used RECORDING. A budget <= 0 is unbounded.
+type artifacts struct {
+	fileBudget, traceBudget int64
+
+	mu                    sync.Mutex
+	m                     map[artifactKey]*entry
+	files                 map[string]*fileSlot
+	seq                   uint64
+	fileTotal, traceTotal int64
+}
+
+func newArtifacts(fileBudget, traceBudget int64) *artifacts {
+	return &artifacts{fileBudget: fileBudget, traceBudget: traceBudget,
+		m: make(map[artifactKey]*entry), files: make(map[string]*fileSlot)}
+}
+
+// foreignCancel reports whether err is a cancellation that cannot have
+// originated from ctx: a waiter merged onto another caller's in-flight
+// computation observes THAT caller's cancellation even though its own
+// context is still live (two jobs sharing a recording, one cancelled
+// mid-record).
+func foreignCancel(ctx context.Context, err error) bool {
+	if err == nil || ctx.Err() != nil {
+		return false
+	}
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// get returns the artifact under k, computing it with fn on first use.
+// The first goroutine to ask runs fn with no lock held; goroutines asking
+// while it is in flight block until it finishes and share its outcome.
+// A failed transient-kind computation is forgotten (its waiters still
+// receive the error), and a caller that inherited another context's
+// cancellation that way simply asks again and recomputes under its own —
+// one job's cancel must not fail every job that shared a datapoint with
+// it. fn's charge is ignored on error.
+func get[V any](ctx context.Context, a *artifacts, k artifactKey, fn func() (V, charge, error)) (V, error) {
+	for {
+		e, leader := a.claim(k)
+		if leader {
+			func() {
+				var c charge
+				defer func() { a.settle(k, e, c, recover()) }()
+				e.val, c, e.err = fn()
+			}()
+		} else {
+			<-e.done
+		}
+		if transient[k.kind] && foreignCancel(ctx, e.err) {
+			continue
+		}
+		v, _ := e.val.(V)
+		return v, e.err
+	}
+}
+
+// claim finds or inserts k's entry and bumps its recency.
+func (a *artifacts) claim(k artifactKey) (e *entry, leader bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.seq++
+	if e = a.m[k]; e != nil {
+		e.recency = a.seq
+		return e, false
+	}
+	e = &entry{done: make(chan struct{}), recency: a.seq}
+	a.m[k] = e
+	return e, true
+}
+
+// settle publishes the leader's outcome: it charges a success to the
+// budgets (evicting whatever no longer fits), forgets a transient
+// failure, and wakes the waiters. p is the leader's recovered panic, if
+// any: a panic settles too — the entry is dropped, waiters receive an
+// error instead of hanging forever — and then continues up to the
+// containment layer (Prefetch's per-unit recover, the jobs manager, or
+// process exit).
+func (a *artifacts) settle(k artifactKey, e *entry, c charge, p any) {
+	if p != nil {
+		e.val, e.err = nil, fmt.Errorf("exp: computation panicked: %v", p)
+	}
+	if e.err != nil {
+		c = charge{}
+	}
+	if !k.ds.fileBacked() {
+		c.fileBytes = 0
+	}
+	var released []func()
+	a.mu.Lock()
+	switch {
+	case a.m[k] != e:
+		// Evicted while in flight (its file was edited, or its dataset was
+		// the file budget's victim): nothing is charged, so a later
+		// eviction has nothing to subtract or release. Whoever receives
+		// the value loses the pin race on it and asks again.
+		if c.release != nil {
+			released = append(released, c.release)
+		}
+	case e.err != nil && (p != nil || transient[k.kind]):
+		delete(a.m, k)
+	default:
+		// A budget is checked only by an entry that adds to it, so the
+		// over-budget entry that must survive its own insertion is not
+		// then evicted by the next uncharged result.
+		e.charge = c
+		if c.traceBytes > 0 {
+			a.traceTotal += c.traceBytes
+			released = a.enforceTraceBudget(k)
+		}
+		if c.fileBytes > 0 {
+			a.slot(k.ds)
+			a.fileTotal += c.fileBytes
+			released = append(released, a.enforceFileBudget(k.ds.name)...)
+		}
+	}
+	e.settled = true
+	a.mu.Unlock()
+	close(e.done)
+	for _, release := range released {
+		release()
+	}
+	if p != nil {
+		panic(p)
+	}
+}
+
+// ready reports whether k has settled successfully, without blocking on a
+// computation in flight.
+func (a *artifacts) ready(k artifactKey) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e := a.m[k]
+	return e != nil && e.settled && e.err == nil
+}
+
+// observe notes a request for the file-backed dataset name whose file is
+// currently in state cur, and returns the handle the request keys under.
+// When the stamp advances, every entry under any other stamp of that file
+// is evicted — they pin whole parsed graphs and traces, one generation
+// per edit otherwise (sweeping all other generations, not just the
+// recorded one, also clears entries made under a rolled-back stamp, e.g.
+// after a backup restore). Entries being computed under cur right now are
+// untouched.
+func (a *artifacts) observe(name string, cur fileStamp) dataset {
+	d := dataset{name: name, stamp: cur}
+	var released []func()
+	a.mu.Lock()
+	slot := a.slot(d)
+	if cur.supersedes(slot.stamp) {
+		slot.stamp = cur
+		released = a.evict(func(k artifactKey) bool { return k.ds.name == name && k.ds != d })
+	}
+	a.seq++
+	slot.recency = a.seq
+	released = append(released, a.enforceFileBudget(name)...)
+	a.mu.Unlock()
+	for _, release := range released {
+		release()
+	}
+	return d
+}
+
+// slot returns d's file slot, creating it (and charging the per-path
+// overhead) on first sight. Caller holds mu.
+func (a *artifacts) slot(d dataset) *fileSlot {
+	s := a.files[d.name]
+	if s == nil {
+		a.seq++
+		s = &fileSlot{stamp: d.stamp, recency: a.seq}
+		a.files[d.name] = s
+		a.fileTotal += fileEntryOverhead
+	}
+	return s
+}
+
+// evict removes every entry whose key satisfies match, subtracts exactly
+// what settling it charged, and returns the release hooks for the caller
+// to run once mu is dropped. Goroutines already blocked on an evicted
+// in-flight entry still receive its outcome; it just stops being
+// findable, so the next request recomputes. Caller holds mu.
+func (a *artifacts) evict(match func(artifactKey) bool) (released []func()) {
+	for k, e := range a.m {
+		if !match(k) {
+			continue
+		}
+		delete(a.m, k)
+		a.fileTotal -= e.fileBytes
+		a.traceTotal -= e.traceBytes
+		if e.release != nil {
+			released = append(released, e.release)
+		}
+	}
+	return released
+}
+
+// enforceTraceBudget evicts least-recently-used trace-charged entries
+// while their total exceeds the budget. keep — the entry whose settling
+// triggered the check — is never its own victim, so a single over-budget
+// recording still serves its group before becoming a candidate. Caller
+// holds mu.
+func (a *artifacts) enforceTraceBudget(keep artifactKey) (released []func()) {
+	for a.traceBudget > 0 && a.traceTotal > a.traceBudget {
+		var victim artifactKey
+		oldest := uint64(0) // recencies start at 1
+		for k, e := range a.m {
+			if e.traceBytes > 0 && k != keep && (oldest == 0 || e.recency < oldest) {
+				victim, oldest = k, e.recency
+			}
+		}
+		if oldest == 0 {
+			break
+		}
+		released = append(released, a.evict(func(k artifactKey) bool { return k == victim })...)
+	}
+	return released
+}
+
+// enforceFileBudget evicts least-recently-requested file-backed datasets
+// — every generation of every kind, plus the slot, so the next request
+// re-ingests — while the file total exceeds the budget. keep, the dataset
+// being requested, is never its own victim. Caller holds mu.
+func (a *artifacts) enforceFileBudget(keep string) (released []func()) {
+	for a.fileBudget > 0 && a.fileTotal > a.fileBudget {
+		victim, oldest := "", uint64(0)
+		for name, s := range a.files {
+			if name != keep && (oldest == 0 || s.recency < oldest) {
+				victim, oldest = name, s.recency
+			}
+		}
+		if oldest == 0 {
+			break
+		}
+		released = append(released, a.evict(func(k artifactKey) bool { return k.ds.name == victim })...)
+		delete(a.files, victim)
+		a.fileTotal -= fileEntryOverhead
+	}
+	return released
+}
+
+// retained returns the two budget totals.
+func (a *artifacts) retained() (fileBytes, traceBytes int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.fileTotal, a.traceTotal
+}

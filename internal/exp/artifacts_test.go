@@ -1,0 +1,485 @@
+package exp
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"grasp/internal/apps"
+	"grasp/internal/fail"
+	"grasp/internal/graph"
+)
+
+// count returns how many entries of one kind the store holds (in flight,
+// settled or error-cached) — the white-box probe of the session tests.
+func (a *artifacts) count(kd kind) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for k := range a.m {
+		if k.kind == kd {
+			n++
+		}
+	}
+	return n
+}
+
+// releaseAll empties the store, releasing every recording now rather than
+// whenever a finalizer gets to it: the non-parallel tests compare the
+// process-wide trace.MemoryInUse gauge across their own evictions.
+func (a *artifacts) releaseAll() {
+	a.mu.Lock()
+	released := a.evict(func(artifactKey) bool { return true })
+	a.mu.Unlock()
+	for _, release := range released {
+		release()
+	}
+}
+
+// fullRecordingReady reports whether the (synthetic dataset, DBG, app,
+// merged) group's FULL recording is cached.
+func fullRecordingReady(s *Session, ds, app string) bool {
+	return s.art.ready(group(dataset{name: ds}, "DBG", app, apps.LayoutMerged))
+}
+
+// waitClaims spins until the store has seen n claims, i.e. until the n-th
+// get has found or inserted its entry and is running or blocked on it.
+func waitClaims(a *artifacts, n uint64) {
+	for {
+		a.mu.Lock()
+		seq := a.seq
+		a.mu.Unlock()
+		if seq >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// fakes drives the store with int-valued artifacts: put settles v under k
+// with the given charge, counting releases per key.
+type fakes struct {
+	t        *testing.T
+	a        *artifacts
+	mu       sync.Mutex
+	released map[artifactKey]int
+}
+
+func newFakes(t *testing.T, fileBudget, traceBudget int64) *fakes {
+	return &fakes{t: t, a: newArtifacts(fileBudget, traceBudget), released: make(map[artifactKey]int)}
+}
+
+func (f *fakes) put(k artifactKey, v int, fileBytes, traceBytes int64) {
+	f.t.Helper()
+	got, err := get(context.Background(), f.a, k, func() (int, charge, error) {
+		return v, charge{fileBytes: fileBytes, traceBytes: traceBytes, release: f.counting(k)}, nil
+	})
+	if err != nil || got != v {
+		f.t.Fatalf("get(%+v) = %d, %v; want %d", k, got, err, v)
+	}
+}
+
+// counting returns a release hook that counts its calls under k.
+func (f *fakes) counting(k artifactKey) func() {
+	return func() {
+		f.mu.Lock()
+		f.released[k]++
+		f.mu.Unlock()
+	}
+}
+
+func (f *fakes) releases(k artifactKey) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.released[k]
+}
+
+func (f *fakes) wantTotals(file, trace int64) {
+	f.t.Helper()
+	if gf, gt := f.a.retained(); gf != file || gt != trace {
+		f.t.Fatalf("retained = (file %d, trace %d), want (%d, %d)", gf, gt, file, trace)
+	}
+}
+
+func key(ds dataset, kd kind, app string) artifactKey {
+	return artifactKey{ds: ds, kind: kd, app: app}
+}
+
+// TestArtifactStore exercises the store's whole contract on fake
+// artifacts — no graph, no simulator.
+func TestArtifactStore(t *testing.T) {
+	t.Parallel()
+	lj := dataset{name: "lj"}
+	errBoom := errors.New("boom")
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"concurrent gets compute once", func(t *testing.T) {
+			a := newArtifacts(0, 0)
+			var calls atomic.Int32
+			gate := make(chan struct{})
+			const n = 16
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					v, err := get(context.Background(), a, key(lj, kindResult, "PR"), func() (int, charge, error) {
+						calls.Add(1)
+						<-gate
+						return 42, charge{}, nil
+					})
+					if v != 42 || err != nil {
+						t.Errorf("get = %d, %v", v, err)
+					}
+				}()
+			}
+			waitClaims(a, n)
+			close(gate)
+			wg.Wait()
+			if c := calls.Load(); c != 1 {
+				t.Fatalf("computed %d times, want 1", c)
+			}
+		}},
+		{"errors: cached for a caching kind, dropped for a transient kind", func(t *testing.T) {
+			for _, tc := range []struct {
+				kd        kind
+				wantCalls int
+			}{{kindBase, 1}, {kindWorkload, 1}, {kindRecording, 2}, {kindResult, 2}, {kindSampled, 2}, {kindCorun, 2}} {
+				a := newArtifacts(0, 0)
+				calls := 0
+				for i := 0; i < 2; i++ {
+					_, err := get(context.Background(), a, key(lj, tc.kd, "PR"), func() (int, charge, error) {
+						calls++
+						return 0, charge{traceBytes: 99}, errBoom
+					})
+					if !errors.Is(err, errBoom) {
+						t.Fatalf("kind %d: err = %v", tc.kd, err)
+					}
+				}
+				if calls != tc.wantCalls {
+					t.Fatalf("kind %d: computed %d times, want %d", tc.kd, calls, tc.wantCalls)
+				}
+				if _, tr := a.retained(); tr != 0 {
+					t.Fatalf("kind %d: a failed computation was charged %d bytes", tc.kd, tr)
+				}
+			}
+		}},
+		{"panic settles waiters with an error and frees the key", func(t *testing.T) {
+			a := newArtifacts(0, 0)
+			k := key(lj, kindWorkload, "") // a caching kind: a panic is dropped even there
+			gate := make(chan struct{})
+			leaderPanic := make(chan any, 1)
+			go func() {
+				defer func() { leaderPanic <- recover() }()
+				_, _ = get(context.Background(), a, k, func() (int, charge, error) {
+					<-gate
+					panic("policy bug")
+				})
+			}()
+			waiterErr := make(chan error, 1)
+			waitClaims(a, 1)
+			go func() {
+				_, err := get(context.Background(), a, k, func() (int, charge, error) {
+					t.Error("waiter recomputed instead of sharing the leader's flight")
+					return 0, charge{}, nil
+				})
+				waiterErr <- err
+			}()
+			waitClaims(a, 2)
+			close(gate)
+			if p := <-leaderPanic; p != "policy bug" {
+				t.Fatalf("leader's panic did not propagate: %v", p)
+			}
+			if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "panicked: policy bug") {
+				t.Fatalf("waiter err = %v, want the panic as an error", err)
+			}
+			if v, err := get(context.Background(), a, k, func() (int, charge, error) { return 7, charge{}, nil }); v != 7 || err != nil {
+				t.Fatalf("key not freed after the panic: %d, %v", v, err)
+			}
+		}},
+		{"a waiter whose own ctx is live retries after the leader's cancel", func(t *testing.T) {
+			a := newArtifacts(0, 0)
+			k := key(lj, kindRecording, "PR")
+			leaderCtx, cancel := context.WithCancel(context.Background())
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, err := get(leaderCtx, a, k, func() (int, charge, error) {
+					<-leaderCtx.Done()
+					return 0, charge{}, leaderCtx.Err()
+				})
+				leaderErr <- err
+			}()
+			waiterVal := make(chan int, 1)
+			waitClaims(a, 1)
+			go func() {
+				v, err := get(context.Background(), a, k, func() (int, charge, error) { return 7, charge{}, nil })
+				if err != nil {
+					t.Errorf("waiter inherited the leader's cancellation: %v", err)
+				}
+				waiterVal <- v
+			}()
+			waitClaims(a, 2)
+			cancel()
+			if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("leader err = %v, want its own cancellation", err)
+			}
+			if v := <-waiterVal; v != 7 {
+				t.Fatalf("waiter got %d, want its own recomputation (7)", v)
+			}
+		}},
+		{"trace budget evicts the LRU recording, never the one being inserted", func(t *testing.T) {
+			f := newFakes(t, 0, 150)
+			kA, kB, kC, kD := key(lj, kindRecording, "A"), key(lj, kindRecording, "B"), key(lj, kindRecording, "C"), key(lj, kindRecording, "D")
+			kR := key(lj, kindResult, "A") // no trace charge: never a victim
+			f.put(kR, 1, 0, 0)
+			f.put(kA, 1, 0, 60)
+			f.put(kB, 2, 0, 60)
+			f.wantTotals(0, 120)
+			f.put(kA, 1, 0, 60) // a hit: bumps A past B
+			f.put(kC, 3, 0, 60)
+			if !f.a.ready(kA) || f.a.ready(kB) || !f.a.ready(kC) {
+				t.Fatalf("after C: ready A=%v B=%v C=%v, want B (LRU) evicted", f.a.ready(kA), f.a.ready(kB), f.a.ready(kC))
+			}
+			f.wantTotals(0, 120)
+			f.put(kD, 4, 0, 500) // over budget alone: evicts everything else, stays
+			if f.a.ready(kA) || f.a.ready(kC) || !f.a.ready(kD) || !f.a.ready(kR) {
+				t.Fatal("an over-budget insertion must evict every other recording and survive itself")
+			}
+			f.wantTotals(0, 500)
+			for k, want := range map[artifactKey]int{kA: 1, kB: 1, kC: 1, kD: 0} {
+				if got := f.releases(k); got != want {
+					t.Fatalf("%s released %d times, want %d", k.app, got, want)
+				}
+			}
+		}},
+		{"file budget evicts the LRU dataset whole, never the one being requested", func(t *testing.T) {
+			const ov = fileEntryOverhead
+			f := newFakes(t, 3*ov+100, 0)
+			st := fileStamp{size: 10, modNano: 1}
+			da, db, dc := f.a.observe("/g/a.el", st), f.a.observe("/g/b.el", st), f.a.observe("/g/c.el", st)
+			aBase, aRec, bBase := key(da, kindBase, ""), key(da, kindRecording, "PR"), key(db, kindBase, "")
+			f.put(aBase, 1, 60, 0)
+			f.put(aRec, 2, 10, 10)
+			f.put(bBase, 3, 30, 0)
+			f.put(key(lj, kindBase, ""), 4, 1<<40, 0) // synthetic: exempt from the file budget
+			f.wantTotals(3*ov+100, 10)
+			f.a.observe("/g/a.el", st) // a request for a: b is now the LRU dataset
+			f.put(key(dc, kindBase, ""), 5, 50, 0)
+			if f.a.ready(bBase) || !f.a.ready(aBase) || !f.a.ready(aRec) {
+				t.Fatal("b (least recently requested) should be the only dataset evicted")
+			}
+			f.wantTotals(2*ov+120, 10) // b's bytes AND its slot are gone
+			cBig := key(dc, kindWorkload, "")
+			f.put(cBig, 6, 10*ov, 0) // over budget alone: evicts a, stays
+			if f.a.ready(aBase) || f.a.ready(aRec) || !f.a.ready(cBig) {
+				t.Fatal("an over-budget dataset must evict every other file dataset and survive itself")
+			}
+			f.wantTotals(11*ov+50, 0)
+			if got := f.releases(aRec); got != 1 {
+				t.Fatalf("a's recording released %d times, want 1", got)
+			}
+			if !f.a.ready(key(lj, kindBase, "")) {
+				t.Fatal("a synthetic dataset was evicted by the file budget")
+			}
+			f.a.observe("/g/d.el", st) // merely knowing a new path is charged, and budget-checked
+			f.wantTotals(ov, 0)
+		}},
+		{"a stamp advance sweeps every other generation of that file only", func(t *testing.T) {
+			f := newFakes(t, 0, 0)
+			s1, s2 := fileStamp{10, 100}, fileStamp{10, 200}
+			a1 := f.a.observe("/g/a.el", s1)
+			other := f.a.observe("/g/a.el2", s1) // shares a's name as a prefix
+			a1Keys := []artifactKey{key(a1, kindBase, ""), key(a1, kindWorkload, ""), key(a1, kindRecording, "PR"),
+				key(a1, kindResult, "PR"), key(a1, kindSampled, "PR"), key(a1, kindCorun, "PR+BFS")}
+			for i, k := range a1Keys {
+				f.put(k, i, 5, 5)
+			}
+			otherKey, ljKey := key(other, kindResult, "PR"), key(lj, kindResult, "PR")
+			f.put(otherKey, 1, 5, 5)
+			f.put(ljKey, 2, 0, 5)
+			if d := f.a.observe("/g/a.el", s1); d != a1 {
+				t.Fatalf("unchanged file re-keyed: %+v", d)
+			}
+			for _, k := range a1Keys {
+				if !f.a.ready(k) {
+					t.Fatal("an unchanged stamp swept its own generation")
+				}
+			}
+			// A stale stat (older mtime) keys under what it saw and sweeps nothing.
+			a0 := f.a.observe("/g/a.el", fileStamp{10, 50})
+			f.put(key(a0, kindResult, "PR"), 3, 5, 5)
+			a2 := f.a.observe("/g/a.el", s2)
+			f.put(key(a2, kindResult, "PR"), 4, 5, 5)
+			for _, k := range append(a1Keys, key(a0, kindResult, "PR")) {
+				if f.a.ready(k) {
+					t.Fatalf("generation %+v survived the advance to %+v", k.ds.stamp, s2)
+				}
+				if got := f.releases(k); got != 1 {
+					t.Fatalf("swept entry released %d times, want 1", got)
+				}
+			}
+			if !f.a.ready(otherKey) || !f.a.ready(ljKey) || !f.a.ready(key(a2, kindResult, "PR")) {
+				t.Fatal("the sweep touched another dataset or the current generation")
+			}
+			f.wantTotals(2*fileEntryOverhead+10, 15)
+			// Same mtime, different size is an advance too.
+			f.a.observe("/g/a.el", fileStamp{11, 200})
+			if f.a.ready(key(a2, kindResult, "PR")) {
+				t.Fatal("a size change at an unchanged mtime did not sweep")
+			}
+		}},
+		{"an entry evicted in flight is released at settle and never charged", func(t *testing.T) {
+			f := newFakes(t, 0, 0)
+			a1 := f.a.observe("/g/a.el", fileStamp{10, 100})
+			k := key(a1, kindRecording, "PR")
+			entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				v, err := get(context.Background(), f.a, k, func() (int, charge, error) {
+					close(entered)
+					<-gate
+					return 9, charge{fileBytes: 5, traceBytes: 5, release: f.counting(k)}, nil
+				})
+				if v != 9 || err != nil {
+					t.Errorf("the evicted flight's own caller got %d, %v", v, err)
+				}
+			}()
+			<-entered
+			f.a.observe("/g/a.el", fileStamp{10, 200})
+			close(gate)
+			<-done
+			if f.a.ready(k) || f.releases(k) != 1 {
+				t.Fatalf("ready=%v releases=%d, want gone and released once", f.a.ready(k), f.releases(k))
+			}
+			f.wantTotals(fileEntryOverhead, 0)
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.run(t)
+		})
+	}
+}
+
+// TestSessionPanicDoesNotWedgeKey: a non-abort panic inside a transient
+// computation (a policy bug; here the trace.replay.chunk failpoint) must
+// settle its store entry. Before the single settle path, result replays
+// left the in-flight entry in the table with its done channel open, and
+// every later request for that datapoint blocked until process exit.
+// Not parallel: failpoints are process-global.
+func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
+	defer fail.Reset()
+	s := NewSession(ScaledConfig(64))
+	defer s.art.releaseAll()
+	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})); err != nil {
+		t.Fatal(err)
+	}
+	fail.ArmPanic("trace.replay.chunk", "policy bug")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("armed replay did not panic")
+			}
+		}()
+		_, _ = s.ResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "LRU")
+	}()
+	fail.Disarm("trace.replay.chunk")
+
+	want, err := NewSession(ScaledConfig(64)).Result("lj", "DBG", "PR", apps.LayoutMerged, "LRU") // direct: records nothing
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got, err := s.ResultCtx(ctx, "lj", "DBG", "PR", apps.LayoutMerged, "LRU")
+		if err != nil {
+			t.Errorf("retry after the panic: %v", err)
+			return
+		}
+		if got.AppTime = want.AppTime; got != want {
+			t.Errorf("retry after the panic diverges\n got: %+v\nwant: %+v", got, want)
+		}
+	}()
+	select {
+	case <-done:
+	case <-ctx.Done():
+		t.Fatal("the datapoint is wedged: a request after the panic never returned")
+	}
+}
+
+// TestSessionFileBudgetAccountingExact: what a file-backed dataset is
+// charged is exactly what the session still holds for it. A recording's
+// resident bytes used to be added to the file total when recorded but
+// never subtracted when the TRACE budget evicted it, so the total grew
+// by one recording per re-record until the dataset was evicted early.
+// Not parallel: it reads the process-wide trace memory gauge's inputs.
+func TestSessionFileBudgetAccountingExact(t *testing.T) {
+	lj, err := graph.DatasetByName("lj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, lj.Generate(false, 64)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "budget.el")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ScaledConfig(64)
+	cfg.TraceBytesBudget = 1 // every new recording evicts the previous one
+	s := NewSession(cfg)
+	defer s.art.releaseAll()
+	record := func(app string) {
+		t.Helper()
+		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.art.count(kindRecording); n != 1 {
+			t.Fatalf("%d recordings cached after recording %s, want 1", n, app)
+		}
+	}
+	base, err := s.Workload(path, "Identity", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := s.Workload(path, "DBG", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := base.Graph.Footprint() + dbg.Graph.Footprint()
+	// Nothing spills at this scale, so the one cached recording's
+	// resident bytes are the whole trace total.
+	want := func() int64 { return graphs + s.TraceBytesRetained() + fileEntryOverhead }
+
+	record("PR")
+	record("BFS") // evicts PR's recording
+	afterB := s.FileBytesRetained()
+	if afterB != want() {
+		t.Fatalf("FileBytesRetained = %d, want graphs + BFS's resident bytes + overhead = %d (an evicted recording is still charged)",
+			afterB, want())
+	}
+	record("PR") // evicts BFS's
+	if got := s.FileBytesRetained(); got != want() {
+		t.Fatalf("after PR re-recorded: FileBytesRetained = %d, want %d", got, want())
+	}
+	record("BFS")
+	if got := s.FileBytesRetained(); got != afterB {
+		t.Fatalf("same cached set, different total: %d then %d (accounting drifts)", afterB, got)
+	}
+}

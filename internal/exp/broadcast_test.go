@@ -60,8 +60,7 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	if err := s.Prefetch(groupA); err != nil {
 		t.Fatal(err)
 	}
-	kA := groupKey{ds: "lj", reorder: "DBG", app: "PR", layout: apps.LayoutMerged}
-	if !s.traceReady(kA) {
+	if !fullRecordingReady(s, "lj", "PR") {
 		t.Fatal("group A recording not cached after its batch")
 	}
 	bytesA := s.TraceBytesRetained()
@@ -72,14 +71,13 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"BFS"}, []string{"GRASP"})); err != nil {
 		t.Fatal(err)
 	}
-	kB := groupKey{ds: "lj", reorder: "DBG", app: "BFS", layout: apps.LayoutMerged}
-	if s.traceReady(kA) {
+	if fullRecordingReady(s, "lj", "PR") {
 		t.Fatal("LRU recording (group A) not evicted by the byte budget")
 	}
-	if !s.traceReady(kB) {
+	if !fullRecordingReady(s, "lj", "BFS") {
 		t.Fatal("most recent recording (group B) was evicted")
 	}
-	if n := s.traces.len(); n != 1 {
+	if n := s.art.count(kindRecording); n != 1 {
 		t.Fatalf("trace memo holds %d entries after eviction, want 1", n)
 	}
 	// Eviction must have Released A: its resident bytes are back in the

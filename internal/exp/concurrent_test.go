@@ -34,9 +34,9 @@ func hammerPoints() []Datapoint {
 // a declared Trace datapoint does — and returns its length.
 func optPrefixLen(s *Session, dsName, app string) (int, error) {
 	var n int
-	k := groupKey{ds: dsName, reorder: "DBG", app: app, layout: apps.LayoutMerged}
-	err := s.withRecording(context.Background(), k, true, func(rec recording) error {
-		accs, err := rec.tr.Accesses(optTraceCap)
+	g := group(s.dataset(dsName), "DBG", app, apps.LayoutMerged)
+	err := s.withRecordings(context.Background(), true, []artifactKey{g}, func(recs []recording) error {
+		accs, err := recs[0].tr.Accesses(optTraceCap)
 		n = len(accs)
 		return err
 	})
@@ -87,7 +87,7 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				for k := range pts {
 					p := pts[(k+g*len(pts)/goroutines)%len(pts)]
-					if err := conc.compute(p); err != nil {
+					if err := conc.Prefetch([]Datapoint{p}); err != nil {
 						errc <- err
 						return
 					}
@@ -225,7 +225,7 @@ func TestPrefetchErrorMatchesSequential(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	want := s.compute(pts[0])
+	_, want := s.Result(pts[0].DS, pts[0].Reorder, pts[0].App, pts[0].Layout, pts[0].Policy)
 	if want == nil || err.Error() != want.Error() {
 		t.Fatalf("Prefetch error %q, want first sequential failure %q", err, want)
 	}

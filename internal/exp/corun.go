@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/sim"
@@ -50,92 +49,40 @@ func (s *Session) CorunResultCtx(ctx context.Context, dsName, reorderName string
 	if len(weights) != len(appNames) {
 		return sim.CorunResult{}, fmt.Errorf("exp: co-run has %d apps but %d weights", len(appNames), len(weights))
 	}
-	wparts := make([]string, len(weights))
-	for i, w := range weights {
-		wparts[i] = fmt.Sprint(w)
-	}
-	key := fmt.Sprintf("%s|%s|%s|%v|%s|w%s|corun", s.datasetKey(dsName), reorderName,
-		strings.Join(appNames, "+"), layout, policy, strings.Join(wparts, ","))
-	for {
-		r, err := s.corun.doTransient(key, func() (sim.CorunResult, error) {
-			// Solo baselines first, via the ordinary result cache. viaTrace is
-			// forced: the co-run replays the recording, so the baseline must be
-			// the replay of the SAME recording (identical anyway, by the
-			// replay-equivalence invariant, but this also guarantees the
-			// recording exists before the groups are pinned below).
-			solos := make(map[string]sim.Result, len(appNames))
-			for _, app := range appNames {
-				if _, ok := solos[app]; ok {
-					continue
-				}
-				p := Datapoint{DS: dsName, Reorder: reorderName, App: app, Layout: layout, Policy: policy}
-				solo, err := s.result(ctx, p, true)
-				if err != nil {
-					return sim.CorunResult{}, err
-				}
-				solos[app] = solo
-			}
-			groups := make([]groupKey, 0, len(solos))
-			for _, app := range appNames {
-				g := groupKey{ds: dsName, reorder: reorderName, app: app, layout: layout}
-				seen := false
-				for _, have := range groups {
-					if have == g {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					groups = append(groups, g)
-				}
-			}
-			var r sim.CorunResult
-			err := s.withRecordings(ctx, groups, func(recs map[groupKey]recording) error {
-				w, err := s.Workload(dsName, reorderName, false)
-				if err != nil {
-					return err
-				}
-				streams := make([]sim.CorunStream, len(appNames))
-				for i, app := range appNames {
-					rec := recs[groupKey{ds: dsName, reorder: reorderName, app: app, layout: layout}]
-					streams[i] = sim.CorunStream{App: app, Layout: layout, Weight: weights[i],
-						Trace: rec.tr, Bounds: rec.bounds, Solo: solos[app]}
-				}
-				start := time.Now()
-				var rerr error
-				r, rerr = sim.CorunReplayResultCtx(ctx, streams, policy, s.Cfg.HCfg, w.Dataset.Name)
-				s.phase.corun.Add(int64(time.Since(start)))
-				return rerr
-			})
-			if err != nil {
-				return sim.CorunResult{}, err
-			}
-			s.corunRun.Add(1)
-			return r, nil
-		})
-		if foreignCancel(ctx, err) {
+	// Solo baselines first, via the ordinary result cache. viaTrace is
+	// forced: the co-run replays the recordings, so each baseline must be
+	// the replay of the SAME recording (identical anyway, by the
+	// replay-equivalence invariant).
+	d := s.dataset(dsName)
+	solos := make(map[string]sim.Result, len(appNames))
+	var groups []artifactKey // the mix's distinct apps, in first-appearance order
+	for _, app := range appNames {
+		if _, ok := solos[app]; ok {
 			continue
 		}
-		return r, err
-	}
-}
-
-// withRecordings runs fn with every listed group's full recording pinned
-// at once — the N-stream generalization of withRecording, built by
-// nesting it so each pin keeps its own lose-the-race retry.
-func (s *Session) withRecordings(ctx context.Context, keys []groupKey, fn func(recs map[groupKey]recording) error) error {
-	recs := make(map[groupKey]recording, len(keys))
-	var pin func(i int) error
-	pin = func(i int) error {
-		if i == len(keys) {
-			return fn(recs)
+		g := group(d, reorderName, app, layout)
+		solo, err := s.result(ctx, g, policy, true)
+		if err != nil {
+			return sim.CorunResult{}, err
 		}
-		return s.withRecording(ctx, keys[i], false, func(rec recording) error {
-			recs[keys[i]] = rec
-			return pin(i + 1)
-		})
+		solos[app] = solo
+		groups = append(groups, g)
 	}
-	return pin(0)
+	k := group(d, reorderName, strings.Join(appNames, "+"), layout).of(kindCorun, policy)
+	k.weights = fmt.Sprint(weights)
+	return derive(ctx, s, k, groups, &s.phase.corun, &s.corunRun,
+		func(w *sim.Workload, recs []recording) (sim.CorunResult, error) {
+			recOf := make(map[string]recording, len(groups))
+			for i, g := range groups {
+				recOf[g.app] = recs[i]
+			}
+			streams := make([]sim.CorunStream, len(appNames))
+			for i, app := range appNames {
+				streams[i] = sim.CorunStream{App: app, Layout: layout, Weight: weights[i],
+					Trace: recOf[app].tr, Bounds: recOf[app].bounds, Solo: solos[app]}
+			}
+			return sim.CorunReplayResultCtx(ctx, streams, policy, s.Cfg.HCfg, w.Dataset.Name)
+		})
 }
 
 // corunMixes returns the experiment's co-runner mixes in sweep order: the

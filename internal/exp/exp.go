@@ -13,14 +13,12 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,135 +93,13 @@ func ScaledConfig(div uint32) Config {
 	return Config{ScaleDiv: div, HCfg: h}
 }
 
-// flightCall is one in-flight or completed computation in a flightCache.
-type flightCall[V any] struct {
-	done chan struct{} // closed when val/err are set
-	val  V
-	err  error
-}
-
-// flightCache is a concurrency-safe memoization table with singleflight
-// semantics: the first goroutine to request a key computes it with no lock
-// held; goroutines that request the same key while it is in flight block
-// until that one computation finishes and share its outcome. do caches
-// errors alongside successes (right for purely deterministic computations,
-// where a retry would fail identically); doTransient drops the entry on
-// error, for computations with environmental failure modes — trace
-// recordings and replays touch disk once the spill budget engages, and a
-// daemon must not serve a transient ENOSPC from cache forever.
-type flightCache[V any] struct {
-	mu sync.Mutex
-	m  map[string]*flightCall[V]
-}
-
-func newFlightCache[V any]() *flightCache[V] {
-	return &flightCache[V]{m: make(map[string]*flightCall[V])}
-}
-
-func (f *flightCache[V]) do(key string, fn func() (V, error)) (V, error) {
-	f.mu.Lock()
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.val, c.err
-	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-	defer f.settlePanic(key, c)
-	c.val, c.err = fn()
-	close(c.done)
-	return c.val, c.err
-}
-
-// settlePanic keeps a panicking computation from poisoning the table: the
-// entry is dropped, waiters blocked on it receive an error instead of
-// hanging forever, and the panic continues up to the containment layer
-// (the jobs manager's recover, or process exit for CLI callers). Without
-// this, a panic would leave the flightCall's done channel open and every
-// waiter — possibly a whole worker pool — deadlocked.
-func (f *flightCache[V]) settlePanic(key string, c *flightCall[V]) {
-	if p := recover(); p != nil {
-		f.mu.Lock()
-		if f.m[key] == c {
-			delete(f.m, key)
-		}
-		f.mu.Unlock()
-		c.err = fmt.Errorf("exp: computation panicked: %v", p)
-		close(c.done)
-		panic(p)
-	}
-}
-
-// doTransient is do, except a failed computation is removed from the
-// table (identity-checked, so a retry already in flight is never
-// clobbered) before the error is returned: waiters blocked on the failed
-// call still receive its error, but the next request recomputes.
-func (f *flightCache[V]) doTransient(key string, fn func() (V, error)) (V, error) {
-	f.mu.Lock()
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.val, c.err
-	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-	c.val, c.err = fn()
-	if c.err != nil {
-		f.mu.Lock()
-		if f.m[key] == c {
-			delete(f.m, key)
-		}
-		f.mu.Unlock()
-	}
-	close(c.done)
-	return c.val, c.err
-}
-
-func (f *flightCache[V]) len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.m)
-}
-
-// ready reports whether key's computation has already completed
-// successfully, without blocking on one in flight.
-func (f *flightCache[V]) ready(key string) bool {
-	f.mu.Lock()
-	c, ok := f.m[key]
-	f.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-c.done:
-		return c.err == nil
-	default:
-		return false
-	}
-}
-
-// deleteMatching drops every memoized entry whose key satisfies match.
-// Callers already blocked on an in-flight computation are unaffected —
-// they hold the call struct directly and still receive its outcome — the
-// entry just stops being findable, so the next request recomputes.
-func (f *flightCache[V]) deleteMatching(match func(key string) bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for k := range f.m {
-		if match(k) {
-			delete(f.m, k)
-		}
-	}
-}
-
 // Session caches prepared workloads, simulation results and recorded LLC
 // traces so experiments sharing datapoints (e.g. fig5 and fig6) do not
 // repeat work. It is safe for concurrent use: simultaneous requests for
 // one datapoint — whether from Prefetch workers or from experiments run in
 // parallel by the caller — are deduplicated so each datapoint is computed
-// exactly once.
+// exactly once. Everything it remembers lives in one artifact store
+// (artifacts.go, DESIGN.md Sec. 6).
 //
 // The session is also the scheduler of the record-once/replay-many engine
 // (DESIGN.md Sec. 11): the access stream reaching the LLC is a pure
@@ -235,12 +111,7 @@ func (f *flightCache[V]) deleteMatching(match func(key string) bool) {
 // unless a recording already exists.
 type Session struct {
 	Cfg        Config
-	bases      *flightCache[*graph.CSR] // loaded base graphs, shared across reorderings
-	workloads  *flightCache[*sim.Workload]
-	results    *flightCache[sim.Result]
-	sampled    *flightCache[sim.SampledResult]
-	corun      *flightCache[sim.CorunResult]
-	traces     *flightCache[recording]
+	art        *artifacts
 	simRuns    atomic.Uint64 // number of distinct simulated result datapoints (dedup observability)
 	broadcasts atomic.Uint64 // groups whose replays were served by one broadcast decode
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
@@ -260,30 +131,6 @@ type Session struct {
 	phase struct {
 		load, reorder, record, replay, direct, sampled, corun atomic.Int64
 	}
-
-	stampMu sync.Mutex
-	stamps  map[string]fileStamp // graph-file spec -> last observed stamp
-
-	fileMu    sync.Mutex
-	fileUse   map[string]*fileUsage // file-backed dataset -> retained bytes + recency
-	fileSeq   uint64
-	fileTotal int64
-
-	traceMu    sync.Mutex
-	traceUse   map[string]*traceUsage // trace cache key -> encoded bytes + recency
-	traceSeq   uint64
-	traceTotal int64
-}
-
-// fileStamp is one observed (size, mtime) state of a graph file.
-type fileStamp struct {
-	size    int64
-	modNano int64
-}
-
-// key renders the stamp as the cache-key suffix for dsName.
-func (st fileStamp) key(dsName string) string {
-	return fmt.Sprintf("%s@%d.%d", dsName, st.size, st.modNano)
 }
 
 // recording pairs a recorded LLC-bound trace with the ABR bounds of the
@@ -294,24 +141,6 @@ type recording struct {
 	bounds [][2]uint64
 }
 
-// fileUsage tracks the approximate bytes (parsed/reordered graphs plus
-// recorded traces) the session retains for one file-backed dataset, and
-// when it was last requested, for the LRU byte-budget eviction.
-type fileUsage struct {
-	bytes int64
-	seq   uint64
-}
-
-// traceUsage tracks one cached recording's encoded footprint and recency
-// for the recording byte-budget eviction; it also holds the recording so
-// eviction can Release it (returning resident bytes to the process budget
-// and reclaiming spill-file space) instead of waiting for GC.
-type traceUsage struct {
-	bytes int64
-	seq   uint64
-	rec   recording
-}
-
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
 	if cfg.FileBytesBudget == 0 {
@@ -320,16 +149,7 @@ func NewSession(cfg Config) *Session {
 	if cfg.TraceBytesBudget == 0 {
 		cfg.TraceBytesBudget = DefaultTraceBytesBudget
 	}
-	return &Session{Cfg: cfg,
-		bases:     newFlightCache[*graph.CSR](),
-		workloads: newFlightCache[*sim.Workload](),
-		results:   newFlightCache[sim.Result](),
-		sampled:   newFlightCache[sim.SampledResult](),
-		corun:     newFlightCache[sim.CorunResult](),
-		traces:    newFlightCache[recording](),
-		stamps:    make(map[string]fileStamp),
-		fileUse:   make(map[string]*fileUsage),
-		traceUse:  make(map[string]*traceUsage)}
+	return &Session{Cfg: cfg, art: newArtifacts(cfg.FileBytesBudget, cfg.TraceBytesBudget)}
 }
 
 // SimRuns returns the number of distinct result datapoints the session
@@ -368,417 +188,150 @@ func (s *Session) PhaseSeconds() map[string]float64 {
 	}
 }
 
-// datasetKey returns the cache-key component for a dataset spec. Specs
-// that resolve to synthetic datasets key as themselves (generation is
-// deterministic — and a stray file shadowing a builtin name is ignored,
-// matching graph.Resolve's precedence), but a graph-file spec is suffixed
-// with the file's (size, mtime) stamp: a Session can outlive many edits
-// of a file (graspd keeps one per scale for the daemon's lifetime), and
-// without the stamp the workload/result/trace memos would keep serving
-// the parse of the original bytes after the graph registry has
-// re-ingested the edited file. When a file's stamp advances, every entry
-// under any other stamp of that file is evicted from all three memos —
-// they pin whole parsed/reordered graphs and LLC traces, which would
-// otherwise leak for the session's lifetime, one generation per edit
-// (evicting all generations, not just the recorded one, also sweeps
-// entries created under a rolled-back stamp, e.g. after a backup
-// restore). Transitions are accepted only forward (never to an older
-// mtime): a goroutine still holding a stat taken just before a concurrent
-// edit must not roll the recorded stamp back, evicting the newer entries
-// and thrashing the caches; it keys under what it observed and moves on
-// (those entries persist until the next advance sweeps them — at most one
-// stale generation, not one per edit).
-func (s *Session) datasetKey(dsName string) string {
-	ds, err := graph.Resolve(dsName)
-	if err != nil || ds.Kind != graph.KindFile {
-		return dsName
-	}
-	fi, err := os.Stat(ds.Path)
-	if err != nil {
-		return dsName
-	}
-	cur := fileStamp{size: fi.Size(), modNano: fi.ModTime().UnixNano()}
-	s.stampMu.Lock()
-	prev, seen := s.stamps[dsName]
-	advance := !seen || cur.modNano > prev.modNano ||
-		(cur.modNano == prev.modNano && cur.size != prev.size)
-	if advance {
-		s.stamps[dsName] = cur
-	}
-	s.stampMu.Unlock()
-	if seen && advance {
-		// Sweep every generation but the current one. Keying is atomic in
-		// the memos (do() inserts under the caller's full key), so entries
-		// being computed under cur's key right now are untouched.
-		curKey := cur.key(dsName)
-		stale := func(k string) bool {
-			return strings.HasPrefix(k, dsName+"@") && !strings.HasPrefix(k, curKey+"|")
-		}
-		for _, c := range []interface{ deleteMatching(func(string) bool) }{
-			s.bases, s.workloads, s.results, s.sampled, s.corun,
-		} {
-			c.deleteMatching(stale)
-		}
-		s.releaseRecordings(stale)
-		// The swept generations' graphs and traces are gone; restart the
-		// byte accounting at the per-path overhead (current-stamp entries
-		// re-account as they are computed).
-		s.fileMu.Lock()
-		if u := s.fileUse[dsName]; u != nil {
-			s.fileTotal -= u.bytes - fileEntryOverhead
-			u.bytes = fileEntryOverhead
-		}
-		s.fileMu.Unlock()
-	}
-	s.touchFile(dsName)
-	return cur.key(dsName)
-}
-
-// fileEntryOverhead is the nominal accounting charge for merely knowing a
-// file-backed dataset (its stamp, recency slot, and any error-cached memo
-// entries): far above the true footprint, so the byte budget also bounds
-// how many distinct paths — including ones that never parse — a session
-// retains state for.
-const fileEntryOverhead = 64 << 10
-
-// chargeFile adds n retained bytes to dsName's slot (creating it with the
-// nominal per-path overhead), bumps its recency, and returns the
-// least-recently-used datasets to evict while the total exceeds the
-// budget. Caller must not hold fileMu.
-func (s *Session) chargeFile(dsName string, n int64) (evict []string) {
-	budget := s.Cfg.FileBytesBudget
-	s.fileMu.Lock()
-	u := s.fileUse[dsName]
-	if u == nil {
-		u = &fileUsage{bytes: fileEntryOverhead}
-		s.fileUse[dsName] = u
-		s.fileTotal += fileEntryOverhead
-	}
-	s.fileSeq++
-	u.seq = s.fileSeq
-	u.bytes += n
-	s.fileTotal += n
-	if budget > 0 {
-		for s.fileTotal > budget && len(s.fileUse) > 1 {
-			oldest, oldestSeq := "", uint64(0)
-			for name, fu := range s.fileUse {
-				if name != dsName && (oldest == "" || fu.seq < oldestSeq) {
-					oldest, oldestSeq = name, fu.seq
-				}
-			}
-			if oldest == "" {
-				break
-			}
-			s.fileTotal -= s.fileUse[oldest].bytes
-			delete(s.fileUse, oldest)
-			evict = append(evict, oldest)
-		}
-	}
-	s.fileMu.Unlock()
-	return evict
-}
-
-// touchFile bumps the LRU recency of a file-backed dataset, creating (and
-// budget-checking) its accounting slot on first sight.
-func (s *Session) touchFile(dsName string) {
-	for _, name := range s.chargeFile(dsName, 0) {
-		s.evictDataset(name)
-	}
-}
-
-// noteFileBytes charges newly retained bytes (a parsed/reordered graph, a
-// recorded trace's resident part) to dsName's budget slot if it is a
-// file-backed dataset, evicting least-recently-used file datasets while
-// the session total exceeds Config.FileBytesBudget. Synthetic datasets
-// are exempt: they are a small fixed registry, while file paths are
-// operator-controlled and unbounded (the graspd daemon's memory-bound
-// requirement, DESIGN.md Sec. 10).
-func (s *Session) noteFileBytes(dsName string, n int64) {
-	if n <= 0 {
-		return
-	}
-	if ds, err := graph.Resolve(dsName); err != nil || ds.Kind != graph.KindFile {
-		return
-	}
-	for _, name := range s.chargeFile(dsName, n) {
-		s.evictDataset(name)
-	}
-}
-
-// evictDataset drops every memoized entry (all stamped generations) of a
-// file-backed dataset from the four caches plus its stamp, freeing the
-// parsed graphs and recorded traces it pinned. In-flight computations are
-// unaffected (deleteMatching semantics); the next request re-ingests.
-// Dropped recordings are Released eagerly — trace pinning protects any
-// replay still reading them (DESIGN.md Sec. 11).
-func (s *Session) evictDataset(dsName string) {
-	prefix := dsName + "@"
-	match := func(k string) bool { return strings.HasPrefix(k, prefix) }
-	for _, c := range []interface{ deleteMatching(func(string) bool) }{
-		s.bases, s.workloads, s.results, s.sampled, s.corun,
-	} {
-		c.deleteMatching(match)
-	}
-	s.releaseRecordings(match)
-	s.stampMu.Lock()
-	delete(s.stamps, dsName)
-	s.stampMu.Unlock()
-}
-
-// releaseRecordings removes every cached recording whose cache key
-// satisfies match from the trace memo and the recording budget, then
-// Releases each one: resident bytes return to the process budget and
-// spill files close immediately, while replays that pinned the trace
-// before the release keep reading it safely until they unpin.
-func (s *Session) releaseRecordings(match func(key string) bool) {
-	s.traces.deleteMatching(match)
-	s.traceMu.Lock()
-	var victims []recording
-	for k, u := range s.traceUse {
-		if match(k) {
-			s.traceTotal -= u.bytes
-			victims = append(victims, u.rec)
-			delete(s.traceUse, k)
-		}
-	}
-	s.traceMu.Unlock()
-	for _, rec := range victims {
-		rec.tr.Release()
-	}
-}
-
-// registerRecording charges a freshly recorded trace's encoded bytes to
-// the session's recording budget and evicts (Releases) least-recently-
-// used cached recordings while the total exceeds Config.TraceBytesBudget.
-// The entry being registered is never evicted by its own insertion, so a
-// single over-budget recording still serves its group before becoming an
-// eviction candidate.
-func (s *Session) registerRecording(key string, rec recording) {
-	bytes := rec.tr.SizeBytes()
-	budget := s.Cfg.TraceBytesBudget
-	var victimKeys []string
-	var victims []recording
-	s.traceMu.Lock()
-	s.traceSeq++
-	s.traceUse[key] = &traceUsage{bytes: bytes, seq: s.traceSeq, rec: rec}
-	s.traceTotal += bytes
-	if budget > 0 {
-		for s.traceTotal > budget && len(s.traceUse) > 1 {
-			oldest, oldestSeq := "", uint64(0)
-			for k, u := range s.traceUse {
-				if k != key && (oldest == "" || u.seq < oldestSeq) {
-					oldest, oldestSeq = k, u.seq
-				}
-			}
-			if oldest == "" {
-				break
-			}
-			u := s.traceUse[oldest]
-			s.traceTotal -= u.bytes
-			victimKeys = append(victimKeys, oldest)
-			victims = append(victims, u.rec)
-			delete(s.traceUse, oldest)
-		}
-	}
-	s.traceMu.Unlock()
-	for i, vk := range victimKeys {
-		vk := vk
-		s.traces.deleteMatching(func(k string) bool { return k == vk })
-		victims[i].tr.Release()
-	}
-}
-
-// touchRecording bumps a cached recording's LRU recency on reuse.
-func (s *Session) touchRecording(key string) {
-	s.traceMu.Lock()
-	if u := s.traceUse[key]; u != nil {
-		s.traceSeq++
-		u.seq = s.traceSeq
-	}
-	s.traceMu.Unlock()
-}
-
 // TraceBytesRetained returns the total encoded bytes of the recordings
 // the session currently caches (observability and tests).
 func (s *Session) TraceBytesRetained() int64 {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return s.traceTotal
+	_, n := s.art.retained()
+	return n
 }
 
 // FileBytesRetained returns the approximate bytes currently retained for
 // file-backed datasets (observability and tests).
 func (s *Session) FileBytesRetained() int64 {
-	s.fileMu.Lock()
-	defer s.fileMu.Unlock()
-	return s.fileTotal
+	n, _ := s.art.retained()
+	return n
 }
 
-// groupKey identifies one recording group: every result datapoint of a
-// Prefetch batch that shares it can be served from one recorded trace.
-type groupKey struct {
-	ds, reorder, app string
-	layout           apps.Layout
+// dataset opens a request's handle on dsName: the spec is resolved and,
+// if it names a graph file, stat'ed — once; everything the request then
+// touches keys under the stamp seen here. A stray file shadowing a
+// builtin name is ignored, matching graph.Resolve's precedence.
+func (s *Session) dataset(dsName string) dataset {
+	ds, err := graph.Resolve(dsName)
+	if err != nil || ds.Kind != graph.KindFile {
+		return dataset{name: dsName}
+	}
+	fi, err := os.Stat(ds.Path)
+	if err != nil {
+		return dataset{name: dsName}
+	}
+	return s.art.observe(dsName, fileStamp{size: fi.Size(), modNano: fi.ModTime().UnixNano()})
 }
 
-func (p Datapoint) group() groupKey {
+// group identifies one recording group — every result datapoint that
+// shares it can be served from one recorded trace — by the key of that
+// trace, the group's full recording.
+func group(d dataset, reorder, app string, layout apps.Layout) artifactKey {
+	return artifactKey{ds: d, kind: kindRecording, reorder: reorder, app: app, layout: layout}
+}
+
+// of returns the key of another artifact of k's group.
+func (k artifactKey) of(kd kind, policy string) artifactKey {
+	k.kind, k.policy = kd, policy
+	return k
+}
+
+func (p Datapoint) group(d dataset) artifactKey {
 	if p.Trace {
 		// Declared LLC traces record under DBG/Merged (the OPT study's
 		// configuration), sharing the recording with any result datapoints
 		// of that group.
-		return groupKey{ds: p.DS, reorder: "DBG", app: p.App, layout: apps.LayoutMerged}
+		return group(d, "DBG", p.App, apps.LayoutMerged)
 	}
-	return groupKey{ds: p.DS, reorder: p.Reorder, app: p.App, layout: p.Layout}
+	return group(d, p.Reorder, p.App, p.Layout)
 }
 
-// foreignCancel reports whether err is a cancellation that cannot have
-// originated from ctx: a singleflight waiter merged onto another caller's
-// in-flight computation observes THAT caller's cancellation even though
-// its own context is still live (two jobs sharing a recording, one
-// cancelled mid-record). The transient caches drop failed entries, so the
-// waiter just retries and recomputes under its own context — without this
-// check one job's cancel would fail every job that happened to share a
-// datapoint with it.
-func foreignCancel(ctx context.Context, err error) bool {
-	if err == nil || ctx.Err() != nil {
-		return false
+// recording returns the group's shared recording, executing the
+// application once behind the L1/L2 filter on first use. A full recording
+// backs result replays for any policy. capped asks only for the OPT
+// study's bounded prefix: the full recording when one is already cached —
+// its prefix is identical and decoding stops at the cap — otherwise a
+// capped one under its own key, which costs ~64MB where a full-scale full
+// trace runs to tens of GB and therefore never backs a full-result replay.
+func (s *Session) recording(ctx context.Context, g artifactKey, capped bool) (recording, error) {
+	k := g
+	if capped && !s.art.ready(g) {
+		k.n = optTraceCap
 	}
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// record returns the shared FULL recording of one (dataset, reorder, app,
-// layout) group, executing the application once behind the L1/L2 filter
-// and caching the encoded trace on first use. Full recordings back
-// result replays for any policy.
-func (s *Session) record(ctx context.Context, k groupKey) (recording, error) {
-	key := fmt.Sprintf("%s|%s|%s|%v|rec", s.datasetKey(k.ds), k.reorder, k.app, k.layout)
-	for {
-		rec, err := s.traces.doTransient(key, func() (recording, error) {
-			return s.recordTrace(ctx, key, k, 0)
-		})
-		if foreignCancel(ctx, err) {
-			continue
-		}
-		if err == nil {
-			s.touchRecording(key)
-		}
-		return rec, err
-	}
-}
-
-// cappedRecord returns a bounded-prefix recording of the group (the OPT
-// study's trace length), cached separately from full recordings: a capped
-// trace costs ~64MB where a full-scale full trace runs to tens of GB, but
-// it must never back a full-result replay, so traceReady ignores it.
-func (s *Session) cappedRecord(ctx context.Context, k groupKey) (recording, error) {
-	key := fmt.Sprintf("%s|%s|%s|%v|rec%d", s.datasetKey(k.ds), k.reorder, k.app, k.layout, optTraceCap)
-	for {
-		rec, err := s.traces.doTransient(key, func() (recording, error) {
-			return s.recordTrace(ctx, key, k, optTraceCap)
-		})
-		if foreignCancel(ctx, err) {
-			continue
-		}
-		if err == nil {
-			s.touchRecording(key)
-		}
-		return rec, err
-	}
-}
-
-// optRecording serves bounded-prefix consumers (the OPT study): the full
-// recording when one is already cached — its prefix is identical and
-// decoding stops at the cap — otherwise a capped one.
-func (s *Session) optRecording(ctx context.Context, k groupKey) (recording, error) {
-	if s.traceReady(k) {
-		return s.record(ctx, k)
-	}
-	return s.cappedRecord(ctx, k)
-}
-
-// recordTrace executes one recording run (limit <= 0: full stream) and
-// registers the finished trace under key in the recording byte budget.
-func (s *Session) recordTrace(ctx context.Context, key string, k groupKey, limit int64) (recording, error) {
-	w, err := s.Workload(k.ds, k.reorder, k.app == "SSSP")
-	if err != nil {
-		return recording{}, err
-	}
-	start := time.Now()
-	tr, err := sim.RecordTraceNCtx(ctx, w, k.app, k.layout, s.Cfg.HCfg, limit)
-	s.phase.record.Add(int64(time.Since(start)))
-	if err != nil {
-		return recording{}, err
-	}
-	bounds, err := sim.ABRBoundsFor(w, k.app, k.layout)
-	if err != nil {
-		tr.Release()
-		return recording{}, err
-	}
-	s.noteFileBytes(k.ds, tr.ResidentBytes())
-	rec := recording{tr: tr, bounds: bounds}
-	s.registerRecording(key, rec)
-	return rec, nil
-}
-
-// withRecording runs fn with a PINNED recording of the group — the full
-// stream, or the OPT-capped variant via optRecording — so a concurrent
-// budget eviction cannot reclaim the trace mid-replay. Losing the pin
-// race (the cached recording was evicted and released between lookup and
-// pin) retries: the eviction also removed the cache entry, so the next
-// lookup re-records.
-func (s *Session) withRecording(ctx context.Context, k groupKey, capped bool, fn func(rec recording) error) error {
-	for {
-		var rec recording
-		var err error
-		if capped {
-			rec, err = s.optRecording(ctx, k)
-		} else {
-			rec, err = s.record(ctx, k)
-		}
+	return get(ctx, s.art, k, func() (recording, charge, error) {
+		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
 		if err != nil {
-			return err
+			return recording{}, charge{}, err
 		}
-		if !rec.tr.Pin() {
-			continue
+		start := time.Now()
+		tr, err := sim.RecordTraceNCtx(ctx, w, g.app, g.layout, s.Cfg.HCfg, int64(k.n))
+		s.phase.record.Add(int64(time.Since(start)))
+		if err != nil {
+			return recording{}, charge{}, err
 		}
-		err = fn(rec)
-		rec.tr.Unpin()
-		return err
-	}
+		bounds, err := sim.ABRBoundsFor(w, g.app, g.layout)
+		if err != nil {
+			tr.Release()
+			return recording{}, charge{}, err
+		}
+		return recording{tr: tr, bounds: bounds},
+			charge{fileBytes: tr.ResidentBytes(), traceBytes: tr.SizeBytes(), release: tr.Release}, nil
+	})
 }
 
-// traceReady reports whether the group's FULL recording is already cached
-// and healthy, without blocking on one in flight.
-func (s *Session) traceReady(k groupKey) bool {
-	return s.traces.ready(fmt.Sprintf("%s|%s|%s|%v|rec", s.datasetKey(k.ds), k.reorder, k.app, k.layout))
+// withRecordings runs fn with every listed group's recording PINNED at
+// once (recs[i] belongs to groups[i]), so a concurrent budget eviction
+// cannot reclaim a trace mid-replay. Losing a pin race (the recording was
+// evicted and released between lookup and pin) retries: the eviction also
+// removed the store entry, so the next lookup re-records.
+func (s *Session) withRecordings(ctx context.Context, capped bool, groups []artifactKey, fn func(recs []recording) error) error {
+	recs := make([]recording, 0, len(groups))
+	defer func() {
+		for _, rec := range recs {
+			rec.tr.Unpin()
+		}
+	}()
+	for _, g := range groups {
+		for {
+			rec, err := s.recording(ctx, g, capped)
+			if err != nil {
+				return err
+			}
+			if rec.tr.Pin() {
+				recs = append(recs, rec)
+				break
+			}
+		}
+	}
+	return fn(recs)
 }
 
 // Workload returns the prepared (dataset, reorder) pair, preparing and
 // caching it on first use. dsName goes through the dataset registry's
 // resolver, so it can be a paper dataset name or a graph-file path
-// (re-prepared if the file changes; see datasetKey).
+// (re-prepared if the file changes).
 func (s *Session) Workload(dsName, reorderName string, weighted bool) (*sim.Workload, error) {
-	key := fmt.Sprintf("%s|%s|%v", s.datasetKey(dsName), reorderName, weighted)
-	return s.workloads.do(key, func() (*sim.Workload, error) {
-		ds, err := graph.Resolve(dsName)
+	return s.workload(s.dataset(dsName), reorderName, weighted)
+}
+
+func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.Workload, error) {
+	k := artifactKey{ds: d, kind: kindWorkload, reorder: reorderName, weighted: weighted}
+	return get(context.Background(), s.art, k, func() (*sim.Workload, charge, error) {
+		ds, err := graph.Resolve(d.name)
 		if err != nil {
-			return nil, err
+			return nil, charge{}, err
 		}
-		g, err := s.baseGraph(dsName, ds, weighted)
+		g, err := s.baseGraph(d, ds, weighted)
 		if err != nil {
-			return nil, err
+			return nil, charge{}, err
 		}
 		start := time.Now()
 		w, err := sim.PrepareWorkloadOn(g, ds, reorderName, weighted)
 		s.phase.reorder.Add(int64(time.Since(start)))
 		if err != nil {
-			return nil, err
+			return nil, charge{}, err
 		}
+		var c charge
 		if w.Graph != g {
-			// Reordered copy; the shared base was accounted by baseGraph.
-			s.noteFileBytes(dsName, w.Graph.Footprint())
+			// Reordered copy; the shared base is charged by baseGraph.
+			c.fileBytes = w.Graph.Footprint()
 		}
-		return w, nil
+		return w, c, nil
 	})
 }
 
@@ -786,17 +339,42 @@ func (s *Session) Workload(dsName, reorderName string, weighted bool) (*sim.Work
 // dataset, cached per (dataset, weighted): the expensive part of workload
 // preparation that is identical across reordering techniques — each
 // technique builds a relabeled copy and never mutates the base.
-func (s *Session) baseGraph(dsName string, ds graph.Dataset, weighted bool) (*graph.CSR, error) {
-	key := fmt.Sprintf("%s|%v|base", s.datasetKey(dsName), weighted)
-	return s.bases.do(key, func() (*graph.CSR, error) {
+func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.CSR, error) {
+	k := artifactKey{ds: d, kind: kindBase, weighted: weighted}
+	return get(context.Background(), s.art, k, func() (*graph.CSR, charge, error) {
 		start := time.Now()
 		g, err := ds.Load(weighted, s.Cfg.ScaleDiv)
 		s.phase.load.Add(int64(time.Since(start)))
 		if err != nil {
-			return nil, err
+			return nil, charge{}, err
 		}
-		s.noteFileBytes(dsName, g.Footprint())
-		return g, nil
+		return g, charge{fileBytes: g.Footprint()}, nil
+	})
+}
+
+// derive is the shape every simulation tier shares: the artifact under k
+// is one timed sim call over the group's workload and the listed groups'
+// pinned full recordings (none: an execution-driven run), charged to
+// phase and counted in runs when it succeeds. Replays can fail
+// environmentally (spill I/O) and under a caller's context, which is why
+// all the kinds derived here are transient.
+func derive[V any](ctx context.Context, s *Session, k artifactKey, groups []artifactKey, phase *atomic.Int64, runs *atomic.Uint64,
+	simulate func(w *sim.Workload, recs []recording) (V, error)) (V, error) {
+	return get(ctx, s.art, k, func() (v V, _ charge, err error) {
+		w, err := s.workload(k.ds, k.reorder, k.app == "SSSP")
+		if err != nil {
+			return v, charge{}, err
+		}
+		err = s.withRecordings(ctx, false, groups, func(recs []recording) error {
+			start := time.Now()
+			v, err = simulate(w, recs)
+			phase.Add(int64(time.Since(start)))
+			return err
+		})
+		if err == nil {
+			runs.Add(1)
+		}
+		return v, charge{}, err
 	})
 }
 
@@ -815,57 +393,23 @@ func (s *Session) Result(dsName, reorderName, app string, layout apps.Layout, po
 // datapoint — a cancelled computation is dropped from the cache, and a
 // later request recomputes it from scratch with identical output.
 func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string, layout apps.Layout, policy string) (sim.Result, error) {
-	p := Datapoint{DS: dsName, Reorder: reorderName, App: app, Layout: layout, Policy: policy}
-	return s.result(ctx, p, s.traceReady(p.group()))
-}
-
-// resultKey renders the result-cache key of one datapoint.
-func (s *Session) resultKey(p Datapoint) string {
-	return fmt.Sprintf("%s|%s|%s|%v|%s", s.datasetKey(p.DS), p.Reorder, p.App, p.Layout, p.Policy)
+	g := group(s.dataset(dsName), reorderName, app, layout)
+	return s.result(ctx, g, policy, s.art.ready(g))
 }
 
 // result computes one result datapoint, replaying the group's shared
-// recording when viaTrace is set (recording it first if need be).
-func (s *Session) result(ctx context.Context, p Datapoint, viaTrace bool) (sim.Result, error) {
-	// doTransient: the replay path can fail environmentally (spill I/O),
-	// and a failed result must not be served from cache for the session's
-	// lifetime; deterministic failures just recompute cheaply on request.
-	// The foreignCancel retry covers waiters merged onto a flight that was
-	// cancelled under someone else's context.
-	for {
-		r, err := s.results.doTransient(s.resultKey(p), func() (sim.Result, error) {
-			weighted := p.App == "SSSP"
-			w, err := s.Workload(p.DS, p.Reorder, weighted)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			spec := sim.Spec{App: p.App, Layout: p.Layout, Policy: p.Policy, HCfg: s.Cfg.HCfg}
-			if viaTrace {
-				var r sim.Result
-				err := s.withRecording(ctx, p.group(), false, func(rec recording) error {
-					start := time.Now()
-					var rerr error
-					r, rerr = sim.ReplayResultCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds)
-					s.phase.replay.Add(int64(time.Since(start)))
-					return rerr
-				})
-				if err != nil {
-					return sim.Result{}, err
-				}
-				s.simRuns.Add(1)
-				return r, nil
-			}
-			s.simRuns.Add(1)
-			start := time.Now()
-			r, err := sim.RunCtx(ctx, w, spec)
-			s.phase.direct.Add(int64(time.Since(start)))
-			return r, err
-		})
-		if foreignCancel(ctx, err) {
-			continue
-		}
-		return r, err
+// recording when viaTrace is set (recording it first if need be) and
+// running execution-driven otherwise.
+func (s *Session) result(ctx context.Context, g artifactKey, policy string, viaTrace bool) (sim.Result, error) {
+	spec := sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
+	if !viaTrace {
+		return derive(ctx, s, g.of(kindResult, policy), nil, &s.phase.direct, &s.simRuns,
+			func(w *sim.Workload, _ []recording) (sim.Result, error) { return sim.RunCtx(ctx, w, spec) })
 	}
+	return derive(ctx, s, g.of(kindResult, policy), []artifactKey{g}, &s.phase.replay, &s.simRuns,
+		func(w *sim.Workload, recs []recording) (sim.Result, error) {
+			return sim.ReplayResultCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds)
+		})
 }
 
 // Datapoint names one unit of simulation work an experiment will consume:
@@ -878,24 +422,11 @@ type Datapoint struct {
 	Trace            bool // declare the LLC trace instead of a result (Reorder/Layout/Policy ignored)
 }
 
-// compute materializes the datapoint into the session caches. A declared
-// trace needs only the OPT study's bounded prefix, so outside a Prefetch
-// batch (which knows whether the group's full recording is coming anyway)
-// it records capped unless a full recording already exists.
-func (s *Session) compute(p Datapoint) error {
-	if p.Trace {
-		_, err := s.optRecording(context.Background(), p.group())
-		return err
-	}
-	_, err := s.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
-	return err
-}
-
 // Prefetch computes the given datapoints on a pool of GOMAXPROCS workers,
 // leaving them cached in the session. The batch is deduplicated up front
 // (a duplicate entry would park a worker slot blocking on the in-flight
 // original instead of doing distinct work); datapoints that merely share a
-// workload are deduplicated by the singleflight caches, so no simulation
+// workload are deduplicated by the singleflight store, so no simulation
 // runs twice either way.
 //
 // Prefetch is where the record-once/replay-many engine engages: the batch
@@ -931,16 +462,24 @@ func (s *Session) Prefetch(points []Datapoint) error {
 // unit's datapoints — the stack is attached to their error — and the rest
 // of the batch keeps running.
 func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, onProgress func(done, total int)) error {
-	uniq := points
-	if len(points) > 1 {
-		seen := make(map[Datapoint]bool, len(points))
-		uniq = make([]Datapoint, 0, len(points))
-		for _, p := range points {
-			if !seen[p] {
-				seen[p] = true
-				uniq = append(uniq, p)
-			}
+	seen := make(map[Datapoint]bool, len(points))
+	uniq := make([]Datapoint, 0, len(points))
+	for _, p := range points {
+		if !seen[p] {
+			seen[p] = true
+			uniq = append(uniq, p)
 		}
+	}
+	// One dataset handle per distinct spec for the whole batch.
+	handles := make(map[string]dataset)
+	groups := make([]artifactKey, len(uniq))
+	for i, p := range uniq {
+		d, ok := handles[p.DS]
+		if !ok {
+			d = s.dataset(p.DS)
+			handles[p.DS] = d
+		}
+		groups[i] = p.group(d)
 	}
 	// Phase 0 — dataset-parallel workload preparation: fan the batch's
 	// DISTINCT (dataset, reorder) workloads out over the pool before any
@@ -949,17 +488,12 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// inputs of the recording phase; preparing them all up front lets a
 	// multi-core host reorder every dataset concurrently instead of
 	// discovering each reordering serially behind a recording slot.
-	// Errors are dropped here — the memo caches them, and they re-surface
+	// Errors are dropped here — the store caches them, and they re-surface
 	// attributed to the first datapoint that needs the failed workload.
-	type workloadKey struct {
-		ds, reorder string
-		weighted    bool
-	}
-	seenW := make(map[workloadKey]bool, len(uniq))
-	var warm []workloadKey
-	for _, p := range uniq {
-		g := p.group()
-		wk := workloadKey{ds: g.ds, reorder: g.reorder, weighted: g.app == "SSSP"}
+	seenW := make(map[artifactKey]bool, len(uniq))
+	var warm []artifactKey
+	for _, g := range groups {
+		wk := artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: g.app == "SSSP"}
 		if !seenW[wk] {
 			seenW[wk] = true
 			warm = append(warm, wk)
@@ -967,85 +501,54 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	}
 	forEachParallel(len(warm), func(i int) {
 		// Swallow panics too: a workload whose preparation panics must not
-		// kill the warm-up worker — the memo drops the entry, and the panic
+		// kill the warm-up worker — the store drops the entry, and the panic
 		// recurs (contained) under the first unit that needs the workload.
 		defer func() { _ = recover() }()
 		if ctx.Err() != nil {
 			return
 		}
-		_, _ = s.Workload(warm[i].ds, warm[i].reorder, warm[i].weighted)
+		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted)
 	})
-	// Group the result datapoints; groups with several consumers of one
-	// execution — two or more policies, or a policy plus a declared trace
-	// — or whose full recording already exists go through the replay
-	// engine. A declared trace counts as a consumer: recording once and
-	// replaying the lone policy beats executing the application twice.
-	counts := make(map[groupKey]int)
-	declaredTrace := make(map[groupKey]bool)
-	for _, p := range uniq {
-		if p.Trace {
-			declaredTrace[p.group()] = true
-		} else {
-			counts[p.group()]++
-		}
-	}
-	replayGroup := make(map[groupKey]bool, len(counts))
-	for k, n := range counts {
-		replayGroup[k] = n > 1 || declaredTrace[k] || s.traceReady(k)
-	}
-	// Build the schedule. Each replay group becomes ONE broadcast unit:
+	// Build the schedule: one unit per (dataset, reorder, app, layout)
+	// group. A group with several consumers of one execution — two or
+	// more policies, or a policy plus a declared trace (recording once and
+	// replaying the lone policy beats executing the application twice) —
+	// or whose full recording already exists becomes ONE broadcast unit:
 	// the recording (the expensive application execution) followed by a
-	// single decode-once fan-out serving every policy of the group — and
-	// its declared trace, if any — so an N-policy group pays one decode
-	// instead of N and its replays run concurrently even inside one
-	// worker slot (DESIGN.md Sec. 12). Trace-only groups record their
-	// bounded prefix; everything else runs execution-driven as its own
-	// unit. Units carrying a recording are scheduled first, so the worker
-	// pool starts every application execution as early as possible.
-	const (
-		unitBroadcast = iota
-		unitTraceOnly
-		unitSingle
-	)
+	// single decode-once fan-out serving every policy of the group, so an
+	// N-policy group pays one decode instead of N and its replays run
+	// concurrently even inside one worker slot (DESIGN.md Sec. 12). A
+	// trace-only group is the same unit with zero result consumers over
+	// the bounded prefix the OPT study needs. A lone policy with nothing
+	// to share runs execution-driven. Units carrying a recording are
+	// scheduled first, so the worker pool starts every application
+	// execution as early as possible.
 	type unit struct {
-		kind  int
-		group groupKey
-		pts   []int // indices into uniq, batch order
+		group    artifactKey
+		pts      []int // indices into uniq, batch order
+		policies int   // result consumers among pts; the rest declare the trace
+		direct   bool
 	}
-	var recUnits, restUnits []*unit
-	byGroup := make(map[groupKey]*unit)
+	var units []*unit
+	byGroup := make(map[artifactKey]*unit)
 	for i, p := range uniq {
-		k := p.group()
-		switch {
-		case replayGroup[k]:
-			u := byGroup[k]
-			if u == nil {
-				u = &unit{kind: unitBroadcast, group: k}
-				byGroup[k] = u
-				recUnits = append(recUnits, u)
-			}
-			u.pts = append(u.pts, i)
-		case p.Trace:
-			u := byGroup[k]
-			if u == nil {
-				u = &unit{kind: unitTraceOnly, group: k}
-				byGroup[k] = u
-				recUnits = append(recUnits, u)
-			}
-			u.pts = append(u.pts, i)
-		default:
-			restUnits = append(restUnits, &unit{kind: unitSingle, group: k, pts: []int{i}})
+		u := byGroup[groups[i]]
+		if u == nil {
+			u = &unit{group: groups[i]}
+			byGroup[groups[i]] = u
+			units = append(units, u)
+		}
+		u.pts = append(u.pts, i)
+		if !p.Trace {
+			u.policies++
 		}
 	}
-	units := append(recUnits, restUnits...)
+	for _, u := range units {
+		u.direct = len(u.pts) == 1 && u.policies == 1 && !s.art.ready(u.group)
+	}
+	sort.SliceStable(units, func(i, j int) bool { return !units[i].direct && units[j].direct })
 	errs := make([]error, len(uniq))
 	var completed atomic.Int64
-	note := func(i int, err error) {
-		errs[i] = err
-		if onProgress != nil {
-			onProgress(int(completed.Add(1)), len(uniq))
-		}
-	}
 	// runUnit executes one scheduling unit with fault containment: a panic
 	// anywhere under it (a policy bug, a corrupted dataset) becomes the
 	// unit's error with the stack attached, instead of escaping the worker
@@ -1066,28 +569,22 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		if err := trace.ContextErr(ctx); err != nil {
 			return err, nil
 		}
-		switch u.kind {
-		case unitBroadcast:
-			return s.broadcastUnit(ctx, u.group, u.pts, uniq)
-		case unitTraceOnly:
-			// Trace-only groups record just the bounded prefix the OPT
-			// study consumes.
-			_, err := s.optRecording(ctx, u.group)
-			return err, nil
-		default:
-			_, err := s.result(ctx, uniq[u.pts[0]], false)
+		if u.direct {
+			_, err := s.result(ctx, u.group, uniq[u.pts[0]].Policy, false)
 			return err, nil
 		}
+		return s.broadcastUnit(ctx, u.group, u.policies == 0, u.pts, uniq)
 	}
 	forEachParallel(len(units), func(j int) {
 		u := units[j]
 		uerr, pointErr := runUnit(u)
 		for _, i := range u.pts {
-			err := uerr
-			if err == nil {
-				err = pointErr[i]
+			if errs[i] = uerr; uerr == nil {
+				errs[i] = pointErr[i]
 			}
-			note(i, err)
+			if onProgress != nil {
+				onProgress(int(completed.Add(1)), len(uniq))
+			}
 		}
 	})
 	for _, err := range errs {
@@ -1098,21 +595,22 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	return nil
 }
 
-// broadcastUnit serves one replay group of a Prefetch batch: it obtains
-// the group's full recording and fans ONE decode pass out to every
-// not-yet-cached policy result of the group, publishing each through the
-// singleflight result cache (so concurrent Result callers and later
-// requests share them; if another goroutine is already computing one of
-// the keys, its outcome wins — identical by the replay-equivalence
-// invariant). A declared trace point of the group is satisfied by the
-// recording itself. The group-wide error and any per-point errors are
-// returned for the caller to attribute.
-func (s *Session) broadcastUnit(ctx context.Context, k groupKey, ptIdx []int, uniq []Datapoint) (error, map[int]error) {
+// broadcastUnit serves one recording group of a Prefetch batch: it
+// obtains the group's recording (capped: only the bounded prefix is
+// needed, because the group has no result consumers) and fans ONE decode
+// pass out to every not-yet-cached policy result of the group, publishing
+// each through the store (so concurrent Result callers and later requests
+// share them; if another goroutine is already computing one of the keys,
+// its outcome wins — identical by the replay-equivalence invariant). A
+// declared trace point of the group is satisfied by the recording itself.
+// The group-wide error and any per-point errors are returned for the
+// caller to attribute.
+func (s *Session) broadcastUnit(ctx context.Context, g artifactKey, capped bool, ptIdx []int, uniq []Datapoint) (error, map[int]error) {
 	pointErr := make(map[int]error)
-	uerr := s.withRecording(ctx, k, false, func(rec recording) error {
+	uerr := s.withRecordings(ctx, capped, []artifactKey{g}, func(recs []recording) error {
 		var pending []int
 		for _, i := range ptIdx {
-			if uniq[i].Trace || s.results.ready(s.resultKey(uniq[i])) {
+			if uniq[i].Trace || s.art.ready(g.of(kindResult, uniq[i].Policy)) {
 				continue
 			}
 			// Validate the policy up front so one bad name fails only its
@@ -1126,17 +624,16 @@ func (s *Session) broadcastUnit(ctx context.Context, k groupKey, ptIdx []int, un
 		if len(pending) == 0 {
 			return nil
 		}
-		w, err := s.Workload(k.ds, k.reorder, k.app == "SSSP")
+		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
 		if err != nil {
 			return err
 		}
 		specs := make([]sim.Spec, len(pending))
 		for j, i := range pending {
-			p := uniq[i]
-			specs[j] = sim.Spec{App: p.App, Layout: p.Layout, Policy: p.Policy, HCfg: s.Cfg.HCfg}
+			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: uniq[i].Policy, HCfg: s.Cfg.HCfg}
 		}
 		start := time.Now()
-		results, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
+		results, err := sim.BroadcastResultsCtx(ctx, recs[0].tr, specs, w.Dataset.Name, recs[0].bounds)
 		s.phase.replay.Add(int64(time.Since(start)))
 		if err != nil {
 			return err
@@ -1144,11 +641,10 @@ func (s *Session) broadcastUnit(ctx context.Context, k groupKey, ptIdx []int, un
 		s.broadcasts.Add(1)
 		for j, i := range pending {
 			r := results[j]
-			_, derr := s.results.doTransient(s.resultKey(uniq[i]), func() (sim.Result, error) {
+			_, pointErr[i] = get(ctx, s.art, g.of(kindResult, uniq[i].Policy), func() (sim.Result, charge, error) {
 				s.simRuns.Add(1)
-				return r, nil
+				return r, charge{}, nil
 			})
-			pointErr[i] = derr
 		}
 		return nil
 	})
@@ -1309,7 +805,7 @@ func RunAll(s *Session, exps []Experiment, w io.Writer, obs RunObserver) error {
 				continue
 			}
 			for _, p := range e.Points() {
-				if perr := s.compute(p); perr != nil {
+				if perr := s.Prefetch([]Datapoint{p}); perr != nil {
 					return fmt.Errorf("%s: %w", e.ID, perr)
 				}
 			}

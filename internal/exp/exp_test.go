@@ -67,7 +67,7 @@ func TestSessionCachesResults(t *testing.T) {
 	if r1.LLC.Misses != r2.LLC.Misses {
 		t.Fatal("cached result differs")
 	}
-	if n := s.results.len(); n != 1 {
+	if n := s.art.count(kindResult); n != 1 {
 		t.Fatalf("expected 1 cached result, have %d", n)
 	}
 	if n := s.SimRuns(); n != 1 {
@@ -101,7 +101,7 @@ func TestSessionRevalidatesAndEvictsFileWorkloads(t *testing.T) {
 	if w2, err := s.Workload(path, "DBG", false); err != nil || w2 != w1 {
 		t.Fatalf("unchanged file not served from the memo (err=%v)", err)
 	}
-	if n := s.workloads.len(); n != 1 {
+	if n := s.art.count(kindWorkload); n != 1 {
 		t.Fatalf("workload memo holds %d entries, want 1", n)
 	}
 
@@ -121,7 +121,7 @@ func TestSessionRevalidatesAndEvictsFileWorkloads(t *testing.T) {
 	if got := w3.Graph.NumVertices(); got != edited.NumVertices() {
 		t.Fatalf("reloaded workload has %d vertices, want the edited file's %d", got, edited.NumVertices())
 	}
-	if n := s.workloads.len(); n != 1 {
+	if n := s.art.count(kindWorkload); n != 1 {
 		t.Fatalf("workload memo holds %d entries after edit, want 1 (superseded entry evicted)", n)
 	}
 }

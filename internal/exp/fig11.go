@@ -48,8 +48,9 @@ func runOPTStudy(s *Session, llcCfg cache.Config) (map[[2]string]optDatapoint, e
 	errs := make([]error, len(pairs))
 	forEachParallel(len(pairs), func(i int) {
 		app, ds := pairs[i].app, pairs[i].ds
-		k := groupKey{ds: ds, reorder: "DBG", app: app, layout: apps.LayoutMerged}
-		errs[i] = s.withRecording(context.Background(), k, true, func(rec recording) error {
+		g := group(s.dataset(ds), "DBG", app, apps.LayoutMerged)
+		errs[i] = s.withRecordings(context.Background(), true, []artifactKey{g}, func(recs []recording) error {
+			rec := recs[0]
 			replays := []struct {
 				misses *uint64
 				pinfo  sim.PolicyInfo

@@ -23,7 +23,7 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	if err := s.Prefetch(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.traces.len(); n != 1 {
+	if n := s.art.count(kindRecording); n != 1 {
 		t.Fatalf("prefetch cached %d recordings, want 1 (one per group)", n)
 	}
 	if got, want := s.SimRuns(), uint64(len(schemes)+1); got != want {
@@ -45,7 +45,7 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 			t.Fatalf("%s: replayed result diverges\nreplay: %+v\ndirect: %+v", p.Policy, replayed, direct)
 		}
 	}
-	if seq.traces.len() != 0 {
+	if seq.art.count(kindRecording) != 0 {
 		t.Fatal("sequential per-point session unexpectedly recorded a trace")
 	}
 }
@@ -64,7 +64,7 @@ func TestSinglePolicyGroupBypassesRecorder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.traces.len(); n != 0 {
+	if n := s.art.count(kindRecording); n != 0 {
 		t.Fatalf("single-policy prefetch recorded %d traces, want 0 (bypass)", n)
 	}
 	// A declared trace point on a trace-only group creates a capped
@@ -73,10 +73,10 @@ func TestSinglePolicyGroupBypassesRecorder(t *testing.T) {
 	if err := s.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.traces.len(); n != 1 {
+	if n := s.art.count(kindRecording); n != 1 {
 		t.Fatalf("trace point cached %d recordings, want 1 (capped)", n)
 	}
-	if s.traceReady(groupKey{ds: "lj", reorder: "DBG", app: "PR", layout: apps.LayoutMerged}) {
+	if fullRecordingReady(s, "lj", "PR") {
 		t.Fatal("capped recording must not satisfy traceReady")
 	}
 	// A declared trace plus a lone policy in ONE batch shares a single
@@ -88,10 +88,10 @@ func TestSinglePolicyGroupBypassesRecorder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.traces.len(); n != 1 {
+	if n := s2.art.count(kindRecording); n != 1 {
 		t.Fatalf("trace+policy batch cached %d recordings, want 1 (full, shared)", n)
 	}
-	if !s2.traceReady(groupKey{ds: "kr", reorder: "DBG", app: "PR", layout: apps.LayoutMerged}) {
+	if !fullRecordingReady(s2, "kr", "PR") {
 		t.Fatal("trace+policy batch should have produced the FULL recording")
 	}
 
@@ -99,7 +99,7 @@ func TestSinglePolicyGroupBypassesRecorder(t *testing.T) {
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.traces.len(); n != 2 {
+	if n := s.art.count(kindRecording); n != 2 {
 		t.Fatalf("have %d recordings, want 2 (capped + full)", n)
 	}
 	// ... and a later lone policy on that group replays instead of
@@ -155,7 +155,7 @@ func TestSessionFileBudgetEvictsLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.workloads.len(); n != 1 {
+	if n := s.art.count(kindWorkload); n != 1 {
 		t.Fatalf("workload memo holds %d entries after eviction, want 1 (B only)", n)
 	}
 	if wB2, err := s.Workload(pathB, "DBG", false); err != nil || wB2 != wB {
@@ -172,14 +172,14 @@ func TestSessionFileBudgetEvictsLRU(t *testing.T) {
 	if _, err := s.Workload("lj", "DBG", false); err != nil {
 		t.Fatal(err)
 	}
-	before := s.workloads.len()
+	before := s.art.count(kindWorkload)
 	if _, err := s.Workload(pathB, "DBG", false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Workload("lj", "DBG", false); err != nil {
 		t.Fatal(err)
 	}
-	if s.workloads.len() < before {
+	if s.art.count(kindWorkload) < before {
 		t.Fatal("synthetic workload was evicted by the file budget")
 	}
 }

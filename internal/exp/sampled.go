@@ -10,7 +10,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/sim"
@@ -32,14 +31,6 @@ func (s *Session) SampledSkip() trace.SkipReport {
 	return s.skip
 }
 
-// addSampledSkip folds one sampled replay's report into the session
-// accumulator.
-func (s *Session) addSampledSkip(rep trace.SkipReport) {
-	s.skipMu.Lock()
-	s.skip.Add(rep)
-	s.skipMu.Unlock()
-}
-
 // SampledResult is SampledResultCtx without cancellation.
 func (s *Session) SampledResult(dsName, reorderName, app string, layout apps.Layout, policy string, sampleK uint32) (sim.SampledResult, error) {
 	return s.SampledResultCtx(context.Background(), dsName, reorderName, app, layout, policy, sampleK)
@@ -56,36 +47,18 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 	if sampleK == 0 {
 		return sim.SampledResult{}, fmt.Errorf("exp: sample divisor must be >= 1, got 0")
 	}
-	p := Datapoint{DS: dsName, Reorder: reorderName, App: app, Layout: layout, Policy: policy}
-	key := fmt.Sprintf("%s|k%d|sampled", s.resultKey(p), sampleK)
-	for {
-		r, err := s.sampled.doTransient(key, func() (sim.SampledResult, error) {
-			w, err := s.Workload(p.DS, p.Reorder, p.App == "SSSP")
-			if err != nil {
-				return sim.SampledResult{}, err
+	g := group(s.dataset(dsName), reorderName, app, layout)
+	k := g.of(kindSampled, policy)
+	k.n = sampleK
+	spec := sim.Spec{App: app, Layout: layout, Policy: policy, HCfg: s.Cfg.HCfg}
+	return derive(ctx, s, k, []artifactKey{g}, &s.phase.sampled, &s.sampledRun,
+		func(w *sim.Workload, recs []recording) (sim.SampledResult, error) {
+			r, rep, err := sim.SampledReplayResultSkipCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds, sampleK)
+			if err == nil {
+				s.skipMu.Lock()
+				s.skip.Add(rep)
+				s.skipMu.Unlock()
 			}
-			spec := sim.Spec{App: p.App, Layout: p.Layout, Policy: p.Policy, HCfg: s.Cfg.HCfg}
-			var r sim.SampledResult
-			err = s.withRecording(ctx, p.group(), false, func(rec recording) error {
-				start := time.Now()
-				var rerr error
-				var rep trace.SkipReport
-				r, rep, rerr = sim.SampledReplayResultSkipCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds, sampleK)
-				s.phase.sampled.Add(int64(time.Since(start)))
-				if rerr == nil {
-					s.addSampledSkip(rep)
-				}
-				return rerr
-			})
-			if err != nil {
-				return sim.SampledResult{}, err
-			}
-			s.sampledRun.Add(1)
-			return r, nil
+			return r, err
 		})
-		if foreignCancel(ctx, err) {
-			continue
-		}
-		return r, err
-	}
 }
