@@ -3,7 +3,10 @@
 // session's record-once traces. Each app in a mix is recorded exactly
 // once (the same recording that backs its solo results), so a sweep of
 // every policy over every mix pays one application execution per app,
-// not one per cell — the co-run lift of the broadcast fan-out economics.
+// not one per cell — and one decode + interleave per (mix, dataset), not
+// one per policy: the mix is the scheduling unit, and its merged order
+// fans out to every policy's shared LLC the way a recording group's
+// decode does (DESIGN.md Sec. 12).
 package exp
 
 import (
@@ -11,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/sim"
@@ -35,10 +39,47 @@ func (s *Session) CorunResult(dsName, reorderName string, appNames []string, wei
 // policy) and never alias solo results; the solo baselines themselves go
 // through the ordinary result cache, so a co-run warms the solo sweep
 // and vice versa. Apps may repeat in the mix (two copies of PR are two
-// streams over one recording).
+// streams over one recording). A mix the simulator would refuse — too
+// wide, a non-positive weight, an unknown policy — is refused here, before
+// anything is recorded or replayed.
 func (s *Session) CorunResultCtx(ctx context.Context, dsName, reorderName string, appNames []string, weights []int, layout apps.Layout, policy string) (sim.CorunResult, error) {
+	m, err := s.newCorunMix(dsName, reorderName, appNames, weights, layout)
+	if err != nil {
+		return sim.CorunResult{}, err
+	}
+	if _, err := sim.PolicyByName(policy); err != nil {
+		return sim.CorunResult{}, err
+	}
+	return get(ctx, s.art, m.key(policy), func() (sim.CorunResult, charge, error) {
+		rs, err := s.corunFanOut(ctx, m, []string{policy})
+		if err != nil {
+			return sim.CorunResult{}, charge{}, err
+		}
+		s.corunRun.Add(1)
+		return rs[0], charge{}, nil
+	})
+}
+
+// corunMix is one validated co-run mix on one dataset: the scheduling unit
+// of the co-run pipeline. Everything about a co-run except the policy is a
+// property of the mix — the recordings, the merged order, the tags — so
+// the mix is what gets decoded and interleaved once.
+type corunMix struct {
+	apps    []string
+	weights []int
+	layout  apps.Layout
+	groups  []artifactKey // the mix's distinct apps' recording groups, first-appearance order
+	stream  []int         // stream i replays groups[stream[i]]
+	base    artifactKey   // kindCorun key of the mix, policy unset
+}
+
+// newCorunMix validates a mix and resolves its dataset handle and groups.
+func (s *Session) newCorunMix(dsName, reorderName string, appNames []string, weights []int, layout apps.Layout) (*corunMix, error) {
 	if len(appNames) == 0 {
-		return sim.CorunResult{}, fmt.Errorf("exp: co-run needs at least one app")
+		return nil, fmt.Errorf("exp: co-run needs at least one app")
+	}
+	if len(appNames) > sim.MaxCorunApps {
+		return nil, fmt.Errorf("exp: co-run of %d apps exceeds the maximum %d", len(appNames), sim.MaxCorunApps)
 	}
 	if weights == nil {
 		weights = make([]int, len(appNames))
@@ -47,42 +88,102 @@ func (s *Session) CorunResultCtx(ctx context.Context, dsName, reorderName string
 		}
 	}
 	if len(weights) != len(appNames) {
-		return sim.CorunResult{}, fmt.Errorf("exp: co-run has %d apps but %d weights", len(appNames), len(weights))
+		return nil, fmt.Errorf("exp: co-run has %d apps but %d weights", len(appNames), len(weights))
 	}
-	// Solo baselines first, via the ordinary result cache. viaTrace is
-	// forced: the co-run replays the recordings, so each baseline must be
-	// the replay of the SAME recording (identical anyway, by the
-	// replay-equivalence invariant).
+	for i, w := range weights {
+		if w <= 0 {
+			return nil, fmt.Errorf("exp: co-run app %d (%s) has weight %d, want >= 1", i, appNames[i], w)
+		}
+	}
 	d := s.dataset(dsName)
-	solos := make(map[string]sim.Result, len(appNames))
-	var groups []artifactKey // the mix's distinct apps, in first-appearance order
-	for _, app := range appNames {
-		if _, ok := solos[app]; ok {
-			continue
+	m := &corunMix{apps: appNames, weights: weights, layout: layout, stream: make([]int, len(appNames)),
+		base: group(d, reorderName, strings.Join(appNames, "+"), layout).of(kindCorun, "")}
+	m.base.weights = fmt.Sprint(weights)
+	index := make(map[string]int, len(appNames))
+	for i, app := range appNames {
+		gi, ok := index[app]
+		if !ok {
+			gi = len(m.groups)
+			index[app] = gi
+			m.groups = append(m.groups, group(d, reorderName, app, layout))
 		}
-		g := group(d, reorderName, app, layout)
-		solo, err := s.result(ctx, g, policy, true)
-		if err != nil {
-			return sim.CorunResult{}, err
-		}
-		solos[app] = solo
-		groups = append(groups, g)
+		m.stream[i] = gi
 	}
-	k := group(d, reorderName, strings.Join(appNames, "+"), layout).of(kindCorun, policy)
-	k.weights = fmt.Sprint(weights)
-	return derive(ctx, s, k, groups, &s.phase.corun, &s.corunRun,
-		func(w *sim.Workload, recs []recording) (sim.CorunResult, error) {
-			recOf := make(map[string]recording, len(groups))
-			for i, g := range groups {
-				recOf[g.app] = recs[i]
+	return m, nil
+}
+
+// key returns the store key of the mix's result under one policy.
+func (m *corunMix) key(policy string) artifactKey { return m.base.of(kindCorun, policy) }
+
+// corunFanOut computes the mix under every listed policy from ONE merge of
+// its recordings. Solo baselines come first, via the ordinary result cache
+// — viaTrace is forced: the co-run replays the recordings, so each
+// baseline must be the replay of the SAME recording (identical anyway, by
+// the replay-equivalence invariant). Then the mix's recordings are pinned
+// once, for the whole fan-out, and a single timed
+// sim.CorunBroadcastResultsCtx serves all the policies. The dataset name
+// the results carry is the first stream's solo baseline's: no workload is
+// prepared here that the recordings did not already need.
+func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []string) ([]sim.CorunResult, error) {
+	pols := make([]sim.CorunPolicy, len(policies))
+	for p, policy := range policies {
+		solos := make([]sim.Result, len(m.groups))
+		for gi, g := range m.groups {
+			var err error
+			if solos[gi], err = s.result(ctx, g, policy, true); err != nil {
+				return nil, err
 			}
-			streams := make([]sim.CorunStream, len(appNames))
-			for i, app := range appNames {
-				streams[i] = sim.CorunStream{App: app, Layout: layout, Weight: weights[i],
-					Trace: recOf[app].tr, Bounds: recOf[app].bounds, Solo: solos[app]}
-			}
-			return sim.CorunReplayResultCtx(ctx, streams, policy, s.Cfg.HCfg, w.Dataset.Name)
-		})
+		}
+		pols[p] = sim.CorunPolicy{Name: policy, Solos: make([]sim.Result, len(m.apps))}
+		for i, gi := range m.stream {
+			pols[p].Solos[i] = solos[gi]
+		}
+	}
+	var out []sim.CorunResult
+	err := s.withRecordings(ctx, false, m.groups, func(recs []recording) (err error) {
+		streams := make([]sim.CorunStream, len(m.apps))
+		for i, gi := range m.stream {
+			streams[i] = sim.CorunStream{App: m.apps[i], Layout: m.layout, Weight: m.weights[i],
+				Trace: recs[gi].tr, Bounds: recs[gi].bounds}
+		}
+		start := time.Now()
+		out, err = sim.CorunBroadcastResultsCtx(ctx, streams, pols, s.Cfg.HCfg, pols[0].Solos[0].Workload)
+		s.phase.corun.Add(int64(time.Since(start)))
+		return err
+	})
+	return out, err
+}
+
+// corunUnit serves one mix of the co-run sweep the way broadcastUnit
+// serves a recording group: one fan-out computes every policy whose result
+// is not cached yet, and each is published through the store (if another
+// goroutine is already computing one of the keys, its outcome wins —
+// identical, the merge being deterministic). Nothing is published unless
+// the whole fan-out succeeded.
+func (s *Session) corunUnit(ctx context.Context, m *corunMix, policies []string) error {
+	var pending []string
+	for _, policy := range policies {
+		if !s.art.ready(m.key(policy)) {
+			pending = append(pending, policy)
+		}
+	}
+	if len(pending) == 0 {
+		return nil
+	}
+	rs, err := s.corunFanOut(ctx, m, pending)
+	if err != nil {
+		return err
+	}
+	for p, policy := range pending {
+		r := rs[p]
+		if _, err := get(ctx, s.art, m.key(policy), func() (sim.CorunResult, charge, error) {
+			s.corunRun.Add(1)
+			return r, charge{}, nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // corunMixes returns the experiment's co-runner mixes in sweep order: the
@@ -154,25 +255,27 @@ func runCorun(s *Session, w io.Writer) error {
 	datasets := highSkewNames()
 	policies := append([]string{"RRIP"}, corunSchemes()...)
 	mixes := corunMixes()
-	// Fan every (mix, policy, dataset) cell out over the worker pool; the
-	// cache makes the sequential rendering below instant. Errors surface
-	// on the rendering pass in deterministic order.
-	type cell struct {
-		mix    int
-		policy string
-		ds     string
+	// Fan the (mix, dataset) units out over the worker pool — each decodes
+	// and interleaves its mix once for all the policies — so the sequential
+	// rendering below reads from the cache. Errors, and a panic contained
+	// here so the other units finish, recur on the rendering pass in
+	// deterministic order.
+	type unit struct {
+		mix int
+		ds  string
 	}
-	var cells []cell
+	var units []unit
 	for mi := range mixes {
-		for _, pol := range policies {
-			for _, ds := range datasets {
-				cells = append(cells, cell{mix: mi, policy: pol, ds: ds})
-			}
+		for _, ds := range datasets {
+			units = append(units, unit{mix: mi, ds: ds})
 		}
 	}
-	forEachParallel(len(cells), func(i int) {
-		c := cells[i]
-		_, _ = s.CorunResult(c.ds, "DBG", mixes[c.mix], nil, apps.LayoutMerged, c.policy)
+	forEachParallel(len(units), func(i int) {
+		defer func() { _ = recover() }()
+		u := units[i]
+		if m, err := s.newCorunMix(u.ds, "DBG", mixes[u.mix], nil, apps.LayoutMerged); err == nil {
+			_ = s.corunUnit(context.Background(), m, policies)
+		}
 	})
 	for _, mix := range mixes {
 		ws := stats.NewTable(append([]string{"Policy"}, append(append([]string{}, datasets...), "Mean")...)...)

@@ -352,12 +352,13 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 	})
 }
 
-// derive is the shape every simulation tier shares: the artifact under k
-// is one timed sim call over the group's workload and the listed groups'
-// pinned full recordings (none: an execution-driven run), charged to
-// phase and counted in runs when it succeeds. Replays can fail
-// environmentally (spill I/O) and under a caller's context, which is why
-// all the kinds derived here are transient.
+// derive is the shape the single-group simulation tiers share (full and
+// sampled; a co-run spans several groups and is scheduled per mix —
+// corun.go): the artifact under k is one timed sim call over the group's
+// workload and the listed groups' pinned full recordings (none: an
+// execution-driven run), charged to phase and counted in runs when it
+// succeeds. Replays can fail environmentally (spill I/O) and under a
+// caller's context, which is why all the kinds derived here are transient.
 func derive[V any](ctx context.Context, s *Session, k artifactKey, groups []artifactKey, phase *atomic.Int64, runs *atomic.Uint64,
 	simulate func(w *sim.Workload, recs []recording) (V, error)) (V, error) {
 	return get(ctx, s.art, k, func() (v V, _ charge, err error) {

@@ -9,6 +9,11 @@
 // exactly, and the solo replays of the same recordings provide the
 // baselines for the interference metrics: per-app miss-rate delta,
 // weighted speedup, and max/min-slowdown unfairness.
+//
+// The merged, tagged order depends on the mix alone, not on the policy
+// watching it, so it is produced once per mix and fanned out to one shared
+// LLC per policy (CorunBroadcastResultsCtx); a single policy is that
+// fan-out with one consumer.
 package sim
 
 import (
@@ -17,7 +22,6 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/core"
 	"grasp/internal/mem"
 	"grasp/internal/trace"
 )
@@ -109,99 +113,144 @@ type CorunResult struct {
 	Unfairness float64
 }
 
-// statsDelta returns cur - prev, counter for counter: the attribution
-// primitive (cur is the shared LLC after a batch, prev before it).
-func statsDelta(cur, prev cache.Stats) cache.Stats {
-	return cache.Stats{
-		Hits:       cur.Hits - prev.Hits,
-		Misses:     cur.Misses - prev.Misses,
-		PropHits:   cur.PropHits - prev.PropHits,
-		PropMisses: cur.PropMisses - prev.PropMisses,
-		Bypasses:   cur.Bypasses - prev.Bypasses,
-		Evictions:  cur.Evictions - prev.Evictions,
-		Writebacks: cur.Writebacks - prev.Writebacks,
-	}
+// CorunPolicy names one shared-LLC policy of a co-run fan-out and carries
+// every stream's solo baseline under it: Solos[i] is the Result of the same
+// (policy, geometry) replaying streams[i]'s trace alone.
+type CorunPolicy struct {
+	Name  string
+	Solos []Result
 }
 
-// addStats accumulates d into s field-wise.
-func addStats(s *cache.Stats, d cache.Stats) {
-	s.Hits += d.Hits
-	s.Misses += d.Misses
-	s.PropHits += d.PropHits
-	s.PropMisses += d.PropMisses
-	s.Bypasses += d.Bypasses
-	s.Evictions += d.Evictions
-	s.Writebacks += d.Writebacks
+// corunLLC is one policy's shared LLC plus the exact per-stream attribution
+// of everything it has been fed. The stream is read back from the address
+// tag the fan-out's producer applied; hits, misses and their Property
+// splits follow from Access's return value, and the three counters only a
+// miss can move (bypass, eviction, writeback) are differenced against the
+// totals already attributed — on misses only, so a hit costs two
+// increments and no copy of cache.Stats.
+type corunLLC struct {
+	llc    *cache.Cache
+	perApp []cache.Stats
+	seen   cache.Stats // Bypasses/Evictions/Writebacks attributed so far
+}
+
+// apply is the co-run consumer body: the one loop every policy of every
+// fan-out runs, whether it is one of twenty or alone.
+func (c *corunLLC) apply(accs []mem.Access) {
+	llc, total := c.llc, &c.llc.Stats
+	for _, a := range accs {
+		st := &c.perApp[a.Addr>>corunStreamShift]
+		if llc.Access(a) {
+			st.Hits++
+			if a.Property {
+				st.PropHits++
+			}
+			continue
+		}
+		st.Misses++
+		if a.Property {
+			st.PropMisses++
+		}
+		st.Bypasses += total.Bypasses - c.seen.Bypasses
+		st.Evictions += total.Evictions - c.seen.Evictions
+		st.Writebacks += total.Writebacks - c.seen.Writebacks
+		c.seen.Bypasses, c.seen.Evictions, c.seen.Writebacks = total.Bypasses, total.Evictions, total.Writebacks
+	}
 }
 
 // CorunReplayResultCtx replays the streams' recordings, interleaved
 // round-robin in Weight-sized quanta, into one shared LLC of the given
 // policy and geometry, and computes the per-app attribution and fairness
-// metrics against each stream's provided solo baseline. For
-// hint-consuming policies the shared classifier is programmed with every
-// stream's ABR bounds (offset into that stream's tagged address space),
-// so GRASP's region sizing divides the LLC among ALL co-runners' Property
-// Arrays — the paper's rule applied across applications.
+// metrics against each stream's provided solo baseline (CorunStream.Solo).
+// It is CorunBroadcastResultsCtx with one policy.
 //
 // A single-stream co-run is bit-identical to ReplayResultCtx of the same
 // spec: stream 0's address/PC tags are zero, the round-robin degenerates
 // to recording order, and the attribution equals the shared totals — the
 // equivalence the co-run suite pins for every registered policy.
 func CorunReplayResultCtx(ctx context.Context, streams []CorunStream, policyName string, hcfg cache.HierarchyConfig, workloadName string) (CorunResult, error) {
+	solos := make([]Result, len(streams))
+	for i, st := range streams {
+		solos[i] = st.Solo
+	}
+	rs, err := CorunBroadcastResultsCtx(ctx, streams, []CorunPolicy{{Name: policyName, Solos: solos}}, hcfg, workloadName)
+	if err != nil {
+		return CorunResult{}, err
+	}
+	return rs[0], nil
+}
+
+// CorunBroadcastResultsCtx produces the co-run results of several policies
+// from ONE merge of the streams' recordings: trace.InterleaveBroadcastCtx
+// decodes and interleaves the mix once, tags each access with its stream
+// (addr + i<<corunStreamShift, pc + i<<corunPCShift) and fans the merged
+// slabs out to one shared LLC per policy. out[p] is identical to what a
+// dedicated merge under policies[p] alone would produce; the per-stream
+// baselines come from policies[p].Solos and CorunStream.Solo is ignored.
+// For hint-consuming policies the shared classifier is programmed with
+// every stream's ABR bounds (offset into that stream's tagged address
+// space), so GRASP's region sizing divides the LLC among ALL co-runners'
+// Property Arrays — the paper's rule applied across applications.
+func CorunBroadcastResultsCtx(ctx context.Context, streams []CorunStream, policies []CorunPolicy, hcfg cache.HierarchyConfig, workloadName string) ([]CorunResult, error) {
 	if len(streams) == 0 {
-		return CorunResult{}, fmt.Errorf("sim: co-run needs at least one stream")
+		return nil, fmt.Errorf("sim: co-run needs at least one stream")
 	}
 	if len(streams) > MaxCorunApps {
-		return CorunResult{}, fmt.Errorf("sim: co-run of %d streams exceeds the maximum %d", len(streams), MaxCorunApps)
+		return nil, fmt.Errorf("sim: co-run of %d streams exceeds the maximum %d", len(streams), MaxCorunApps)
 	}
-	pinfo, err := PolicyByName(policyName)
-	if err != nil {
-		return CorunResult{}, err
-	}
-	llc, err := cache.New(hcfg.LLC, pinfo.New(hcfg.LLC.Sets(), hcfg.LLC.Ways))
-	if err != nil {
-		return CorunResult{}, err
-	}
-	if pinfo.NeedsABRs {
-		abrs := core.NewABRs(hcfg.LLC.SizeBytes)
-		for i, st := range streams {
-			base := uint64(i) << corunStreamShift
-			for _, b := range st.Bounds {
-				if err := abrs.SetBounds(b[0]+base, b[1]+base); err != nil {
-					return CorunResult{}, err
-				}
-			}
-		}
-		llc.SetClassifier(abrs)
+	if len(policies) == 0 {
+		return nil, fmt.Errorf("sim: co-run needs at least one policy")
 	}
 	its := make([]trace.InterleaveStream, len(streams))
+	var bounds [][2]uint64 // every stream's ABR bounds, in its tagged address space
 	for i, st := range streams {
 		its[i] = trace.InterleaveStream{Trace: st.Trace, Weight: st.Weight}
-	}
-	perApp := make([]cache.Stats, len(streams))
-	err = trace.InterleaveReplayCtx(ctx, its, 0, func(stream int, accs []mem.Access) {
-		base := uint64(stream) << corunStreamShift
-		pcBase := uint32(stream) << corunPCShift
-		prev := llc.Stats
-		for _, a := range accs {
-			a.Addr += base
-			a.PC += pcBase
-			llc.Access(a)
+		base := uint64(i) << corunStreamShift
+		for _, b := range st.Bounds {
+			bounds = append(bounds, [2]uint64{b[0] + base, b[1] + base})
 		}
-		addStats(&perApp[stream], statsDelta(llc.Stats, prev))
-	})
-	if err != nil {
-		return CorunResult{}, err
 	}
+	shared := make([]*corunLLC, len(policies))
+	consumers := make([]func([]mem.Access), len(policies))
+	for p, pol := range policies {
+		if len(pol.Solos) != len(streams) {
+			return nil, fmt.Errorf("sim: co-run policy %s has %d solo baselines for %d streams", pol.Name, len(pol.Solos), len(streams))
+		}
+		pinfo, err := PolicyByName(pol.Name)
+		if err != nil {
+			return nil, err
+		}
+		llc, err := NewReplayLLC(hcfg.LLC, pinfo, bounds)
+		if err != nil {
+			return nil, err
+		}
+		shared[p] = &corunLLC{llc: llc, perApp: make([]cache.Stats, len(streams))}
+		consumers[p] = shared[p].apply
+	}
+	tag := trace.StreamTag{AddrShift: corunStreamShift, PCShift: corunPCShift}
+	if err := trace.InterleaveBroadcastCtx(ctx, its, 0, tag, consumers); err != nil {
+		return nil, err
+	}
+	out := make([]CorunResult, len(policies))
+	for p, pol := range policies {
+		out[p] = corunResultOf(streams, pol, hcfg, workloadName, shared[p].perApp, shared[p].llc.Stats)
+	}
+	return out, nil
+}
+
+// corunResultOf prices one policy's attributed stats into the per-app and
+// whole-mix interference metrics.
+func corunResultOf(streams []CorunStream, pol CorunPolicy, hcfg cache.HierarchyConfig, workloadName string, perApp []cache.Stats, shared cache.Stats) CorunResult {
 	out := CorunResult{
-		Policy:   policyName,
+		Policy:   pol.Name,
 		HCfg:     hcfg,
 		Workload: workloadName,
 		Apps:     make([]CorunAppResult, len(streams)),
-		LLC:      llc.Stats,
+		LLC:      shared,
 	}
 	var minSlow, maxSlow float64
 	for i, st := range streams {
+		solo := pol.Solos[i]
 		l1, l2 := st.Trace.L1Stats(), st.Trace.L2Stats()
 		cyc := cache.MemoryCyclesEst(hcfg, l1, l2, float64(perApp[i].Misses))
 		ar := CorunAppResult{
@@ -210,11 +259,11 @@ func CorunReplayResultCtx(ctx context.Context, streams []CorunStream, policyName
 			L1:     l1, L2: l2,
 			LLC:    perApp[i],
 			Cycles: cyc,
-			Solo:   st.Solo,
+			Solo:   solo,
 		}
-		if st.Solo.Cycles > 0 {
-			ar.Slowdown = cyc / st.Solo.Cycles
-			out.WeightedSpeedup += st.Solo.Cycles / cyc
+		if solo.Cycles > 0 {
+			ar.Slowdown = cyc / solo.Cycles
+			out.WeightedSpeedup += solo.Cycles / cyc
 		}
 		if i == 0 || ar.Slowdown < minSlow {
 			minSlow = ar.Slowdown
@@ -227,5 +276,5 @@ func CorunReplayResultCtx(ctx context.Context, streams []CorunStream, policyName
 	if minSlow > 0 {
 		out.Unfairness = maxSlow / minSlow
 	}
-	return out, nil
+	return out
 }

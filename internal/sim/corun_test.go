@@ -8,6 +8,7 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
+	"grasp/internal/core"
 	"grasp/internal/graph"
 	"grasp/internal/mem"
 	"grasp/internal/policy"
@@ -59,20 +60,152 @@ func (fx *corunFixture) stream(app string, weight int) CorunStream {
 		Trace: fx.traces[app], Bounds: fx.bounds[app]}
 }
 
-// corunWithSolos fills each stream's solo baseline by a dedicated replay
-// of its own recording (same policy and geometry, LLC to itself), then
-// runs the co-run — what a caller without a cached solo result does.
-func (fx *corunFixture) corunWithSolos(streams []CorunStream, policyName string) (CorunResult, error) {
+// corun computes every listed policy's solo baselines by ONE broadcast
+// replay per distinct recording (same geometry, LLC to itself), then runs
+// the mix under all of them in one fan-out — what a caller without cached
+// solo results does.
+func (fx *corunFixture) corun(streams []CorunStream, policies ...string) ([]CorunResult, error) {
 	ctx := context.Background()
-	for i, st := range streams {
-		spec := Spec{App: st.App, Layout: st.Layout, Policy: policyName, HCfg: fx.hcfg}
-		solo, err := ReplayResultCtx(ctx, st.Trace, spec, fx.w.Dataset.Name, st.Bounds)
-		if err != nil {
-			return CorunResult{}, err
-		}
-		streams[i].Solo = solo
+	pols := make([]CorunPolicy, len(policies))
+	for p, name := range policies {
+		pols[p] = CorunPolicy{Name: name, Solos: make([]Result, len(streams))}
 	}
-	return CorunReplayResultCtx(ctx, streams, policyName, fx.hcfg, fx.w.Dataset.Name)
+	solos := make(map[*trace.Trace][]Result)
+	for i, st := range streams {
+		if solos[st.Trace] == nil {
+			specs := make([]Spec, len(policies))
+			for p, name := range policies {
+				specs[p] = Spec{App: st.App, Layout: st.Layout, Policy: name, HCfg: fx.hcfg}
+			}
+			rs, err := BroadcastResultsCtx(ctx, st.Trace, specs, fx.w.Dataset.Name, st.Bounds)
+			if err != nil {
+				return nil, err
+			}
+			solos[st.Trace] = rs
+		}
+		for p := range pols {
+			pols[p].Solos[i] = solos[st.Trace][p]
+		}
+	}
+	return CorunBroadcastResultsCtx(ctx, streams, pols, fx.hcfg, fx.w.Dataset.Name)
+}
+
+// policyNames lists every registered policy.
+func policyNames() []string {
+	var out []string
+	for _, p := range Policies() {
+		out = append(out, p.Name)
+	}
+	return out
+}
+
+// corunReference is the pre-fan-out implementation, kept as the oracle of
+// TestCorunBroadcastEquivalence: a private interleave per policy whose
+// consumer tags each access itself and attributes by snapshotting the
+// shared LLC's whole Stats around every delivered batch (every ACCESS at
+// weight 1), over an LLC it programs itself. It shares nothing with the
+// production path but the final pricing of the attributed stats.
+func corunReference(ctx context.Context, streams []CorunStream, pol CorunPolicy, hcfg cache.HierarchyConfig, workloadName string) (CorunResult, error) {
+	pinfo, err := PolicyByName(pol.Name)
+	if err != nil {
+		return CorunResult{}, err
+	}
+	llc, err := cache.New(hcfg.LLC, pinfo.New(hcfg.LLC.Sets(), hcfg.LLC.Ways))
+	if err != nil {
+		return CorunResult{}, err
+	}
+	if pinfo.NeedsABRs {
+		abrs := core.NewABRs(hcfg.LLC.SizeBytes)
+		for i, st := range streams {
+			base := uint64(i) << corunStreamShift
+			for _, b := range st.Bounds {
+				if err := abrs.SetBounds(b[0]+base, b[1]+base); err != nil {
+					return CorunResult{}, err
+				}
+			}
+		}
+		llc.SetClassifier(abrs)
+	}
+	its := make([]trace.InterleaveStream, len(streams))
+	for i, st := range streams {
+		its[i] = trace.InterleaveStream{Trace: st.Trace, Weight: st.Weight}
+	}
+	perApp := make([]cache.Stats, len(streams))
+	err = trace.InterleaveReplayCtx(ctx, its, 0, func(stream int, accs []mem.Access) {
+		base := uint64(stream) << corunStreamShift
+		pcBase := uint32(stream) << corunPCShift
+		prev := llc.Stats
+		for _, a := range accs {
+			a.Addr += base
+			a.PC += pcBase
+			llc.Access(a)
+		}
+		addStats(&perApp[stream], statsDelta(llc.Stats, prev))
+	})
+	if err != nil {
+		return CorunResult{}, err
+	}
+	return corunResultOf(streams, pol, hcfg, workloadName, perApp, llc.Stats), nil
+}
+
+// TestCorunBroadcastEquivalence pins the decode-once fan-out to the
+// per-policy reference: for EVERY registered policy, on every mix shape —
+// one app, two-way, the doubled eight-way, 3:1 weights, streams of unequal
+// length — the fan-out's result for that policy must be reflect.DeepEqual
+// to a private interleave with snapshot attribution, and the one-policy
+// entry point must agree with its slot of the N-policy one.
+func TestCorunBroadcastEquivalence(t *testing.T) {
+	fx := newCorunFixture(t, "BFS", "PR", "KCore", "TC")
+	if fx.traces["BFS"].Len() == fx.traces["PR"].Len() {
+		t.Fatal("fixture: BFS and PR recordings have equal length; the unequal-length shape needs them to differ")
+	}
+	four := []CorunStream{fx.stream("BFS", 1), fx.stream("PR", 1), fx.stream("KCore", 1), fx.stream("TC", 1)}
+	shapes := []struct {
+		name    string
+		streams []CorunStream
+	}{
+		{"1-app", []CorunStream{fx.stream("PR", 1)}},
+		{"2-way", []CorunStream{fx.stream("KCore", 1), fx.stream("TC", 1)}},
+		{"doubled 8-way", append(append([]CorunStream{}, four...), four...)},
+		{"3:1 weights", []CorunStream{fx.stream("PR", 3), fx.stream("PR", 1)}},
+		{"unequal length", []CorunStream{fx.stream("BFS", 2), fx.stream("PR", 1), fx.stream("BFS", 5)}},
+	}
+	policies := policyNames()
+	if testing.Short() {
+		policies = []string{"RRIP", "GRASP", "SHiP-PC", "Hawkeye"}
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			got, err := fx.corun(sh.streams, policies...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, name := range policies {
+				pol := CorunPolicy{Name: name, Solos: make([]Result, len(sh.streams))}
+				for i, a := range got[p].Apps {
+					pol.Solos[i] = a.Solo
+				}
+				want, err := corunReference(context.Background(), sh.streams, pol, fx.hcfg, fx.w.Dataset.Name)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				if !reflect.DeepEqual(got[p], want) {
+					t.Errorf("%s: fan-out diverges from the per-policy reference\n got: %+v\nwant: %+v", name, got[p], want)
+				}
+			}
+			// One policy alone is its slot of the N-policy fan-out.
+			for i := range sh.streams {
+				sh.streams[i].Solo = got[0].Apps[i].Solo
+			}
+			one, err := CorunReplayResultCtx(context.Background(), sh.streams, policies[0], fx.hcfg, fx.w.Dataset.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one, got[0]) {
+				t.Errorf("%s alone diverges from its slot of the %d-policy fan-out", policies[0], len(policies))
+			}
+		})
+	}
 }
 
 // TestCorunSingleAppBitIdentical is the co-run equivalence suite: for
@@ -82,16 +215,17 @@ func (fx *corunFixture) corunWithSolos(streams []CorunStream, policyName string)
 // fairness values exactly (slowdown 1, weighted speedup 1, unfairness 1).
 func TestCorunSingleAppBitIdentical(t *testing.T) {
 	fx := newCorunFixture(t, "PR")
-	for _, pinfo := range Policies() {
+	rs, err := fx.corun([]CorunStream{fx.stream("PR", 1)}, policyNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, pinfo := range Policies() {
 		spec := Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: fx.hcfg}
 		solo, err := ReplayResultCtx(context.Background(), fx.traces["PR"], spec, fx.w.Dataset.Name, fx.bounds["PR"])
 		if err != nil {
 			t.Fatalf("%s: solo replay: %v", pinfo.Name, err)
 		}
-		r, err := fx.corunWithSolos([]CorunStream{fx.stream("PR", 1)}, pinfo.Name)
-		if err != nil {
-			t.Fatalf("%s: co-run: %v", pinfo.Name, err)
-		}
+		r := rs[p]
 		a := r.Apps[0]
 		if a.L1 != solo.L1 || a.L2 != solo.L2 {
 			t.Errorf("%s: private-level stats diverge from solo replay", pinfo.Name)
@@ -102,9 +236,6 @@ func TestCorunSingleAppBitIdentical(t *testing.T) {
 		}
 		if a.Cycles != solo.Cycles {
 			t.Errorf("%s: cycles %v != solo %v", pinfo.Name, a.Cycles, solo.Cycles)
-		}
-		if a.Solo.AppTime != solo.AppTime {
-			a.Solo.AppTime = solo.AppTime // never differs: same recording's wall-clock
 		}
 		if a.Solo != solo {
 			t.Errorf("%s: embedded solo baseline diverges from direct solo replay", pinfo.Name)
@@ -123,11 +254,11 @@ func TestCorunDeterministic(t *testing.T) {
 	fx := newCorunFixture(t, "BFS", "PR")
 	streams := []CorunStream{fx.stream("BFS", 2), fx.stream("PR", 1), fx.stream("BFS", 1)}
 	run := func() CorunResult {
-		r, err := fx.corunWithSolos(streams, "GRASP")
+		rs, err := fx.corun(streams, "GRASP")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return rs[0]
 	}
 	base := run()
 	prev := runtime.GOMAXPROCS(1)
@@ -150,12 +281,14 @@ func TestCorunAttributionSums(t *testing.T) {
 		{fx.stream("PR", 3), fx.stream("PR", 1)},
 		{fx.stream("BFS", 1), fx.stream("PR", 2), fx.stream("KCore", 5), fx.stream("PR", 1)},
 	}
-	for _, polName := range []string{"RRIP", "GRASP", "SHiP-PC"} {
-		for mi, streams := range mixes {
-			r, err := fx.corunWithSolos(streams, polName)
-			if err != nil {
-				t.Fatalf("%s mix %d: %v", polName, mi, err)
-			}
+	policies := []string{"RRIP", "GRASP", "SHiP-PC"}
+	for mi, streams := range mixes {
+		rs, err := fx.corun(streams, policies...)
+		if err != nil {
+			t.Fatalf("mix %d: %v", mi, err)
+		}
+		for p, polName := range policies {
+			r := rs[p]
 			var sum cache.Stats
 			for _, a := range r.Apps {
 				addStats(&sum, a.LLC)
@@ -196,7 +329,7 @@ func TestCorunOPTLowerBound(t *testing.T) {
 	fx := newCorunFixture(t, "BFS", "PR")
 	streams := []CorunStream{fx.stream("BFS", 1), fx.stream("PR", 2)}
 	// Reconstruct the interleaved, stream-tagged block stream exactly as
-	// CorunReplayResultCtx replays it.
+	// the co-run fan-out delivers it.
 	its := []trace.InterleaveStream{
 		{Trace: fx.traces["BFS"], Weight: 1},
 		{Trace: fx.traces["PR"], Weight: 2},
@@ -213,11 +346,12 @@ func TestCorunOPTLowerBound(t *testing.T) {
 	}
 	llcCfg := fx.hcfg.LLC
 	opt := policy.SimulateOPT(blocks, llcCfg.Sets(), llcCfg.Ways)
-	for _, pinfo := range Policies() {
-		r, err := fx.corunWithSolos(streams, pinfo.Name)
-		if err != nil {
-			t.Fatalf("%s: %v", pinfo.Name, err)
-		}
+	rs, err := fx.corun(streams, policyNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, pinfo := range Policies() {
+		r := rs[p]
 		if r.LLC.Accesses() != opt.Accesses() {
 			t.Fatalf("%s: co-run replayed %d accesses, OPT trace has %d", pinfo.Name, r.LLC.Accesses(), opt.Accesses())
 		}
@@ -248,4 +382,37 @@ func TestCorunValidation(t *testing.T) {
 	if _, err := CorunReplayResultCtx(bg, []CorunStream{fx.stream("PR", 1)}, "nope", fx.hcfg, "lj"); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	one := []CorunStream{fx.stream("PR", 1)}
+	if _, err := CorunBroadcastResultsCtx(bg, one, nil, fx.hcfg, "lj"); err == nil {
+		t.Error("fan-out with no policy accepted")
+	}
+	if _, err := CorunBroadcastResultsCtx(bg, one, []CorunPolicy{{Name: "GRASP"}}, fx.hcfg, "lj"); err == nil {
+		t.Error("policy with no solo baseline for its stream accepted")
+	}
+}
+
+// statsDelta returns cur - prev, counter for counter: the reference
+// implementation's attribution primitive (cur is the shared LLC after a
+// batch, prev before it).
+func statsDelta(cur, prev cache.Stats) cache.Stats {
+	return cache.Stats{
+		Hits:       cur.Hits - prev.Hits,
+		Misses:     cur.Misses - prev.Misses,
+		PropHits:   cur.PropHits - prev.PropHits,
+		PropMisses: cur.PropMisses - prev.PropMisses,
+		Bypasses:   cur.Bypasses - prev.Bypasses,
+		Evictions:  cur.Evictions - prev.Evictions,
+		Writebacks: cur.Writebacks - prev.Writebacks,
+	}
+}
+
+// addStats accumulates d into s field-wise.
+func addStats(s *cache.Stats, d cache.Stats) {
+	s.Hits += d.Hits
+	s.Misses += d.Misses
+	s.PropHits += d.PropHits
+	s.PropMisses += d.PropMisses
+	s.Bypasses += d.Bypasses
+	s.Evictions += d.Evictions
+	s.Writebacks += d.Writebacks
 }

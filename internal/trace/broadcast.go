@@ -8,14 +8,20 @@
 // their own goroutines, so the replays of one recording proceed in
 // parallel on multi-core hosts (DESIGN.md Sec. 12).
 //
-// Ownership and recycling: decoded slabs live in a fixed-size ring. The
-// producer takes a free slab, has the cursor decode into it, sets its refcount
-// to the consumer count and hands it to every consumer channel; each
-// consumer drops one reference after applying the slab, and the last drop
-// returns the slab to the ring. The ring bounds decoded-slab memory
-// (slowest consumer applies backpressure through free-slab starvation) and
-// the per-consumer channel capacity equals the ring size, so the producer
-// never blocks on a channel send — only on slab reuse.
+// The fan-out itself (fanOut) does not know where slabs come from: it
+// takes its slab source as a parameter. The solo source decodes one cursor,
+// a chunk per slab; the co-run source (InterleaveBroadcastCtx, DESIGN.md
+// Sec. 15) merges many cursors round-robin and cuts the tagged merged
+// order into slabs. Everything below is shared by both.
+//
+// Ownership and recycling: decoded slabs live in a bounded ring. The
+// producer takes a free slab, fills it, sets its refcount to the consumer
+// count and hands it to every consumer channel; each consumer drops one
+// reference after applying the slab, and the last drop returns the slab to
+// the ring. The ring bounds decoded-slab memory (slowest consumer applies
+// backpressure through free-slab starvation) and the per-consumer channel
+// capacity equals the ring size, so the producer never blocks on a channel
+// send — only on slab reuse.
 package trace
 
 import (
@@ -65,12 +71,8 @@ type slab struct {
 //
 // The producer's cursor checks the context once per chunk, so a cancelled
 // fan-out stops decoding within one chunk boundary (the consumers then
-// drain their bounded channels and exit). A panic inside a consumer is
-// recovered ON the consumer goroutine — letting it escape would kill the
-// whole process — and the goroutine keeps draining its channel, dropping
-// slab references without applying them, because the producer blocks on
-// slab reuse and a consumer that simply died would deadlock it. The first
-// panic is reported as the fan-out's error, stack attached.
+// drain their bounded channels and exit); consumer panics are contained
+// as fanOut describes.
 func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func(accs []mem.Access)) error {
 	_, err := t.broadcast(ctx, limit, nil, consumers)
 	return err
@@ -93,26 +95,87 @@ func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask Prese
 	return rep, err
 }
 
-// broadcast is the shared producer/fan-out engine; mask == nil is the
-// full-fidelity path, mask != nil the sampled prune path.
+// broadcast is the solo slab source over the fan-out ring: one cursor,
+// one decoded chunk per slab; mask == nil is the full-fidelity path,
+// mask != nil the sampled prune path.
 func (t *Trace) broadcast(ctx context.Context, limit int64, mask *PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
 	c, err := t.newCursor(ctx, limit, mask)
 	if err != nil {
 		return SkipReport{}, err
 	}
-	if len(consumers) == 0 {
-		return SkipReport{}, nil
+	err = fanOut(consumers, func(r *ring) error {
+		for {
+			s := r.take()
+			accs, err := c.next(s.accs)
+			if err != nil || len(accs) == 0 {
+				return err
+			}
+			s.accs = accs
+			r.send(s)
+		}
+	})
+	return c.rep, err
+}
+
+// ring is the producer's handle on a fan-out in flight: take a free slab,
+// fill it, send it to every consumer.
+type ring struct {
+	free  chan *slab
+	chans []chan *slab
+	made  int // slabs allocated so far, <= broadcastSlabs
+}
+
+// take returns an empty slab of chunkWords capacity: a recycled one if any
+// is free, a new one while the ring is not yet full — so a stream shorter
+// than the ring (a one-policy co-run of a small mix pays its ring alone)
+// never allocates the slabs it would not use — and otherwise blocks until
+// the slowest consumer has dropped one.
+func (r *ring) take() *slab {
+	var s *slab
+	select {
+	case s = <-r.free:
+	default:
+		if r.made < broadcastSlabs {
+			r.made++
+			return &slab{accs: make([]mem.Access, 0, chunkWords)}
+		}
+		s = <-r.free
 	}
+	s.accs = s.accs[:0]
+	return s
+}
+
+// send hands a filled slab to every consumer.
+func (r *ring) send(s *slab) {
+	s.refs.Store(int32(len(r.chans)))
+	for _, ch := range r.chans {
+		ch <- s
+	}
+}
+
+// fanOut is the one fan-out engine: it starts a goroutine per consumer,
+// runs source on the calling goroutine to fill and send slabs until the
+// stream is exhausted or fails, then waits for the consumers to drain. The
+// solo broadcast and the co-run interleave (InterleaveBroadcastCtx) differ
+// only in the source. No consumers means nothing to do: source is not run.
+//
+// A panic inside a consumer is recovered ON the consumer goroutine —
+// letting it escape would kill the whole process — and the goroutine keeps
+// draining its channel, dropping slab references without applying them,
+// because the producer blocks on slab reuse and a consumer that simply
+// died would deadlock it. The first panic is reported as the fan-out's
+// error, stack attached. Only a fan-out that completes cleanly counts in
+// BroadcastStats.
+func fanOut(consumers []func(accs []mem.Access), source func(r *ring) error) error {
 	n := len(consumers)
-	free := make(chan *slab, broadcastSlabs)
-	for i := 0; i < broadcastSlabs; i++ {
-		free <- &slab{accs: make([]mem.Access, 0, chunkWords)}
+	if n == 0 {
+		return nil
 	}
-	chans := make([]chan *slab, n)
-	for i := range chans {
+	r := &ring{free: make(chan *slab, broadcastSlabs), chans: make([]chan *slab, n)}
+	for i := range r.chans {
 		// Capacity = ring size: at most broadcastSlabs slabs exist and a
-		// slab is in each channel at most once, so sends below never block.
-		chans[i] = make(chan *slab, broadcastSlabs)
+		// slab is in each channel at most once, so sends never block.
+		r.chans[i] = make(chan *slab, broadcastSlabs)
 	}
 	var panicErr atomic.Pointer[error]
 	var wg sync.WaitGroup
@@ -135,31 +198,29 @@ func (t *Trace) broadcast(ctx context.Context, limit int64, mask *PresenceMask, 
 					}()
 				}
 				if s.refs.Add(-1) == 0 {
-					free <- s
+					r.free <- s
 				}
 			}
-		}(chans[i], consumers[i])
+		}(r.chans[i], consumers[i])
 	}
-	for {
-		s := <-free
-		if s.accs, err = c.next(s.accs); err != nil || len(s.accs) == 0 {
-			break
-		}
-		s.refs.Store(int32(n))
-		for _, ch := range chans {
-			ch <- s
-		}
+	err := func() error {
+		// Deferred, so a source that panics (an armed failpoint) still
+		// stops its consumers before the panic leaves.
+		defer func() {
+			for _, ch := range r.chans {
+				close(ch)
+			}
+			wg.Wait()
+		}()
+		return source(r)
+	}()
+	if err != nil {
+		return err
 	}
-	for _, ch := range chans {
-		close(ch)
+	if pe := panicErr.Load(); pe != nil {
+		return *pe
 	}
-	wg.Wait()
-	if err == nil {
-		if pe := panicErr.Load(); pe != nil {
-			return c.rep, *pe
-		}
-		broadcastRuns.Add(1)
-		broadcastConsumers.Add(uint64(n))
-	}
-	return c.rep, err
+	broadcastRuns.Add(1)
+	broadcastConsumers.Add(uint64(n))
+	return nil
 }

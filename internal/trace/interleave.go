@@ -5,13 +5,16 @@
 // a shared LLC observes the miss streams of co-scheduled cores. Each
 // delivered batch carries the index of the stream it came from, so the
 // consumer can attribute shared-cache activity back to the application
-// that caused it.
+// that caused it. InterleaveBroadcastCtx composes the two: the streams are
+// merged once, each access tagged with its stream, and the merged order is
+// fanned out to many shared LLCs through the broadcast ring.
 //
 // Determinism: the merged order is a pure function of the streams, their
-// weights and the limit — no goroutines, no channels — so a co-run replay
-// is exactly reproducible across runs and GOMAXPROCS settings, and a
-// single-stream interleave degenerates to the recording order of a plain
-// ReplayNCtx (the equivalence the co-run suite pins).
+// weights and the limit — one goroutine, no channels, whether it feeds a
+// callback or the ring — so a co-run replay is exactly reproducible across
+// runs and GOMAXPROCS settings, and a single-stream interleave degenerates
+// to the recording order of a plain ReplayNCtx (the equivalence the co-run
+// suite pins).
 package trace
 
 import (
@@ -56,23 +59,38 @@ type interleaveCursor struct {
 // must not retain them. consume runs on the calling goroutine; an
 // unsynchronized LLC simulation is a valid consumer.
 func InterleaveReplayCtx(ctx context.Context, streams []InterleaveStream, limit int64, consume func(stream int, accs []mem.Access)) error {
+	cursors, err := openInterleave(ctx, streams, limit)
+	if err != nil {
+		return err
+	}
+	return mergeInterleave(streams, cursors, consume)
+}
+
+// openInterleave validates the streams and opens one cursor per stream.
+func openInterleave(ctx context.Context, streams []InterleaveStream, limit int64) ([]interleaveCursor, error) {
 	if len(streams) == 0 {
-		return fmt.Errorf("trace: interleave needs at least one stream")
+		return nil, fmt.Errorf("trace: interleave needs at least one stream")
 	}
 	cursors := make([]interleaveCursor, len(streams))
 	for i, st := range streams {
 		if st.Trace == nil {
-			return fmt.Errorf("trace: interleave stream %d has no trace", i)
+			return nil, fmt.Errorf("trace: interleave stream %d has no trace", i)
 		}
 		if st.Weight <= 0 {
-			return fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
+			return nil, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
 		c, err := st.Trace.newCursor(ctx, limit, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cursors[i].cursor = c
 	}
+	return cursors, nil
+}
+
+// mergeInterleave is the round-robin loop itself: the one place the merged
+// order is produced.
+func mergeInterleave(streams []InterleaveStream, cursors []interleaveCursor, consume func(stream int, accs []mem.Access)) error {
 	for alive := len(cursors); alive > 0; {
 		for i := range cursors {
 			c := &cursors[i]
@@ -100,4 +118,55 @@ func InterleaveReplayCtx(ctx context.Context, streams []InterleaveStream, limit 
 		}
 	}
 	return nil
+}
+
+// StreamTag places a stream's index into the accesses an interleaved
+// fan-out delivers: stream i's addresses are offset by i<<AddrShift and its
+// PCs by i<<PCShift, so consumers of the merged order can tell the streams
+// apart (and recover i from an address whose recorded bits stay below
+// AddrShift) without a side channel. Stream 0 is delivered untouched.
+type StreamTag struct {
+	AddrShift, PCShift uint
+}
+
+// InterleaveBroadcastCtx is InterleaveReplayCtx with the fan-out of
+// BroadcastNCtx: the streams are merged ONCE — one cursor per stream, the
+// same deterministic round-robin — into slabs of the tagged merged order,
+// and every slab goes to each consumer through the broadcast ring. An
+// N-policy co-run sweep of one mix thus pays one decode and one merge
+// instead of N (DESIGN.md Sec. 15). Each consumer sees exactly the access
+// sequence a private InterleaveReplayCtx would have delivered to it, tags
+// applied, re-cut at slab boundaries; consumers run concurrently with each
+// other and with the merge, each one sequentially. Cancellation, consumer
+// panics and the completed-run counters behave as for BroadcastNCtx.
+func InterleaveBroadcastCtx(ctx context.Context, streams []InterleaveStream, limit int64, tag StreamTag, consumers []func(accs []mem.Access)) error {
+	cursors, err := openInterleave(ctx, streams, limit)
+	if err != nil {
+		return err
+	}
+	return fanOut(consumers, func(r *ring) error {
+		s := r.take()
+		err := mergeInterleave(streams, cursors, func(stream int, accs []mem.Access) {
+			base, pcBase := uint64(stream)<<tag.AddrShift, uint32(stream)<<tag.PCShift
+			for len(accs) > 0 {
+				n := len(s.accs)
+				take := min(cap(s.accs)-n, len(accs))
+				s.accs = s.accs[:n+take]
+				for j, a := range accs[:take] {
+					a.Addr += base
+					a.PC += pcBase
+					s.accs[n+j] = a
+				}
+				accs = accs[take:]
+				if len(s.accs) == cap(s.accs) {
+					r.send(s)
+					s = r.take()
+				}
+			}
+		})
+		if err == nil && len(s.accs) > 0 {
+			r.send(s)
+		}
+		return err
+	})
 }

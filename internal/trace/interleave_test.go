@@ -3,11 +3,14 @@ package trace
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"grasp/internal/fail"
 	"grasp/internal/mem"
 )
 
@@ -200,6 +203,153 @@ func TestInterleaveCancellation(t *testing.T) {
 		func(int, []mem.Access) {})
 	if err == nil {
 		t.Fatal("cancelled interleave returned nil")
+	}
+}
+
+// testTag is the stream tag of the fan-out tests: the shifts the co-run
+// uses, well above seqAccesses' 40 address and 16 PC bits.
+var testTag = StreamTag{AddrShift: 48, PCShift: 24}
+
+// taggedMerge returns the merged order InterleaveReplayCtx produces, with
+// testTag applied by hand: the oracle every fan-out consumer must match.
+func taggedMerge(t testing.TB, streams []InterleaveStream, limit int64) []mem.Access {
+	t.Helper()
+	var want []mem.Access
+	err := InterleaveReplayCtx(context.Background(), streams, limit, func(stream int, accs []mem.Access) {
+		for _, a := range accs {
+			a.Addr += uint64(stream) << testTag.AddrShift
+			a.PC += uint32(stream) << testTag.PCShift
+			want = append(want, a)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestInterleaveBroadcastMatchesReplay: every consumer of an interleaved
+// fan-out receives exactly the tagged merged order a private
+// InterleaveReplayCtx delivers — across weights, a shared trace, a
+// per-stream limit and streams long enough that the merged order spans
+// several slabs with a partial last one — and a completed fan-out counts
+// as ONE broadcast run serving its consumers.
+func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
+	short := recordAccesses(t, seqAccesses(0, 500))
+	defer short.Release()
+	long := recordAccesses(t, seqAccesses(1, 2*chunkWords+123))
+	defer long.Release()
+	for _, tc := range []struct {
+		name    string
+		streams []InterleaveStream
+		limit   int64
+	}{
+		{"one stream", []InterleaveStream{{Trace: short, Weight: 4}}, 0},
+		{"weighted pair", []InterleaveStream{{Trace: short, Weight: 3}, {Trace: long, Weight: 1}}, 0},
+		{"shared trace", []InterleaveStream{{Trace: long, Weight: 1}, {Trace: long, Weight: 1}, {Trace: short, Weight: 2}}, 0},
+		{"limit", []InterleaveStream{{Trace: long, Weight: 2}, {Trace: short, Weight: 5}}, chunkWords + 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := taggedMerge(t, tc.streams, tc.limit)
+			const n = 3
+			got := make([][]mem.Access, n)
+			consumers := make([]func([]mem.Access), n)
+			for i := range consumers {
+				consumers[i] = func(accs []mem.Access) {
+					if len(accs) == 0 || len(accs) > chunkWords {
+						t.Errorf("consumer %d: slab of %d accesses", i, len(accs))
+					}
+					got[i] = append(got[i], accs...) // slabs are recycled
+				}
+			}
+			runs0, cons0 := BroadcastStats()
+			if err := InterleaveBroadcastCtx(context.Background(), tc.streams, tc.limit, testTag, consumers); err != nil {
+				t.Fatal(err)
+			}
+			if runs, cons := BroadcastStats(); runs != runs0+1 || cons != cons0+n {
+				t.Errorf("BroadcastStats delta = (%d,%d), want (1,%d)", runs-runs0, cons-cons0, n)
+			}
+			for i := range got {
+				if len(got[i]) != len(want) {
+					t.Fatalf("consumer %d got %d accesses, want %d", i, len(got[i]), len(want))
+				}
+				for j := range want {
+					if got[i][j] != want[j] {
+						t.Fatalf("consumer %d access %d: got %+v, want %+v", i, j, got[i][j], want[j])
+					}
+				}
+			}
+		})
+	}
+	if err := InterleaveBroadcastCtx(context.Background(), nil, 0, testTag, []func([]mem.Access){func([]mem.Access) {}}); err == nil {
+		t.Error("no streams accepted")
+	}
+}
+
+// TestInterleaveBroadcastConsumerPanic: a consumer that panics mid-stream
+// is contained on its own goroutine — the ring keeps draining (the merged
+// order is longer than the ring, so a consumer that merely died would
+// deadlock the producer), the other consumers still receive every access,
+// and the fan-out reports the panic with its stack and does not count as
+// a completed run.
+func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
+	tr := recordAccesses(t, seqAccesses(0, (broadcastSlabs+2)*chunkWords/2))
+	defer tr.Release()
+	streams := []InterleaveStream{{Trace: tr, Weight: 1}, {Trace: tr, Weight: 1}}
+	var before, after int
+	slabs := 0
+	consumers := []func([]mem.Access){
+		func(accs []mem.Access) { before += len(accs) },
+		func([]mem.Access) {
+			if slabs++; slabs == 2 {
+				panic("policy bug")
+			}
+		},
+		func(accs []mem.Access) { after += len(accs) },
+	}
+	runs0, _ := BroadcastStats()
+	err := InterleaveBroadcastCtx(context.Background(), streams, 0, testTag, consumers)
+	if err == nil || !strings.Contains(err.Error(), "panicked: policy bug") || !strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("err = %v, want the consumer's panic with its stack", err)
+	}
+	if want := 2 * int(tr.Len()); before != want || after != want {
+		t.Errorf("surviving consumers saw %d and %d accesses, want %d each", before, after, want)
+	}
+	if slabs != 2 {
+		t.Errorf("the panicked consumer was invoked %d times, want 2 (never again after its panic)", slabs)
+	}
+	if runs, _ := BroadcastStats(); runs != runs0 {
+		t.Error("a fan-out with a panicked consumer counted as a completed run")
+	}
+}
+
+// TestInterleaveBroadcastFailpointPerChunk: the fan-out decodes each
+// stream's chunks exactly once however many consumers it serves — the
+// trace.replay.chunk failpoint is passed once per chunk per stream, so
+// armed to fire on hit chunks*streams+1 it never does, and on hit
+// chunks*streams it fails the fan-out. Not parallel: failpoints are
+// process-global.
+func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
+	defer fail.Reset()
+	tr := recordAccesses(t, seqAccesses(0, 3*chunkWords))
+	defer tr.Release()
+	chunks := len(tr.chunks)
+	if chunks < 3 {
+		t.Fatalf("want a multi-chunk trace, got %d chunks", chunks)
+	}
+	streams := []InterleaveStream{{Trace: tr, Weight: 2}, {Trace: tr, Weight: 1}}
+	consumers := make([]func([]mem.Access), 5)
+	for i := range consumers {
+		consumers[i] = func([]mem.Access) {}
+	}
+	fail.ArmAfter("trace.replay.chunk", chunks*len(streams), nil)
+	if err := InterleaveBroadcastCtx(context.Background(), streams, 0, testTag, consumers); err != nil {
+		t.Fatalf("failpoint armed past the last chunk fired: %v", err)
+	}
+	fail.ArmAfter("trace.replay.chunk", chunks*len(streams)-1, nil)
+	err := InterleaveBroadcastCtx(context.Background(), streams, 0, testTag, consumers)
+	if !errors.Is(err, fail.ErrInjected) {
+		t.Fatalf("failpoint armed on the last chunk: err = %v, want %v", err, fail.ErrInjected)
 	}
 }
 

@@ -263,9 +263,9 @@ func (c cancelOnClassify) Classify(uint64) mem.Hint {
 	return mem.HintDefault
 }
 
-// TestCursorCancelAndFailpoint drives the four replay shapes that sit on
-// the shared chunk cursor — replay, broadcast, masked broadcast and
-// interleave — through the same three faults, over a resident and a
+// TestCursorCancelAndFailpoint drives the five replay shapes that sit on
+// the shared chunk cursor — replay, broadcast, masked broadcast, interleave
+// and the interleaved fan-out — through the same three faults, over a resident and a
 // spilled multi-chunk trace: a context cancelled up front delivers nothing
 // and returns ContextErr with its cause; one cancelled from inside the
 // first delivery stops within the chunks already in flight; and the
@@ -301,6 +301,13 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 		{"interleave", 0, func(ctx context.Context, tr *Trace, seen func(int)) error {
 			streams := []InterleaveStream{{Trace: tr, Weight: 3}, {Trace: tr, Weight: 2}}
 			return InterleaveReplayCtx(ctx, streams, 0, func(_ int, a []mem.Access) { seen(len(a)) })
+		}},
+		{"interleave broadcast", broadcastSlabs, func(ctx context.Context, tr *Trace, seen func(int)) error {
+			// The first stream's turn is a whole chunk, so slabs fill (and
+			// are sent) at chunk loads, where the context and the failpoint
+			// are checked: what was merged before a fault is delivered.
+			streams := []InterleaveStream{{Trace: tr, Weight: chunkWords}, {Trace: tr, Weight: 2}}
+			return InterleaveBroadcastCtx(ctx, streams, 0, StreamTag{AddrShift: 48, PCShift: 24}, collect(seen))
 		}},
 	}
 	cause := errors.New("test: job deleted")
