@@ -21,6 +21,7 @@ const (
 	kindResult                // sim.Result of (group, policy)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
 	kindCorun                 // sim.CorunResult of (mix, policy, weights)
+	kindOPT                   // optDatapoint: OPT study cell of a group, n = LLC capacity in blocks
 )
 
 // transient marks the kinds whose failures are dropped instead of cached.
@@ -28,7 +29,7 @@ const (
 // identically — but recordings and replays touch disk once the spill
 // budget engages and run under a caller's context: a daemon must not
 // serve a transient ENOSPC or somebody's cancellation from cache forever.
-var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true}
+var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true}
 
 // fileStamp is one observed (size, mtime) state of a graph file.
 type fileStamp struct {
@@ -69,7 +70,7 @@ type artifactKey struct {
 	layout   apps.Layout
 	policy   string
 	weighted bool   // base and workload
-	n        uint32 // recording: prefix cap; sampled: K
+	n        uint32 // recording: prefix cap; sampled: K; opt: LLC capacity in blocks
 	weights  string // corun: per-stream turn weights, ","-joined
 }
 

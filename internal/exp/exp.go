@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -415,12 +416,17 @@ func (s *Session) result(ctx context.Context, g artifactKey, policy string, viaT
 
 // Datapoint names one unit of simulation work an experiment will consume:
 // either one (dataset, reorder, app, layout, policy) result or, with Trace
-// set, one recorded (dataset, app) LLC trace.
+// set, one recorded (dataset, app) LLC trace — and, with OPTScale set too,
+// one cell of the OPT study over that trace.
 type Datapoint struct {
 	DS, Reorder, App string
 	Layout           apps.Layout
 	Policy           string
 	Trace            bool // declare the LLC trace instead of a result (Reorder/Layout/Policy ignored)
+	// OPTScale, on a Trace point, also declares the OPT study cell of the
+	// trace (fig11.go) at an LLC of OPTScale x the session's LLC capacity.
+	// 0 declares the recording alone.
+	OPTScale float64
 }
 
 // Prefetch computes the given datapoints on a pool of GOMAXPROCS workers,
@@ -520,8 +526,10 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// N-policy group pays one decode instead of N and its replays run
 	// concurrently even inside one worker slot (DESIGN.md Sec. 12). A
 	// trace-only group is the same unit with zero result consumers over
-	// the bounded prefix the OPT study needs. A lone policy with nothing
-	// to share runs execution-driven. Units carrying a recording are
+	// the bounded prefix the OPT study needs; the study cells declared on
+	// the group's trace are computed by the same unit, in one more pass
+	// over the recording it already holds pinned. A lone policy with
+	// nothing to share runs execution-driven. Units carrying a recording are
 	// scheduled first, so the worker pool starts every application
 	// execution as early as possible.
 	type unit struct {
@@ -598,64 +606,96 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 
 // broadcastUnit serves one recording group of a Prefetch batch: it
 // obtains the group's recording (capped: only the bounded prefix is
-// needed, because the group has no result consumers) and fans ONE decode
-// pass out to every not-yet-cached policy result of the group, publishing
-// each through the store (so concurrent Result callers and later requests
-// share them; if another goroutine is already computing one of the keys,
-// its outcome wins — identical by the replay-equivalence invariant). A
-// declared trace point of the group is satisfied by the recording itself.
-// The group-wide error and any per-point errors are returned for the
-// caller to attribute.
+// needed, because the group has no result consumers), pins it once, and
+// computes what the batch asks of it that is not cached yet — the policy
+// results in one fan-out (resultFanOut), the OPT study cells in one pass
+// (optUnit). A declared trace point of the group is satisfied by the
+// recording itself. The group-wide error and any per-point errors are
+// returned for the caller to attribute.
 func (s *Session) broadcastUnit(ctx context.Context, g artifactKey, capped bool, ptIdx []int, uniq []Datapoint) (error, map[int]error) {
 	pointErr := make(map[int]error)
 	uerr := s.withRecordings(ctx, capped, []artifactKey{g}, func(recs []recording) error {
-		var pending []int
+		var pending, cells []int
+		var llcs []cache.Config // the distinct geometries of cells
 		for _, i := range ptIdx {
-			if uniq[i].Trace || s.art.ready(g.of(kindResult, uniq[i].Policy)) {
-				continue
+			p := uniq[i]
+			switch {
+			case p.Trace && p.OPTScale == 0:
+				// Satisfied by the recording itself.
+			case p.Trace:
+				llcCfg := studyLLC(s.Cfg.HCfg.LLC, p.OPTScale)
+				if s.art.ready(optKey(g, llcCfg)) {
+					continue
+				}
+				cells = append(cells, i)
+				if !slices.Contains(llcs, llcCfg) {
+					llcs = append(llcs, llcCfg)
+				}
+			case s.art.ready(g.of(kindResult, p.Policy)):
+				// Cached.
+			default:
+				// Validate the policy up front so one bad name fails only its
+				// own datapoint (as a sequential pass would), not the fan-out.
+				if _, err := sim.PolicyByName(p.Policy); err != nil {
+					pointErr[i] = err
+					continue
+				}
+				pending = append(pending, i)
 			}
-			// Validate the policy up front so one bad name fails only its
-			// own datapoint (as a sequential pass would), not the fan-out.
-			if _, err := sim.PolicyByName(uniq[i].Policy); err != nil {
-				pointErr[i] = err
-				continue
+		}
+		if len(pending) > 0 {
+			if err := s.resultFanOut(ctx, g, recs[0], pending, uniq, pointErr); err != nil {
+				return err
 			}
-			pending = append(pending, i)
 		}
-		if len(pending) == 0 {
-			return nil
-		}
-		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
-		if err != nil {
-			return err
-		}
-		specs := make([]sim.Spec, len(pending))
-		for j, i := range pending {
-			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: uniq[i].Policy, HCfg: s.Cfg.HCfg}
-		}
-		start := time.Now()
-		results, err := sim.BroadcastResultsCtx(ctx, recs[0].tr, specs, w.Dataset.Name, recs[0].bounds)
-		s.phase.replay.Add(int64(time.Since(start)))
-		if err != nil {
-			return err
-		}
-		s.broadcasts.Add(1)
-		for j, i := range pending {
-			r := results[j]
-			_, pointErr[i] = get(ctx, s.art, g.of(kindResult, uniq[i].Policy), func() (sim.Result, charge, error) {
-				s.simRuns.Add(1)
-				return r, charge{}, nil
-			})
+		if len(cells) > 0 {
+			// A failed study pass fails the cells, not the results above.
+			if err := s.optUnit(ctx, g, recs[0], llcs); err != nil {
+				for _, i := range cells {
+					pointErr[i] = err
+				}
+			}
 		}
 		return nil
 	})
 	return uerr, pointErr
 }
 
+// resultFanOut fans ONE decode pass over the group's recording out to
+// every pending policy result, publishing each through the store (so
+// concurrent Result callers and later requests share them; if another
+// goroutine is already computing one of the keys, its outcome wins —
+// identical by the replay-equivalence invariant).
+func (s *Session) resultFanOut(ctx context.Context, g artifactKey, rec recording, pending []int, uniq []Datapoint, pointErr map[int]error) error {
+	w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
+	if err != nil {
+		return err
+	}
+	specs := make([]sim.Spec, len(pending))
+	for j, i := range pending {
+		specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: uniq[i].Policy, HCfg: s.Cfg.HCfg}
+	}
+	start := time.Now()
+	results, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
+	s.phase.replay.Add(int64(time.Since(start)))
+	if err != nil {
+		return err
+	}
+	s.broadcasts.Add(1)
+	for j, i := range pending {
+		r := results[j]
+		_, pointErr[i] = get(ctx, s.art, g.of(kindResult, uniq[i].Policy), func() (sim.Result, charge, error) {
+			s.simRuns.Add(1)
+			return r, charge{}, nil
+		})
+	}
+	return nil
+}
+
 // forEachParallel invokes work(i) for every i in [0, n) from a pool of at
 // most GOMAXPROCS goroutines. It is the fan-out primitive shared by
-// Prefetch and the experiments that run non-session work (OPT replays,
-// region-scale sweeps) in parallel.
+// Prefetch and the experiments that schedule units of their own (co-run
+// mixes, region-scale replays).
 func forEachParallel(n int, work func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -703,18 +743,6 @@ func matrixPoints(datasets []string, reorderName string, appNames, schemes []str
 	return out
 }
 
-// tracePoints declares the LLC traces of the OPT study (apps x high-skew
-// datasets).
-func tracePoints() []Datapoint {
-	var out []Datapoint
-	for _, app := range apps.Names() {
-		for _, ds := range highSkewNames() {
-			out = append(out, Datapoint{DS: ds, App: app, Trace: true})
-		}
-	}
-	return out
-}
-
 // Experiment regenerates one table or figure.
 type Experiment struct {
 	ID    string // paper artifact id: table1, fig5, ...
@@ -740,8 +768,8 @@ func All() []Experiment {
 		{ID: "fig9", Title: "Fig. 9: low-/no-skew datasets (fr, uni)", Run: runFig9, Points: fig9Points},
 		{ID: "fig10a", Title: "Fig. 10a: net speed-up of reordering techniques (incl. cost)", Run: runFig10a},
 		{ID: "fig10b", Title: "Fig. 10b: GRASP on top of reordering techniques", Run: runFig10b, Points: fig10bPoints},
-		{ID: "fig11", Title: "Fig. 11: misses eliminated over LRU (RRIP, GRASP, OPT)", Run: runFig11, Points: tracePoints},
-		{ID: "table7", Title: "Table VII: misses eliminated over LRU across LLC sizes", Run: runTable7, Points: tracePoints},
+		{ID: "fig11", Title: "Fig. 11: misses eliminated over LRU (RRIP, GRASP, OPT)", Run: runFig11, Points: fig11Points},
+		{ID: "table7", Title: "Table VII: misses eliminated over LRU across LLC sizes", Run: runTable7, Points: table7Points},
 		{ID: "noreorder", Title: "Extra: prior schemes without vertex reordering (Sec. V-A)", Run: runNoReorder, Points: noReorderPoints},
 		{ID: "ablation-region", Title: "Extra: sensitivity to the High-Reuse-Region size", Run: runAblationRegion, Points: ablationRegionPoints},
 		{ID: "ablation-bases", Title: "Extra: GRASP over LRU/PLRU/DIP base schemes (Sec. III-C)", Run: runAblationBases, Points: ablationBasesPoints},

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,7 +248,10 @@ func TestFig9ShapeGRASPRobust(t *testing.T) {
 func TestOPTStudyShape(t *testing.T) {
 	t.Parallel()
 	s := testSession()
-	data, err := runOPTStudy(s, s.Cfg.HCfg.LLC)
+	if err := s.Prefetch(fig11Points()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.optColumn(studyLLC(s.Cfg.HCfg.LLC, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,20 +307,11 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	// The paper sizes the High Reuse Region at exactly one LLC; very large
 	// regions (4x) must not beat the paper's design point by much — they
 	// reintroduce self-thrashing among "protected" blocks.
-	s := testSession()
-	wl, err := s.Workload("kr", "DBG", false)
+	rs, err := testSession().regionScaleResults(context.Background(), "kr", []float64{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(scale float64) uint64 {
-		r, err := runWithRegionScale(wl, s.Cfg.HCfg, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.LLC.Misses
-	}
-	paper := at(1)
-	huge := at(8)
+	paper, huge := rs[0].LLC.Misses, rs[1].LLC.Misses
 	if huge < paper*95/100 {
 		t.Fatalf("8x region (%d misses) markedly beats the paper design (%d)", huge, paper)
 	}

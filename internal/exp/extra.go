@@ -1,14 +1,15 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/core"
 	"grasp/internal/graph"
-	"grasp/internal/ligra"
+	"grasp/internal/mem"
 	"grasp/internal/reorder"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
@@ -20,48 +21,87 @@ import (
 // base replacement schemes, the PC- vs region-signature comparison for
 // SHiP, and the Sec. VI streaming-graph staleness study.
 
+// regionScales are the High/Moderate Reuse Region sizes the region
+// ablation sweeps, as multiples of the LLC capacity (1 = the paper).
+var regionScales = []float64{0.25, 0.5, 1, 2, 4}
+
 // ablationRegionPoints declares the session datapoints of the region-size
-// ablation: the RRIP baselines (whose prefetch also prepares the shared
-// DBG workloads the scaled runs replay).
+// ablation: the RRIP baselines plus the PR traces the scaled-region GRASP
+// LLCs replay (a policy plus a declared trace is one recording unit, so
+// even run alone the experiment executes PageRank once per dataset).
 func ablationRegionPoints() []Datapoint {
-	return matrixPoints(highSkewNames(), "DBG", []string{"PR"}, nil)
+	pts := matrixPoints(highSkewNames(), "DBG", []string{"PR"}, nil)
+	for _, ds := range highSkewNames() {
+		pts = append(pts, Datapoint{DS: ds, App: "PR", Trace: true})
+	}
+	return pts
+}
+
+// regionScaleResults replays the (dataset, PR, DBG) recording into one
+// GRASP LLC per region scale — one decode for all of them — and returns
+// the metrics an execution-driven run with that region scale would report.
+// The region scale is not part of sim.Spec, so these replays are not store
+// entries; the recording they share is.
+func (s *Session) regionScaleResults(ctx context.Context, dsName string, scales []float64) ([]sim.Result, error) {
+	pinfo, err := sim.PolicyByName("GRASP")
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sim.Result, len(scales))
+	g := group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged)
+	err = s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
+		llcs := make([]*cache.Cache, len(scales))
+		consumers := make([]func([]mem.Access), len(scales))
+		for i, scale := range scales {
+			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, recs[0].bounds, scale)
+			if err != nil {
+				return err
+			}
+			llcs[i] = llc
+			consumers[i] = func(accs []mem.Access) {
+				for _, a := range accs {
+					llc.Access(a)
+				}
+			}
+		}
+		tr := recs[0].tr
+		start := time.Now()
+		err := tr.BroadcastNCtx(ctx, 0, consumers)
+		s.phase.replay.Add(int64(time.Since(start)))
+		for i, llc := range llcs {
+			out[i] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
+				Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
+		}
+		return err
+	})
+	return out, err
 }
 
 // runAblationRegion sweeps the High/Moderate Reuse Region size (the
 // paper's design point: exactly LLC-sized regions) on PR over the
-// high-skew datasets. The scaled-region runs bypass the Session cache
-// (the knob is not part of sim.Spec), so the dataset x scale grid fans out
-// over the worker pool directly.
+// high-skew datasets, one fan-out per dataset over the worker pool.
 func runAblationRegion(s *Session, w io.Writer) error {
 	if err := s.Prefetch(ablationRegionPoints()); err != nil {
 		return err
 	}
-	scales := []float64{0.25, 0.5, 1, 2, 4}
 	datasets := highSkewNames()
-	cells := make([]sim.Result, len(datasets)*len(scales))
-	errs := make([]error, len(cells))
-	forEachParallel(len(cells), func(i int) {
-		dsName, scale := datasets[i/len(scales)], scales[i%len(scales)]
-		wl, err := s.Workload(dsName, "DBG", false)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		cells[i], errs[i] = runWithRegionScale(wl, s.Cfg.HCfg, scale)
+	cells := make([][]sim.Result, len(datasets))
+	errs := make([]error, len(datasets))
+	forEachParallel(len(datasets), func(i int) {
+		cells[i], errs[i] = s.regionScaleResults(context.Background(), datasets[i], regionScales)
 	})
 	t := stats.NewTable("Dataset", "0.25x", "0.5x", "1x (paper)", "2x", "4x")
 	for di, dsName := range datasets {
+		if errs[di] != nil {
+			return errs[di]
+		}
 		base, err := s.Result(dsName, "DBG", "PR", apps.LayoutMerged, "RRIP")
 		if err != nil {
 			return err
 		}
 		row := []string{dsName}
-		for si := range scales {
-			i := di*len(scales) + si
-			if errs[i] != nil {
-				return errs[i]
-			}
-			row = append(row, fmt.Sprintf("%.1f", cells[i].MissReductionPctOver(base)))
+		for _, r := range cells[di] {
+			row = append(row, fmt.Sprintf("%.1f", r.MissReductionPctOver(base)))
 		}
 		t.AddRow(row...)
 	}
@@ -70,30 +110,6 @@ func runAblationRegion(s *Session, w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w, t)
 	return err
-}
-
-// runWithRegionScale runs PR under GRASP with a scaled classification
-// region (bypasses the Session cache since the knob isn't part of Spec).
-func runWithRegionScale(wl *sim.Workload, hcfg cache.HierarchyConfig, scale float64) (sim.Result, error) {
-	fg := ligra.NewGraph(wl.Graph)
-	app, err := apps.New("PR", fg, apps.LayoutMerged)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	abrs := core.NewABRs(hcfg.LLC.SizeBytes)
-	abrs.SetRegionScale(scale)
-	for _, a := range app.ABRArrays() {
-		if err := abrs.SetArray(a); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	pol := core.NewPolicy(hcfg.LLC.Sets(), hcfg.LLC.Ways, core.ModeFull)
-	h, err := cache.NewHierarchy(hcfg, pol, abrs)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	app.Run(ligra.NewTracer(h))
-	return sim.Result{L1: h.L1.Stats, L2: h.L2.Stats, LLC: h.LLC.Stats, Cycles: h.MemoryCycles()}, nil
 }
 
 // basePairs are the (GRASP variant, base scheme) pairs of the Sec. III-C

@@ -12,11 +12,64 @@ import (
 	"grasp/internal/policy"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
+	"grasp/internal/trace"
 )
 
 // optTraceCap bounds the LLC trace length per datapoint (the paper uses
 // traces of up to 2 billion accesses; scaled down with everything else).
 const optTraceCap = 8_000_000
+
+// The OPT study (Sec. V-D, Fig. 11 and Table VII): the bounded prefix of
+// every (app, high-skew dataset) LLC trace, recorded under DBG reordering,
+// evaluated under LRU, RRIP, GRASP and Belady's OPT at each LLC size of a
+// ladder. One study CELL is one pair at one size; experiments declare the
+// cells they read (Datapoint.OPTScale), Prefetch computes all the pending
+// cells of a pair in one pass over its recording (optPass), and the bodies
+// read them back from the store (DESIGN.md Sec. 12).
+
+// optLadder is the LLC size sweep: the scaled analogues of the paper's 1,
+// 4, 8, 16 and 32 MB as multiples of the session's LLC capacity (the 16MB*
+// entry is the main evaluation's LLC, and Fig. 11's).
+var optLadder = []struct {
+	label string
+	scale float64
+}{{"1MB*", 1.0 / 16}, {"4MB*", 0.25}, {"8MB*", 0.5}, {"16MB*", 1}, {"32MB*", 2}}
+
+// studyLLC returns the LLC geometry of a study cell: scale x the base
+// capacity at the base associativity, no smaller than two sets. Small
+// scales clamp — at 1/64 scale the four lower ladder entries are one
+// geometry — and cells of one geometry are one store entry, computed once.
+func studyLLC(base cache.Config, scale float64) cache.Config {
+	sz := uint64(float64(base.SizeBytes) * scale)
+	if min := uint64(base.Ways) * cache.BlockSize * 2; sz < min {
+		sz = min
+	}
+	return cache.Config{SizeBytes: sz, Ways: base.Ways}
+}
+
+// studyPoints declares the study's cells at the given LLC scales: apps x
+// high-skew datasets x scales.
+func studyPoints(scales ...float64) []Datapoint {
+	var out []Datapoint
+	for _, app := range apps.Names() {
+		for _, ds := range highSkewNames() {
+			for _, scale := range scales {
+				out = append(out, Datapoint{DS: ds, App: app, Trace: true, OPTScale: scale})
+			}
+		}
+	}
+	return out
+}
+
+func fig11Points() []Datapoint { return studyPoints(1) }
+
+func table7Points() []Datapoint {
+	scales := make([]float64, len(optLadder))
+	for i, e := range optLadder {
+		scales[i] = e.scale
+	}
+	return studyPoints(scales...)
+}
 
 // optDatapoint holds the replayed miss counts of one (app, dataset) trace
 // at one LLC size.
@@ -24,85 +77,118 @@ type optDatapoint struct {
 	lru, rrip, grasp, opt uint64
 }
 
-// runOPTStudy obtains the shared LLC recording of every (app, high-skew
-// dataset) pair under DBG reordering and evaluates its bounded prefix
-// under LRU, RRIP and GRASP plus Belady's OPT at the given LLC size. Each
-// pair rides the broadcast decoder: ONE decode pass over the capped
-// prefix feeds the three policy LLCs and the block-address stream that
-// OPT consumes, instead of four independent decodes (DESIGN.md Sec. 12).
-// Pairs fan out over the worker pool; results land in a keyed map, so the
-// consuming experiments iterate them in deterministic order regardless of
-// completion order.
-func runOPTStudy(s *Session, llcCfg cache.Config) (map[[2]string]optDatapoint, error) {
-	rripInfo, _ := sim.PolicyByName("RRIP")
-	graspInfo, _ := sim.PolicyByName("GRASP")
-	lruInfo, _ := sim.PolicyByName("LRU")
-	type pair struct{ app, ds string }
-	var pairs []pair
-	for _, app := range apps.Names() {
-		for _, ds := range highSkewNames() {
-			pairs = append(pairs, pair{app, ds})
-		}
-	}
-	dps := make([]optDatapoint, len(pairs))
-	errs := make([]error, len(pairs))
-	forEachParallel(len(pairs), func(i int) {
-		app, ds := pairs[i].app, pairs[i].ds
-		g := group(s.dataset(ds), "DBG", app, apps.LayoutMerged)
-		errs[i] = s.withRecordings(context.Background(), true, []artifactKey{g}, func(recs []recording) error {
-			rec := recs[0]
-			replays := []struct {
-				misses *uint64
-				pinfo  sim.PolicyInfo
-				abrs   [][2]uint64
-			}{
-				{&dps[i].lru, lruInfo, nil},
-				{&dps[i].rrip, rripInfo, nil},
-				{&dps[i].grasp, graspInfo, rec.bounds},
+// optKey is the store key of the study cell of recording group g at one
+// LLC geometry (the associativity is the session's).
+func optKey(g artifactKey, llc cache.Config) artifactKey {
+	k := g.of(kindOPT, "")
+	k.n = uint32(llc.SizeBytes / cache.BlockSize)
+	return k
+}
+
+// optPass evaluates one pair's study cells at every listed LLC geometry
+// from ONE decode of the recording's bounded prefix: the broadcast feeds
+// an LRU, an RRIP and a GRASP replay LLC per geometry plus one collector
+// of the block-address stream; the next-use chain — independent of the
+// geometry — is computed once from it, and Belady's OPT then runs per
+// geometry over the shared read-only chain. Cancellation is the broadcast
+// cursor's per-chunk poll plus one check per OPT simulation.
+func (s *Session) optPass(ctx context.Context, rec recording, llcs []cache.Config) ([]optDatapoint, error) {
+	start := time.Now()
+	defer func() { s.phase.replay.Add(int64(time.Since(start))) }()
+	schemes := [...]string{"LRU", "RRIP", "GRASP"}
+	caches := make([]*cache.Cache, 0, len(llcs)*len(schemes))
+	consumers := make([]func([]mem.Access), 0, cap(caches)+1)
+	for _, llcCfg := range llcs {
+		for _, scheme := range schemes {
+			pinfo, err := sim.PolicyByName(scheme)
+			if err != nil {
+				return nil, err
 			}
-			llcs := make([]*cache.Cache, len(replays))
-			consumers := make([]func([]mem.Access), 0, len(replays)+1)
-			for j, rp := range replays {
-				llc, err := sim.NewReplayLLC(llcCfg, rp.pinfo, rp.abrs)
-				if err != nil {
-					return err
-				}
-				llcs[j] = llc
-				consumers = append(consumers, func(accs []mem.Access) {
-					for _, a := range accs {
-						llc.Access(a)
-					}
-				})
+			llc, err := sim.NewReplayLLC(llcCfg, pinfo, rec.bounds, 1)
+			if err != nil {
+				return nil, err
 			}
-			n := rec.tr.Len()
-			if n > optTraceCap {
-				n = optTraceCap
-			}
-			blocks := make([]uint64, 0, n)
+			caches = append(caches, llc)
 			consumers = append(consumers, func(accs []mem.Access) {
 				for _, a := range accs {
-					blocks = append(blocks, cache.BlockAddr(a.Addr))
+					llc.Access(a)
 				}
 			})
-			start := time.Now()
-			err := rec.tr.BroadcastNCtx(context.Background(), optTraceCap, consumers)
-			s.phase.replay.Add(int64(time.Since(start)))
-			if err != nil {
-				return err
-			}
-			for j, rp := range replays {
-				*rp.misses = llcs[j].Stats.Misses
-			}
-			dps[i].opt = policy.SimulateOPT(blocks, llcCfg.Sets(), llcCfg.Ways).Misses
-			return nil
-		})
-	})
-	out := make(map[[2]string]optDatapoint, len(pairs))
-	for i, p := range pairs {
-		if errs[i] != nil {
-			return nil, errs[i]
 		}
-		out[[2]string{p.app, p.ds}] = dps[i]
+	}
+	blocks := make([]uint64, 0, min(rec.tr.Len(), optTraceCap))
+	consumers = append(consumers, func(accs []mem.Access) {
+		for _, a := range accs {
+			blocks = append(blocks, cache.BlockAddr(a.Addr))
+		}
+	})
+	if err := rec.tr.BroadcastNCtx(ctx, optTraceCap, consumers); err != nil {
+		return nil, err
+	}
+	chain := policy.NextUseChain(blocks)
+	out := make([]optDatapoint, len(llcs))
+	for i, llcCfg := range llcs {
+		if err := trace.ContextErr(ctx); err != nil {
+			return nil, err
+		}
+		c := caches[i*len(schemes):]
+		out[i] = optDatapoint{
+			lru: c[0].Stats.Misses, rrip: c[1].Stats.Misses, grasp: c[2].Stats.Misses,
+			opt: policy.SimulateOPTChain(blocks, chain, llcCfg.Sets(), llcCfg.Ways).Misses,
+		}
+	}
+	return out, nil
+}
+
+// optUnit serves the study cells of one recording group in a Prefetch
+// batch the way resultFanOut serves its results: one pass computes every
+// listed geometry and each cell is published through the store. Nothing is
+// published unless the whole pass succeeded.
+func (s *Session) optUnit(ctx context.Context, g artifactKey, rec recording, llcs []cache.Config) error {
+	cells, err := s.optPass(ctx, rec, llcs)
+	if err != nil {
+		return err
+	}
+	for i, llcCfg := range llcs {
+		dp := cells[i]
+		if _, err := get(ctx, s.art, optKey(g, llcCfg), func() (optDatapoint, charge, error) {
+			return dp, charge{}, nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// optCell returns the study cell of (app, dataset) at one LLC geometry.
+// Prefetch has normally published it; a cell asked for cold is computed
+// alone, over the pair's capped recording.
+func (s *Session) optCell(ctx context.Context, dsName, app string, llcCfg cache.Config) (optDatapoint, error) {
+	g := group(s.dataset(dsName), "DBG", app, apps.LayoutMerged)
+	return get(ctx, s.art, optKey(g, llcCfg), func() (dp optDatapoint, _ charge, err error) {
+		err = s.withRecordings(ctx, true, []artifactKey{g}, func(recs []recording) error {
+			cells, err := s.optPass(ctx, recs[0], []cache.Config{llcCfg})
+			if err == nil {
+				dp = cells[0]
+			}
+			return err
+		})
+		return dp, charge{}, err
+	})
+}
+
+// optColumn returns every pair's study cell at one LLC geometry, keyed
+// (app, dataset).
+func (s *Session) optColumn(llcCfg cache.Config) (map[[2]string]optDatapoint, error) {
+	out := make(map[[2]string]optDatapoint)
+	for _, app := range apps.Names() {
+		for _, ds := range highSkewNames() {
+			dp, err := s.optCell(context.Background(), ds, app, llcCfg)
+			if err != nil {
+				return nil, err
+			}
+			out[[2]string{app, ds}] = dp
+		}
 	}
 	return out, nil
 }
@@ -119,7 +205,10 @@ func elimPct(misses, lru uint64) float64 {
 // dataset (across apps) and per application (across datasets) as in the
 // figure. Paper averages at 16MB: RRIP 15.2%, GRASP 19.7%, OPT 34.3%.
 func runFig11(s *Session, w io.Writer) error {
-	data, err := runOPTStudy(s, s.Cfg.HCfg.LLC)
+	if err := s.Prefetch(fig11Points()); err != nil {
+		return err
+	}
+	data, err := s.optColumn(studyLLC(s.Cfg.HCfg.LLC, 1))
 	if err != nil {
 		return err
 	}
@@ -165,37 +254,22 @@ func runFig11(s *Session, w io.Writer) error {
 	return err
 }
 
-// table7Sizes returns the LLC size sweep: the scaled analogues of the
-// paper's 1, 4, 8, 16 and 32 MB (we run at 1/64 scale by default, so
-// 16KB..512KB with the 256KB point matching the main evaluation).
-func table7Sizes(base cache.Config) []cache.Config {
-	fracs := []struct {
-		label string
-		mul   float64
-	}{{"1MB*", 1.0 / 16}, {"4MB*", 0.25}, {"8MB*", 0.5}, {"16MB*", 1}, {"32MB*", 2}}
-	var out []cache.Config
-	for _, f := range fracs {
-		sz := uint64(float64(base.SizeBytes) * f.mul)
-		min := uint64(base.Ways) * cache.BlockSize * 2
-		if sz < min {
-			sz = min
-		}
-		out = append(out, cache.Config{SizeBytes: sz, Ways: base.Ways})
-	}
-	return out
-}
-
 // runTable7 regenerates Table VII: average % misses eliminated over LRU
 // for RRIP, GRASP and OPT across LLC sizes. Paper shape: RRIP flat
 // (~15-16%) across sizes; GRASP grows with LLC size (15.4% at 1MB to
 // 21.2% at 32MB); OPT 27-35%.
 func runTable7(s *Session, w io.Writer) error {
-	sizes := table7Sizes(s.Cfg.HCfg.LLC)
-	labels := []string{"1MB*", "4MB*", "8MB*", "16MB*", "32MB*"}
-	t := stats.NewTable(append([]string{"Scheme"}, labels...)...)
+	if err := s.Prefetch(table7Points()); err != nil {
+		return err
+	}
+	header := []string{"Scheme"}
+	for _, e := range optLadder {
+		header = append(header, e.label)
+	}
+	t := stats.NewTable(header...)
 	rows := map[string][]float64{"RRIP": nil, "GRASP": nil, "OPT": nil}
-	for _, llcCfg := range sizes {
-		data, err := runOPTStudy(s, llcCfg)
+	for _, e := range optLadder {
+		data, err := s.optColumn(studyLLC(s.Cfg.HCfg.LLC, e.scale))
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,9 @@
 package policy
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"grasp/internal/cache"
 	"grasp/internal/mem"
@@ -53,14 +55,56 @@ func (m *RRIPMeta) Set(set, way uint32, v uint8) { m.rrpv[set*m.ways+way] = v }
 // Victim implements the SRRIP victim search: find the first way with
 // RRPV==max, aging the whole set (incrementing every RRPV) until one
 // appears. Ways are scanned in index order, matching the CRC reference
-// implementation. Rather than rescanning per aging round, one pass finds
+// implementation. Rather than rescanning per aging round, the search finds
 // the first way holding the set's maximum RRPV — the way the iterated
-// search would reach distant first — and one conditional pass applies the
-// aggregate aging delta; the resulting RRPV state and victim choice are
-// identical to the literal loop's.
+// search would reach distant first — and applies the aggregate aging delta
+// once; the resulting RRPV state and victim choice are identical to the
+// literal loop's.
+//
+// When the associativity is a multiple of eight the row is scanned eight
+// ways per step (DESIGN.md Sec. 7): read as little-endian uint64s, so byte
+// j of word k is way 8k+j. The set's maximum is found by testing for the
+// value v = 7, 6, ... in turn: row^v·0x01…01 has a zero byte exactly where
+// a way holds v, and because every RRPV is at most 7 each byte of that XOR
+// is at most 7, so adding 0x7f to every byte at once cannot carry into the
+// next byte and the top bit of each byte of the sum says "nonzero" exactly.
+// Aging adds (7-v) to every byte at once; no way exceeds v, so no byte
+// exceeds 7 and again nothing carries. After a victim search the set's
+// maximum is 7 and a fill inserts at 6 or 7, so the first or second v
+// usually hits.
 func (m *RRIPMeta) Victim(set uint32) uint32 {
 	base := set * m.ways
 	r := m.rrpv[base : base+m.ways : base+m.ways]
+	if len(r)%8 != 0 {
+		return victimScalar(r)
+	}
+	const (
+		ones = 0x0101010101010101
+		lo7  = 0x7f7f7f7f7f7f7f7f
+		hi   = 0x8080808080808080
+	)
+	for v := RRPVMax; v >= 0; v-- {
+		for k := 0; k < len(r); k += 8 {
+			y := binary.LittleEndian.Uint64(r[k:]) ^ uint64(v)*ones
+			held := ^(y + lo7) & hi // top bit of every byte whose way holds v
+			if held == 0 {
+				continue
+			}
+			if delta := uint64(RRPVMax-v) * ones; delta != 0 {
+				for a := 0; a < len(r); a += 8 {
+					binary.LittleEndian.PutUint64(r[a:], binary.LittleEndian.Uint64(r[a:])+delta)
+				}
+			}
+			return uint32(k + bits.TrailingZeros64(held)/8)
+		}
+	}
+	panic("policy: RRPV above RRPVMax")
+}
+
+// victimScalar is Victim for associativities that are not a multiple of
+// eight: one pass for the first way holding the maximum, one conditional
+// pass for the aging delta.
+func victimScalar(r []uint8) uint32 {
 	best := uint32(0)
 	maxv := r[0]
 	for w := 1; w < len(r); w++ {

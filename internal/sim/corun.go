@@ -220,7 +220,7 @@ func CorunBroadcastResultsCtx(ctx context.Context, streams []CorunStream, polici
 		if err != nil {
 			return nil, err
 		}
-		llc, err := NewReplayLLC(hcfg.LLC, pinfo, bounds)
+		llc, err := NewReplayLLC(hcfg.LLC, pinfo, bounds, 1)
 		if err != nil {
 			return nil, err
 		}

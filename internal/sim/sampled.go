@@ -86,7 +86,7 @@ func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs 
 		if err != nil {
 			return nil, rep, err
 		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays)
+		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
 		if err != nil {
 			return nil, rep, err
 		}

@@ -300,16 +300,20 @@ func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout ap
 // NewReplayLLC builds a standalone LLC of the given geometry with the
 // policy and, for hint-consuming policies, a classifier programmed from
 // recorded ABR bounds (in SetArray order, so region sizing matches the
-// recording run). It is exported for consumers composing their own
-// broadcast-replay fan-outs (the OPT study feeds several such LLCs plus a
-// block collector from one decode pass).
-func NewReplayLLC(llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64) (*cache.Cache, error) {
+// recording run). regionScale sizes the High/Moderate Reuse Regions as a
+// multiple of the LLC capacity: 1 is the paper's design point and what
+// every result replay uses; the region-size ablation sweeps it. It is
+// exported for consumers composing their own broadcast-replay fan-outs
+// (the OPT study feeds several such LLCs plus a block collector from one
+// decode pass).
+func NewReplayLLC(llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64, regionScale float64) (*cache.Cache, error) {
 	llc, err := cache.New(llcCfg, pinfo.New(llcCfg.Sets(), llcCfg.Ways))
 	if err != nil {
 		return nil, err
 	}
 	if pinfo.NeedsABRs {
 		abrs := core.NewABRs(llcCfg.SizeBytes)
+		abrs.SetRegionScale(regionScale)
 		for _, b := range abrArrays {
 			if err := abrs.SetBounds(b[0], b[1]); err != nil {
 				return nil, err
@@ -335,7 +339,7 @@ func ReplayResultCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadNa
 	if err != nil {
 		return Result{}, err
 	}
-	llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays)
+	llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -370,7 +374,7 @@ func BroadcastResultsCtx(ctx context.Context, tr *trace.Trace, specs []Spec, wor
 		if err != nil {
 			return nil, err
 		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays)
+		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -172,7 +172,7 @@ func TestSpeedupAndMissReductionMath(t *testing.T) {
 // geometry and policy and returns its stats.
 func replayStats(t *testing.T, tr *trace.Trace, llcCfg cache.Config, pinfo PolicyInfo, bounds [][2]uint64) cache.Stats {
 	t.Helper()
-	llc, err := NewReplayLLC(llcCfg, pinfo, bounds)
+	llc, err := NewReplayLLC(llcCfg, pinfo, bounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func filterAfterDecode(t *testing.T, tr *trace.Trace, specs []Spec, workloadName
 		if err != nil {
 			t.Fatal(err)
 		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, bounds)
+		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -442,6 +442,13 @@ func (r *Recorder) Abandon() {
 // levels' stats (zero for raw recorders) and the wall-clock of the traced
 // application execution. The recorder must not be used afterwards.
 func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
+	if n := len(r.cur); n > 0 && n < cap(r.cur) {
+		// Right-size the tail: a sealed chunk keeps its backing array, and
+		// the budgets charge len x 8. Without this every recording pins a
+		// full chunkWords array for its last chunk — most of a bench-scale
+		// recording, which rarely fills one chunk.
+		r.cur = append(make([]uint64, 0, n), r.cur...)
+	}
 	r.seal()
 	if r.err != nil {
 		if r.spill != nil {

@@ -226,6 +226,41 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 }
 
+// TestFinishRightSizesTail: what a sealed trace keeps allocated is what it
+// reports — the budgets charge ResidentBytes, so the tail chunk must not
+// keep a full chunkWords backing array for a handful of words. Checked for
+// a trace shorter than one chunk, one ending exactly on a chunk boundary,
+// a multi-chunk trace with a partial tail, and a partly spilled one.
+func TestFinishRightSizesTail(t *testing.T) {
+	stream := func(n int) []mem.Access {
+		accs := make([]mem.Access, n)
+		for i := range accs {
+			accs[i] = mem.Access{Addr: 0x1000_0000 + uint64(i%977)*64, PC: uint32(i % 3)}
+		}
+		return accs
+	}
+	for name, c := range map[string]struct {
+		n        int
+		override int64
+	}{
+		"short":      {n: 100},
+		"exact":      {n: chunkWords},
+		"multi":      {n: 2*chunkWords + 5000},
+		"part-spill": {n: 2*chunkWords + 5000, override: chunkWords * 8},
+	} {
+		accs := stream(c.n)
+		tr := record(t, accs, c.override)
+		var held int64
+		for _, ch := range tr.chunks {
+			held += int64(cap(ch.words)) * 8
+		}
+		if held != tr.ResidentBytes() {
+			t.Errorf("%s: chunks hold %d bytes of backing array, ResidentBytes = %d", name, held, tr.ResidentBytes())
+		}
+		checkRoundTrip(t, accs, tr)
+	}
+}
+
 // TestConcurrentSpilledReplay replays one spilled trace from several
 // goroutines; pread-based chunk reads must not interfere.
 func TestConcurrentSpilledReplay(t *testing.T) {
