@@ -22,13 +22,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,7 +49,6 @@ type options struct {
 	exp        string
 	scale      uint
 	list       bool
-	benchJSON  string
 	graphSpec  string
 	app        string
 	policy     string
@@ -72,7 +72,6 @@ const usageExamples = `Examples:
   graspsim -exp fig5                   reproduce one artifact at full scale
   graspsim -exp all -scale 8           everything at 1/8 scale
   graspsim -list                       list experiment ids
-  graspsim -exp all -bench-json auto   record wall-clock to BENCH_<date>.json
 
   graspsim -graph tw -app PR -policy GRASP          one simulation, paper dataset
   graspsim -graph web-Google.txt -app KCore -policy GRASP
@@ -116,8 +115,6 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.exp, "exp", "all", "experiment id, comma-separated list, or 'all'")
 	fs.UintVar(&o.scale, "scale", 1, "dataset scale divisor (1 = full reproduction scale)")
 	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
-	fs.StringVar(&o.benchJSON, "bench-json", "",
-		"record wall-clock per experiment to this JSON file ('auto' = BENCH_<date>.json)")
 	fs.StringVar(&o.graphSpec, "graph", "",
 		"run ONE simulation on this dataset name or graph file (.txt/.el/.wel/.mtx/.gcsr) instead of experiments")
 	fs.StringVar(&o.app, "app", "PR",
@@ -150,55 +147,6 @@ func newFlags() (*flag.FlagSet, *options) {
 		fmt.Fprintf(w, "\n%s", usageExamples)
 	}
 	return fs, o
-}
-
-// benchEntry is one experiment's wall-clock in the -bench-json record.
-type benchEntry struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-// benchRecord is the perf-trajectory snapshot written by -bench-json.
-type benchRecord struct {
-	Date        string  `json:"date"`
-	Scale       uint    `json:"scale"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	PrefetchSec float64 `json:"prefetch_seconds"` // parallel fan-out phase (RunAll)
-	// SampleK and Skip are set by sampled-tier sweeps only: the sampling
-	// divisor the sweep ran at and the codec-layer skip accounting of its
-	// sampled replays, so benchcmp runs compare like-for-like K sweeps and
-	// the decode-bound retreat is visible in BENCH files.
-	SampleK uint32      `json:"sample_k,omitempty"`
-	Skip    *skipRecord `json:"skip,omitempty"`
-	// Phases breaks the engine time down by phase (load / reorder /
-	// record / replay / direct from exp.Session.PhaseSeconds, plus
-	// "render" = the sum of experiment body times), so a regression
-	// localizes to a phase instead of only a per-experiment total. Engine
-	// phases are worker-cumulative: on a multi-core run they can sum past
-	// the prefetch wall-clock.
-	Phases       map[string]float64 `json:"phases,omitempty"`
-	Experiments  []benchEntry       `json:"experiments"` // per-body render time
-	TotalSeconds float64            `json:"total_seconds"`
-}
-
-// skipRecord is trace.SkipReport in the -bench-json wire shape.
-type skipRecord struct {
-	ChunksDecoded     uint64  `json:"chunks_decoded"`
-	BytesDecoded      uint64  `json:"bytes_decoded"`
-	AccessesPruned    int64   `json:"accesses_pruned"`
-	AccessesDelivered int64   `json:"accesses_delivered"`
-	SkipRatio         float64 `json:"skip_ratio"`
-}
-
-// newSkipRecord converts a session's skip accounting for -bench-json.
-func newSkipRecord(rep trace.SkipReport) *skipRecord {
-	return &skipRecord{
-		ChunksDecoded:     rep.ChunksDecoded,
-		BytesDecoded:      rep.BytesDecoded,
-		AccessesPruned:    rep.AccessesPruned,
-		AccessesDelivered: rep.AccessesDelivered,
-		SkipRatio:         rep.SkipRatio(),
-	}
 }
 
 func main() {
@@ -306,14 +254,6 @@ func realMain(o *options) int {
 	defer stopProfiles()
 
 	if o.remote != "" {
-		// -bench-json records the LOCAL engine's phase split; a remote
-		// daemon's timing is not observable per phase, so silently writing
-		// nothing (or misleading client-side numbers) is worse than
-		// refusing.
-		if o.benchJSON != "" {
-			fmt.Fprintln(os.Stderr, "graspsim: -bench-json is not supported with -remote (benchmarks measure the local engine)")
-			return 1
-		}
 		if err := runRemote(o, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "graspsim:", err)
 			return 1
@@ -346,10 +286,7 @@ func realMain(o *options) int {
 		return 0
 	}
 
-	cfg := exp.DefaultConfig()
-	if o.scale > 1 {
-		cfg = exp.ScaledConfig(uint32(o.scale))
-	}
+	cfg := configFor(uint32(o.scale), nil)
 	fmt.Printf("# GRASP reproduction — scale 1/%d, LLC %dKB, L1 %dKB, L2 %dKB\n\n",
 		o.scale, cfg.HCfg.LLC.SizeBytes>>10, cfg.HCfg.L1.SizeBytes>>10, cfg.HCfg.L2.SizeBytes>>10)
 	session := exp.NewSession(cfg)
@@ -360,23 +297,18 @@ func realMain(o *options) int {
 		return 1
 	}
 
-	record := benchRecord{
-		Date:       time.Now().Format("2006-01-02"),
-		Scale:      o.scale,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
 	start := time.Now()
+	var prefetch, render time.Duration
 	obs := exp.RunObserver{
 		Before: func(e exp.Experiment) {
 			// First Before fires after the shared prefetch phase completes.
-			if record.PrefetchSec == 0 {
-				record.PrefetchSec = time.Since(start).Seconds()
+			if prefetch == 0 {
+				prefetch = time.Since(start)
 			}
 			fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
 		},
 		After: func(e exp.Experiment, elapsed time.Duration) {
-			record.Experiments = append(record.Experiments,
-				benchEntry{ID: e.ID, Seconds: elapsed.Seconds()})
+			render += elapsed
 			fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 		},
 	}
@@ -384,38 +316,35 @@ func realMain(o *options) int {
 		fmt.Fprintln(os.Stderr, "graspsim:", err)
 		return 1
 	}
-	record.TotalSeconds = time.Since(start).Seconds()
-	record.Phases = session.PhaseSeconds()
-	var render float64
-	for _, e := range record.Experiments {
-		render += e.Seconds
+	// Where the sweep's time went: the parallel fan-out's wall-clock, the
+	// sum of the experiment bodies, and the engine's per-phase split.
+	// Engine phases are worker-cumulative: on a multi-core run they can sum
+	// past the prefetch wall-clock.
+	phases := session.PhaseSeconds()
+	names := make([]string, 0, len(phases))
+	for name := range phases {
+		names = append(names, name)
 	}
-	record.Phases["render"] = render
-
-	if o.benchJSON != "" {
-		if err := writeBenchRecord(o.benchJSON, record); err != nil {
-			fmt.Fprintln(os.Stderr, "graspsim:", err)
-			return 1
-		}
+	sort.Strings(names)
+	fmt.Fprintf(os.Stderr, "graspsim: prefetch %.2fs, render %.2fs; engine phases:", prefetch.Seconds(), render.Seconds())
+	for _, name := range names {
+		fmt.Fprintf(os.Stderr, " %s %.2fs", name, phases[name])
 	}
+	fmt.Fprintln(os.Stderr)
 	return 0
 }
 
-// writeBenchRecord persists one -bench-json snapshot ("auto" derives the
-// dated default filename).
-func writeBenchRecord(path string, record benchRecord) error {
-	if path == "auto" {
-		path = fmt.Sprintf("BENCH_%s.json", record.Date)
+// configFor returns the engine configuration for a -scale divisor. Handed
+// a file-backed dataset it also notes on stderr what scaling cannot shrink.
+func configFor(scale uint32, ds *graph.Dataset) exp.Config {
+	if scale <= 1 {
+		return exp.DefaultConfig()
 	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
+	if ds != nil && ds.Kind == graph.KindFile {
+		fmt.Fprintf(os.Stderr,
+			"graspsim: note: -scale %d shrinks only the cache hierarchy; the file graph always loads at full size\n", scale)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "graspsim: wall-clock record written to %s\n", path)
-	return nil
+	return exp.ScaledConfig(scale)
 }
 
 // selectExperiments resolves the -exp flag value to experiment structs.
@@ -524,14 +453,7 @@ func runSingle(spec, appName, polName, reorderName string, scale uint32, arrays 
 	if err != nil {
 		return err
 	}
-	cfg := exp.DefaultConfig()
-	if scale > 1 {
-		cfg = exp.ScaledConfig(scale)
-		if ds.Kind == graph.KindFile {
-			fmt.Fprintf(os.Stderr,
-				"graspsim: note: -scale %d shrinks only the cache hierarchy; the file graph always loads at full size\n", scale)
-		}
-	}
+	cfg := configFor(scale, &ds)
 	w, err := sim.PrepareWorkload(ds, reorderName, appName == "SSSP", cfg.ScaleDiv)
 	if err != nil {
 		return err
@@ -565,15 +487,7 @@ func runSingleSampled(o *options) error {
 	if err != nil {
 		return err
 	}
-	cfg := exp.DefaultConfig()
-	if o.scale > 1 {
-		cfg = exp.ScaledConfig(uint32(o.scale))
-		if ds.Kind == graph.KindFile {
-			fmt.Fprintf(os.Stderr,
-				"graspsim: note: -scale %d shrinks only the cache hierarchy; the file graph always loads at full size\n", o.scale)
-		}
-	}
-	session := exp.NewSession(cfg)
+	session := exp.NewSession(configFor(uint32(o.scale), &ds))
 	r, err := session.SampledResult(o.graphSpec, o.reorder, o.app, apps.LayoutMerged, o.policy, uint32(o.sampleK))
 	if err != nil {
 		return err
@@ -581,7 +495,7 @@ func runSingleSampled(o *options) error {
 	fmt.Printf("workload: %s app=%s reorder=%s policy=%s (sampled 1/%d)\n",
 		ds.Name, o.app, o.reorder, o.policy, r.SampleK)
 	printSampledMetrics(os.Stdout, r)
-	if skip := session.SampledSkip(); skip.ChunksDecoded > 0 {
+	if skip := trace.SkipStats(); skip.ChunksDecoded > 0 {
 		fmt.Printf("codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
 			100*skip.SkipRatio(), skip.ChunksDecoded)
 	}
@@ -590,31 +504,17 @@ func runSingleSampled(o *options) error {
 
 // runSampledSweep is -exp mode on the fast tier: every result datapoint of
 // the selected experiments is estimated from a set-sampled replay and
-// printed with its error bars. With -bench-json the same datapoints are
-// then replayed at full fidelity from the (now warm) recordings, so the
-// record captures sampled vs full replay time for the sweep.
+// printed with its error bars.
 func runSampledSweep(o *options, w io.Writer) error {
 	exps, err := selectExperiments(o.exp)
 	if err != nil {
 		return err
 	}
-	cfg := exp.DefaultConfig()
-	if o.scale > 1 {
-		cfg = exp.ScaledConfig(uint32(o.scale))
-	}
+	cfg := configFor(uint32(o.scale), nil)
 	session := exp.NewSession(cfg)
 	k := uint32(o.sampleK)
 	fmt.Fprintf(w, "# GRASP sampled fast tier — scale 1/%d, ~1/%d of %d LLC sets per estimate\n\n",
 		o.scale, k, cfg.HCfg.LLC.Sets())
-	record := benchRecord{
-		Date:       time.Now().Format("2006-01-02"),
-		Scale:      o.scale,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		SampleK:    k,
-	}
-	start := time.Now()
-	var sweep []exp.Datapoint
-	seen := make(map[exp.Datapoint]bool)
 	for _, e := range exps {
 		var points []exp.Datapoint
 		if e.Points != nil {
@@ -640,44 +540,11 @@ func runSampledSweep(o *options, w io.Writer) error {
 				fmt.Sprintf("%.2f", 100*r.Est.MissRatio),
 				fmt.Sprintf("%.2f", 100*r.Est.CI95),
 				fmt.Sprintf("%d/%d", r.Est.SampledSets, r.Est.TotalSets))
-			if !seen[p] {
-				seen[p] = true
-				sweep = append(sweep, p)
-			}
 		}
 		fmt.Fprintln(w, t)
-		elapsed := time.Since(expStart)
-		record.Experiments = append(record.Experiments,
-			benchEntry{ID: e.ID + "-sampled", Seconds: elapsed.Seconds()})
-		fmt.Fprintf(w, "(%s sampled in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "(%s sampled in %v)\n\n", e.ID, time.Since(expStart).Round(time.Millisecond))
 	}
-	record.TotalSeconds = time.Since(start).Seconds()
-	if o.benchJSON == "" {
-		return nil
-	}
-	// Full-fidelity pass over the identical datapoints: every group's
-	// recording is warm, so the full results ride the replay path and the
-	// session's phase counters isolate full decode+replay time against the
-	// sampled pass's — the sampled-tier speedup the bench sweep tracks.
-	for _, p := range sweep {
-		if _, err := session.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy); err != nil {
-			return err
-		}
-	}
-	phases := session.PhaseSeconds()
-	record.Phases = phases
-	record.Experiments = append(record.Experiments,
-		benchEntry{ID: "replay-sampled", Seconds: phases["sampled"]},
-		benchEntry{ID: "replay-full", Seconds: phases["replay"]})
-	skip := session.SampledSkip()
-	record.Skip = newSkipRecord(skip)
-	if phases["sampled"] > 0 {
-		fmt.Fprintf(os.Stderr, "graspsim: replay time for %d datapoints: sampled %.3fs vs full %.3fs (%.1fx)\n",
-			len(sweep), phases["sampled"], phases["replay"], phases["replay"]/phases["sampled"])
-		fmt.Fprintf(os.Stderr, "graspsim: codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
-			100*skip.SkipRatio(), skip.ChunksDecoded)
-	}
-	return writeBenchRecord(o.benchJSON, record)
+	return nil
 }
 
 // parseCorun resolves the -corun/-corun-ratio flags into the co-runner
@@ -695,8 +562,8 @@ func parseCorun(o *options) (corunApps []string, ratio []int, err error) {
 		return corunApps, nil, nil
 	}
 	for _, s := range strings.Split(o.corunRatio, ",") {
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &w); err != nil || w < 1 {
+		w, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || w < 1 {
 			return nil, nil, fmt.Errorf("-corun-ratio weight %q: want an integer >= 1", s)
 		}
 		ratio = append(ratio, w)
@@ -721,15 +588,7 @@ func runSingleCorun(o *options) error {
 		return err
 	}
 	mix := append([]string{o.app}, corunApps...)
-	cfg := exp.DefaultConfig()
-	if o.scale > 1 {
-		cfg = exp.ScaledConfig(uint32(o.scale))
-		if ds.Kind == graph.KindFile {
-			fmt.Fprintf(os.Stderr,
-				"graspsim: note: -scale %d shrinks only the cache hierarchy; the file graph always loads at full size\n", o.scale)
-		}
-	}
-	session := exp.NewSession(cfg)
+	session := exp.NewSession(configFor(uint32(o.scale), &ds))
 	r, err := session.CorunResult(o.graphSpec, o.reorder, mix, ratio, apps.LayoutMerged, o.policy)
 	if err != nil {
 		return err

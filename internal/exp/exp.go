@@ -118,17 +118,10 @@ type Session struct {
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
 	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
 
-	// skipMu/skip accumulate the codec-layer accounting of this session's
-	// sampled replays (records pruned in the decode loop vs delivered);
-	// SampledSkip exposes it for the bench tooling's skip-ratio evidence
-	// alongside the process-wide trace.SkipStats.
-	skipMu sync.Mutex
-	skip   trace.SkipReport
-
 	// phase accumulates cumulative engine nanoseconds per prefetch phase
 	// (across workers, so a multi-core batch's phases can sum past
-	// wall-clock); PhaseSeconds exposes it for the bench tooling's
-	// per-phase regression tracking.
+	// wall-clock); PhaseSeconds exposes it for the closing line of a
+	// graspsim sweep.
 	phase struct {
 		load, reorder, record, replay, direct, sampled, corun atomic.Int64
 	}
@@ -174,8 +167,8 @@ func (s *Session) Broadcasts() uint64 { return s.broadcasts.Load() }
 // "corun" (interleaved shared-LLC co-run replays, Sec. 15). Values
 // are worker-cumulative — on a multi-core host the phases of one wall
 // second can sum to several phase-seconds — and monotone over the
-// session's lifetime; the bench tooling records them so a prefetch
-// regression localizes to a phase (DESIGN.md Sec. 7).
+// session's lifetime; a local graspsim sweep prints them on its closing
+// stderr line, so a slow sweep localizes to a phase (DESIGN.md Sec. 7).
 func (s *Session) PhaseSeconds() map[string]float64 {
 	sec := func(a *atomic.Int64) float64 { return time.Duration(a.Load()).Seconds() }
 	return map[string]float64{

@@ -13,23 +13,12 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/sim"
-	"grasp/internal/trace"
 )
 
 // SampledRuns returns how many distinct set-sampled estimates the session
 // has computed (cache hits and merged requests do not count) — the
 // fast-tier twin of SimRuns, surfaced by graspd /metrics.
 func (s *Session) SampledRuns() uint64 { return s.sampledRun.Load() }
-
-// SampledSkip returns the accumulated codec-layer accounting of this
-// session's sampled replays: records pruned inside the decode loop, and
-// what was actually decoded and delivered. The bench tooling records its
-// SkipRatio next to the sampled phase times as the decode-bound evidence.
-func (s *Session) SampledSkip() trace.SkipReport {
-	s.skipMu.Lock()
-	defer s.skipMu.Unlock()
-	return s.skip
-}
 
 // SampledResult is SampledResultCtx without cancellation.
 func (s *Session) SampledResult(dsName, reorderName, app string, layout apps.Layout, policy string, sampleK uint32) (sim.SampledResult, error) {
@@ -53,12 +42,7 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 	spec := sim.Spec{App: app, Layout: layout, Policy: policy, HCfg: s.Cfg.HCfg}
 	return derive(ctx, s, k, []artifactKey{g}, &s.phase.sampled, &s.sampledRun,
 		func(w *sim.Workload, recs []recording) (sim.SampledResult, error) {
-			r, rep, err := sim.SampledReplayResultSkipCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds, sampleK)
-			if err == nil {
-				s.skipMu.Lock()
-				s.skip.Add(rep)
-				s.skipMu.Unlock()
-			}
+			r, _, err := sim.SampledReplayResultSkipCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds, sampleK)
 			return r, err
 		})
 }

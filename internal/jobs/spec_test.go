@@ -1,7 +1,10 @@
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,5 +134,36 @@ func TestCanonicalizeRejects(t *testing.T) {
 	}
 	if _, err := s.Hash(); err == nil {
 		t.Error("Hash accepted an unresolvable graph spec")
+	}
+}
+
+// TestHashVersionPinsGoldens ties the hand-bumped hashVersion to the
+// committed experiment goldens: a change that moves a golden changed what
+// the simulator produces for an unchanged spec, so it must also bump
+// hashVersion — otherwise a daemon's store keeps serving pre-change
+// outcomes under unchanged addresses. The digest is SHA-256 over the
+// goldens in name order (filepath.Glob sorts), each as "name size\n" then
+// its bytes. Re-pin only together with a reasoned look at hashVersion.
+func TestHashVersionPinsGoldens(t *testing.T) {
+	const (
+		pinnedVersion = "grasp-job-v2"
+		pinnedDigest  = "f5203305960105742c0568f6baf5224f765f5789285663660211c1a748505b78"
+	)
+	paths, err := filepath.Glob(filepath.Join("..", "exp", "testdata", "golden", "*.golden"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no goldens found (err %v)", err)
+	}
+	h := sha256.New()
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(p), len(data))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); hashVersion != pinnedVersion || got != pinnedDigest {
+		t.Errorf("goldens moved: bump hashVersion or re-pin\n got (%q, %s)\nwant (%q, %s)",
+			hashVersion, got, pinnedVersion, pinnedDigest)
 	}
 }
