@@ -93,7 +93,7 @@ func main() {
 	}
 	cfg := daemonConfig{
 		addr: *addr, dataDir: *dataDir, workers: *workers,
-		drainTimeout: *drainTimeout,
+		drainTimeout:  *drainTimeout,
 		sessionBudget: *graphCacheMB << 20, traceBudget: *traceCacheMB << 20,
 		jobTimeout: *jobTimeout, maxQueue: *maxQueue,
 		rate: *rate, rateBurst: *rateBurst, journal: *journal,

@@ -397,10 +397,7 @@ func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
 	}()
 	fail.Disarm("trace.replay.chunk")
 
-	want, err := NewSession(ScaledConfig(64)).Result("lj", "DBG", "PR", apps.LayoutMerged, "LRU") // direct: records nothing
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := simRun(t, s.Cfg, "lj", "DBG", "PR", apps.LayoutMerged, "LRU")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan struct{})

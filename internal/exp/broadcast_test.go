@@ -96,24 +96,19 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 // replays against continuous recording eviction (a one-byte trace budget
 // evicts on every new recording) and session cache churn from concurrent
 // Result calls across several groups. Every result must come out
-// identical to an unpressured baseline: the pin/release protocol means an
-// eviction can reclaim a trace mid-batch only after its replays finish,
-// and evicted groups silently re-record. Run under -race in CI.
+// identical to the execution-driven reference: the pin/release protocol
+// means an eviction can reclaim a trace mid-batch only after its replays
+// finish, and evicted groups silently re-record. Run under -race in CI.
 func TestConcurrentBroadcastEvictionHammer(t *testing.T) {
 	t.Parallel()
 	schemes := []string{"GRASP", "LRU", "SHiP-MEM", "Leeway"}
 	apps3 := []string{"PR", "BFS", "BC"}
 
-	baseline := NewSession(ScaledConfig(64))
 	type key struct{ app, pol string }
 	want := make(map[key]uint64)
 	for _, app := range apps3 {
 		for _, pol := range append([]string{"RRIP"}, schemes...) {
-			r, err := baseline.Result("kr", "DBG", app, apps.LayoutMerged, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[key{app, pol}] = r.LLC.Misses
+			want[key{app, pol}] = simRun(t, ScaledConfig(64), "kr", "DBG", app, apps.LayoutMerged, pol).LLC.Misses
 		}
 	}
 
@@ -135,8 +130,8 @@ func TestConcurrentBroadcastEvictionHammer(t *testing.T) {
 			}(app)
 		}
 	}
-	// Cache churners: single Result calls racing the batches (replay when
-	// a recording survives, direct execution otherwise).
+	// Cache churners: single Result calls racing the batches (each replays
+	// the recording that survives, or re-records the one just evicted).
 	for _, app := range apps3 {
 		wg.Add(1)
 		go func(app string) {

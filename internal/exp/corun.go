@@ -117,20 +117,18 @@ func (m *corunMix) key(policy string) artifactKey { return m.base.of(kindCorun, 
 
 // corunFanOut computes the mix under every listed policy from ONE merge of
 // its recordings. Solo baselines come first, via the ordinary result cache
-// — viaTrace is forced: the co-run replays the recordings, so each
-// baseline must be the replay of the SAME recording (identical anyway, by
-// the replay-equivalence invariant). Then the mix's recordings are pinned
-// once, for the whole fan-out, and a single timed
-// sim.CorunBroadcastResultsCtx serves all the policies. The dataset name
-// the results carry is the first stream's solo baseline's: no workload is
-// prepared here that the recordings did not already need.
+// — each the replay of the SAME recording the co-run merges. Then the
+// mix's recordings are pinned once, for the whole fan-out, and a single
+// timed sim.CorunBroadcastResultsCtx serves all the policies. The dataset
+// name the results carry is the first stream's solo baseline's: no
+// workload is prepared here that the recordings did not already need.
 func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []string) ([]sim.CorunResult, error) {
 	pols := make([]sim.CorunPolicy, len(policies))
 	for p, policy := range policies {
 		solos := make([]sim.Result, len(m.groups))
 		for gi, g := range m.groups {
 			var err error
-			if solos[gi], err = s.result(ctx, g, policy, true); err != nil {
+			if solos[gi], err = s.result(ctx, g, policy); err != nil {
 				return nil, err
 			}
 		}

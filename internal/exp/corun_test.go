@@ -108,6 +108,34 @@ func TestCorunRejectsBeforeWork(t *testing.T) {
 	}
 }
 
+// TestUnknownPolicyRefusedBeforeWork: the full and the sampled tier refuse
+// a policy the registry does not know before the first workload or
+// recording, as the co-run tier does above: finding out inside the
+// replay would cost a whole application execution first.
+func TestUnknownPolicyRefusedBeforeWork(t *testing.T) {
+	t.Parallel()
+	for name, request := range map[string]func(s *Session) error{
+		"full": func(s *Session) error {
+			_, err := s.ResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "NOPE")
+			return err
+		},
+		"sampled": func(s *Session) error {
+			_, err := s.SampledResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "NOPE", 4)
+			return err
+		},
+	} {
+		s := NewSession(ScaledConfig(64))
+		if err := request(s); err == nil || !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
+			t.Errorf("%s: err = %v, want the registry's unknown-policy error", name, err)
+		}
+		for _, kd := range []kind{kindBase, kindWorkload, kindRecording, kindResult, kindSampled} {
+			if n := s.art.count(kd); n != 0 {
+				t.Errorf("%s: the refused request left %d entries of kind %d in the store", name, n, kd)
+			}
+		}
+	}
+}
+
 // TestCorunPreparesOnlyTheRecordingsWorkloads: the co-run pipeline loads
 // and reorders exactly what its recordings need. It used to prepare one
 // more workload keyed on the joined mix name — never "SSSP", so always

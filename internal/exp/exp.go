@@ -107,9 +107,10 @@ func ScaledConfig(div uint32) Config {
 // function of (dataset, reorder, app, layout), so when a Prefetch batch
 // asks for several policies on one such group, the application executes
 // once into a trace.Trace and every policy replays the shared immutable
-// recording. Single-policy groups bypass the recorder (a recording run
-// costs about as much as a direct run, so it only pays off when amortized)
-// unless a recording already exists.
+// recording. That recording is the only source of a full-fidelity result:
+// a lone Result call or a single-policy group records on first touch and
+// replays too, so the next policy of the group — on a daemon they arrive
+// one request at a time — finds the recording instead of re-executing.
 type Session struct {
 	Cfg        Config
 	art        *artifacts
@@ -123,7 +124,7 @@ type Session struct {
 	// wall-clock); PhaseSeconds exposes it for the closing line of a
 	// graspsim sweep.
 	phase struct {
-		load, reorder, record, replay, direct, sampled, corun atomic.Int64
+		load, reorder, record, replay, sampled, corun atomic.Int64
 	}
 }
 
@@ -147,9 +148,10 @@ func NewSession(cfg Config) *Session {
 }
 
 // SimRuns returns the number of distinct result datapoints the session
-// has simulated, whether by direct execution or by trace replay — cache
-// hits and singleflight-merged requests do not count, so under any access
-// pattern this equals the number of distinct result datapoints.
+// has simulated (each a replay of its group's recording, alone or in a
+// fan-out) — cache hits and singleflight-merged requests do not count, so
+// under any access pattern this equals the number of distinct result
+// datapoints.
 func (s *Session) SimRuns() uint64 { return s.simRuns.Load() }
 
 // Broadcasts returns how many recording groups this session has served
@@ -161,10 +163,9 @@ func (s *Session) Broadcasts() uint64 { return s.broadcasts.Load() }
 // PhaseSeconds returns the session's cumulative engine time per phase:
 // "load" (dataset generation/ingestion), "reorder" (vertex reordering +
 // relabeling), "record" (traced application executions), "replay"
-// (trace decode + LLC simulation, broadcast or single), "direct"
-// (execution-driven simulations that bypassed the trace engine),
-// "sampled" (set-sampled fast-tier replays, DESIGN.md Sec. 14) and
-// "corun" (interleaved shared-LLC co-run replays, Sec. 15). Values
+// (trace decode + LLC simulation, broadcast or single), "sampled"
+// (set-sampled fast-tier replays, DESIGN.md Sec. 14) and "corun"
+// (interleaved shared-LLC co-run replays, Sec. 15). Values
 // are worker-cumulative — on a multi-core host the phases of one wall
 // second can sum to several phase-seconds — and monotone over the
 // session's lifetime; a local graspsim sweep prints them on its closing
@@ -176,7 +177,6 @@ func (s *Session) PhaseSeconds() map[string]float64 {
 		"reorder": sec(&s.phase.reorder),
 		"record":  sec(&s.phase.record),
 		"replay":  sec(&s.phase.replay),
-		"direct":  sec(&s.phase.direct),
 		"sampled": sec(&s.phase.sampled),
 		"corun":   sec(&s.phase.corun),
 	}
@@ -348,21 +348,26 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 
 // derive is the shape the single-group simulation tiers share (full and
 // sampled; a co-run spans several groups and is scheduled per mix —
-// corun.go): the artifact under k is one timed sim call over the group's
-// workload and the listed groups' pinned full recordings (none: an
-// execution-driven run), charged to phase and counted in runs when it
-// succeeds. Replays can fail environmentally (spill I/O) and under a
-// caller's context, which is why all the kinds derived here are transient.
-func derive[V any](ctx context.Context, s *Session, k artifactKey, groups []artifactKey, phase *atomic.Int64, runs *atomic.Uint64,
-	simulate func(w *sim.Workload, recs []recording) (V, error)) (V, error) {
+// corun.go): the artifact under k is one timed sim call over the workload
+// and the pinned full recording of its group g (recorded on first touch),
+// charged to phase and counted in runs when it succeeds. An unknown policy
+// is refused before any of that. Replays can fail environmentally (spill
+// I/O) and under a caller's context, which is why all the kinds derived
+// here are transient.
+func derive[V any](ctx context.Context, s *Session, k, g artifactKey, phase *atomic.Int64, runs *atomic.Uint64,
+	simulate func(w *sim.Workload, rec recording) (V, error)) (V, error) {
+	if _, err := sim.PolicyByName(k.policy); err != nil {
+		var zero V
+		return zero, err
+	}
 	return get(ctx, s.art, k, func() (v V, _ charge, err error) {
 		w, err := s.workload(k.ds, k.reorder, k.app == "SSSP")
 		if err != nil {
 			return v, charge{}, err
 		}
-		err = s.withRecordings(ctx, false, groups, func(recs []recording) error {
+		err = s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
 			start := time.Now()
-			v, err = simulate(w, recs)
+			v, err = simulate(w, recs[0])
 			phase.Add(int64(time.Since(start)))
 			return err
 		})
@@ -374,36 +379,31 @@ func derive[V any](ctx context.Context, s *Session, k artifactKey, groups []arti
 }
 
 // Result returns the metrics of one simulation datapoint, computing and
-// caching it on first use. If the datapoint's group already has a cached
-// recording the result replays it; otherwise it runs execution-driven —
-// the two are result-identical (the replay-equivalence suite pins this),
-// so callers never observe which path served them.
+// caching it on first use: a replay of the datapoint's group recording,
+// which is recorded first if no earlier request left one. The metrics are
+// those of an execution-driven sim.Run (the replay-equivalence suite pins
+// this) except AppTime, which is the recording run's.
 func (s *Session) Result(dsName, reorderName, app string, layout apps.Layout, policy string) (sim.Result, error) {
 	return s.ResultCtx(context.Background(), dsName, reorderName, app, layout, policy)
 }
 
-// ResultCtx is Result with cooperative cancellation: the simulation checks
-// ctx at trace-chunk / access-poll boundaries and returns an error wrapping
+// ResultCtx is Result with cooperative cancellation: the recording and the
+// replay check ctx at trace-chunk boundaries and return an error wrapping
 // ctx's cause once it expires. Cancellation never perturbs a completed
-// datapoint — a cancelled computation is dropped from the cache, and a
-// later request recomputes it from scratch with identical output.
+// datapoint — a cancelled computation is dropped from the cache (a
+// recording cut short is abandoned, never retained), and a later request
+// recomputes it from scratch with identical output.
 func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string, layout apps.Layout, policy string) (sim.Result, error) {
-	g := group(s.dataset(dsName), reorderName, app, layout)
-	return s.result(ctx, g, policy, s.art.ready(g))
+	return s.result(ctx, group(s.dataset(dsName), reorderName, app, layout), policy)
 }
 
-// result computes one result datapoint, replaying the group's shared
-// recording when viaTrace is set (recording it first if need be) and
-// running execution-driven otherwise.
-func (s *Session) result(ctx context.Context, g artifactKey, policy string, viaTrace bool) (sim.Result, error) {
+// result computes one result datapoint: a replay of the group's shared
+// recording.
+func (s *Session) result(ctx context.Context, g artifactKey, policy string) (sim.Result, error) {
 	spec := sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
-	if !viaTrace {
-		return derive(ctx, s, g.of(kindResult, policy), nil, &s.phase.direct, &s.simRuns,
-			func(w *sim.Workload, _ []recording) (sim.Result, error) { return sim.RunCtx(ctx, w, spec) })
-	}
-	return derive(ctx, s, g.of(kindResult, policy), []artifactKey{g}, &s.phase.replay, &s.simRuns,
-		func(w *sim.Workload, recs []recording) (sim.Result, error) {
-			return sim.ReplayResultCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds)
+	return derive(ctx, s, g.of(kindResult, policy), g, &s.phase.replay, &s.simRuns,
+		func(w *sim.Workload, rec recording) (sim.Result, error) {
+			return sim.ReplayResultCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds)
 		})
 }
 
@@ -429,16 +429,13 @@ type Datapoint struct {
 // workload are deduplicated by the singleflight store, so no simulation
 // runs twice either way.
 //
-// Prefetch is where the record-once/replay-many engine engages: the batch
-// is grouped by (dataset, reorder, app, layout), and any group requested
-// under two or more policies executes the application once into a shared
-// recorded trace, with every policy of the group replaying it. Recordings
-// are scheduled before replays so the worker pool starts the expensive
-// application executions as early as possible; replays (cheap,
-// LLC-only) fill in behind them. Single-policy groups run execution-driven
-// unless their recording already exists. The returned error is the
-// earliest (by batch position) failure, matching what a sequential pass
-// would report first.
+// Prefetch schedules the record-once/replay-many engine by group: the
+// batch is grouped by (dataset, reorder, app, layout), and each group
+// executes the application once into a shared recorded trace (unless an
+// earlier request left one) with every policy of the group — be it one or
+// twenty — replaying it in a single decode-once fan-out. The returned
+// error is the earliest (by batch position) failure, matching what a
+// sequential pass would report first.
 func (s *Session) Prefetch(points []Datapoint) error {
 	return s.PrefetchObservedCtx(context.Background(), points, nil)
 }
@@ -449,10 +446,10 @@ func (s *Session) Prefetch(points []Datapoint) error {
 // invoked with the number done so far and the batch total. It is called
 // concurrently from the worker pool, so it must be goroutine-safe; `done`
 // values are each delivered exactly once but may arrive out of order (a
-// broadcast group delivers all of its datapoints when the group's fan-out
-// completes). A nil onProgress is allowed. Long-running callers (the
-// graspd job service) use the callback to surface per-job completion
-// percentages while a batch is in flight.
+// group delivers all of its datapoints when its fan-out completes). A nil
+// onProgress is allowed. Long-running callers (the graspd job service) use
+// the callback to surface per-job completion percentages while a batch is
+// in flight.
 //
 // Cancellation is checked before each scheduling unit starts and at chunk
 // boundaries inside recordings and replays, so a cancelled batch unwinds
@@ -510,26 +507,19 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted)
 	})
 	// Build the schedule: one unit per (dataset, reorder, app, layout)
-	// group. A group with several consumers of one execution — two or
-	// more policies, or a policy plus a declared trace (recording once and
-	// replaying the lone policy beats executing the application twice) —
-	// or whose full recording already exists becomes ONE broadcast unit:
-	// the recording (the expensive application execution) followed by a
-	// single decode-once fan-out serving every policy of the group, so an
-	// N-policy group pays one decode instead of N and its replays run
-	// concurrently even inside one worker slot (DESIGN.md Sec. 12). A
-	// trace-only group is the same unit with zero result consumers over
-	// the bounded prefix the OPT study needs; the study cells declared on
-	// the group's trace are computed by the same unit, in one more pass
-	// over the recording it already holds pinned. A lone policy with
-	// nothing to share runs execution-driven. Units carrying a recording are
-	// scheduled first, so the worker pool starts every application
-	// execution as early as possible.
+	// group, each ONE broadcast unit: the recording (the expensive
+	// application execution, skipped when the full recording already
+	// exists) followed by a single decode-once fan-out serving every policy
+	// of the group, so an N-policy group pays one decode instead of N and
+	// its replays run concurrently even inside one worker slot (DESIGN.md
+	// Sec. 12). A trace-only group is the same unit with zero result
+	// consumers over the bounded prefix the OPT study needs; the study cells
+	// declared on the group's trace are computed by the same unit, in one
+	// more pass over the recording it already holds pinned.
 	type unit struct {
 		group    artifactKey
 		pts      []int // indices into uniq, batch order
 		policies int   // result consumers among pts; the rest declare the trace
-		direct   bool
 	}
 	var units []*unit
 	byGroup := make(map[artifactKey]*unit)
@@ -545,10 +535,6 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 			u.policies++
 		}
 	}
-	for _, u := range units {
-		u.direct = len(u.pts) == 1 && u.policies == 1 && !s.art.ready(u.group)
-	}
-	sort.SliceStable(units, func(i, j int) bool { return !units[i].direct && units[j].direct })
 	errs := make([]error, len(uniq))
 	var completed atomic.Int64
 	// runUnit executes one scheduling unit with fault containment: a panic
@@ -569,10 +555,6 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 			}
 		}()
 		if err := trace.ContextErr(ctx); err != nil {
-			return err, nil
-		}
-		if u.direct {
-			_, err := s.result(ctx, u.group, uniq[u.pts[0]].Policy, false)
 			return err, nil
 		}
 		return s.broadcastUnit(ctx, u.group, u.policies == 0, u.pts, uniq)

@@ -11,10 +11,32 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/graph"
+	"grasp/internal/sim"
 	"grasp/internal/stats"
 )
 
 func testSession() *Session { return NewSession(ScaledConfig(16)) }
+
+// simRun is the tests' execution-driven reference: sim.PrepareWorkload +
+// sim.Run through a live hierarchy — no Session, no recording. Every
+// Session result is a replay, so a test that wants to know a result is
+// RIGHT compares against this, never against another Session.
+func simRun(t testing.TB, cfg Config, dsName, reorderName, app string, layout apps.Layout, policy string) sim.Result {
+	t.Helper()
+	ds, err := graph.Resolve(dsName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sim.PrepareWorkload(ds, reorderName, app == "SSSP", cfg.ScaleDiv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run(w, sim.Spec{App: app, Layout: layout, Policy: policy, HCfg: cfg.HCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestScaledConfig(t *testing.T) {
 	c := ScaledConfig(16)

@@ -206,6 +206,67 @@ func TestOPTStudyCancelPublishesNothing(t *testing.T) {
 	}
 }
 
+// doneCountingCtx makes Done a poll too. The Recorder never calls Err — it
+// watches the Done channel it fetched when the recording started — so a
+// cancellation walked through Err alone can only ever land in a replay;
+// counting the two Done calls that open a recording hands the Recorder a
+// channel already closed, and it unwinds at its first in-stream check.
+type doneCountingCtx struct{ *pollCancelCtx }
+
+func (c doneCountingCtx) Done() <-chan struct{} {
+	c.Err()
+	return c.Context.Done()
+}
+
+// TestLoneResultCancelPublishesNothing: a cold ResultCtx records before it
+// replays, so its caller's cancellation can now land inside a recording.
+// Whichever poll of the cold path it lands on, the error carries the
+// context's cause and no result is published; a recording cut short is
+// abandoned — nothing retained — while one that completed before a
+// cancelled replay stays, whole, for the next request. The call that runs
+// to completion equals the execution-driven reference.
+func TestLoneResultCancelPublishesNothing(t *testing.T) {
+	t.Parallel()
+	cfg := ScaledConfig(goldenScaleDiv)
+	cause := errors.New("test: job deleted")
+	var inRecording, inReplay int
+	for n := int64(1); ; n++ {
+		if n > 64 {
+			t.Fatal("cold result still cancelled after 64 polls")
+		}
+		s := NewSession(cfg) // cold every time: the walk covers record AND replay
+		ctx := doneCountingCtx{newPollCancelCtx(n, cause)}
+		got, err := s.ResultCtx(ctx, "kr", "DBG", "PR", apps.LayoutMerged, "GRASP")
+		if err == nil {
+			if ctx.Context.Err() != nil {
+				t.Fatalf("poll %d: context cancelled but the result reported success", n)
+			}
+			want := simRun(t, cfg, "kr", "DBG", "PR", apps.LayoutMerged, "GRASP")
+			if got.AppTime = want.AppTime; got != want {
+				t.Errorf("undisturbed run diverges from sim.Run\nsession: %+v\n sim.Run: %+v", got, want)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+			t.Fatalf("poll %d: err = %v, want the context's error carrying its cause", n, err)
+		}
+		if got := s.art.count(kindResult); got != 0 {
+			t.Fatalf("poll %d: cancelled request published %d results", n, got)
+		}
+		if fullRecordingReady(s, "kr", "PR") {
+			inReplay++
+			continue
+		}
+		inRecording++
+		if e, b := s.art.count(kindRecording), s.TraceBytesRetained(); e != 0 || b != 0 {
+			t.Fatalf("poll %d: cancelled recording left %d entries, %d bytes retained", n, e, b)
+		}
+	}
+	if inRecording == 0 || inReplay == 0 {
+		t.Errorf("cancellation landed %d times in the recording and %d in the replay, want both reached", inRecording, inReplay)
+	}
+}
+
 // runWithRegionScale is the execution-driven reference of the region-size
 // ablation: PR under GRASP with a scaled classification region, driven
 // through a live hierarchy (what the experiment did per cell before it

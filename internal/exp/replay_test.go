@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // TestPrefetchRecordsOncePerGroup: a batch sweeping several policies over
 // one (dataset, reorder, app, layout) group must execute the application
 // once (one cached recording), serve every policy by replay, and agree
-// exactly with a sequential execution-driven session.
+// exactly with the execution-driven reference.
 func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	t.Parallel()
 	schemes := []string{"GRASP", "LRU", "SHiP-MEM", "Leeway"}
@@ -29,92 +30,103 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	if got, want := s.SimRuns(), uint64(len(schemes)+1); got != want {
 		t.Fatalf("SimRuns = %d, want %d (RRIP + each scheme, each once)", got, want)
 	}
-
-	seq := NewSession(ScaledConfig(64))
 	for _, p := range pts {
 		replayed, err := s.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := seq.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		direct := simRun(t, s.Cfg, p.DS, p.Reorder, p.App, p.Layout, p.Policy)
 		replayed.AppTime = direct.AppTime // wall-clock legitimately differs
 		if replayed != direct {
 			t.Fatalf("%s: replayed result diverges\nreplay: %+v\ndirect: %+v", p.Policy, replayed, direct)
 		}
 	}
-	if seq.art.count(kindRecording) != 0 {
-		t.Fatal("sequential per-point session unexpectedly recorded a trace")
-	}
 }
 
-// TestSinglePolicyGroupBypassesRecorder: with only one policy per group
-// and no pre-existing recording, Prefetch must run execution-driven (the
-// recording would cost as much as the run it replaces). A declared trace
-// alone creates only a bounded-prefix recording, which must NOT back
-// result replays; once a FULL recording exists (multi-policy batch),
-// later single-policy requests replay it.
-func TestSinglePolicyGroupBypassesRecorder(t *testing.T) {
+// TestLoneResultRecordsOnceThenReplays: the group's recording is the only
+// source of a full-fidelity result, so a lone policy — one Prefetch point
+// or one ResultCtx call, with nothing to share the execution with — leaves
+// exactly one FULL recording behind, and the group's next policies replay
+// it instead of executing the application again. A declared trace alone
+// creates only a bounded-prefix recording, which must NOT back a result.
+// Every result equals the execution-driven reference.
+func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	t.Parallel()
-	s := NewSession(ScaledConfig(64))
-	if err := s.Prefetch([]Datapoint{
-		{DS: "lj", Reorder: "DBG", App: "PR", Layout: apps.LayoutMerged, Policy: "RRIP"},
-	}); err != nil {
-		t.Fatal(err)
+	cfg := ScaledConfig(64)
+	point := func(ds, policy string) Datapoint {
+		return Datapoint{DS: ds, Reorder: "DBG", App: "PR", Layout: apps.LayoutMerged, Policy: policy}
 	}
-	if n := s.art.count(kindRecording); n != 0 {
-		t.Fatalf("single-policy prefetch recorded %d traces, want 0 (bypass)", n)
+	wantRecordings := func(s *Session, n int, after string) {
+		t.Helper()
+		if got := s.art.count(kindRecording); got != n {
+			t.Fatalf("%d recordings cached after %s, want %d", got, after, n)
+		}
 	}
-	// A declared trace point on a trace-only group creates a capped
-	// recording; the full recording does not exist, so a lone policy still
-	// runs execution-driven (a bounded prefix cannot back a full result).
-	if err := s.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.art.count(kindRecording); n != 1 {
-		t.Fatalf("trace point cached %d recordings, want 1 (capped)", n)
-	}
-	if fullRecordingReady(s, "lj", "PR") {
-		t.Fatal("capped recording must not satisfy traceReady")
-	}
-	// A declared trace plus a lone policy in ONE batch shares a single
-	// full recording (the trace counts as a consumer of the execution).
-	s2 := NewSession(ScaledConfig(64))
-	if err := s2.Prefetch([]Datapoint{
-		{DS: "kr", App: "PR", Trace: true},
-		{DS: "kr", Reorder: "DBG", App: "PR", Layout: apps.LayoutMerged, Policy: "RRIP"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := s2.art.count(kindRecording); n != 1 {
-		t.Fatalf("trace+policy batch cached %d recordings, want 1 (full, shared)", n)
-	}
-	if !fullRecordingReady(s2, "kr", "PR") {
-		t.Fatal("trace+policy batch should have produced the FULL recording")
+	checkAgainstRun := func(s *Session, ds, policy string) {
+		t.Helper()
+		got, err := s.Result(ds, "DBG", "PR", apps.LayoutMerged, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := simRun(t, cfg, ds, "DBG", "PR", apps.LayoutMerged, policy)
+		if got.AppTime = want.AppTime; got != want {
+			t.Fatalf("%s/%s diverges from sim.Run\nsession: %+v\n sim.Run: %+v", ds, policy, got, want)
+		}
 	}
 
-	// A multi-policy batch creates the full recording ...
-	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})); err != nil {
+	s := NewSession(cfg)
+	if err := s.Prefetch([]Datapoint{point("lj", "RRIP")}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.art.count(kindRecording); n != 2 {
-		t.Fatalf("have %d recordings, want 2 (capped + full)", n)
+	wantRecordings(s, 1, "a lone Prefetch point")
+	if !fullRecordingReady(s, "lj", "PR") {
+		t.Fatal("a lone Prefetch point did not leave the FULL recording")
 	}
-	// ... and a later lone policy on that group replays instead of
-	// re-executing; its result must match a fresh direct session exactly.
-	r, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "SHiP-MEM")
-	if err != nil {
+	if _, err := s.ResultCtx(context.Background(), "kr", "DBG", "PR", apps.LayoutMerged, "RRIP"); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := NewSession(ScaledConfig(64)).Result("lj", "DBG", "PR", apps.LayoutMerged, "SHiP-MEM")
-	if err != nil {
+	wantRecordings(s, 2, "a lone ResultCtx on a second group")
+	if !fullRecordingReady(s, "kr", "PR") {
+		t.Fatal("a lone ResultCtx did not leave the FULL recording")
+	}
+	// A second and a third policy, by either door, replay what is there.
+	if _, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil {
 		t.Fatal(err)
 	}
-	r.AppTime = direct.AppTime
-	if r != direct {
-		t.Fatalf("replay-on-cached-trace diverges\nreplay: %+v\ndirect: %+v", r, direct)
+	if err := s.Prefetch([]Datapoint{point("lj", "SHiP-MEM")}); err != nil {
+		t.Fatal(err)
+	}
+	wantRecordings(s, 2, "two more policies on a recorded group")
+	for _, p := range []Datapoint{point("lj", "RRIP"), point("kr", "RRIP"), point("lj", "GRASP"), point("lj", "SHiP-MEM")} {
+		checkAgainstRun(s, p.DS, p.Policy)
+	}
+	if got := s.SimRuns(); got != 4 {
+		t.Fatalf("SimRuns = %d, want 4 (each datapoint simulated once, reads are hits)", got)
+	}
+
+	// A declared trace point on a trace-only group creates a capped
+	// recording: a bounded prefix cannot back a full result, so the lone
+	// policy that follows records the full stream beside it.
+	s2 := NewSession(cfg)
+	if err := s2.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true}}); err != nil {
+		t.Fatal(err)
+	}
+	wantRecordings(s2, 1, "a trace point (capped)")
+	if fullRecordingReady(s2, "lj", "PR") {
+		t.Fatal("capped recording must not pass for the full one")
+	}
+	checkAgainstRun(s2, "lj", "LRU")
+	wantRecordings(s2, 2, "a lone policy beside a capped recording (capped + full)")
+
+	// A declared trace plus a lone policy in ONE batch shares a single
+	// full recording (the trace is one more consumer of the execution).
+	s3 := NewSession(cfg)
+	if err := s3.Prefetch([]Datapoint{{DS: "kr", App: "PR", Trace: true}, point("kr", "RRIP")}); err != nil {
+		t.Fatal(err)
+	}
+	wantRecordings(s3, 1, "a trace+policy batch (full, shared)")
+	if !fullRecordingReady(s3, "kr", "PR") {
+		t.Fatal("trace+policy batch should have produced the FULL recording")
 	}
 }
 

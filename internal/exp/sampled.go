@@ -40,9 +40,9 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 	k := g.of(kindSampled, policy)
 	k.n = sampleK
 	spec := sim.Spec{App: app, Layout: layout, Policy: policy, HCfg: s.Cfg.HCfg}
-	return derive(ctx, s, k, []artifactKey{g}, &s.phase.sampled, &s.sampledRun,
-		func(w *sim.Workload, recs []recording) (sim.SampledResult, error) {
-			r, _, err := sim.SampledReplayResultSkipCtx(ctx, recs[0].tr, spec, w.Dataset.Name, recs[0].bounds, sampleK)
+	return derive(ctx, s, k, g, &s.phase.sampled, &s.sampledRun,
+		func(w *sim.Workload, rec recording) (sim.SampledResult, error) {
+			r, _, err := sim.SampledReplayResultSkipCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds, sampleK)
 			return r, err
 		})
 }

@@ -91,42 +91,51 @@ func TestStorePutFailureDegrades(t *testing.T) {
 }
 
 // TestSpillFailureFailsOnlyJob: disk-full on the trace spill path fails
-// the recording job, and only it — the same spec succeeds once the disk
-// recovers, because the failed recording was not cached.
+// the recording job, and only it — nothing is stored under its hash, and
+// the same spec succeeds once the disk recovers, because the failed
+// recording was not cached. Every full-fidelity result is the replay of a
+// recording, so a cold kind:single job spills (and fails) exactly like a
+// multi-policy experiment.
 func TestSpillFailureFailsOnlyJob(t *testing.T) {
-	defer fail.Reset()
-	defer trace.SetMemoryBudget(trace.DefaultMemoryBudget)
-	m := newTestManager(t, 1)
+	for name, spec := range map[string]Spec{
+		"experiment": {Kind: KindExperiment, Exp: "fig9", Scale: 256},
+		"single":     tinySpec(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer fail.Reset()
+			defer trace.SetMemoryBudget(trace.DefaultMemoryBudget)
+			m := newTestManager(t, 1)
 
-	trace.SetMemoryBudget(-1) // force every sealed chunk to disk
-	fail.Arm("trace.spill.write", nil)
-	// fig9 has multi-policy groups, so it runs through the record-once
-	// broadcast path — the one that spills (fig2 is single-policy per
-	// group and runs execution-driven without recording).
-	spec := Spec{Kind: KindExperiment, Exp: "fig9", Scale: 256}
-	j, _, err := m.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, j, time.Minute)
-	if st.State != StateFailed || !strings.Contains(st.Error, "spill") {
-		t.Fatalf("spill-failure job: state %s error %q, want failed with spill error", st.State, st.Error)
-	}
-	if fail.Hits("trace.spill.write") == 0 {
-		t.Fatal("spill failpoint never fired; the test exercised nothing")
-	}
+			trace.SetMemoryBudget(-1) // force every sealed chunk to disk
+			fail.Arm("trace.spill.write", nil)
+			j, _, err := m.Submit(spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitDone(t, j, time.Minute)
+			if st.State != StateFailed || !strings.Contains(st.Error, "spill") {
+				t.Fatalf("spill-failure job: state %s error %q, want failed with spill error", st.State, st.Error)
+			}
+			if fail.Hits("trace.spill.write") == 0 {
+				t.Fatal("spill failpoint never fired; the test exercised nothing")
+			}
+			if m.Result(j.Hash) != nil {
+				t.Fatal("failed job left an outcome under its hash")
+			}
 
-	fail.Reset()
-	trace.SetMemoryBudget(trace.DefaultMemoryBudget)
-	j2, disp, err := m.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disp != Queued {
-		t.Fatalf("resubmit after spill failure: disposition %v, want queued (nothing cached)", disp)
-	}
-	if st := waitDone(t, j2, 2*time.Minute); st.State != StateDone {
-		t.Fatalf("resubmit after disk recovered failed: %s", st.Error)
+			fail.Reset()
+			trace.SetMemoryBudget(trace.DefaultMemoryBudget)
+			j2, disp, err := m.Submit(spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if disp != Queued {
+				t.Fatalf("resubmit after spill failure: disposition %v, want queued (nothing cached)", disp)
+			}
+			if st := waitDone(t, j2, 2*time.Minute); st.State != StateDone {
+				t.Fatalf("resubmit after disk recovered failed: %s", st.Error)
+			}
+		})
 	}
 }
 

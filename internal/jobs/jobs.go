@@ -826,8 +826,9 @@ type Metrics struct {
 	Queued, Running int
 	// StoredOutcomes is the size of the persistent result store.
 	StoredOutcomes int
-	// SimRuns is the number of distinct sim.Run invocations across all
-	// sessions (the engine-level dedup observability counter).
+	// SimRuns is the number of distinct result datapoints simulated across
+	// all sessions — each one replay of its group's recording (the
+	// engine-level dedup observability counter).
 	SimRuns uint64
 	// SampledRuns counts distinct set-sampled fast-tier estimates computed
 	// across all sessions (DESIGN.md Sec. 14).

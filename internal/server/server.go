@@ -346,7 +346,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("jobs_store_corrupt_total", "Result files quarantined after failing checksum verification.", m.StoreCorrupt)
 	counter("jobs_journal_errors_total", "Failed journal appends.", m.JournalErrors)
 	counter("rate_limited_total", "Submissions rejected by the per-client rate limit.", s.rateLimited.Load())
-	counter("sim_runs_total", "Distinct sim.Run invocations across all sessions.", m.SimRuns)
+	counter("sim_runs_total", "Distinct result datapoints simulated (recording replays) across all sessions.", m.SimRuns)
 	counter("sampled_runs_total", "Distinct set-sampled fast-tier estimates across all sessions.", m.SampledRuns)
 	counter("corun_runs_total", "Distinct shared-LLC co-run replays across all sessions.", m.CorunRuns)
 	counter("broadcast_groups_total", "Recording groups served via decode-once broadcast replay.", m.BroadcastGroups)

@@ -164,7 +164,8 @@ const cancelPollInterval = 1 << 16
 // cancelSink interposes a context poll in front of another sink. It only
 // exists on cancellable runs: wrapping the hierarchy forfeits the
 // tracer's monomorphized *cache.Hierarchy fast path, which background-
-// context callers (goldens, benches, local graspsim) must keep, so RunCtx
+// context callers (local graspsim, the examples, the equivalence suites'
+// reference runs) must keep, so RunCtx
 // installs it solely when ctx can actually be cancelled.
 type cancelSink struct {
 	sink mem.Sink
