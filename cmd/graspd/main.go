@@ -29,9 +29,10 @@
 // Several daemons form a fault-tolerant cluster with -node-id and -peers
 // (DESIGN.md Sec. 16): every job hash is owned by one node on a
 // consistent-hash ring, submissions forward to the owner (failing over to
-// its successor when the owner is down), completed results replicate to
-// the successor, and GET /results federates misses from replica holders
-// with checksum-verified fetches. Every node gets the SAME -peers list:
+// its successor when the owner is down), a cold single job is simulated on
+// the node that owns its workload, completed results replicate to the
+// successor, and GET /results federates misses from replica holders with
+// checksum-verified fetches. Every node gets the SAME -peers list:
 //
 //	graspd -node-id a -peers a=http://host-a:8337,b=http://host-b:8337,c=http://host-c:8337
 //

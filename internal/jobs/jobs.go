@@ -198,6 +198,16 @@ type Manager struct {
 	// must not block (the server's replicator goes async immediately).
 	onStored atomic.Pointer[func(hash string)]
 
+	// placer, when set, is asked where a cold KindSingle job simulates (see
+	// SetPlacer); unset — single-node mode — execute is simulate.
+	placer atomic.Pointer[func(ctx context.Context, key string, spec Spec, hash string) (*Outcome, bool, error)]
+	// placeSem admits `workers` placed runs (ExecutePlaced) at a time, beside
+	// the pool and never through it: a worker blocked on a peer's answer
+	// cannot starve the run that peer is waiting on here. placeWaiting counts
+	// the runs queued on it, bounded by queueLimit.
+	placeSem     chan struct{}
+	placeWaiting atomic.Int64
+
 	mu             sync.Mutex
 	sessions       map[uint32]*exp.Session // one simulation session per scale divisor
 	sessionBudget  int64                   // FileBytesBudget for future sessions; 0 = exp default
@@ -236,6 +246,7 @@ func NewManager(store *Store, workers int) *Manager {
 		store:    store,
 		workers:  workers,
 		q:        newQueue(),
+		placeSem: make(chan struct{}, workers),
 		sessions: make(map[uint32]*exp.Session),
 		byID:     make(map[string]*Job),
 		byHash:   make(map[string]*Job),
@@ -444,6 +455,17 @@ func (m *Manager) SetOnStored(hook func(hash string)) {
 	m.onStored.Store(&hook)
 }
 
+// SetPlacer installs the cluster layer's placement hook: a worker about to
+// simulate a cold KindSingle job first hands the hook the job's workload
+// key (Spec.PlacementKey), spec and hash. placed=false means "simulate
+// here"; placed=true means a peer ran the simulation and (o, err) is its
+// answer — o bare, as ExecutePlaced returns it; runJob stamps, stores and
+// settles it exactly as a local result. The hook runs on the worker, inside
+// the job's context and panic barrier. Set it before serving traffic.
+func (m *Manager) SetPlacer(place func(ctx context.Context, key string, spec Spec, hash string) (o *Outcome, placed bool, err error)) {
+	m.placer.Store(&place)
+}
+
 // Store exposes the manager's result store: the cluster layer serves and
 // fills raw, checksummed outcome bytes through it.
 func (m *Manager) Store() *Store { return m.store }
@@ -523,16 +545,21 @@ func (m *Manager) worker() {
 	}
 }
 
+// preemptParent is the context every simulation on this manager descends
+// from: the preempt context, or Background in hand-built test managers.
+func (m *Manager) preemptParent() context.Context {
+	if m.preemptCtx == nil {
+		return context.Background()
+	}
+	return m.preemptCtx
+}
+
 // jobContext derives the cancellation context one job runs under: child
 // of the manager's preempt context (so Shutdown can pull every running
 // job out), cancellable per job (Cancel), and deadlined when the spec or
 // the manager carries a timeout.
 func (m *Manager) jobContext(j *Job) (context.Context, context.CancelCauseFunc) {
-	parent := m.preemptCtx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancelCause(parent)
+	ctx, cancel := context.WithCancelCause(m.preemptParent())
 	m.mu.Lock()
 	d := m.defaultTimeout
 	m.mu.Unlock()
@@ -587,7 +614,7 @@ func (m *Manager) runJob(j *Job) {
 
 	m.executed.Add(1)
 	start := time.Now()
-	outcome, err := m.executeRecovered(ctx, j)
+	outcome, err := m.executeRecovered(ctx, j, m.execute)
 	if err != nil {
 		m.settle(j, nil, translateRunError(ctx, err))
 		return
@@ -661,12 +688,13 @@ func (m *Manager) settle(j *Job, o *Outcome, err error) {
 	close(j.done)
 }
 
-// executeRecovered wraps execute in the manager's fault barrier: a panic
-// anywhere under the job — a policy bug, a corrupted graph file, an
-// injected fault — becomes that job's failure (stack attached) instead of
-// killing the daemon and every other job with it. The "jobs.execute"
-// failpoint lets the chaos suite drive both the error and the panic path.
-func (m *Manager) executeRecovered(ctx context.Context, j *Job) (o *Outcome, err error) {
+// executeRecovered wraps run (execute for a job, simulate for a placed run)
+// in the manager's fault barrier: a panic anywhere under the job — a policy
+// bug, a corrupted graph file, an injected fault — becomes that job's
+// failure (stack attached) instead of killing the daemon and every other
+// job with it. The "jobs.execute" failpoint lets the chaos suite drive both
+// the error and the panic path.
+func (m *Manager) executeRecovered(ctx context.Context, j *Job, run func(context.Context, *Job) (*Outcome, error)) (o *Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if aerr, ok := trace.AbortError(p); ok {
@@ -682,12 +710,85 @@ func (m *Manager) executeRecovered(ctx context.Context, j *Job) (o *Outcome, err
 	if ferr := fail.Hit("jobs.execute"); ferr != nil {
 		return nil, ferr
 	}
-	return m.execute(ctx, j)
+	return run(ctx, j)
 }
 
-// execute runs the simulation work for one job on the session engine,
-// honoring ctx at datapoint and trace-chunk boundaries.
+// execute produces one job's outcome: by simulating here, or — when the
+// cluster layer installed a placer and it names a live peer as the owner of
+// the job's workload — by that peer simulating it (DESIGN.md Sec. 16,
+// Placement). Experiments are never placed.
 func (m *Manager) execute(ctx context.Context, j *Job) (*Outcome, error) {
+	if place := m.placer.Load(); place != nil && j.Spec.Kind == KindSingle {
+		if o, placed, err := (*place)(ctx, j.Spec.placementKey(j.graphID), j.Spec, j.Hash); placed {
+			return o, err
+		}
+	}
+	return m.simulate(ctx, j)
+}
+
+// ExecutePlaced simulates one spec for the peer that owns its hash — the
+// serving half of cluster placement. The run is not a job here: no queue
+// slot, journal record, store write or counter; it never consults the
+// placer (so placement is one hop by construction) and returns the bare
+// outcome for the owner to stamp and store. It keeps a job's guards: the
+// panic barrier, the preempt context (ErrDraining at the drain deadline;
+// refused outright once draining), ctx — the owner's cancel and deadline
+// arrive through it — and the post-run graph-identity check, against the
+// identity that hashes to the hash the owner asked for. At most `workers`
+// placed runs simulate at once; more wait, up to the queue limit, beyond
+// which the run is refused with ErrOverloaded.
+func (m *Manager) ExecutePlaced(ctx context.Context, spec Spec, hash string) (*Outcome, error) {
+	if err := spec.Canonicalize(); err != nil {
+		return nil, err
+	}
+	gid, got, err := spec.identityAndHash()
+	if err != nil {
+		return nil, err
+	}
+	if got != hash {
+		return nil, fmt.Errorf("jobs: spec hashes to %.12s on this node, not the %.12s it was placed under", got, hash)
+	}
+	m.mu.Lock()
+	switch {
+	case m.draining:
+		m.mu.Unlock()
+		return nil, ErrDraining
+	case m.queueLimit > 0 && int(m.placeWaiting.Load()) >= m.queueLimit:
+		m.mu.Unlock()
+		return nil, ErrOverloaded
+	}
+	m.placeWaiting.Add(1)
+	m.wg.Add(1) // under mu, so Shutdown's Wait sees every admitted run
+	m.mu.Unlock()
+	defer m.wg.Done()
+
+	rctx, cancel := context.WithCancelCause(m.preemptParent())
+	defer cancel(nil)
+	stop := context.AfterFunc(ctx, func() { cancel(context.Cause(ctx)) })
+	defer stop()
+	select {
+	case m.placeSem <- struct{}{}:
+		m.placeWaiting.Add(-1)
+	case <-rctx.Done():
+		m.placeWaiting.Add(-1)
+		return nil, context.Cause(rctx)
+	}
+	defer func() { <-m.placeSem }()
+
+	j := &Job{Hash: hash, Spec: spec, graphID: gid}
+	o, err := m.executeRecovered(rctx, j, m.simulate)
+	if err != nil {
+		return nil, translateRunError(rctx, err)
+	}
+	if err := j.verifyGraphIdentity(); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// simulate runs the simulation work for one job on the session engine,
+// honoring ctx at datapoint and trace-chunk boundaries.
+func (m *Manager) simulate(ctx context.Context, j *Job) (*Outcome, error) {
 	s := m.sessionFor(j.Spec.Scale)
 	switch j.Spec.Kind {
 	case KindSingle:
@@ -751,7 +852,9 @@ const shutdownGrace = 30 * time.Second
 // ErrDraining) and given a bounded grace period to unwind through their
 // next cancellation point and settle; only if even that expires are they
 // abandoned to process exit. Journaled jobs failed by the drain keep
-// their pending records, so a rebooted daemon re-enqueues them.
+// their pending records, so a rebooted daemon re-enqueues them. Placed
+// runs (ExecutePlaced) drain with the jobs: new ones are refused from the
+// first moment, admitted ones are waited for and preempted the same way.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.draining {

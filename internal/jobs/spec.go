@@ -301,6 +301,32 @@ func (s Spec) identityAndHash() (gid, hash string, err error) {
 	return gid, hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// PlacementKey names the workload a KindSingle spec simulates on — the
+// graph's content identity, the scale, the reordering and whether the
+// application wants edge weights: exp.Session's workload artifact plus the
+// scale that selects the session. In cluster mode it is the ring key that
+// decides WHERE a cold job simulates (its hash still decides where it is
+// queued and stored): every policy, application of the same weightedness,
+// fidelity and sampling divisor over one workload shares a key, so one node
+// loads, reorders and records for all of them. The string is a deployed
+// cluster's cache affinity; TestPlacementKeyPinned holds it still. The
+// spec must have been canonicalized.
+func (s Spec) PlacementKey() (string, error) {
+	gid, err := graphIdentity(s.Graph)
+	if err != nil {
+		return "", err
+	}
+	return s.placementKey(gid), nil
+}
+
+// placementKey renders PlacementKey over an already derived graph identity
+// (the manager passes the one the job's hash digested). The prefix is not
+// hex on purpose: cluster.keyPos re-hashes it instead of reading a ring
+// position off its first digits.
+func (s Spec) placementKey(gid string) string {
+	return fmt.Sprintf("workload:%s;scale=%d;reorder=%s;weighted=%t", gid, s.Scale, s.Reorder, s.App == "SSSP")
+}
+
 // verifyGraphIdentity re-derives the content identity of a file-backed
 // graph after execution: the hash pinned the file's bytes at submit time,
 // but the simulation read the file at run time, so an edit while the job

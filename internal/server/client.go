@@ -331,11 +331,8 @@ func decodeResponse(resp *http.Response, out any) error {
 		return err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("graspd: %s (HTTP %d)", e.Error, resp.StatusCode)
+		if msg := errorMessage(data); msg != "" {
+			return fmt.Errorf("graspd: %s (HTTP %d)", msg, resp.StatusCode)
 		}
 		return fmt.Errorf("graspd: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}

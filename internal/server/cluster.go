@@ -4,7 +4,8 @@ package server
 // routing state. The division of labor is deliberate — internal/cluster
 // knows WHO owns a hash and which peers are alive; this file knows HOW to
 // act on that: forward a submission to the owner (failing over down the
-// candidate list), replicate a freshly stored result to its successor,
+// candidate list), hand a cold single job's simulation to the node its
+// workload lives on, replicate a freshly stored result to its successor,
 // and federate a result read from replica holders with hedged,
 // checksum-verified fetches. Everything here is a no-op when the daemon
 // runs without -peers: enableCluster is never called, s.cl stays nil, and
@@ -26,6 +27,7 @@ import (
 
 	"grasp/internal/cluster"
 	"grasp/internal/fail"
+	"grasp/internal/jobs"
 )
 
 const (
@@ -64,6 +66,8 @@ func (s *Server) enableCluster(cl *cluster.Cluster, hedge time.Duration) {
 	s.mux.HandleFunc("GET /cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /internal/results/{hash}", s.handleRawResult)
 	s.mux.HandleFunc("POST /internal/replicate", s.handleReplicate)
+	s.mux.HandleFunc("POST /internal/execute", s.handleExecute)
+	s.mgr.SetPlacer(s.place)
 	// Every outcome this node persists is offered to the other holders of
 	// its hash. The hook fires on the worker goroutine, so go async
 	// immediately; replWG lets tests drain the fan-out.
@@ -172,6 +176,157 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, req *Subm
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
+}
+
+// executeRequest is the body of POST /internal/execute: the canonicalized
+// spec of a cold single job and the content address its owner queued it
+// under.
+type executeRequest struct {
+	// Spec is the job's canonicalized spec.
+	Spec jobs.Spec `json:"spec"`
+	// Hash is the address the owner will store the outcome under; the
+	// serving node simulates only if the spec hashes to it there too.
+	Hash string `json:"hash"`
+}
+
+// place is the manager's placement hook (jobs.Manager.SetPlacer): the job
+// stays on the owner of its hash — queued, journaled, stored and replicated
+// there — and only its simulation goes to the first live owner of its
+// workload key, so one node loads, reorders and records a workload for the
+// whole cluster. placed=false sends the worker on to simulate locally:
+// because this node is that owner, or because the peer could not be asked
+// (transport error, 5xx, 409, body failing its checksum) — content
+// addressing makes the local run produce the identical outcome. A 4xx is
+// the simulation's own error and fails the job once, as a local one would.
+func (s *Server) place(ctx context.Context, key string, spec jobs.Spec, hash string) (*jobs.Outcome, bool, error) {
+	cands := s.cl.Candidates(key, s.cl.ReplicationFactor())
+	if len(cands) == 0 || cands[0].ID == s.cl.Self().ID {
+		return nil, false, nil
+	}
+	p := cands[0]
+	o, simErr, err := s.executeOn(ctx, p, spec, hash)
+	switch {
+	case err == nil:
+		s.placed.Add(1)
+		return o, true, simErr
+	case ctx.Err() != nil:
+		// The job was cancelled, timed out or drained mid-call: that is its
+		// outcome, not the peer's fault and not a reason to start over.
+		return nil, true, context.Cause(ctx)
+	}
+	s.placeFallbacks.Add(1)
+	log.Printf("server: job %s: placing on %s failed, simulating locally: %v", hash[:12], p.ID, err)
+	return nil, false, nil
+}
+
+// executeOn asks one peer to simulate a spec. err means the peer gave no
+// usable answer (the caller falls back); otherwise exactly one of the
+// outcome and simErr — the peer's own simulation error — is set.
+func (s *Server) executeOn(ctx context.Context, p cluster.Peer, spec jobs.Spec, hash string) (o *jobs.Outcome, simErr, err error) {
+	if err = fail.Hit("cluster.place"); err == nil {
+		err = fail.Hit("cluster.place." + p.ID)
+	}
+	if err != nil {
+		s.cl.ReportFailure(p.ID)
+		return nil, nil, err
+	}
+	body, err := json.Marshal(executeRequest{Spec: spec, Hash: hash})
+	if err != nil {
+		return nil, nil, err
+	}
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimRight(p.Addr, "/")+"/internal/execute", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	resp, err := s.fwdLong.Do(hr) // blocks exactly as long as the simulation; ctx bounds it
+	if err != nil {
+		if ctx.Err() == nil {
+			s.cl.ReportFailure(p.ID)
+		}
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode >= http.StatusInternalServerError {
+		s.cl.ReportFailure(p.ID)
+		return nil, nil, fmt.Errorf("peer answered %s", resp.Status)
+	}
+	s.cl.ReportSuccess(p.ID)
+	if resp.StatusCode != http.StatusOK {
+		msg := errorMessage(data)
+		if msg == "" {
+			msg = "no error body"
+		}
+		if resp.StatusCode == http.StatusConflict {
+			return nil, nil, fmt.Errorf("peer answered %s: %s", resp.Status, msg)
+		}
+		return nil, errors.New(msg), nil
+	}
+	if sha256Hex(data) != resp.Header.Get(resultSumHeader) {
+		// Also what a body cut off at the size cap looks like.
+		return nil, nil, fmt.Errorf("body does not hash to the peer's %s header", resultSumHeader)
+	}
+	o = new(jobs.Outcome)
+	if err := json.Unmarshal(data, o); err != nil {
+		return nil, nil, err
+	}
+	return o, nil, nil
+}
+
+// handleExecute implements POST /internal/execute: simulate one spec for
+// the peer that owns its hash and answer the bare outcome with its
+// checksum. It never forwards, places, stores or journals — peers call it,
+// so it running only on the local session is what makes placement one hop
+// by construction, the same shape as the raw-result endpoint. 409 says this
+// node cannot reproduce the address (a hashVersion skew mid-upgrade, or a
+// graph file whose bytes differ here) and nothing was simulated; 503 that
+// it is draining or has a full backlog; both send the caller back to
+// simulate locally. Any other failure is the simulation's own.
+func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
+	if err := fail.Hit("cluster.execute." + s.cl.Self().ID); err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	var req executeRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		return
+	}
+	// No DisallowUnknownFields: a spec field this build does not know moves
+	// the hash it computes, and the comparison below refuses it.
+	err := req.Spec.Canonicalize()
+	var here string
+	if err == nil {
+		here, err = req.Spec.Hash()
+	}
+	if err == nil && here != req.Hash {
+		err = fmt.Errorf("spec hashes to %q on %s", here, s.cl.Self().ID)
+	}
+	if err != nil {
+		httpError(w, http.StatusConflict, fmt.Errorf("cannot reproduce %q: %w", req.Hash, err))
+		return
+	}
+	o, err := s.mgr.ExecutePlaced(r.Context(), req.Spec, req.Hash)
+	if errors.Is(err, jobs.ErrDraining) || errors.Is(err, jobs.ErrOverloaded) {
+		s.retryableError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	s.placedServed.Add(1)
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	data, err := json.Marshal(o)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeRawResult(w, data, sha256Hex(data))
 }
 
 // handleCluster implements GET /cluster: the membership snapshot, plus —
@@ -466,6 +621,9 @@ func (s *Server) writeClusterMetrics(w io.Writer, counter func(name, help string
 	counter("cluster_result_fetch_errors_total", "Peer result fetches that failed or failed verification.", s.fetchErrors.Load())
 	counter("cluster_hedged_reads_total", "Federated reads that fired a hedge request past the latency budget.", s.hedged.Load())
 	counter("cluster_cache_fills_total", "Federated results persisted locally by read repair.", s.cacheFills.Load())
+	counter("cluster_placed_total", "Cold single jobs whose simulation this node handed to the owner of their workload.", s.placed.Load())
+	counter("cluster_placed_served_total", "Simulations run here for a peer that owns the job's hash.", s.placedServed.Load())
+	counter("cluster_place_fallbacks_total", "Placements that fell back to simulating locally.", s.placeFallbacks.Load())
 	fmt.Fprintf(w, "# HELP graspd_cluster_peer_up Peer health as probed locally (1 up, 0.5 suspect, 0 down).\n")
 	fmt.Fprintf(w, "# TYPE graspd_cluster_peer_up gauge\n")
 	for _, st := range s.cl.Snapshot() {

@@ -7,19 +7,26 @@ package server
 // deployment's static config. These tests run under -race in CI.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"grasp/internal/cluster"
 	"grasp/internal/fail"
+	"grasp/internal/graph"
 	"grasp/internal/jobs"
+	"grasp/internal/sim"
 )
 
 type clusterNode struct {
@@ -37,6 +44,13 @@ type testCluster struct {
 // bootCluster starts an n-node cluster with fast probes and a short
 // hedge delay.
 func bootCluster(t *testing.T, n int) *testCluster {
+	t.Helper()
+	return bootClusterWith(t, n, nil)
+}
+
+// bootClusterWith is bootCluster with wrap, when non-nil, interposed on
+// every node's handler — how a test observes node-to-node requests.
+func bootClusterWith(t *testing.T, n int, wrap func(id string, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
 	peers := make([]cluster.Peer, n)
@@ -66,6 +80,9 @@ func bootCluster(t *testing.T, n int) *testCluster {
 		}
 		srv := NewWith(mgr, Options{Cluster: cl, HedgeDelay: 25 * time.Millisecond})
 		tss[i].Config.Handler = srv
+		if wrap != nil {
+			tss[i].Config.Handler = wrap(peers[i].ID, srv)
+		}
 		tss[i].Start()
 		tc.nodes = append(tc.nodes, &clusterNode{
 			id: peers[i].ID, ts: tss[i], srv: srv, mgr: mgr, cli: NewClient(tss[i].URL),
@@ -416,4 +433,421 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	if body.Owner != "n2" || len(body.Replicas) != 2 {
 		t.Errorf("owner=%s replicas=%v, want n2 with 2 replicas", body.Owner, body.Replicas)
 	}
+}
+
+// sims is how many datapoints a node's own sessions have simulated, full
+// or sampled — non-zero only where a simulation actually ran.
+func sims(nd *clusterNode) uint64 {
+	m := nd.mgr.Metrics()
+	return m.SimRuns + m.SampledRuns
+}
+
+// placedSpec varies base's policy until the spec's hash is owned by one
+// node and its workload by another, so running it on the owner places the
+// simulation on simNode.
+func (tc *testCluster) placedSpec(t *testing.T, base jobs.Spec) (spec jobs.Spec, hash string, owner, simNode *clusterNode) {
+	t.Helper()
+	cl := tc.nodes[0].srv.Cluster()
+	for _, p := range sim.Policies() {
+		spec = base
+		spec.Policy = p.Name
+		if err := spec.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+		hash, err := spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := spec.PlacementKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, w := cl.Owners(hash, 1)[0].ID, cl.Owners(key, 1)[0].ID; o != w {
+			return spec, hash, tc.node(o), tc.node(w)
+		}
+	}
+	t.Fatal("every policy's hash is owned by the workload's owner")
+	return
+}
+
+// holders counts the nodes holding a stored copy of hash.
+func (tc *testCluster) holders(hash string) (n int) {
+	for _, nd := range tc.nodes {
+		nd.srv.DrainReplication()
+	}
+	for _, nd := range tc.nodes {
+		if _, _, ok := nd.mgr.Store().GetRaw(hash); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// comparableOutcome renders an outcome without the fields that differ from
+// run to run (Elapsed, Finished, the recording's AppTime).
+func comparableOutcome(t *testing.T, o *jobs.Outcome) string {
+	t.Helper()
+	c := *o
+	c.Elapsed, c.Finished = 0, time.Time{}
+	if c.Single != nil {
+		r := *c.Single
+		r.AppTime = 0
+		c.Single = &r
+	}
+	if c.Sampled != nil {
+		r := *c.Sampled
+		r.AppTime = 0
+		c.Sampled = &r
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// postExecute sends one raw POST /internal/execute.
+func postExecute(t *testing.T, nd *clusterNode, spec jobs.Spec, hash string) *http.Response {
+	t.Helper()
+	body, err := json.Marshal(executeRequest{Spec: spec, Hash: hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nd.ts.URL+"/internal/execute", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// tinyWorkload is a spec of the smallest workload the harness simulates.
+var tinyWorkload = jobs.Spec{Kind: jobs.KindSingle, Graph: "uni", Scale: 256}
+
+// TestClusterPlacement is the placement table (DESIGN.md Sec. 16): a cold
+// single job stays on the owner of its hash and its simulation runs on the
+// owner of its workload — once per workload, with a local fallback that
+// content addressing makes safe, and with every guard a local run has.
+func TestClusterPlacement(t *testing.T) {
+	t.Run("once per workload", func(t *testing.T) {
+		tc := bootCluster(t, 3)
+		cl := tc.nodes[0].srv.Cluster()
+		var specs []jobs.Spec
+		for _, app := range []string{"PR", "BFS"} {
+			for _, fidelity := range []string{jobs.FidelityFull, jobs.FidelitySampled} {
+				for _, policy := range []string{"GRASP", "LRU"} {
+					s := tinyWorkload
+					s.App, s.Fidelity, s.Policy = app, fidelity, policy
+					specs = append(specs, s)
+				}
+			}
+		}
+		refStore, err := jobs.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := jobs.NewManager(refStore, 1) // a single node: nothing placed
+		defer ref.Shutdown(context.Background())
+
+		// All at once, through all three nodes: one placed-run slot per node,
+		// so simulations queue on the workload's owner.
+		outs := make([]*jobs.Outcome, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i], errs[i] = tc.nodes[i%3].cli.RunSync(spec, 0)
+			}()
+		}
+		wg.Wait()
+		for _, nd := range tc.nodes {
+			nd.srv.DrainReplication()
+		}
+		var key string
+		for i, spec := range specs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			got := outs[i]
+			j, _, err := ref.Submit(spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if j.Outcome() == nil {
+				t.Fatalf("reference run failed: %s", j.Status().Error)
+			}
+			if g, w := comparableOutcome(t, got), comparableOutcome(t, j.Outcome()); g != w {
+				t.Errorf("%s/%s/%s: cluster served %s\nsingle node  %s", spec.App, spec.Fidelity, spec.Policy, g, w)
+			}
+			for _, p := range cl.Owners(got.Hash, cl.ReplicationFactor()) {
+				if _, _, ok := tc.node(p.ID).mgr.Store().GetRaw(got.Hash); !ok {
+					t.Errorf("%s holds no copy of %s, a hash it owns", p.ID, got.Hash[:12])
+				}
+			}
+			if key, err = got.Spec.PlacementKey(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		home := cl.Owners(key, 1)[0].ID
+		var executed, placed, served uint64
+		for _, nd := range tc.nodes {
+			m := nd.mgr.Metrics()
+			if simulated := sims(nd) > 0; simulated != (nd.id == home) || simulated != (m.TraceBytesRetained > 0) {
+				t.Errorf("%s: %d simulations, %d trace bytes retained; the workload lives on %s",
+					nd.id, sims(nd), m.TraceBytesRetained, home)
+			}
+			executed += m.Executed
+			placed += nd.srv.placed.Load()
+			served += nd.srv.placedServed.Load()
+			if got := nd.srv.placeFallbacks.Load(); got != 0 {
+				t.Errorf("%s fell back %d times on a healthy cluster", nd.id, got)
+			}
+		}
+		if executed != uint64(len(specs)) {
+			t.Errorf("%d jobs executed cluster-wide for %d specs", executed, len(specs))
+		}
+		if placed != served || placed == 0 {
+			t.Errorf("%d simulations handed over, %d served, want equal and non-zero", placed, served)
+		}
+
+		// A weighted application reads another workload of the same graph,
+		// which may live elsewhere; it must simply complete.
+		sssp := tinyWorkload
+		sssp.App = "SSSP"
+		if _, err := tc.nodes[0].cli.RunSync(sssp, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	for _, point := range []string{"cluster.place.", "cluster.execute."} {
+		t.Run("fallback/"+point, func(t *testing.T) {
+			defer fail.Reset()
+			tc := bootCluster(t, 3)
+			spec, hash, owner, simNode := tc.placedSpec(t, tinyWorkload)
+			fail.Arm(point+simNode.id, nil)
+			if _, err := tc.nodes[0].cli.RunSync(spec, 0); err != nil {
+				t.Fatal(err)
+			}
+			if fail.Hits(point+simNode.id) != 1 {
+				t.Fatalf("%s%s fired %d times, want 1", point, simNode.id, fail.Hits(point+simNode.id))
+			}
+			if got := owner.mgr.Metrics().Executed; got != 1 || sims(owner) != 1 {
+				t.Errorf("hash owner executed %d jobs and simulated %d, want 1 and 1", got, sims(owner))
+			}
+			if f, p := owner.srv.placeFallbacks.Load(), owner.srv.placed.Load(); f != 1 || p != 0 {
+				t.Errorf("owner counted %d fallbacks and %d placements, want 1 and 0", f, p)
+			}
+			if sims(simNode) != 0 || simNode.srv.placedServed.Load() != 0 {
+				t.Errorf("the unreachable node simulated all the same")
+			}
+			if got, want := tc.holders(hash), owner.srv.Cluster().ReplicationFactor(); got != want {
+				t.Errorf("%d nodes hold the outcome, want the %d owners of its hash", got, want)
+			}
+		})
+	}
+
+	t.Run("peer's simulation error fails the job once", func(t *testing.T) {
+		defer fail.Reset()
+		tc := bootCluster(t, 3)
+		spec, hash, owner, simNode := tc.placedSpec(t, tinyWorkload)
+		// The failpoint sits inside the panic barrier on both nodes: the
+		// owner's worker passes it first, the placed run hits it second.
+		fail.ArmAfter("jobs.execute", 1, errors.New("the peer's own simulation error"))
+		sub, err := owner.cli.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := owner.cli.WaitJob(sub.ID, time.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != jobs.StateFailed || !strings.Contains(st.Error, "the peer's own simulation error") {
+			t.Fatalf("job ended %s (%q), want failed with the peer's message", st.State, st.Error)
+		}
+		if got := fail.Hits("jobs.execute"); got != 1 {
+			t.Errorf("the simulation was attempted %d times after the pass, want once (no local retry)", got)
+		}
+		if f, p, s := owner.srv.placeFallbacks.Load(), owner.srv.placed.Load(), simNode.srv.placedServed.Load(); f != 0 || p != 1 || s != 1 {
+			t.Errorf("fallbacks %d, placed %d, served %d; want 0, 1, 1", f, p, s)
+		}
+		if sims(owner)+sims(simNode) != 0 || tc.holders(hash) != 0 {
+			t.Error("a failed placed job simulated or stored something")
+		}
+	})
+
+	t.Run("skew", func(t *testing.T) {
+		tc := bootCluster(t, 3)
+		spec, _, owner, simNode := tc.placedSpec(t, tinyWorkload)
+		resp := postExecute(t, simNode, spec, strings.Repeat("0", 64))
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("execute under a hash the spec does not have answered %s, want 409", resp.Status)
+		}
+		if sims(simNode) != 0 || simNode.srv.placedServed.Load() != 0 {
+			t.Error("a refused execute simulated")
+		}
+
+		// A graph file edited after the job was hashed: the workload's node
+		// cannot reproduce the address (409), the owner simulates the new
+		// bytes itself and its post-run identity check fails the job.
+		path := filepath.Join(t.TempDir(), "edited.el")
+		writeGraph := func(g *graph.CSR, mtime time.Time) {
+			t.Helper()
+			var buf bytes.Buffer
+			if err := graph.WriteEdgeList(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chtimes(path, mtime, mtime); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writeGraph(graph.GenRMATDefault(6, 4, 13, false), time.Now())
+		fspec, fhash, owner, _ := tc.placedSpec(t, jobs.Spec{Kind: jobs.KindSingle, Graph: path, Scale: 256})
+		// One worker per node: the file job waits behind this one.
+		if _, _, err := owner.mgr.Submit(jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Scale: 16}, 0); err != nil {
+			t.Fatal(err)
+		}
+		j, disp, err := owner.mgr.Submit(fspec, 0)
+		if err != nil || disp != jobs.Queued {
+			t.Fatalf("file job: disposition %v, err %v", disp, err)
+		}
+		writeGraph(graph.GenRMATDefault(8, 4, 13, false), time.Now().Add(2*time.Second))
+		<-j.Done()
+		if st := j.Status(); st.State != jobs.StateFailed || !strings.Contains(st.Error, "changed while the job was queued or running") {
+			t.Fatalf("file job ended %s (%q), want failed: the file changed", st.State, st.Error)
+		}
+		if got := owner.srv.placeFallbacks.Load(); got != 1 {
+			t.Errorf("owner counted %d fallbacks, want 1 (the 409)", got)
+		}
+		if tc.holders(fhash) != 0 {
+			t.Error("the edited file's metrics were stored under the original address")
+		}
+	})
+
+	t.Run("cancel reaches the simulating node", func(t *testing.T) {
+		arrived, finished := make(chan string, 1), make(chan string, 1)
+		tc := bootClusterWith(t, 3, func(id string, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/internal/execute" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				arrived <- id
+				h.ServeHTTP(w, r)
+				finished <- id
+			})
+		})
+		// Large enough that the cancel lands long before the recording ends.
+		spec, hash, owner, simNode := tc.placedSpec(t, jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Scale: 8})
+		sub, err := owner.cli.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-arrived; got != simNode.id {
+			t.Fatalf("the simulation went to %s, want %s", got, simNode.id)
+		}
+		if _, err := owner.cli.Cancel(sub.ID); err != nil {
+			t.Fatal(err)
+		}
+		st, err := owner.cli.WaitJob(sub.ID, time.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != jobs.StateFailed || st.Error != jobs.ErrCanceled.Error() {
+			t.Fatalf("cancelled job ended %s (%q), want failed with %q", st.State, st.Error, jobs.ErrCanceled)
+		}
+		<-finished
+		for _, nd := range []*clusterNode{owner, simNode} {
+			if m := nd.mgr.Metrics(); sims(nd) != 0 || m.TraceBytesRetained != 0 {
+				t.Errorf("%s published after the cancel: %d simulations, %d trace bytes retained", nd.id, sims(nd), m.TraceBytesRetained)
+			}
+		}
+		if got := owner.srv.placeFallbacks.Load(); got != 0 {
+			t.Errorf("a cancelled job fell back to a local run %d times", got)
+		}
+		if tc.holders(hash) != 0 {
+			t.Error("a cancelled job stored an outcome")
+		}
+	})
+
+	t.Run("no loop", func(t *testing.T) {
+		tc := bootCluster(t, 3)
+		spec, hash, owner, simNode := tc.placedSpec(t, tinyWorkload)
+		// The owner of the hash is not the workload's owner, and is asked to
+		// simulate anyway: it must do so itself.
+		resp := postExecute(t, owner, spec, hash)
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("execute answered %s (%v): %s", resp.Status, err, data)
+		}
+		if got := sha256Hex(data); got != resp.Header.Get(resultSumHeader) {
+			t.Errorf("body hashes to %s, header says %s", got, resp.Header.Get(resultSumHeader))
+		}
+		if sims(owner) != 1 || owner.srv.placedServed.Load() != 1 {
+			t.Errorf("asked node simulated %d and served %d, want 1 and 1", sims(owner), owner.srv.placedServed.Load())
+		}
+		if p, f := owner.srv.placed.Load(), owner.srv.placeFallbacks.Load(); p+f != 0 {
+			t.Errorf("a placed run called out: %d placed, %d fallbacks", p, f)
+		}
+		if sims(simNode) != 0 || simNode.srv.placedServed.Load() != 0 {
+			t.Error("the workload's owner was involved")
+		}
+		if m := owner.mgr.Metrics(); m.Submitted+m.Executed != 0 || tc.holders(hash) != 0 {
+			t.Error("a placed run became a job or stored an outcome")
+		}
+	})
+
+	t.Run("failover agrees on one recorder", func(t *testing.T) {
+		defer fail.Reset()
+		tc := bootCluster(t, 3)
+		cl := tc.nodes[0].srv.Cluster()
+		key, err := func() (string, error) {
+			s := tinyWorkload
+			if err := s.Canonicalize(); err != nil {
+				return "", err
+			}
+			return s.PlacementKey()
+		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := cl.Owners(key, cl.ReplicationFactor())
+		home, successor := tc.node(ring[0].ID), tc.node(ring[1].ID)
+		var survivors []*clusterNode
+		for _, nd := range tc.nodes {
+			if nd != home {
+				survivors = append(survivors, nd)
+			}
+		}
+		// The workload's node is partitioned away from everyone.
+		for _, point := range []string{"cluster.probe.", "cluster.forward.", "cluster.replicate.", "cluster.place."} {
+			fail.Arm(point+home.id, nil)
+		}
+		for _, nd := range survivors {
+			for nd.srv.Cluster().State(home.id) != cluster.StateDown {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		for i, p := range sim.Policies()[:6] {
+			s := tinyWorkload
+			s.Policy = p.Name
+			if _, err := survivors[i%2].cli.RunSync(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, nd := range tc.nodes {
+			if simulated := sims(nd) > 0; simulated != (nd == successor) {
+				t.Errorf("%s simulated %d datapoints; with %s down the workload lives on %s alone",
+					nd.id, sims(nd), home.id, successor.id)
+			}
+		}
+		if got := fail.Hits("cluster.place." + home.id); got != 0 {
+			t.Errorf("%d placements were still tried on the node every prober calls down", got)
+		}
+	})
 }

@@ -56,7 +56,8 @@ type Options struct {
 	RetryAfter time.Duration
 	// Cluster, when non-nil, turns on sharded job routing (DESIGN.md
 	// Sec. 16): POST /jobs forwards to the hash's owning node with failover
-	// to its successors, completed results replicate to the successor, and
+	// to its successors, a cold single job simulates on the node that owns
+	// its workload, completed results replicate to the successor, and
 	// GET /results federates misses from replica holders with hedged,
 	// checksum-verified fetches. Nil (the default) is single-node mode —
 	// every request is served locally, byte-identically to pre-cluster
@@ -79,19 +80,22 @@ type Server struct {
 	rateLimited atomic.Uint64
 
 	// Cluster mode (nil cl = single node; see internal/server/cluster.go).
-	cl          *cluster.Cluster
-	hedge       time.Duration
-	fwdShort    *http.Client // forwarded non-wait submissions, fetches
-	fwdLong     *http.Client // forwarded wait=true submissions (unbounded)
-	replWG      sync.WaitGroup
-	forwarded   atomic.Uint64
-	failovers   atomic.Uint64
-	replicated  atomic.Uint64
-	replErrors  atomic.Uint64
-	fetches     atomic.Uint64
-	fetchErrors atomic.Uint64
-	hedged      atomic.Uint64
-	cacheFills  atomic.Uint64
+	cl             *cluster.Cluster
+	hedge          time.Duration
+	fwdShort       *http.Client // forwarded non-wait submissions, fetches
+	fwdLong        *http.Client // forwarded wait=true submissions, placed simulations (unbounded)
+	replWG         sync.WaitGroup
+	forwarded      atomic.Uint64
+	failovers      atomic.Uint64
+	replicated     atomic.Uint64
+	replErrors     atomic.Uint64
+	fetches        atomic.Uint64
+	fetchErrors    atomic.Uint64
+	hedged         atomic.Uint64
+	cacheFills     atomic.Uint64
+	placed         atomic.Uint64
+	placedServed   atomic.Uint64
+	placeFallbacks atomic.Uint64
 }
 
 // New wires the endpoints over the manager with no rate limiting.
@@ -385,4 +389,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // httpError writes a JSON error body with the given status code.
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// errorMessage reads back what httpError wrote: the message of a JSON
+// error body, or "" when data is not one.
+func errorMessage(data []byte) string {
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.Unmarshal(data, &e) // not an error body: the message stays empty
+	return e.Error
 }
