@@ -25,6 +25,13 @@ const fig10aTrials = 4
 // host's real cache hierarchy. Paper averages: Sort +2.6%, HubSort +0.6%,
 // DBG +10.8%, Gorder -85.4% (its reordering cost dwarfs the benefit).
 //
+// The reproduced claim for the Gorder column is its SIGN AND RANK: Gorder
+// is the only technique with a net loss on every high-skew dataset and
+// sits below Sort, HubSort and DBG. Its magnitude is cost/(cost + run
+// time) and so tracks how fast this implementation of the greedy loop is,
+// not the paper's (DESIGN.md Sec. 4 has the figures on either side of the
+// Sec. 12 rewrite).
+//
 // Because it measures wall-clock, this experiment declares no Points and
 // runs strictly sequentially: RunAll finishes the parallel prefetch phase
 // before any body runs, so the timed executions see an idle machine.

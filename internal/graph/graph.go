@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -154,7 +155,8 @@ func FromEdges(n uint32, edges []Edge, weighted bool) (*CSR, error) {
 }
 
 // sortAdjacency sorts each vertex's neighbor list (with parallel weights)
-// for deterministic iteration order.
+// for deterministic iteration order. The weighted branch's tie order among
+// parallel edges of different weight is part of SSSP's golden output.
 func (g *CSR) sortAdjacency() {
 	sortSide := func(index []uint64, edges []VertexID, weights []int32) {
 		for v := uint32(0); v < g.n; v++ {
@@ -164,7 +166,7 @@ func (g *CSR) sortAdjacency() {
 			}
 			nb := edges[lo:hi]
 			if weights == nil {
-				sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+				slices.Sort(nb)
 				continue
 			}
 			w := weights[lo:hi]

@@ -2,28 +2,26 @@ package reorder
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"grasp/internal/graph"
 )
 
-// This file keeps an independent reference implementation of Gorder's
-// candidate selection — the lazy-deletion max-heap the bucket queue
-// replaced — so the bucket queue's output is cross-checked against a
-// structurally different data structure implementing the same documented
+// This file keeps an independent reference implementation of Gorder — a
+// lazy-deletion max-heap fed one ±1 update at a time, no netting — so the
+// production loop (netted updates applied to a max-tree) is cross-checked
+// against a structurally different implementation of the same documented
 // spec: always pop a vertex of the current maximum score, lowest vertex id
-// among ties. The production heap historically had a blind spot (a
-// decrement never re-pushed, so a vertex whose only heap entries were
-// stale could be passed over); the reference fixes that by pushing on
-// EVERY score change, making lazy deletion exact. With both
-// implementations exact, permutation equality is a strong check: any
-// bucket/bitmap bookkeeping bug that perturbs even one pop diverges the
-// whole tail of the ordering.
+// among ties. The reference pushes on EVERY score change, which makes lazy
+// deletion exact. With both implementations exact, permutation equality is
+// a strong check: any netting or tree bookkeeping bug that perturbs even
+// one pop diverges the whole tail of the ordering.
 //
-// The golden refresh that accompanied the bucket queue is gated on this
-// suite: CI runs it before the golden harness, so the re-blessed
-// Gorder-derived outputs are proven to be the spec's output, not an
-// accident of the new structure.
+// The goldens of Gorder-derived rows are gated on this suite: CI runs it
+// before the golden harness, so those outputs are proven to be the spec's
+// output, not an accident of the structure.
 
 // refItem is one (vertex, score-at-push) heap entry.
 type refItem struct {
@@ -157,9 +155,9 @@ func gorderReference(g *graph.CSR, window int) Permutation {
 }
 
 // crossCheckGraphs is the seed table: shapes chosen to stress distinct
-// queue behaviors — massive score ties (cycle, grid), hub-dominated
-// updates (zipf), score decay via window eviction (path), and edgeless
-// vertices that only ever sit in bucket 0.
+// behaviors — massive score ties (cycle, grid), hub-dominated updates and
+// parallel edges (zipf), score decay via window eviction (path), and
+// edgeless vertices whose score never leaves 0.
 func crossCheckGraphs() map[string]*graph.CSR {
 	return map[string]*graph.CSR{
 		"zipf-1k":    graph.GenZipf(1000, 10, 0.8, 17, false),
@@ -171,81 +169,213 @@ func crossCheckGraphs() map[string]*graph.CSR {
 	}
 }
 
-// TestGorderCrossCheck asserts the bucket-queue Gorder and the heap
-// reference produce the IDENTICAL permutation on every seed-table graph
-// and several window sizes, so the one-time golden refresh is a re-bless
-// of a proven-equivalent algorithm, not a leap of faith.
+// crossCheck asserts Gorder and the heap reference produce the IDENTICAL
+// permutation of g.
+func crossCheck(t *testing.T, g *graph.CSR, window int) {
+	t.Helper()
+	got := Gorder(g, window)
+	want := gorderReference(g, window)
+	if err := got.Validate(); err != nil {
+		t.Fatalf("Gorder produced invalid permutation: %v", err)
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("permutations diverge at vertex %d: Gorder -> %d, reference heap -> %d",
+				v, got[v], want[v])
+		}
+	}
+}
+
+// TestGorderCrossCheck runs the cross-check on every seed-table graph at
+// several window sizes and, unless -short, on the inputs the experiments
+// actually reorder: the five high-skew datasets at scale 64, lj and sd at
+// scale 16 (the reference heap needs seconds there).
 func TestGorderCrossCheck(t *testing.T) {
-	for name, g := range crossCheckGraphs() {
+	table := crossCheckGraphs()
+	// The table must keep exercising the hubCap truncation and the
+	// multiplicity of parallel edges; both are easy to lose to a
+	// generator or parameter change.
+	var capped, parallel bool
+	for _, g := range table {
+		for v := uint32(0); v < g.NumVertices(); v++ {
+			nb := g.OutNeighbors(v)
+			capped = capped || len(nb) > hubCap
+			for i := 1; i < len(nb); i++ {
+				parallel = parallel || nb[i] == nb[i-1]
+			}
+		}
+	}
+	if !capped || !parallel {
+		t.Fatalf("seed table lost coverage: vertex with out-degree > hubCap: %v, parallel edge: %v", capped, parallel)
+	}
+
+	for name, g := range table {
 		for _, window := range []int{1, 3, DefaultGorderWindow, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", name, window), func(t *testing.T) {
-				got := Gorder(g, window)
-				want := gorderReference(g, window)
-				if err := got.Validate(); err != nil {
-					t.Fatalf("bucket queue produced invalid permutation: %v", err)
-				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("permutations diverge at vertex %d: bucket queue -> %d, reference heap -> %d",
-							v, got[v], want[v])
-					}
-				}
+				crossCheck(t, g, window)
 			})
 		}
 	}
-}
 
-// TestVertexBucketQueueOps pins the queue's contract directly: exact max,
-// lowest-id tie-break, and correct bucket moves under mixed
-// increment/decrement traffic.
-func TestVertexBucketQueueOps(t *testing.T) {
-	q := newVertexBucketQueue(200)
-	// All start at score 0: pops must come out in id order.
-	if v := q.popMax(); v != 0 {
-		t.Fatalf("first pop = %d, want 0 (lowest id at equal score)", v)
+	type scaled struct {
+		name  string
+		scale uint32
 	}
-	// Raise 150 to 2, 7 and 9 to 1.
-	q.increment(150)
-	q.increment(150)
-	q.increment(9)
-	q.increment(7)
-	if v := q.popMax(); v != 150 {
-		t.Fatalf("pop = %d, want 150 (unique max)", v)
+	var datasets []scaled
+	for _, d := range graph.HighSkewDatasets() {
+		datasets = append(datasets, scaled{d.Name, 64})
 	}
-	if v := q.popMax(); v != 7 {
-		t.Fatalf("pop = %d, want 7 (lowest id among score-1 ties)", v)
-	}
-	// Decrement 9 back to 0: next pop is the lowest id at score 0.
-	q.decrement(9)
-	if v := q.popMax(); v != 1 {
-		t.Fatalf("pop = %d, want 1", v)
-	}
-	// Drain a few more; order must stay strictly by id within score 0.
-	for _, want := range []uint32{2, 3, 4, 5, 6, 8, 9} {
-		if v := q.popMax(); v != want {
-			t.Fatalf("drain pop = %d, want %d", v, want)
-		}
+	datasets = append(datasets, scaled{"lj", 16}, scaled{"sd", 16})
+	for _, c := range datasets {
+		t.Run(fmt.Sprintf("%s@%d/w%d", c.name, c.scale, DefaultGorderWindow), func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("reference heap takes seconds on a paper dataset")
+			}
+			crossCheck(t, benchDataset(t, c.name, c.scale), DefaultGorderWindow)
+		})
 	}
 }
 
-// TestIDBitmapMin exercises the hierarchical bitmap across word and level
-// boundaries.
-func TestIDBitmapMin(t *testing.T) {
-	b := newIDBitmap(100_000)
-	if _, ok := b.min(); ok {
-		t.Fatal("empty bitmap reported a minimum")
+// benchDataset generates the named paper dataset at 1/scale size.
+func benchDataset(tb testing.TB, name string, scale uint32) *graph.CSR {
+	tb.Helper()
+	d, err := graph.DatasetByName(name)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, id := range []uint32{99_999, 64 * 64, 63, 64, 4097} {
-		b.add(id)
-	}
-	for _, want := range []uint32{63, 64, 64 * 64, 4097, 99_999} {
-		got, ok := b.min()
-		if !ok || got != want {
-			t.Fatalf("min = %d,%v, want %d", got, ok, want)
+	return d.Generate(false, scale)
+}
+
+// TestMaxTree pins the tree's contract directly: exact max, lowest id
+// among ties, sizes that are not a power of two, changes of more than one
+// in either direction, and a randomized run against a brute-force scan.
+func TestMaxTree(t *testing.T) {
+	pop := func(t *testing.T, tr maxTree, want uint32, why string) {
+		t.Helper()
+		if v := tr.popMax(); v != want {
+			t.Fatalf("pop = %d, want %d (%s)", v, want, why)
 		}
-		b.remove(got)
 	}
-	if !b.empty() {
-		t.Fatal("bitmap not empty after removing all ids")
+
+	t.Run("ops", func(t *testing.T) {
+		tr := newMaxTree(200) // padded to 256 leaves
+		pop(t, tr, 0, "lowest id at equal score")
+		tr.set(150, 2)
+		tr.set(9, 1)
+		tr.set(7, 1)
+		tr.set(199, 1)
+		pop(t, tr, 150, "unique max")
+		pop(t, tr, 7, "lowest id among score-1 ties")
+		tr.set(9, 0)
+		pop(t, tr, 199, "last real leaf, next to the padding")
+		for _, want := range []uint32{1, 2, 3, 4, 5, 6, 8, 9} {
+			pop(t, tr, want, "id order within score 0")
+		}
+		if tr.score(150) != -1 || tr.score(10) != 0 {
+			t.Fatalf("score(150) = %d, score(10) = %d, want -1 (popped) and 0", tr.score(150), tr.score(10))
+		}
+	})
+
+	t.Run("deltas", func(t *testing.T) {
+		tr := newMaxTree(5)
+		tr.set(3, 40)
+		tr.set(1, 7)
+		tr.set(3, 2) // -38 in one change: the root must fall to 7
+		pop(t, tr, 1, "max after a large decrease")
+		tr.set(4, 2)
+		pop(t, tr, 3, "lowest id among score-2 ties")
+		pop(t, tr, 4, "remaining score 2")
+		pop(t, tr, 0, "score 0")
+		pop(t, tr, 2, "last vertex")
+	})
+
+	t.Run("n=1", func(t *testing.T) {
+		tr := newMaxTree(1)
+		tr.set(0, 3)
+		pop(t, tr, 0, "only vertex")
+		if tr.score(0) != -1 {
+			t.Fatalf("score after pop = %d, want -1", tr.score(0))
+		}
+	})
+
+	t.Run("random", func(t *testing.T) {
+		const n = 777
+		rng := rand.New(rand.NewSource(1))
+		tr := newMaxTree(n)
+		score := make([]int32, n) // -1 once popped
+		live := n
+		for op := 0; op < 10_000 && live > 0; op++ {
+			if rng.Intn(8) > 0 {
+				v := uint32(rng.Intn(n))
+				if score[v] < 0 {
+					continue
+				}
+				score[v] = max(0, score[v]+int32(rng.Intn(9))-4)
+				tr.set(v, score[v])
+				continue
+			}
+			want := uint32(0)
+			for v := range score {
+				if score[v] > score[want] {
+					want = uint32(v)
+				}
+			}
+			if got := tr.popMax(); got != want {
+				t.Fatalf("op %d: pop = %d (score %d), want %d (score %d)", op, got, score[got], want, score[want])
+			}
+			score[want] = -1
+			live--
+		}
+	})
+}
+
+// TestGorderMemoryLinear keeps the superlinear term out: one Gorder call
+// allocates a few flat arrays over the vertices and nothing that grows
+// with the scores reached. A priority structure that materializes state
+// per score value fails it by orders of magnitude (one n-bit bitmap per
+// score: 21 968 B per vertex on this input, 117 KB per vertex at scale 8).
+func TestGorderMemoryLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reorders sd at scale 16")
+	}
+	g := benchDataset(t, "sd", 16)
+	got := gorderAllocBytes(g, 1)
+	if limit := 64*float64(g.NumVertices()) + 64<<10; got > limit {
+		t.Fatalf("Gorder allocated %.0f bytes on %d vertices (%.1f B/vertex), limit %.0f",
+			got, g.NumVertices(), got/float64(g.NumVertices()), limit)
+	}
+}
+
+// gorderAllocBytes returns the mean bytes allocated by one Gorder(g, 0)
+// call over the given number of calls.
+func gorderAllocBytes(g *graph.CSR, calls int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		gorderSink = Gorder(g, 0)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(calls)
+}
+
+var gorderSink Permutation
+
+// BenchmarkGorder is the greedy loop's curve over problem size:
+//
+//	go test ./internal/reorder -run '^$' -bench Gorder -benchtime 1x
+//
+// ns/edge flat across scales means the loop is linear in the graph;
+// B/vertex flat means its memory is.
+func BenchmarkGorder(b *testing.B) {
+	for _, name := range []string{"tw", "sd"} {
+		for _, scale := range []uint32{64, 16, 8} {
+			b.Run(fmt.Sprintf("%s/scale%d", name, scale), func(b *testing.B) {
+				g := benchDataset(b, name, scale)
+				b.ResetTimer()
+				bytes := gorderAllocBytes(g, b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+				b.ReportMetric(bytes/float64(g.NumVertices()), "B/vertex")
+			})
+		}
 	}
 }

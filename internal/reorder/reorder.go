@@ -104,8 +104,7 @@ func degreeFunc(g *graph.CSR, src DegreeSource) func(graph.VertexID) uint32 {
 	}
 }
 
-func avgDegree(g *graph.CSR, degree func(graph.VertexID) uint32) float64 {
-	n := g.NumVertices()
+func avgDegree(n uint32, degree func(graph.VertexID) uint32) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -148,7 +147,7 @@ func Sort(g *graph.CSR, src DegreeSource) Permutation {
 func HubSort(g *graph.CSR, src DegreeSource) Permutation {
 	n := g.NumVertices()
 	degree := degreeFunc(g, src)
-	avg := avgDegree(g, degree)
+	avg := avgDegree(n, degree)
 	var hot []graph.VertexID
 	for v := uint32(0); v < n; v++ {
 		if float64(degree(v)) >= avg {
@@ -191,9 +190,13 @@ const DBGGroups = 8
 // to coldest. No sorting is involved, so the reordering cost is a linear
 // scan.
 func DBG(g *graph.CSR, src DegreeSource) Permutation {
-	n := g.NumVertices()
-	degree := degreeFunc(g, src)
-	avg := avgDegree(g, degree)
+	return dbg(g.NumVertices(), degreeFunc(g, src))
+}
+
+// dbg is DBG over n vertices given only their degrees: the grouping reads
+// nothing else of the graph.
+func dbg(n uint32, degree func(graph.VertexID) uint32) Permutation {
+	avg := avgDegree(n, degree)
 	// Group 0: deg >= avg*2^(DBGGroups-2) ... Group DBGGroups-2: deg >= avg,
 	// Group DBGGroups-1: deg < avg (the cold tail).
 	groupOf := func(d uint32) int {
