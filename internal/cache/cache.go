@@ -118,16 +118,26 @@ func (c Config) Sets() uint32 {
 	return uint32(c.SizeBytes / (BlockSize * uint64(c.Ways)))
 }
 
+// validate rejects geometries no level can index: size must be a multiple
+// of Ways*BlockSize and the set count a power of two.
+func (c Config) validate() error {
+	sets := c.Sets()
+	if sets == 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d is not a positive power of two", sets)
+	}
+	if c.SizeBytes != uint64(sets)*uint64(c.Ways)*BlockSize {
+		return fmt.Errorf("cache: size %d not divisible into %d ways of %dB blocks", c.SizeBytes, c.Ways, BlockSize)
+	}
+	return nil
+}
+
 // New creates a cache level with the given policy. Size must be a multiple
 // of Ways*BlockSize and the set count must be a power of two.
 func New(cfg Config, p Policy) (*Cache, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	sets := cfg.Sets()
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a positive power of two", sets)
-	}
-	if cfg.SizeBytes != uint64(sets)*uint64(cfg.Ways)*BlockSize {
-		return nil, fmt.Errorf("cache: size %d not divisible into %d ways of %dB blocks", cfg.SizeBytes, cfg.Ways, BlockSize)
-	}
 	tags := make([]uint64, sets*cfg.Ways)
 	for i := range tags {
 		tags[i] = invalidTag

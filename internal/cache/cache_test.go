@@ -119,21 +119,6 @@ func TestLRUStackProperty(t *testing.T) {
 	}
 }
 
-func TestStackPosition(t *testing.T) {
-	p := NewLRU(1, 4)
-	c := MustNew(Config{SizeBytes: 256, Ways: 4}, p)
-	for i := uint64(0); i < 4; i++ {
-		c.Access(mem.Access{Addr: i << BlockBits})
-	}
-	// Way 3 holds the most recent block -> position 0; way 0 the oldest.
-	if p.StackPosition(0, 3) != 0 {
-		t.Fatalf("way 3 position = %d, want 0", p.StackPosition(0, 3))
-	}
-	if p.StackPosition(0, 0) != 3 {
-		t.Fatalf("way 0 position = %d, want 3", p.StackPosition(0, 0))
-	}
-}
-
 func TestFlush(t *testing.T) {
 	c := smallCache(t, 4096, 4)
 	c.Access(mem.Access{Addr: 0x40})
@@ -230,6 +215,27 @@ func TestHierarchyBadConfig(t *testing.T) {
 	cfg.L2.SizeBytes = 1000
 	if _, err := NewHierarchy(cfg, NewLRU(1, 1), nil); err == nil {
 		t.Fatal("expected error for bad L2 geometry")
+	}
+	// The upper levels reject what New rejects, and say which level.
+	for _, tc := range []struct {
+		level string
+		bad   Config
+	}{
+		{"L1", Config{SizeBytes: 3 * 8 * BlockSize, Ways: 8}},     // 3 sets
+		{"L1", Config{SizeBytes: 0, Ways: 8}},                     // no sets
+		{"L2", Config{SizeBytes: (8*8 + 1) * BlockSize, Ways: 8}}, // not divisible
+	} {
+		cfg := DefaultHierarchyConfig()
+		if tc.level == "L1" {
+			cfg.L1 = tc.bad
+		} else {
+			cfg.L2 = tc.bad
+		}
+		_, err := NewUpperLevels(cfg)
+		_, want := New(tc.bad, nil)
+		if err == nil || want == nil || err.Error() != tc.level+": "+want.Error() {
+			t.Errorf("NewUpperLevels(%s = %+v) error %v, want %s: %v", tc.level, tc.bad, err, tc.level, want)
+		}
 	}
 }
 

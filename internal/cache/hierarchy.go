@@ -54,39 +54,6 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
-// UpperLevels is the policy-independent upper half of the hierarchy: the
-// private LRU L1 and L2 filter caches in front of the LLC. It exists as
-// its own type because the LLC-bound stream it emits is a pure function of
-// the access stream — the LLC's policy and geometry never feed back into
-// it — which is what makes record-once/replay-many simulation sound: a
-// trace recorded behind one UpperLevels instance is valid for every LLC
-// configuration (DESIGN.md Sec. 11).
-type UpperLevels struct {
-	L1 *Cache
-	L2 *Cache
-}
-
-// NewUpperLevels builds the L1/L2 filter pair of a hierarchy configuration.
-func NewUpperLevels(cfg HierarchyConfig) (UpperLevels, error) {
-	l1, err := New(cfg.L1, NewLRU(cfg.L1.Sets(), cfg.L1.Ways))
-	if err != nil {
-		return UpperLevels{}, fmt.Errorf("L1: %w", err)
-	}
-	l2, err := New(cfg.L2, NewLRU(cfg.L2.Sets(), cfg.L2.Ways))
-	if err != nil {
-		return UpperLevels{}, fmt.Errorf("L2: %w", err)
-	}
-	return UpperLevels{L1: l1, L2: l2}, nil
-}
-
-// Filter performs the access against the L1 and (on miss) the L2,
-// reporting whether it was absorbed. A false return means the access is
-// LLC-bound. Each level allocates on miss (inclusive fill is modeled
-// implicitly).
-func (u UpperLevels) Filter(a mem.Access) bool {
-	return u.L1.Access(a) || u.L2.Access(a)
-}
-
 // Hierarchy is the simulated L1 -> L2 -> LLC cache hierarchy. It is a
 // mem.Sink: applications emit their access stream directly into it.
 type Hierarchy struct {

@@ -2,13 +2,13 @@ package cache
 
 import "grasp/internal/mem"
 
-// LRU is the classic least-recently-used replacement policy, used for the
-// L1/L2 filter levels and as the baseline of the Fig. 11 / Table VII
-// experiments. Recency is an intrusive per-set list (prev/next way links
-// plus MRU/LRU cursors): touching a block splices it to the front in O(1)
-// and the victim is read off the LRU cursor in O(1), replacing a
-// per-victim O(ways) timestamp scan on the simulator's hottest filter
-// path. Victim selection is identical to the timestamp scheme, including
+// LRU is the classic least-recently-used replacement policy: the LLC's
+// baseline in the Fig. 11 / Table VII experiments and, under a Cache, the
+// oracle the fixed-function L1/L2 (UpperLevel) is tested against. Recency
+// is an intrusive per-set list (prev/next way links plus MRU/LRU cursors):
+// touching a block splices it to the front in O(1) and the victim is read
+// off the LRU cursor in O(1), where a timestamp scheme scans O(ways) per
+// victim. Victim selection is identical to the timestamp scheme, including
 // on partially filled sets: untouched ways sit at the cold end in
 // ascending way order, which is exactly the order the scan's
 // lowest-stamp-first-index rule produced.
@@ -82,17 +82,3 @@ func (p *LRU) Victim(set uint32, _ mem.Access) (uint32, bool) {
 
 // OnEvict implements Policy.
 func (p *LRU) OnEvict(uint32, uint32) {}
-
-// StackPosition returns the recency rank of a way within its set: 0 = MRU,
-// ways-1 = LRU. Exposed for policies built on recency stacks and for
-// tests; it walks the list, so it is not for hot paths.
-func (p *LRU) StackPosition(set, way uint32) uint32 {
-	base := set * p.ways
-	w := uint32(p.mru[set])
-	for rank := uint32(0); ; rank++ {
-		if w == way {
-			return rank
-		}
-		w = uint32(p.next[base+w])
-	}
-}

@@ -22,15 +22,17 @@ import (
 // sink) swallows accesses with minimal overhead, which is how algorithms
 // run natively.
 //
-// The dominant sinks in simulation are *cache.Hierarchy (direct runs) and
-// *trace.Recorder (the once-per-workload recording of the replay engine),
-// so the tracer keeps a concrete pointer to whichever it is handed: every
-// traced memory word then reaches it through a direct call instead of an
-// interface dispatch. The method bodies are shaped around the compiler's
-// inlining budget — Read/Write inline a cheap is-anyone-listening guard
-// into the traversal loops (so native execution pays one predicted branch
-// per logical access), while the dispatch itself is one call deep on every
-// sink kind.
+// The dominant sink in simulation is *trace.Recorder: every full-fidelity
+// result starts as the once-per-group recording of the replay engine.
+// *cache.Hierarchy is the execution-driven reference (sim.Run: the
+// equivalence suites, graspsim -arrays, the examples). The tracer keeps a
+// concrete pointer to whichever of the two it is handed, so every traced
+// memory word reaches it through a direct call instead of an interface
+// dispatch, and tests for the recorder first. The method bodies are shaped
+// around the compiler's inlining budget — Read/Write inline a cheap
+// is-anyone-listening guard into the traversal loops (so native execution
+// pays one predicted branch per logical access), while the dispatch itself
+// is one call deep on every sink kind.
 type Tracer struct {
 	sink   mem.Sink
 	h      *cache.Hierarchy // non-nil fast path when sink is a hierarchy
@@ -53,12 +55,12 @@ func NewTracer(sink mem.Sink) *Tracer {
 // dispatch forwards one access over the fastest available path. It is kept
 // out of the exported methods so their guard branch stays inlinable.
 func (t *Tracer) dispatch(addr uint64, pc uint32, write, prop bool) {
-	if t.h != nil {
-		t.h.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
-		return
-	}
 	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
+		return
+	}
+	if t.h != nil {
+		t.h.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
 		return
 	}
 	t.sink.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
@@ -76,10 +78,10 @@ func (t *Tracer) Read(a *mem.Array, i uint64, pc uint32) {
 // multi-field property elements). The Off variants exceed the inlining
 // budget either way, so they dispatch directly from their own frame.
 func (t *Tracer) ReadOff(a *mem.Array, i, off uint64, pc uint32) {
-	if t.h != nil {
-		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
-	} else if t.rec != nil {
+	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
+	} else if t.h != nil {
+		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
 	} else if t.sink != nil {
 		t.sink.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
 	}
@@ -95,10 +97,10 @@ func (t *Tracer) Write(a *mem.Array, i uint64, pc uint32) {
 
 // WriteOff emits a write at byte offset off within element i of a.
 func (t *Tracer) WriteOff(a *mem.Array, i, off uint64, pc uint32) {
-	if t.h != nil {
-		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
-	} else if t.rec != nil {
+	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
+	} else if t.h != nil {
+		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
 	} else if t.sink != nil {
 		t.sink.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
 	}
