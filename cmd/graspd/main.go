@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"grasp/internal/cluster"
-	"grasp/internal/graph"
 	"grasp/internal/jobs"
 	"grasp/internal/server"
 )
@@ -67,7 +66,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute,
 		"how long shutdown waits for running simulations to finish")
 	graphCacheMB := flag.Int64("graph-cache-mb", 0,
-		"cap (MiB) on parsed file graphs retained by the registry AND per session; 0 = built-in defaults, negative = unlimited")
+		"cap (MiB) on file-backed graphs retained per session; 0 = built-in default (2048), negative = unlimited")
 	traceCacheMB := flag.Int64("trace-cache-mb", 0,
 		"cap (MiB) on cached LLC recordings' encoded bytes per session (bounds spill temp-disk usage); 0 = built-in default, negative = unlimited")
 	jobTimeout := flag.Duration("job-timeout", 0,
@@ -89,9 +88,6 @@ func main() {
 		"latency budget a federated result read gives the first replica before asking the next")
 	flag.Parse()
 
-	if *graphCacheMB != 0 {
-		graph.SetFileCacheBudget(*graphCacheMB << 20)
-	}
 	cfg := daemonConfig{
 		addr: *addr, dataDir: *dataDir, workers: *workers,
 		drainTimeout:  *drainTimeout,

@@ -5,19 +5,17 @@ import (
 	"io"
 	"sort"
 
-	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/core"
-	"grasp/internal/ligra"
 	"grasp/internal/mem"
 	"grasp/internal/sim"
 )
 
 // arraySink feeds the hierarchy while attributing LLC traffic to the data
 // structure it touches — the per-array breakdown that motivates GRASP
-// (Sec. II-C of the paper). Consecutive LLC accesses usually fall in the
-// same array, so the last resolved array short-circuits the address-space
-// scan.
+// (Sec. II-C of the paper). It is a sim.RunSink wrapper: every access
+// still reaches h, so the Result is identical to sim.Run's. Consecutive LLC
+// accesses usually fall in the same array, so the last resolved array
+// short-circuits the address-space scan.
 type arraySink struct {
 	h         *cache.Hierarchy
 	as        *mem.AddressSpace
@@ -42,38 +40,6 @@ func (s *arraySink) Access(a mem.Access) {
 	if !s.h.LLC.Access(a) {
 		s.miss[name]++
 	}
-}
-
-// runByArray is sim.Run with an arraySink in front of the hierarchy; the
-// Result is identical to sim.Run's.
-func runByArray(w *sim.Workload, spec sim.Spec) (sim.Result, *arraySink, error) {
-	pinfo, err := sim.PolicyByName(spec.Policy)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	fg := ligra.NewGraph(w.Graph)
-	app, err := apps.New(spec.App, fg, spec.Layout)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	var cl cache.Classifier
-	if pinfo.NeedsABRs {
-		abrs := core.NewABRs(spec.HCfg.LLC.SizeBytes)
-		for _, a := range app.ABRArrays() {
-			if err := abrs.SetArray(a); err != nil {
-				return sim.Result{}, nil, err
-			}
-		}
-		cl = abrs
-	}
-	h, err := cache.NewHierarchy(spec.HCfg, pinfo.New(spec.HCfg.LLC.Sets(), spec.HCfg.LLC.Ways), cl)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	sink := &arraySink{h: h, as: fg.AS, acc: map[string]uint64{}, miss: map[string]uint64{}}
-	app.Run(ligra.NewTracer(sink))
-	return sim.Result{Spec: spec, Workload: w.Dataset.Name,
-		L1: h.L1.Stats, L2: h.L2.Stats, LLC: h.LLC.Stats, Cycles: h.MemoryCycles()}, sink, nil
 }
 
 // print renders the Property Array's share of the LLC traffic and the

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,9 +35,11 @@ import (
 	"time"
 
 	"grasp/internal/apps"
+	"grasp/internal/cache"
 	"grasp/internal/exp"
 	"grasp/internal/graph"
 	"grasp/internal/jobs"
+	"grasp/internal/mem"
 	"grasp/internal/server"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
@@ -198,92 +201,51 @@ func startProfiles(o *options) (stop func(), err error) {
 // realMain is the flag-parsed body of the command; its return value is the
 // process exit code.
 func realMain(o *options) int {
+	if err := run(o); err != nil {
+		fmt.Fprintln(os.Stderr, "graspsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// run dispatches on the mode flags: -list, one -graph job, or -exp
+// experiments remotely, sampled, or through the local engine.
+func run(o *options) error {
 	// -list is always local and instant; honoring it before -remote keeps
 	// `graspsim -remote host -list` from submitting every experiment.
 	if o.list {
 		for _, e := range exp.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
-		return 0
+		return nil
 	}
 
-	switch o.fidelity {
-	case jobs.FidelityFull:
-		if o.sampleK != 0 {
-			fmt.Fprintln(os.Stderr, "graspsim: -sample-k requires -fidelity sampled")
-			return 1
-		}
-	case jobs.FidelitySampled:
-		if o.sampleK == 0 {
-			o.sampleK = jobs.DefaultSampleK
-		}
-		if o.sampleK&(o.sampleK-1) != 0 {
-			fmt.Fprintf(os.Stderr, "graspsim: -sample-k %d is not a power of two\n", o.sampleK)
-			return 1
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "graspsim: unknown -fidelity %q (want %q or %q)\n",
-			o.fidelity, jobs.FidelityFull, jobs.FidelitySampled)
-		return 1
+	// A -graph run is one jobs.Spec, here or on a daemon, and
+	// Spec.Canonicalize its one validator; an -exp run shares the tier flags.
+	var spec jobs.Spec
+	var err error
+	if o.graphSpec != "" {
+		spec, err = singleSpec(o)
+	} else {
+		err = sweepTier(o)
 	}
-
-	if o.corun != "" || o.corunRatio != "" {
-		switch {
-		case o.corun == "":
-			fmt.Fprintln(os.Stderr, "graspsim: -corun-ratio requires -corun")
-			return 1
-		case o.graphSpec == "":
-			fmt.Fprintln(os.Stderr, "graspsim: -corun requires -graph (the co-runners share one dataset)")
-			return 1
-		case o.fidelity == jobs.FidelitySampled:
-			fmt.Fprintln(os.Stderr, "graspsim: -corun runs at full fidelity only")
-			return 1
-		}
-	}
-
-	if o.arrays && (o.graphSpec == "" || o.remote != "" || o.corun != "" || o.fidelity == jobs.FidelitySampled) {
-		fmt.Fprintln(os.Stderr, "graspsim: -arrays applies to a local full-fidelity -graph run without -corun")
-		return 1
+	if err != nil {
+		return err
 	}
 
 	stopProfiles, err := startProfiles(o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graspsim:", err)
-		return 1
+		return err
 	}
 	defer stopProfiles()
 
-	if o.remote != "" {
-		if err := runRemote(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "graspsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if o.graphSpec != "" {
-		var err error
-		switch {
-		case o.corun != "":
-			err = runSingleCorun(o)
-		case o.fidelity == jobs.FidelitySampled:
-			err = runSingleSampled(o)
-		default:
-			err = runSingle(o.graphSpec, o.app, o.policy, o.reorder, uint32(o.scale), o.arrays)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graspsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if o.fidelity == jobs.FidelitySampled {
-		if err := runSampledSweep(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "graspsim:", err)
-			return 1
-		}
-		return 0
+	switch {
+	case o.graphSpec != "":
+		return runSingle(o, spec, os.Stdout)
+	case o.remote != "":
+		return runRemote(o, os.Stdout)
+	case o.fidelity == jobs.FidelitySampled:
+		return runSampledSweep(o, os.Stdout)
 	}
 
 	cfg := configFor(uint32(o.scale), nil)
@@ -293,8 +255,7 @@ func realMain(o *options) int {
 
 	exps, err := selectExperiments(o.exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graspsim:", err)
-		return 1
+		return err
 	}
 
 	start := time.Now()
@@ -313,8 +274,7 @@ func realMain(o *options) int {
 		},
 	}
 	if err := exp.RunAll(session, exps, os.Stdout, obs); err != nil {
-		fmt.Fprintln(os.Stderr, "graspsim:", err)
-		return 1
+		return err
 	}
 	// Where the sweep's time went: the parallel fan-out's wall-clock, the
 	// sum of the experiment bodies, and the engine's per-phase split.
@@ -331,20 +291,18 @@ func realMain(o *options) int {
 		fmt.Fprintf(os.Stderr, " %s %.2fs", name, phases[name])
 	}
 	fmt.Fprintln(os.Stderr)
-	return 0
+	return nil
 }
 
-// configFor returns the engine configuration for a -scale divisor. Handed
-// a file-backed dataset it also notes on stderr what scaling cannot shrink.
+// configFor returns the engine configuration for a -scale divisor — the
+// daemon's own scale mapping. Handed a file-backed dataset it also notes on
+// stderr what scaling cannot shrink.
 func configFor(scale uint32, ds *graph.Dataset) exp.Config {
-	if scale <= 1 {
-		return exp.DefaultConfig()
-	}
-	if ds != nil && ds.Kind == graph.KindFile {
+	if scale > 1 && ds != nil && ds.Kind == graph.KindFile {
 		fmt.Fprintf(os.Stderr,
 			"graspsim: note: -scale %d shrinks only the cache hierarchy; the file graph always loads at full size\n", scale)
 	}
-	return exp.ScaledConfig(scale)
+	return jobs.Spec{Scale: scale}.Config()
 }
 
 // selectExperiments resolves the -exp flag value to experiment structs.
@@ -363,56 +321,11 @@ func selectExperiments(spec string) ([]exp.Experiment, error) {
 	return out, nil
 }
 
-// runRemote sends the requested work to a graspd daemon and renders the
-// returned outcomes: the single-run metrics block in -graph mode, or each
-// experiment's stored body in -exp mode.
+// runRemote sends the selected experiments to a graspd daemon and renders
+// each one's stored body.
 func runRemote(o *options, w io.Writer) error {
 	client := server.NewClient(o.remote)
 	timeoutS := o.timeout.Seconds()
-	if o.graphSpec != "" {
-		spec := jobs.Spec{Kind: jobs.KindSingle, Graph: o.graphSpec, App: o.app,
-			Policy: o.policy, Reorder: o.reorder, Scale: uint32(o.scale), TimeoutS: timeoutS}
-		if o.fidelity == jobs.FidelitySampled {
-			// Only spelled out for the sampled tier: a full-fidelity request
-			// keeps its pre-fidelity wire shape (and content address).
-			spec.Fidelity, spec.SampleK = o.fidelity, uint32(o.sampleK)
-		}
-		if o.corun != "" {
-			// Likewise only for co-run requests: non-co-run specs keep their
-			// pre-co-run wire shape and content address.
-			corunApps, ratio, err := parseCorun(o)
-			if err != nil {
-				return err
-			}
-			spec.CorunApps, spec.CorunRatio = corunApps, ratio
-		}
-		outcome, err := client.RunSync(spec, o.priority)
-		if err != nil {
-			return err
-		}
-		if outcome.Corun != nil {
-			r := *outcome.Corun
-			fmt.Fprintf(w, "co-run: %s on %s reorder=%s policy=%s (remote, %.2fs simulated)\n",
-				strings.Join(append([]string{o.app}, spec.CorunApps...), "+"),
-				r.Workload, o.reorder, o.policy, outcome.Elapsed)
-			printCorunMetrics(w, r)
-			return nil
-		}
-		if outcome.Sampled != nil {
-			r := *outcome.Sampled
-			fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s (remote sampled 1/%d, %.2fs simulated)\n",
-				r.Workload, o.app, o.reorder, o.policy, r.SampleK, outcome.Elapsed)
-			printSampledMetrics(w, r)
-			return nil
-		}
-		if outcome.Single == nil {
-			return fmt.Errorf("daemon returned no single-run metrics for %s", outcome.Hash)
-		}
-		fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s (remote, %.2fs simulated)\n",
-			outcome.Single.Workload, o.app, o.reorder, o.policy, outcome.Elapsed)
-		printMetrics(w, *outcome.Single)
-		return nil
-	}
 	if o.fidelity == jobs.FidelitySampled {
 		return fmt.Errorf("-fidelity sampled applies to single runs on the daemon (-graph); experiment sweeps sample locally only")
 	}
@@ -444,60 +357,129 @@ func runRemote(o *options, w io.Writer) error {
 	return nil
 }
 
-// runSingle executes one (graph, reorder, app, policy) simulation — the
-// -graph mode, for ingested real-world datasets as much as for the paper's
-// synthetic ones — and prints the per-level cache metrics, plus the
-// per-array LLC breakdown when arrays is set.
-func runSingle(spec, appName, polName, reorderName string, scale uint32, arrays bool) error {
-	ds, err := graph.Resolve(spec)
+// singleSpec builds the job a -graph run asks for — one jobs.Spec whether
+// it then runs here or on a daemon — and validates it exactly as graspd
+// would, before any graph is resolved.
+func singleSpec(o *options) (jobs.Spec, error) {
+	spec := jobs.Spec{Kind: jobs.KindSingle, Graph: o.graphSpec, App: o.app, Policy: o.policy,
+		Reorder: o.reorder, Scale: uint32(o.scale), Fidelity: o.fidelity, SampleK: uint32(o.sampleK),
+		TimeoutS: o.timeout.Seconds()}
+	var err error
+	if spec.CorunApps, spec.CorunRatio, err = parseCorun(o); err != nil {
+		return spec, err
+	}
+	return spec, spec.Canonicalize()
+}
+
+// sweepTier checks the flags of an -exp run: the -graph-only ones are
+// refused, and -fidelity/-sample-k mean what they mean on a -graph run, so
+// the same validator checks them and fills the default divisor.
+func sweepTier(o *options) error {
+	if o.corun != "" || o.corunRatio != "" || o.arrays {
+		return fmt.Errorf("-corun, -corun-ratio and -arrays require -graph")
+	}
+	tier := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Fidelity: o.fidelity, SampleK: uint32(o.sampleK)}
+	if err := tier.Canonicalize(); err != nil {
+		return err
+	}
+	o.sampleK = uint(tier.SampleK)
+	return nil
+}
+
+// runSingle runs one -graph job — on ingested real-world datasets as much
+// as on the paper's synthetic ones — and renders its outcome. With -remote
+// a daemon runs it; locally the sampled and co-run tiers go through
+// jobs.Simulate, the daemon's own dispatch, on a fresh session, while a
+// full-fidelity run stays execution-driven: a one-shot process has no
+// second policy to replay a recording for, and -arrays sits in front of
+// the live hierarchy.
+func runSingle(o *options, spec jobs.Spec, w io.Writer) error {
+	replayed := spec.Fidelity == jobs.FidelitySampled || len(spec.CorunApps) > 0
+	if o.arrays && (o.remote != "" || replayed) {
+		return fmt.Errorf("-arrays applies to a local full-fidelity -graph run without -corun")
+	}
+	if o.remote != "" {
+		outcome, err := server.NewClient(o.remote).RunSync(spec, o.priority)
+		if err != nil {
+			return err
+		}
+		return printOutcome(w, spec, outcome, true, nil)
+	}
+	ds, err := graph.Resolve(spec.Graph)
 	if err != nil {
 		return err
 	}
-	cfg := configFor(scale, &ds)
-	w, err := sim.PrepareWorkload(ds, reorderName, appName == "SSSP", cfg.ScaleDiv)
+	cfg := configFor(spec.Scale, &ds)
+	if replayed {
+		outcome, err := jobs.Simulate(context.Background(), exp.NewSession(cfg), spec, nil)
+		if err != nil {
+			return err
+		}
+		return printOutcome(w, spec, outcome, false, nil)
+	}
+	wl, err := sim.PrepareWorkload(ds, spec.Reorder, spec.App == "SSSP", cfg.ScaleDiv)
 	if err != nil {
 		return err
 	}
-	simSpec := sim.Spec{App: appName, Layout: apps.LayoutMerged, Policy: polName, HCfg: cfg.HCfg}
-	var r sim.Result
 	var byArray *arraySink
-	if arrays {
-		r, byArray, err = runByArray(w, simSpec)
-	} else {
-		r, err = sim.Run(w, simSpec)
+	var wrap func(*cache.Hierarchy, *mem.AddressSpace) mem.Sink
+	if o.arrays {
+		wrap = func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink {
+			byArray = &arraySink{h: h, as: as, acc: map[string]uint64{}, miss: map[string]uint64{}}
+			return byArray
+		}
 	}
+	r, err := sim.RunSink(wl, sim.Spec{App: spec.App, Layout: apps.LayoutMerged, Policy: spec.Policy, HCfg: cfg.HCfg}, wrap)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload: %s app=%s reorder=%s policy=%s\n", ds.Name, appName, reorderName, polName)
-	fmt.Printf("graph:    %v\n", w.Graph)
-	printMetrics(os.Stdout, r)
+	if err := printOutcome(w, spec, &jobs.Outcome{Single: &r}, false, wl.Graph); err != nil {
+		return err
+	}
 	if byArray != nil {
-		byArray.print(os.Stdout, r)
+		byArray.print(w, r)
 	}
 	return nil
 }
 
-// runSingleSampled is -graph mode on the set-sampled fast tier: the app is
-// recorded once behind the exact L1/L2 filter, then only 1/K of the LLC
-// sets are replayed and the whole-cache miss metrics are estimated with a
-// confidence interval (DESIGN.md Sec. 14).
-func runSingleSampled(o *options) error {
-	ds, err := graph.Resolve(o.graphSpec)
-	if err != nil {
-		return err
+// printOutcome renders a -graph run's outcome, whichever tier and whichever
+// process produced it: a header naming the job (remote answers add where
+// they came from and what they cost the daemon), then the tier's metrics.
+// g, when the run prepared the workload itself, adds the graph's summary.
+func printOutcome(w io.Writer, spec jobs.Spec, o *jobs.Outcome, remote bool, g *graph.CSR) error {
+	note := func(tier string) string {
+		if remote {
+			tier = strings.TrimSpace("remote "+tier) + fmt.Sprintf(", %.2fs simulated", o.Elapsed)
+		}
+		if tier == "" {
+			return ""
+		}
+		return " (" + tier + ")"
 	}
-	session := exp.NewSession(configFor(uint32(o.scale), &ds))
-	r, err := session.SampledResult(o.graphSpec, o.reorder, o.app, apps.LayoutMerged, o.policy, uint32(o.sampleK))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload: %s app=%s reorder=%s policy=%s (sampled 1/%d)\n",
-		ds.Name, o.app, o.reorder, o.policy, r.SampleK)
-	printSampledMetrics(os.Stdout, r)
-	if skip := trace.SkipStats(); skip.ChunksDecoded > 0 {
-		fmt.Printf("codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
-			100*skip.SkipRatio(), skip.ChunksDecoded)
+	switch {
+	case o.Corun != nil:
+		fmt.Fprintf(w, "co-run: %s on %s reorder=%s policy=%s%s\n",
+			strings.Join(append([]string{spec.App}, spec.CorunApps...), "+"),
+			o.Corun.Workload, spec.Reorder, spec.Policy, note(""))
+		printCorunMetrics(w, *o.Corun)
+	case o.Sampled != nil:
+		fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s%s\n", o.Sampled.Workload,
+			spec.App, spec.Reorder, spec.Policy, note(fmt.Sprintf("sampled 1/%d", o.Sampled.SampleK)))
+		printSampledMetrics(w, *o.Sampled)
+		// This process's decodes: none behind a remote answer.
+		if skip := trace.SkipStats(); skip.ChunksDecoded > 0 {
+			fmt.Fprintf(w, "codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
+				100*skip.SkipRatio(), skip.ChunksDecoded)
+		}
+	case o.Single != nil:
+		fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s%s\n", o.Single.Workload,
+			spec.App, spec.Reorder, spec.Policy, note(""))
+		if g != nil {
+			fmt.Fprintf(w, "graph:    %v\n", g)
+		}
+		printMetrics(w, *o.Single)
+	default:
+		return fmt.Errorf("daemon returned no single-run metrics for %s", o.Hash)
 	}
 	return nil
 }
@@ -551,6 +533,12 @@ func runSampledSweep(o *options, w io.Writer) error {
 // list (excluding -app itself, matching the jobs wire shape) and the
 // weights of the whole mix (nil = uniform).
 func parseCorun(o *options) (corunApps []string, ratio []int, err error) {
+	if o.corun == "" {
+		if o.corunRatio != "" {
+			return nil, nil, fmt.Errorf("-corun-ratio requires -corun")
+		}
+		return nil, nil, nil
+	}
 	for _, a := range strings.Split(o.corun, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
@@ -573,30 +561,6 @@ func parseCorun(o *options) (corunApps []string, ratio []int, err error) {
 			len(ratio), 1+len(corunApps))
 	}
 	return corunApps, ratio, nil
-}
-
-// runSingleCorun is -graph mode with -corun: the mix's apps are each
-// recorded once, interleaved into one shared LLC under -policy, and scored
-// against their own solo replays (DESIGN.md Sec. 15).
-func runSingleCorun(o *options) error {
-	ds, err := graph.Resolve(o.graphSpec)
-	if err != nil {
-		return err
-	}
-	corunApps, ratio, err := parseCorun(o)
-	if err != nil {
-		return err
-	}
-	mix := append([]string{o.app}, corunApps...)
-	session := exp.NewSession(configFor(uint32(o.scale), &ds))
-	r, err := session.CorunResult(o.graphSpec, o.reorder, mix, ratio, apps.LayoutMerged, o.policy)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("co-run: %s on %s reorder=%s policy=%s\n",
-		strings.Join(mix, "+"), ds.Name, o.reorder, o.policy)
-	printCorunMetrics(os.Stdout, r)
-	return nil
 }
 
 // printCorunMetrics renders one co-run: per-app attribution rows against

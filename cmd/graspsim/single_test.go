@@ -1,0 +1,210 @@
+package main
+
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+
+	"grasp/internal/apps"
+	"grasp/internal/cache"
+	"grasp/internal/exp"
+	"grasp/internal/graph"
+	"grasp/internal/jobs"
+	"grasp/internal/mem"
+	"grasp/internal/sim"
+)
+
+// parseArgs runs args through the real flag set, so the tests see the
+// defaults `graspsim` itself would.
+func parseArgs(t *testing.T, args ...string) *options {
+	t.Helper()
+	fs, o := newFlags()
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// noGraph is a -graph argument that resolves to nothing: singleSpec must
+// accept or refuse a flag combination without looking at it.
+const noGraph = "/nonexistent/graspsim-single-test.el"
+
+// TestSingleSpec is the flags -> jobs.Spec table of a -graph run.
+func TestSingleSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want jobs.Spec
+	}{
+		{name: "defaults",
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1, Fidelity: jobs.FidelityFull}},
+		{name: "flags", args: []string{"-app", "BFS", "-policy", "LRU", "-reorder", "Sort", "-scale", "16", "-timeout", "90s"},
+			want: jobs.Spec{App: "BFS", Policy: "LRU", Reorder: "Sort", Scale: 16, Fidelity: jobs.FidelityFull, TimeoutS: 90}},
+		{name: "sampled default K", args: []string{"-fidelity", "sampled"},
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1,
+				Fidelity: jobs.FidelitySampled, SampleK: jobs.DefaultSampleK}},
+		{name: "sampled K", args: []string{"-fidelity", "sampled", "-sample-k", "65536"},
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1,
+				Fidelity: jobs.FidelitySampled, SampleK: 65536}},
+		{name: "corun", args: []string{"-corun", "BFS, TC"},
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1, Fidelity: jobs.FidelityFull,
+				CorunApps: []string{"BFS", "TC"}}},
+		{name: "corun ratio", args: []string{"-corun", "PR", "-corun-ratio", "2,1"},
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1, Fidelity: jobs.FidelityFull,
+				CorunApps: []string{"PR"}, CorunRatio: []int{2, 1}}},
+		{name: "uniform ratio is the omitted one", args: []string{"-corun", "PR", "-corun-ratio", "1,1"},
+			want: jobs.Spec{App: "PR", Policy: "GRASP", Reorder: "DBG", Scale: 1, Fidelity: jobs.FidelityFull,
+				CorunApps: []string{"PR"}}},
+	} {
+		got, err := singleSpec(parseArgs(t, append([]string{"-graph", noGraph}, tc.args...)...))
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		tc.want.Kind, tc.want.Graph = jobs.KindSingle, noGraph
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: spec = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSingleSpecRefusals: every bad flag combination is refused by the
+// daemon's validator (or the flag parser) before any graph is resolved —
+// the -graph argument here does not exist, and no error mentions it.
+func TestSingleSpecRefusals(t *testing.T) {
+	wide := strings.TrimSuffix(strings.Repeat("BFS,", sim.MaxCorunApps), ",") // + -app = one too many
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"K not a power of two", "not a power of two", []string{"-fidelity", "sampled", "-sample-k", "12"}},
+		{"K too large", "exceeds the maximum 65536", []string{"-fidelity", "sampled", "-sample-k", "131072"}},
+		{"K without sampled", "only valid with \"sampled\"", []string{"-sample-k", "4"}},
+		{"unknown fidelity", "unknown fidelity", []string{"-fidelity", "fast"}},
+		{"ratio without corun", "-corun-ratio requires -corun", []string{"-corun-ratio", "2,1"}},
+		{"sampled corun", "only valid with \"full\"", []string{"-corun", "BFS", "-fidelity", "sampled"}},
+		{"unknown app", "unknown app \"NOPE\"", []string{"-app", "NOPE"}},
+		{"unknown corun app", "unknown corun app \"NOPE\"", []string{"-corun", "NOPE"}},
+		{"unknown policy", "unknown policy \"NOPE\"", []string{"-policy", "NOPE"}},
+		{"unknown reorder", "NOPE", []string{"-reorder", "NOPE"}},
+		{"corun too wide", "exceeds the maximum", []string{"-corun", wide}},
+	} {
+		_, err := singleSpec(parseArgs(t, append([]string{"-graph", noGraph}, tc.args...)...))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), noGraph) {
+			t.Errorf("%s: error %q, want one containing %q and not the graph", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSingleSpecAddress: the job a full-fidelity `graspsim -graph lj` asks
+// for is the job a client spelling only kind and graph asks for — same
+// content address, so CLI and HTTP callers share stored results, and
+// addresses minted before the tier and co-run fields existed still resolve.
+func TestSingleSpecAddress(t *testing.T) {
+	fromFlags, err := singleSpec(parseArgs(t, "-graph", "lj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj"}
+	if err := bare.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fromFlags.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bare.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("flags hash to %s, the bare spec to %s", got, want)
+	}
+}
+
+// TestSweepTier: an -exp run refuses the -graph-only flags and validates
+// -fidelity/-sample-k as a -graph run does, filling the default divisor.
+func TestSweepTier(t *testing.T) {
+	o := parseArgs(t, "-exp", "fig2", "-fidelity", "sampled")
+	if err := sweepTier(o); err != nil || o.sampleK != jobs.DefaultSampleK {
+		t.Fatalf("sampled sweep: K = %d, err = %v", o.sampleK, err)
+	}
+	for _, args := range [][]string{
+		{"-sample-k", "4"},
+		{"-fidelity", "sampled", "-sample-k", "3"},
+		{"-fidelity", "fast"},
+		{"-corun", "BFS"},
+		{"-corun-ratio", "2,1"},
+		{"-arrays"},
+	} {
+		if err := sweepTier(parseArgs(t, args...)); err == nil {
+			t.Errorf("%v: accepted on an -exp run", args)
+		}
+	}
+}
+
+// TestArraysRefused: -arrays needs the live hierarchy of a local
+// full-fidelity run; it is refused before the graph is touched.
+func TestArraysRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-remote", "localhost:1"},
+		{"-fidelity", "sampled"},
+		{"-corun", "BFS"},
+	} {
+		o := parseArgs(t, append([]string{"-graph", noGraph, "-arrays"}, args...)...)
+		spec, err := singleSpec(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runSingle(o, spec, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "-arrays") {
+			t.Errorf("%v: err = %v, want the -arrays refusal", args, err)
+		}
+	}
+}
+
+// TestArraysMatchesRun: the arraySink only watches — a run through it
+// reports sim.Run's Result, for a hint-consuming policy and a plain one —
+// and its per-array tallies partition the LLC's accesses and misses.
+func TestArraysMatchesRun(t *testing.T) {
+	ds, err := graph.DatasetByName("lj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := exp.ScaledConfig(64)
+	wl, err := sim.PrepareWorkload(ds, "DBG", false, cfg.ScaleDiv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []string{"GRASP", "LRU"} {
+		spec := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pol, HCfg: cfg.HCfg}
+		want, err := sim.Run(wl, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink *arraySink
+		got, err := sim.RunSink(wl, spec, func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink {
+			sink = &arraySink{h: h, as: as, acc: map[string]uint64{}, miss: map[string]uint64{}}
+			return sink
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.AppTime, want.AppTime = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: -arrays Result %+v, sim.Run %+v", pol, got, want)
+		}
+		var acc, miss uint64
+		for name := range sink.acc {
+			acc += sink.acc[name]
+			miss += sink.miss[name]
+		}
+		if acc != got.LLC.Accesses() || miss != got.LLC.Misses {
+			t.Errorf("%s: per-array sums %d/%d, LLC %d/%d", pol, acc, miss, got.LLC.Accesses(), got.LLC.Misses)
+		}
+	}
+}

@@ -200,26 +200,13 @@ func corunMixes() [][]string {
 // order (the solo-baseline matrix).
 func corunApps() []string { return []string{"BFS", "PR", "KCore", "TC"} }
 
-// corunSchemes returns every registered policy except RRIP (declared
-// implicitly by matrixPoints), matching the scenario sweep's coverage
-// rule: a policy cannot register without a co-run datapoint.
-func corunSchemes() []string {
-	var out []string
-	for _, p := range sim.Policies() {
-		if p.Name != "RRIP" {
-			out = append(out, p.Name)
-		}
-	}
-	return out
-}
-
 // corunPoints declares the solo-baseline matrix: every policy x kernel x
 // high-skew dataset under DBG. Prefetch computes them via the broadcast
 // fan-out, recording each (dataset, app) group once — the same recordings
 // the co-run replays interleave, so the experiment body's co-runs start
 // from warm traces and warm baselines.
 func corunPoints() []Datapoint {
-	return matrixPoints(highSkewNames(), "DBG", corunApps(), corunSchemes())
+	return matrixPoints(highSkewNames(), "DBG", corunApps(), registeredSchemes())
 }
 
 // mixLabel renders a mix for table headers: "BFS+PR", "2x(BFS+PR+...)"
@@ -251,7 +238,7 @@ func runCorun(s *Session, w io.Writer) error {
 		return err
 	}
 	datasets := highSkewNames()
-	policies := append([]string{"RRIP"}, corunSchemes()...)
+	policies := append([]string{"RRIP"}, registeredSchemes()...)
 	mixes := corunMixes()
 	// Fan the (mix, dataset) units out over the worker pool — each decodes
 	// and interleaves its mix once for all the policies — so the sequential

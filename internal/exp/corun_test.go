@@ -39,7 +39,7 @@ func TestCorunSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	datasets, mixes := len(highSkewNames()), len(corunMixes())
-	policies := len(corunSchemes()) + 1
+	policies := len(registeredSchemes()) + 1
 	groups := len(corunApps()) * datasets
 	runs0, cons0 := trace.BroadcastStats()
 	s := NewSession(ScaledConfig(goldenScaleDiv))
@@ -257,7 +257,7 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	if err := runCorun(s, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.CorunRuns(), uint64(len(corunMixes())*len(highSkewNames())*(len(corunSchemes())+1)); got != want {
+	if got, want := s.CorunRuns(), uint64(len(corunMixes())*len(highSkewNames())*(len(registeredSchemes())+1)); got != want {
 		t.Errorf("CorunRuns after the contained panic = %d, want %d", got, want)
 	}
 }

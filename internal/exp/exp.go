@@ -190,7 +190,7 @@ func (s *Session) TraceBytesRetained() int64 {
 }
 
 // FileBytesRetained returns the approximate bytes currently retained for
-// file-backed datasets (observability and tests).
+// file-backed datasets (graspd's graph_bytes_retained gauge, and tests).
 func (s *Session) FileBytesRetained() int64 {
 	n, _ := s.art.retained()
 	return n

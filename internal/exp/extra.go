@@ -8,9 +8,7 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/graph"
 	"grasp/internal/mem"
-	"grasp/internal/reorder"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
 	"grasp/internal/stream"
@@ -218,12 +216,11 @@ func runAblationSHiP(s *Session, w io.Writer) error {
 // coverage of the DBG hot region under an update stream, stale vs freshly
 // reordered, for a drifting tw-like graph.
 func runStreaming(s *Session, w io.Writer) error {
-	ds, err := graph.DatasetByName("tw")
+	wl, err := s.Workload("tw", "DBG", true)
 	if err != nil {
 		return err
 	}
-	g := ds.Generate(true, s.Cfg.ScaleDiv)
-	g = reorder.Apply(g, reorder.DBG(g, reorder.BySum))
+	g := wl.Graph
 	// Prefix = the vertices whose merged property elements fill one LLC
 	// (the High Reuse Region).
 	prefix := uint32(s.Cfg.HCfg.LLC.SizeBytes / 16)

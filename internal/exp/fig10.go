@@ -34,7 +34,11 @@ const fig10aTrials = 4
 //
 // Because it measures wall-clock, this experiment declares no Points and
 // runs strictly sequentially: RunAll finishes the parallel prefetch phase
-// before any body runs, so the timed executions see an idle machine.
+// before any body runs, so the timed executions see an idle machine. The
+// base graphs are the session's (any sweep has loaded them); the
+// reorderings are timed again here rather than read off the session's
+// workloads, whose Workload.ReorderCost was measured under a busy prefetch
+// pool.
 func runFig10a(s *Session, w io.Writer) error {
 	t := stats.NewTable("Dataset", "Sort", "HubSort", "DBG", "Gorder")
 	agg := make(map[string][]float64)
@@ -43,7 +47,10 @@ func runFig10a(s *Session, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g := ds.Generate(true, s.Cfg.ScaleDiv)
+		g, err := s.baseGraph(s.dataset(dsName), ds, true)
+		if err != nil {
+			return err
+		}
 		baseline := timeNativeApps(g)
 		row := []string{dsName}
 		for _, tech := range reorder.Techniques() {

@@ -21,10 +21,11 @@ import (
 // (KCore's frontier-driven peeling, TC's adjacency-intersection scans).
 var scenarioApps = []string{"KCore", "TC"}
 
-// scenarioSchemes returns every registered policy except the RRIP
+// registeredSchemes returns every registered policy except the RRIP
 // baseline, which matrixPoints declares implicitly and against which the
-// sweep normalizes.
-func scenarioSchemes() []string {
+// scenario and co-run sweeps normalize: a policy cannot register without a
+// datapoint in each.
+func registeredSchemes() []string {
 	var out []string
 	for _, p := range sim.Policies() {
 		if p.Name != "RRIP" {
@@ -36,7 +37,7 @@ func scenarioSchemes() []string {
 
 // scenarioPoints declares the full policy x {KCore, TC} x dataset matrix.
 func scenarioPoints() []Datapoint {
-	return matrixPoints(highSkewNames(), "DBG", scenarioApps, scenarioSchemes())
+	return matrixPoints(highSkewNames(), "DBG", scenarioApps, registeredSchemes())
 }
 
 // runScenarios renders one row per policy: LLC miss reduction over RRIP
@@ -53,7 +54,7 @@ func runScenarios(s *Session, w io.Writer) error {
 	}
 	header = append(header, "Mean")
 	t := stats.NewTable(header...)
-	for _, scheme := range scenarioSchemes() {
+	for _, scheme := range registeredSchemes() {
 		row := []string{scheme}
 		var vals []float64
 		for _, app := range scenarioApps {

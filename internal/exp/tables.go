@@ -15,7 +15,10 @@ import (
 func runTable1(s *Session, w io.Writer) error {
 	t := stats.NewTable("Dataset", "In Hot(%)", "In EdgeCov(%)", "Out Hot(%)", "Out EdgeCov(%)", "AvgDeg")
 	for _, ds := range graph.Datasets() {
-		g := ds.Generate(false, s.Cfg.ScaleDiv)
+		g, err := s.baseGraph(s.dataset(ds.Name), ds, false)
+		if err != nil {
+			return err
+		}
 		in, out := graph.InSkew(g), graph.OutSkew(g)
 		t.AddRowf(ds.Name, in.HotVertexPct, in.EdgeCoverPct, out.HotVertexPct, out.EdgeCoverPct, g.AvgDegree())
 	}

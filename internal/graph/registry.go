@@ -8,17 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // The dataset registry maps every graph the reproduction can run on —
 // the paper's synthetic stand-ins AND any ingested file — through one
 // resolver, so `-graph web-Google.txt` and `-dataset tw` flow down the
 // same Dataset -> Workload -> simulation path. File-backed datasets are
-// parsed once per file state (an in-memory memo validated by size/mtime,
-// so edits re-ingest) and converted once per file state (a sidecar .gcsr
-// cache next to the source, reused while the source matches the
-// size/mtime stamp recorded at conversion).
+// converted once per file state (a sidecar .gcsr cache next to the source,
+// reused while the source matches the size/mtime stamp recorded at
+// conversion); nothing here holds a parsed graph in memory — that is
+// exp.Session's artifact store, the one RAM cache of graphs (DESIGN.md
+// Sec. 6).
 
 // Resolve maps a dataset spec — a paper dataset name (lj, pl, tw, kr, sd,
 // fr, uni) or a path to a graph file (.txt/.el/.wel/.mtx/.gcsr) — to a
@@ -45,7 +45,7 @@ func Resolve(spec string) (Dataset, error) {
 }
 
 // Load materializes the dataset: synthetic kinds generate (honoring
-// scaleDiv), KindFile ingests the file through the registry cache. File
+// scaleDiv), KindFile ingests the file (fresh sidecar, or parse). File
 // datasets always load at their full on-disk size — scaleDiv only scales
 // the synthetic stand-ins. The weighted flag is an invariant of the
 // returned graph, exactly as for generators: if weights are required
@@ -57,7 +57,13 @@ func (d Dataset) Load(weighted bool, scaleDiv uint32) (*CSR, error) {
 	if d.Kind != KindFile {
 		return d.Generate(weighted, scaleDiv), nil
 	}
-	g, err := loadFileCached(d.Path)
+	// The sidecar's stamp and digest check derive from this one stat, so a
+	// load can never mark one file state fresh while parsing another.
+	fi, err := os.Stat(d.Path)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	g, err := loadFile(d.Path, fi)
 	if err != nil {
 		return nil, err
 	}
@@ -70,162 +76,11 @@ func (d Dataset) Load(weighted bool, scaleDiv uint32) (*CSR, error) {
 	return g, nil
 }
 
-// fileEntry is one file's slot in the memo: the once gate gives per-key
-// singleflight semantics, so concurrent loads of different files ingest
-// in parallel while concurrent loads of the same file share one parse.
-// size/modNano are the source file's stat stamp captured when the entry
-// was created; loadFileCached compares them against the current stat and
-// replaces the entry on mismatch. bytes/seq feed the LRU byte budget:
-// the parse's footprint (charged once the load completes) and the entry's
-// last-use tick.
-type fileEntry struct {
-	once    sync.Once
-	g       *CSR
-	err     error
-	size    int64
-	modNano int64
-	bytes   int64
-	seq     uint64
-}
-
-// fileCache is the process-wide memo of parsed file graphs, keyed by
-// cleaned path and validated by (size, mtime): in a long-lived daemon an
-// edited graph file must re-ingest, or its new content address (the jobs
-// layer hashes file bytes) would be paired with the stale parsed graph
-// and the wrong outcome persisted under the new hash. Stored graphs are
-// immutable (Load's weight adjustments build new CSR headers; CSRs are
-// never mutated after construction), so concurrent Sessions can share
-// them.
-//
-// The memo is bounded: besides the per-path generation eviction (an
-// edited file replaces its own entry), a byte budget with LRU eviction
-// caps the total parsed bytes across DISTINCT paths, so a daemon fed
-// arbitrary graph files cannot grow without bound (DESIGN.md Sec. 10).
-// Evicted graphs stay alive for callers already holding them (they are
-// plain GC-managed values); the memo just re-ingests on the next request.
-var fileCache = struct {
-	sync.Mutex
-	m      map[string]*fileEntry
-	budget int64
-	total  int64
-	seq    uint64
-}{m: make(map[string]*fileEntry), budget: DefaultFileCacheBudget}
-
-// DefaultFileCacheBudget is the registry memo's initial parsed-bytes cap
-// (4 GiB).
-const DefaultFileCacheBudget = int64(4) << 30
-
-// SetFileCacheBudget replaces the registry memo's parsed-bytes cap and
-// applies it immediately (evicting least-recently-used entries if the new
-// budget is already exceeded); n <= 0 disables the cap.
-func SetFileCacheBudget(n int64) {
-	fileCache.Lock()
-	fileCache.budget = n
-	evictFilesLocked("")
-	fileCache.Unlock()
-}
-
-// CachedFiles returns the number of distinct graph files the process-wide
-// registry memo currently holds (successful or failed parses alike). It
-// exists for observability: a long-lived daemon (graspd) reports it so
-// operators can see file graphs being reused across requests instead of
-// re-ingested.
-func CachedFiles() int {
-	fileCache.Lock()
-	defer fileCache.Unlock()
-	return len(fileCache.m)
-}
-
-// CachedFileBytes returns the parsed-graph bytes the memo currently
-// retains (observability and tests).
-func CachedFileBytes() int64 {
-	fileCache.Lock()
-	defer fileCache.Unlock()
-	return fileCache.total
-}
-
-// evictFilesLocked drops least-recently-used entries (never the one under
-// keep) until the accounted total fits the budget. Caller holds
-// fileCache's lock.
-func evictFilesLocked(keep string) {
-	if fileCache.budget <= 0 {
-		return
-	}
-	for fileCache.total > fileCache.budget {
-		oldest, oldestSeq := "", uint64(0)
-		for k, e := range fileCache.m {
-			if k != keep && (oldest == "" || e.seq < oldestSeq) {
-				oldest, oldestSeq = k, e.seq
-			}
-		}
-		if oldest == "" {
-			return
-		}
-		fileCache.total -= fileCache.m[oldest].bytes
-		delete(fileCache.m, oldest)
-	}
-}
-
-// loadFileCached loads a graph file through two cache layers: the
-// in-memory memo, then — for text formats — a sidecar "<path>.gcsr"
-// binary conversion that is written on first ingest and reused on later
-// runs while the source still matches the (size, mtime) stamp recorded
-// next to it. The memo entry is
-// validated against the file's current (size, mtime) — the same freshness
-// rule the jobs layer uses for content digests — so editing a file
-// between requests re-ingests it instead of serving the stale parse.
-func loadFileCached(path string) (*CSR, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	size, modNano := fi.Size(), fi.ModTime().UnixNano()
-	key := filepath.Clean(path)
-	fileCache.Lock()
-	e, ok := fileCache.m[key]
-	if !ok || e.size != size || e.modNano != modNano {
-		if ok {
-			fileCache.total -= e.bytes // superseded generation
-		}
-		e = &fileEntry{size: size, modNano: modNano}
-		fileCache.m[key] = e
-	}
-	fileCache.seq++
-	e.seq = fileCache.seq
-	fileCache.Unlock()
-	// The entry's validation stamp and the load derive from the same stat,
-	// so the memo can never mark one file state fresh while the sidecar
-	// machinery recorded another.
-	e.once.Do(func() {
-		e.g, e.err = loadFile(path, fi)
-		// Charge the footprint and evict LRU peers over budget. Failed
-		// parses are charged a nominal floor so a daemon fed millions of
-		// distinct malformed paths still converges to the budget instead
-		// of accumulating zero-cost error entries forever. The entry may
-		// itself have been evicted (or superseded) while parsing; only
-		// the instance still registered under the key is accounted.
-		bytes := int64(errEntryBytes)
-		if e.g != nil {
-			bytes = e.g.Footprint()
-		}
-		fileCache.Lock()
-		if fileCache.m[key] == e {
-			e.bytes = bytes
-			fileCache.total += e.bytes
-			evictFilesLocked(key)
-		}
-		fileCache.Unlock()
-	})
-	return e.g, e.err
-}
-
-// errEntryBytes is the nominal accounting charge for a memo entry whose
-// parse failed: far above its true footprint, so the byte budget also
-// bounds how many distinct failing paths the memo retains.
-const errEntryBytes = 64 << 10
-
-// loadFile ingests one graph file; srci is the source's stat the caller
-// validated against (unused for direct .gcsr files).
+// loadFile ingests one graph file: for text formats through a sidecar
+// "<path>.gcsr" binary conversion that is written on first ingest and
+// reused while the source still matches the (size, mtime) stamp recorded
+// next to it. srci is the source's stat Load took (unused for direct .gcsr
+// files).
 func loadFile(path string, srci os.FileInfo) (*CSR, error) {
 	if strings.EqualFold(filepath.Ext(path), ".gcsr") {
 		f, err := os.Open(path)

@@ -79,21 +79,21 @@ func TestResolveAndLoadFile(t *testing.T) {
 		t.Fatal("sidecar disagrees with ingest")
 	}
 
-	// Second load hits the in-memory memo: same pointer.
+	// Second load reads that sidecar: an equal graph.
 	g2, err := d.Load(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2 != g {
-		t.Fatal("file graph not memoized")
+	if g2.NumEdges() != g.NumEdges() || g2.NumVertices() != g.NumVertices() {
+		t.Fatal("second load disagrees with the first")
 	}
 }
 
-// TestLoadReingestsEditedFile: the in-memory memo is validated by
+// TestLoadReingestsEditedFile: the sidecar is validated by the source's
 // (size, mtime), so editing a graph file between loads re-ingests it
-// instead of serving the stale parse. This matters in a long-lived
+// instead of serving the stale conversion. This matters in a long-lived
 // daemon: the jobs layer content-addresses file graphs by their bytes,
-// and a stale memo would pair the new address with the old graph.
+// and a stale conversion would pair the new address with the old graph.
 func TestLoadReingestsEditedFile(t *testing.T) {
 	ref := GenPath(6)
 	dir := t.TempDir()
@@ -129,9 +129,6 @@ func TestLoadReingestsEditedFile(t *testing.T) {
 	g2, err := d.Load(false, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if g2 == g1 {
-		t.Fatal("edited file served from the stale memo")
 	}
 	if g2.NumVertices() != edited.NumVertices() {
 		t.Fatalf("reloaded graph has %d vertices, want the edited file's %d",
@@ -330,70 +327,5 @@ func TestLoadSyntheticKindsDelegateToGenerate(t *testing.T) {
 	want := d.Generate(false, 64)
 	if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
 		t.Fatal("Load disagrees with Generate for a synthetic dataset")
-	}
-}
-
-// TestFileCacheBudgetEvictsLRU: the registry memo's parsed bytes are
-// bounded — under a tiny budget each newly ingested path evicts the
-// least-recently-used one, the accounting shrinks with it, and the evicted
-// path re-ingests (new *CSR instance) on the next load. Not parallel: it
-// narrows the process-wide budget.
-func TestFileCacheBudgetEvictsLRU(t *testing.T) {
-	defer SetFileCacheBudget(DefaultFileCacheBudget)
-	dir := t.TempDir()
-	pathA := writeTestEdgeList(t, dir, "lru-a.el", GenPath(32))
-	pathB := writeTestEdgeList(t, dir, "lru-b.el", GenCycle(48))
-
-	SetFileCacheBudget(1)
-	filesBefore, bytesBefore := CachedFiles(), CachedFileBytes()
-
-	dA, err := Resolve(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gA, err := dA.Load(true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gA2, err := dA.Load(true, 1); err != nil || gA2 != gA {
-		t.Fatalf("A not served from the memo before eviction (err=%v)", err)
-	}
-
-	dB, err := Resolve(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gB, err := dB.Load(true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CachedFiles(); got != filesBefore+1 {
-		t.Fatalf("memo holds %d files, want %d (B only of the two)", got, filesBefore+1)
-	}
-	if got := CachedFileBytes(); got != bytesBefore+gB.Footprint() {
-		t.Fatalf("accounted bytes %d, want %d (B's footprint)", got, bytesBefore+gB.Footprint())
-	}
-	if gB2, err := dB.Load(true, 1); err != nil || gB2 != gB {
-		t.Fatalf("B (most recent) was evicted (err=%v)", err)
-	}
-	gA3, err := dA.Load(true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gA3 == gA {
-		t.Fatal("A still cached despite the byte budget")
-	}
-
-	// Restoring a generous budget stops the thrash: both stay resident.
-	SetFileCacheBudget(DefaultFileCacheBudget)
-	gA4, err := dA.Load(true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dB.Load(true, 1); err != nil {
-		t.Fatal(err)
-	}
-	if gA5, err := dA.Load(true, 1); err != nil || gA5 != gA4 {
-		t.Fatalf("A evicted under a budget it fits (err=%v)", err)
 	}
 }

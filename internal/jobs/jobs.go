@@ -24,7 +24,6 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/exp"
 	"grasp/internal/fail"
-	"grasp/internal/graph"
 	"grasp/internal/trace"
 )
 
@@ -786,42 +785,53 @@ func (m *Manager) ExecutePlaced(ctx context.Context, spec Spec, hash string) (*O
 	return o, nil
 }
 
-// simulate runs the simulation work for one job on the session engine,
-// honoring ctx at datapoint and trace-chunk boundaries.
+// simulate runs one job on the manager's session for the job's scale.
 func (m *Manager) simulate(ctx context.Context, j *Job) (*Outcome, error) {
-	s := m.sessionFor(j.Spec.Scale)
-	switch j.Spec.Kind {
+	return Simulate(ctx, m.sessionFor(j.Spec.Scale), j.Spec, j.setProgress)
+}
+
+// Simulate produces a canonicalized spec's outcome on the session engine,
+// honoring ctx at datapoint and trace-chunk boundaries: the one dispatch
+// from a Spec to a simulation tier (sampled, co-run, full) or an experiment
+// body. A daemon's workers, placed runs and a local `graspsim -graph` all
+// run it. The session must be configured for spec.Scale (Spec.Config);
+// progress, which may be nil, receives an experiment's completed fraction.
+// The outcome is bare: Hash, Spec, Elapsed and Finished are the caller's.
+func Simulate(ctx context.Context, s *exp.Session, spec Spec, progress func(float64)) (*Outcome, error) {
+	switch spec.Kind {
 	case KindSingle:
-		if j.Spec.Fidelity == FidelitySampled {
-			r, err := s.SampledResultCtx(ctx, j.Spec.Graph, j.Spec.Reorder, j.Spec.App, apps.LayoutMerged, j.Spec.Policy, j.Spec.SampleK)
+		if spec.Fidelity == FidelitySampled {
+			r, err := s.SampledResultCtx(ctx, spec.Graph, spec.Reorder, spec.App, apps.LayoutMerged, spec.Policy, spec.SampleK)
 			if err != nil {
 				return nil, err
 			}
 			return &Outcome{Sampled: &r}, nil
 		}
-		if len(j.Spec.CorunApps) > 0 {
-			mix := append([]string{j.Spec.App}, j.Spec.CorunApps...)
-			r, err := s.CorunResultCtx(ctx, j.Spec.Graph, j.Spec.Reorder, mix, j.Spec.CorunRatio, apps.LayoutMerged, j.Spec.Policy)
+		if len(spec.CorunApps) > 0 {
+			mix := append([]string{spec.App}, spec.CorunApps...)
+			r, err := s.CorunResultCtx(ctx, spec.Graph, spec.Reorder, mix, spec.CorunRatio, apps.LayoutMerged, spec.Policy)
 			if err != nil {
 				return nil, err
 			}
 			return &Outcome{Corun: &r}, nil
 		}
-		r, err := s.ResultCtx(ctx, j.Spec.Graph, j.Spec.Reorder, j.Spec.App, apps.LayoutMerged, j.Spec.Policy)
+		r, err := s.ResultCtx(ctx, spec.Graph, spec.Reorder, spec.App, apps.LayoutMerged, spec.Policy)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Single: &r}, nil
 	case KindExperiment:
-		e, err := exp.ByID(j.Spec.Exp)
+		e, err := exp.ByID(spec.Exp)
 		if err != nil {
 			return nil, err
 		}
 		if e.Points != nil {
 			points := e.Points()
 			if err := s.PrefetchObservedCtx(ctx, points, func(done, total int) {
-				// Hold the last percent back for the render step.
-				j.setProgress(0.99 * float64(done) / float64(total))
+				if progress != nil {
+					// Hold the last percent back for the render step.
+					progress(0.99 * float64(done) / float64(total))
+				}
 			}); err != nil {
 				return nil, err
 			}
@@ -835,7 +845,7 @@ func (m *Manager) simulate(ctx context.Context, j *Job) (*Outcome, error) {
 		}
 		return &Outcome{Output: buf.String()}, nil
 	}
-	return nil, fmt.Errorf("jobs: unknown job kind %q", j.Spec.Kind)
+	return nil, fmt.Errorf("jobs: unknown job kind %q", spec.Kind)
 }
 
 // shutdownGrace bounds how long Shutdown waits for preempted jobs to
@@ -955,15 +965,16 @@ type Metrics struct {
 	// TraceBytesRetained is the total encoded bytes of recordings cached
 	// across all sessions (bounded per session by the trace budget).
 	TraceBytesRetained int64
-	// CachedGraphFiles is the registry's count of parsed file graphs
-	// shared across requests.
-	CachedGraphFiles int
+	// GraphBytesRetained is the total bytes retained for file-backed graphs
+	// across all sessions (bounded per session by the file budget): non-zero
+	// while file graphs are being reused across requests, not re-ingested.
+	GraphBytesRetained int64
 }
 
 // Metrics returns a snapshot of the manager's counters.
 func (m *Manager) Metrics() Metrics {
 	var simRuns, sampledRuns, corunRuns, broadcastGroups uint64
-	var traceBytes int64
+	var traceBytes, graphBytes int64
 	m.mu.Lock()
 	for _, s := range m.sessions {
 		simRuns += s.SimRuns()
@@ -971,6 +982,7 @@ func (m *Manager) Metrics() Metrics {
 		corunRuns += s.CorunRuns()
 		broadcastGroups += s.Broadcasts()
 		traceBytes += s.TraceBytesRetained()
+		graphBytes += s.FileBytesRetained()
 	}
 	m.mu.Unlock()
 	broadcastReplays, broadcastConsumers := trace.BroadcastStats()
@@ -980,6 +992,7 @@ func (m *Manager) Metrics() Metrics {
 		BroadcastConsumers: broadcastConsumers,
 		Skip:               trace.SkipStats(),
 		TraceBytesRetained: traceBytes,
+		GraphBytesRetained: graphBytes,
 		Submitted:          m.submitted.Load(),
 		Executed:           m.executed.Load(),
 		Completed:          m.completed.Load(),
@@ -1000,6 +1013,5 @@ func (m *Manager) Metrics() Metrics {
 		SimRuns:            simRuns,
 		SampledRuns:        sampledRuns,
 		CorunRuns:          corunRuns,
-		CachedGraphFiles:   graph.CachedFiles(),
 	}
 }

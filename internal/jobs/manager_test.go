@@ -251,10 +251,14 @@ func TestEditedFileGraphReSimulates(t *testing.T) {
 	if st := j1.Status(); st.State != StateDone {
 		t.Fatalf("first job failed: %s", st.Error)
 	}
+	retained := m.Metrics().GraphBytesRetained
+	if retained <= 0 {
+		t.Errorf("GraphBytesRetained = %d after a file-graph job, want the session's retained graphs", retained)
+	}
 
 	// Replace the file with a 4x larger graph; the future mtime defeats
 	// coarse filesystem timestamps in both the digest memo and the
-	// registry's parse memo.
+	// session's file stamp.
 	writeGraph(graph.GenRMATDefault(8, 4, 13, false))
 	future := time.Now().Add(2 * time.Second)
 	if err := os.Chtimes(path, future, future); err != nil {

@@ -361,10 +361,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("accesses_pruned_total", "Records dropped inside the masked decode loop before materialization.", uint64(m.Skip.AccessesPruned))
 	counter("accesses_delivered_total", "Records materialized and delivered to masked-replay consumers.", uint64(m.Skip.AccessesDelivered))
 	gauge("trace_bytes_retained", "Encoded bytes of recordings cached across sessions.", float64(m.TraceBytesRetained))
+	gauge("graph_bytes_retained", "Bytes retained for file-backed graphs across sessions.", float64(m.GraphBytesRetained))
 	gauge("jobs_queued", "Jobs waiting for a worker.", float64(m.Queued))
 	gauge("jobs_running", "Jobs currently simulating.", float64(m.Running))
 	gauge("stored_outcomes", "Outcomes in the persistent result store.", float64(m.StoredOutcomes))
-	gauge("cached_graph_files", "Parsed file graphs shared across requests.", float64(m.CachedGraphFiles))
 	degraded := 0.0
 	if m.Degraded {
 		degraded = 1

@@ -224,6 +224,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"graspd_sim_runs_total 1",
 		"graspd_stored_outcomes 1",
 		"graspd_workers 1",
+		"graspd_graph_bytes_retained 0", // a synthetic dataset is not a file graph
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("metrics missing %q:\n%s", metric, body)

@@ -89,9 +89,9 @@ type Workload struct {
 }
 
 // PrepareWorkload materializes the dataset (generating synthetic kinds
-// scaled down by scaleDiv, 1 = full reproduction scale; loading file-backed
-// datasets through the registry cache) and applies the named reordering
-// technique, timing it.
+// scaled down by scaleDiv, 1 = full reproduction scale; ingesting
+// file-backed datasets) and applies the named reordering technique, timing
+// it.
 func PrepareWorkload(ds graph.Dataset, reorderName string, weighted bool, scaleDiv uint32) (*Workload, error) {
 	g, err := ds.Load(weighted, scaleDiv)
 	if err != nil {
@@ -152,63 +152,17 @@ func (r Result) MissReductionPctOver(base Result) float64 {
 
 // Run executes one (app, layout, policy) simulation on the workload.
 func Run(w *Workload, spec Spec) (Result, error) {
-	return RunCtx(context.Background(), w, spec)
+	return RunSink(w, spec, nil)
 }
 
-// cancelPollInterval is how many accesses a cancellable direct run lets
-// pass between context polls — the same cadence as the Recorder's poll,
-// so a cancelled simulation unwinds within one chunk's worth of accesses
-// on either path.
-const cancelPollInterval = 1 << 16
-
-// cancelSink interposes a context poll in front of another sink. It only
-// exists on cancellable runs: wrapping the hierarchy forfeits the
-// tracer's monomorphized *cache.Hierarchy fast path, which background-
-// context callers (local graspsim, the examples, the equivalence suites'
-// reference runs) must keep, so RunCtx
-// installs it solely when ctx can actually be cancelled.
-type cancelSink struct {
-	sink mem.Sink
-	ctx  context.Context
-	done <-chan struct{}
-	poll int
-}
-
-// Access implements mem.Sink: poll the context every cancelPollInterval
-// accesses, then forward.
-func (c *cancelSink) Access(a mem.Access) {
-	if c.poll--; c.poll <= 0 {
-		c.poll = cancelPollInterval
-		select {
-		case <-c.done:
-			trace.PanicAbort(trace.ContextErr(c.ctx))
-		default:
-		}
-	}
-	c.sink.Access(a)
-}
-
-// recoverAbort converts the cancellation sentinel (trace.PanicAbort) back
-// into an error return; any other panic keeps propagating. Deferred by
-// the Ctx variants around the application execution they cannot otherwise
-// interrupt.
-func recoverAbort(err *error) {
-	if p := recover(); p != nil {
-		if aerr, ok := trace.AbortError(p); ok {
-			*err = aerr
-			return
-		}
-		panic(p)
-	}
-}
-
-// RunCtx is Run with cooperative cancellation. The application drives
-// the access stream and offers no return path, so cancellation unwinds
-// the execution via the trace.PanicAbort sentinel, recovered here and
-// returned as the context's error. With a non-cancellable context (nil
-// Done) this is byte-for-byte Run: no wrapper sink, no poll, the exact
-// monomorphized tracer fast path.
-func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error) {
+// RunSink is Run with the caller's sink between the application and the
+// hierarchy — the one place an execution-driven run resolves the policy,
+// programs the ABRs and builds the hierarchy. wrap receives that hierarchy
+// and the run's address space and returns the sink the application drives;
+// whatever it interposes (a context poll, a per-array tally) must forward
+// every access to h for the Result to equal Run's. A nil wrap drives h
+// itself, the tracer's monomorphized *cache.Hierarchy fast path.
+func RunSink(w *Workload, spec Spec, wrap func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink) (Result, error) {
 	pinfo, err := PolicyByName(spec.Policy)
 	if err != nil {
 		return Result{}, err
@@ -234,9 +188,8 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 		return Result{}, err
 	}
 	var sink mem.Sink = h
-	if done := ctx.Done(); done != nil {
-		sink = &cancelSink{sink: h, ctx: ctx, done: done, poll: cancelPollInterval}
-		defer recoverAbort(&err)
+	if wrap != nil {
+		sink = wrap(h, fg.AS)
 	}
 	start := time.Now()
 	app.Run(ligra.NewTracer(sink))
@@ -248,6 +201,60 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 		Cycles:  h.MemoryCycles(),
 		AppTime: elapsed,
 	}, nil
+}
+
+// cancelPollInterval is how many accesses a cancellable direct run lets
+// pass between context polls — the same cadence as the Recorder's poll,
+// so a cancelled simulation unwinds within one chunk's worth of accesses
+// on either path.
+const cancelPollInterval = 1 << 16
+
+// cancelSink interposes a context poll in front of the hierarchy: the
+// RunSink wrapper of a cancellable RunCtx.
+type cancelSink struct {
+	h    *cache.Hierarchy
+	ctx  context.Context
+	done <-chan struct{}
+	poll int
+}
+
+// Access implements mem.Sink: poll the context every cancelPollInterval
+// accesses, then forward.
+func (c *cancelSink) Access(a mem.Access) {
+	if c.poll--; c.poll <= 0 {
+		c.poll = cancelPollInterval
+		select {
+		case <-c.done:
+			trace.PanicAbort(trace.ContextErr(c.ctx))
+		default:
+		}
+	}
+	c.h.Access(a)
+}
+
+// RunCtx is Run with cooperative cancellation. The application drives
+// the access stream and offers no return path, so cancellation unwinds
+// the execution via the trace.PanicAbort sentinel, recovered here and
+// returned as the context's error. With a non-cancellable context (nil
+// Done) this is byte-for-byte Run: no wrapper sink, no poll, the exact
+// monomorphized tracer fast path.
+func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error) {
+	done := ctx.Done()
+	if done == nil {
+		return Run(w, spec)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			aerr, ok := trace.AbortError(p)
+			if !ok {
+				panic(p)
+			}
+			err = aerr
+		}
+	}()
+	return RunSink(w, spec, func(h *cache.Hierarchy, _ *mem.AddressSpace) mem.Sink {
+		return &cancelSink{h: h, ctx: ctx, done: done, poll: cancelPollInterval}
+	})
 }
 
 // RecordTraceNCtx executes the app once behind the policy-independent
