@@ -72,20 +72,33 @@ func (c *KCore) Run(t *ligra.Tracer) {
 		c.Coreness[v] = 0
 		alive[v] = true
 	}
+	// live holds, ascending, the vertices a threshold scan may still have
+	// to read. Each scan drops the ones it finds dead and the ones it
+	// peels, so a phase visits the alive vertices it reads plus, once,
+	// those the previous phase's waves peeled: the scan costs what it
+	// emits instead of n.
+	live := make([]graph.VertexID, n)
+	for v := range live {
+		live[v] = graph.VertexID(v)
+	}
 	remaining := n
 	for k := uint32(1); remaining > 0; k++ {
 		// Collect this phase's initial peel set: alive vertices whose
 		// residual degree already sits below k.
 		var peel []graph.VertexID
-		for v := uint32(0); v < n; v++ {
+		kept := live[:0]
+		for _, v := range live {
 			if !alive[v] {
 				continue
 			}
 			t.Read(c.degArr, uint64(v), pcKCDegRd)
 			if c.Degree[v] < int64(k) {
 				peel = append(peel, v)
+			} else {
+				kept = append(kept, v)
 			}
 		}
+		live = kept
 		for len(peel) > 0 {
 			for _, v := range peel {
 				alive[v] = false

@@ -112,7 +112,15 @@ func (g *CSR) String() string {
 // FromEdges builds a CSR from a directed edge list. Self-loops are kept;
 // parallel edges are kept (multigraphs arise naturally from generators and
 // are harmless to the algorithms). Edges referencing vertices >= n are
-// rejected.
+// rejected. Every neighbor list comes out sorted ascending.
+//
+// Unweighted input is built in O(n+m) by three counting scatters and no
+// sort: the in-lists in input order; the out-lists by walking those in
+// ascending destination, so each out-list is sorted by construction; then
+// the in-lists again by walking the out-lists in ascending source.
+// Weighted input scatters once and sorts each list with its weights
+// (sortAdjacency), because the order it leaves among parallel edges of
+// different weight is part of SSSP's golden output.
 func FromEdges(n uint32, edges []Edge, weighted bool) (*CSR, error) {
 	for _, e := range edges {
 		if e.Src >= n || e.Dst >= n {
@@ -132,31 +140,45 @@ func FromEdges(n uint32, edges []Edge, weighted bool) (*CSR, error) {
 	}
 	g.OutEdges = make([]VertexID, len(edges))
 	g.InEdges = make([]VertexID, len(edges))
+	// outAt[v] and inAt[v] are the write cursors of v's two lists.
+	outAt := slices.Clone(g.OutIndex[:n])
+	inAt := slices.Clone(g.InIndex[:n])
 	if weighted {
 		g.OutWeights = make([]int32, len(edges))
 		g.InWeights = make([]int32, len(edges))
-	}
-	outPos := make([]uint64, n)
-	inPos := make([]uint64, n)
-	for _, e := range edges {
-		op := g.OutIndex[e.Src] + outPos[e.Src]
-		g.OutEdges[op] = e.Dst
-		ip := g.InIndex[e.Dst] + inPos[e.Dst]
-		g.InEdges[ip] = e.Src
-		if weighted {
-			g.OutWeights[op] = e.Weight
-			g.InWeights[ip] = e.Weight
+		for _, e := range edges {
+			g.OutEdges[outAt[e.Src]], g.OutWeights[outAt[e.Src]] = e.Dst, e.Weight
+			g.InEdges[inAt[e.Dst]], g.InWeights[inAt[e.Dst]] = e.Src, e.Weight
+			outAt[e.Src]++
+			inAt[e.Dst]++
 		}
-		outPos[e.Src]++
-		inPos[e.Dst]++
+		g.sortAdjacency()
+		return g, nil
 	}
-	g.sortAdjacency()
+	for _, e := range edges {
+		g.InEdges[inAt[e.Dst]] = e.Src
+		inAt[e.Dst]++
+	}
+	for d := uint32(0); d < n; d++ {
+		for _, s := range g.InNeighbors(d) {
+			g.OutEdges[outAt[s]] = d
+			outAt[s]++
+		}
+	}
+	copy(inAt, g.InIndex)
+	for s := uint32(0); s < n; s++ {
+		for _, d := range g.OutNeighbors(s) {
+			g.InEdges[inAt[d]] = s
+			inAt[d]++
+		}
+	}
 	return g, nil
 }
 
-// sortAdjacency sorts each vertex's neighbor list (with parallel weights)
-// for deterministic iteration order. The weighted branch's tie order among
-// parallel edges of different weight is part of SSSP's golden output.
+// sortAdjacency sorts each vertex's neighbor list together with its
+// weights, for deterministic iteration order of a weighted graph. The tie
+// order it leaves among parallel edges of different weight is part of
+// SSSP's golden output.
 func (g *CSR) sortAdjacency() {
 	sortSide := func(index []uint64, edges []VertexID, weights []int32) {
 		for v := uint32(0); v < g.n; v++ {
@@ -165,10 +187,6 @@ func (g *CSR) sortAdjacency() {
 				continue
 			}
 			nb := edges[lo:hi]
-			if weights == nil {
-				slices.Sort(nb)
-				continue
-			}
 			w := weights[lo:hi]
 			idx := make([]int, len(nb))
 			for i := range idx {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"encoding/binary"
+
 	"grasp/internal/cache"
 	"grasp/internal/mem"
 )
@@ -39,6 +41,11 @@ type Leeway struct {
 	ld        []uint8 // predicted live distance per block
 	maxHitPos []uint8 // deepest stack position hit so far (0xff = no hit)
 	pc        []uint32
+	// entry caches table[pc[i]] per block, so hits and evictions skip the
+	// map. It is taken at fill and re-looked-up while nil, because the
+	// block's PC may get its first entry after the fill; an entry, once
+	// made, is never replaced.
+	entry []*ldEntry
 
 	table map[uint32]*ldEntry
 	psel  int32
@@ -81,6 +88,7 @@ func NewLeeway(sets, ways uint32) *Leeway {
 		ld:         make([]uint8, n),
 		maxHitPos:  make([]uint8, n),
 		pc:         make([]uint32, n),
+		entry:      make([]*ldEntry, n),
 		table:      make(map[uint32]*ldEntry),
 		psel:       leewayPselInit,
 		base:       NewDRRIP(sets, ways),
@@ -103,6 +111,12 @@ func (p *Leeway) stackPos(set, way uint32) uint8 {
 
 // promote moves way to MRU: blocks above its old position shift down one.
 // A first-time fill starts below every already-resident block.
+//
+// Every rank, garbage ones included, stays below ways, so when ways is a
+// multiple of 8 under 128 the ranks update as little-endian words, eight
+// bytes at a time: per byte, the high bit of (x|0x80) - old is set exactly
+// when x >= old, and every other byte gets +1. Neither the subtraction
+// nor the increment can carry across a byte.
 func (p *Leeway) promote(set, way uint32) {
 	base := set * p.ways
 	i := base + way
@@ -115,12 +129,33 @@ func (p *Leeway) promote(set, way uint32) {
 		p.touchedCnt[set]++
 	}
 	r := p.rank[base : base+p.ways : base+p.ways]
-	for w := range r {
-		if r[w] < old {
-			r[w]++
+	if p.ways%8 == 0 && p.ways < 128 {
+		const ones, highs = 0x0101010101010101, 0x8080808080808080
+		olds := uint64(old) * ones
+		for w := 0; w < len(r); w += 8 {
+			x := binary.LittleEndian.Uint64(r[w:])
+			ge := ((x | highs) - olds) & highs
+			binary.LittleEndian.PutUint64(r[w:], x+(^ge&highs)>>7)
+		}
+	} else {
+		for w := range r {
+			if r[w] < old {
+				r[w]++
+			}
 		}
 	}
 	r[way] = 0
+}
+
+// entryOf returns block i's live-distance table entry, or nil while its
+// PC has none.
+func (p *Leeway) entryOf(i uint32) *ldEntry {
+	e := p.entry[i]
+	if e == nil {
+		e = p.table[p.pc[i]]
+		p.entry[i] = e
+	}
+	return e
 }
 
 // OnHit implements cache.Policy: record the live distance sample, promote,
@@ -134,7 +169,7 @@ func (p *Leeway) OnHit(set, way uint32, _ mem.Access) {
 	if p.maxHitPos[i] == noHit || pos > p.maxHitPos[i] {
 		p.maxHitPos[i] = pos
 	}
-	if e, ok := p.table[p.pc[i]]; ok && pos > e.ld {
+	if e := p.entryOf(i); e != nil && pos > e.ld {
 		e.ld = pos
 		e.downVote = 0
 	}
@@ -152,7 +187,9 @@ func (p *Leeway) OnFill(set, way uint32, a mem.Access) {
 	p.promote(set, way)
 	p.maxHitPos[i] = noHit
 	p.pc[i] = a.PC
-	if e, ok := p.table[a.PC]; ok {
+	e := p.table[a.PC]
+	p.entry[i] = e
+	if e != nil {
 		p.ld[i] = e.ld
 	} else {
 		p.ld[i] = uint8(p.ways - 1) // unknown PC: maximally conservative
@@ -197,11 +234,10 @@ func (p *Leeway) OnEvict(set, way uint32) {
 	if p.maxHitPos[i] != noHit {
 		observed = p.maxHitPos[i]
 	}
-	pcv := p.pc[i]
-	e, ok := p.table[pcv]
-	if !ok {
+	e := p.entryOf(i)
+	if e == nil {
 		// First observation for this PC seeds the predictor directly.
-		p.table[pcv] = &ldEntry{ld: observed}
+		p.table[p.pc[i]] = &ldEntry{ld: observed}
 		p.maxHitPos[i] = noHit
 		return
 	}

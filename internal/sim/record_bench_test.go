@@ -18,9 +18,12 @@ import (
 //	go test ./internal/sim -run '^$' -bench Record -benchtime 20x
 //
 // ns/app-access prices the filter (every access pays it), ns/llc-access
-// is the same time per access that survives to the recording.
+// is the same time per access that survives to the recording. KCore on
+// tw is the row that keeps a superlinear term priced: its peel phases
+// number tw's k_max, and a phase that cost n rather than its own accesses
+// showed up as ns/llc-access growing with scale.
 func BenchmarkRecord(b *testing.B) {
-	for _, name := range []string{"lj", "uni"} {
+	for _, name := range []string{"lj", "tw", "uni"} {
 		for _, scale := range []uint32{64, 16, 4} {
 			// A group per workload, so a -bench filter prepares only the
 			// graphs it selects.
@@ -34,7 +37,7 @@ func BenchmarkRecord(b *testing.B) {
 					b.Fatal(err)
 				}
 				hcfg := exp.ScaledConfig(scale).HCfg
-				for _, app := range []string{"PR", "BFS"} {
+				for _, app := range []string{"PR", "BFS", "KCore"} {
 					b.Run(app, func(b *testing.B) {
 						var appAccesses, llcAccesses uint64
 						for i := 0; i < b.N; i++ {

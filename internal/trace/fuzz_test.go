@@ -70,10 +70,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzChunkSkip drives the masked (in-loop pruning) decode with hostile
-// recordings across geometries from 2 to 512 sets (the name predates the
-// removal of whole-chunk skipping; it is kept because every committed
-// seed is a pinned regression test under it): arbitrary bytes become
+// FuzzMaskedDecode drives the masked (in-loop pruning) decode with hostile
+// recordings across geometries from 2 to 512 sets: arbitrary bytes become
 // an access stream (13-byte records as in FuzzCodecRoundTrip; an input
 // byte toggles the spill layout, picks the set count and the sampling
 // divisor), decoded masked and reconciled against a filter applied after
@@ -82,7 +80,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // prune/deliver accounting must match the reference exactly for any
 // address pattern, including delta overflows, escape records straddling
 // seal-early boundaries, and addresses engineered to alias one bucket.
-func FuzzChunkSkip(f *testing.F) {
+func FuzzMaskedDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Seed one stream clustered in a single congruence class (everything
 	// prunes for most masks), one striding every class with spill + a

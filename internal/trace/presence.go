@@ -16,8 +16,8 @@
 // several sets alias one bucket and the mask only over-approximates —
 // a consumer-side SetFilter still applies its exact per-set test, so
 // false positives cost work, never correctness. A false NEGATIVE is
-// impossible by construction, which the masked-decode fuzz target
-// (FuzzChunkSkip) hammers with hostile recordings.
+// impossible by construction, which FuzzMaskedDecode hammers with hostile
+// recordings.
 package trace
 
 import (
