@@ -96,22 +96,6 @@ func (p *DIPPolicy) Name() string { return "GRASP-DIP" }
 // OnHit implements cache.Policy: hinted behaviour as in GRASP-LRU.
 func (p *DIPPolicy) OnHit(set, way uint32, a mem.Access) { p.stack.OnHit(set, way, a) }
 
-const dipDuelPeriod = 32
-
-func (p *DIPPolicy) leader(set uint32) int {
-	period := uint32(dipDuelPeriod)
-	if p.sets < period {
-		period = p.sets
-	}
-	switch set % period {
-	case 0:
-		return +1
-	case period / 2:
-		return -1
-	}
-	return 0
-}
-
 // OnFill implements cache.Policy.
 func (p *DIPPolicy) OnFill(set, way uint32, a mem.Access) {
 	if a.Hint != mem.HintDefault {
@@ -120,7 +104,7 @@ func (p *DIPPolicy) OnFill(set, way uint32, a mem.Access) {
 	}
 	// DIP dueling for unhinted fills: LRU insertion vs bimodal insertion.
 	useLRUIns := p.psel >= 0
-	switch p.leader(set) {
+	switch policy.DuelLeader(set, p.sets) {
 	case +1:
 		useLRUIns = true
 		if p.psel > -1024 {

@@ -19,19 +19,20 @@ import (
 //	Low-Reuse:      insert at LRU, move one step MRU-ward on hit
 //	Default:        insert at MRU, promote to MRU on hit (plain LRU)
 type LRUPolicy struct {
-	// order[set] lists ways from MRU (index 0) to LRU (index ways-1).
-	order [][]uint8
+	// order lists each set's ways from MRU (index 0) to LRU (index
+	// ways-1), set-major; pos is its inverse, the stack index of every
+	// way, so neither a lookup nor a move scans the stack.
+	order []uint8
+	pos   []uint8
 	ways  uint32
 }
 
 // NewLRUPolicy creates a GRASP-over-LRU policy.
 func NewLRUPolicy(sets, ways uint32) *LRUPolicy {
-	p := &LRUPolicy{order: make([][]uint8, sets), ways: ways}
-	for s := range p.order {
-		p.order[s] = make([]uint8, ways)
-		for w := range p.order[s] {
-			p.order[s][w] = uint8(w)
-		}
+	p := &LRUPolicy{order: make([]uint8, sets*ways), pos: make([]uint8, sets*ways), ways: ways}
+	for i := range p.order {
+		p.order[i] = uint8(uint32(i) % ways)
+		p.pos[i] = p.order[i]
 	}
 	return p
 }
@@ -43,27 +44,26 @@ func (p *LRUPolicy) Name() string { return "GRASP-LRU" }
 
 // position returns the stack index of way in set (0 = MRU).
 func (p *LRUPolicy) position(set uint32, way uint8) int {
-	for i, w := range p.order[set] {
-		if w == way {
-			return i
-		}
-	}
-	panic("core: way missing from recency stack")
+	return int(p.pos[set*p.ways+uint32(way)])
 }
 
-// moveTo relocates way to stack index target.
+// moveTo relocates way to stack index target; the ways in between shift
+// one place toward the slot it left.
 func (p *LRUPolicy) moveTo(set uint32, way uint8, target int) {
-	st := p.order[set]
-	cur := p.position(set, way)
-	if cur == target {
-		return
+	base := set * p.ways
+	st := p.order[base : base+p.ways : base+p.ways]
+	pos := p.pos[base : base+p.ways : base+p.ways]
+	cur := int(pos[way])
+	for ; cur < target; cur++ {
+		st[cur] = st[cur+1]
+		pos[st[cur]] = uint8(cur)
 	}
-	if cur < target {
-		copy(st[cur:], st[cur+1:target+1])
-	} else {
-		copy(st[target+1:cur+1], st[target:cur])
+	for ; cur > target; cur-- {
+		st[cur] = st[cur-1]
+		pos[st[cur]] = uint8(cur)
 	}
 	st[target] = way
+	pos[way] = uint8(target)
 }
 
 // OnHit implements cache.Policy.
@@ -99,7 +99,7 @@ func (p *LRUPolicy) OnFill(set, way uint32, a mem.Access) {
 
 // Victim implements cache.Policy: the LRU way, hint-blind as always.
 func (p *LRUPolicy) Victim(set uint32, _ mem.Access) (uint32, bool) {
-	return uint32(p.order[set][p.ways-1]), false
+	return uint32(p.order[set*p.ways+p.ways-1]), false
 }
 
 // OnEvict implements cache.Policy.
@@ -107,5 +107,6 @@ func (p *LRUPolicy) OnEvict(uint32, uint32) {}
 
 // StackOrder returns a copy of the recency stack of a set (tests).
 func (p *LRUPolicy) StackOrder(set uint32) []uint8 {
-	return append([]uint8(nil), p.order[set]...)
+	base := set * p.ways
+	return append([]uint8(nil), p.order[base:base+p.ways]...)
 }

@@ -1,13 +1,22 @@
 package policy
 
-import "grasp/internal/mem"
+import (
+	"math/bits"
+
+	"grasp/internal/mem"
+)
 
 // DIP is Dynamic Insertion Policy [Qureshi et al., ISCA'07]: set dueling
 // between traditional LRU insertion and Bimodal Insertion (BIP — insert at
 // LRU position except 1/32 of the time). Included because the paper lists
 // DIP among the base schemes GRASP can augment.
 type DIP struct {
-	stamps  []uint64
+	stamps []uint64
+	// zero[set] has bit w set exactly when way w < 64 holds stamp 0 (the
+	// LRU position a BIP fill inserts at). Nonzero stamps are unique, so
+	// when any way holds 0 the least recent stamp's first way is the
+	// lowest such bit and Victim needs no scan.
+	zero    []uint64
 	sets    uint32
 	ways    uint32
 	clock   uint64
@@ -17,42 +26,49 @@ type DIP struct {
 
 // NewDIP creates a DIP policy.
 func NewDIP(sets, ways uint32) *DIP {
-	return &DIP{stamps: make([]uint64, sets*ways), sets: sets, ways: ways}
+	p := &DIP{stamps: make([]uint64, sets*ways), zero: make([]uint64, sets),
+		sets: sets, ways: ways}
+	all := ^uint64(0)
+	if ways < 64 {
+		all = 1<<ways - 1
+	}
+	for s := range p.zero {
+		p.zero[s] = all
+	}
+	return p
 }
 
 // Name implements cache.Policy.
 func (p *DIP) Name() string { return "DIP" }
 
+// stamp records way's new stamp and keeps zero in step.
+func (p *DIP) stamp(set, way uint32, t uint64) {
+	p.stamps[set*p.ways+way] = t
+	if way < 64 {
+		if t == 0 {
+			p.zero[set] |= 1 << way
+		} else {
+			p.zero[set] &^= 1 << way
+		}
+	}
+}
+
 // OnHit implements cache.Policy: promote to MRU.
 func (p *DIP) OnHit(set, way uint32, _ mem.Access) {
 	p.clock++
-	p.stamps[set*p.ways+way] = p.clock
-}
-
-func (p *DIP) leader(set uint32) int {
-	period := uint32(duelPeriod)
-	if p.sets < period {
-		period = p.sets
-	}
-	switch set % period {
-	case 0:
-		return +1 // LRU-insertion leader
-	case period / 2:
-		return -1 // BIP leader
-	}
-	return 0
+	p.stamp(set, way, p.clock)
 }
 
 // OnFill implements cache.Policy.
 func (p *DIP) OnFill(set, way uint32, _ mem.Access) {
 	useLRUIns := p.psel >= 0
-	switch p.leader(set) {
-	case +1:
+	switch DuelLeader(set, p.sets) {
+	case +1: // LRU-insertion leader
 		useLRUIns = true
 		if p.psel > -pselMax {
 			p.psel--
 		}
-	case -1:
+	case -1: // BIP leader
 		useLRUIns = false
 		if p.psel < pselMax {
 			p.psel++
@@ -60,20 +76,24 @@ func (p *DIP) OnFill(set, way uint32, _ mem.Access) {
 	}
 	p.clock++
 	if useLRUIns {
-		p.stamps[set*p.ways+way] = p.clock // MRU insertion
+		p.stamp(set, way, p.clock) // MRU insertion
 		return
 	}
 	// BIP: insert at LRU except 1/32 of fills.
 	p.counter++
 	if p.counter%brripEpsilon == 0 {
-		p.stamps[set*p.ways+way] = p.clock
+		p.stamp(set, way, p.clock)
 	} else {
-		p.stamps[set*p.ways+way] = 0 // LRU position
+		p.stamp(set, way, 0) // LRU position
 	}
 }
 
-// Victim implements cache.Policy: least recent stamp.
+// Victim implements cache.Policy: the first way holding the least recent
+// stamp.
 func (p *DIP) Victim(set uint32, _ mem.Access) (uint32, bool) {
+	if z := p.zero[set]; z != 0 {
+		return uint32(bits.TrailingZeros64(z)), false
+	}
 	base := set * p.ways
 	best := uint32(0)
 	for w := uint32(1); w < p.ways; w++ {

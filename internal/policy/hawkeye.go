@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"encoding/binary"
+
 	"grasp/internal/cache"
 	"grasp/internal/mem"
 )
@@ -15,18 +17,22 @@ import (
 // analytics: hot and cold vertices share the PC, the predictor settles on
 // cache-averse, and hits to hot vertices get thrown away (Sec. V-A).
 type Hawkeye struct {
-	meta *RRIPMeta
-	ways uint32
+	meta    *RRIPMeta
+	ways    uint32
+	setMask uint64
 
 	// Per-block state (the storage-intensive metadata GRASP avoids).
 	insertPC []uint32
-	friendly []bool
+	// friendly is 0xff for a block predicted cache-friendly and 0
+	// otherwise, so OnFill ages the friendly blocks eight ways per word.
+	friendly []uint8
 
 	// PC predictor: 3-bit saturating counters.
-	pred map[uint32]uint8
+	pred pcCounters
 
-	// OPTgen sampler state for sampled sets.
-	samplers map[uint32]*optgenSet
+	// OPTgen sampler state, one per sampled set (set/hawkeyeSampleEvery),
+	// allocated on the set's first access.
+	samplers []*optgenSet
 }
 
 const (
@@ -39,13 +45,8 @@ const (
 type optgenSet struct {
 	clock     uint64
 	occupancy [optgenWindow]uint8
-	last      map[uint64]optgenEntry // block -> last access
+	last      optgenHistory // block -> last access
 	capacity  uint8
-}
-
-type optgenEntry struct {
-	t  uint64
-	pc uint32
 }
 
 // NewHawkeye creates a Hawkeye policy.
@@ -53,10 +54,10 @@ func NewHawkeye(sets, ways uint32) *Hawkeye {
 	return &Hawkeye{
 		meta:     NewRRIPMeta(sets, ways),
 		ways:     ways,
+		setMask:  uint64(sets - 1),
 		insertPC: make([]uint32, sets*ways),
-		friendly: make([]bool, sets*ways),
-		pred:     make(map[uint32]uint8),
-		samplers: make(map[uint32]*optgenSet),
+		friendly: make([]uint8, sets*ways),
+		samplers: make([]*optgenSet, (sets+hawkeyeSampleEvery-1)/hawkeyeSampleEvery),
 	}
 }
 
@@ -67,7 +68,7 @@ var _ cache.AccessObserver = (*Hawkeye)(nil)
 func (p *Hawkeye) Name() string { return "Hawkeye" }
 
 func (p *Hawkeye) predictFriendly(pc uint32) bool {
-	c, ok := p.pred[pc]
+	c, ok := p.pred.get(pc)
 	if !ok {
 		return hawkeyePredInit >= 4
 	}
@@ -75,18 +76,14 @@ func (p *Hawkeye) predictFriendly(pc uint32) bool {
 }
 
 func (p *Hawkeye) train(pc uint32, up bool) {
-	c, ok := p.pred[pc]
-	if !ok {
-		c = hawkeyePredInit
-	}
+	c := p.pred.slot(pc)
 	if up {
-		if c < hawkeyePredMax {
-			c++
+		if *c < hawkeyePredMax {
+			*c++
 		}
-	} else if c > 0 {
-		c--
+	} else if *c > 0 {
+		*c--
 	}
-	p.pred[pc] = c
 }
 
 // ObserveAccess implements cache.AccessObserver: feed the OPTgen sampler.
@@ -94,19 +91,19 @@ func (p *Hawkeye) train(pc uint32, up bool) {
 // sets carry sampler state.
 func (p *Hawkeye) ObserveAccess(a mem.Access) {
 	block := cache.BlockAddr(a.Addr)
-	nsets := uint32(len(p.meta.rrpv)) / p.ways
-	set := uint32(block & uint64(nsets-1))
+	set := uint32(block & p.setMask)
 	if set%hawkeyeSampleEvery != 0 {
 		return
 	}
-	s, ok := p.samplers[set]
-	if !ok {
-		s = &optgenSet{last: make(map[uint64]optgenEntry), capacity: uint8(p.ways)}
-		p.samplers[set] = s
+	s := p.samplers[set/hawkeyeSampleEvery]
+	if s == nil {
+		s = &optgenSet{capacity: uint8(p.ways)}
+		p.samplers[set/hawkeyeSampleEvery] = s
 	}
 	now := s.clock
 	s.occupancy[now%optgenWindow] = 0
-	if e, seen := s.last[block]; seen {
+	e := s.last.find(block)
+	if e.key != 0 {
 		age := now - e.t
 		if age > 0 && age < optgenWindow {
 			// Would OPT have kept the block across [e.t, now)?
@@ -128,16 +125,16 @@ func (p *Hawkeye) ObserveAccess(a mem.Access) {
 			// have kept it within observable history.
 			p.train(e.pc, false)
 		}
+	} else {
+		e.key = block + 1
+		s.last.n++
 	}
-	s.last[block] = optgenEntry{t: now, pc: a.PC}
+	e.t, e.pc = now, a.PC
 	s.clock++
-	// Bound the history map: drop entries older than the window.
-	if len(s.last) > 4*optgenWindow {
-		for b, e := range s.last {
-			if now-e.t >= optgenWindow {
-				delete(s.last, b)
-			}
-		}
+	// Bound the history: once it holds more than 4*optgenWindow blocks,
+	// drop every entry older than the window.
+	if s.last.n > 4*optgenWindow {
+		s.last.purge(now)
 	}
 }
 
@@ -146,11 +143,11 @@ func (p *Hawkeye) OnHit(set, way uint32, a mem.Access) {
 	i := set*p.ways + way
 	if p.predictFriendly(a.PC) {
 		p.meta.Set(set, way, RRPVNear)
-		p.friendly[i] = true
+		p.friendly[i] = 0xff
 	} else {
 		// Cache-averse prediction: prioritize for eviction even on a hit.
 		p.meta.Set(set, way, RRPVMax)
-		p.friendly[i] = false
+		p.friendly[i] = 0
 	}
 	p.insertPC[i] = a.PC
 }
@@ -159,46 +156,46 @@ func (p *Hawkeye) OnHit(set, way uint32, a mem.Access) {
 func (p *Hawkeye) OnFill(set, way uint32, a mem.Access) {
 	i := set*p.ways + way
 	p.insertPC[i] = a.PC
-	if p.predictFriendly(a.PC) {
-		p.friendly[i] = true
-		p.meta.Set(set, way, RRPVNear)
-		// Age the other cache-friendly blocks so that old friendly blocks
-		// eventually become evictable.
-		base := set * p.ways
-		for w := uint32(0); w < p.ways; w++ {
-			if w == way {
-				continue
-			}
-			j := base + w
-			if p.friendly[j] {
-				if v := p.meta.Get(set, w); v < RRPVLong {
-					p.meta.Set(set, w, v+1)
-				}
-			}
+	if !p.predictFriendly(a.PC) {
+		p.friendly[i] = 0
+		p.meta.Set(set, way, RRPVMax)
+		return
+	}
+	p.friendly[i] = 0
+	// Age the other cache-friendly blocks below RRPVLong so that old
+	// friendly blocks eventually become evictable. Eight ways per word: a
+	// byte x <= 7 is below RRPVLong exactly when x + (0x80-RRPVLong) leaves
+	// its top bit clear, and that sum cannot carry out of the byte.
+	base := set * p.ways
+	r := p.meta.row(set)
+	f := p.friendly[base : base+p.ways : base+p.ways]
+	if len(r)%8 == 0 {
+		const below = (0x80 - RRPVLong) * ones
+		for k := 0; k < len(r); k += 8 {
+			x := binary.LittleEndian.Uint64(r[k:])
+			inc := (^(x + below) & highs) >> 7 & binary.LittleEndian.Uint64(f[k:])
+			binary.LittleEndian.PutUint64(r[k:], x+inc)
 		}
 	} else {
-		p.friendly[i] = false
-		p.meta.Set(set, way, RRPVMax)
+		for w := range r {
+			if f[w] != 0 && r[w] < RRPVLong {
+				r[w]++
+			}
+		}
 	}
+	p.friendly[i] = 0xff
+	r[way] = RRPVNear
 }
 
 // Victim implements cache.Policy: evict a cache-averse block (RRPV max) if
 // one exists, otherwise the oldest cache-friendly block; evicting a
 // friendly block is evidence of a misprediction, so its PC is detrained.
+// Both cases are the first way holding the set's maximum RRPV.
 func (p *Hawkeye) Victim(set uint32, _ mem.Access) (uint32, bool) {
-	base := set * p.ways
-	for w := uint32(0); w < p.ways; w++ {
-		if p.meta.Get(set, w) == RRPVMax {
-			return w, false
-		}
+	best, v := maxWay(p.meta.row(set), nil)
+	if v < RRPVMax {
+		p.train(p.insertPC[set*p.ways+best], false)
 	}
-	best := uint32(0)
-	for w := uint32(1); w < p.ways; w++ {
-		if p.meta.Get(set, w) > p.meta.Get(set, best) {
-			best = w
-		}
-	}
-	p.train(p.insertPC[base+best], false)
 	return best, false
 }
 
@@ -207,9 +204,128 @@ func (p *Hawkeye) OnEvict(uint32, uint32) {}
 
 // PredictorSnapshot returns a copy of the PC predictor (tests/inspection).
 func (p *Hawkeye) PredictorSnapshot() map[uint32]uint8 {
-	out := make(map[uint32]uint8, len(p.pred))
-	for k, v := range p.pred {
-		out[k] = v
+	out := make(map[uint32]uint8, p.pred.n)
+	for _, e := range p.pred.slots {
+		if e.used {
+			out[e.pc] = e.c
+		}
 	}
 	return out
+}
+
+// pcCounters is an exact PC -> counter map, open-addressed with linear
+// probing: a graph workload has a few dozen PCs, and a Go map lookup on
+// every fill and hit was a fifth of Hawkeye's time. Entries are never
+// removed.
+type pcCounters struct {
+	slots []pcCounter // 1<<bits of them, at most half full
+	bits  uint
+	n     int
+}
+
+type pcCounter struct {
+	pc   uint32
+	c    uint8
+	used bool
+}
+
+// index returns the slot holding pc, or the empty slot where it belongs.
+// The home slot is Fibonacci hashing's top bits of pc.
+func (t *pcCounters) index(pc uint32) int {
+	mask := len(t.slots) - 1
+	i := int((pc * 0x9e3779b1) >> (32 - t.bits))
+	for t.slots[i].used && t.slots[i].pc != pc {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns pc's counter and whether pc has one.
+func (t *pcCounters) get(pc uint32) (uint8, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	e := t.slots[t.index(pc)]
+	return e.c, e.used
+}
+
+// slot returns pc's counter, inserting it at hawkeyePredInit if absent.
+func (t *pcCounters) slot(pc uint32) *uint8 {
+	if t.n > 0 {
+		if i := t.index(pc); t.slots[i].used {
+			return &t.slots[i].c
+		}
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.bits = max(6, t.bits+1)
+		t.slots = make([]pcCounter, 1<<t.bits)
+		for _, e := range old {
+			if e.used {
+				t.slots[t.index(e.pc)] = e
+			}
+		}
+	}
+	i := t.index(pc)
+	t.slots[i] = pcCounter{pc: pc, c: hawkeyePredInit, used: true}
+	t.n++
+	return &t.slots[i].c
+}
+
+// optgenHistory is a sampled set's block -> last access map, open-addressed
+// with linear probing. It never holds more than 4*optgenWindow+1 blocks
+// (ObserveAccess purges past that), so a fixed table of about twice that
+// many slots stays about half full.
+type optgenHistory struct {
+	slots *[optgenSlots]optgenEntry
+	n     int // occupied slots
+}
+
+const (
+	optgenBits  = 10
+	optgenSlots = 1 << optgenBits // 2*4*optgenWindow
+)
+
+type optgenEntry struct {
+	key uint64 // block+1; 0 marks an empty slot
+	t   uint64
+	pc  uint32
+}
+
+func optgenHash(block uint64) int {
+	return int((block * 0x9e3779b97f4a7c15) >> (64 - optgenBits))
+}
+
+// find returns block's entry, or the empty slot where it belongs (key 0).
+func (h *optgenHistory) find(block uint64) *optgenEntry {
+	if h.slots == nil {
+		h.slots = new([optgenSlots]optgenEntry)
+	}
+	i := optgenHash(block)
+	for {
+		e := &h.slots[i]
+		if e.key == 0 || e.key == block+1 {
+			return e
+		}
+		i = (i + 1) & (optgenSlots - 1)
+	}
+}
+
+// purge drops every entry recorded optgenWindow or more quanta before now.
+// The survivors, at most optgenWindow of them (one block per quantum), are
+// re-inserted into a cleared table so no probe chain is left broken.
+func (h *optgenHistory) purge(now uint64) {
+	var keep [optgenWindow]optgenEntry
+	k := 0
+	for i := range h.slots {
+		if e := h.slots[i]; e.key != 0 && now-e.t < optgenWindow {
+			keep[k] = e
+			k++
+		}
+	}
+	*h.slots = [optgenSlots]optgenEntry{}
+	for _, e := range keep[:k] {
+		*h.find(e.key - 1) = e
+	}
+	h.n = k
 }

@@ -36,7 +36,10 @@ type Leeway struct {
 	rank       []uint8
 	touched    []bool
 	touchedCnt []uint8 // per set
-	ways       uint32
+	// byRank inverts rank over a set's touched ways: byRank[set*ways+r] is
+	// the way at stack position r, for r < touchedCnt[set].
+	byRank []uint8
+	ways   uint32
 
 	ld        []uint8 // predicted live distance per block
 	maxHitPos []uint8 // deepest stack position hit so far (0xff = no hit)
@@ -84,6 +87,7 @@ func NewLeeway(sets, ways uint32) *Leeway {
 		rank:       make([]uint8, n),
 		touched:    make([]bool, n),
 		touchedCnt: make([]uint8, sets),
+		byRank:     make([]uint8, n),
 		ways:       ways,
 		ld:         make([]uint8, n),
 		maxHitPos:  make([]uint8, n),
@@ -116,7 +120,8 @@ func (p *Leeway) stackPos(set, way uint32) uint8 {
 // multiple of 8 under 128 the ranks update as little-endian words, eight
 // bytes at a time: per byte, the high bit of (x|0x80) - old is set exactly
 // when x >= old, and every other byte gets +1. Neither the subtraction
-// nor the increment can carry across a byte.
+// nor the increment can carry across a byte. byRank moves the same
+// positions down one slot.
 func (p *Leeway) promote(set, way uint32) {
 	base := set * p.ways
 	i := base + way
@@ -130,7 +135,6 @@ func (p *Leeway) promote(set, way uint32) {
 	}
 	r := p.rank[base : base+p.ways : base+p.ways]
 	if p.ways%8 == 0 && p.ways < 128 {
-		const ones, highs = 0x0101010101010101, 0x8080808080808080
 		olds := uint64(old) * ones
 		for w := 0; w < len(r); w += 8 {
 			x := binary.LittleEndian.Uint64(r[w:])
@@ -145,6 +149,9 @@ func (p *Leeway) promote(set, way uint32) {
 		}
 	}
 	r[way] = 0
+	inv := p.byRank[base : base+p.ways : base+p.ways]
+	copy(inv[1:old+1], inv[:old])
+	inv[0] = uint8(way)
 }
 
 // entryOf returns block i's live-distance table entry, or nil while its
@@ -209,19 +216,16 @@ func (p *Leeway) leader(set uint32) int {
 
 // Victim implements cache.Policy: prefer the dead block deepest in the
 // stack; if no block is predicted dead, fall back to the base scheme.
-// Victim is only invoked on full sets, so every way's rank is live.
+// Victim is only invoked on full sets, where every way has been filled and
+// the ranks are a permutation of 0..ways-1, so walking byRank up from the
+// bottom of the stack meets the deepest dead block first.
 func (p *Leeway) Victim(set uint32, a mem.Access) (uint32, bool) {
 	base := set * p.ways
-	ranks := p.rank[base : base+p.ways : base+p.ways]
-	bestDead, bestDeadPos := int32(-1), uint8(0)
-	for w, pos := range ranks {
-		if pos > p.ld[base+uint32(w)] && pos >= bestDeadPos {
-			// Dead: deeper than its live distance.
-			bestDead, bestDeadPos = int32(w), pos
+	inv := p.byRank[base : base+p.ways : base+p.ways]
+	for r := len(inv) - 1; r > 0; r-- {
+		if w := uint32(inv[r]); uint8(r) > p.ld[base+w] {
+			return w, false // dead: deeper than its live distance
 		}
-	}
-	if bestDead >= 0 {
-		return uint32(bestDead), false
 	}
 	return p.base.Victim(set, a)
 }

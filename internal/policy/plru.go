@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math/bits"
+
 	"grasp/internal/cache"
 	"grasp/internal/mem"
 )
@@ -11,18 +13,44 @@ import (
 // hit or fill flips the bits along the block's root path to point away
 // from it, and the victim is found by following the bits from the root.
 //
-// Associativity must be a power of two.
+// Associativity must be a power of two no larger than 64: a set's tree
+// bits are packed into one uint64.
 type PLRU struct {
-	bits []bool // (ways-1) bits per set, heap layout: node i has kids 2i+1, 2i+2
-	ways uint32
+	// bits[set] holds the set's tree in heap layout: bit i is node i, whose
+	// children are nodes 2i+1 and 2i+2, and leaf ways-1+w is way w. A set
+	// bit sends the victim search right.
+	bits []uint64
+	// pathMask[w] selects the nodes on way w's root path and pathVal[w]
+	// their values after w is touched: each points away from w.
+	pathMask, pathVal []uint64
+	ways              uint32
+	levels            int
 }
 
 // NewPLRU creates a tree-PLRU policy.
 func NewPLRU(sets, ways uint32) *PLRU {
-	if ways == 0 || ways&(ways-1) != 0 {
-		panic("policy: PLRU requires power-of-two associativity")
+	if ways == 0 || ways&(ways-1) != 0 || ways > 64 {
+		panic("policy: PLRU requires power-of-two associativity of at most 64")
 	}
-	return &PLRU{bits: make([]bool, sets*(ways-1)), ways: ways}
+	p := &PLRU{bits: make([]uint64, sets), pathMask: make([]uint64, ways),
+		pathVal: make([]uint64, ways), ways: ways, levels: bits.TrailingZeros32(ways)}
+	for w := uint32(0); w < ways; w++ {
+		node := uint32(0)
+		lo, hi := uint32(0), ways
+		for hi-lo > 1 {
+			mid := (lo + hi) / 2
+			p.pathMask[w] |= 1 << node
+			if w < mid {
+				p.pathVal[w] |= 1 << node // victim search should go right
+				node = 2*node + 1
+				hi = mid
+			} else {
+				node = 2*node + 2 // victim search should go left
+				lo = mid
+			}
+		}
+	}
+	return p
 }
 
 var _ cache.Policy = (*PLRU)(nil)
@@ -30,26 +58,9 @@ var _ cache.Policy = (*PLRU)(nil)
 // Name implements cache.Policy.
 func (p *PLRU) Name() string { return "PLRU" }
 
-// touch flips the tree bits on way's root path to protect it.
+// touch points the tree bits on way's root path away from it.
 func (p *PLRU) touch(set, way uint32) {
-	base := set * (p.ways - 1)
-	// Walk from the root to the leaf; at each node record whether the
-	// target is in the left or right subtree and point the bit the OTHER
-	// way (bit true = next victim search goes right).
-	node := uint32(0)
-	lo, hi := uint32(0), p.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if way < mid {
-			p.bits[base+node] = true // victim search should go right
-			node = 2*node + 1
-			hi = mid
-		} else {
-			p.bits[base+node] = false // victim search should go left
-			node = 2*node + 2
-			lo = mid
-		}
-	}
+	p.bits[set] = p.bits[set]&^p.pathMask[way] | p.pathVal[way]
 }
 
 // OnHit implements cache.Policy.
@@ -58,22 +69,14 @@ func (p *PLRU) OnHit(set, way uint32, _ mem.Access) { p.touch(set, way) }
 // OnFill implements cache.Policy.
 func (p *PLRU) OnFill(set, way uint32, _ mem.Access) { p.touch(set, way) }
 
-// Victim implements cache.Policy: follow the tree bits.
+// Victim implements cache.Policy: follow the tree bits from the root.
 func (p *PLRU) Victim(set uint32, _ mem.Access) (uint32, bool) {
-	base := set * (p.ways - 1)
+	t := p.bits[set]
 	node := uint32(0)
-	lo, hi := uint32(0), p.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if p.bits[base+node] {
-			node = 2*node + 2
-			lo = mid
-		} else {
-			node = 2*node + 1
-			hi = mid
-		}
+	for l := 0; l < p.levels; l++ {
+		node = 2*node + 1 + uint32(t>>node&1)
 	}
-	return lo, false
+	return node - (p.ways - 1), false
 }
 
 // OnEvict implements cache.Policy.

@@ -9,12 +9,19 @@ import (
 )
 
 func TestPLRURequiresPow2Ways(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two ways")
-		}
-	}()
-	NewPLRU(4, 3)
+	// Non-powers of two, and powers of two whose tree does not fit one
+	// uint64 per set, are refused.
+	for _, ways := range []uint32{0, 3, 12, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for %d ways", ways)
+				}
+			}()
+			NewPLRU(4, ways)
+		}()
+	}
+	NewPLRU(4, 64) // the largest tree that fits
 }
 
 func TestPLRUVictimNeverMostRecent(t *testing.T) {

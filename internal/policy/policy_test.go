@@ -187,12 +187,23 @@ func TestHawkeyeTrainsFriendlyOnReuse(t *testing.T) {
 	}
 }
 
+// forceHawkeyeCounter drives pc's predictor counter to c through the
+// predictor's own training steps, whatever the table's representation.
+func forceHawkeyeCounter(p *Hawkeye, pc uint32, c uint8) {
+	for i := 0; i < hawkeyePredMax; i++ {
+		p.train(pc, false)
+	}
+	for i := uint8(0); i < c; i++ {
+		p.train(pc, true)
+	}
+}
+
 func TestHawkeyeDemotesAverseHits(t *testing.T) {
 	// The pathology from Sec. V-A: once a PC is predicted averse, even a
 	// hit demotes the block to distant RRPV.
 	p := NewHawkeye(1, 4)
 	pc := mem.PC("averse")
-	p.pred[pc] = 0 // force cache-averse
+	forceHawkeyeCounter(p, pc, 0) // force cache-averse
 	c := llcWith(t, 4, p)
 	c.Access(mem.Access{Addr: blockAddr(0), PC: pc})
 	c.Access(mem.Access{Addr: blockAddr(0), PC: pc}) // hit

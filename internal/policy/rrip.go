@@ -73,20 +73,14 @@ func (m *RRIPMeta) Set(set, way uint32, v uint8) { m.rrpv[set*m.ways+way] = v }
 // maximum is 7 and a fill inserts at 6 or 7, so the first or second v
 // usually hits.
 func (m *RRIPMeta) Victim(set uint32) uint32 {
-	base := set * m.ways
-	r := m.rrpv[base : base+m.ways : base+m.ways]
+	r := m.row(set)
 	if len(r)%8 != 0 {
 		return victimScalar(r)
 	}
-	const (
-		ones = 0x0101010101010101
-		lo7  = 0x7f7f7f7f7f7f7f7f
-		hi   = 0x8080808080808080
-	)
 	for v := RRPVMax; v >= 0; v-- {
 		for k := 0; k < len(r); k += 8 {
 			y := binary.LittleEndian.Uint64(r[k:]) ^ uint64(v)*ones
-			held := ^(y + lo7) & hi // top bit of every byte whose way holds v
+			held := ^(y + lo7) & highs // top bit of every byte whose way holds v
 			if held == 0 {
 				continue
 			}
@@ -119,6 +113,48 @@ func victimScalar(r []uint8) uint32 {
 		}
 	}
 	return best
+}
+
+// row returns set's RRPVs, one byte per way.
+func (m *RRIPMeta) row(set uint32) []uint8 {
+	base := set * m.ways
+	return m.rrpv[base : base+m.ways : base+m.ways]
+}
+
+const (
+	ones  = 0x0101010101010101
+	lo7   = 0x7f7f7f7f7f7f7f7f
+	highs = 0x8080808080808080
+)
+
+// maxWay returns the first way of RRPV row r that holds the row's maximum,
+// and that maximum, ignoring every way whose byte in skip is 0xff (XMem's
+// pinned ways). skip is nil or as long as r, its bytes 0 or 0xff, and at
+// least one way must be searchable. It searches as Victim does, eight ways
+// per word when the associativity allows, but leaves the row unaged.
+func maxWay(r, skip []uint8) (uint32, uint8) {
+	if len(r)%8 != 0 {
+		best, maxv := -1, uint8(0)
+		for w, v := range r {
+			if (skip == nil || skip[w] == 0) && (best < 0 || v > maxv) {
+				best, maxv = w, v
+			}
+		}
+		return uint32(best), maxv
+	}
+	for v := RRPVMax; v >= 0; v-- {
+		for k := 0; k < len(r); k += 8 {
+			y := binary.LittleEndian.Uint64(r[k:]) ^ uint64(v)*ones
+			held := ^(y + lo7) & highs
+			if skip != nil {
+				held &^= binary.LittleEndian.Uint64(skip[k:])
+			}
+			if held != 0 {
+				return uint32(k + bits.TrailingZeros64(held)/8), uint8(v)
+			}
+		}
+	}
+	panic("policy: RRPV above RRPVMax")
 }
 
 // SRRIP is Static RRIP [Jaleel et al., ISCA'10]: insert at "long" (max-1),
@@ -185,10 +221,8 @@ func (p *BRRIP) OnEvict(uint32, uint32) {}
 // a saturating policy-selector counter (PSEL). This is the "RRIP" baseline
 // of the paper's evaluation (Sec. IV-C cites the CRC DRRIP source).
 type DRRIP struct {
-	meta *RRIPMeta
-	sets uint32
-	// Set dueling: every duelPeriod-th set leads SRRIP; sets offset by
-	// duelPeriod/2 lead BRRIP.
+	meta    *RRIPMeta
+	sets    uint32
 	psel    int32 // saturating counter; >= 0 prefers SRRIP
 	counter uint64
 }
@@ -206,13 +240,18 @@ func NewDRRIP(sets, ways uint32) *DRRIP {
 // Name implements cache.Policy.
 func (p *DRRIP) Name() string { return "RRIP" }
 
-// leader returns +1 for SRRIP leader sets, -1 for BRRIP leaders, 0 for
-// follower sets. The dueling period shrinks with the set count so tiny
-// test caches still have one leader of each kind.
-func (p *DRRIP) leader(set uint32) int {
+// DuelLeader returns the set-dueling role of set in a cache of sets sets,
+// as used by DRRIP, DIP and GRASP-DIP: +1 for a leader of the first
+// policy, -1 for a leader of the second, 0 for a follower. Every period-th
+// set leads the first policy and the sets offset by period/2 lead the
+// second, where the period is 32 or the set count if that is smaller. So a
+// 2-set cache has one leader of each kind and no follower, and a 1-set
+// cache's only set leads the first policy: it has no leader of the second,
+// and its selector can only move toward the second.
+func DuelLeader(set, sets uint32) int {
 	period := uint32(duelPeriod)
-	if p.sets < period {
-		period = p.sets
+	if sets < period {
+		period = sets
 	}
 	switch set % period {
 	case 0:
@@ -231,7 +270,7 @@ func (p *DRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPV
 // use the winning policy.
 func (p *DRRIP) OnFill(set, way uint32, _ mem.Access) {
 	useSRRIP := p.psel >= 0
-	switch p.leader(set) {
+	switch DuelLeader(set, p.sets) {
 	case +1:
 		useSRRIP = true
 		if p.psel > -pselMax {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"grasp/internal/cache"
@@ -20,8 +21,10 @@ import (
 // on high-skew inputs pinning sacrifices the Moderate Reuse Region's
 // temporal locality (Sec. V-B).
 type XMem struct {
-	meta    *RRIPMeta
-	pinned  []bool
+	meta *RRIPMeta
+	// pinned is 0xff for a pinned way and 0 otherwise, so it doubles as
+	// the byte mask the RRIP victim search and aging skip.
+	pinned  []uint8
 	pinCnt  []uint32 // pinned ways per set
 	quota   uint32   // max pinned ways per set
 	ways    uint32
@@ -35,7 +38,7 @@ func NewXMem(sets, ways uint32, percent int) *XMem {
 	}
 	return &XMem{
 		meta:    NewRRIPMeta(sets, ways),
-		pinned:  make([]bool, sets*ways),
+		pinned:  make([]uint8, sets*ways),
 		pinCnt:  make([]uint32, sets),
 		quota:   uint32(uint64(ways) * uint64(percent) / 100),
 		ways:    ways,
@@ -61,13 +64,13 @@ func (p *XMem) OnHit(set, way uint32, _ mem.Access) {
 // the set's quota allows; everything else is a base-scheme insertion.
 func (p *XMem) OnFill(set, way uint32, a mem.Access) {
 	i := set*p.ways + way
-	if p.pinned[i] {
+	if p.pinned[i] != 0 {
 		// The way was freed by Victim only if unpinned; a pinned way can
 		// only be refilled after OnEvict cleared it.
 		panic("policy: XMem fill into pinned way")
 	}
 	if a.Hint == mem.HintHigh && p.pinCnt[set] < p.quota {
-		p.pinned[i] = true
+		p.pinned[i] = 0xff
 		p.pinCnt[set]++
 		p.meta.Set(set, way, RRPVNear)
 		return
@@ -76,34 +79,48 @@ func (p *XMem) OnFill(set, way uint32, a mem.Access) {
 }
 
 // Victim implements cache.Policy: base RRIP victim search restricted to
-// unpinned ways; if the whole set is pinned the access bypasses.
+// unpinned ways; if the whole set is pinned the access bypasses. Like
+// RRIPMeta.Victim it finds the first unpinned way holding the unpinned
+// ways' maximum RRPV and ages only the unpinned ways, once, by the delta
+// the literal search-and-age loop would apply one step at a time.
 func (p *XMem) Victim(set uint32, _ mem.Access) (uint32, bool) {
 	if p.pinCnt[set] >= p.ways {
 		return 0, true
 	}
 	base := set * p.ways
-	for {
-		for w := uint32(0); w < p.ways; w++ {
-			if !p.pinned[base+w] && p.meta.Get(set, w) == RRPVMax {
-				return w, false
+	r := p.meta.row(set)
+	pinned := p.pinned[base : base+p.ways : base+p.ways]
+	w, v := maxWay(r, pinned)
+	if v < RRPVMax {
+		ageUnpinned(r, pinned, RRPVMax-v)
+	}
+	return w, false
+}
+
+// ageUnpinned adds delta to the RRPV of every way of r whose pinned byte is
+// zero. No aged RRPV may exceed RRPVMax, so the eight-way form's byte
+// additions never carry.
+func ageUnpinned(r, pinned []uint8, delta uint8) {
+	if len(r)%8 != 0 {
+		for w := range r {
+			if pinned[w] == 0 {
+				r[w] += delta
 			}
 		}
-		for w := uint32(0); w < p.ways; w++ {
-			if !p.pinned[base+w] {
-				if v := p.meta.Get(set, w); v < RRPVMax {
-					p.meta.Set(set, w, v+1)
-				}
-			}
-		}
+		return
+	}
+	d := uint64(delta) * ones
+	for k := 0; k < len(r); k += 8 {
+		binary.LittleEndian.PutUint64(r[k:], binary.LittleEndian.Uint64(r[k:])+d&^binary.LittleEndian.Uint64(pinned[k:]))
 	}
 }
 
 // OnEvict implements cache.Policy.
 func (p *XMem) OnEvict(set, way uint32) {
 	i := set*p.ways + way
-	if p.pinned[i] {
+	if p.pinned[i] != 0 {
 		// Defensive: Victim never selects pinned ways.
-		p.pinned[i] = false
+		p.pinned[i] = 0
 		p.pinCnt[set]--
 	}
 }
