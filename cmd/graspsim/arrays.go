@@ -1,50 +1,80 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
+	"grasp/internal/apps"
 	"grasp/internal/cache"
+	"grasp/internal/exp"
+	"grasp/internal/jobs"
+	"grasp/internal/ligra"
 	"grasp/internal/mem"
 	"grasp/internal/sim"
+	"grasp/internal/trace"
 )
 
-// arraySink feeds the hierarchy while attributing LLC traffic to the data
-// structure it touches — the per-array breakdown that motivates GRASP
-// (Sec. II-C of the paper). It is a sim.RunSink wrapper: every access
-// still reaches h, so the Result is identical to sim.Run's. Consecutive LLC
-// accesses usually fall in the same array, so the last resolved array
-// short-circuits the address-space scan.
-type arraySink struct {
-	h         *cache.Hierarchy
+// arrayTally attributes LLC traffic to the data structure it touches — the
+// per-array breakdown that motivates GRASP (Sec. II-C of the paper). A
+// recorded stream drives llc, and each access counts against the array of
+// its byte address (which the trace codec restores exactly); the last
+// resolved array short-circuits the address-space scan.
+type arrayTally struct {
+	llc       *cache.Cache
 	as        *mem.AddressSpace
 	last      *mem.Array
 	acc, miss map[string]uint64
 }
 
-// Access implements mem.Sink: cache.Hierarchy.Access with the LLC-bound
-// accesses counted per array.
-func (s *arraySink) Access(a mem.Access) {
-	if s.h.Filter(a) {
-		return
+// consume is the tally's broadcast consumer: every access reaches the LLC
+// and is counted against its array.
+func (s *arrayTally) consume(accs []mem.Access) {
+	for _, a := range accs {
+		name := "(unmapped)"
+		if s.last != nil && a.Addr >= s.last.Base && a.Addr < s.last.End() {
+			name = s.last.Name
+		} else if ar := s.as.Find(a.Addr); ar != nil {
+			s.last = ar
+			name = ar.Name
+		}
+		s.acc[name]++
+		if !s.llc.Access(a) {
+			s.miss[name]++
+		}
 	}
-	name := "(unmapped)"
-	if s.last != nil && a.Addr >= s.last.Base && a.Addr < s.last.End() {
-		name = s.last.Name
-	} else if ar := s.as.Find(a.Addr); ar != nil {
-		s.last = ar
-		name = ar.Name
+}
+
+// tallyArrays replays the session's recording of spec's group through an
+// arrayTally over a fresh LLC of the job's policy and geometry. Every app
+// registers its arrays in its constructor, so a fresh graph wrapper's
+// address space is the recording run's.
+func tallyArrays(ctx context.Context, s *exp.Session, spec jobs.Spec, wl *sim.Workload) (*arrayTally, error) {
+	pinfo, err := sim.PolicyByName(spec.Policy)
+	if err != nil {
+		return nil, err
 	}
-	s.acc[name]++
-	if !s.h.LLC.Access(a) {
-		s.miss[name]++
+	fg := ligra.NewGraph(wl.Graph)
+	if _, err := apps.New(spec.App, fg, apps.LayoutMerged); err != nil {
+		return nil, err
 	}
+	t := &arrayTally{as: fg.AS, acc: map[string]uint64{}, miss: map[string]uint64{}}
+	err = s.WithRecording(ctx, spec.Graph, spec.Reorder, spec.App, apps.LayoutMerged,
+		func(tr *trace.Trace, bounds [][2]uint64) error {
+			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, bounds, 1)
+			if err != nil {
+				return err
+			}
+			t.llc = llc
+			return tr.BroadcastNCtx(ctx, 0, []func([]mem.Access){t.consume})
+		})
+	return t, err
 }
 
 // print renders the Property Array's share of the LLC traffic and the
 // per-array breakdown, busiest array first.
-func (s *arraySink) print(w io.Writer, r sim.Result) {
+func (s *arrayTally) print(w io.Writer, r sim.Result) {
 	if r.LLC.Accesses() > 0 {
 		fmt.Fprintf(w, "Property Array share of LLC accesses: %.1f%% (misses: %.1f%%)\n",
 			100*float64(r.LLC.PropHits+r.LLC.PropMisses)/float64(r.LLC.Accesses()),

@@ -35,11 +35,9 @@ import (
 	"time"
 
 	"grasp/internal/apps"
-	"grasp/internal/cache"
 	"grasp/internal/exp"
 	"grasp/internal/graph"
 	"grasp/internal/jobs"
-	"grasp/internal/mem"
 	"grasp/internal/server"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
@@ -388,14 +386,10 @@ func sweepTier(o *options) error {
 
 // runSingle runs one -graph job — on ingested real-world datasets as much
 // as on the paper's synthetic ones — and renders its outcome. With -remote
-// a daemon runs it; locally the sampled and co-run tiers go through
-// jobs.Simulate, the daemon's own dispatch, on a fresh session, while a
-// full-fidelity run stays execution-driven: a one-shot process has no
-// second policy to replay a recording for, and -arrays sits in front of
-// the live hierarchy.
+// a daemon runs it; locally jobs.Simulate, the daemon's own dispatch, runs
+// every tier on a fresh session, whose recording -arrays then re-reads.
 func runSingle(o *options, spec jobs.Spec, w io.Writer) error {
-	replayed := spec.Fidelity == jobs.FidelitySampled || len(spec.CorunApps) > 0
-	if o.arrays && (o.remote != "" || replayed) {
+	if o.arrays && (o.remote != "" || spec.Fidelity == jobs.FidelitySampled || len(spec.CorunApps) > 0) {
 		return fmt.Errorf("-arrays applies to a local full-fidelity -graph run without -corun")
 	}
 	if o.remote != "" {
@@ -409,43 +403,33 @@ func runSingle(o *options, spec jobs.Spec, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := configFor(spec.Scale, &ds)
-	if replayed {
-		outcome, err := jobs.Simulate(context.Background(), exp.NewSession(cfg), spec, nil)
-		if err != nil {
-			return err
-		}
+	ctx, session := context.Background(), exp.NewSession(configFor(spec.Scale, &ds))
+	outcome, err := jobs.Simulate(ctx, session, spec, nil)
+	if err != nil {
+		return err
+	}
+	if outcome.Single == nil {
 		return printOutcome(w, spec, outcome, false, nil)
 	}
-	wl, err := sim.PrepareWorkload(ds, spec.Reorder, spec.App == "SSSP", cfg.ScaleDiv)
+	wl, err := session.Workload(spec.Graph, spec.Reorder, spec.App == "SSSP")
 	if err != nil {
 		return err
 	}
-	var byArray *arraySink
-	var wrap func(*cache.Hierarchy, *mem.AddressSpace) mem.Sink
-	if o.arrays {
-		wrap = func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink {
-			byArray = &arraySink{h: h, as: as, acc: map[string]uint64{}, miss: map[string]uint64{}}
-			return byArray
-		}
+	if err := printOutcome(w, spec, outcome, false, wl.Graph); err != nil || !o.arrays {
+		return err
 	}
-	r, err := sim.RunSink(wl, sim.Spec{App: spec.App, Layout: apps.LayoutMerged, Policy: spec.Policy, HCfg: cfg.HCfg}, wrap)
+	tally, err := tallyArrays(ctx, session, spec, wl)
 	if err != nil {
 		return err
 	}
-	if err := printOutcome(w, spec, &jobs.Outcome{Single: &r}, false, wl.Graph); err != nil {
-		return err
-	}
-	if byArray != nil {
-		byArray.print(w, r)
-	}
+	tally.print(w, *outcome.Single)
 	return nil
 }
 
 // printOutcome renders a -graph run's outcome, whichever tier and whichever
 // process produced it: a header naming the job (remote answers add where
 // they came from and what they cost the daemon), then the tier's metrics.
-// g, when the run prepared the workload itself, adds the graph's summary.
+// g, the workload's graph on a local full-fidelity run, adds its summary.
 func printOutcome(w io.Writer, spec jobs.Spec, o *jobs.Outcome, remote bool, g *graph.CSR) error {
 	note := func(tier string) string {
 		if remote {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,8 +149,9 @@ func TestSweepTier(t *testing.T) {
 	}
 }
 
-// TestArraysRefused: -arrays needs the live hierarchy of a local
-// full-fidelity run; it is refused before the graph is touched.
+// TestArraysRefused: -arrays replays the recording behind a local
+// full-fidelity result; on any other run it is refused before the graph is
+// touched.
 func TestArraysRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-remote", "localhost:1"},
@@ -167,10 +169,95 @@ func TestArraysRefused(t *testing.T) {
 	}
 }
 
-// TestArraysMatchesRun: the arraySink only watches — a run through it
-// reports sim.Run's Result, for a hint-consuming policy and a plain one —
-// and its per-array tallies partition the LLC's accesses and misses.
+// arraySink is the live-stream reference of -arrays: a sim.RunSink wrapper
+// that feeds the hierarchy and tallies every LLC-bound access of the
+// executing application against the array its address falls in.
+type arraySink struct {
+	h         *cache.Hierarchy
+	as        *mem.AddressSpace
+	acc, miss map[string]uint64
+}
+
+// Access implements mem.Sink.
+func (s *arraySink) Access(a mem.Access) {
+	if s.h.Filter(a) {
+		return
+	}
+	name := "(unmapped)"
+	if ar := s.as.Find(a.Addr); ar != nil {
+		name = ar.Name
+	}
+	s.acc[name]++
+	if !s.h.LLC.Access(a) {
+		s.miss[name]++
+	}
+}
+
+// liveArrays runs spec execution-driven with an arraySink in front of the
+// hierarchy, returning the tally and the run's Result.
+func liveArrays(t *testing.T, wl *sim.Workload, spec sim.Spec) (*arraySink, sim.Result) {
+	t.Helper()
+	var sink *arraySink
+	r, err := sim.RunSink(wl, spec, func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink {
+		sink = &arraySink{h: h, as: as, acc: map[string]uint64{}, miss: map[string]uint64{}}
+		return sink
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sink, r
+}
+
+// TestArraysMatchesRun: the replayed -arrays tally equals the live-stream
+// one array by array — for a hint-consuming policy, a plain one and a
+// PC-predicting one, over an app with weight arrays (SSSP) and one with
+// auxiliary arrays (TC) — its tally LLC ends in sim.Run's LLC state, and
+// the per-array counts partition sim.Run's LLC accesses and misses.
 func TestArraysMatchesRun(t *testing.T) {
+	cfg := exp.ScaledConfig(64)
+	s := exp.NewSession(cfg)
+	for _, app := range []string{"PR", "SSSP", "TC"} {
+		wl, err := s.Workload("lj", "DBG", app == "SSSP")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []string{"GRASP", "LRU", "Hawkeye"} {
+			spec := sim.Spec{App: app, Layout: apps.LayoutMerged, Policy: pol, HCfg: cfg.HCfg}
+			want, err := sim.Run(wl, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, _ := liveArrays(t, wl, spec)
+			got, err := tallyArrays(context.Background(), s,
+				jobs.Spec{Graph: "lj", Reorder: "DBG", App: app, Policy: pol}, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.acc, live.acc) || !reflect.DeepEqual(got.miss, live.miss) {
+				t.Errorf("%s/%s: replayed tally acc=%v miss=%v, live acc=%v miss=%v",
+					app, pol, got.acc, got.miss, live.acc, live.miss)
+			}
+			if got.llc.Stats != want.LLC {
+				t.Errorf("%s/%s: tally LLC %+v, sim.Run %+v", app, pol, got.llc.Stats, want.LLC)
+			}
+			var acc, miss uint64
+			for name := range got.acc {
+				acc += got.acc[name]
+				miss += got.miss[name]
+			}
+			if acc != want.LLC.Accesses() || miss != want.LLC.Misses {
+				t.Errorf("%s/%s: per-array sums %d/%d, LLC %d/%d",
+					app, pol, acc, miss, want.LLC.Accesses(), want.LLC.Misses)
+			}
+		}
+	}
+}
+
+// TestRunSingleLocal: a local full-fidelity run — the replay engine behind
+// jobs.Simulate — prints byte for byte what the execution-driven path
+// renders from sim.Run's Result and the workload's graph, -arrays
+// breakdown included (rendered from the live-stream tally).
+func TestRunSingleLocal(t *testing.T) {
 	ds, err := graph.DatasetByName("lj")
 	if err != nil {
 		t.Fatal(err)
@@ -181,30 +268,35 @@ func TestArraysMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []string{"GRASP", "LRU"} {
-		spec := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pol, HCfg: cfg.HCfg}
-		want, err := sim.Run(wl, spec)
+		simSpec := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pol, HCfg: cfg.HCfg}
+		r, err := sim.Run(wl, simSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink *arraySink
-		got, err := sim.RunSink(wl, spec, func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink {
-			sink = &arraySink{h: h, as: as, acc: map[string]uint64{}, miss: map[string]uint64{}}
-			return sink
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.AppTime, want.AppTime = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: -arrays Result %+v, sim.Run %+v", pol, got, want)
-		}
-		var acc, miss uint64
-		for name := range sink.acc {
-			acc += sink.acc[name]
-			miss += sink.miss[name]
-		}
-		if acc != got.LLC.Accesses() || miss != got.LLC.Misses {
-			t.Errorf("%s: per-array sums %d/%d, LLC %d/%d", pol, acc, miss, got.LLC.Accesses(), got.LLC.Misses)
+		args := []string{"-graph", "lj", "-scale", "64", "-app", "PR", "-policy", pol}
+		for _, arrays := range []bool{false, true} {
+			if arrays {
+				args = append(args, "-arrays")
+			}
+			o := parseArgs(t, args...)
+			spec, err := singleSpec(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := runSingle(o, spec, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := printOutcome(&want, spec, &jobs.Outcome{Single: &r}, false, wl.Graph); err != nil {
+				t.Fatal(err)
+			}
+			if arrays {
+				live, _ := liveArrays(t, wl, simSpec)
+				(&arrayTally{acc: live.acc, miss: live.miss}).print(&want, r)
+			}
+			if got.String() != want.String() {
+				t.Errorf("%v: runSingle printed\n%s\nthe direct path\n%s", args, got.String(), want.String())
+			}
 		}
 	}
 }

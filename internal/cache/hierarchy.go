@@ -88,9 +88,6 @@ func (h *Hierarchy) Access(a mem.Access) {
 	h.LLC.Access(a)
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // MemoryCycles evaluates the analytic memory-time model over the observed
 // hit/miss counts: every access pays the L1 latency; L1 misses add the L2
 // latency, and so on, with stalls beyond the L1 divided by the MLP factor

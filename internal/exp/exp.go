@@ -295,6 +295,17 @@ func (s *Session) withRecordings(ctx context.Context, capped bool, groups []arti
 	return fn(recs)
 }
 
+// WithRecording lends fn the full recording of one (dataset, reorder, app,
+// layout) group, recorded on first use, and the ABR bounds of the run that
+// produced it, pinned while fn runs (graspsim -arrays' per-array tally).
+func (s *Session) WithRecording(ctx context.Context, dsName, reorderName, app string, layout apps.Layout,
+	fn func(tr *trace.Trace, bounds [][2]uint64) error) error {
+	g := group(s.dataset(dsName), reorderName, app, layout)
+	return s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
+		return fn(recs[0].tr, recs[0].bounds)
+	})
+}
+
 // Workload returns the prepared (dataset, reorder) pair, preparing and
 // caching it on first use. dsName goes through the dataset registry's
 // resolver, so it can be a paper dataset name or a graph-file path

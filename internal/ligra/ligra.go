@@ -12,7 +12,6 @@
 package ligra
 
 import (
-	"grasp/internal/cache"
 	"grasp/internal/graph"
 	"grasp/internal/mem"
 	"grasp/internal/trace"
@@ -22,33 +21,24 @@ import (
 // sink) swallows accesses with minimal overhead, which is how algorithms
 // run natively.
 //
-// The dominant sink in simulation is *trace.Recorder: every full-fidelity
-// result starts as the once-per-group recording of the replay engine.
-// *cache.Hierarchy is the execution-driven reference (sim.Run: the
-// equivalence suites, graspsim -arrays, the examples). The tracer keeps a
-// concrete pointer to whichever of the two it is handed, so every traced
-// memory word reaches it through a direct call instead of an interface
-// dispatch, and tests for the recorder first. The method bodies are shaped
-// around the compiler's inlining budget — Read/Write inline a cheap
-// is-anyone-listening guard into the traversal loops (so native execution
-// pays one predicted branch per logical access), while the dispatch itself
-// is one call deep on every sink kind.
+// The dominant sink in simulation is *trace.Recorder, behind every
+// simulation result: the tracer keeps a concrete pointer to it, so each
+// traced word reaches it through a direct call, and any other sink (sim.Run's
+// oracle cache.Hierarchy, test sinks) through mem.Sink. The method bodies
+// are shaped around the compiler's inlining budget — Read/Write inline a
+// cheap is-anyone-listening guard into the traversal loops (so native
+// execution pays one predicted branch per logical access), while the
+// dispatch itself is one call deep on every sink kind.
 type Tracer struct {
 	sink   mem.Sink
-	h      *cache.Hierarchy // non-nil fast path when sink is a hierarchy
-	rec    *trace.Recorder  // non-nil fast path when sink is a trace recorder
-	active bool             // h != nil || rec != nil || sink != nil
+	rec    *trace.Recorder // non-nil fast path when sink is a trace recorder
+	active bool            // sink != nil
 }
 
 // NewTracer creates a tracer; sink may be nil for native execution.
 func NewTracer(sink mem.Sink) *Tracer {
 	t := &Tracer{sink: sink, active: sink != nil}
-	switch s := sink.(type) {
-	case *cache.Hierarchy:
-		t.h = s
-	case *trace.Recorder:
-		t.rec = s
-	}
+	t.rec, _ = sink.(*trace.Recorder)
 	return t
 }
 
@@ -57,10 +47,6 @@ func NewTracer(sink mem.Sink) *Tracer {
 func (t *Tracer) dispatch(addr uint64, pc uint32, write, prop bool) {
 	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
-		return
-	}
-	if t.h != nil {
-		t.h.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
 		return
 	}
 	t.sink.Access(mem.Access{Addr: addr, PC: pc, Write: write, Property: prop})
@@ -80,8 +66,6 @@ func (t *Tracer) Read(a *mem.Array, i uint64, pc uint32) {
 func (t *Tracer) ReadOff(a *mem.Array, i, off uint64, pc uint32) {
 	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
-	} else if t.h != nil {
-		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
 	} else if t.sink != nil {
 		t.sink.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Property: a.Property})
 	}
@@ -99,8 +83,6 @@ func (t *Tracer) Write(a *mem.Array, i uint64, pc uint32) {
 func (t *Tracer) WriteOff(a *mem.Array, i, off uint64, pc uint32) {
 	if t.rec != nil {
 		t.rec.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
-	} else if t.h != nil {
-		t.h.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
 	} else if t.sink != nil {
 		t.sink.Access(mem.Access{Addr: a.AddrOff(i, off), PC: pc, Write: true, Property: a.Property})
 	}

@@ -52,12 +52,6 @@ type Sink interface {
 	Access(a Access)
 }
 
-// NullSink discards all accesses; used to run applications natively.
-type NullSink struct{}
-
-// Access implements Sink.
-func (NullSink) Access(Access) {}
-
 // CountingSink counts accesses; used by tests.
 type CountingSink struct {
 	Reads, Writes uint64
@@ -76,8 +70,7 @@ func (c *CountingSink) Access(a Access) {
 	}
 }
 
-// Recorder stores the full access stream; used by the Belady OPT
-// experiments, which require future knowledge, and by tests.
+// Recorder stores the full access stream in memory; used by tests.
 type Recorder struct {
 	Trace []Access
 }

@@ -159,9 +159,9 @@ func Run(w *Workload, spec Spec) (Result, error) {
 // hierarchy — the one place an execution-driven run resolves the policy,
 // programs the ABRs and builds the hierarchy. wrap receives that hierarchy
 // and the run's address space and returns the sink the application drives;
-// whatever it interposes (a context poll, a per-array tally) must forward
-// every access to h for the Result to equal Run's. A nil wrap drives h
-// itself, the tracer's monomorphized *cache.Hierarchy fast path.
+// whatever it interposes (RunCtx's context poll, a test's live-stream
+// tally) must forward every access to h for the Result to equal Run's. A
+// nil wrap drives h itself.
 func RunSink(w *Workload, spec Spec, wrap func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink) (Result, error) {
 	pinfo, err := PolicyByName(spec.Policy)
 	if err != nil {
@@ -236,8 +236,7 @@ func (c *cancelSink) Access(a mem.Access) {
 // the access stream and offers no return path, so cancellation unwinds
 // the execution via the trace.PanicAbort sentinel, recovered here and
 // returned as the context's error. With a non-cancellable context (nil
-// Done) this is byte-for-byte Run: no wrapper sink, no poll, the exact
-// monomorphized tracer fast path.
+// Done) this is byte-for-byte Run: no wrapper sink, no poll.
 func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error) {
 	done := ctx.Done()
 	if done == nil {
