@@ -6,7 +6,7 @@
 //	graphgen -list                      # dataset catalogue
 //	graphgen -dataset tw -stats         # skew statistics (Table I row)
 //	graphgen -dataset kr -o kr.gcsr     # generate and save
-//	graphgen -in kr.gcsr -stats         # inspect a saved graph
+//	graphgen -graph kr.gcsr -stats      # inspect a saved graph
 //	graphgen -graph web-Google.txt -stats -o google.gcsr  # ingest any format
 package main
 
@@ -24,8 +24,6 @@ func main() {
 	scale := flag.Uint("scale", 1, "dataset scale divisor")
 	weighted := flag.Bool("weighted", false, "generate edge weights")
 	out := flag.String("o", "", "write the graph to this file")
-	in := flag.String("in", "", "read a binary (.gcsr) graph from this file instead of generating")
-	inEL := flag.String("el", "", "read a text edge list (.el/.wel, SNAP/GAP format) instead of generating")
 	inGraph := flag.String("graph", "", "read a graph file of any supported format (.txt/.el/.wel/.mtx/.gcsr, auto-detected) instead of generating")
 	outEL := flag.String("oel", "", "write the graph as a text edge list to this file")
 	showStats := flag.Bool("stats", false, "print degree/skew statistics")
@@ -46,32 +44,9 @@ func main() {
 	var g *graph.CSR
 	switch {
 	case *inGraph != "":
-		var rerr error
-		g, rerr = graph.ReadGraphFile(*inGraph)
-		if rerr != nil {
-			fatal(rerr)
-		}
-	case *inEL != "":
-		f, err := os.Open(*inEL)
-		if err != nil {
+		var err error
+		if g, err = graph.ReadGraphFile(*inGraph); err != nil {
 			fatal(err)
-		}
-		defer f.Close()
-		var rerr error
-		g, rerr = graph.ReadEdgeList(f)
-		if rerr != nil {
-			fatal(rerr)
-		}
-	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		var rerr error
-		g, rerr = graph.ReadFrom(f)
-		if rerr != nil {
-			fatal(rerr)
 		}
 	case *name != "":
 		ds, err := graph.DatasetByName(*name)
@@ -80,7 +55,7 @@ func main() {
 		}
 		g = ds.Generate(*weighted, uint32(*scale))
 	default:
-		fmt.Fprintln(os.Stderr, "graphgen: need -dataset, -graph or -in (or -list)")
+		fmt.Fprintln(os.Stderr, "graphgen: need -dataset or -graph (or -list)")
 		os.Exit(2)
 	}
 

@@ -953,9 +953,11 @@ type Metrics struct {
 	// decode-once broadcast path across all sessions; BroadcastReplays is
 	// the process-wide count of completed broadcast fan-outs and
 	// BroadcastConsumers the total replays they served (trace-engine
-	// counters, also covering the OPT study's capped-prefix fan-outs).
-	// Together with SimRuns these expose whether multi-policy sweeps are
-	// actually riding the broadcast decoder.
+	// counters: every full-fidelity replay is a fan-out, so a lone
+	// policy's replay counts as one with one consumer, and the OPT study's
+	// capped-prefix fan-outs count too). Together with SimRuns these
+	// expose whether multi-policy sweeps are actually riding the broadcast
+	// decoder.
 	BroadcastGroups, BroadcastReplays, BroadcastConsumers uint64
 	// Skip is the process-wide codec-layer accounting of masked (sampled)
 	// replays: chunks decoded, their encoded bytes, and records pruned vs

@@ -354,7 +354,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sampled_runs_total", "Distinct set-sampled fast-tier estimates across all sessions.", m.SampledRuns)
 	counter("corun_runs_total", "Distinct shared-LLC co-run replays across all sessions.", m.CorunRuns)
 	counter("broadcast_groups_total", "Recording groups served via decode-once broadcast replay.", m.BroadcastGroups)
-	counter("broadcast_replays_total", "Completed broadcast fan-outs (incl. OPT-study prefix replays).", m.BroadcastReplays)
+	counter("broadcast_replays_total", "Completed broadcast fan-outs (every full-fidelity replay, lone ones and OPT-study prefix replays included).", m.BroadcastReplays)
 	counter("broadcast_consumers_total", "Total replays served by broadcast fan-outs.", m.BroadcastConsumers)
 	counter("chunks_decoded_total", "Trace chunks decoded by masked (sampled) replays.", m.Skip.ChunksDecoded)
 	counter("chunk_bytes_decoded_total", "Encoded bytes of chunks decoded by masked replays.", m.Skip.BytesDecoded)

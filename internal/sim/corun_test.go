@@ -208,45 +208,6 @@ func TestCorunBroadcastEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorunSingleAppBitIdentical is the co-run equivalence suite: for
-// EVERY registered policy, a 1-app co-run must be bit-identical to the
-// plain single-app replay — same private-level stats, same attributed and
-// shared LLC stats, same modeled cycles — and report the no-interference
-// fairness values exactly (slowdown 1, weighted speedup 1, unfairness 1).
-func TestCorunSingleAppBitIdentical(t *testing.T) {
-	fx := newCorunFixture(t, "PR")
-	rs, err := fx.corun([]CorunStream{fx.stream("PR", 1)}, policyNames()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, pinfo := range Policies() {
-		spec := Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: fx.hcfg}
-		solo, err := ReplayResultCtx(context.Background(), fx.traces["PR"], spec, fx.w.Dataset.Name, fx.bounds["PR"])
-		if err != nil {
-			t.Fatalf("%s: solo replay: %v", pinfo.Name, err)
-		}
-		r := rs[p]
-		a := r.Apps[0]
-		if a.L1 != solo.L1 || a.L2 != solo.L2 {
-			t.Errorf("%s: private-level stats diverge from solo replay", pinfo.Name)
-		}
-		if a.LLC != solo.LLC || r.LLC != solo.LLC {
-			t.Errorf("%s: 1-app co-run LLC stats diverge from solo replay\ncorun: %+v\nsolo:  %+v",
-				pinfo.Name, a.LLC, solo.LLC)
-		}
-		if a.Cycles != solo.Cycles {
-			t.Errorf("%s: cycles %v != solo %v", pinfo.Name, a.Cycles, solo.Cycles)
-		}
-		if a.Solo != solo {
-			t.Errorf("%s: embedded solo baseline diverges from direct solo replay", pinfo.Name)
-		}
-		if a.Slowdown != 1 || r.WeightedSpeedup != 1 || r.Unfairness != 1 {
-			t.Errorf("%s: 1-app fairness = (slowdown %v, ws %v, unfairness %v), want all exactly 1",
-				pinfo.Name, a.Slowdown, r.WeightedSpeedup, r.Unfairness)
-		}
-	}
-}
-
 // TestCorunDeterministic: a co-run replay is bit-reproducible across runs
 // and GOMAXPROCS settings (the interleave is single-threaded and the
 // schedule a pure function of the inputs).

@@ -5,9 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/graph"
 )
 
 // accuracyTestHCfg is sized for sampling statistics rather than speed: a
@@ -57,28 +55,9 @@ func TestSampledAccuracy(t *testing.T) {
 		dsName := dsName
 		t.Run(dsName, func(t *testing.T) {
 			t.Parallel()
-			ds, err := graph.DatasetByName(dsName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := PrepareWorkload(ds, "DBG", false, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Release()
-			bounds, err := ABRBoundsFor(w, "PR", apps.LayoutMerged)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w, tr, bounds := recording(t, dsName, 64, "PR", hcfg)
 			pols := Policies()
-			specs := make([]Spec, len(pols))
-			for i, pinfo := range pols {
-				specs[i] = Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
-			}
+			specs := policySpecs("PR", hcfg)
 			full, err := BroadcastResultsCtx(context.Background(), tr, specs, w.Dataset.Name, bounds)
 			if err != nil {
 				t.Fatal(err)

@@ -339,37 +339,25 @@ func NewReplayLLC(llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64, 
 // memory-time model prices the combination exactly as a live hierarchy
 // would. AppTime is the recording run's execution time (the trace shares
 // one execution across every policy, so per-policy app wall-clock does not
-// exist on this path). Cancellation is the trace cursor's per-chunk
-// context check.
+// exist on this path). It is BroadcastResultsCtx with one spec, so
+// cancellation is the fan-out's per-chunk context check.
 func ReplayResultCtx(ctx context.Context, tr *trace.Trace, spec Spec, workloadName string, abrArrays [][2]uint64) (Result, error) {
-	pinfo, err := PolicyByName(spec.Policy)
+	rs, err := BroadcastResultsCtx(ctx, tr, []Spec{spec}, workloadName, abrArrays)
 	if err != nil {
 		return Result{}, err
 	}
-	llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := tr.ReplayNCtx(ctx, llc, 0); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Spec:     spec,
-		Workload: workloadName,
-		L1:       tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
-		Cycles:  cache.MemoryCyclesOf(spec.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats),
-		AppTime: tr.AppTime(),
-	}, nil
+	return rs[0], nil
 }
 
 // BroadcastResultsCtx produces the Results of several policies' datapoints
 // from ONE decode pass over a recorded trace: each spec gets its own
 // replay LLC, and trace.BroadcastNCtx fans every decoded slab out to all
-// of them concurrently. Each returned Result is identical to what
-// ReplayResultCtx — and therefore Run — would produce for the same spec;
-// an N-policy sweep just pays one decode instead of N, and the N LLC
-// simulations overlap on multi-core hosts. The specs may differ in policy
-// AND LLC geometry (the recording is valid for any LLC configuration).
+// of them concurrently. Each returned Result is identical to what Run
+// would produce for the same spec; an N-policy sweep just pays one decode
+// instead of N, and the N LLC simulations overlap on multi-core hosts
+// (one spec simulates on the decoding goroutine). The specs may
+// differ in policy AND LLC geometry (the recording is valid for any LLC
+// configuration).
 // The fan-out's producer checks the context per decoded chunk, so a
 // cancelled N-policy sweep stops within one chunk boundary across all N
 // replays at once.

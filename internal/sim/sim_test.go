@@ -8,7 +8,6 @@ import (
 	"grasp/internal/cache"
 	"grasp/internal/graph"
 	"grasp/internal/policy"
-	"grasp/internal/trace"
 )
 
 // testHCfg returns a tiny hierarchy so tests run fast while preserving the
@@ -168,71 +167,6 @@ func TestSpeedupAndMissReductionMath(t *testing.T) {
 	}
 }
 
-// replayStats replays the whole trace through a fresh LLC of the given
-// geometry and policy and returns its stats.
-func replayStats(t *testing.T, tr *trace.Trace, llcCfg cache.Config, pinfo PolicyInfo, bounds [][2]uint64) cache.Stats {
-	t.Helper()
-	llc, err := NewReplayLLC(llcCfg, pinfo, bounds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
-		t.Fatal(err)
-	}
-	return llc.Stats
-}
-
-func TestRecordAndReplayTraceConsistency(t *testing.T) {
-	// Replaying the recorded LLC trace under a policy must give the same
-	// LLC stats as the execution-driven run with that policy.
-	w := testWorkload(t, "tw", "DBG", false)
-	hcfg := testHCfg()
-	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Release()
-	if tr.Len() == 0 {
-		t.Fatal("empty LLC trace")
-	}
-	full, err := Run(w, Spec{App: "PR", Layout: apps.LayoutMerged, Policy: "RRIP", HCfg: hcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrip, _ := PolicyByName("RRIP")
-	replayed := replayStats(t, tr, hcfg.LLC, rrip, nil)
-	if replayed.Misses != full.LLC.Misses || replayed.Hits != full.LLC.Hits {
-		t.Fatalf("replay (%d/%d) != run (%d/%d)",
-			replayed.Hits, replayed.Misses, full.LLC.Hits, full.LLC.Misses)
-	}
-}
-
-func TestReplayWithGRASPHints(t *testing.T) {
-	w := testWorkload(t, "tw", "DBG", false)
-	hcfg := testHCfg()
-	tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Release()
-	bounds, err := ABRBoundsFor(w, "PR", apps.LayoutMerged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounds) != 1 {
-		t.Fatalf("merged PR should have 1 ABR pair, got %d", len(bounds))
-	}
-	gr, _ := PolicyByName("GRASP")
-	gst := replayStats(t, tr, hcfg.LLC, gr, bounds)
-	full, err := Run(w, Spec{App: "PR", Layout: apps.LayoutMerged, Policy: "GRASP", HCfg: hcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Misses != full.LLC.Misses {
-		t.Fatalf("GRASP replay misses %d != run misses %d", gst.Misses, full.LLC.Misses)
-	}
-}
-
 func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 	w := testWorkload(t, "lj", "DBG", false)
 	hcfg := testHCfg()
@@ -256,9 +190,12 @@ func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 		if pinfo.NeedsABRs {
 			bounds, _ = ABRBoundsFor(w, "PR", apps.LayoutMerged)
 		}
-		st := replayStats(t, tr, hcfg.LLC, pinfo, bounds)
-		if opt.Misses > st.Misses {
-			t.Fatalf("OPT misses %d > %s misses %d", opt.Misses, pname, st.Misses)
+		r, err := ReplayResultCtx(context.Background(), tr, Spec{Policy: pname, HCfg: hcfg}, "", bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Misses > r.LLC.Misses {
+			t.Fatalf("OPT misses %d > %s misses %d", opt.Misses, pname, r.LLC.Misses)
 		}
 	}
 }

@@ -4,21 +4,21 @@ import (
 	"context"
 	"testing"
 
-	"grasp/internal/apps"
-	"grasp/internal/graph"
-	"grasp/internal/mem"
 	"grasp/internal/trace"
 )
 
 // filterAfterDecode is the sampled tier's reference path, built from
-// parts the masked decode does not touch: a FULL broadcast decode feeding
-// one SetFilter per spec, priced by the planner's own sampledResultOf.
-// PR 7 shipped this shape; the masked kernel may only remove work from
-// it, never change what a consumer observes.
+// parts the masked decode does not touch: the reference decoder's full
+// stream (Trace.Accesses) fed to one SetFilter per spec, priced by the
+// planner's own sampledResultOf. The masked kernel may only remove work
+// from this shape, never change what a consumer observes.
 func filterAfterDecode(t *testing.T, tr *trace.Trace, specs []Spec, workloadName string, bounds [][2]uint64, k uint32) []SampledResult {
 	t.Helper()
+	accs, err := tr.Accesses(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	filters := make([]*trace.SetFilter, len(specs))
-	consumers := make([]func([]mem.Access), len(specs))
 	for i, spec := range specs {
 		pinfo, err := PolicyByName(spec.Policy)
 		if err != nil {
@@ -32,10 +32,8 @@ func filterAfterDecode(t *testing.T, tr *trace.Trace, specs []Spec, workloadName
 		if err != nil {
 			t.Fatal(err)
 		}
-		filters[i], consumers[i] = f, f.Consume
-	}
-	if err := tr.BroadcastNCtx(context.Background(), 0, consumers); err != nil {
-		t.Fatal(err)
+		filters[i] = f
+		f.Consume(accs)
 	}
 	out := make([]SampledResult, len(specs))
 	for i, spec := range specs {
@@ -56,28 +54,9 @@ func TestMaskedDecodeEquivalence(t *testing.T) {
 	}
 	hcfg := accuracyTestHCfg()
 	for _, dsName := range []string{"lj", "tw"} {
-		ds, err := graph.DatasetByName(dsName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := PrepareWorkload(ds, "DBG", false, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := RecordTraceNCtx(context.Background(), w, "PR", apps.LayoutMerged, hcfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Release()
-		bounds, err := ABRBoundsFor(w, "PR", apps.LayoutMerged)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, tr, bounds := recording(t, dsName, 64, "PR", hcfg)
 		pols := Policies()
-		specs := make([]Spec, len(pols))
-		for i, pinfo := range pols {
-			specs[i] = Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg}
-		}
+		specs := policySpecs("PR", hcfg)
 		for _, k := range []uint32{4, 16, 64} {
 			masked, rep, err := BroadcastSampledResultsSkipCtx(context.Background(), tr, specs, w.Dataset.Name, bounds, k)
 			if err != nil {

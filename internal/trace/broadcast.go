@@ -1,12 +1,11 @@
-// Broadcast replay: the decode-once half of the trace engine. A plain
-// ReplayNCtx pays the full decode (spill read-back, word unpacking, delta
-// reconstruction) per replay, so an N-policy sweep of one recording decodes
-// the same encoded stream N times. BroadcastNCtx runs one cursor over the
-// trace, decoding each chunk exactly once into a slab of mem.Access values,
-// and fans the slab out to every consumer, so a group pays one decode
-// regardless of how many policies replay it — and the consumers run on
-// their own goroutines, so the replays of one recording proceed in
-// parallel on multi-core hosts (DESIGN.md Sec. 12).
+// Broadcast replay: the one way a decoded stream reaches its consumers.
+// A decode pays spill read-back, word unpacking and delta reconstruction,
+// so BroadcastNCtx runs one cursor over the trace, decoding each chunk
+// exactly once into a slab of mem.Access values, and fans the slab out to
+// every consumer: an N-policy sweep of one recording pays one decode, not
+// N, and a lone replay is the same fan-out with one consumer. Consumers
+// run in parallel on multi-core hosts (DESIGN.md Sec. 12); a lone
+// full-fidelity one runs on the decoding goroutine.
 //
 // The fan-out itself (fanOut) does not know where slabs come from: it
 // takes its slab source as a parameter. The solo source decodes one cursor,
@@ -62,19 +61,20 @@ type slab struct {
 }
 
 // BroadcastNCtx decodes at most limit accesses (limit <= 0: all) once and
-// fans every decoded slab out to each consumer, which receives the exact
-// access sequence (in recording order, split at chunk boundaries) that a
-// dedicated ReplayNCtx would have decoded for it — the OPT study fans its
-// bounded-prefix replays out this way. Consumers run concurrently with
-// each other and with the decode; each individual consumer is invoked
-// sequentially, so an unsynchronized LLC simulation is a valid consumer.
+// fans every decoded slab out to each consumer, which receives exactly the
+// first limit recorded accesses, in recording order, split at chunk
+// boundaries — the OPT study fans its bounded-prefix replays out this
+// way. The decode is the one masked kernel under fullMask. Consumers run
+// concurrently with each other and with the decode (a lone one inline,
+// between chunks), each one sequentially, so an unsynchronized LLC
+// simulation is a valid consumer.
 //
 // The producer's cursor checks the context once per chunk, so a cancelled
 // fan-out stops decoding within one chunk boundary (the consumers then
 // drain their bounded channels and exit); consumer panics are contained
 // as fanOut describes.
 func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func(accs []mem.Access)) error {
-	_, err := t.broadcast(ctx, limit, nil, consumers)
+	_, err := t.broadcast(ctx, limit, fullMask, true, consumers)
 	return err
 }
 
@@ -88,7 +88,7 @@ func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func
 // SkipReport is returned and, on success, added to the process-wide
 // SkipStats.
 func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
-	rep, err := t.broadcast(ctx, limit, &mask, consumers)
+	rep, err := t.broadcast(ctx, limit, mask, false, consumers)
 	if err == nil {
 		countSkip(rep)
 	}
@@ -96,14 +96,13 @@ func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask Prese
 }
 
 // broadcast is the solo slab source over the fan-out ring: one cursor,
-// one decoded chunk per slab; mask == nil is the full-fidelity path,
-// mask != nil the sampled prune path.
-func (t *Trace) broadcast(ctx context.Context, limit int64, mask *PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
+// one decoded chunk per slab, records outside mask pruned.
+func (t *Trace) broadcast(ctx context.Context, limit int64, mask PresenceMask, inline bool, consumers []func(accs []mem.Access)) (SkipReport, error) {
 	c, err := t.newCursor(ctx, limit, mask)
 	if err != nil {
 		return SkipReport{}, err
 	}
-	err = fanOut(consumers, func(r *ring) error {
+	err = fanOut(consumers, inline, func(r *ring) error {
 		for {
 			s := r.take()
 			accs, err := c.next(s.accs)
@@ -122,7 +121,8 @@ func (t *Trace) broadcast(ctx context.Context, limit int64, mask *PresenceMask, 
 type ring struct {
 	free  chan *slab
 	chans []chan *slab
-	made  int // slabs allocated so far, <= broadcastSlabs
+	lone  func(accs []mem.Access) // inline mode: the one consumer, run in send
+	made  int                     // slabs allocated so far, <= broadcastSlabs
 }
 
 // take returns an empty slab of chunkWords capacity: a recycled one if any
@@ -147,6 +147,11 @@ func (r *ring) take() *slab {
 
 // send hands a filled slab to every consumer.
 func (r *ring) send(s *slab) {
+	if r.lone != nil {
+		r.lone(s.accs)
+		r.free <- s
+		return
+	}
 	s.refs.Store(int32(len(r.chans)))
 	for _, ch := range r.chans {
 		ch <- s
@@ -159,49 +164,55 @@ func (r *ring) send(s *slab) {
 // solo broadcast and the co-run interleave (InterleaveBroadcastCtx) differ
 // only in the source. No consumers means nothing to do: source is not run.
 //
-// A panic inside a consumer is recovered ON the consumer goroutine —
-// letting it escape would kill the whole process — and the goroutine keeps
-// draining its channel, dropping slab references without applying them,
-// because the producer blocks on slab reuse and a consumer that simply
-// died would deadlock it. The first panic is reported as the fan-out's
-// error, stack attached. Only a fan-out that completes cleanly counts in
-// BroadcastStats.
-func fanOut(consumers []func(accs []mem.Access), source func(r *ring) error) error {
+// inline runs a lone consumer inside send instead, on one recycled slab:
+// BroadcastNCtx's choice, DESIGN.md Sec. 11 says why.
+//
+// A panic inside a consumer is recovered where it runs — letting it escape
+// would kill the whole process — and later slabs pass that consumer by
+// (still dropping its references: the producer blocks on slab reuse, so a
+// consumer that simply died would deadlock it). The first panic is
+// reported as the fan-out's error, stack attached. Only a fan-out that
+// completes cleanly counts in BroadcastStats.
+func fanOut(consumers []func(accs []mem.Access), inline bool, source func(r *ring) error) error {
 	n := len(consumers)
 	if n == 0 {
 		return nil
 	}
-	r := &ring{free: make(chan *slab, broadcastSlabs), chans: make([]chan *slab, n)}
-	for i := range r.chans {
+	r := &ring{free: make(chan *slab, broadcastSlabs)}
+	var panicErr atomic.Pointer[error]
+	guard := func(fn func([]mem.Access)) func([]mem.Access) {
+		dead := false
+		return func(accs []mem.Access) {
+			defer func() {
+				if p := recover(); p != nil {
+					dead = true
+					err := fmt.Errorf("trace: broadcast consumer panicked: %v\n%s", p, debug.Stack())
+					panicErr.CompareAndSwap(nil, &err)
+				}
+			}()
+			if !dead {
+				fn(accs)
+			}
+		}
+	}
+	if inline && n == 1 {
+		r.lone, consumers = guard(consumers[0]), nil // no channel, no goroutine
+	}
+	var wg sync.WaitGroup
+	for _, fn := range consumers {
 		// Capacity = ring size: at most broadcastSlabs slabs exist and a
 		// slab is in each channel at most once, so sends never block.
-		r.chans[i] = make(chan *slab, broadcastSlabs)
-	}
-	var panicErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for i := range consumers {
+		ch := make(chan *slab, broadcastSlabs)
+		r.chans, fn = append(r.chans, ch), guard(fn)
 		wg.Add(1)
-		go func(ch chan *slab, fn func([]mem.Access)) {
+		go func() {
 			defer wg.Done()
-			dead := false
 			for s := range ch {
-				if !dead {
-					func() {
-						defer func() {
-							if p := recover(); p != nil {
-								dead = true
-								err := fmt.Errorf("trace: broadcast consumer panicked: %v\n%s", p, debug.Stack())
-								panicErr.CompareAndSwap(nil, &err)
-							}
-						}()
-						fn(s.accs)
-					}()
-				}
-				if s.refs.Add(-1) == 0 {
+				if fn(s.accs); s.refs.Add(-1) == 0 {
 					r.free <- s
 				}
 			}
-		}(r.chans[i], consumers[i])
+		}()
 	}
 	err := func() error {
 		// Deferred, so a source that panics (an armed failpoint) still

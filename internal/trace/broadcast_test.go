@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,6 +50,29 @@ func TestBroadcastDeliversIdenticalStreams(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBroadcastLoneConsumerPanic: a lone consumer runs inline, and its
+// panic is contained there as on a consumer goroutine: reported with its
+// stack, never applied again, the fan-out not counted as completed.
+func TestBroadcastLoneConsumerPanic(t *testing.T) {
+	tr := recordAccesses(t, seqAccesses(0, 3*chunkWords))
+	calls := 0
+	runs0, _ := BroadcastStats()
+	err := tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){func([]mem.Access) {
+		if calls++; calls == 2 {
+			panic("policy bug")
+		}
+	}})
+	if err == nil || !strings.Contains(err.Error(), "panicked: policy bug") || !strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("err = %v, want the consumer's panic with its stack", err)
+	}
+	if calls != 2 {
+		t.Errorf("the panicked consumer was invoked %d times, want 2 (never again after its panic)", calls)
+	}
+	if runs, _ := BroadcastStats(); runs != runs0 {
+		t.Error("a fan-out with a panicked consumer counted as a completed run")
 	}
 }
 

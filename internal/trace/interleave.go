@@ -13,8 +13,8 @@
 // weights and the limit — one goroutine, no channels, whether it feeds a
 // callback or the ring — so a co-run replay is exactly reproducible across
 // runs and GOMAXPROCS settings, and a single-stream interleave degenerates
-// to the recording order of a plain ReplayNCtx (the equivalence the co-run
-// suite pins).
+// to the recording order a one-consumer BroadcastNCtx delivers (the
+// equivalence the 1-app co-run row of the tier table pins).
 package trace
 
 import (
@@ -47,14 +47,14 @@ type interleaveCursor struct {
 // consume, deterministically: streams take turns in argument order, stream
 // i delivering up to Weight_i accesses per turn, until every stream is
 // exhausted (limit > 0 caps the accesses taken from EACH stream — the
-// bounded-prefix form, mirroring ReplayNCtx). A stream that runs out simply
-// drops from the rotation; the survivors keep their weights, as live cores
-// keep issuing after a neighbor finishes.
+// bounded-prefix form, mirroring BroadcastNCtx). A stream that runs out
+// simply drops from the rotation; the survivors keep their weights, as
+// live cores keep issuing after a neighbor finishes.
 //
 // consume(stream, accs) receives each stream's accesses in that stream's
 // recording order, in batches of at most Weight_stream (smaller at chunk
-// seams); the concatenation of all batches for one stream is exactly what
-// a dedicated ReplayNCtx of that trace would have decoded. Batches borrow the
+// seams); the concatenation of all batches for one stream is exactly the
+// recorded prefix a BroadcastNCtx of that trace delivers. Batches borrow the
 // cursor's decode buffer and are only valid during the call — consumers
 // must not retain them. consume runs on the calling goroutine; an
 // unsynchronized LLC simulation is a valid consumer.
@@ -79,7 +79,7 @@ func openInterleave(ctx context.Context, streams []InterleaveStream, limit int64
 		if st.Weight <= 0 {
 			return nil, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
-		c, err := st.Trace.newCursor(ctx, limit, nil)
+		c, err := st.Trace.newCursor(ctx, limit, fullMask)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func InterleaveBroadcastCtx(ctx context.Context, streams []InterleaveStream, lim
 	if err != nil {
 		return err
 	}
-	return fanOut(consumers, func(r *ring) error {
+	return fanOut(consumers, false, func(r *ring) error {
 		s := r.take()
 		err := mergeInterleave(streams, cursors, func(stream int, accs []mem.Access) {
 			base, pcBase := uint64(stream)<<tag.AddrShift, uint32(stream)<<tag.PCShift

@@ -121,7 +121,7 @@ func TestInterleaveSharedTrace(t *testing.T) {
 }
 
 // TestInterleaveLimit: limit > 0 caps the accesses taken from EACH stream
-// (the bounded-prefix form, mirroring ReplayNCtx).
+// (the bounded-prefix form, mirroring BroadcastNCtx).
 func TestInterleaveLimit(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 100))
 	defer a.Release()

@@ -1,7 +1,7 @@
 // Set-aware decode: the codec-layer half of the sampled fast tier
 // (DESIGN.md Sec. 14). Because a set-associative cache indexes sets by the
 // low block bits, a sampled-set selection projects onto PresenceBuckets
-// block-address congruence classes, and the masked decode kernel
+// block-address congruence classes, and the decode kernel
 // (decodeAppendMasked) tests each record's class on the reconstructed
 // block address alone: every word is still scanned — the delta chain
 // demands it — but non-sampled records drop before the PC lookup and the
@@ -41,6 +41,15 @@ const presenceBucketMask = PresenceBuckets - 1
 // sampled sets can map to (built by SampledSetsMask, unioned across
 // consumers by the decode planner).
 type PresenceMask [presenceWords]uint64
+
+// fullMask marks every congruence class: the full-fidelity decode is the
+// masked one under it.
+var fullMask = func() (m PresenceMask) {
+	for i := range m {
+		m[i] = ^uint64(0)
+	}
+	return m
+}()
 
 // set marks the congruence class of block.
 func (m *PresenceMask) set(block uint64) {
@@ -130,7 +139,8 @@ func (r SkipReport) SkipRatio() float64 {
 // replay adds its SkipReport here; graspd /metrics exports them as
 // chunks_decoded_total, accesses_pruned_total and friends, so the
 // decode-bound retreat is visible in production, not only in BENCH
-// files. Unmasked (full-fidelity) replays do not count.
+// files. Every cursor keeps a report, but only BroadcastMaskedNCtx adds
+// it here: full-fidelity replays do not count.
 var (
 	skipChunksDecoded atomic.Uint64
 	skipBytesDecoded  atomic.Uint64

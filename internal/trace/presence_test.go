@@ -82,8 +82,9 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 			if len(words) != c.n {
 				t.Fatalf("chunk %d: %d words materialized, header says %d", ci, len(words), c.n)
 			}
-			// Decode this chunk alone, seeded only by its header base.
-			got, _ := tr.decodeAppend(words, nil, c.base, 0, tr.Len())
+			// Decode this chunk alone, seeded only by its header base, with
+			// the kernel every cursor runs; Accesses shares none of it.
+			got, _ := tr.decodeAppendMasked(words, nil, c.base, 0, tr.Len(), fullMask)
 			for i, a := range got {
 				if a != ref[off+int64(i)] {
 					t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
@@ -187,10 +188,11 @@ func TestReplayMaskedLimit(t *testing.T) {
 	}
 }
 
-// TestBroadcastMaskedMatchesFilterAfterDecode pins the PR 7 equivalence
-// at the trace layer: a SetFilter fed by the masked fan-out must land in
-// the exact same state as one fed by the full decode-then-filter path,
-// for divisors above, at, and below the point where pruning bites.
+// TestBroadcastMaskedMatchesFilterAfterDecode pins the sampled tier's
+// equivalence at the trace layer: a SetFilter fed by the masked fan-out
+// must land in the exact same state as one fed the recorded stream
+// itself, for divisors above, at, and below the point where pruning
+// bites.
 func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 	accs := interesting()
 	cfg := cache.Config{SizeBytes: 16 << 10, Ways: 16} // 16 sets
@@ -204,9 +206,7 @@ func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){ref.Consume}); err != nil {
-				t.Fatal(err)
-			}
+			ref.Consume(accs)
 
 			gotLLC := cache.MustNew(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
 			got, err := NewSetFilter(gotLLC, sampled)

@@ -613,28 +613,28 @@ func (t *Trace) materialize(ci int, scratch *[]uint64, buf *[]byte) ([]uint64, e
 }
 
 // cursor is the engine's one chunk walker (DESIGN.md Sec. 11). Every
-// replay shape — ReplayNCtx into one LLC, the broadcast producer, each
-// stream of an interleave — advances through a trace by calling next, so
-// the bounded-prefix limit, the per-chunk context poll, the
-// trace.replay.chunk failpoint, spill read-back and the choice of decode
-// kernel exist exactly once. Cursors never share scratch space, so any
-// number of them read one (possibly spilled) trace concurrently.
+// replay shape — the broadcast producer, each stream of an interleave —
+// advances through a trace by calling next, so the bounded-prefix limit,
+// the per-chunk context poll, the trace.replay.chunk failpoint, spill
+// read-back and the one decode kernel exist exactly once. A full-fidelity
+// cursor is a masked one whose mask is fullMask. Cursors never share
+// scratch space, so any number of them read one (possibly spilled) trace
+// concurrently.
 type cursor struct {
 	t       *Trace
 	ctx     context.Context
-	mask    *PresenceMask // non-nil: prune records outside it while decoding
-	ci      int           // next chunk to decode
-	done    int64         // recorded accesses consumed so far, pruned ones included
+	mask    PresenceMask // records outside it are pruned while decoding
+	ci      int          // next chunk to decode
+	done    int64        // recorded accesses consumed so far, pruned ones included
 	limit   int64
-	rep     SkipReport // masked cursors only: what the prune dropped and kept
+	rep     SkipReport // what the prune dropped and kept
 	scratch []uint64
 	rbuf    []byte
 }
 
 // newCursor opens a cursor over the first limit accesses of t (limit <= 0:
-// all). A nil mask decodes every record; a non-nil one delivers only
-// records whose block congruence class it marks.
-func (t *Trace) newCursor(ctx context.Context, limit int64, mask *PresenceMask) (cursor, error) {
+// all) that delivers only records whose block congruence class mask marks.
+func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) (cursor, error) {
 	if t.destroyed.Load() {
 		return cursor{}, errReleased
 	}
@@ -646,12 +646,12 @@ func (t *Trace) newCursor(ctx context.Context, limit int64, mask *PresenceMask) 
 
 // next decodes the cursor's next chunk into dst[:0] and returns the
 // decoded accesses, in recording order; an empty result means the stream
-// (or its limit) is exhausted. A masked cursor keeps walking past chunks
-// whose every record pruned, so a non-empty result is always work to
-// deliver. The context and the failpoint are checked once per chunk
-// (65536 words ≈ half a million cycles of LLC simulation): a cancelled
-// replay returns within one chunk boundary while the decode kernels stay
-// closure-free and check-free.
+// (or its limit) is exhausted. The cursor keeps walking past chunks whose
+// every record pruned, so a non-empty result is always work to deliver.
+// The context and the failpoint are checked once per chunk (65536 words ≈
+// half a million cycles of LLC simulation): a cancelled replay returns
+// within one chunk boundary while the decode kernel stays closure-free and
+// check-free.
 func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 	dst = dst[:0]
 	for len(dst) == 0 && c.done < c.limit && c.ci < len(c.t.chunks) {
@@ -667,59 +667,28 @@ func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 			return nil, err
 		}
 		c.ci++
-		if c.mask == nil {
-			dst, c.done = c.t.decodeAppend(words, dst, ch.base, c.done, c.limit)
-		} else {
-			before := c.done
-			dst, c.done = c.t.decodeAppendMasked(words, dst, ch.base, c.done, c.limit, *c.mask)
-			c.rep.ChunksDecoded++
-			c.rep.BytesDecoded += ch.sizeBytes()
-			c.rep.AccessesDelivered += int64(len(dst))
-			c.rep.AccessesPruned += c.done - before - int64(len(dst))
-		}
+		before := c.done
+		dst, c.done = c.t.decodeAppendMasked(words, dst, ch.base, c.done, c.limit, c.mask)
+		c.rep.ChunksDecoded++
+		c.rep.BytesDecoded += ch.sizeBytes()
+		c.rep.AccessesDelivered += int64(len(dst))
+		c.rep.AccessesPruned += c.done - before - int64(len(dst))
 	}
 	return dst, nil
 }
 
-// decodeAppend decodes one chunk's words into dst, stopping once done
-// reaches limit, and returns the extended slice plus the progress count.
-// base is the chunk's self-contained block-delta seed (chunk.base), so a
-// chunk decodes in isolation; chunks never split an escape pair (the
-// recorder seals early), so the scan always terminates on a record
-// boundary.
-func (t *Trace) decodeAppend(words []uint64, dst []mem.Access, base uint64, done, limit int64) ([]mem.Access, int64) {
-	lastBlock := base
-	for i := 0; i < len(words) && done < limit; i++ {
-		w := words[i]
-		var block uint64
-		var pc uint32
-		if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
-			pc = uint32(w >> deltaShift)
-			i++
-			block = words[i]
-		} else {
-			pc = t.pcs[idx]
-			block = lastBlock + uint64(int64(w)>>deltaShift)
-		}
-		lastBlock = block
-		dst = append(dst, mem.Access{
-			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-			PC:       pc,
-			Write:    w&flagWrite != 0,
-			Property: w&flagProp != 0,
-		})
-		done++
-	}
-	return dst, done
-}
-
-// decodeAppendMasked is decodeAppend with in-loop pruning: every word is
-// still scanned (the delta chain demands it) but records whose block
-// congruence class is outside mask drop before the PC lookup and the
-// mem.Access materialization — the step that removes the decode share
-// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14). done counts
-// pruned records too, so the limit bounds the recorded prefix scanned,
-// not the residue delivered.
+// decodeAppendMasked is the engine's one decode kernel: it decodes one
+// chunk's words into dst, stopping once done reaches limit, and returns
+// the extended slice plus the progress count. base is the chunk's
+// self-contained block-delta seed (chunk.base), so a chunk decodes in
+// isolation; chunks never split an escape pair (the recorder seals early),
+// so the scan always terminates on a record boundary. Every word is
+// scanned (the delta chain demands it) but records whose block congruence
+// class is outside mask drop before the PC lookup and the mem.Access
+// materialization — the step that removes the decode share from the
+// sampled tier's Amdahl bound (DESIGN.md Sec. 14); under fullMask nothing
+// drops. done counts pruned records too, so the limit bounds the recorded
+// prefix scanned, not the residue delivered.
 func (t *Trace) decodeAppendMasked(words []uint64, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask) ([]mem.Access, int64) {
 	lastBlock := base
 	for i := 0; i < len(words) && done < limit; i++ {
@@ -753,29 +722,8 @@ func (t *Trace) decodeAppendMasked(words []uint64, dst []mem.Access, base uint64
 	return dst, done
 }
 
-// ReplayNCtx decodes at most limit accesses (limit <= 0: all) into the LLC
-// in recording order — the single-policy replay, and the bounded-prefix
-// form the OPT study's consumers rely on. Cancellation and fault injection
-// are the cursor's: checked once per chunk.
-func (t *Trace) ReplayNCtx(ctx context.Context, llc *cache.Cache, limit int64) error {
-	c, err := t.newCursor(ctx, limit, nil)
-	if err != nil {
-		return err
-	}
-	buf := make([]mem.Access, 0, min(c.limit, chunkWords))
-	for {
-		accs, err := c.next(buf)
-		if err != nil || len(accs) == 0 {
-			return err
-		}
-		for _, a := range accs {
-			llc.Access(a)
-		}
-	}
-}
-
 // each decodes at most limit accesses (limit <= 0: all) through fn. It
-// deliberately shares nothing with the cursor and its kernels: Accesses is
+// deliberately shares nothing with the cursor and its kernel: Accesses is
 // the independent reference decoder the equivalence tests and fuzz targets
 // compare every replay shape against.
 func (t *Trace) each(limit int64, fn func(a mem.Access)) error {

@@ -127,31 +127,14 @@ func TestPCDictionaryOverflow(t *testing.T) {
 	checkRoundTrip(t, accs, record(t, accs, 0))
 }
 
-func TestReplayN(t *testing.T) {
-	accs := interesting()
-	tr := record(t, accs, 0)
-	llcCfg := cache.Config{SizeBytes: 4096, Ways: 4}
-	full := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.ReplayNCtx(context.Background(), full, 0); err != nil {
-		t.Fatal(err)
-	}
-	if full.Stats.Accesses() != uint64(len(accs)) {
-		t.Fatalf("replayed %d accesses, want %d", full.Stats.Accesses(), len(accs))
-	}
-
-	// A bounded replay must equal a direct simulation of the prefix.
-	const limit = 1234
-	bounded := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.ReplayNCtx(context.Background(), bounded, limit); err != nil {
-		t.Fatal(err)
-	}
-	direct := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	for _, a := range accs[:limit] {
-		direct.Access(a)
-	}
-	if bounded.Stats != direct.Stats {
-		t.Fatalf("bounded replay stats %+v != direct prefix stats %+v", bounded.Stats, direct.Stats)
-	}
+// replayInto replays the whole trace into llc through a one-consumer
+// broadcast, the shape every full-fidelity replay takes.
+func replayInto(tr *Trace, llc *cache.Cache) error {
+	return tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){func(accs []mem.Access) {
+		for _, a := range accs {
+			llc.Access(a)
+		}
+	}})
 }
 
 // TestRecorderFiltersUpperLevels: with the L1/L2 front-end, the recorded
@@ -186,7 +169,7 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 			tr.Len(), h.LLC.Stats.Accesses())
 	}
 	llc := cache.MustNew(hcfg.LLC, cache.NewLRU(hcfg.LLC.Sets(), hcfg.LLC.Ways))
-	if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
+	if err := replayInto(tr, llc); err != nil {
 		t.Fatal(err)
 	}
 	if llc.Stats != h.LLC.Stats {
@@ -218,7 +201,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if MemoryInUse() != before {
 		t.Fatalf("Release leaked accounting: %d != %d", MemoryInUse(), before)
 	}
-	if err := tr.ReplayNCtx(context.Background(), cache.MustNew(cache.Config{SizeBytes: 1024, Ways: 2}, cache.NewLRU(8, 2)), 0); err == nil {
+	if err := replayInto(tr, cache.MustNew(cache.Config{SizeBytes: 1024, Ways: 2}, cache.NewLRU(8, 2))); err == nil {
 		t.Fatal("replay of released trace succeeded")
 	}
 	if _, err := tr.Accesses(0); err == nil {
@@ -262,20 +245,21 @@ func TestFinishRightSizesTail(t *testing.T) {
 }
 
 // TestConcurrentSpilledReplay replays one spilled trace from several
-// goroutines; pread-based chunk reads must not interfere.
+// goroutines; pread-based chunk reads must not interfere, and each replay
+// must match an LLC fed the recorded stream directly.
 func TestConcurrentSpilledReplay(t *testing.T) {
 	accs := interesting()
 	tr := record(t, accs, -1)
 	llcCfg := cache.Config{SizeBytes: 8192, Ways: 8}
 	ref := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	if err := tr.ReplayNCtx(context.Background(), ref, 0); err != nil {
-		t.Fatal(err)
+	for _, a := range accs {
+		ref.Access(a)
 	}
 	done := make(chan cache.Stats, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
 			llc := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-			if err := tr.ReplayNCtx(context.Background(), llc, 0); err != nil {
+			if err := replayInto(tr, llc); err != nil {
 				t.Error(err)
 			}
 			done <- llc.Stats
@@ -288,19 +272,9 @@ func TestConcurrentSpilledReplay(t *testing.T) {
 	}
 }
 
-// cancelOnClassify is an LLC classifier that reports each access it sees:
-// the hook that lets a test observe (and cancel from inside) a ReplayNCtx,
-// which takes no consumer callback.
-type cancelOnClassify struct{ seen func(n int) }
-
-func (c cancelOnClassify) Classify(uint64) mem.Hint {
-	c.seen(1)
-	return mem.HintDefault
-}
-
-// TestCursorCancelAndFailpoint drives the five replay shapes that sit on
-// the shared chunk cursor — replay, broadcast, masked broadcast, interleave
-// and the interleaved fan-out — through the same three faults, over a resident and a
+// TestCursorCancelAndFailpoint drives the four replay shapes that sit on
+// the shared chunk cursor — broadcast, masked broadcast, interleave and the
+// interleaved fan-out — through the same three faults, over a resident and a
 // spilled multi-chunk trace: a context cancelled up front delivers nothing
 // and returns ContextErr with its cause; one cancelled from inside the
 // first delivery stops within the chunks already in flight; and the
@@ -312,7 +286,6 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 	for i := range accs {
 		accs[i] = mem.Access{Addr: uint64(i) << cache.BlockBits, PC: uint32(i % 7)}
 	}
-	llcCfg := cache.Config{SizeBytes: 4096, Ways: 4}
 	collect := func(seen func(int)) []func([]mem.Access) {
 		return []func([]mem.Access){func(a []mem.Access) { seen(len(a)) }}
 	}
@@ -321,11 +294,6 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 		ahead int64 // chunks the shape may decode ahead of its consumer
 		run   func(ctx context.Context, tr *Trace, seen func(n int)) error
 	}{
-		{"replay", 0, func(ctx context.Context, tr *Trace, seen func(int)) error {
-			llc := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-			llc.SetClassifier(cancelOnClassify{seen})
-			return tr.ReplayNCtx(ctx, llc, 0)
-		}},
 		{"broadcast", broadcastSlabs, func(ctx context.Context, tr *Trace, seen func(int)) error {
 			return tr.BroadcastNCtx(ctx, 0, collect(seen))
 		}},
