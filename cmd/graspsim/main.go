@@ -498,7 +498,7 @@ func runSampledSweep(o *options, w io.Writer) error {
 		fmt.Fprintf(w, "## %s — %s (sampled estimates)\n\n", e.ID, e.Title)
 		t := stats.NewTable("Dataset", "Reorder", "App", "Policy", "EstMiss%", "±CI95", "Sets")
 		for _, p := range points {
-			r, err := session.SampledResult(p.DS, p.Reorder, p.App, p.Layout, p.Policy, k)
+			r, err := session.SampledResultCtx(context.Background(), p.DS, p.Reorder, p.App, p.Layout, p.Policy, k)
 			if err != nil {
 				return err
 			}

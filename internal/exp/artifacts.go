@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -139,62 +140,114 @@ func foreignCancel(ctx context.Context, err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// get returns the artifact under k, computing it with fn on first use.
-// The first goroutine to ask runs fn with no lock held; goroutines asking
-// while it is in flight block until it finishes and share its outcome.
-// A failed transient-kind computation is forgotten (its waiters still
-// receive the error), and a caller that inherited another context's
-// cancellation that way simply asks again and recomputes under its own —
-// one job's cancel must not fail every job that shared a datapoint with
-// it. fn's charge is ignored on error.
+// get returns the artifact under k, computing it with fn on first use:
+// getEach of one key.
 func get[V any](ctx context.Context, a *artifacts, k artifactKey, fn func() (V, charge, error)) (V, error) {
-	for {
-		e, leader := a.claim(k)
-		if leader {
-			func() {
-				var c charge
-				defer func() { a.settle(k, e, c, recover()) }()
-				e.val, c, e.err = fn()
-			}()
-		} else {
-			<-e.done
-		}
-		if transient[k.kind] && foreignCancel(ctx, e.err) {
-			continue
-		}
-		v, _ := e.val.(V)
-		return v, e.err
-	}
+	vs, err := getEach(ctx, a, []artifactKey{k}, func([]int) ([]V, []charge, error) {
+		v, c, err := fn()
+		return []V{v}, []charge{c}, err
+	})
+	return vs[0], err
 }
 
-// claim finds or inserts k's entry and bumps its recency.
-func (a *artifacts) claim(k artifactKey) (e *entry, leader bool) {
+// getEach returns the artifacts under keys, in order, with the error of
+// the first that failed; it is the only way in. It claims every key at
+// once; fn computes the keys this caller leads (led indexes keys) in ONE
+// call, with no lock held, and that call's values (with charges, if any),
+// error or panic settle each of them. Only then does the caller wait on
+// the keys other callers lead, so overlapping batches neither compute a
+// key twice nor deadlock: every leader settles its own claims before it
+// waits on anyone else's. A failed transient-kind computation is
+// forgotten (its waiters still receive the error), and a caller that
+// inherited another context's cancellation that way claims the key again
+// and recomputes it under its own — one job's cancel must not fail every
+// job that shared a datapoint with it.
+func getEach[V any](ctx context.Context, a *artifacts, keys []artifactKey,
+	fn func(led []int) ([]V, []charge, error)) ([]V, error) {
+	vals, errs := make([]V, len(keys)), make([]error, len(keys))
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		entries, led := a.claimEach(keys, pending)
+		if len(led) > 0 {
+			lead(a, keys, entries, led, fn)
+		}
+		var retry []int
+		for _, i := range pending {
+			e := entries[i]
+			<-e.done
+			if transient[keys[i].kind] && foreignCancel(ctx, e.err) {
+				retry = append(retry, i)
+				continue
+			}
+			vals[i], _ = e.val.(V)
+			errs[i] = e.err
+		}
+		pending = retry
+	}
+	return vals, cmp.Or(errs...)
+}
+
+// claimEach finds or inserts the entries of keys[i] for every i in idx,
+// under one lock so that callers claiming overlapping sets never split a
+// set between them, and bumps their recency. entries is indexed like
+// keys; led lists the indices this caller inserted.
+func (a *artifacts) claimEach(keys []artifactKey, idx []int) (entries []*entry, led []int) {
+	entries = make([]*entry, len(keys))
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.seq++
-	if e = a.m[k]; e != nil {
+	for _, i := range idx {
+		a.seq++
+		e := a.m[keys[i]]
+		if e == nil {
+			e = &entry{done: make(chan struct{})}
+			a.m[keys[i]] = e
+			led = append(led, i)
+		}
 		e.recency = a.seq
-		return e, false
+		entries[i] = e
 	}
-	e = &entry{done: make(chan struct{}), recency: a.seq}
-	a.m[k] = e
-	return e, true
+	return entries, led
 }
 
-// settle publishes the leader's outcome: it charges a success to the
-// budgets (evicting whatever no longer fits), forgets a transient
-// failure, and wakes the waiters. p is the leader's recovered panic, if
-// any: a panic settles too — the entry is dropped, waiters receive an
-// error instead of hanging forever — and then continues up to the
-// containment layer (Prefetch's per-unit recover, the jobs manager, or
+// lead runs the one computation of the led keys and settles each with its
+// outcome. A panic settles them too — the entries are dropped, waiters
+// receive an error instead of hanging forever — and then continues up to
+// the containment layer (Prefetch's per-unit recover, the jobs manager, or
 // process exit).
-func (a *artifacts) settle(k artifactKey, e *entry, c charge, p any) {
-	if p != nil {
-		e.val, e.err = nil, fmt.Errorf("exp: computation panicked: %v", p)
-	}
-	if e.err != nil {
-		c = charge{}
-	}
+func lead[V any](a *artifacts, keys []artifactKey, entries []*entry, led []int,
+	fn func(led []int) ([]V, []charge, error)) {
+	var vs []V
+	var cs []charge
+	var err error
+	defer func() {
+		p := recover()
+		if p != nil {
+			err = fmt.Errorf("exp: computation panicked: %v", p)
+		}
+		for j, i := range led {
+			var c charge
+			if entries[i].err = err; err == nil {
+				entries[i].val = vs[j]
+				if j < len(cs) {
+					c = cs[j]
+				}
+			}
+			a.settle(keys[i], entries[i], c, p != nil)
+		}
+		if p != nil {
+			panic(p)
+		}
+	}()
+	vs, cs, err = fn(led)
+}
+
+// settle publishes one led key's outcome: it charges a success to the
+// budgets (evicting whatever no longer fits), forgets a failure that is
+// transient or a panic, and wakes the waiters.
+func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
 	if !k.ds.fileBacked() {
 		c.fileBytes = 0
 	}
@@ -209,7 +262,7 @@ func (a *artifacts) settle(k artifactKey, e *entry, c charge, p any) {
 		if c.release != nil {
 			released = append(released, c.release)
 		}
-	case e.err != nil && (p != nil || transient[k.kind]):
+	case e.err != nil && (panicked || transient[k.kind]):
 		delete(a.m, k)
 	default:
 		// A budget is checked only by an entry that adds to it, so the
@@ -231,9 +284,6 @@ func (a *artifacts) settle(k artifactKey, e *entry, c charge, p any) {
 	close(e.done)
 	for _, release := range released {
 		release()
-	}
-	if p != nil {
-		panic(p)
 	}
 }
 

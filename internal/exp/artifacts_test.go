@@ -44,6 +44,13 @@ func (a *artifacts) releaseAll() {
 	}
 }
 
+// claim holds k in flight as another caller would: the returned entry is
+// settled with a.settle. leader is false when k was already claimed.
+func (a *artifacts) claim(k artifactKey) (e *entry, leader bool) {
+	entries, led := a.claimEach([]artifactKey{k}, []int{0})
+	return entries[0], len(led) == 1
+}
+
 // fullRecordingReady reports whether the (synthetic dataset, DBG, app,
 // merged) group's FULL recording is cached.
 func fullRecordingReady(s *Session, ds, app string) bool {
@@ -235,6 +242,53 @@ func TestArtifactStore(t *testing.T) {
 			}
 			if v := <-waiterVal; v != 7 {
 				t.Fatalf("waiter got %d, want its own recomputation (7)", v)
+			}
+		}},
+		{"getEach computes what it leads in one call, then waits on the rest", func(t *testing.T) {
+			a := newArtifacts(0, 0)
+			keys := []artifactKey{key(lj, kindResult, "A"), key(lj, kindResult, "B"), key(lj, kindResult, "C")}
+			held, _ := a.claim(keys[1]) // another caller's flight
+			type outcome struct {
+				vals []int
+				err  error
+			}
+			done := make(chan outcome, 1)
+			var calls [][]int
+			go func() {
+				vals, err := getEach(context.Background(), a, keys, func(led []int) ([]int, []charge, error) {
+					calls = append(calls, append([]int(nil), led...))
+					return []int{len(calls), 30}, nil, nil
+				})
+				done <- outcome{vals, err}
+			}()
+			for !a.ready(keys[0]) || !a.ready(keys[2]) {
+				runtime.Gosched() // its own claims settle before it waits on B
+			}
+			held.val = 20
+			a.settle(keys[1], held, charge{}, false)
+			got := <-done
+			if got.err != nil || len(calls) != 1 || len(calls[0]) != 2 || calls[0][0] != 0 || calls[0][1] != 2 {
+				t.Fatalf("fn calls %v, err %v; want one call leading [0 2]", calls, got.err)
+			}
+			if got.vals[0] != 1 || got.vals[1] != 20 || got.vals[2] != 30 {
+				t.Fatalf("values %v, want [1 20 30]: its own two and the held flight's", got.vals)
+			}
+		}},
+		{"a panic in getEach settles every led key as an error", func(t *testing.T) {
+			a := newArtifacts(0, 0)
+			keys := []artifactKey{key(lj, kindWorkload, "A"), key(lj, kindResult, "B")}
+			func() {
+				defer func() {
+					if p := recover(); p != "policy bug" {
+						t.Errorf("recovered %v, want the leader's panic", p)
+					}
+				}()
+				_, _ = getEach(context.Background(), a, keys, func([]int) ([]int, []charge, error) {
+					panic("policy bug")
+				})
+			}()
+			if n := len(a.m); n != 0 {
+				t.Fatalf("%d keys left in the store after the panic, want 0", n)
 			}
 		}},
 		{"trace budget evicts the LRU recording, never the one being inserted", func(t *testing.T) {

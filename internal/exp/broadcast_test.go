@@ -3,6 +3,7 @@ package exp
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/trace"
@@ -42,6 +43,49 @@ func TestBroadcastSmoke(t *testing.T) {
 	ph := s.PhaseSeconds()
 	if ph["record"] <= 0 || ph["replay"] <= 0 {
 		t.Fatalf("phase breakdown missing record/replay time: %v", ph)
+	}
+}
+
+// TestPrefetchJoinsInFlightCell: a batch never simulates a cell that
+// another caller has claimed but not yet settled; it waits for that
+// caller's value. The test holds lj/DBG/PR's GRASP result in flight while
+// a Prefetch of the group's {RRIP, GRASP} runs: the fan-out serves RRIP
+// alone, and the batch then reads the value the test settles. Not
+// parallel: it reads exact deltas of the process-wide trace counters.
+func TestPrefetchJoinsInFlightCell(t *testing.T) {
+	s := NewSession(ScaledConfig(64))
+	defer s.art.releaseAll()
+	want := simRun(t, s.Cfg, "lj", "DBG", "PR", apps.LayoutMerged, "GRASP")
+	g := group(dataset{name: "lj"}, "DBG", "PR", apps.LayoutMerged)
+	held, leader := s.art.claim(g.of(kindResult, "GRASP"))
+	if !leader {
+		t.Fatal("a fresh session already holds the GRASP result")
+	}
+	runs0, cons0 := trace.BroadcastStats()
+	done := make(chan error, 1)
+	go func() {
+		done <- s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"}))
+	}()
+	for !s.art.ready(g.of(kindResult, "RRIP")) {
+		select {
+		case err := <-done:
+			t.Fatalf("Prefetch returned (%v) with the GRASP result still in flight", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	held.val = want
+	s.art.settle(g.of(kindResult, "GRASP"), held, charge{}, false)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if runs, cons := trace.BroadcastStats(); runs-runs0 != 1 || cons-cons0 != 1 {
+		t.Errorf("%d fan-outs served %d consumers, want 1 serving 1 (RRIP; GRASP was in flight)", runs-runs0, cons-cons0)
+	}
+	if got := s.SimRuns(); got != 1 {
+		t.Errorf("SimRuns = %d, want 1", got)
+	}
+	if got, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil || got != want {
+		t.Errorf("GRASP = %+v, %v; want the in-flight caller's value %+v", got, err, want)
 	}
 }
 

@@ -26,11 +26,6 @@ import (
 // the co-run twin of SimRuns, surfaced by graspd /metrics.
 func (s *Session) CorunRuns() uint64 { return s.corunRun.Load() }
 
-// CorunResult is CorunResultCtx without cancellation.
-func (s *Session) CorunResult(dsName, reorderName string, appNames []string, weights []int, layout apps.Layout, policy string) (sim.CorunResult, error) {
-	return s.CorunResultCtx(context.Background(), dsName, reorderName, appNames, weights, layout, policy)
-}
-
 // CorunResultCtx returns the interference metrics of one co-run mix: the
 // named apps' recorded streams interleaved round-robin (weights[i]
 // accesses per turn; nil = uniform) into one shared LLC under the given
@@ -47,17 +42,7 @@ func (s *Session) CorunResultCtx(ctx context.Context, dsName, reorderName string
 	if err != nil {
 		return sim.CorunResult{}, err
 	}
-	if _, err := sim.PolicyByName(policy); err != nil {
-		return sim.CorunResult{}, err
-	}
-	return get(ctx, s.art, m.key(policy), func() (sim.CorunResult, charge, error) {
-		rs, err := s.corunFanOut(ctx, m, []string{policy})
-		if err != nil {
-			return sim.CorunResult{}, charge{}, err
-		}
-		s.corunRun.Add(1)
-		return rs[0], charge{}, nil
-	})
+	return one(s.coruns(ctx, m, []string{policy}))
 }
 
 // corunMix is one validated co-run mix on one dataset: the scheduling unit
@@ -112,29 +97,48 @@ func (s *Session) newCorunMix(dsName, reorderName string, appNames []string, wei
 	return m, nil
 }
 
-// key returns the store key of the mix's result under one policy.
-func (m *corunMix) key(policy string) artifactKey { return m.base.of(kindCorun, policy) }
+// coruns returns the mix's result under every listed policy, claimed at
+// once: the policies this caller leads are computed by ONE corunFanOut, so
+// a lone request is a fan-out of one and the sweep's per-mix step one
+// merge for all its policies. Nothing is published unless the whole
+// fan-out succeeded. An unknown policy is refused before any work.
+func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([]sim.CorunResult, error) {
+	keys := make([]artifactKey, len(policies))
+	for i, policy := range policies {
+		if _, err := sim.PolicyByName(policy); err != nil {
+			return nil, err
+		}
+		keys[i] = m.base.of(kindCorun, policy)
+	}
+	return getEach(ctx, s.art, keys, func(led []int) ([]sim.CorunResult, []charge, error) {
+		rs, err := s.corunFanOut(ctx, m, pick(policies, led))
+		if err == nil {
+			s.corunRun.Add(uint64(len(led)))
+		}
+		return rs, nil, err
+	})
+}
 
 // corunFanOut computes the mix under every listed policy from ONE merge of
-// its recordings. Solo baselines come first, via the ordinary result cache
-// — each the replay of the SAME recording the co-run merges. Then the
+// its recordings. Solo baselines come first, one results fan-out per
+// group — each the replay of the SAME recording the co-run merges. Then the
 // mix's recordings are pinned once, for the whole fan-out, and a single
 // timed sim.CorunBroadcastResultsCtx serves all the policies. The dataset
 // name the results carry is the first stream's solo baseline's: no
 // workload is prepared here that the recordings did not already need.
 func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []string) ([]sim.CorunResult, error) {
+	solos := make([][]sim.Result, len(m.groups))
+	for gi, g := range m.groups {
+		var err error
+		if solos[gi], err = s.results(ctx, g, policies); err != nil {
+			return nil, err
+		}
+	}
 	pols := make([]sim.CorunPolicy, len(policies))
 	for p, policy := range policies {
-		solos := make([]sim.Result, len(m.groups))
-		for gi, g := range m.groups {
-			var err error
-			if solos[gi], err = s.result(ctx, g, policy); err != nil {
-				return nil, err
-			}
-		}
 		pols[p] = sim.CorunPolicy{Name: policy, Solos: make([]sim.Result, len(m.apps))}
 		for i, gi := range m.stream {
-			pols[p].Solos[i] = solos[gi]
+			pols[p].Solos[i] = solos[gi][p]
 		}
 	}
 	var out []sim.CorunResult
@@ -150,38 +154,6 @@ func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []strin
 		return err
 	})
 	return out, err
-}
-
-// corunUnit serves one mix of the co-run sweep the way broadcastUnit
-// serves a recording group: one fan-out computes every policy whose result
-// is not cached yet, and each is published through the store (if another
-// goroutine is already computing one of the keys, its outcome wins —
-// identical, the merge being deterministic). Nothing is published unless
-// the whole fan-out succeeded.
-func (s *Session) corunUnit(ctx context.Context, m *corunMix, policies []string) error {
-	var pending []string
-	for _, policy := range policies {
-		if !s.art.ready(m.key(policy)) {
-			pending = append(pending, policy)
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	rs, err := s.corunFanOut(ctx, m, pending)
-	if err != nil {
-		return err
-	}
-	for p, policy := range pending {
-		r := rs[p]
-		if _, err := get(ctx, s.art, m.key(policy), func() (sim.CorunResult, charge, error) {
-			s.corunRun.Add(1)
-			return r, charge{}, nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // corunMixes returns the experiment's co-runner mixes in sweep order: the
@@ -201,10 +173,12 @@ func corunMixes() [][]string {
 func corunApps() []string { return []string{"BFS", "PR", "KCore", "TC"} }
 
 // corunPoints declares the solo-baseline matrix: every policy x kernel x
-// high-skew dataset under DBG. Prefetch computes them via the broadcast
-// fan-out, recording each (dataset, app) group once — the same recordings
-// the co-run replays interleave, so the experiment body's co-runs start
-// from warm traces and warm baselines.
+// high-skew dataset under DBG. A driver's Prefetch computes them in one
+// results fan-out per (dataset, app) group, recording each once — the same
+// recordings the co-run replays interleave, so the body's per-mix coruns
+// calls start from warm traces and warm baselines. The co-run cells
+// themselves are not declared: the body computes them, one merge per
+// (mix, dataset).
 func corunPoints() []Datapoint {
 	return matrixPoints(highSkewNames(), "DBG", corunApps(), registeredSchemes())
 }
@@ -234,17 +208,14 @@ func mixLabel(mix []string) string {
 // per-app interference detail for the 4-way mix under the baseline and
 // GRASP on the first dataset.
 func runCorun(s *Session, w io.Writer) error {
-	if err := s.Prefetch(corunPoints()); err != nil {
-		return err
-	}
 	datasets := highSkewNames()
 	policies := append([]string{"RRIP"}, registeredSchemes()...)
 	mixes := corunMixes()
-	// Fan the (mix, dataset) units out over the worker pool — each decodes
-	// and interleaves its mix once for all the policies — so the sequential
-	// rendering below reads from the cache. Errors, and a panic contained
-	// here so the other units finish, recur on the rendering pass in
-	// deterministic order.
+	// Fan the (mix, dataset) pairs out over the worker pool — one coruns
+	// call each, which decodes and interleaves its mix once for all the
+	// policies — so the sequential rendering below reads from the cache.
+	// Errors, and a panic contained here so the other pairs finish, recur
+	// on the rendering pass in deterministic order.
 	type unit struct {
 		mix int
 		ds  string
@@ -259,7 +230,7 @@ func runCorun(s *Session, w io.Writer) error {
 		defer func() { _ = recover() }()
 		u := units[i]
 		if m, err := s.newCorunMix(u.ds, "DBG", mixes[u.mix], nil, apps.LayoutMerged); err == nil {
-			_ = s.corunUnit(context.Background(), m, policies)
+			_, _ = s.coruns(context.Background(), m, policies)
 		}
 	})
 	for _, mix := range mixes {
@@ -269,7 +240,7 @@ func runCorun(s *Session, w io.Writer) error {
 			wsRow, unfRow := []string{pol}, []string{pol}
 			var wsVals, unfVals []float64
 			for _, ds := range datasets {
-				r, err := s.CorunResult(ds, "DBG", mix, nil, apps.LayoutMerged, pol)
+				r, err := s.CorunResultCtx(context.Background(), ds, "DBG", mix, nil, apps.LayoutMerged, pol)
 				if err != nil {
 					return err
 				}
@@ -295,7 +266,7 @@ func runCorun(s *Session, w io.Writer) error {
 	detailMix := mixes[2]
 	detailDS := datasets[0]
 	for _, pol := range []string{"RRIP", "GRASP"} {
-		r, err := s.CorunResult(detailDS, "DBG", detailMix, nil, apps.LayoutMerged, pol)
+		r, err := s.CorunResultCtx(context.Background(), detailDS, "DBG", detailMix, nil, apps.LayoutMerged, pol)
 		if err != nil {
 			return err
 		}

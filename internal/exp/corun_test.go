@@ -97,7 +97,7 @@ func TestCorunRejectsBeforeWork(t *testing.T) {
 		"weight count":    {[]string{"PR", "BFS"}, []int{1}, "GRASP"},
 		"unknown policy":  {[]string{"PR", "BFS"}, nil, "NoSuchPolicy"},
 	} {
-		if _, err := s.CorunResult("lj", "DBG", tc.mix, tc.weights, apps.LayoutMerged, tc.policy); err == nil {
+		if _, err := s.CorunResultCtx(context.Background(), "lj", "DBG", tc.mix, tc.weights, apps.LayoutMerged, tc.policy); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -151,7 +151,7 @@ func TestCorunPreparesOnlyTheRecordingsWorkloads(t *testing.T) {
 		{[]string{"PR", "SSSP"}, 2},   // one of each
 	} {
 		s := NewSession(ScaledConfig(64))
-		r, err := s.CorunResult("lj", "DBG", tc.mix, nil, apps.LayoutMerged, "GRASP")
+		r, err := s.CorunResultCtx(context.Background(), "lj", "DBG", tc.mix, nil, apps.LayoutMerged, "GRASP")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +167,11 @@ func TestCorunPreparesOnlyTheRecordingsWorkloads(t *testing.T) {
 	}
 }
 
-// TestCorunFaultPublishesNothing: a mix unit that does not finish — its
-// context cancelled, or a replay fault in the middle of the merge —
-// returns the fault (the context's cause included) and publishes no
-// co-run result for ANY of its policies; the same unit then succeeds and
-// matches an undisturbed session. Not parallel: failpoints are
+// TestCorunFaultPublishesNothing: a per-mix coruns call that does not
+// finish — its context cancelled, or a replay fault in the middle of the
+// merge — returns the fault (the context's cause included) and publishes
+// no co-run result for ANY of its policies; the same call then succeeds
+// and matches an undisturbed session. Not parallel: failpoints are
 // process-global.
 func TestCorunFaultPublishesNothing(t *testing.T) {
 	defer fail.Reset()
@@ -189,37 +189,37 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 	cause := errors.New("test: job deleted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	if err := s.corunUnit(ctx, m, policies); !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
-		t.Fatalf("cancelled unit: err = %v, want the context's error carrying its cause", err)
+	if _, err := s.coruns(ctx, m, policies); !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+		t.Fatalf("cancelled fan-out: err = %v, want the context's error carrying its cause", err)
 	}
 	fail.ArmAfter("trace.replay.chunk", 1, nil) // the second stream's first chunk
-	if err := s.corunUnit(context.Background(), m, policies); !errors.Is(err, fail.ErrInjected) {
-		t.Fatalf("unit with a mid-merge replay fault: err = %v, want %v", err, fail.ErrInjected)
+	if _, err := s.coruns(context.Background(), m, policies); !errors.Is(err, fail.ErrInjected) {
+		t.Fatalf("fan-out with a mid-merge replay fault: err = %v, want %v", err, fail.ErrInjected)
 	}
 	fail.Disarm("trace.replay.chunk")
 	if n, runs := s.art.count(kindCorun), s.CorunRuns(); n != 0 || runs != 0 {
-		t.Fatalf("failed units published %d co-run results (CorunRuns %d), want none", n, runs)
+		t.Fatalf("failed fan-outs published %d co-run results (CorunRuns %d), want none", n, runs)
 	}
 
-	if err := s.corunUnit(context.Background(), m, policies); err != nil {
+	if _, err := s.coruns(context.Background(), m, policies); err != nil {
 		t.Fatal(err)
 	}
 	if n, runs := s.art.count(kindCorun), s.CorunRuns(); n != len(policies) || runs != uint64(len(policies)) {
-		t.Fatalf("unit published %d co-run results (CorunRuns %d), want %d", n, runs, len(policies))
+		t.Fatalf("fan-out published %d co-run results (CorunRuns %d), want %d", n, runs, len(policies))
 	}
 	fresh := NewSession(ScaledConfig(64))
 	defer fresh.art.releaseAll()
 	for _, pol := range policies {
-		got, err := s.CorunResult("lj", "DBG", mix, nil, apps.LayoutMerged, pol)
+		got, err := s.CorunResultCtx(context.Background(), "lj", "DBG", mix, nil, apps.LayoutMerged, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.CorunResult("lj", "DBG", mix, nil, apps.LayoutMerged, pol)
+		want, err := fresh.CorunResultCtx(context.Background(), "lj", "DBG", mix, nil, apps.LayoutMerged, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(timeless(got), timeless(want)) {
-			t.Errorf("%s: unit's result diverges from a one-policy run on a fresh session\n got: %+v\nwant: %+v", pol, got, want)
+			t.Errorf("%s: fan-out's result diverges from a one-policy run on a fresh session\n got: %+v\nwant: %+v", pol, got, want)
 		}
 	}
 	if runs := s.CorunRuns(); runs != uint64(len(policies)) {
@@ -227,10 +227,10 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestCorunPanicIsContainedPerUnit: a panic under one mix unit of the
-// sweep (here every unit: the trace.replay.chunk failpoint) must not
+// TestCorunPanicIsContainedPerUnit: a panic under one per-mix step of the
+// sweep (here every step: the trace.replay.chunk failpoint) must not
 // escape its worker goroutine — that would kill the process, job daemon
-// included. The units fail, nothing is published, and the panic recurs on
+// included. The steps fail, nothing is published, and the panic recurs on
 // the rendering pass, on the caller's goroutine, where the job manager
 // contains it. Disarmed, the same session completes the sweep. Not
 // parallel: failpoints are process-global.
@@ -252,7 +252,7 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	}()
 	fail.Disarm("trace.replay.chunk")
 	if n := s.art.count(kindCorun); n != 0 {
-		t.Fatalf("panicked units left %d co-run entries in the store", n)
+		t.Fatalf("panicked steps left %d co-run entries in the store", n)
 	}
 	if err := runCorun(s, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -262,10 +262,10 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	}
 }
 
-// TestCorunEvictionCannotReleasePinnedRecordings races mix units against
+// TestCorunEvictionCannotReleasePinnedRecordings races per-mix fan-outs against
 // continuous recording eviction: under a one-byte trace budget every new
 // recording evicts (and Releases) the others, including the ones a
-// fan-out in flight is merging. The unit pins its mix's recordings for
+// fan-out in flight is merging. The fan-out pins its mix's recordings for
 // the whole fan-out, so every result must equal an unpressured session's.
 // Run under -race in CI.
 func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
@@ -286,7 +286,7 @@ func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 				defer wg.Done()
 				m, err := s.newCorunMix("kr", "DBG", mix, nil, apps.LayoutMerged)
 				if err == nil {
-					err = s.corunUnit(context.Background(), m, policies)
+					_, err = s.coruns(context.Background(), m, policies)
 				}
 				if err != nil {
 					errc <- err
@@ -309,11 +309,11 @@ func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 	}
 	for _, mix := range mixes {
 		for _, pol := range policies {
-			got, err := s.CorunResult("kr", "DBG", mix, nil, apps.LayoutMerged, pol)
+			got, err := s.CorunResultCtx(context.Background(), "kr", "DBG", mix, nil, apps.LayoutMerged, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := baseline.CorunResult("kr", "DBG", mix, nil, apps.LayoutMerged, pol)
+			want, err := baseline.CorunResultCtx(context.Background(), "kr", "DBG", mix, nil, apps.LayoutMerged, pol)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,13 +12,13 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,7 +99,8 @@ func ScaledConfig(div uint32) Config {
 // repeat work. It is safe for concurrent use: simultaneous requests for
 // one datapoint — whether from Prefetch workers or from experiments run in
 // parallel by the caller — are deduplicated so each datapoint is computed
-// exactly once. Everything it remembers lives in one artifact store
+// exactly once, and a batch waits for a datapoint another caller is
+// computing instead of computing it again. Everything it remembers lives in one artifact store
 // (artifacts.go, DESIGN.md Sec. 6).
 //
 // The session is also the scheduler of the record-once/replay-many engine
@@ -115,7 +116,7 @@ type Session struct {
 	Cfg        Config
 	art        *artifacts
 	simRuns    atomic.Uint64 // number of distinct simulated result datapoints (dedup observability)
-	broadcasts atomic.Uint64 // groups whose replays were served by one broadcast decode
+	broadcasts atomic.Uint64 // result fan-outs run, each serving one group's claimed policies
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
 	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
 
@@ -154,10 +155,10 @@ func NewSession(cfg Config) *Session {
 // datapoints.
 func (s *Session) SimRuns() uint64 { return s.simRuns.Load() }
 
-// Broadcasts returns how many recording groups this session has served
-// through the decode-once broadcast path (a Prefetch batch group counts
-// once regardless of its policy count). The CI bench smoke asserts this
-// is non-zero for a multi-policy batch.
+// Broadcasts returns how many decode-once result fan-outs this session
+// has run: one per group of a Prefetch batch whatever its policy count,
+// and one per lone result (a fan-out of one). The CI bench smoke asserts
+// a multi-policy batch is served by exactly one.
 func (s *Session) Broadcasts() uint64 { return s.broadcasts.Load() }
 
 // PhaseSeconds returns the session's cumulative engine time per phase:
@@ -357,36 +358,64 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 	})
 }
 
-// derive is the shape the single-group simulation tiers share (full and
-// sampled; a co-run spans several groups and is scheduled per mix —
-// corun.go): the artifact under k is one timed sim call over the workload
-// and the pinned full recording of its group g (recorded on first touch),
-// charged to phase and counted in runs when it succeeds. An unknown policy
-// is refused before any of that. Replays can fail environmentally (spill
-// I/O) and under a caller's context, which is why all the kinds derived
-// here are transient.
-func derive[V any](ctx context.Context, s *Session, k, g artifactKey, phase *atomic.Int64, runs *atomic.Uint64,
-	simulate func(w *sim.Workload, rec recording) (V, error)) (V, error) {
-	if _, err := sim.PolicyByName(k.policy); err != nil {
-		var zero V
-		return zero, err
+// replayEach is the shape the single-group simulation tiers share (full
+// and sampled; a co-run spans several groups and has its own tier —
+// corun.go): the kd cells of group g for every listed policy (n: the
+// sampling divisor K, 0 for full results), claimed at once. The cells this
+// caller leads are one timed sim call over the workload and the pinned
+// full recording of g (recorded on first touch), charged to phase and
+// counted in runs when it succeeds. An unknown policy is refused before
+// any of that. Replays can fail environmentally (spill I/O) and under a
+// caller's context, which is why both kinds are transient.
+func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, policies []string,
+	phase *atomic.Int64, runs *atomic.Uint64,
+	simulate func(w *sim.Workload, rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
+	keys := make([]artifactKey, len(policies))
+	for i, policy := range policies {
+		if _, err := sim.PolicyByName(policy); err != nil {
+			return nil, err
+		}
+		keys[i] = g.of(kd, policy)
+		keys[i].n = n
 	}
-	return get(ctx, s.art, k, func() (v V, _ charge, err error) {
-		w, err := s.workload(k.ds, k.reorder, k.app == "SSSP")
+	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []charge, err error) {
+		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
 		if err != nil {
-			return v, charge{}, err
+			return nil, nil, err
+		}
+		specs := make([]sim.Spec, len(led))
+		for j, policy := range pick(policies, led) {
+			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
 		}
 		err = s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
 			start := time.Now()
-			v, err = simulate(w, recs[0])
+			vs, err = simulate(w, recs[0], specs)
 			phase.Add(int64(time.Since(start)))
 			return err
 		})
 		if err == nil {
-			runs.Add(1)
+			runs.Add(uint64(len(led)))
 		}
-		return v, charge{}, err
+		return vs, nil, err
 	})
+}
+
+// pick returns xs[i] for every i in idx.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
+}
+
+// one unwraps the lone cell of a one-key tier call.
+func one[V any](vs []V, err error) (V, error) {
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return vs[0], nil
 }
 
 // Result returns the metrics of one simulation datapoint, computing and
@@ -405,16 +434,21 @@ func (s *Session) Result(dsName, reorderName, app string, layout apps.Layout, po
 // recording cut short is abandoned, never retained), and a later request
 // recomputes it from scratch with identical output.
 func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string, layout apps.Layout, policy string) (sim.Result, error) {
-	return s.result(ctx, group(s.dataset(dsName), reorderName, app, layout), policy)
+	return one(s.results(ctx, group(s.dataset(dsName), reorderName, app, layout), []string{policy}))
 }
 
-// result computes one result datapoint: a replay of the group's shared
-// recording.
-func (s *Session) result(ctx context.Context, g artifactKey, policy string) (sim.Result, error) {
-	spec := sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
-	return derive(ctx, s, g.of(kindResult, policy), g, &s.phase.replay, &s.simRuns,
-		func(w *sim.Workload, rec recording) (sim.Result, error) {
-			return sim.ReplayResultCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds)
+// results returns group g's result under every listed policy: the
+// policies no earlier or concurrent request has claimed replay the group's
+// shared recording in ONE decode-once fan-out, so a lone request is a
+// fan-out of one and an N-policy batch pays one decode, not N.
+func (s *Session) results(ctx context.Context, g artifactKey, policies []string) ([]sim.Result, error) {
+	return replayEach(ctx, s, g, kindResult, 0, policies, &s.phase.replay, &s.simRuns,
+		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.Result, error) {
+			rs, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
+			if err == nil {
+				s.broadcasts.Add(1)
+			}
+			return rs, err
 		})
 }
 
@@ -518,33 +552,22 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted)
 	})
 	// Build the schedule: one unit per (dataset, reorder, app, layout)
-	// group, each ONE broadcast unit: the recording (the expensive
-	// application execution, skipped when the full recording already
-	// exists) followed by a single decode-once fan-out serving every policy
-	// of the group, so an N-policy group pays one decode instead of N and
-	// its replays run concurrently even inside one worker slot (DESIGN.md
-	// Sec. 12). A trace-only group is the same unit with zero result
-	// consumers over the bounded prefix the OPT study needs; the study cells
-	// declared on the group's trace are computed by the same unit, in one
-	// more pass over the recording it already holds pinned.
-	type unit struct {
-		group    artifactKey
-		pts      []int // indices into uniq, batch order
-		policies int   // result consumers among pts; the rest declare the trace
-	}
-	var units []*unit
-	byGroup := make(map[artifactKey]*unit)
-	for i, p := range uniq {
-		u := byGroup[groups[i]]
-		if u == nil {
-			u = &unit{group: groups[i]}
-			byGroup[groups[i]] = u
-			units = append(units, u)
+	// group: the recording (the expensive application execution, skipped
+	// when the full recording already exists) followed by the group's cells
+	// through their tiers — every policy result in a single decode-once
+	// fan-out (results), so an N-policy group pays one decode instead of N
+	// and its replays run concurrently even inside one worker slot
+	// (DESIGN.md Sec. 12), and every OPT study cell declared on the group's
+	// trace in one more pass over the recording the unit holds pinned
+	// (optCells). A trace-only group records only the bounded prefix the
+	// OPT study needs.
+	var units []artifactKey                // the groups, in batch order
+	byGroup := make(map[artifactKey][]int) // a group's points: indices into uniq, batch order
+	for i, g := range groups {
+		if _, ok := byGroup[g]; !ok {
+			units = append(units, g)
 		}
-		u.pts = append(u.pts, i)
-		if !p.Trace {
-			u.policies++
-		}
+		byGroup[g] = append(byGroup[g], i)
 	}
 	errs := make([]error, len(uniq))
 	var completed atomic.Int64
@@ -555,7 +578,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// cancellation surfacing from a sink with no error return path) is
 	// unwrapped to its cause. pointErr carries per-datapoint failures that
 	// must not fail the whole unit.
-	runUnit := func(u *unit) (uerr error, pointErr map[int]error) {
+	runUnit := func(g artifactKey, pts []int) (uerr error, pointErr map[int]error) {
 		defer func() {
 			if p := recover(); p != nil {
 				if aerr, ok := trace.AbortError(p); ok {
@@ -568,12 +591,44 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		if err := trace.ContextErr(ctx); err != nil {
 			return err, nil
 		}
-		return s.broadcastUnit(ctx, u.group, u.policies == 0, u.pts, uniq)
+		pointErr = make(map[int]error)
+		var policies []string
+		var cells []int
+		var llcs []cache.Config
+		for _, i := range pts {
+			switch p := uniq[i]; {
+			case p.Trace && p.OPTScale == 0:
+				// Satisfied by the recording itself.
+			case p.Trace:
+				cells = append(cells, i)
+				llcs = append(llcs, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
+			default:
+				// Validate the policy up front so one bad name fails only its
+				// own datapoint (as a sequential pass would), not the fan-out.
+				if _, err := sim.PolicyByName(p.Policy); err != nil {
+					pointErr[i] = err
+					continue
+				}
+				policies = append(policies, p.Policy)
+			}
+		}
+		return s.withRecordings(ctx, len(policies) == 0, []artifactKey{g}, func([]recording) error {
+			if _, err := s.results(ctx, g, policies); err != nil {
+				return err
+			}
+			// A failed study pass fails the cells, not the results above.
+			if _, err := s.optCells(ctx, g, llcs); err != nil {
+				for _, i := range cells {
+					pointErr[i] = err
+				}
+			}
+			return nil
+		}), pointErr
 	}
 	forEachParallel(len(units), func(j int) {
-		u := units[j]
-		uerr, pointErr := runUnit(u)
-		for _, i := range u.pts {
+		pts := byGroup[units[j]]
+		uerr, pointErr := runUnit(units[j], pts)
+		for _, i := range pts {
 			if errs[i] = uerr; uerr == nil {
 				errs[i] = pointErr[i]
 			}
@@ -582,100 +637,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// broadcastUnit serves one recording group of a Prefetch batch: it
-// obtains the group's recording (capped: only the bounded prefix is
-// needed, because the group has no result consumers), pins it once, and
-// computes what the batch asks of it that is not cached yet — the policy
-// results in one fan-out (resultFanOut), the OPT study cells in one pass
-// (optUnit). A declared trace point of the group is satisfied by the
-// recording itself. The group-wide error and any per-point errors are
-// returned for the caller to attribute.
-func (s *Session) broadcastUnit(ctx context.Context, g artifactKey, capped bool, ptIdx []int, uniq []Datapoint) (error, map[int]error) {
-	pointErr := make(map[int]error)
-	uerr := s.withRecordings(ctx, capped, []artifactKey{g}, func(recs []recording) error {
-		var pending, cells []int
-		var llcs []cache.Config // the distinct geometries of cells
-		for _, i := range ptIdx {
-			p := uniq[i]
-			switch {
-			case p.Trace && p.OPTScale == 0:
-				// Satisfied by the recording itself.
-			case p.Trace:
-				llcCfg := studyLLC(s.Cfg.HCfg.LLC, p.OPTScale)
-				if s.art.ready(optKey(g, llcCfg)) {
-					continue
-				}
-				cells = append(cells, i)
-				if !slices.Contains(llcs, llcCfg) {
-					llcs = append(llcs, llcCfg)
-				}
-			case s.art.ready(g.of(kindResult, p.Policy)):
-				// Cached.
-			default:
-				// Validate the policy up front so one bad name fails only its
-				// own datapoint (as a sequential pass would), not the fan-out.
-				if _, err := sim.PolicyByName(p.Policy); err != nil {
-					pointErr[i] = err
-					continue
-				}
-				pending = append(pending, i)
-			}
-		}
-		if len(pending) > 0 {
-			if err := s.resultFanOut(ctx, g, recs[0], pending, uniq, pointErr); err != nil {
-				return err
-			}
-		}
-		if len(cells) > 0 {
-			// A failed study pass fails the cells, not the results above.
-			if err := s.optUnit(ctx, g, recs[0], llcs); err != nil {
-				for _, i := range cells {
-					pointErr[i] = err
-				}
-			}
-		}
-		return nil
-	})
-	return uerr, pointErr
-}
-
-// resultFanOut fans ONE decode pass over the group's recording out to
-// every pending policy result, publishing each through the store (so
-// concurrent Result callers and later requests share them; if another
-// goroutine is already computing one of the keys, its outcome wins —
-// identical by the replay-equivalence invariant).
-func (s *Session) resultFanOut(ctx context.Context, g artifactKey, rec recording, pending []int, uniq []Datapoint, pointErr map[int]error) error {
-	w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
-	if err != nil {
-		return err
-	}
-	specs := make([]sim.Spec, len(pending))
-	for j, i := range pending {
-		specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: uniq[i].Policy, HCfg: s.Cfg.HCfg}
-	}
-	start := time.Now()
-	results, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
-	s.phase.replay.Add(int64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	s.broadcasts.Add(1)
-	for j, i := range pending {
-		r := results[j]
-		_, pointErr[i] = get(ctx, s.art, g.of(kindResult, uniq[i].Policy), func() (sim.Result, charge, error) {
-			s.simRuns.Add(1)
-			return r, charge{}, nil
-		})
-	}
-	return nil
+	return cmp.Or(errs...)
 }
 
 // forEachParallel invokes work(i) for every i in [0, n) from a pool of at

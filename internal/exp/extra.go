@@ -79,9 +79,6 @@ func (s *Session) regionScaleResults(ctx context.Context, dsName string, scales 
 // paper's design point: exactly LLC-sized regions) on PR over the
 // high-skew datasets, one fan-out per dataset over the worker pool.
 func runAblationRegion(s *Session, w io.Writer) error {
-	if err := s.Prefetch(ablationRegionPoints()); err != nil {
-		return err
-	}
 	datasets := highSkewNames()
 	cells := make([][]sim.Result, len(datasets))
 	errs := make([]error, len(datasets))
@@ -133,9 +130,6 @@ func ablationBasesPoints() []Datapoint {
 // (Sec. III-C: "not fundamentally dependent on RRIP"), reporting speed-up
 // of each GRASP variant over ITS OWN base scheme.
 func runAblationBases(s *Session, w io.Writer) error {
-	if err := s.Prefetch(ablationBasesPoints()); err != nil {
-		return err
-	}
 	pairs := basePairs
 	t := stats.NewTable("Dataset", "over RRIP", "over LRU", "over PLRU", "over DIP")
 	agg := make(map[string][]float64)
@@ -179,9 +173,6 @@ func ablationSHiPPoints() []Datapoint {
 // analytics per Sec. II-F) against the SHiP-MEM variant the paper
 // evaluates.
 func runAblationSHiP(s *Session, w io.Writer) error {
-	if err := s.Prefetch(ablationSHiPPoints()); err != nil {
-		return err
-	}
 	t := stats.NewTable("App", "Dataset", "SHiP-PC", "SHiP-MEM")
 	var pc, mm []float64
 	for _, app := range apps.Names() {

@@ -115,9 +115,6 @@ func fig10bPoints() []Datapoint {
 // on top of each reordering technique. Paper averages: +4.4 (Sort),
 // +4.2 (HubSort), +5.2 (DBG), +5.0 (Gorder+DBG).
 func runFig10b(s *Session, w io.Writer) error {
-	if err := s.Prefetch(fig10bPoints()); err != nil {
-		return err
-	}
 	reorders := fig10bReorders
 	t := stats.NewTable(append([]string{"App", "Dataset"}, reorders...)...)
 	agg := make(map[string][]float64)

@@ -23,9 +23,9 @@ const optTraceCap = 8_000_000
 // every (app, high-skew dataset) LLC trace, recorded under DBG reordering,
 // evaluated under LRU, RRIP, GRASP and Belady's OPT at each LLC size of a
 // ladder. One study CELL is one pair at one size; experiments declare the
-// cells they read (Datapoint.OPTScale), Prefetch computes all the pending
-// cells of a pair in one pass over its recording (optPass), and the bodies
-// read them back from the store (DESIGN.md Sec. 12).
+// cells they read (Datapoint.OPTScale), a driver's Prefetch computes all
+// the pending cells of a pair in one pass over its recording (optCells),
+// and the bodies read them back from the store (DESIGN.md Sec. 12).
 
 // optLadder is the LLC size sweep: the scaled analogues of the paper's 1,
 // 4, 8, 16 and 32 MB as multiples of the session's LLC capacity (the 16MB*
@@ -140,40 +140,21 @@ func (s *Session) optPass(ctx context.Context, rec recording, llcs []cache.Confi
 	return out, nil
 }
 
-// optUnit serves the study cells of one recording group in a Prefetch
-// batch the way resultFanOut serves its results: one pass computes every
-// listed geometry and each cell is published through the store. Nothing is
-// published unless the whole pass succeeded.
-func (s *Session) optUnit(ctx context.Context, g artifactKey, rec recording, llcs []cache.Config) error {
-	cells, err := s.optPass(ctx, rec, llcs)
-	if err != nil {
-		return err
+// optCells returns group g's study cells at every listed LLC geometry,
+// claimed at once: the cells this caller leads are computed in ONE pass
+// (optPass) over the pair's capped recording, and nothing is published
+// unless the whole pass succeeded.
+func (s *Session) optCells(ctx context.Context, g artifactKey, llcs []cache.Config) ([]optDatapoint, error) {
+	keys := make([]artifactKey, len(llcs))
+	for i, llc := range llcs {
+		keys[i] = optKey(g, llc)
 	}
-	for i, llcCfg := range llcs {
-		dp := cells[i]
-		if _, err := get(ctx, s.art, optKey(g, llcCfg), func() (optDatapoint, charge, error) {
-			return dp, charge{}, nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// optCell returns the study cell of (app, dataset) at one LLC geometry.
-// Prefetch has normally published it; a cell asked for cold is computed
-// alone, over the pair's capped recording.
-func (s *Session) optCell(ctx context.Context, dsName, app string, llcCfg cache.Config) (optDatapoint, error) {
-	g := group(s.dataset(dsName), "DBG", app, apps.LayoutMerged)
-	return get(ctx, s.art, optKey(g, llcCfg), func() (dp optDatapoint, _ charge, err error) {
-		err = s.withRecordings(ctx, true, []artifactKey{g}, func(recs []recording) error {
-			cells, err := s.optPass(ctx, recs[0], []cache.Config{llcCfg})
-			if err == nil {
-				dp = cells[0]
-			}
+	return getEach(ctx, s.art, keys, func(led []int) (cells []optDatapoint, _ []charge, err error) {
+		err = s.withRecordings(ctx, true, []artifactKey{g}, func(recs []recording) (err error) {
+			cells, err = s.optPass(ctx, recs[0], pick(llcs, led))
 			return err
 		})
-		return dp, charge{}, err
+		return cells, nil, err
 	})
 }
 
@@ -183,7 +164,8 @@ func (s *Session) optColumn(llcCfg cache.Config) (map[[2]string]optDatapoint, er
 	out := make(map[[2]string]optDatapoint)
 	for _, app := range apps.Names() {
 		for _, ds := range highSkewNames() {
-			dp, err := s.optCell(context.Background(), ds, app, llcCfg)
+			g := group(s.dataset(ds), "DBG", app, apps.LayoutMerged)
+			dp, err := one(s.optCells(context.Background(), g, []cache.Config{llcCfg}))
 			if err != nil {
 				return nil, err
 			}
@@ -205,9 +187,6 @@ func elimPct(misses, lru uint64) float64 {
 // dataset (across apps) and per application (across datasets) as in the
 // figure. Paper averages at 16MB: RRIP 15.2%, GRASP 19.7%, OPT 34.3%.
 func runFig11(s *Session, w io.Writer) error {
-	if err := s.Prefetch(fig11Points()); err != nil {
-		return err
-	}
 	data, err := s.optColumn(studyLLC(s.Cfg.HCfg.LLC, 1))
 	if err != nil {
 		return err
@@ -259,9 +238,6 @@ func runFig11(s *Session, w io.Writer) error {
 // (~15-16%) across sizes; GRASP grows with LLC size (15.4% at 1MB to
 // 21.2% at 32MB); OPT 27-35%.
 func runTable7(s *Session, w io.Writer) error {
-	if err := s.Prefetch(table7Points()); err != nil {
-		return err
-	}
 	header := []string{"Scheme"}
 	for _, e := range optLadder {
 		header = append(header, e.label)

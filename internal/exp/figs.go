@@ -8,17 +8,14 @@ import (
 	"grasp/internal/stats"
 )
 
-// schemeMatrix runs schemes over all (app, dataset) datapoints with the
-// given reordering and returns per-scheme slices of the metric values in
-// (app-major, dataset-minor) order. The full matrix is prefetched on the
-// worker pool first, so the sequential rendering loop below only reads
-// cached results (and reports the first error at the same datapoint a
-// fully sequential pass would).
+// schemeMatrix renders schemes over all (app, dataset) datapoints with the
+// given reordering, aggregating per-scheme metric values in (app-major,
+// dataset-minor) order. Its callers declare the matrix in Points(), so a
+// driver has prefetched it on the worker pool and the loop below only
+// reads cached results (on a cold session each read computes its cell,
+// reporting the first error at the datapoint a sequential pass would).
 func (s *Session) schemeMatrix(datasets []string, reorderName string, schemes []string,
 	speedup bool, w io.Writer, title string) error {
-	if err := s.Prefetch(matrixPoints(datasets, reorderName, apps.Names(), schemes)); err != nil {
-		return err
-	}
 	t := stats.NewTable(append([]string{"App", "Dataset"}, schemes...)...)
 	agg := make(map[string][]float64)
 	for _, app := range apps.Names() {

@@ -62,6 +62,7 @@ func TestGoldenRuns(t *testing.T) {
 	if err := s.Prefetch(points); err != nil {
 		t.Fatal(err)
 	}
+	runs, sampled, cells := s.SimRuns(), s.SampledRuns(), s.art.count(kindOPT)
 	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -91,6 +92,14 @@ func TestGoldenRuns(t *testing.T) {
 					path, diffSummary(want, buf.Bytes()))
 			}
 		})
+	}
+	// Points() is each experiment's only statement of what it reads: no
+	// body simulates a result, a sampled estimate or an OPT study cell the
+	// union's prefetch did not. (Co-run and region-scale cells are still
+	// computed at render time.)
+	if s.SimRuns() != runs || s.SampledRuns() != sampled || s.art.count(kindOPT) != cells {
+		t.Errorf("rendering simulated undeclared cells: results %d -> %d, sampled %d -> %d, OPT cells %d -> %d",
+			runs, s.SimRuns(), sampled, s.SampledRuns(), cells, s.art.count(kindOPT))
 	}
 	if *updateGolden {
 		// Remove goldens of experiments that no longer exist so the

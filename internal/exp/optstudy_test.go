@@ -191,12 +191,13 @@ func TestOPTStudyCancelPublishesNothing(t *testing.T) {
 		t.Errorf("only %d cancellation points reached, want at least %d", cancelled, want)
 	}
 	fresh := NewSession(cfg)
+	g := group(dataset{name: "kr"}, "DBG", "PR", apps.LayoutMerged)
 	for _, llc := range studyGeometries(cfg) {
-		got, err := s.optCell(context.Background(), "kr", "PR", llc)
+		got, err := one(s.optCells(context.Background(), g, []cache.Config{llc}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.optCell(context.Background(), "kr", "PR", llc)
+		want, err := one(fresh.optCells(context.Background(), g, []cache.Config{llc}))
 		if err != nil {
 			t.Fatal(err)
 		}

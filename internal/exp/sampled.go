@@ -20,11 +20,6 @@ import (
 // fast-tier twin of SimRuns, surfaced by graspd /metrics.
 func (s *Session) SampledRuns() uint64 { return s.sampledRun.Load() }
 
-// SampledResult is SampledResultCtx without cancellation.
-func (s *Session) SampledResult(dsName, reorderName, app string, layout apps.Layout, policy string, sampleK uint32) (sim.SampledResult, error) {
-	return s.SampledResultCtx(context.Background(), dsName, reorderName, app, layout, policy, sampleK)
-}
-
 // SampledResultCtx returns the set-sampled fast-tier estimate of one
 // datapoint, computing and caching it on first use. The group's shared
 // FULL recording backs the replay (recorded on first use, exactly as the
@@ -37,12 +32,9 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 		return sim.SampledResult{}, fmt.Errorf("exp: sample divisor must be >= 1, got 0")
 	}
 	g := group(s.dataset(dsName), reorderName, app, layout)
-	k := g.of(kindSampled, policy)
-	k.n = sampleK
-	spec := sim.Spec{App: app, Layout: layout, Policy: policy, HCfg: s.Cfg.HCfg}
-	return derive(ctx, s, k, g, &s.phase.sampled, &s.sampledRun,
-		func(w *sim.Workload, rec recording) (sim.SampledResult, error) {
-			r, _, err := sim.SampledReplayResultSkipCtx(ctx, rec.tr, spec, w.Dataset.Name, rec.bounds, sampleK)
-			return r, err
-		})
+	return one(replayEach(ctx, s, g, kindSampled, sampleK, []string{policy}, &s.phase.sampled, &s.sampledRun,
+		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.SampledResult, error) {
+			rs, _, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds, sampleK)
+			return rs, err
+		}))
 }

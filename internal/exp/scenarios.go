@@ -43,9 +43,6 @@ func scenarioPoints() []Datapoint {
 // runScenarios renders one row per policy: LLC miss reduction over RRIP
 // for each (app, dataset) cell, with a per-policy mean.
 func runScenarios(s *Session, w io.Writer) error {
-	if err := s.Prefetch(scenarioPoints()); err != nil {
-		return err
-	}
 	header := []string{"Policy"}
 	for _, app := range scenarioApps {
 		for _, ds := range highSkewNames() {

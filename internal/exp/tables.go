@@ -49,9 +49,6 @@ func table4Points() []Datapoint {
 // optimization is applied to the original Ligra implementation).
 // Paper: SSSP 3-8%, PR 40-52%, PRD 14-49%; BC and Radii: no opportunity.
 func runTable4(s *Session, w io.Writer) error {
-	if err := s.Prefetch(table4Points()); err != nil {
-		return err
-	}
 	t := stats.NewTable("Application", "Merging?", "Speed-up range across datasets")
 	for _, app := range apps.Names() {
 		if app == "BC" || app == "Radii" {
@@ -102,9 +99,6 @@ func fig2Points() []Datapoint {
 // total LLC accesses, for the pl and tw datasets across all applications.
 // Paper: the Property Array accounts for 78-94% of LLC accesses.
 func runFig2(s *Session, w io.Writer) error {
-	if err := s.Prefetch(fig2Points()); err != nil {
-		return err
-	}
 	t := stats.NewTable("Dataset", "App", "Acc-in(%)", "Acc-out(%)", "Miss-in(%)", "Miss-out(%)")
 	for _, ds := range []string{"pl", "tw"} {
 		for _, app := range apps.Names() {
