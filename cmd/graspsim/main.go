@@ -13,7 +13,7 @@
 // With -graph, graspsim instead runs one (graph, reorder, app, policy)
 // simulation: the argument is a dataset name or a path to a SNAP-style
 // edge list (.txt/.el/.wel), a Matrix Market file (.mtx) or a GCSR binary
-// (.gcsr); text formats are converted once and cached in a .gcsr sidecar.
+// (.gcsr); the file's first bytes pick the parser, and nothing is written.
 //
 // With -remote host:port, both modes become daemon requests: the job is
 // content-addressed by the server, repeat runs are answered from its
@@ -77,8 +77,8 @@ const usageExamples = `Examples:
   graspsim -graph tw -app PR -policy GRASP          one simulation, paper dataset
   graspsim -graph web-Google.txt -app KCore -policy GRASP
                                        one simulation on an ingested graph file
-                                       (.txt/.el/.wel/.mtx/.gcsr; converted once,
-                                       cached in a .gcsr sidecar)
+                                       (.txt/.el/.wel/.mtx/.gcsr; its content picks
+                                       the parser, nothing is written beside it)
 
   graspsim -graph uni -app Radii -policy PIN-100 -arrays
                                        also attribute LLC accesses and misses to the

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -14,9 +13,9 @@ import (
 // Real-graph ingestion: streaming parsers for the two interchange formats
 // real datasets ship in — SNAP/GAP-style text edge lists (.txt/.el/.wel)
 // and Matrix Market coordinate files (.mtx, SuiteSparse) — plus format
-// auto-detection by extension and content sniffing. All formats converge
-// on the FromEdges -> CSR path, so an ingested LiveJournal or road network
-// behaves exactly like a synthetic dataset everywhere downstream.
+// detection by content sniffing. All formats converge on the FromEdges ->
+// CSR path, so an ingested LiveJournal or road network behaves exactly
+// like a synthetic dataset everywhere downstream.
 
 // maxIngestVertices bounds the vertex count an ingested file may imply
 // relative to the number of edges it actually contains. Text formats size
@@ -212,23 +211,14 @@ func ReadGraph(r io.Reader, name string) (*CSR, error) {
 	}
 }
 
-// ReadGraphFile opens and parses a graph file, choosing the parser by
-// extension (.gcsr binary, .mtx Matrix Market, .el/.wel/.txt/.edges edge
-// list) and falling back to content sniffing for anything else.
+// ReadGraphFile opens and parses a graph file. The file's first bytes pick
+// the parser, exactly as in ReadGraph; the name's extension plays no part,
+// so a Matrix Market file named .txt still parses as Matrix Market.
 func ReadGraphFile(path string) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".gcsr":
-		return ReadFrom(f)
-	case ".mtx":
-		return ReadMatrixMarket(f)
-	case ".el", ".wel", ".txt", ".edges":
-		return ReadEdgeList(f)
-	default:
-		return ReadGraph(f, path)
-	}
+	return ReadGraph(f, path)
 }

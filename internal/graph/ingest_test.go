@@ -173,8 +173,16 @@ func TestReadGraphFileByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	mtx := []byte("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n")
 	mtxPath := filepath.Join(dir, "g.mtx")
-	if err := os.WriteFile(mtxPath, []byte("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n"), 0o644); err != nil {
+	if err := os.WriteFile(mtxPath, mtx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A Matrix Market file named like an edge list still parses as Matrix
+	// Market: the bytes pick the parser, not the name.
+	txtPath := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(txtPath, mtx, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,6 +199,7 @@ func TestReadGraphFileByExtension(t *testing.T) {
 		{elPath, ref.NumEdges()},
 		{gcsrPath, ref.NumEdges()},
 		{mtxPath, 2},
+		{txtPath, 2},
 		{unkPath, ref.NumEdges()},
 	} {
 		g, err := ReadGraphFile(tc.path)

@@ -2,9 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,17 +66,7 @@ func TestResolveAndLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The ingest must have left a fresh GCSR sidecar that parses to the
-	// same graph.
-	side, err := ReadGraphFile(path + ".gcsr")
-	if err != nil {
-		t.Fatalf("sidecar: %v", err)
-	}
-	if side.NumEdges() != g.NumEdges() || side.NumVertices() != g.NumVertices() {
-		t.Fatal("sidecar disagrees with ingest")
-	}
-
-	// Second load reads that sidecar: an equal graph.
+	// A second load parses the file again: an equal graph.
 	g2, err := d.Load(false, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +76,10 @@ func TestResolveAndLoadFile(t *testing.T) {
 	}
 }
 
-// TestLoadReingestsEditedFile: the sidecar is validated by the source's
-// (size, mtime), so editing a graph file between loads re-ingests it
-// instead of serving the stale conversion. This matters in a long-lived
-// daemon: the jobs layer content-addresses file graphs by their bytes,
-// and a stale conversion would pair the new address with the old graph.
+// TestLoadReingestsEditedFile: editing a graph file between loads
+// re-ingests it instead of serving a stale parse. This matters in a
+// long-lived daemon: the jobs layer content-addresses file graphs by their
+// bytes, and a stale parse would pair the new address with the old graph.
 func TestLoadReingestsEditedFile(t *testing.T) {
 	ref := GenPath(6)
 	dir := t.TempDir()
@@ -111,8 +97,7 @@ func TestLoadReingestsEditedFile(t *testing.T) {
 	}
 
 	// Overwrite with a different graph and push the mtime into the future,
-	// so neither coarse filesystem timestamps nor the (now stale) sidecar
-	// can mask the edit.
+	// so coarse filesystem timestamps cannot mask the edit.
 	edited := GenCycle(9)
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, edited); err != nil {
@@ -136,104 +121,49 @@ func TestLoadReingestsEditedFile(t *testing.T) {
 	}
 }
 
-// plantStamp writes a sidecar stamp recording the source's CURRENT state
-// and the sidecar's current content digest, as a successful conversion
-// would have.
-func plantStamp(t *testing.T, src, sidecar string) {
-	t.Helper()
-	fi, err := os.Stat(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(sidecar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(b)
-	stamp := []byte(fmt.Sprintf("%d %d %s\n",
-		fi.Size(), fi.ModTime().UnixNano(), hex.EncodeToString(sum[:])))
-	if err := os.WriteFile(sidecarStamp(sidecar), stamp, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// mustLoadFile stats path and ingests it, failing the test on error.
+// mustLoadFile resolves path and loads it unweighted, failing the test on
+// error.
 func mustLoadFile(t *testing.T, path string) *CSR {
 	t.Helper()
-	fi, err := os.Stat(path)
+	d, err := Resolve(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := loadFile(path, fi)
+	g, err := d.Load(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func TestLoadPrefersFreshSidecar(t *testing.T) {
-	ref := GenPath(6)
+// TestLoadWritesNothing: loading a file graph leaves its directory as it
+// found it — no conversion, stamp or temp file beside the source.
+func TestLoadWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	path := writeTestEdgeList(t, dir, "cached.el", ref)
-
-	// Plant a sidecar describing a DIFFERENT graph with a stamp matching
-	// the source's current state: the loader must trust it (that is what
-	// "cached conversion" means).
-	other := GenCycle(9)
-	var buf bytes.Buffer
-	if _, err := other.WriteTo(&buf); err != nil {
+	mustLoadFile(t, writeTestEdgeList(t, dir, "ro.el", GenPath(6)))
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path+".gcsr", buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
 	}
-	plantStamp(t, path, path+".gcsr")
-	g := mustLoadFile(t, path)
-	if g.NumVertices() != other.NumVertices() {
-		t.Fatalf("loaded %d vertices, want the sidecar's %d", g.NumVertices(), other.NumVertices())
-	}
-
-	// A corrupt sidecar falls back to re-ingesting the source.
-	if err := os.WriteFile(path+".gcsr", []byte("GCSRgarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plantStamp(t, path, path+".gcsr")
-	g = mustLoadFile(t, path)
-	if g.NumVertices() != ref.NumVertices() {
-		t.Fatalf("fallback loaded %d vertices, want %d", g.NumVertices(), ref.NumVertices())
-	}
-
-	// A sidecar whose bytes do not match the stamp's digest (the torn
-	// state two racing processes can leave) is rejected even though the
-	// source stamp matches.
-	var swapped bytes.Buffer
-	if _, err := GenCycle(4).WriteTo(&swapped); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".gcsr", swapped.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The stamp (rewritten by the fallback re-ingest above) digests the
-	// previous conversion, not the swapped-in bytes.
-	g = mustLoadFile(t, path)
-	if g.NumVertices() != ref.NumVertices() {
-		t.Fatalf("digest-mismatched sidecar trusted: loaded %d vertices, want re-ingested %d",
-			g.NumVertices(), ref.NumVertices())
+	if len(names) != 1 || names[0] != "ro.el" {
+		t.Fatalf("directory holds %v after Load, want [ro.el]", names)
 	}
 }
 
-// TestSidecarRejectsRestoredOlderSource: replacing the source with a file
-// whose mtime predates the sidecar (cp -p backup restore, git checkout)
-// must invalidate the conversion. An mtime-ordering check ("sidecar newer
-// than source") would trust it and serve the previous content's parse
-// under the restored content's identity; the exact-stamp check re-ingests.
-func TestSidecarRejectsRestoredOlderSource(t *testing.T) {
+// TestLoadReadsRestoredOlderSource: replacing the source with a file whose
+// mtime predates the previous load (cp -p backup restore, git checkout)
+// loads the restored bytes, not the previous content's parse.
+func TestLoadReadsRestoredOlderSource(t *testing.T) {
 	v2 := GenCycle(9)
 	dir := t.TempDir()
 	path := writeTestEdgeList(t, dir, "restored.el", v2)
-	mustLoadFile(t, path) // writes sidecar + stamp for v2
+	mustLoadFile(t, path)
 
-	// Restore "v1": different content with an mtime OLDER than the sidecar.
+	// Restore "v1": different content with an mtime OLDER than that load.
 	v1 := GenPath(6)
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, v1); err != nil {
@@ -249,7 +179,7 @@ func TestSidecarRejectsRestoredOlderSource(t *testing.T) {
 
 	g := mustLoadFile(t, path)
 	if g.NumVertices() != v1.NumVertices() {
-		t.Fatalf("loaded %d vertices, want the restored file's %d (stale sidecar trusted)",
+		t.Fatalf("loaded %d vertices, want the restored file's %d",
 			g.NumVertices(), v1.NumVertices())
 	}
 }
@@ -329,3 +259,50 @@ func TestLoadSyntheticKindsDelegateToGenerate(t *testing.T) {
 		t.Fatal("Load disagrees with Generate for a synthetic dataset")
 	}
 }
+
+// BenchmarkLoadFile is file ingest's rung: Dataset.Load of one generated
+// graph written as a text edge list and as GCSR, in MB/s of file read:
+//
+//	go test ./internal/graph -run '^$' -bench LoadFile -benchtime 5x
+//
+// Every load parses the file; nothing is cached beside it or in memory.
+func BenchmarkLoadFile(b *testing.B) {
+	d, err := DatasetByName("kr")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Generate(false, 2)
+	dir := b.TempDir()
+	for _, format := range []string{"el", "gcsr"} {
+		b.Run(format, func(b *testing.B) {
+			var buf bytes.Buffer
+			var err error
+			if format == "el" {
+				err = WriteEdgeList(&buf, g)
+			} else {
+				_, err = g.WriteTo(&buf)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(dir, "kr."+format)
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				b.Fatal(err)
+			}
+			file, err := Resolve(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if loadFileSink, err = file.Load(false, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+		})
+	}
+}
+
+var loadFileSink *CSR

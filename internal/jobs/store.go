@@ -46,9 +46,9 @@ type Outcome struct {
 
 // Store is the persistent, content-addressed result store: one JSON file
 // per outcome under dir, named <hash>.json, written atomically (temp file
-// + rename — the same torn-write discipline as the graph registry's .gcsr
-// sidecars) and fronted by an in-memory map so repeat hits never touch the
-// disk. Safe for concurrent use.
+// + rename, so a crash never leaves a torn file) and fronted by an
+// in-memory map so repeat hits never touch the disk. Safe for concurrent
+// use.
 //
 // Every persisted file carries a SHA-256 of its exact bytes in a
 // <hash>.json.sum sidecar, verified whenever the bytes are read back
