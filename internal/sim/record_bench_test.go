@@ -18,7 +18,9 @@ import (
 //	go test ./internal/sim -run '^$' -bench Record -benchtime 20x
 //
 // ns/app-access prices the filter (every access pays it), ns/llc-access
-// is the same time per access that survives to the recording. KCore on
+// is the same time per access that survives to the recording, and
+// B/llc-access is the encoded density (SizeBytes / Len: 4 when every
+// record takes the compact form). KCore on
 // tw is the row that keeps a superlinear term priced: its peel phases
 // number tw's k_max, and a phase that cost n rather than its own accesses
 // showed up as ns/llc-access growing with scale.
@@ -40,17 +42,19 @@ func BenchmarkRecord(b *testing.B) {
 				for _, app := range []string{"PR", "BFS", "KCore"} {
 					b.Run(app, func(b *testing.B) {
 						var appAccesses, llcAccesses uint64
+						var bytes int64
 						for i := 0; i < b.N; i++ {
 							tr, err := sim.RecordTraceNCtx(context.Background(), w, app, apps.LayoutMerged, hcfg, 0)
 							if err != nil {
 								b.Fatal(err)
 							}
-							appAccesses, llcAccesses = tr.L1Stats().Accesses(), uint64(tr.Len())
+							appAccesses, llcAccesses, bytes = tr.L1Stats().Accesses(), uint64(tr.Len()), tr.SizeBytes()
 							tr.Release()
 						}
 						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 						b.ReportMetric(ns/float64(appAccesses), "ns/app-access")
 						b.ReportMetric(ns/float64(llcAccesses), "ns/llc-access")
+						b.ReportMetric(float64(bytes)/float64(llcAccesses), "B/llc-access")
 					})
 				}
 			})

@@ -27,6 +27,32 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		seed = append(seed, rec[:]...)
 	}
 	f.Add(seed)
+	// Three streams past the compact form: wide records (block deltas
+	// just past 19 bits and at the edges of 32), escape records (deltas
+	// past 32 bits), and more distinct PCs than the dictionary holds.
+	const blockBytes = 1 << cache.BlockBits
+	blocks := func(deltas []int64, pc func(i int) uint32) []byte {
+		var out []byte
+		var block uint64 = 1 << 40
+		for i, d := range deltas {
+			block += uint64(d)
+			var rec [13]byte
+			binary.LittleEndian.PutUint64(rec[:8], block*blockBytes+uint64(i))
+			binary.LittleEndian.PutUint32(rec[8:12], pc(i))
+			rec[12] = byte(i)
+			out = append(out, rec[:]...)
+		}
+		return out
+	}
+	f.Add(blocks([]int64{1 << 18, -1<<18 - 1, 1<<31 - 1, -1 << 31, 1 << 20, -5 << 18},
+		func(i int) uint32 { return uint32(i % 3) }))
+	f.Add(blocks([]int64{1 << 31, -1<<31 - 1, 1 << 36, -1 << 36, 1, 1 << 32, 2},
+		func(i int) uint32 { return uint32(i) * 2654435761 }))
+	steps := make([]int64, maxPCs+10)
+	for i := range steps {
+		steps[i] = 1
+	}
+	f.Add(blocks(steps, func(i int) uint32 { return uint32(i) << 8 }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const recSize = 13 // 8B addr + 4B pc + 1B flags
 		n := len(data) / recSize

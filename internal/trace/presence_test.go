@@ -70,7 +70,7 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scratch []uint64
+		var scratch []word
 		var buf []byte
 		var off int64
 		for ci := range tr.chunks {

@@ -11,10 +11,10 @@
 // The encoding is lossless for everything the LLC can observe: byte
 // address (GRASP's classification boundaries are byte-granular), synthetic
 // PC, write flag and Property-Array flag. Each access is usually one
-// 64-bit word — a signed block delta against the previous access plus the
+// 32-bit word — a signed block delta against the previous access plus the
 // low six address bits, the flags, and a dictionary index for the PC —
-// with a two-word escape form for jumps or PCs the compact form cannot
-// express. Words accumulate in fixed-size chunks; a package-wide byte
+// with a two-word wide form for longer jumps and a four-word escape form
+// for anything else. Words accumulate in fixed-size chunks; a package-wide byte
 // budget bounds how much encoded trace stays resident, and chunks beyond
 // it spill to an unlinked temporary file that is read back with pread, so
 // many goroutines can replay one spilled trace concurrently.
@@ -79,19 +79,33 @@ func AbortError(p any) (error, bool) {
 // never shows up next to the per-access L1/L2 filter work.
 const ctxPollInterval = chunkWords
 
-// Word layout of a compact record (LSB first):
+// word is the unit of the encoded stream; wordBytes is its size, the
+// factor every byte count of the codec (budgets, spill offsets, SizeBytes)
+// is charged in.
+type word = uint32
+
+const wordBytes = 4
+
+// Every record opens with a head word (LSB first):
 //
 //	bit  0      write flag
 //	bit  1      Property-Array flag
 //	bits 2-7    low 6 bits of the byte address (sub-block offset)
-//	bits 8-19   PC dictionary index; escapeIdx marks the escape form
-//	bits 20-63  signed block delta vs the previous access (44 bits)
+//	bits 8-12   PC dictionary index 0-29, or wideIdx / escapeIdx
+//	bits 13-31  compact form: signed block delta vs the previous access
 //
-// The escape form carries the full 32-bit PC in bits 20-51 of the first
-// word and the full block address in a second word. It is emitted when the
-// delta overflows 44 bits or the PC dictionary is full — both impossible
-// for streams produced by ligra (few dozen static PCs, addresses within a
-// few GB), but the codec stays total for arbitrary input (the fuzz target
+// and takes one of three forms:
+//
+//	compact (1 word)  index 0-29, a 19-bit delta in the head
+//	wide    (2 words) index wideIdx; the PC index in bits 13-17, then a
+//	                  signed 32-bit block delta
+//	escape  (4 words) index escapeIdx; the full PC, then the full block
+//	                  address, low word first
+//
+// ligra's streams use a couple of dozen static PCs, and their deltas fit
+// 19 bits at bench scales and mostly at scale 1, so nearly every record is
+// compact. The escape form covers PCs past the dictionary and jumps past
+// 32 bits, so the codec stays total for arbitrary input (the fuzz target
 // feeds it adversarial streams).
 const (
 	flagWrite = 1 << 0
@@ -101,17 +115,20 @@ const (
 	low6Mask  = 0x3F
 
 	pcShift   = 8
-	pcMask    = 0xFFF
-	escapeIdx = 0xFFF
-	maxPCs    = escapeIdx // dictionary indices 0..0xFFE
+	pcMask    = 0x1F
+	wideIdx   = 30
+	escapeIdx = 31
+	maxPCs    = wideIdx // dictionary indices 0..29
 
-	deltaShift = 20
-	deltaBits  = 64 - deltaShift
+	deltaShift = 13
+	deltaBits  = 32 - deltaShift
 	deltaMax   = int64(1)<<(deltaBits-1) - 1
 	deltaMin   = -int64(1) << (deltaBits - 1)
+	wideMax    = int64(1)<<31 - 1
+	wideMin    = -int64(1) << 31
 )
 
-// chunkWords is the fixed chunk capacity (1<<16 words = 512KB): large
+// chunkWords is the fixed chunk capacity (1<<16 words = 256KB): large
 // enough that per-chunk overheads vanish, small enough that a replay's
 // spill read-back buffer and the encoder's working set stay cache- and
 // GC-friendly even for multi-hundred-million-access traces.
@@ -126,10 +143,10 @@ var (
 )
 
 // DefaultMemoryBudget is the initial process-wide cap on resident encoded
-// trace bytes (8 GiB). A full `-exp all` sweep at bench scale keeps every
-// recording resident well under this; the cap exists so full-reproduction
-// scale (whose traces run to tens of GB) degrades to disk spill instead of
-// exhausting RAM.
+// trace bytes (8 GiB, about two billion LLC accesses at 4 B each). A full
+// `-exp all` sweep at bench scale keeps every recording resident well
+// under this; the cap exists so full-reproduction scale (whose traces run
+// to several GB) degrades to disk spill instead of exhausting RAM.
 const DefaultMemoryBudget = int64(8) << 30
 
 func init() { memoryBudget.Store(DefaultMemoryBudget) }
@@ -153,14 +170,14 @@ func MemoryInUse() int64 { return memoryInUse.Load() }
 // Sec. 11; traces are process-lifetime only, so the header needs no
 // on-disk form or version negotiation).
 type chunk struct {
-	words []uint64
+	words []word
 	off   int64
 	n     int    // word count (resident and spilled alike)
 	base  uint64 // lastBlock before the chunk's first record
 }
 
 // sizeBytes returns the chunk's encoded footprint.
-func (c *chunk) sizeBytes() uint64 { return uint64(c.n) * 8 }
+func (c *chunk) sizeBytes() uint64 { return uint64(c.n) * wordBytes }
 
 // Recorder encodes an LLC-bound access stream. Built with NewRecorder it
 // is a mem.Sink that filters every access through fresh L1/L2 upper levels
@@ -173,14 +190,14 @@ type Recorder struct {
 	budget int64 // per-recorder override; 0 = package budget
 	limit  int64 // encode at most this many accesses; 0 = unlimited
 
-	cur       []uint64
+	cur       []word
 	chunks    []chunk
 	lastBlock uint64
 	curBase   uint64 // lastBlock when the current chunk opened
 	pcs       []uint32
-	pcIdx     map[uint32]uint16
+	pcIdx     map[uint32]word
 	lastPC    uint32
-	lastIdx   uint64
+	lastIdx   word
 	havePC    bool
 	n         int64
 	ramBytes  int64
@@ -210,7 +227,7 @@ func NewRecorder(cfg cache.HierarchyConfig) (*Recorder, error) {
 // NewRawRecorder creates a recorder with no upper-level filter: every
 // access passed to Access (or Record) is encoded.
 func NewRawRecorder() *Recorder {
-	return &Recorder{pcIdx: make(map[uint32]uint16)}
+	return &Recorder{pcIdx: make(map[uint32]word)}
 }
 
 // SetMemoryOverride caps this recorder's resident bytes independently of
@@ -277,7 +294,7 @@ func (r *Recorder) Access(a mem.Access) {
 // Record encodes one access unconditionally.
 func (r *Recorder) Record(a mem.Access) {
 	block := cache.BlockAddr(a.Addr)
-	w := uint64(a.Addr&low6Mask) << low6Shift
+	w := word(a.Addr&low6Mask) << low6Shift
 	if a.Write {
 		w |= flagWrite
 	}
@@ -286,61 +303,57 @@ func (r *Recorder) Record(a mem.Access) {
 	}
 	// PC dictionary with a last-PC memo: accesses arrive in runs from the
 	// same static site, so the map is rarely consulted.
-	var idx uint64
+	var idx word
 	haveIdx := false
 	if r.havePC && a.PC == r.lastPC {
 		idx, haveIdx = r.lastIdx, true
 	} else if i, ok := r.pcIdx[a.PC]; ok {
-		idx, haveIdx = uint64(i), true
+		idx, haveIdx = i, true
 	} else if len(r.pcs) < maxPCs {
-		idx, haveIdx = uint64(len(r.pcs)), true
-		r.pcIdx[a.PC] = uint16(idx)
+		idx, haveIdx = word(len(r.pcs)), true
+		r.pcIdx[a.PC] = idx
 		r.pcs = append(r.pcs, a.PC)
 	}
 	if haveIdx {
 		r.lastPC, r.lastIdx, r.havePC = a.PC, idx, true
 	}
+	if r.n == 0 {
+		// Seed the delta chain (and so the first chunk's base) with the
+		// first block: the jump from address 0 to the first array would
+		// otherwise cost every recording a wide record.
+		r.lastBlock = block
+	}
 	delta := int64(block - r.lastBlock)
-	if haveIdx && delta >= deltaMin && delta <= deltaMax {
-		r.push(w | idx<<pcShift | uint64(delta)<<deltaShift)
-	} else {
-		r.push2(w|escapeIdx<<pcShift|uint64(a.PC)<<deltaShift, block)
+	switch {
+	case haveIdx && delta >= deltaMin && delta <= deltaMax:
+		r.reserve(1)
+		r.cur = append(r.cur, w|idx<<pcShift|word(delta)<<deltaShift)
+	case haveIdx && delta >= wideMin && delta <= wideMax:
+		r.reserve(2)
+		r.cur = append(r.cur, w|wideIdx<<pcShift|idx<<deltaShift, word(delta))
+	default:
+		r.reserve(4)
+		r.cur = append(r.cur, w|escapeIdx<<pcShift, a.PC, word(block), word(block>>32))
 	}
 	r.lastBlock = block
 	r.n++
 }
 
-// push appends one word, sealing the current chunk when full. A record
-// appended to an empty chunk opens it: the recorder's pre-record
-// lastBlock becomes the chunk's self-contained decode base (Record has
-// not updated it yet at this point).
-func (r *Recorder) push(w uint64) {
-	if len(r.cur) == chunkWords {
+// reserve makes room for an n-word record in the current chunk, sealing
+// early rather than splitting the record across a chunk boundary (chunks
+// decode without carrying a partial record). A record opening an empty
+// chunk makes the recorder's pre-record lastBlock the chunk's
+// self-contained decode base (Record has not updated it yet here).
+func (r *Recorder) reserve(n int) {
+	if len(r.cur) > chunkWords-n {
 		r.seal()
 	}
 	if r.cur == nil {
-		r.cur = make([]uint64, 0, chunkWords)
+		r.cur = make([]word, 0, chunkWords)
 	}
 	if len(r.cur) == 0 {
 		r.curBase = r.lastBlock
 	}
-	r.cur = append(r.cur, w)
-}
-
-// push2 appends an escape pair, sealing early rather than splitting the
-// record across a chunk boundary (chunks decode without carrying a partial
-// record).
-func (r *Recorder) push2(w0, w1 uint64) {
-	if len(r.cur) >= chunkWords-1 {
-		r.seal()
-	}
-	if r.cur == nil {
-		r.cur = make([]uint64, 0, chunkWords)
-	}
-	if len(r.cur) == 0 {
-		r.curBase = r.lastBlock
-	}
-	r.cur = append(r.cur, w0, w1)
 }
 
 // seal closes the current chunk: it stays resident if the budget allows,
@@ -352,7 +365,7 @@ func (r *Recorder) seal() {
 		return
 	}
 	hdr := chunk{n: len(r.cur), base: r.curBase}
-	bytes := int64(len(r.cur)) * 8
+	bytes := int64(len(r.cur)) * wordBytes
 	budget := r.budget
 	if budget == 0 {
 		budget = memoryBudget.Load()
@@ -398,12 +411,12 @@ func (r *Recorder) spillChunk(hdr chunk) {
 		os.Remove(f.Name())
 		r.spill = f
 	}
-	if cap(r.spillBuf) < len(r.cur)*8 {
-		r.spillBuf = make([]byte, chunkWords*8)
+	if cap(r.spillBuf) < len(r.cur)*wordBytes {
+		r.spillBuf = make([]byte, chunkWords*wordBytes)
 	}
-	buf := r.spillBuf[:len(r.cur)*8]
+	buf := r.spillBuf[:len(r.cur)*wordBytes]
 	for i, w := range r.cur {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
+		binary.LittleEndian.PutUint32(buf[i*wordBytes:], w)
 	}
 	if err := fail.Hit("trace.spill.write"); err != nil {
 		r.err = fmt.Errorf("trace: spill: %w", err)
@@ -444,10 +457,10 @@ func (r *Recorder) Abandon() {
 func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 	if n := len(r.cur); n > 0 && n < cap(r.cur) {
 		// Right-size the tail: a sealed chunk keeps its backing array, and
-		// the budgets charge len x 8. Without this every recording pins a
-		// full chunkWords array for its last chunk — most of a bench-scale
-		// recording, which rarely fills one chunk.
-		r.cur = append(make([]uint64, 0, n), r.cur...)
+		// the budgets charge len x wordBytes. Without this every recording
+		// pins a full chunkWords array for its last chunk — most of a
+		// bench-scale recording, which rarely fills one chunk.
+		r.cur = append(make([]word, 0, n), r.cur...)
 	}
 	r.seal()
 	if r.err != nil {
@@ -583,7 +596,7 @@ var errReleased = fmt.Errorf("trace: replay of a released trace")
 // materialize returns the words of chunk ci: resident chunks are returned as-is
 // (shared, read-only); spilled chunks are read into the caller's scratch
 // buffers via pread, so concurrent replays never contend.
-func (t *Trace) materialize(ci int, scratch *[]uint64, buf *[]byte) ([]uint64, error) {
+func (t *Trace) materialize(ci int, scratch *[]word, buf *[]byte) ([]word, error) {
 	c := &t.chunks[ci]
 	if c.words != nil {
 		return c.words, nil
@@ -591,9 +604,9 @@ func (t *Trace) materialize(ci int, scratch *[]uint64, buf *[]byte) ([]uint64, e
 	if t.destroyed.Load() {
 		return nil, errReleased
 	}
-	need := c.n * 8
+	need := c.n * wordBytes
 	if cap(*buf) < need {
-		*buf = make([]byte, chunkWords*8)
+		*buf = make([]byte, chunkWords*wordBytes)
 	}
 	b := (*buf)[:need]
 	if err := fail.Hit("trace.spill.read"); err != nil {
@@ -603,11 +616,11 @@ func (t *Trace) materialize(ci int, scratch *[]uint64, buf *[]byte) ([]uint64, e
 		return nil, fmt.Errorf("trace: spill read: %w", err)
 	}
 	if cap(*scratch) < c.n {
-		*scratch = make([]uint64, chunkWords)
+		*scratch = make([]word, chunkWords)
 	}
 	words := (*scratch)[:c.n]
 	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(b[i*8:])
+		words[i] = binary.LittleEndian.Uint32(b[i*wordBytes:])
 	}
 	return words, nil
 }
@@ -628,7 +641,7 @@ type cursor struct {
 	done    int64        // recorded accesses consumed so far, pruned ones included
 	limit   int64
 	rep     SkipReport // what the prune dropped and kept
-	scratch []uint64
+	scratch []word
 	rbuf    []byte
 }
 
@@ -681,43 +694,56 @@ func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 // chunk's words into dst, stopping once done reaches limit, and returns
 // the extended slice plus the progress count. base is the chunk's
 // self-contained block-delta seed (chunk.base), so a chunk decodes in
-// isolation; chunks never split an escape pair (the recorder seals early),
-// so the scan always terminates on a record boundary. Every word is
-// scanned (the delta chain demands it) but records whose block congruence
-// class is outside mask drop before the PC lookup and the mem.Access
-// materialization — the step that removes the decode share from the
-// sampled tier's Amdahl bound (DESIGN.md Sec. 14); under fullMask nothing
-// drops. done counts pruned records too, so the limit bounds the recorded
-// prefix scanned, not the residue delivered.
-func (t *Trace) decodeAppendMasked(words []uint64, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask) ([]mem.Access, int64) {
+// isolation; chunks never split a wide or escape record (the recorder
+// seals early), so the scan always terminates on a record boundary. Every
+// word is scanned (the delta chain demands it) but records whose block
+// congruence class is outside mask drop before the PC lookup and the
+// mem.Access materialization — the step that removes the decode share
+// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14); under fullMask
+// nothing drops. done counts pruned records too, so the limit bounds the
+// recorded prefix scanned, not the residue delivered.
+func (t *Trace) decodeAppendMasked(words []word, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask) ([]mem.Access, int64) {
 	lastBlock := base
 	for i := 0; i < len(words) && done < limit; i++ {
 		w := words[i]
+		idx := w >> pcShift & pcMask
 		var block uint64
-		escape := (w>>pcShift)&pcMask == escapeIdx
-		if escape {
+		var pc uint32
+		switch idx {
+		case wideIdx:
+			idx = w >> deltaShift & pcMask
+			block = lastBlock + uint64(int32(words[i+1]))
 			i++
-			block = words[i]
-		} else {
-			block = lastBlock + uint64(int64(w)>>deltaShift)
+		case escapeIdx:
+			pc = words[i+1]
+			block = uint64(words[i+2]) | uint64(words[i+3])<<32
+			i += 3
+		default:
+			block = lastBlock + uint64(int32(w)>>deltaShift)
 		}
 		lastBlock = block
 		done++
 		if !mask.test(block) {
 			continue
 		}
-		var pc uint32
-		if escape {
-			pc = uint32(w >> deltaShift)
-		} else {
-			pc = t.pcs[(w>>pcShift)&pcMask]
+		if idx != escapeIdx {
+			pc = t.pcs[idx]
 		}
-		dst = append(dst, mem.Access{
-			Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
-			PC:       pc,
-			Write:    w&flagWrite != 0,
-			Property: w&flagProp != 0,
-		})
+		// Fill the record in place: an append of a composite literal builds
+		// it in a stack temporary with byte-wide flag stores and copies it
+		// out in one 16-byte move, which stalls on store forwarding.
+		n := len(dst)
+		if n == cap(dst) {
+			dst = append(dst, mem.Access{})
+		} else {
+			dst = dst[:n+1]
+		}
+		d := &dst[n]
+		d.Addr = block<<cache.BlockBits | uint64(w>>low6Shift&low6Mask)
+		d.PC = pc
+		d.Hint = 0
+		d.Write = w&flagWrite != 0
+		d.Property = w&flagProp != 0
 	}
 	return dst, done
 }
@@ -733,7 +759,7 @@ func (t *Trace) each(limit int64, fn func(a mem.Access)) error {
 	if limit <= 0 || limit > t.n {
 		limit = t.n
 	}
-	var scratch []uint64
+	var scratch []word
 	var buf []byte
 	var done int64
 	for ci := range t.chunks {
@@ -745,21 +771,26 @@ func (t *Trace) each(limit int64, fn func(a mem.Access)) error {
 			return err
 		}
 		lastBlock := t.chunks[ci].base
-		for i := 0; i < len(words) && done < limit; i++ {
+		for i := 0; i < len(words) && done < limit; {
 			w := words[i]
 			var block uint64
 			var pc uint32
 			if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
-				pc = uint32(w >> deltaShift)
-				i++
-				block = words[i]
+				pc = words[i+1]
+				block = uint64(words[i+3])<<32 | uint64(words[i+2])
+				i += 4
+			} else if idx == wideIdx {
+				pc = t.pcs[(w>>deltaShift)&pcMask]
+				block = lastBlock + uint64(int64(int32(words[i+1])))
+				i += 2
 			} else {
 				pc = t.pcs[idx]
-				block = lastBlock + uint64(int64(w)>>deltaShift)
+				block = lastBlock + uint64(int64(int32(w))>>deltaShift)
+				i++
 			}
 			lastBlock = block
 			fn(mem.Access{
-				Addr:     block<<cache.BlockBits | (w>>low6Shift)&low6Mask,
+				Addr:     block<<cache.BlockBits | uint64((w>>low6Shift)&low6Mask),
 				PC:       pc,
 				Write:    w&flagWrite != 0,
 				Property: w&flagProp != 0,

@@ -49,7 +49,7 @@ func checkRoundTrip(t *testing.T, accs []mem.Access, tr *Trace) {
 }
 
 // interesting builds a stream hitting every encoding form: tiny deltas,
-// negative deltas, block-crossing jumps beyond the 44-bit compact range,
+// negative deltas, block jumps beyond the wide form's 32-bit range,
 // sub-block offsets, flag combinations, and repeated PCs.
 func interesting() []mem.Access {
 	pcs := []uint32{0, 1, 0xDEADBEEF, 42}
@@ -125,6 +125,113 @@ func TestPCDictionaryOverflow(t *testing.T) {
 		accs = append(accs, mem.Access{Addr: uint64(i) * 64, PC: uint32(i) * 2654435761})
 	}
 	checkRoundTrip(t, accs, record(t, accs, 0))
+}
+
+// TestCodecWordForms pins the three record forms at their edges: each
+// stream round-trips through the reference decoder AND encodes to exactly
+// the words its forms cost (compact 1, wide 2, escape 4), so a form that
+// silently widens fails here even when the decode still agrees. The
+// boundary cases put a wide and an escape record where the open chunk is
+// one and three words short of full, and just fits them: the recorder
+// seals early, never splitting a record.
+func TestCodecWordForms(t *testing.T) {
+	const (
+		compact = 1
+		wide    = 2
+		escape  = 4
+	)
+	type step struct {
+		delta int64 // block delta vs the previous access
+		pc    uint32
+		words int // the form it must take
+	}
+	// at builds the access stream for steps, starting at block 0 and
+	// varying the sub-block offset and flags so every head bit moves.
+	at := func(steps []step) (accs []mem.Access, words int) {
+		var block uint64
+		for i, s := range steps {
+			block += uint64(s.delta)
+			if block > ^uint64(0)>>cache.BlockBits {
+				t.Fatalf("step %d: block %#x is outside the address space", i, block)
+			}
+			accs = append(accs, mem.Access{
+				Addr:     block<<cache.BlockBits | uint64(i*13)&low6Mask,
+				PC:       s.pc,
+				Write:    i%2 == 1,
+				Property: i%3 == 1,
+			})
+			words += s.words
+		}
+		return accs, words
+	}
+	const c18, c31 = int64(1) << 18, int64(1) << 31
+	pcs := make([]step, 0, 36)
+	for i := 0; i < 31; i++ { // the 30th distinct PC is compact, the 31st escapes
+		w := compact
+		if i == 30 {
+			w = escape
+		}
+		pcs = append(pcs, step{1, uint32(1000 + i), w})
+	}
+	pcs = append(pcs,
+		step{1, 1000, compact},
+		step{1, 1030, escape}, // an unknown PC stays unknown
+		step{c18, 1029, wide}, // the last index in the wide form's field
+		step{-c18 - 1, 1029, wide},
+	)
+	for name, steps := range map[string][]step{
+		// A recording's first record seeds the delta chain, so even a far
+		// first block is compact.
+		"compact": {{1 << 40, 7, compact}, {c18 - 1, 7, compact}, {c18 - 1, 7, compact}, {-c18, 7, compact}},
+		"wide": {{0, 7, compact}, {c18, 7, wide}, {c18, 7, wide}, {-c18 - 1, 7, wide},
+			{c31 - 1, 7, wide}, {-c31, 7, wide}},
+		"escape": {{0, 7, compact}, {c31, 7, escape}, {c31, 7, escape}, {-c31 - 1, 7, escape},
+			{int64(1) << 56, 7, escape}, {-(int64(1) << 56), 7, escape}, {int64(1)<<58 - c31, 7, escape}},
+		"pcs": pcs,
+	} {
+		accs, words := at(steps)
+		tr := record(t, accs, 0)
+		checkRoundTrip(t, accs, tr)
+		if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
+			t.Errorf("%s: SizeBytes = %d, want %d (%d words)", name, got, want, words)
+		}
+	}
+
+	for _, c := range []struct {
+		name        string
+		form, short int
+	}{
+		{"wide/1-short", wide, 1},
+		{"wide/fits", wide, 2},
+		{"escape/3-short", escape, 3},
+		{"escape/fits", escape, 4},
+	} {
+		steps := make([]step, chunkWords-c.short, chunkWords-c.short+2)
+		for i := range steps {
+			steps[i] = step{1, 3, compact}
+		}
+		delta := c18 // wide
+		if c.form == escape {
+			delta = c31
+		}
+		steps = append(steps, step{delta, 3, c.form}, step{1, 3, compact})
+		accs, words := at(steps)
+		for _, override := range []int64{0, -1} {
+			tr := record(t, accs, override)
+			checkRoundTrip(t, accs, tr)
+			if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
+				t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, want)
+			}
+			first := chunkWords
+			if c.short < c.form {
+				first = chunkWords - c.short // sealed early
+			}
+			if len(tr.chunks) != 2 || tr.chunks[0].n != first || tr.chunks[1].n != words-first {
+				t.Errorf("%s (override %d): chunks %d, first holds %d words; want 2 chunks, %d + %d",
+					c.name, override, len(tr.chunks), tr.chunks[0].n, first, words-first)
+			}
+		}
+	}
 }
 
 // replayInto replays the whole trace into llc through a one-consumer
@@ -229,13 +336,13 @@ func TestFinishRightSizesTail(t *testing.T) {
 		"short":      {n: 100},
 		"exact":      {n: chunkWords},
 		"multi":      {n: 2*chunkWords + 5000},
-		"part-spill": {n: 2*chunkWords + 5000, override: chunkWords * 8},
+		"part-spill": {n: 2*chunkWords + 5000, override: chunkWords * wordBytes},
 	} {
 		accs := stream(c.n)
 		tr := record(t, accs, c.override)
 		var held int64
 		for _, ch := range tr.chunks {
-			held += int64(cap(ch.words)) * 8
+			held += int64(cap(ch.words)) * wordBytes
 		}
 		if held != tr.ResidentBytes() {
 			t.Errorf("%s: chunks hold %d bytes of backing array, ResidentBytes = %d", name, held, tr.ResidentBytes())
