@@ -59,45 +59,43 @@ import (
 	"grasp/internal/server"
 )
 
-func main() {
-	addr := flag.String("addr", ":8337", "listen address")
-	dataDir := flag.String("data", "graspd-data", "result-store directory (created if missing)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute,
+// newFlags builds the graspd flag set, bound to the daemon configuration.
+// Factored out of main so the usage golden test renders exactly what
+// `graspd -h` prints.
+func newFlags() (*flag.FlagSet, *daemonConfig) {
+	cfg := &daemonConfig{}
+	fs := flag.NewFlagSet("graspd", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8337", "listen address")
+	fs.StringVar(&cfg.dataDir, "data", "graspd-data", "result-store directory (created if missing)")
+	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Minute,
 		"how long shutdown waits for running simulations to finish")
-	graphCacheMB := flag.Int64("graph-cache-mb", 0,
-		"cap (MiB) on file-backed graphs retained per session; 0 = built-in default (2048), negative = unlimited")
-	traceCacheMB := flag.Int64("trace-cache-mb", 0,
-		"cap (MiB) on cached LLC recordings' encoded bytes per session (bounds spill temp-disk usage); 0 = built-in default, negative = unlimited")
-	jobTimeout := flag.Duration("job-timeout", 0,
+	fs.Int64Var(&cfg.cacheMB, "cache-mb", 0,
+		"cap (MiB) on cached LLC recordings (resident + spilled) and file-backed graphs retained per session; 0 = built-in default (4096), negative = unlimited")
+	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 0,
 		"default wall-clock budget per job (jobs may set their own timeout_s); 0 = unlimited")
-	maxQueue := flag.Int("max-queue", 1024,
+	fs.IntVar(&cfg.maxQueue, "max-queue", 1024,
 		"max queued jobs before submissions are shed with 503; 0 = unbounded")
-	rate := flag.Float64("rate", 0,
+	fs.Float64Var(&cfg.rate, "rate", 0,
 		"per-client POST /jobs rate limit in requests/second (429 beyond it); 0 = unlimited")
-	rateBurst := flag.Int("rate-burst", 10, "rate-limit token-bucket burst depth")
-	journal := flag.Bool("journal", true,
+	fs.IntVar(&cfg.rateBurst, "rate-burst", 10, "rate-limit token-bucket burst depth")
+	fs.BoolVar(&cfg.journal, "journal", true,
 		"journal accepted jobs (fsync'd) so a crashed daemon re-enqueues its backlog on reboot")
-	nodeID := flag.String("node-id", "",
+	fs.StringVar(&cfg.nodeID, "node-id", "",
 		"this node's name in -peers (cluster mode; requires -peers)")
-	peers := flag.String("peers", "",
+	fs.StringVar(&cfg.peers, "peers", "",
 		"static cluster member list as id=url,id=url,... (same list on every node); empty = single-node mode")
-	probeInterval := flag.Duration("probe-interval", time.Second,
+	fs.DurationVar(&cfg.probeInterval, "probe-interval", time.Second,
 		"cluster health-probe period (peers are down after 3 consecutive failures)")
-	hedge := flag.Duration("hedge", 150*time.Millisecond,
+	fs.DurationVar(&cfg.hedge, "hedge", 150*time.Millisecond,
 		"latency budget a federated result read gives the first replica before asking the next")
-	flag.Parse()
+	return fs, cfg
+}
 
-	cfg := daemonConfig{
-		addr: *addr, dataDir: *dataDir, workers: *workers,
-		drainTimeout:  *drainTimeout,
-		sessionBudget: *graphCacheMB << 20, traceBudget: *traceCacheMB << 20,
-		jobTimeout: *jobTimeout, maxQueue: *maxQueue,
-		rate: *rate, rateBurst: *rateBurst, journal: *journal,
-		nodeID: *nodeID, peers: *peers,
-		probeInterval: *probeInterval, hedge: *hedge,
-	}
-	if err := run(cfg); err != nil {
+func main() {
+	fs, cfg := newFlags()
+	fs.Parse(os.Args[1:])
+	if err := run(*cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "graspd:", err)
 		os.Exit(1)
 	}
@@ -130,8 +128,7 @@ type daemonConfig struct {
 	dataDir       string
 	workers       int
 	drainTimeout  time.Duration
-	sessionBudget int64
-	traceBudget   int64
+	cacheMB       int64
 	jobTimeout    time.Duration
 	maxQueue      int
 	rate          float64
@@ -152,11 +149,8 @@ func run(cfg daemonConfig) error {
 		return err
 	}
 	mgr := jobs.NewManager(store, cfg.workers)
-	if cfg.sessionBudget != 0 {
-		mgr.SetSessionFileBudget(cfg.sessionBudget)
-	}
-	if cfg.traceBudget != 0 {
-		mgr.SetSessionTraceBudget(cfg.traceBudget)
+	if cfg.cacheMB != 0 {
+		mgr.SetSessionCacheBudget(cfg.cacheMB << 20)
 	}
 	if cfg.jobTimeout > 0 {
 		mgr.SetDefaultTimeout(cfg.jobTimeout)

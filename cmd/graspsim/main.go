@@ -370,13 +370,14 @@ func singleSpec(o *options) (jobs.Spec, error) {
 }
 
 // sweepTier checks the flags of an -exp run: the -graph-only ones are
-// refused, and -fidelity/-sample-k mean what they mean on a -graph run, so
-// the same validator checks them and fills the default divisor.
+// refused, and -scale/-fidelity/-sample-k mean what they mean on a -graph
+// run, so the same validator checks them and fills the default divisor.
 func sweepTier(o *options) error {
 	if o.corun != "" || o.corunRatio != "" || o.arrays {
 		return fmt.Errorf("-corun, -corun-ratio and -arrays require -graph")
 	}
-	tier := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Fidelity: o.fidelity, SampleK: uint32(o.sampleK)}
+	tier := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Scale: uint32(o.scale),
+		Fidelity: o.fidelity, SampleK: uint32(o.sampleK)}
 	if err := tier.Canonicalize(); err != nil {
 		return err
 	}

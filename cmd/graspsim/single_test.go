@@ -135,6 +135,9 @@ func TestSweepTier(t *testing.T) {
 	if err := sweepTier(o); err != nil || o.sampleK != jobs.DefaultSampleK {
 		t.Fatalf("sampled sweep: K = %d, err = %v", o.sampleK, err)
 	}
+	if err := sweepTier(parseArgs(t, "-exp", "fig2", "-scale", "16")); err != nil {
+		t.Fatalf("-scale 16 sweep refused: %v", err)
+	}
 	for _, args := range [][]string{
 		{"-sample-k", "4"},
 		{"-fidelity", "sampled", "-sample-k", "3"},
@@ -142,6 +145,8 @@ func TestSweepTier(t *testing.T) {
 		{"-corun", "BFS"},
 		{"-corun-ratio", "2,1"},
 		{"-arrays"},
+		{"-scale", "3"},
+		{"-scale", "24", "-fidelity", "sampled"},
 	} {
 		if err := sweepTier(parseArgs(t, args...)); err == nil {
 			t.Errorf("%v: accepted on an -exp run", args)

@@ -18,7 +18,7 @@ type kind uint8
 const (
 	kindBase      kind = iota // *graph.CSR: loaded base graph of (dataset, weighted)
 	kindWorkload              // *sim.Workload: reordered (dataset, reorder, weighted)
-	kindRecording             // recording: LLC-bound trace of a group; n = prefix cap, 0 = full
+	kindRecording             // recording: LLC-bound trace of a group
 	kindResult                // sim.Result of (group, policy)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
 	kindCorun                 // sim.CorunResult of (mix, policy, weights)
@@ -27,9 +27,10 @@ const (
 
 // transient marks the kinds whose failures are dropped instead of cached.
 // Loading and reordering are deterministic — a retry would fail
-// identically — but recordings and replays touch disk once the spill
-// budget engages and run under a caller's context: a daemon must not
-// serve a transient ENOSPC or somebody's cancellation from cache forever.
+// identically — but recordings and replays touch disk once the trace
+// package's RAM budget spills and run under a caller's context: a daemon
+// must not serve a transient ENOSPC or somebody's cancellation from cache
+// forever.
 var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true}
 
 // fileStamp is one observed (size, mtime) state of a graph file.
@@ -50,7 +51,7 @@ func (st fileStamp) supersedes(prev fileStamp) bool {
 // dataset is a request's handle on its dataset: the spec plus, for a
 // graph file, the stamp observed when the request began. Synthetic
 // datasets (generation is deterministic) carry the zero stamp, key as
-// their name alone and are exempt from the file budget. A Session can
+// their name alone and their graphs are never charged. A Session can
 // outlive many edits of a file (graspd keeps one per scale for the
 // daemon's lifetime); the stamp in every key is what keeps it from
 // serving the parse of the original bytes after an edit.
@@ -71,16 +72,15 @@ type artifactKey struct {
 	layout   apps.Layout
 	policy   string
 	weighted bool   // base and workload
-	n        uint32 // recording: prefix cap; sampled: K; opt: LLC capacity in blocks
+	n        uint32 // sampled: K; opt: LLC capacity in blocks
 	weights  string // corun: per-stream turn weights, ","-joined
 }
 
-// charge is what one settled entry adds to the store's two totals, and
-// how to free what it holds beyond GC's reach.
+// charge is what one settled entry adds to the store's total, and how to
+// free what it holds beyond GC's reach.
 type charge struct {
-	fileBytes  int64  // counted against the file budget (file-backed datasets only)
-	traceBytes int64  // counted against the trace budget
-	release    func() // run once when the entry leaves the store
+	bytes   int64  // a file-backed graph's footprint, a recording's SizeBytes
+	release func() // run once when the entry leaves the store
 }
 
 // entry is one in-flight or settled computation.
@@ -90,7 +90,7 @@ type entry struct {
 	err     error
 	settled bool // done is closed; readable under mu without blocking
 	recency uint64
-	charge  // exactly what settling added to the totals; eviction subtracts it
+	charge  // exactly what settling added to the total; eviction subtracts it
 }
 
 // fileEntryOverhead is the nominal accounting charge for merely knowing a
@@ -99,33 +99,32 @@ type entry struct {
 // paths — including ones that never parse — a session retains state for.
 const fileEntryOverhead = 64 << 10
 
-// fileSlot is the per-file state the file budget evicts by: the latest
-// stamp accepted for the path and when it was last requested.
+// fileSlot is the per-file state the budget evicts a file dataset by: the
+// latest stamp accepted for the path and when it was last requested.
 type fileSlot struct {
 	stamp   fileStamp
 	recency uint64
 }
 
 // artifacts is the session's one cache: a singleflight memo of every
-// artifact kind under one mutex and one recency order, with two byte
-// budgets drawn over it. The file budget bounds what file-backed datasets
-// pin (graphs plus resident trace bytes) and evicts the least-recently-
-// requested DATASET whole; the trace budget bounds encoded recording
-// bytes (resident + spilled) across all datasets and evicts the
-// least-recently-used RECORDING. A budget <= 0 is unbounded.
+// artifact kind under one mutex and one recency order, with one byte
+// budget drawn over it. Every recomputable artifact is charged once — a
+// file-backed graph its footprint, a recording its encoded bytes (resident
+// + spilled), a known file path fileEntryOverhead — and when the total
+// exceeds the budget the least recent RECORDING goes, or the whole file
+// DATASET whose slot is older still. A budget <= 0 is unbounded.
 type artifacts struct {
-	fileBudget, traceBudget int64
+	budget int64
 
-	mu                    sync.Mutex
-	m                     map[artifactKey]*entry
-	files                 map[string]*fileSlot
-	seq                   uint64
-	fileTotal, traceTotal int64
+	mu    sync.Mutex
+	m     map[artifactKey]*entry
+	files map[string]*fileSlot
+	seq   uint64
+	total int64
 }
 
-func newArtifacts(fileBudget, traceBudget int64) *artifacts {
-	return &artifacts{fileBudget: fileBudget, traceBudget: traceBudget,
-		m: make(map[artifactKey]*entry), files: make(map[string]*fileSlot)}
+func newArtifacts(budget int64) *artifacts {
+	return &artifacts{budget: budget, m: make(map[artifactKey]*entry), files: make(map[string]*fileSlot)}
 }
 
 // foreignCancel reports whether err is a cancellation that cannot have
@@ -245,18 +244,15 @@ func lead[V any](a *artifacts, keys []artifactKey, entries []*entry, led []int,
 }
 
 // settle publishes one led key's outcome: it charges a success to the
-// budgets (evicting whatever no longer fits), forgets a failure that is
+// budget (evicting whatever no longer fits), forgets a failure that is
 // transient or a panic, and wakes the waiters.
 func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
-	if !k.ds.fileBacked() {
-		c.fileBytes = 0
-	}
 	var released []func()
 	a.mu.Lock()
 	switch {
 	case a.m[k] != e:
 		// Evicted while in flight (its file was edited, or its dataset was
-		// the file budget's victim): nothing is charged, so a later
+		// the budget's victim): nothing is charged, so a later
 		// eviction has nothing to subtract or release. Whoever receives
 		// the value loses the pin race on it and asks again.
 		if c.release != nil {
@@ -265,18 +261,16 @@ func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
 	case e.err != nil && (panicked || transient[k.kind]):
 		delete(a.m, k)
 	default:
-		// A budget is checked only by an entry that adds to it, so the
-		// over-budget entry that must survive its own insertion is not
-		// then evicted by the next uncharged result.
+		// The budget is checked only by an entry that adds to the total,
+		// so the over-budget entry that must survive its own insertion is
+		// not then evicted by the next uncharged result.
 		e.charge = c
-		if c.traceBytes > 0 {
-			a.traceTotal += c.traceBytes
-			released = a.enforceTraceBudget(k)
-		}
-		if c.fileBytes > 0 {
-			a.slot(k.ds)
-			a.fileTotal += c.fileBytes
-			released = append(released, a.enforceFileBudget(k.ds.name)...)
+		if c.bytes > 0 {
+			if k.ds.fileBacked() {
+				a.slot(k.ds)
+			}
+			a.total += c.bytes
+			released = a.enforce(k, k.ds.name)
 		}
 	}
 	e.settled = true
@@ -285,15 +279,6 @@ func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
 	for _, release := range released {
 		release()
 	}
-}
-
-// ready reports whether k has settled successfully, without blocking on a
-// computation in flight.
-func (a *artifacts) ready(k artifactKey) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.m[k]
-	return e != nil && e.settled && e.err == nil
 }
 
 // observe notes a request for the file-backed dataset name whose file is
@@ -315,7 +300,7 @@ func (a *artifacts) observe(name string, cur fileStamp) dataset {
 	}
 	a.seq++
 	slot.recency = a.seq
-	released = append(released, a.enforceFileBudget(name)...)
+	released = append(released, a.enforce(artifactKey{}, name)...)
 	a.mu.Unlock()
 	for _, release := range released {
 		release()
@@ -331,7 +316,7 @@ func (a *artifacts) slot(d dataset) *fileSlot {
 		a.seq++
 		s = &fileSlot{stamp: d.stamp, recency: a.seq}
 		a.files[d.name] = s
-		a.fileTotal += fileEntryOverhead
+		a.total += fileEntryOverhead
 	}
 	return s
 }
@@ -347,8 +332,7 @@ func (a *artifacts) evict(match func(artifactKey) bool) (released []func()) {
 			continue
 		}
 		delete(a.m, k)
-		a.fileTotal -= e.fileBytes
-		a.traceTotal -= e.traceBytes
+		a.total -= e.bytes
 		if e.release != nil {
 			released = append(released, e.release)
 		}
@@ -356,53 +340,47 @@ func (a *artifacts) evict(match func(artifactKey) bool) (released []func()) {
 	return released
 }
 
-// enforceTraceBudget evicts least-recently-used trace-charged entries
-// while their total exceeds the budget. keep — the entry whose settling
-// triggered the check — is never its own victim, so a single over-budget
-// recording still serves its group before becoming a candidate. Caller
-// holds mu.
-func (a *artifacts) enforceTraceBudget(keep artifactKey) (released []func()) {
-	for a.traceBudget > 0 && a.traceTotal > a.traceBudget {
+// enforce evicts, least recent first, while the total exceeds the budget.
+// A victim is one settled recording, or a whole file-backed dataset —
+// every generation of every kind, plus its slot, so the next request
+// re-ingests — when that dataset's slot is older than every recording. A
+// graph goes only with its dataset: every workload holds its base graph
+// (an Identity workload IS it), so evicting the base entry alone would
+// subtract bytes still held. keep, the entry being settled, and keepDS,
+// the dataset being requested, are never victims, so a single
+// over-budget artifact still serves its request before becoming a
+// candidate. Caller holds mu.
+func (a *artifacts) enforce(keep artifactKey, keepDS string) (released []func()) {
+	for a.budget > 0 && a.total > a.budget {
 		var victim artifactKey
-		oldest := uint64(0) // recencies start at 1
+		victimDS, oldest := "", uint64(0) // recencies start at 1
 		for k, e := range a.m {
-			if e.traceBytes > 0 && k != keep && (oldest == 0 || e.recency < oldest) {
+			if k.kind == kindRecording && e.bytes > 0 && k != keep && (oldest == 0 || e.recency < oldest) {
 				victim, oldest = k, e.recency
 			}
 		}
-		if oldest == 0 {
-			break
-		}
-		released = append(released, a.evict(func(k artifactKey) bool { return k == victim })...)
-	}
-	return released
-}
-
-// enforceFileBudget evicts least-recently-requested file-backed datasets
-// — every generation of every kind, plus the slot, so the next request
-// re-ingests — while the file total exceeds the budget. keep, the dataset
-// being requested, is never its own victim. Caller holds mu.
-func (a *artifacts) enforceFileBudget(keep string) (released []func()) {
-	for a.fileBudget > 0 && a.fileTotal > a.fileBudget {
-		victim, oldest := "", uint64(0)
 		for name, s := range a.files {
-			if name != keep && (oldest == 0 || s.recency < oldest) {
-				victim, oldest = name, s.recency
+			if name != keepDS && (oldest == 0 || s.recency < oldest) {
+				victimDS, oldest = name, s.recency
 			}
 		}
-		if oldest == 0 {
-			break
+		switch {
+		case oldest == 0:
+			return released
+		case victimDS != "":
+			released = append(released, a.evict(func(k artifactKey) bool { return k.ds.name == victimDS })...)
+			delete(a.files, victimDS)
+			a.total -= fileEntryOverhead
+		default:
+			released = append(released, a.evict(func(k artifactKey) bool { return k == victim })...)
 		}
-		released = append(released, a.evict(func(k artifactKey) bool { return k.ds.name == victim })...)
-		delete(a.files, victim)
-		a.fileTotal -= fileEntryOverhead
 	}
 	return released
 }
 
-// retained returns the two budget totals.
-func (a *artifacts) retained() (fileBytes, traceBytes int64) {
+// retained returns the budget's total.
+func (a *artifacts) retained() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.fileTotal, a.traceTotal
+	return a.total
 }

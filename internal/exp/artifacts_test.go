@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/fail"
 	"grasp/internal/graph"
+	"grasp/internal/trace"
 )
 
 // count returns how many entries of one kind the store holds (in flight,
@@ -42,6 +44,15 @@ func (a *artifacts) releaseAll() {
 	for _, release := range released {
 		release()
 	}
+}
+
+// ready reports whether k has settled successfully, without blocking on a
+// computation in flight.
+func (a *artifacts) ready(k artifactKey) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e := a.m[k]
+	return e != nil && e.settled && e.err == nil
 }
 
 // claim holds k in flight as another caller would: the returned entry is
@@ -80,14 +91,14 @@ type fakes struct {
 	released map[artifactKey]int
 }
 
-func newFakes(t *testing.T, fileBudget, traceBudget int64) *fakes {
-	return &fakes{t: t, a: newArtifacts(fileBudget, traceBudget), released: make(map[artifactKey]int)}
+func newFakes(t *testing.T, budget int64) *fakes {
+	return &fakes{t: t, a: newArtifacts(budget), released: make(map[artifactKey]int)}
 }
 
-func (f *fakes) put(k artifactKey, v int, fileBytes, traceBytes int64) {
+func (f *fakes) put(k artifactKey, v int, bytes int64) {
 	f.t.Helper()
 	got, err := get(context.Background(), f.a, k, func() (int, charge, error) {
-		return v, charge{fileBytes: fileBytes, traceBytes: traceBytes, release: f.counting(k)}, nil
+		return v, charge{bytes: bytes, release: f.counting(k)}, nil
 	})
 	if err != nil || got != v {
 		f.t.Fatalf("get(%+v) = %d, %v; want %d", k, got, err, v)
@@ -109,11 +120,25 @@ func (f *fakes) releases(k artifactKey) int {
 	return f.released[k]
 }
 
-func (f *fakes) wantTotals(file, trace int64) {
+// wantTotal checks the store's total both against want and against the
+// sum of what its live entries and file slots are charged.
+func (f *fakes) wantTotal(want int64) {
 	f.t.Helper()
-	if gf, gt := f.a.retained(); gf != file || gt != trace {
-		f.t.Fatalf("retained = (file %d, trace %d), want (%d, %d)", gf, gt, file, trace)
+	if got, live := f.a.retained(), f.a.liveCharges(); got != want || live != want {
+		f.t.Fatalf("retained = %d, live charges = %d, want %d", got, live, want)
 	}
+}
+
+// liveCharges sums what the store's entries and file slots are charged
+// now, recounted from scratch: the total must always equal it.
+func (a *artifacts) liveCharges() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := int64(len(a.files)) * fileEntryOverhead
+	for _, e := range a.m {
+		n += e.bytes
+	}
+	return n
 }
 
 func key(ds dataset, kd kind, app string) artifactKey {
@@ -131,7 +156,7 @@ func TestArtifactStore(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"concurrent gets compute once", func(t *testing.T) {
-			a := newArtifacts(0, 0)
+			a := newArtifacts(0)
 			var calls atomic.Int32
 			gate := make(chan struct{})
 			const n = 16
@@ -162,12 +187,12 @@ func TestArtifactStore(t *testing.T) {
 				kd        kind
 				wantCalls int
 			}{{kindBase, 1}, {kindWorkload, 1}, {kindRecording, 2}, {kindResult, 2}, {kindSampled, 2}, {kindCorun, 2}} {
-				a := newArtifacts(0, 0)
+				a := newArtifacts(0)
 				calls := 0
 				for i := 0; i < 2; i++ {
 					_, err := get(context.Background(), a, key(lj, tc.kd, "PR"), func() (int, charge, error) {
 						calls++
-						return 0, charge{traceBytes: 99}, errBoom
+						return 0, charge{bytes: 99}, errBoom
 					})
 					if !errors.Is(err, errBoom) {
 						t.Fatalf("kind %d: err = %v", tc.kd, err)
@@ -176,13 +201,13 @@ func TestArtifactStore(t *testing.T) {
 				if calls != tc.wantCalls {
 					t.Fatalf("kind %d: computed %d times, want %d", tc.kd, calls, tc.wantCalls)
 				}
-				if _, tr := a.retained(); tr != 0 {
+				if tr := a.retained(); tr != 0 {
 					t.Fatalf("kind %d: a failed computation was charged %d bytes", tc.kd, tr)
 				}
 			}
 		}},
 		{"panic settles waiters with an error and frees the key", func(t *testing.T) {
-			a := newArtifacts(0, 0)
+			a := newArtifacts(0)
 			k := key(lj, kindWorkload, "") // a caching kind: a panic is dropped even there
 			gate := make(chan struct{})
 			leaderPanic := make(chan any, 1)
@@ -215,7 +240,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"a waiter whose own ctx is live retries after the leader's cancel", func(t *testing.T) {
-			a := newArtifacts(0, 0)
+			a := newArtifacts(0)
 			k := key(lj, kindRecording, "PR")
 			leaderCtx, cancel := context.WithCancel(context.Background())
 			leaderErr := make(chan error, 1)
@@ -245,7 +270,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"getEach computes what it leads in one call, then waits on the rest", func(t *testing.T) {
-			a := newArtifacts(0, 0)
+			a := newArtifacts(0)
 			keys := []artifactKey{key(lj, kindResult, "A"), key(lj, kindResult, "B"), key(lj, kindResult, "C")}
 			held, _ := a.claim(keys[1]) // another caller's flight
 			type outcome struct {
@@ -275,7 +300,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"a panic in getEach settles every led key as an error", func(t *testing.T) {
-			a := newArtifacts(0, 0)
+			a := newArtifacts(0)
 			keys := []artifactKey{key(lj, kindWorkload, "A"), key(lj, kindResult, "B")}
 			func() {
 				defer func() {
@@ -292,24 +317,24 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"trace budget evicts the LRU recording, never the one being inserted", func(t *testing.T) {
-			f := newFakes(t, 0, 150)
+			f := newFakes(t, 150)
 			kA, kB, kC, kD := key(lj, kindRecording, "A"), key(lj, kindRecording, "B"), key(lj, kindRecording, "C"), key(lj, kindRecording, "D")
-			kR := key(lj, kindResult, "A") // no trace charge: never a victim
-			f.put(kR, 1, 0, 0)
-			f.put(kA, 1, 0, 60)
-			f.put(kB, 2, 0, 60)
-			f.wantTotals(0, 120)
-			f.put(kA, 1, 0, 60) // a hit: bumps A past B
-			f.put(kC, 3, 0, 60)
+			kR := key(lj, kindResult, "A") // uncharged: never a victim
+			f.put(kR, 1, 0)
+			f.put(kA, 1, 60)
+			f.put(kB, 2, 60)
+			f.wantTotal(120)
+			f.put(kA, 1, 60) // a hit: bumps A past B
+			f.put(kC, 3, 60)
 			if !f.a.ready(kA) || f.a.ready(kB) || !f.a.ready(kC) {
 				t.Fatalf("after C: ready A=%v B=%v C=%v, want B (LRU) evicted", f.a.ready(kA), f.a.ready(kB), f.a.ready(kC))
 			}
-			f.wantTotals(0, 120)
-			f.put(kD, 4, 0, 500) // over budget alone: evicts everything else, stays
+			f.wantTotal(120)
+			f.put(kD, 4, 500) // over budget alone: evicts everything else, stays
 			if f.a.ready(kA) || f.a.ready(kC) || !f.a.ready(kD) || !f.a.ready(kR) {
 				t.Fatal("an over-budget insertion must evict every other recording and survive itself")
 			}
-			f.wantTotals(0, 500)
+			f.wantTotal(500)
 			for k, want := range map[artifactKey]int{kA: 1, kB: 1, kC: 1, kD: 0} {
 				if got := f.releases(k); got != want {
 					t.Fatalf("%s released %d times, want %d", k.app, got, want)
@@ -318,49 +343,99 @@ func TestArtifactStore(t *testing.T) {
 		}},
 		{"file budget evicts the LRU dataset whole, never the one being requested", func(t *testing.T) {
 			const ov = fileEntryOverhead
-			f := newFakes(t, 3*ov+100, 0)
+			f := newFakes(t, 3*ov+100)
 			st := fileStamp{size: 10, modNano: 1}
 			da, db, dc := f.a.observe("/g/a.el", st), f.a.observe("/g/b.el", st), f.a.observe("/g/c.el", st)
 			aBase, aRec, bBase := key(da, kindBase, ""), key(da, kindRecording, "PR"), key(db, kindBase, "")
-			f.put(aBase, 1, 60, 0)
-			f.put(aRec, 2, 10, 10)
-			f.put(bBase, 3, 30, 0)
-			f.put(key(lj, kindBase, ""), 4, 1<<40, 0) // synthetic: exempt from the file budget
-			f.wantTotals(3*ov+100, 10)
-			f.a.observe("/g/a.el", st) // a request for a: b is now the LRU dataset
-			f.put(key(dc, kindBase, ""), 5, 50, 0)
+			f.put(aBase, 1, 60)
+			f.put(aRec, 2, 10)
+			f.put(bBase, 3, 30)
+			f.wantTotal(3*ov + 100)
+			f.a.observe("/g/a.el", st) // a request for a: b's slot is now the least recent
+			f.put(key(dc, kindBase, ""), 5, 50)
 			if f.a.ready(bBase) || !f.a.ready(aBase) || !f.a.ready(aRec) {
 				t.Fatal("b (least recently requested) should be the only dataset evicted")
 			}
-			f.wantTotals(2*ov+120, 10) // b's bytes AND its slot are gone
+			f.wantTotal(2*ov + 120) // b's bytes AND its slot are gone
 			cBig := key(dc, kindWorkload, "")
-			f.put(cBig, 6, 10*ov, 0) // over budget alone: evicts a, stays
+			f.put(cBig, 6, 10*ov) // over budget alone: evicts a's recording, then a, and stays
 			if f.a.ready(aBase) || f.a.ready(aRec) || !f.a.ready(cBig) {
 				t.Fatal("an over-budget dataset must evict every other file dataset and survive itself")
 			}
-			f.wantTotals(11*ov+50, 0)
+			f.wantTotal(11*ov + 50)
 			if got := f.releases(aRec); got != 1 {
 				t.Fatalf("a's recording released %d times, want 1", got)
 			}
-			if !f.a.ready(key(lj, kindBase, "")) {
-				t.Fatal("a synthetic dataset was evicted by the file budget")
-			}
 			f.a.observe("/g/d.el", st) // merely knowing a new path is charged, and budget-checked
-			f.wantTotals(ov, 0)
+			f.wantTotal(ov)
+		}},
+		{"a file-backed graph and a synthetic recording compete under one budget", func(t *testing.T) {
+			const ov = fileEntryOverhead
+			f := newFakes(t, ov+100)
+			st := fileStamp{size: 10, modNano: 1}
+			da := f.a.observe("/g/a.el", st)
+			aBase := key(da, kindBase, "")
+			ljPR, ljBFS := key(lj, kindRecording, "PR"), key(lj, kindRecording, "BFS")
+			f.put(aBase, 1, 60)
+			f.put(ljPR, 2, 30)
+			f.wantTotal(ov + 90)
+			f.put(ljBFS, 3, 30) // a's slot is older than either recording: the file goes whole
+			if f.a.ready(aBase) || !f.a.ready(ljPR) || !f.a.ready(ljBFS) {
+				t.Fatal("a recording must evict a file dataset whose slot is least recent")
+			}
+			f.wantTotal(60)
+			da = f.a.observe("/g/a.el", st) // requested again: its slot is now the most recent
+			f.put(key(da, kindBase, ""), 4, 60)
+			if !f.a.ready(key(da, kindBase, "")) || f.a.ready(ljPR) || !f.a.ready(ljBFS) {
+				t.Fatal("a file graph must evict the least recent recording, and only it")
+			}
+			f.wantTotal(ov + 90)
+			for k, want := range map[artifactKey]int{aBase: 1, ljPR: 1, ljBFS: 0} {
+				if got := f.releases(k); got != want {
+					t.Fatalf("%+v released %d times, want %d", k, got, want)
+				}
+			}
+		}},
+		{"a stream of distinct paths, parsed or not, converges to the budget", func(t *testing.T) {
+			const ov = fileEntryOverhead
+			f := newFakes(t, 4*ov)
+			st := fileStamp{size: 10, modNano: 1}
+			for i := 0; i < 64; i++ {
+				k := key(f.a.observe(fmt.Sprintf("/g/%d.el", i), st), kindBase, "")
+				if i%2 == 0 {
+					f.put(k, i, ov/2)
+					continue
+				}
+				// A parse failure: cached (a base is not transient) and
+				// uncharged, so only the path's slot bounds it.
+				if _, err := get(context.Background(), f.a, k, func() (int, charge, error) {
+					return 0, charge{}, errBoom
+				}); !errors.Is(err, errBoom) {
+					t.Fatalf("path %d: err = %v", i, err)
+				}
+			}
+			got, live := f.a.retained(), f.a.liveCharges()
+			f.a.mu.Lock()
+			files, entries := len(f.a.files), len(f.a.m)
+			f.a.mu.Unlock()
+			if got != live || got > 4*ov || files > 4 || entries > files {
+				t.Fatalf("after 64 paths: total %d (live %d, budget %d), %d slots, %d entries; want bounded by the budget",
+					got, live, 4*ov, files, entries)
+			}
 		}},
 		{"a stamp advance sweeps every other generation of that file only", func(t *testing.T) {
-			f := newFakes(t, 0, 0)
+			f := newFakes(t, 0)
 			s1, s2 := fileStamp{10, 100}, fileStamp{10, 200}
 			a1 := f.a.observe("/g/a.el", s1)
 			other := f.a.observe("/g/a.el2", s1) // shares a's name as a prefix
 			a1Keys := []artifactKey{key(a1, kindBase, ""), key(a1, kindWorkload, ""), key(a1, kindRecording, "PR"),
 				key(a1, kindResult, "PR"), key(a1, kindSampled, "PR"), key(a1, kindCorun, "PR+BFS")}
 			for i, k := range a1Keys {
-				f.put(k, i, 5, 5)
+				f.put(k, i, 5)
 			}
 			otherKey, ljKey := key(other, kindResult, "PR"), key(lj, kindResult, "PR")
-			f.put(otherKey, 1, 5, 5)
-			f.put(ljKey, 2, 0, 5)
+			f.put(otherKey, 1, 5)
+			f.put(ljKey, 2, 5)
 			if d := f.a.observe("/g/a.el", s1); d != a1 {
 				t.Fatalf("unchanged file re-keyed: %+v", d)
 			}
@@ -371,9 +446,9 @@ func TestArtifactStore(t *testing.T) {
 			}
 			// A stale stat (older mtime) keys under what it saw and sweeps nothing.
 			a0 := f.a.observe("/g/a.el", fileStamp{10, 50})
-			f.put(key(a0, kindResult, "PR"), 3, 5, 5)
+			f.put(key(a0, kindResult, "PR"), 3, 5)
 			a2 := f.a.observe("/g/a.el", s2)
-			f.put(key(a2, kindResult, "PR"), 4, 5, 5)
+			f.put(key(a2, kindResult, "PR"), 4, 5)
 			for _, k := range append(a1Keys, key(a0, kindResult, "PR")) {
 				if f.a.ready(k) {
 					t.Fatalf("generation %+v survived the advance to %+v", k.ds.stamp, s2)
@@ -385,7 +460,7 @@ func TestArtifactStore(t *testing.T) {
 			if !f.a.ready(otherKey) || !f.a.ready(ljKey) || !f.a.ready(key(a2, kindResult, "PR")) {
 				t.Fatal("the sweep touched another dataset or the current generation")
 			}
-			f.wantTotals(2*fileEntryOverhead+10, 15)
+			f.wantTotal(2*fileEntryOverhead + 15)
 			// Same mtime, different size is an advance too.
 			f.a.observe("/g/a.el", fileStamp{11, 200})
 			if f.a.ready(key(a2, kindResult, "PR")) {
@@ -393,7 +468,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"an entry evicted in flight is released at settle and never charged", func(t *testing.T) {
-			f := newFakes(t, 0, 0)
+			f := newFakes(t, 0)
 			a1 := f.a.observe("/g/a.el", fileStamp{10, 100})
 			k := key(a1, kindRecording, "PR")
 			entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -402,7 +477,7 @@ func TestArtifactStore(t *testing.T) {
 				v, err := get(context.Background(), f.a, k, func() (int, charge, error) {
 					close(entered)
 					<-gate
-					return 9, charge{fileBytes: 5, traceBytes: 5, release: f.counting(k)}, nil
+					return 9, charge{bytes: 5, release: f.counting(k)}, nil
 				})
 				if v != 9 || err != nil {
 					t.Errorf("the evicted flight's own caller got %d, %v", v, err)
@@ -415,7 +490,7 @@ func TestArtifactStore(t *testing.T) {
 			if f.a.ready(k) || f.releases(k) != 1 {
 				t.Fatalf("ready=%v releases=%d, want gone and released once", f.a.ready(k), f.releases(k))
 			}
-			f.wantTotals(fileEntryOverhead, 0)
+			f.wantTotal(fileEntryOverhead)
 		}},
 	}
 	for _, tc := range cases {
@@ -473,11 +548,11 @@ func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
 	}
 }
 
-// TestSessionFileBudgetAccountingExact: what a file-backed dataset is
-// charged is exactly what the session still holds for it. A recording's
-// resident bytes used to be added to the file total when recorded but
-// never subtracted when the TRACE budget evicted it, so the total grew
-// by one recording per re-record until the dataset was evicted early.
+// TestSessionFileBudgetAccountingExact: the session's one total is
+// exactly what its live entries are charged, through evictions. A file
+// dataset's recordings used to be charged to two totals and subtracted
+// from only one when evicted, so a total grew by one recording per
+// re-record until the dataset was evicted early.
 // Not parallel: it reads the process-wide trace memory gauge's inputs.
 func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	lj, err := graph.DatasetByName("lj")
@@ -493,18 +568,9 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ScaledConfig(64)
-	cfg.TraceBytesBudget = 1 // every new recording evicts the previous one
+	cfg.CacheBytesBudget = 1 // every new recording evicts the previous one
 	s := NewSession(cfg)
 	defer s.art.releaseAll()
-	record := func(app string) {
-		t.Helper()
-		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
-			t.Fatal(err)
-		}
-		if n := s.art.count(kindRecording); n != 1 {
-			t.Fatalf("%d recordings cached after recording %s, want 1", n, app)
-		}
-	}
 	base, err := s.Workload(path, "Identity", false)
 	if err != nil {
 		t.Fatal(err)
@@ -514,23 +580,35 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs := base.Graph.Footprint() + dbg.Graph.Footprint()
-	// Nothing spills at this scale, so the one cached recording's
-	// resident bytes are the whole trace total.
-	want := func() int64 { return graphs + s.TraceBytesRetained() + fileEntryOverhead }
-
+	// record caches app's recording, evicting the previous one (the
+	// requested file's graphs stay), and checks the total three ways.
+	record := func(app string) int64 {
+		t.Helper()
+		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.art.count(kindRecording); n != 1 {
+			t.Fatalf("%d recordings cached after recording %s, want 1", n, app)
+		}
+		var rec int64
+		if err := s.WithRecording(context.Background(), path, "DBG", app, apps.LayoutMerged,
+			func(tr *trace.Trace, _ [][2]uint64) error {
+				rec = tr.SizeBytes()
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		got, live := s.CacheBytesRetained(), s.art.liveCharges()
+		if want := graphs + rec + fileEntryOverhead; got != want || live != want {
+			t.Fatalf("after %s: CacheBytesRetained = %d, live charges = %d, want graphs + %s's recording + overhead = %d",
+				app, got, live, app, want)
+		}
+		return got
+	}
 	record("PR")
-	record("BFS") // evicts PR's recording
-	afterB := s.FileBytesRetained()
-	if afterB != want() {
-		t.Fatalf("FileBytesRetained = %d, want graphs + BFS's resident bytes + overhead = %d (an evicted recording is still charged)",
-			afterB, want())
-	}
-	record("PR") // evicts BFS's
-	if got := s.FileBytesRetained(); got != want() {
-		t.Fatalf("after PR re-recorded: FileBytesRetained = %d, want %d", got, want())
-	}
-	record("BFS")
-	if got := s.FileBytesRetained(); got != afterB {
+	afterB := record("BFS") // evicts PR's recording
+	record("PR")            // evicts BFS's
+	if got := record("BFS"); got != afterB {
 		t.Fatalf("same cached set, different total: %d then %d (accounting drifts)", afterB, got)
 	}
 }

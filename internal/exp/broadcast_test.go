@@ -90,13 +90,13 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 }
 
 // TestSessionTraceBudgetEvictsLRU: cached recordings are bounded by
-// Config.TraceBytesBudget — recording a second group under a tiny budget
+// Config.CacheBytesBudget — recording a second group under a tiny budget
 // evicts AND releases the least-recently-used recording (reclaiming its
 // resident bytes eagerly), while the newest recording stays cached; the
 // evicted group transparently re-records on next use.
 func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	cfg := ScaledConfig(64)
-	cfg.TraceBytesBudget = 1 // every newcomer evicts the previous recording
+	cfg.CacheBytesBudget = 1 // every newcomer evicts the previous recording
 	s := NewSession(cfg)
 	inUse0 := trace.MemoryInUse()
 
@@ -107,9 +107,9 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	if !fullRecordingReady(s, "lj", "PR") {
 		t.Fatal("group A recording not cached after its batch")
 	}
-	bytesA := s.TraceBytesRetained()
+	bytesA := s.CacheBytesRetained()
 	if bytesA <= 0 {
-		t.Fatal("recording not charged to the trace budget")
+		t.Fatal("recording not charged to the budget")
 	}
 
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"BFS"}, []string{"GRASP"})); err != nil {
@@ -126,9 +126,9 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	}
 	// Eviction must have Released A: its resident bytes are back in the
 	// process budget (B's are still charged).
-	if got := trace.MemoryInUse() - inUse0; got != s.TraceBytesRetained() {
+	if got := trace.MemoryInUse() - inUse0; got != s.CacheBytesRetained() {
 		t.Fatalf("process resident bytes grew by %d, want exactly the retained %d (eviction did not release)",
-			got, s.TraceBytesRetained())
+			got, s.CacheBytesRetained())
 	}
 	// The evicted group still serves correctly (re-records on demand).
 	if _, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "LRU"); err != nil {
@@ -137,8 +137,8 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 }
 
 // TestConcurrentBroadcastEvictionHammer races >= 4-policy broadcast
-// replays against continuous recording eviction (a one-byte trace budget
-// evicts on every new recording) and session cache churn from concurrent
+// replays against continuous recording eviction (a one-byte budget evicts
+// on every new recording) and session cache churn from concurrent
 // Result calls across several groups. Every result must come out
 // identical to the execution-driven reference: the pin/release protocol
 // means an eviction can reclaim a trace mid-batch only after its replays
@@ -157,7 +157,7 @@ func TestConcurrentBroadcastEvictionHammer(t *testing.T) {
 	}
 
 	cfg := ScaledConfig(64)
-	cfg.TraceBytesBudget = 1
+	cfg.CacheBytesBudget = 1
 	s := NewSession(cfg)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)

@@ -35,7 +35,7 @@ func hammerPoints() []Datapoint {
 func optPrefixLen(s *Session, dsName, app string) (int, error) {
 	var n int
 	g := group(s.dataset(dsName), "DBG", app, apps.LayoutMerged)
-	err := s.withRecordings(context.Background(), true, []artifactKey{g}, func(recs []recording) error {
+	err := s.withRecordings(context.Background(), []artifactKey{g}, func(recs []recording) error {
 		accs, err := recs[0].tr.Accesses(optTraceCap)
 		n = len(accs)
 		return err

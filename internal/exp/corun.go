@@ -142,7 +142,7 @@ func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []strin
 		}
 	}
 	var out []sim.CorunResult
-	err := s.withRecordings(ctx, false, m.groups, func(recs []recording) (err error) {
+	err := s.withRecordings(ctx, m.groups, func(recs []recording) (err error) {
 		streams := make([]sim.CorunStream, len(m.apps))
 		for i, gi := range m.stream {
 			streams[i] = sim.CorunStream{App: m.apps[i], Layout: m.layout, Weight: m.weights[i],

@@ -263,7 +263,7 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 }
 
 // TestCorunEvictionCannotReleasePinnedRecordings races per-mix fan-outs against
-// continuous recording eviction: under a one-byte trace budget every new
+// continuous recording eviction: under a one-byte budget every new
 // recording evicts (and Releases) the others, including the ones a
 // fan-out in flight is merging. The fan-out pins its mix's recordings for
 // the whole fan-out, so every result must equal an unpressured session's.
@@ -275,7 +275,7 @@ func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 
 	baseline := NewSession(ScaledConfig(64))
 	cfg := ScaledConfig(64)
-	cfg.TraceBytesBudget = 1
+	cfg.CacheBytesBudget = 1
 	s := NewSession(cfg)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)

@@ -40,36 +40,26 @@ type Config struct {
 	// to ScaleDiv (the LLC shrinks with the datasets to preserve the
 	// footprint-to-capacity ratio).
 	HCfg cache.HierarchyConfig
-	// FileBytesBudget caps the approximate bytes of parsed graphs and
-	// recorded traces the session retains for file-backed datasets; the
-	// least-recently-requested file's entries are evicted when the total
-	// exceeds it, so a long-lived daemon fed arbitrary distinct paths
-	// cannot grow without bound (DESIGN.md Sec. 10). Synthetic datasets
-	// are a small fixed set and are never evicted. 0 selects
-	// DefaultFileBytesBudget; negative disables the cap.
-	FileBytesBudget int64
-	// TraceBytesBudget caps the total encoded bytes (resident + spilled)
-	// of the recordings the session keeps cached, across ALL datasets:
-	// the trace memory budget (trace.SetMemoryBudget) only bounds RAM —
-	// the overflow spills to temp files that persist while their traces
-	// stay cached, so a daemon sweeping many full-scale multi-policy
-	// groups would otherwise accumulate unbounded temp disk. When the
-	// total exceeds the budget the least-recently-used recordings are
-	// evicted and Released (their spill space reclaimed immediately;
-	// in-flight replays are protected by trace pinning — DESIGN.md
-	// Sec. 11). 0 selects DefaultTraceBytesBudget; negative disables.
-	TraceBytesBudget int64
+	// CacheBytesBudget caps the bytes the session retains for what it can
+	// recompute: every recording's encoded bytes (resident + spilled — the
+	// trace package's RAM budget, trace.SetMemoryBudget, spills the
+	// overflow to temp files that persist while their traces stay cached),
+	// every parsed or reordered graph of a file-backed dataset, and a
+	// nominal 64 KiB per known file path. Past it the least recent
+	// recording, or the least recently requested file dataset whole, is
+	// evicted and Released, so a long-lived daemon fed arbitrary groups
+	// and distinct paths grows neither RAM nor temp disk without bound
+	// (DESIGN.md Sec. 10; in-flight replays are protected by trace
+	// pinning, Sec. 11). Synthetic graphs are a small fixed set and are
+	// never charged. 0 selects DefaultCacheBytesBudget; negative disables
+	// the cap.
+	CacheBytesBudget int64
 }
 
-// DefaultFileBytesBudget is the per-session retained-bytes cap for
-// file-backed datasets when Config.FileBytesBudget is zero (2 GiB).
-const DefaultFileBytesBudget = int64(2) << 30
-
-// DefaultTraceBytesBudget is the per-session cap on cached recordings'
-// encoded bytes when Config.TraceBytesBudget is zero (16 GiB): generous
-// enough that a bench-scale sweep never evicts, small enough that
-// full-scale spill files cannot fill a typical temp filesystem.
-const DefaultTraceBytesBudget = int64(16) << 30
+// DefaultCacheBytesBudget is the per-session cap when
+// Config.CacheBytesBudget is zero (4 GiB): a full -exp all sweep at scale
+// 1 keeps 3.44 GB of recordings, so no paper sweep evicts.
+const DefaultCacheBytesBudget = int64(4) << 30
 
 // DefaultConfig returns the full reproduction scale.
 func DefaultConfig() Config {
@@ -139,13 +129,10 @@ type recording struct {
 
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
-	if cfg.FileBytesBudget == 0 {
-		cfg.FileBytesBudget = DefaultFileBytesBudget
+	if cfg.CacheBytesBudget == 0 {
+		cfg.CacheBytesBudget = DefaultCacheBytesBudget
 	}
-	if cfg.TraceBytesBudget == 0 {
-		cfg.TraceBytesBudget = DefaultTraceBytesBudget
-	}
-	return &Session{Cfg: cfg, art: newArtifacts(cfg.FileBytesBudget, cfg.TraceBytesBudget)}
+	return &Session{Cfg: cfg, art: newArtifacts(cfg.CacheBytesBudget)}
 }
 
 // SimRuns returns the number of distinct result datapoints the session
@@ -183,19 +170,9 @@ func (s *Session) PhaseSeconds() map[string]float64 {
 	}
 }
 
-// TraceBytesRetained returns the total encoded bytes of the recordings
-// the session currently caches (observability and tests).
-func (s *Session) TraceBytesRetained() int64 {
-	_, n := s.art.retained()
-	return n
-}
-
-// FileBytesRetained returns the approximate bytes currently retained for
-// file-backed datasets (graspd's graph_bytes_retained gauge, and tests).
-func (s *Session) FileBytesRetained() int64 {
-	n, _ := s.art.retained()
-	return n
-}
+// CacheBytesRetained returns the bytes currently charged against the
+// session's budget (graspd's cache_bytes_retained gauge, and tests).
+func (s *Session) CacheBytesRetained() int64 { return s.art.retained() }
 
 // dataset opens a request's handle on dsName: the spec is resolved and,
 // if it names a graph file, stat'ed — once; everything the request then
@@ -237,24 +214,17 @@ func (p Datapoint) group(d dataset) artifactKey {
 }
 
 // recording returns the group's shared recording, executing the
-// application once behind the L1/L2 filter on first use. A full recording
-// backs result replays for any policy. capped asks only for the OPT
-// study's bounded prefix: the full recording when one is already cached —
-// its prefix is identical and decoding stops at the cap — otherwise a
-// capped one under its own key, which costs ~64MB where a full-scale full
-// trace runs to tens of GB and therefore never backs a full-result replay.
-func (s *Session) recording(ctx context.Context, g artifactKey, capped bool) (recording, error) {
-	k := g
-	if capped && !s.art.ready(g) {
-		k.n = optTraceCap
-	}
-	return get(ctx, s.art, k, func() (recording, charge, error) {
+// application once behind the L1/L2 filter on first use. The one recording
+// backs result replays for any policy and the OPT study, which decodes
+// only its first optTraceCap accesses; at scale 1 the largest is 39 MB.
+func (s *Session) recording(ctx context.Context, g artifactKey) (recording, error) {
+	return get(ctx, s.art, g, func() (recording, charge, error) {
 		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
 		if err != nil {
 			return recording{}, charge{}, err
 		}
 		start := time.Now()
-		tr, err := sim.RecordTraceNCtx(ctx, w, g.app, g.layout, s.Cfg.HCfg, int64(k.n))
+		tr, err := sim.RecordTraceNCtx(ctx, w, g.app, g.layout, s.Cfg.HCfg, 0)
 		s.phase.record.Add(int64(time.Since(start)))
 		if err != nil {
 			return recording{}, charge{}, err
@@ -265,7 +235,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey, capped bool) (re
 			return recording{}, charge{}, err
 		}
 		return recording{tr: tr, bounds: bounds},
-			charge{fileBytes: tr.ResidentBytes(), traceBytes: tr.SizeBytes(), release: tr.Release}, nil
+			charge{bytes: tr.SizeBytes(), release: tr.Release}, nil
 	})
 }
 
@@ -274,7 +244,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey, capped bool) (re
 // cannot reclaim a trace mid-replay. Losing a pin race (the recording was
 // evicted and released between lookup and pin) retries: the eviction also
 // removed the store entry, so the next lookup re-records.
-func (s *Session) withRecordings(ctx context.Context, capped bool, groups []artifactKey, fn func(recs []recording) error) error {
+func (s *Session) withRecordings(ctx context.Context, groups []artifactKey, fn func(recs []recording) error) error {
 	recs := make([]recording, 0, len(groups))
 	defer func() {
 		for _, rec := range recs {
@@ -283,7 +253,7 @@ func (s *Session) withRecordings(ctx context.Context, capped bool, groups []arti
 	}()
 	for _, g := range groups {
 		for {
-			rec, err := s.recording(ctx, g, capped)
+			rec, err := s.recording(ctx, g)
 			if err != nil {
 				return err
 			}
@@ -302,7 +272,7 @@ func (s *Session) withRecordings(ctx context.Context, capped bool, groups []arti
 func (s *Session) WithRecording(ctx context.Context, dsName, reorderName, app string, layout apps.Layout,
 	fn func(tr *trace.Trace, bounds [][2]uint64) error) error {
 	g := group(s.dataset(dsName), reorderName, app, layout)
-	return s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
+	return s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
 		return fn(recs[0].tr, recs[0].bounds)
 	})
 }
@@ -333,9 +303,9 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.W
 			return nil, charge{}, err
 		}
 		var c charge
-		if w.Graph != g {
+		if w.Graph != g && d.fileBacked() {
 			// Reordered copy; the shared base is charged by baseGraph.
-			c.fileBytes = w.Graph.Footprint()
+			c.bytes = w.Graph.Footprint()
 		}
 		return w, c, nil
 	})
@@ -354,7 +324,11 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 		if err != nil {
 			return nil, charge{}, err
 		}
-		return g, charge{fileBytes: g.Footprint()}, nil
+		var c charge
+		if d.fileBacked() {
+			c.bytes = g.Footprint()
+		}
+		return g, c, nil
 	})
 }
 
@@ -387,7 +361,7 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		for j, policy := range pick(policies, led) {
 			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
 		}
-		err = s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
+		err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
 			start := time.Now()
 			vs, err = simulate(w, recs[0], specs)
 			phase.Add(int64(time.Since(start)))
@@ -559,8 +533,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// and its replays run concurrently even inside one worker slot
 	// (DESIGN.md Sec. 12), and every OPT study cell declared on the group's
 	// trace in one more pass over the recording the unit holds pinned
-	// (optCells). A trace-only group records only the bounded prefix the
-	// OPT study needs.
+	// (optCells).
 	var units []artifactKey                // the groups, in batch order
 	byGroup := make(map[artifactKey][]int) // a group's points: indices into uniq, batch order
 	for i, g := range groups {
@@ -612,7 +585,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 				policies = append(policies, p.Policy)
 			}
 		}
-		return s.withRecordings(ctx, len(policies) == 0, []artifactKey{g}, func([]recording) error {
+		return s.withRecordings(ctx, []artifactKey{g}, func([]recording) error {
 			if _, err := s.results(ctx, g, policies); err != nil {
 				return err
 			}

@@ -47,7 +47,7 @@ func (s *Session) regionScaleResults(ctx context.Context, dsName string, scales 
 	}
 	out := make([]sim.Result, len(scales))
 	g := group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged)
-	err = s.withRecordings(ctx, false, []artifactKey{g}, func(recs []recording) error {
+	err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
 		llcs := make([]*cache.Cache, len(scales))
 		consumers := make([]func([]mem.Access), len(scales))
 		for i, scale := range scales {

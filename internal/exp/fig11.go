@@ -142,7 +142,7 @@ func (s *Session) optPass(ctx context.Context, rec recording, llcs []cache.Confi
 
 // optCells returns group g's study cells at every listed LLC geometry,
 // claimed at once: the cells this caller leads are computed in ONE pass
-// (optPass) over the pair's capped recording, and nothing is published
+// (optPass) over the pair's recording, and nothing is published
 // unless the whole pass succeeded.
 func (s *Session) optCells(ctx context.Context, g artifactKey, llcs []cache.Config) ([]optDatapoint, error) {
 	keys := make([]artifactKey, len(llcs))
@@ -150,7 +150,7 @@ func (s *Session) optCells(ctx context.Context, g artifactKey, llcs []cache.Conf
 		keys[i] = optKey(g, llc)
 	}
 	return getEach(ctx, s.art, keys, func(led []int) (cells []optDatapoint, _ []charge, err error) {
-		err = s.withRecordings(ctx, true, []artifactKey{g}, func(recs []recording) (err error) {
+		err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) (err error) {
 			cells, err = s.optPass(ctx, recs[0], pick(llcs, led))
 			return err
 		})

@@ -259,7 +259,7 @@ func TestLoneResultCancelPublishesNothing(t *testing.T) {
 			continue
 		}
 		inRecording++
-		if e, b := s.art.count(kindRecording), s.TraceBytesRetained(); e != 0 || b != 0 {
+		if e, b := s.art.count(kindRecording), s.CacheBytesRetained(); e != 0 || b != 0 {
 			t.Fatalf("poll %d: cancelled recording left %d entries, %d bytes retained", n, e, b)
 		}
 	}

@@ -48,8 +48,8 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 // or one ResultCtx call, with nothing to share the execution with — leaves
 // exactly one FULL recording behind, and the group's next policies replay
 // it instead of executing the application again. A declared trace alone
-// creates only a bounded-prefix recording, which must NOT back a result.
-// Every result equals the execution-driven reference.
+// records the same full recording, so a result that follows it replays
+// too. Every result equals the execution-driven reference.
 func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	t.Parallel()
 	cfg := ScaledConfig(64)
@@ -104,19 +104,18 @@ func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 		t.Fatalf("SimRuns = %d, want 4 (each datapoint simulated once, reads are hits)", got)
 	}
 
-	// A declared trace point on a trace-only group creates a capped
-	// recording: a bounded prefix cannot back a full result, so the lone
-	// policy that follows records the full stream beside it.
+	// A declared trace point on a trace-only group records the group's
+	// full recording, and the lone policy that follows replays it.
 	s2 := NewSession(cfg)
 	if err := s2.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true}}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s2, 1, "a trace point (capped)")
-	if fullRecordingReady(s2, "lj", "PR") {
-		t.Fatal("capped recording must not pass for the full one")
+	wantRecordings(s2, 1, "a trace point")
+	if !fullRecordingReady(s2, "lj", "PR") {
+		t.Fatal("a trace point did not leave the FULL recording")
 	}
 	checkAgainstRun(s2, "lj", "LRU")
-	wantRecordings(s2, 2, "a lone policy beside a capped recording (capped + full)")
+	wantRecordings(s2, 1, "a lone policy after a trace point")
 
 	// A declared trace plus a lone policy in ONE batch shares a single
 	// full recording (the trace is one more consumer of the execution).
@@ -153,7 +152,7 @@ func TestSessionFileBudgetEvictsLRU(t *testing.T) {
 	pathB := writeGraph("b.el", graph.GenCycle(48))
 
 	cfg := ScaledConfig(16)
-	cfg.FileBytesBudget = 1 // every newcomer evicts the previous file
+	cfg.CacheBytesBudget = 1 // every newcomer evicts the previous file
 	s := NewSession(cfg)
 
 	wA, err := s.Workload(pathA, "DBG", false)

@@ -209,8 +209,7 @@ type Manager struct {
 
 	mu             sync.Mutex
 	sessions       map[uint32]*exp.Session // one simulation session per scale divisor
-	sessionBudget  int64                   // FileBytesBudget for future sessions; 0 = exp default
-	traceBudget    int64                   // TraceBytesBudget for future sessions; 0 = exp default
+	sessionBudget  int64                   // CacheBytesBudget for future sessions; 0 = exp default
 	defaultTimeout time.Duration           // deadline for jobs with no TimeoutS; 0 = none
 	queueLimit     int                     // max queued jobs before Submit sheds; 0 = unbounded
 	journal        *Journal                // crash-recovery log; nil = no journaling
@@ -485,35 +484,23 @@ func (m *Manager) nextID() string {
 	return fmt.Sprintf("j%06d", m.idSeq.Add(1))
 }
 
-// SetSessionFileBudget overrides the per-session retained-bytes cap for
-// file-backed graphs (exp.Config.FileBytesBudget) applied to sessions
-// created afterwards; n = 0 keeps the exp default, negative disables the
-// cap. Set it before serving traffic — existing sessions keep the budget
-// they were created with. The cap does not enter job hashes (it changes
-// memory management, never simulated results).
-func (m *Manager) SetSessionFileBudget(n int64) {
+// SetSessionCacheBudget overrides the per-session cap on retained
+// recordings and file-backed graphs (exp.Config.CacheBytesBudget) applied
+// to sessions created afterwards; n = 0 keeps the exp default, negative
+// disables the cap. Set it before serving traffic — existing sessions
+// keep the budget they were created with. The cap does not enter job
+// hashes (it changes memory management, never simulated results).
+func (m *Manager) SetSessionCacheBudget(n int64) {
 	m.mu.Lock()
 	m.sessionBudget = n
-	m.mu.Unlock()
-}
-
-// SetSessionTraceBudget overrides the per-session cap on cached
-// recordings' encoded bytes (exp.Config.TraceBytesBudget) applied to
-// sessions created afterwards; n = 0 keeps the exp default, negative
-// disables the cap. Bounding cached recordings bounds the temp-disk spill
-// files a long-lived daemon can accumulate (DESIGN.md Sec. 11). Like the
-// file budget, it never enters job hashes.
-func (m *Manager) SetSessionTraceBudget(n int64) {
-	m.mu.Lock()
-	m.traceBudget = n
 	m.mu.Unlock()
 }
 
 // sessionFor returns the simulation session for one scale divisor,
 // creating it on first use. Sessions persist for the manager's lifetime,
 // so every job at a given scale shares workloads, results and traces;
-// what file-backed graphs pin is bounded per session by the file-bytes
-// budget (see SetSessionFileBudget).
+// what recordings and file-backed graphs pin is bounded per session by the
+// cache budget (see SetSessionCacheBudget).
 func (m *Manager) sessionFor(scale uint32) *exp.Session {
 	if scale == 0 {
 		scale = 1
@@ -523,8 +510,7 @@ func (m *Manager) sessionFor(scale uint32) *exp.Session {
 	s, ok := m.sessions[scale]
 	if !ok {
 		cfg := configForScale(scale)
-		cfg.FileBytesBudget = m.sessionBudget
-		cfg.TraceBytesBudget = m.traceBudget
+		cfg.CacheBytesBudget = m.sessionBudget
 		s = exp.NewSession(cfg)
 		m.sessions[scale] = s
 	}
@@ -955,7 +941,7 @@ type Metrics struct {
 	// BroadcastConsumers the total replays they served (trace-engine
 	// counters: every full-fidelity replay is a fan-out, so a lone
 	// policy's replay counts as one with one consumer, and the OPT study's
-	// capped-prefix fan-outs count too). Together with SimRuns these
+	// bounded-prefix fan-outs count too). Together with SimRuns these
 	// expose whether multi-policy sweeps are actually riding the broadcast
 	// decoder.
 	BroadcastGroups, BroadcastReplays, BroadcastConsumers uint64
@@ -964,27 +950,24 @@ type Metrics struct {
 	// delivered (DESIGN.md Sec. 14). Exposes whether the sampled tier is
 	// actually dodging decode work in production, not only in BENCH files.
 	Skip trace.SkipReport
-	// TraceBytesRetained is the total encoded bytes of recordings cached
-	// across all sessions (bounded per session by the trace budget).
-	TraceBytesRetained int64
-	// GraphBytesRetained is the total bytes retained for file-backed graphs
-	// across all sessions (bounded per session by the file budget): non-zero
-	// while file graphs are being reused across requests, not re-ingested.
-	GraphBytesRetained int64
+	// CacheBytesRetained is the total bytes of recordings and file-backed
+	// graphs retained across all sessions (bounded per session by the
+	// cache budget): non-zero while they are being reused across requests,
+	// not recomputed.
+	CacheBytesRetained int64
 }
 
 // Metrics returns a snapshot of the manager's counters.
 func (m *Manager) Metrics() Metrics {
 	var simRuns, sampledRuns, corunRuns, broadcastGroups uint64
-	var traceBytes, graphBytes int64
+	var cacheBytes int64
 	m.mu.Lock()
 	for _, s := range m.sessions {
 		simRuns += s.SimRuns()
 		sampledRuns += s.SampledRuns()
 		corunRuns += s.CorunRuns()
 		broadcastGroups += s.Broadcasts()
-		traceBytes += s.TraceBytesRetained()
-		graphBytes += s.FileBytesRetained()
+		cacheBytes += s.CacheBytesRetained()
 	}
 	m.mu.Unlock()
 	broadcastReplays, broadcastConsumers := trace.BroadcastStats()
@@ -993,8 +976,7 @@ func (m *Manager) Metrics() Metrics {
 		BroadcastReplays:   broadcastReplays,
 		BroadcastConsumers: broadcastConsumers,
 		Skip:               trace.SkipStats(),
-		TraceBytesRetained: traceBytes,
-		GraphBytesRetained: graphBytes,
+		CacheBytesRetained: cacheBytes,
 		Submitted:          m.submitted.Load(),
 		Executed:           m.executed.Load(),
 		Completed:          m.completed.Load(),

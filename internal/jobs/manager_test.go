@@ -251,9 +251,9 @@ func TestEditedFileGraphReSimulates(t *testing.T) {
 	if st := j1.Status(); st.State != StateDone {
 		t.Fatalf("first job failed: %s", st.Error)
 	}
-	retained := m.Metrics().GraphBytesRetained
+	retained := m.Metrics().CacheBytesRetained
 	if retained <= 0 {
-		t.Errorf("GraphBytesRetained = %d after a file-graph job, want the session's retained graphs", retained)
+		t.Errorf("CacheBytesRetained = %d after a file-graph job, want the session's retained graphs and recording", retained)
 	}
 
 	// Replace the file with a 4x larger graph; the future mtime defeats

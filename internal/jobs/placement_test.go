@@ -246,7 +246,7 @@ func TestPlacedRunPreemptedMidSimulation(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrDraining) {
 		t.Fatalf("preempted run returned %v, want ErrDraining", err)
 	}
-	if mt := m.Metrics(); mt.SimRuns != 0 || mt.TraceBytesRetained != 0 {
-		t.Errorf("preempted run published: %d sim runs, %d trace bytes retained", mt.SimRuns, mt.TraceBytesRetained)
+	if mt := m.Metrics(); mt.SimRuns != 0 || mt.CacheBytesRetained != 0 {
+		t.Errorf("preempted run published: %d sim runs, %d cache bytes retained", mt.SimRuns, mt.CacheBytesRetained)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"grasp/internal/apps"
+	"grasp/internal/cache"
 	"grasp/internal/exp"
 	"grasp/internal/graph"
 	"grasp/internal/reorder"
@@ -102,6 +103,13 @@ type Spec struct {
 func (s *Spec) Canonicalize() error {
 	if s.Scale == 0 {
 		s.Scale = 1
+	}
+	// A divisor that is not a power of two below the clamp (3, 5, 6, 12,
+	// 24, ...) shrinks some level to a size no cache can index; building
+	// the hierarchy is the cache package's own geometry check, run before
+	// any graph is generated or any session is made for the scale.
+	if _, err := cache.NewHierarchy(configForScale(s.Scale).HCfg, nil, nil); err != nil {
+		return fmt.Errorf("jobs: scale %d: %w", s.Scale, err)
 	}
 	if s.TimeoutS < 0 {
 		return fmt.Errorf("jobs: negative timeout_s %g", s.TimeoutS)

@@ -120,10 +120,26 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"unknown reorder":     {Kind: KindSingle, Graph: "lj", Reorder: "Shuffle"},
 		"experiment unknown":  {Kind: KindExperiment, Exp: "fig99"},
 		"experiment w/ graph": {Kind: KindExperiment, Exp: "fig2", Graph: "lj"},
+		"scale 3":             {Kind: KindSingle, Graph: "lj", Scale: 3},
+		"scale 5":             {Kind: KindSingle, Graph: "lj", Scale: 5},
+		"scale 6":             {Kind: KindSingle, Graph: "lj", Scale: 6},
+		"scale 12":            {Kind: KindSingle, Graph: "lj", Scale: 12},
+		"scale 24":            {Kind: KindSingle, Graph: "lj", Scale: 24},
+		"scale 31":            {Kind: KindSingle, Graph: "lj", Scale: 31},
+		"experiment scale 3":  {Kind: KindExperiment, Exp: "fig2", Scale: 3},
 	}
 	for name, s := range bad {
 		if err := s.Canonicalize(); err == nil {
 			t.Errorf("%s: Canonicalize accepted %+v", name, s)
+		}
+	}
+	// Every power of two, and every divisor from 32 up, where each level
+	// clamps to its two-set minimum (specOwnedBy scans 200-9999), stays
+	// valid.
+	for _, scale := range []uint32{0, 1, 2, 4, 8, 16, 32, 33, 48, 64, 100, 128, 200, 201, 999, 1024, 9999} {
+		s := Spec{Kind: KindSingle, Graph: "lj", Scale: scale}
+		if err := s.Canonicalize(); err != nil {
+			t.Errorf("scale %d: %v", scale, err)
 		}
 	}
 	// Hash must also refuse unresolvable graphs (checked at hash time, not

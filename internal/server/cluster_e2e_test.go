@@ -595,9 +595,9 @@ func TestClusterPlacement(t *testing.T) {
 		var executed, placed, served uint64
 		for _, nd := range tc.nodes {
 			m := nd.mgr.Metrics()
-			if simulated := sims(nd) > 0; simulated != (nd.id == home) || simulated != (m.TraceBytesRetained > 0) {
-				t.Errorf("%s: %d simulations, %d trace bytes retained; the workload lives on %s",
-					nd.id, sims(nd), m.TraceBytesRetained, home)
+			if simulated := sims(nd) > 0; simulated != (nd.id == home) || simulated != (m.CacheBytesRetained > 0) {
+				t.Errorf("%s: %d simulations, %d cache bytes retained; the workload lives on %s",
+					nd.id, sims(nd), m.CacheBytesRetained, home)
 			}
 			executed += m.Executed
 			placed += nd.srv.placed.Load()
@@ -763,8 +763,8 @@ func TestClusterPlacement(t *testing.T) {
 		}
 		<-finished
 		for _, nd := range []*clusterNode{owner, simNode} {
-			if m := nd.mgr.Metrics(); sims(nd) != 0 || m.TraceBytesRetained != 0 {
-				t.Errorf("%s published after the cancel: %d simulations, %d trace bytes retained", nd.id, sims(nd), m.TraceBytesRetained)
+			if m := nd.mgr.Metrics(); sims(nd) != 0 || m.CacheBytesRetained != 0 {
+				t.Errorf("%s published after the cancel: %d simulations, %d cache bytes retained", nd.id, sims(nd), m.CacheBytesRetained)
 			}
 		}
 		if got := owner.srv.placeFallbacks.Load(); got != 0 {

@@ -224,11 +224,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"graspd_sim_runs_total 1",
 		"graspd_stored_outcomes 1",
 		"graspd_workers 1",
-		"graspd_graph_bytes_retained 0", // a synthetic dataset is not a file graph
+		"graspd_cache_bytes_retained ", // the job's recording stays cached for the group's next policy
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("metrics missing %q:\n%s", metric, body)
 		}
+	}
+	if strings.Contains(string(body), "graspd_cache_bytes_retained 0\n") {
+		t.Errorf("graspd_cache_bytes_retained is 0 after a simulated job:\n%s", body)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

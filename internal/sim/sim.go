@@ -266,9 +266,8 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 // limit caps the encoding: at most limit LLC-bound accesses are stored
 // (limit <= 0: all); the L1/L2 filter still runs over the whole execution,
 // so the stored prefix is exactly the first limit accesses of an unlimited
-// recording. Capped traces serve bounded-prefix consumers like the OPT
-// study without holding (or spilling) the full stream; they must NOT back
-// full-result replays.
+// recording. Capped traces serve bounded-prefix consumers without holding
+// (or spilling) the full stream; they must NOT back full-result replays.
 //
 // Cancellation is cooperative: the recorder polls the context as it
 // encodes and unwinds the application with the abort sentinel once it is

@@ -269,8 +269,8 @@ func (r *Recorder) pollCtx() {
 // SetLimit caps how many accesses the recorder encodes; the rest of the
 // stream still runs the L1/L2 filter (keeping the recorded prefix exactly
 // what an unlimited recording would start with) but is not stored. A
-// capped trace is a PREFIX: sufficient for bounded-prefix consumers (the
-// OPT study), not for full-result replays. n <= 0 means unlimited.
+// capped trace is a PREFIX: sufficient for bounded-prefix consumers, not
+// for full-result replays. n <= 0 means unlimited.
 func (r *Recorder) SetLimit(n int64) { r.limit = n }
 
 // Access implements mem.Sink: the access runs the L1/L2 filter and, if
