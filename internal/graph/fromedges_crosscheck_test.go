@@ -13,12 +13,27 @@ import (
 // array must be identical, on the generated datasets with their edges
 // shuffled, on degenerate inputs and under fuzzing. For weighted input the
 // reference is also the spec of the tie order among parallel edges of
-// different weight, which SSSP's golden output depends on.
+// different weight, which SSSP's golden output depends on; its weighted
+// sort, kept as sortAdjacencyReference, is also cross-checked alone.
 
 // fromEdgesReference scatters every edge into both views in input order,
-// then sorts each neighbor list: slices.Sort when unweighted, an index
-// sort.Slice carrying the weights along when weighted.
+// then sorts each neighbor list: slices.Sort when unweighted,
+// sortAdjacencyReference when weighted.
 func fromEdgesReference(n uint32, edges []Edge, weighted bool) *CSR {
+	g := scatterEdges(n, edges, weighted)
+	if weighted {
+		sortAdjacencyReference(g)
+		return g
+	}
+	for v := uint32(0); v < n; v++ {
+		slices.Sort(g.OutNeighbors(v))
+		slices.Sort(g.InNeighbors(v))
+	}
+	return g
+}
+
+// scatterEdges builds both views with every list in input order.
+func scatterEdges(n uint32, edges []Edge, weighted bool) *CSR {
 	g := &CSR{n: n, m: uint64(len(edges))}
 	g.OutIndex = make([]uint64, n+1)
 	g.InIndex = make([]uint64, n+1)
@@ -50,17 +65,21 @@ func fromEdgesReference(n uint32, edges []Edge, weighted bool) *CSR {
 		outPos[e.Src]++
 		inPos[e.Dst]++
 	}
+	return g
+}
+
+// sortAdjacencyReference is CSR.sortAdjacency as it was before it sorted
+// (neighbor, weight) pairs in one reused slice: per list, it allocates an
+// index permutation, sorts it by neighbor with sort.Slice and gathers both
+// arrays through it.
+func sortAdjacencyReference(g *CSR) {
 	sortSide := func(index []uint64, edges []VertexID, weights []int32) {
-		for v := uint32(0); v < n; v++ {
+		for v := uint32(0); v < g.n; v++ {
 			lo, hi := index[v], index[v+1]
 			if hi-lo < 2 {
 				continue
 			}
 			nb := edges[lo:hi]
-			if weights == nil {
-				slices.Sort(nb)
-				continue
-			}
 			w := weights[lo:hi]
 			idx := make([]int, len(nb))
 			for i := range idx {
@@ -79,7 +98,6 @@ func fromEdgesReference(n uint32, edges []Edge, weighted bool) *CSR {
 	}
 	sortSide(g.OutIndex, g.OutEdges, g.OutWeights)
 	sortSide(g.InIndex, g.InEdges, g.InWeights)
-	return g
 }
 
 // diffCSR names the first array on which got and want differ, or returns
@@ -187,6 +205,45 @@ func TestFromEdgesCrossCheckDegenerate(t *testing.T) {
 		for _, weighted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%d/weighted=%v", i, weighted), func(t *testing.T) {
 				crossCheckFromEdges(t, c.n, c.edges, weighted)
+			})
+		}
+	}
+}
+
+// crossCheckSortAdjacency requires sortAdjacency to leave exactly the
+// reference's arrays on the weighted lists scattered from edges.
+func crossCheckSortAdjacency(t *testing.T, n uint32, edges []Edge) {
+	t.Helper()
+	got := scatterEdges(n, edges, true)
+	want := scatterEdges(n, edges, true)
+	got.sortAdjacency()
+	sortAdjacencyReference(want)
+	if d := diffCSR(got, want); d != "" {
+		t.Fatalf("sortAdjacency(n=%d, m=%d) != reference: %s", n, len(edges), d)
+	}
+}
+
+// TestSortAdjacencyCrossCheck runs the weighted sort against the
+// reference on random multigraphs whose lists are long runs of parallel
+// edges, every edge with its own weight, so any change in the order left
+// among ties shows; and on every dataset, weighted, at scales 64 and 16
+// with the edges shuffled.
+func TestSortAdjacencyCrossCheck(t *testing.T) {
+	for _, c := range []struct{ n, m uint32 }{{1, 2000}, {2, 300}, {3, 5000}, {16, 700}, {64, 20000}, {1000, 3000}} {
+		t.Run(fmt.Sprintf("multigraph/n=%d/m=%d", c.n, c.m), func(t *testing.T) {
+			r := NewRNG(uint64(c.n)<<32 | uint64(c.m))
+			edges := make([]Edge, c.m)
+			for i := range edges {
+				edges[i] = Edge{Src: r.Uint32n(c.n), Dst: r.Uint32n(c.n), Weight: int32(i)}
+			}
+			crossCheckSortAdjacency(t, c.n, edges)
+		})
+	}
+	for _, d := range Datasets() {
+		for _, scale := range []uint32{64, 16} {
+			t.Run(fmt.Sprintf("%s@%d", d.Name, scale), func(t *testing.T) {
+				g := d.Generate(true, scale)
+				crossCheckSortAdjacency(t, g.NumVertices(), shuffledEdges(g, uint64(scale)))
 			})
 		}
 	}

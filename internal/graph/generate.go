@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Generators for synthetic datasets. The paper evaluates on real graphs
@@ -108,53 +109,199 @@ func GenRMATDefault(scale uint, edgeFactor float64, seed uint64, weighted bool) 
 // paper's observation (Table I) that hot-vertex percentages are similar for
 // in- and out-edges on natural graphs.
 func GenZipf(n uint32, avgDegree, alpha float64, seed uint64, weighted bool) *CSR {
-	r := NewRNG(seed)
-	m := uint64(float64(n) * avgDegree)
-	z := newZipfSampler(n, alpha, r)
-	// Random relabeling so hot vertices are scattered across the ID space
-	// (lack of spatial locality, Sec. II-D challenge 1).
-	perm := r.Perm(int(n))
-	edges := make([]Edge, 0, m)
-	for i := uint64(0); i < m; i++ {
-		e := Edge{Src: perm[z.sample(r)], Dst: perm[z.sample(r)]}
-		if weighted {
-			e.Weight = int32(1 + r.Uint32n(maxWeight))
-		}
-		edges = append(edges, e)
-	}
-	g, err := FromEdges(n, edges, weighted)
+	g, err := FromEdges(n, zipfEdges(n, avgDegree, alpha, seed, weighted), weighted)
 	if err != nil {
 		panic(err)
 	}
 	return g
 }
 
-// zipfSampler draws from P(k) ∝ 1/(k+1)^alpha for k in [0,n) by inverting
-// an approximate CDF. The approximation uses the continuous integral of the
-// density, which is standard for large n and exact enough for generating
-// degree skew (we only need the distribution shape, not exact tail mass).
-type zipfSampler struct {
-	n     uint32
-	alpha float64
-	// For alpha != 1: CDF^{-1}(u) = ((H*u*(1-alpha)+1)^(1/(1-alpha)) - 1)
-	// where H = ((n+1)^(1-alpha) - 1)/(1-alpha).
-	h        float64
-	oneMinus float64
+// zipfEdges draws GenZipf's edge list.
+func zipfEdges(n uint32, avgDegree, alpha float64, seed uint64, weighted bool) []Edge {
+	r := NewRNG(seed)
+	m := uint64(float64(n) * avgDegree)
+	z := NewZipfSampler(n, alpha)
+	// Random relabeling so hot vertices are scattered across the ID space
+	// (lack of spatial locality, Sec. II-D challenge 1).
+	perm := r.Perm(int(n))
+	edges := make([]Edge, 0, m)
+	for i := uint64(0); i < m; i++ {
+		e := Edge{Src: perm[z.Sample(r)], Dst: perm[z.Sample(r)]}
+		if weighted {
+			e.Weight = int32(1 + r.Uint32n(maxWeight))
+		}
+		edges = append(edges, e)
+	}
+	return edges
 }
 
-func newZipfSampler(n uint32, alpha float64, _ *RNG) *zipfSampler {
-	z := &zipfSampler{n: n, alpha: alpha}
+// ZipfSampler draws k in [0, n) from the continuous Zipf model: k is the
+// floor of the inverse of the CDF of the density 1/(x+1)^alpha on [0, n],
+//
+//	x(u) = (u·h·(1-alpha) + 1)^(1/(1-alpha)) - 1,  h = ((n+1)^(1-alpha) - 1)/(1-alpha)
+//
+// (x(u) = e^(u·h) - 1 with h = ln(n+1) when alpha = 1), evaluated in
+// float64 at u = RNG.Float64() and clamped to n-1. That evaluation, eval,
+// is the definition: every generated graph's bits depend on it.
+//
+// Sample reaches the same k without math.Pow for all but a few draws per
+// million. u lives on the 2^-53 grid, so a draw is a grid index i, and k
+// changes only where x(u) crosses an integer: at u = τ_k =
+// ((k+1)^(1-alpha) - 1)/(h·(1-alpha)) (ln(k+1)/h when alpha = 1). The
+// sampler tabulates those n-1 crossings as grid indices, with a bucket
+// index over i of between n and 2n buckets: a draw loads its bucket's k
+// and scans forward past the crossings below i, fewer than one on
+// average. A draw within guard grid steps of a tabulated crossing is
+// evaluated instead, which makes Sample equal eval for every u (see
+// guardBand).
+//
+// The table costs a Log and an Expm1 per crossing and at most 16 bytes
+// per vertex while the sampler lives, so it pays for itself once a
+// sampler draws more than about n/2 times. Parameters the error bound does
+// not cover (alpha outside [0, 2], n < 2), or for which the bands would
+// cover too much of [0, 1) (alpha within about 10^-5 of 1 at n = 2^17),
+// evaluate every draw.
+type ZipfSampler struct {
+	n        uint32
+	alpha    float64
+	h        float64
+	oneMinus float64
+
+	// cross[k] is the first grid index drawing k as tabulated, for
+	// 1 <= k < n; cross[0] = 0 and cross[n] = MaxUint64 bound the scan.
+	// Nil when every draw is evaluated.
+	cross []uint64
+	// bucket[b] is the tabulated k at grid index b<<shift.
+	bucket []uint32
+	shift  uint
+	guard  uint64
+}
+
+// zipfGrid is the number of points of RNG.Float64's grid.
+const zipfGrid = 1 << 53
+
+// zipfMargin is how many times guardBand's error bound each band is wide.
+const zipfMargin = 1024
+
+// NewZipfSampler returns a sampler over [0, n) with exponent alpha.
+func NewZipfSampler(n uint32, alpha float64) *ZipfSampler {
+	z := &ZipfSampler{n: n, alpha: alpha}
 	if alpha == 1 {
 		z.h = math.Log(float64(n) + 1)
 	} else {
 		z.oneMinus = 1 - alpha
 		z.h = (math.Pow(float64(n)+1, z.oneMinus) - 1) / z.oneMinus
 	}
+	if guard := z.guardBand(); guard > 0 {
+		z.buildTable(guard)
+	}
 	return z
 }
 
-func (z *zipfSampler) sample(r *RNG) uint32 {
-	u := r.Float64()
+// guardBand returns the half-width, in grid steps, of the band around each
+// tabulated crossing inside which Sample evaluates, or 0 when there should
+// be no table.
+//
+// Write c = 1-alpha, a = 1/|c| and b = u·h·c + 1, so x+1 = b^(1/c), and
+// count errors in units of 2^-53 ("ulps"). eval's k can differ from the
+// exact floor only where exact x is within eval's error of an integer,
+// and a tabulated crossing sits off the exact τ_k only by its own
+// rounding. In u, with slope = max(b)/h = 1/h + max(c, 0):
+//
+//   - b's rounding (u·h, ·c, +1) is at most 2^-53·(2|u·h·c| + b); b is
+//     affine in u, so that is u moved by at most 3(1+a)·slope ulps;
+//   - math.Pow(b, 1/c) errs by at most about 2a + |ln b| + 5 ulps relative
+//     (Exp(yf·Log(b)) for the fraction of the exponent, repeated squaring
+//     for its integer part), the exponent's own rounding adds ln(x+1),
+//     and the final -1 one more. A relative error ε in x+1 moves the step
+//     by ε·b/h in u, since dx/du = h·(x+1)^alpha and (x+1)^(1-alpha) = b;
+//   - a crossing Expm1(c·Log(k+1))/(h·c) errs by at most 2|c|·ln(k+1) + 5
+//     ulps of τ_k <= 1, plus one step rounding up to the grid.
+//
+// With |ln b|, |c|·ln(k+1) and ln(x+1) all at most ln(2^32) < 23 for alpha
+// in [0, 2], the sum is below bound = 64·(1+a)·slope + 64 steps: a few
+// hundred for every dataset (a <= 20 there), against crossings P(k)·2^53
+// > 10^9 steps apart; TestZipfCrossingsMatchReference measures under 20.
+// The band is zipfMargin·bound on each side; a draw falls in one with
+// probability about 2n·guard/2^53, under 10^-5 for every dataset. alpha
+// is limited to [0, 2] so that b stays above (n+1)^-1 >= 2^-32: no
+// underflow, and the bounds above hold.
+func (z *ZipfSampler) guardBand() uint64 {
+	if z.n < 2 || !(z.alpha >= 0 && z.alpha <= 2) {
+		return 0
+	}
+	amp, slope := 1.0, 1/z.h // alpha = 1: exp(u·h) amplifies nothing
+	if z.alpha != 1 {
+		amp += 1 / math.Abs(z.oneMinus)
+		slope += math.Max(z.oneMinus, 0)
+	}
+	guard := zipfMargin * math.Ceil(64*amp*slope+64)
+	// Past 1/64 of the draws falling back the table no longer pays.
+	if 2*float64(z.n)*guard > zipfGrid/64 {
+		return 0
+	}
+	return uint64(guard)
+}
+
+// buildTable tabulates the crossings and the bucket index over them.
+func (z *ZipfSampler) buildTable(guard uint64) {
+	n := z.n
+	z.guard = guard
+	z.cross = make([]uint64, n+1)
+	z.cross[n] = math.MaxUint64
+	for k := uint32(1); k < n; k++ {
+		l := math.Log(float64(k) + 1)
+		tau := l / z.h
+		if z.alpha != 1 {
+			tau = math.Expm1(z.oneMinus*l) / (z.h * z.oneMinus)
+		}
+		c := uint64(math.Min(math.Max(math.Ceil(tau*zipfGrid), 0), zipfGrid))
+		// Rounding may not reorder two crossings: a draw's k is found by
+		// scanning forward.
+		z.cross[k] = max(c, z.cross[k-1])
+	}
+	bits := uint(bits.Len32(n))
+	z.shift = 53 - bits
+	z.bucket = make([]uint32, 1<<bits)
+	k := uint32(0)
+	for b := range z.bucket {
+		start := uint64(b) << z.shift
+		for z.cross[k+1] <= start {
+			k++
+		}
+		z.bucket[b] = k
+	}
+}
+
+// Sample draws one k, consuming exactly one RNG.Float64.
+func (z *ZipfSampler) Sample(r *RNG) uint32 { return z.at(r.Float64()) }
+
+// at is the k drawn at u.
+func (z *ZipfSampler) at(u float64) uint32 {
+	if k, ok := z.lookup(uint64(u * zipfGrid)); ok {
+		return k
+	}
+	return z.eval(u)
+}
+
+// lookup returns the tabulated k of grid index i, or false when i lies in
+// a guard band (or there is no table) and the draw must be evaluated.
+func (z *ZipfSampler) lookup(i uint64) (uint32, bool) {
+	if z.cross == nil {
+		return 0, false
+	}
+	k := z.bucket[i>>z.shift]
+	for z.cross[k+1] <= i {
+		k++
+	}
+	if i-z.cross[k] < z.guard || z.cross[k+1]-i <= z.guard {
+		return 0, false
+	}
+	return k, true
+}
+
+// eval is the model's defining float64 evaluation at u.
+func (z *ZipfSampler) eval(u float64) uint32 {
 	var x float64
 	if z.alpha == 1 {
 		x = math.Exp(u*z.h) - 1
@@ -327,10 +474,11 @@ func DatasetByName(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("graph: unknown dataset %q", name)
 }
 
-// Generate materializes the dataset. The weighted flag adds random edge
-// weights (needed by SSSP). The scaleDiv parameter divides the default
-// vertex count to produce smaller variants for tests and benchmarks
-// (scaleDiv=1 gives the full reproduction scale).
+// Generate materializes a synthetic dataset. The weighted flag adds random
+// edge weights (needed by SSSP). The scaleDiv parameter divides the
+// default vertex count to produce smaller variants for tests and
+// benchmarks (scaleDiv=1 gives the full reproduction scale). A KindFile
+// dataset has no generator: Generate panics, and Load reads it.
 func (d Dataset) Generate(weighted bool, scaleDiv uint32) *CSR {
 	if scaleDiv == 0 {
 		scaleDiv = 1
@@ -349,6 +497,8 @@ func (d Dataset) Generate(weighted bool, scaleDiv uint32) *CSR {
 		return GenRMATDefault(scale, d.AvgDegree, d.Seed, weighted)
 	case KindUniform:
 		return GenUniform(n, d.AvgDegree, d.Seed, weighted)
+	case KindFile:
+		panic(fmt.Sprintf("graph: dataset %q is the file %s: read it with Load, Generate has nothing to generate", d.Name, d.Path))
 	default:
 		return GenZipf(n, d.AvgDegree, d.Alpha, d.Seed, weighted)
 	}

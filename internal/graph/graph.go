@@ -178,8 +178,17 @@ func FromEdges(n uint32, edges []Edge, weighted bool) (*CSR, error) {
 // sortAdjacency sorts each vertex's neighbor list together with its
 // weights, for deterministic iteration order of a weighted graph. The tie
 // order it leaves among parallel edges of different weight is part of
-// SSSP's golden output.
+// SSSP's golden output, and it is whatever sort.Slice's swaps make of the
+// scattered order. Each list is sorted as one reused slice of (neighbor,
+// weight) pairs, by neighbor alone: sort.Slice sees the same less outcomes,
+// and so makes the same swaps, as it would sorting an index permutation of
+// the list by neighbor, the form the tests keep as the reference.
 func (g *CSR) sortAdjacency() {
+	type adjPair struct {
+		v VertexID
+		w int32
+	}
+	var pairs []adjPair
 	sortSide := func(index []uint64, edges []VertexID, weights []int32) {
 		for v := uint32(0); v < g.n; v++ {
 			lo, hi := index[v], index[v+1]
@@ -188,19 +197,14 @@ func (g *CSR) sortAdjacency() {
 			}
 			nb := edges[lo:hi]
 			w := weights[lo:hi]
-			idx := make([]int, len(nb))
-			for i := range idx {
-				idx[i] = i
+			pairs = pairs[:0]
+			for i, u := range nb {
+				pairs = append(pairs, adjPair{u, w[i]})
 			}
-			sort.Slice(idx, func(i, j int) bool { return nb[idx[i]] < nb[idx[j]] })
-			nb2 := make([]VertexID, len(nb))
-			w2 := make([]int32, len(w))
-			for i, k := range idx {
-				nb2[i] = nb[k]
-				w2[i] = w[k]
+			sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+			for i, p := range pairs {
+				nb[i], w[i] = p.v, p.w
 			}
-			copy(nb, nb2)
-			copy(w, w2)
 		}
 	}
 	sortSide(g.OutIndex, g.OutEdges, g.OutWeights)

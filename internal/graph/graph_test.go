@@ -485,10 +485,10 @@ func TestRNGFloat64Range(t *testing.T) {
 
 func TestZipfSamplerSkew(t *testing.T) {
 	r := NewRNG(5)
-	z := newZipfSampler(1000, 0.8, r)
+	z := NewZipfSampler(1000, 0.8)
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
-		counts[z.sample(r)]++
+		counts[z.Sample(r)]++
 	}
 	// Low ranks must be much more popular than high ranks.
 	lowMass, highMass := 0, 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -257,6 +258,41 @@ func TestLoadSyntheticKindsDelegateToGenerate(t *testing.T) {
 	want := d.Generate(false, 64)
 	if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
 		t.Fatal("Load disagrees with Generate for a synthetic dataset")
+	}
+}
+
+// TestGenerateByKind runs Generate on one dataset of each kind: the
+// synthetic kinds build their scaled vertex count, and a file dataset
+// panics with a message naming Load instead of returning an empty graph.
+func TestGenerateByKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.el")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, spec string
+		panic      string // "" = must build scaleN/64 vertices
+	}{
+		{"zipf", "lj", ""},
+		{"rmat", "kr", ""},
+		{"uniform", "uni", ""},
+		{"file", path, "read it with Load"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := Resolve(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); (c.panic == "") != (r == nil) || !strings.Contains(msg, c.panic) {
+					t.Fatalf("Generate panicked with %v, want a panic containing %q", r, c.panic)
+				}
+			}()
+			if g := d.Generate(false, 64); g.NumVertices() != scaleN/64 {
+				t.Fatalf("Generate built %d vertices, want %d", g.NumVertices(), scaleN/64)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"grasp/internal/graph"
@@ -141,17 +140,21 @@ func (d *DynamicGraph) Snapshot() *graph.CSR {
 }
 
 // GenUpdateBatch synthesizes an update batch with the given insertion
-// fraction, drawing endpoints from the same Zipf skew as the base graph so
-// that the degree distribution drifts realistically (new edges
-// preferentially attach to already-popular vertices).
-func GenUpdateBatch(d *DynamicGraph, size int, addFrac float64, alpha float64, seed uint64) []Update {
+// fraction, drawing endpoints from z, the same Zipf skew as the base
+// graph, so that the degree distribution drifts realistically (new edges
+// preferentially attach to already-popular vertices). z must range over
+// d's vertices. It draws ranks WITHOUT the base graph's relabeling:
+// applied to an already-shuffled graph this models preferential
+// attachment to currently-popular vertices only approximately; good
+// enough for drift experiments.
+func GenUpdateBatch(d *DynamicGraph, z *graph.ZipfSampler, size int, addFrac float64, seed uint64) []Update {
 	r := graph.NewRNG(seed)
 	batch := make([]Update, 0, size)
 	nAdds := int(float64(size) * addFrac)
 	for i := 0; i < nAdds; i++ {
 		batch = append(batch, Update{Add: true, Edge: graph.Edge{
-			Src:    zipfVertex(d.n, alpha, r),
-			Dst:    zipfVertex(d.n, alpha, r),
+			Src:    z.Sample(r),
+			Dst:    z.Sample(r),
 			Weight: int32(1 + r.Uint32n(63)),
 		}})
 	}
@@ -168,27 +171,4 @@ func GenUpdateBatch(d *DynamicGraph, size int, addFrac float64, alpha float64, s
 		batch = append(batch, Update{Add: false, Edge: e})
 	}
 	return batch
-}
-
-// zipfVertex draws a vertex with Zipf-rank skew but WITHOUT the base
-// graph's relabeling — applied to an already-shuffled graph this models
-// preferential attachment to currently-popular vertices only
-// approximately; good enough for drift experiments.
-func zipfVertex(n uint32, alpha float64, r *graph.RNG) graph.VertexID {
-	// Inverse-CDF sampling as in graph.zipfSampler, inlined to avoid
-	// exporting the sampler.
-	u := r.Float64()
-	var x float64
-	if alpha != 1 {
-		oneMinus := 1 - alpha
-		h := (math.Pow(float64(n)+1, oneMinus) - 1) / oneMinus
-		x = math.Pow(u*h*oneMinus+1, 1/oneMinus) - 1
-	} else {
-		x = math.Exp(u*math.Log(float64(n)+1)) - 1
-	}
-	k := uint32(x)
-	if k >= n {
-		k = n - 1
-	}
-	return k
 }

@@ -90,7 +90,7 @@ func TestApplyBatch(t *testing.T) {
 func TestGenUpdateBatchShape(t *testing.T) {
 	g := graph.GenZipf(500, 10, 0.9, 7, true)
 	d := FromCSR(g)
-	batch := GenUpdateBatch(d, 200, 0.7, 0.9, 11)
+	batch := GenUpdateBatch(d, graph.NewZipfSampler(d.NumVertices(), 0.9), 200, 0.7, 11)
 	adds, removes := 0, 0
 	for _, u := range batch {
 		if u.Add {

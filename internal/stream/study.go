@@ -52,9 +52,12 @@ type StalenessPoint struct {
 // fresh prefix coverage after each batch.
 func StalenessStudy(g *graph.CSR, prefix uint32, batches, batchSize int, addFrac, alpha float64, seed uint64) []StalenessPoint {
 	d := FromCSR(g)
+	// One sampler for every batch: a batch draws fewer endpoints than the
+	// sampler's table has crossings.
+	z := graph.NewZipfSampler(d.NumVertices(), alpha)
 	var out []StalenessPoint
 	for b := 1; b <= batches; b++ {
-		batch := GenUpdateBatch(d, batchSize, addFrac, alpha, seed+uint64(b))
+		batch := GenUpdateBatch(d, z, batchSize, addFrac, seed+uint64(b))
 		if err := d.ApplyBatch(batch); err != nil {
 			panic(err) // generated updates are in-range by construction
 		}
