@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -71,7 +72,7 @@ func newFlags() (*flag.FlagSet, *daemonConfig) {
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 10*time.Minute,
 		"how long shutdown waits for running simulations to finish")
 	fs.Int64Var(&cfg.cacheMB, "cache-mb", 0,
-		"cap (MiB) on cached LLC recordings (resident + spilled) and file-backed graphs retained per session; 0 = built-in default (4096), negative = unlimited")
+		"cap (MiB) on the LLC recordings and file-backed graphs the daemon retains, all scales together; 0 = built-in default (4096), negative = unlimited")
 	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 0,
 		"default wall-clock budget per job (jobs may set their own timeout_s); 0 = unlimited")
 	fs.IntVar(&cfg.maxQueue, "max-queue", 1024,
@@ -140,18 +141,31 @@ type daemonConfig struct {
 	hedge         time.Duration
 }
 
+// cacheBudget converts -cache-mb to the byte budget of the daemon's
+// artifact store, refusing a count whose bytes overflow int64: the
+// wrapped value would silently turn into the default (0) or "unlimited"
+// (negative).
+func cacheBudget(mb int64) (int64, error) {
+	if mb > math.MaxInt64>>20 || mb < math.MinInt64>>20 {
+		return 0, fmt.Errorf("-cache-mb %d overflows a 64-bit byte count (|MiB| at most %d)", mb, int64(math.MaxInt64>>20))
+	}
+	return mb << 20, nil
+}
+
 // run boots the store, journal (recovering the previous process's
 // unsettled backlog), manager and HTTP server, then blocks until a
 // termination signal starts the drain sequence.
 func run(cfg daemonConfig) error {
+	budget, err := cacheBudget(cfg.cacheMB)
+	if err != nil {
+		return err
+	}
 	store, err := jobs.OpenStore(cfg.dataDir)
 	if err != nil {
 		return err
 	}
 	mgr := jobs.NewManager(store, cfg.workers)
-	if cfg.cacheMB != 0 {
-		mgr.SetSessionCacheBudget(cfg.cacheMB << 20)
-	}
+	mgr.SetCacheBudget(budget)
 	if cfg.jobTimeout > 0 {
 		mgr.SetDefaultTimeout(cfg.jobTimeout)
 	}

@@ -10,7 +10,7 @@ import (
 	"grasp/internal/apps"
 )
 
-// kind names one class of artifact in the session's store. Every artifact
+// kind names one class of artifact in the store. Every artifact
 // is a pure function of its key; kinds differ only in what the value is
 // and in whether a failure is worth remembering.
 type kind uint8
@@ -27,10 +27,9 @@ const (
 
 // transient marks the kinds whose failures are dropped instead of cached.
 // Loading and reordering are deterministic — a retry would fail
-// identically — but recordings and replays touch disk once the trace
-// package's RAM budget spills and run under a caller's context: a daemon
-// must not serve a transient ENOSPC or somebody's cancellation from cache
-// forever.
+// identically — but recordings and replays run under a caller's context
+// and can fail environmentally (an I/O fault): a daemon must not serve a
+// transient error or somebody's cancellation from cache forever.
 var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true}
 
 // fileStamp is one observed (size, mtime) state of a graph file.
@@ -48,16 +47,19 @@ func (st fileStamp) supersedes(prev fileStamp) bool {
 	return st.modNano > prev.modNano || (st.modNano == prev.modNano && st.size != prev.size)
 }
 
-// dataset is a request's handle on its dataset: the spec plus, for a
-// graph file, the stamp observed when the request began. Synthetic
-// datasets (generation is deterministic) carry the zero stamp, key as
-// their name alone and their graphs are never charged. A Session can
-// outlive many edits of a file (graspd keeps one per scale for the
-// daemon's lifetime); the stamp in every key is what keeps it from
+// dataset is a request's handle on its dataset: the spec, the requesting
+// session's Config and, for a graph file, the stamp observed when the
+// request began. The Config is in every key because a graph, a recording
+// and a result at one scale are not those at another, and sessions of
+// every scale share one Store. Synthetic datasets (generation is
+// deterministic) carry the zero stamp and their graphs are never charged.
+// A Session can outlive many edits of a file (graspd keeps one per scale
+// for the daemon's lifetime); the stamp in every key is what keeps it from
 // serving the parse of the original bytes after an edit.
 type dataset struct {
 	name  string
 	stamp fileStamp
+	cfg   Config
 }
 
 func (d dataset) fileBacked() bool { return d.stamp != fileStamp{} }
@@ -96,7 +98,7 @@ type entry struct {
 // fileEntryOverhead is the nominal accounting charge for merely knowing a
 // file-backed dataset (its slot and any error-cached entries): far above
 // the true footprint, so the byte budget also bounds how many distinct
-// paths — including ones that never parse — a session retains state for.
+// paths — including ones that never parse — the store retains state for.
 const fileEntryOverhead = 64 << 10
 
 // fileSlot is the per-file state the budget evicts a file dataset by: the
@@ -106,25 +108,62 @@ type fileSlot struct {
 	recency uint64
 }
 
-// artifacts is the session's one cache: a singleflight memo of every
-// artifact kind under one mutex and one recency order, with one byte
-// budget drawn over it. Every recomputable artifact is charged once — a
-// file-backed graph its footprint, a recording its encoded bytes (resident
-// + spilled), a known file path fileEntryOverhead — and when the total
-// exceeds the budget the least recent RECORDING goes, or the whole file
-// DATASET whose slot is older still. A budget <= 0 is unbounded.
-type artifacts struct {
-	budget int64
-
-	mu    sync.Mutex
-	m     map[artifactKey]*entry
-	files map[string]*fileSlot
-	seq   uint64
-	total int64
+// Store is a process's one cache, shared by every Session made from it:
+// a singleflight memo of every artifact kind under one mutex and one
+// recency order, with one byte budget drawn over it. Every recomputable
+// artifact is charged once — a file-backed graph its footprint, a
+// recording its encoded bytes, a known file path fileEntryOverhead — and
+// when the total exceeds the budget the least recent RECORDING goes, or
+// the whole file DATASET whose slot is older still, whichever session put
+// it there. Keys carry the session's Config, so sessions of different
+// scales share the budget and never an entry.
+type Store struct {
+	mu     sync.Mutex
+	budget int64 // <= 0: unbounded
+	m      map[artifactKey]*entry
+	files  map[string]*fileSlot
+	seq    uint64
+	total  int64
 }
 
-func newArtifacts(budget int64) *artifacts {
-	return &artifacts{budget: budget, m: make(map[artifactKey]*entry), files: make(map[string]*fileSlot)}
+// DefaultStoreBudget is a Store's budget when none is given (4 GiB):
+// a full -exp all sweep at scale 1 keeps 3.44 GB of recordings, so no
+// paper sweep evicts.
+const DefaultStoreBudget = int64(4) << 30
+
+// NewStore returns an empty store whose budget caps the bytes it retains
+// for what it can recompute (see SetBudget).
+func NewStore(budget int64) *Store {
+	a := &Store{m: make(map[artifactKey]*entry), files: make(map[string]*fileSlot)}
+	a.SetBudget(budget)
+	return a
+}
+
+// Session returns a session of the given geometry over the store: its
+// artifacts are charged to, and evicted by, the store's one budget.
+func (a *Store) Session(cfg Config) *Session {
+	return &Session{Cfg: cfg, art: a}
+}
+
+// SetBudget replaces the store's byte budget and evicts down to it at
+// once. Past it the least recent recording, or the least recently
+// requested file dataset whole, is evicted and Released, so a long-lived
+// daemon fed arbitrary groups, scales and distinct paths does not grow
+// without bound (DESIGN.md Sec. 10; in-flight replays are protected by
+// trace pinning, Sec. 11). Synthetic graphs are a small fixed set per
+// scale and are never charged. 0 selects DefaultStoreBudget; negative
+// disables the cap.
+func (a *Store) SetBudget(n int64) {
+	if n == 0 {
+		n = DefaultStoreBudget
+	}
+	a.mu.Lock()
+	a.budget = n
+	released := a.enforce(artifactKey{}, "")
+	a.mu.Unlock()
+	for _, release := range released {
+		release()
+	}
 }
 
 // foreignCancel reports whether err is a cancellation that cannot have
@@ -141,7 +180,7 @@ func foreignCancel(ctx context.Context, err error) bool {
 
 // get returns the artifact under k, computing it with fn on first use:
 // getEach of one key.
-func get[V any](ctx context.Context, a *artifacts, k artifactKey, fn func() (V, charge, error)) (V, error) {
+func get[V any](ctx context.Context, a *Store, k artifactKey, fn func() (V, charge, error)) (V, error) {
 	vs, err := getEach(ctx, a, []artifactKey{k}, func([]int) ([]V, []charge, error) {
 		v, c, err := fn()
 		return []V{v}, []charge{c}, err
@@ -161,7 +200,7 @@ func get[V any](ctx context.Context, a *artifacts, k artifactKey, fn func() (V, 
 // inherited another context's cancellation that way claims the key again
 // and recomputes it under its own — one job's cancel must not fail every
 // job that shared a datapoint with it.
-func getEach[V any](ctx context.Context, a *artifacts, keys []artifactKey,
+func getEach[V any](ctx context.Context, a *Store, keys []artifactKey,
 	fn func(led []int) ([]V, []charge, error)) ([]V, error) {
 	vals, errs := make([]V, len(keys)), make([]error, len(keys))
 	pending := make([]int, len(keys))
@@ -193,7 +232,7 @@ func getEach[V any](ctx context.Context, a *artifacts, keys []artifactKey,
 // under one lock so that callers claiming overlapping sets never split a
 // set between them, and bumps their recency. entries is indexed like
 // keys; led lists the indices this caller inserted.
-func (a *artifacts) claimEach(keys []artifactKey, idx []int) (entries []*entry, led []int) {
+func (a *Store) claimEach(keys []artifactKey, idx []int) (entries []*entry, led []int) {
 	entries = make([]*entry, len(keys))
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -216,7 +255,7 @@ func (a *artifacts) claimEach(keys []artifactKey, idx []int) (entries []*entry, 
 // receive an error instead of hanging forever — and then continues up to
 // the containment layer (Prefetch's per-unit recover, the jobs manager, or
 // process exit).
-func lead[V any](a *artifacts, keys []artifactKey, entries []*entry, led []int,
+func lead[V any](a *Store, keys []artifactKey, entries []*entry, led []int,
 	fn func(led []int) ([]V, []charge, error)) {
 	var vs []V
 	var cs []charge
@@ -246,7 +285,7 @@ func lead[V any](a *artifacts, keys []artifactKey, entries []*entry, led []int,
 // settle publishes one led key's outcome: it charges a success to the
 // budget (evicting whatever no longer fits), forgets a failure that is
 // transient or a panic, and wakes the waiters.
-func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
+func (a *Store) settle(k artifactKey, e *entry, c charge, panicked bool) {
 	var released []func()
 	a.mu.Lock()
 	switch {
@@ -282,21 +321,21 @@ func (a *artifacts) settle(k artifactKey, e *entry, c charge, panicked bool) {
 }
 
 // observe notes a request for the file-backed dataset name whose file is
-// currently in state cur, and returns the handle the request keys under.
-// When the stamp advances, every entry under any other stamp of that file
-// is evicted — they pin whole parsed graphs and traces, one generation
-// per edit otherwise (sweeping all other generations, not just the
-// recorded one, also clears entries made under a rolled-back stamp, e.g.
-// after a backup restore). Entries being computed under cur right now are
-// untouched.
-func (a *artifacts) observe(name string, cur fileStamp) dataset {
+// currently in state cur, and returns the handle the request keys under
+// (its cfg left for the session to set). When the stamp advances, every
+// entry under any other stamp of that file, at every scale, is evicted —
+// they pin whole parsed graphs and traces, one generation per edit
+// otherwise (sweeping all other generations, not just the recorded one,
+// also clears entries made under a rolled-back stamp, e.g. after a backup
+// restore). Entries being computed under cur right now are untouched.
+func (a *Store) observe(name string, cur fileStamp) dataset {
 	d := dataset{name: name, stamp: cur}
 	var released []func()
 	a.mu.Lock()
 	slot := a.slot(d)
 	if cur.supersedes(slot.stamp) {
 		slot.stamp = cur
-		released = a.evict(func(k artifactKey) bool { return k.ds.name == name && k.ds != d })
+		released = a.evict(func(k artifactKey) bool { return k.ds.name == name && k.ds.stamp != cur })
 	}
 	a.seq++
 	slot.recency = a.seq
@@ -310,7 +349,7 @@ func (a *artifacts) observe(name string, cur fileStamp) dataset {
 
 // slot returns d's file slot, creating it (and charging the per-path
 // overhead) on first sight. Caller holds mu.
-func (a *artifacts) slot(d dataset) *fileSlot {
+func (a *Store) slot(d dataset) *fileSlot {
 	s := a.files[d.name]
 	if s == nil {
 		a.seq++
@@ -326,7 +365,7 @@ func (a *artifacts) slot(d dataset) *fileSlot {
 // to run once mu is dropped. Goroutines already blocked on an evicted
 // in-flight entry still receive its outcome; it just stops being
 // findable, so the next request recomputes. Caller holds mu.
-func (a *artifacts) evict(match func(artifactKey) bool) (released []func()) {
+func (a *Store) evict(match func(artifactKey) bool) (released []func()) {
 	for k, e := range a.m {
 		if !match(k) {
 			continue
@@ -350,7 +389,7 @@ func (a *artifacts) evict(match func(artifactKey) bool) (released []func()) {
 // the dataset being requested, are never victims, so a single
 // over-budget artifact still serves its request before becoming a
 // candidate. Caller holds mu.
-func (a *artifacts) enforce(keep artifactKey, keepDS string) (released []func()) {
+func (a *Store) enforce(keep artifactKey, keepDS string) (released []func()) {
 	for a.budget > 0 && a.total > a.budget {
 		var victim artifactKey
 		victimDS, oldest := "", uint64(0) // recencies start at 1
@@ -378,8 +417,10 @@ func (a *artifacts) enforce(keep artifactKey, keepDS string) (released []func())
 	return released
 }
 
-// retained returns the budget's total.
-func (a *artifacts) retained() int64 {
+// CacheBytesRetained returns the bytes currently charged against the
+// store's budget, across all of its sessions (graspd's
+// cache_bytes_retained gauge, and tests).
+func (a *Store) CacheBytesRetained() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.total

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -22,7 +23,7 @@ import (
 
 // count returns how many entries of one kind the store holds (in flight,
 // settled or error-cached) — the white-box probe of the session tests.
-func (a *artifacts) count(kd kind) int {
+func (a *Store) count(kd kind) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
@@ -37,7 +38,7 @@ func (a *artifacts) count(kd kind) int {
 // releaseAll empties the store, releasing every recording now rather than
 // whenever a finalizer gets to it: the non-parallel tests compare the
 // process-wide trace.MemoryInUse gauge across their own evictions.
-func (a *artifacts) releaseAll() {
+func (a *Store) releaseAll() {
 	a.mu.Lock()
 	released := a.evict(func(artifactKey) bool { return true })
 	a.mu.Unlock()
@@ -48,7 +49,7 @@ func (a *artifacts) releaseAll() {
 
 // ready reports whether k has settled successfully, without blocking on a
 // computation in flight.
-func (a *artifacts) ready(k artifactKey) bool {
+func (a *Store) ready(k artifactKey) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	e := a.m[k]
@@ -57,7 +58,7 @@ func (a *artifacts) ready(k artifactKey) bool {
 
 // claim holds k in flight as another caller would: the returned entry is
 // settled with a.settle. leader is false when k was already claimed.
-func (a *artifacts) claim(k artifactKey) (e *entry, leader bool) {
+func (a *Store) claim(k artifactKey) (e *entry, leader bool) {
 	entries, led := a.claimEach([]artifactKey{k}, []int{0})
 	return entries[0], len(led) == 1
 }
@@ -65,12 +66,12 @@ func (a *artifacts) claim(k artifactKey) (e *entry, leader bool) {
 // fullRecordingReady reports whether the (synthetic dataset, DBG, app,
 // merged) group's FULL recording is cached.
 func fullRecordingReady(s *Session, ds, app string) bool {
-	return s.art.ready(group(dataset{name: ds}, "DBG", app, apps.LayoutMerged))
+	return s.art.ready(group(s.dataset(ds), "DBG", app, apps.LayoutMerged))
 }
 
 // waitClaims spins until the store has seen n claims, i.e. until the n-th
 // get has found or inserted its entry and is running or blocked on it.
-func waitClaims(a *artifacts, n uint64) {
+func waitClaims(a *Store, n uint64) {
 	for {
 		a.mu.Lock()
 		seq := a.seq
@@ -86,13 +87,13 @@ func waitClaims(a *artifacts, n uint64) {
 // with the given charge, counting releases per key.
 type fakes struct {
 	t        *testing.T
-	a        *artifacts
+	a        *Store
 	mu       sync.Mutex
 	released map[artifactKey]int
 }
 
 func newFakes(t *testing.T, budget int64) *fakes {
-	return &fakes{t: t, a: newArtifacts(budget), released: make(map[artifactKey]int)}
+	return &fakes{t: t, a: NewStore(budget), released: make(map[artifactKey]int)}
 }
 
 func (f *fakes) put(k artifactKey, v int, bytes int64) {
@@ -124,14 +125,14 @@ func (f *fakes) releases(k artifactKey) int {
 // sum of what its live entries and file slots are charged.
 func (f *fakes) wantTotal(want int64) {
 	f.t.Helper()
-	if got, live := f.a.retained(), f.a.liveCharges(); got != want || live != want {
+	if got, live := f.a.CacheBytesRetained(), f.a.liveCharges(); got != want || live != want {
 		f.t.Fatalf("retained = %d, live charges = %d, want %d", got, live, want)
 	}
 }
 
 // liveCharges sums what the store's entries and file slots are charged
 // now, recounted from scratch: the total must always equal it.
-func (a *artifacts) liveCharges() int64 {
+func (a *Store) liveCharges() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := int64(len(a.files)) * fileEntryOverhead
@@ -156,7 +157,7 @@ func TestArtifactStore(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"concurrent gets compute once", func(t *testing.T) {
-			a := newArtifacts(0)
+			a := NewStore(-1)
 			var calls atomic.Int32
 			gate := make(chan struct{})
 			const n = 16
@@ -187,7 +188,7 @@ func TestArtifactStore(t *testing.T) {
 				kd        kind
 				wantCalls int
 			}{{kindBase, 1}, {kindWorkload, 1}, {kindRecording, 2}, {kindResult, 2}, {kindSampled, 2}, {kindCorun, 2}} {
-				a := newArtifacts(0)
+				a := NewStore(-1)
 				calls := 0
 				for i := 0; i < 2; i++ {
 					_, err := get(context.Background(), a, key(lj, tc.kd, "PR"), func() (int, charge, error) {
@@ -201,13 +202,13 @@ func TestArtifactStore(t *testing.T) {
 				if calls != tc.wantCalls {
 					t.Fatalf("kind %d: computed %d times, want %d", tc.kd, calls, tc.wantCalls)
 				}
-				if tr := a.retained(); tr != 0 {
+				if tr := a.CacheBytesRetained(); tr != 0 {
 					t.Fatalf("kind %d: a failed computation was charged %d bytes", tc.kd, tr)
 				}
 			}
 		}},
 		{"panic settles waiters with an error and frees the key", func(t *testing.T) {
-			a := newArtifacts(0)
+			a := NewStore(-1)
 			k := key(lj, kindWorkload, "") // a caching kind: a panic is dropped even there
 			gate := make(chan struct{})
 			leaderPanic := make(chan any, 1)
@@ -240,7 +241,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"a waiter whose own ctx is live retries after the leader's cancel", func(t *testing.T) {
-			a := newArtifacts(0)
+			a := NewStore(-1)
 			k := key(lj, kindRecording, "PR")
 			leaderCtx, cancel := context.WithCancel(context.Background())
 			leaderErr := make(chan error, 1)
@@ -270,7 +271,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"getEach computes what it leads in one call, then waits on the rest", func(t *testing.T) {
-			a := newArtifacts(0)
+			a := NewStore(-1)
 			keys := []artifactKey{key(lj, kindResult, "A"), key(lj, kindResult, "B"), key(lj, kindResult, "C")}
 			held, _ := a.claim(keys[1]) // another caller's flight
 			type outcome struct {
@@ -300,7 +301,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"a panic in getEach settles every led key as an error", func(t *testing.T) {
-			a := newArtifacts(0)
+			a := NewStore(-1)
 			keys := []artifactKey{key(lj, kindWorkload, "A"), key(lj, kindResult, "B")}
 			func() {
 				defer func() {
@@ -414,7 +415,7 @@ func TestArtifactStore(t *testing.T) {
 					t.Fatalf("path %d: err = %v", i, err)
 				}
 			}
-			got, live := f.a.retained(), f.a.liveCharges()
+			got, live := f.a.CacheBytesRetained(), f.a.liveCharges()
 			f.a.mu.Lock()
 			files, entries := len(f.a.files), len(f.a.m)
 			f.a.mu.Unlock()
@@ -424,7 +425,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"a stamp advance sweeps every other generation of that file only", func(t *testing.T) {
-			f := newFakes(t, 0)
+			f := newFakes(t, -1)
 			s1, s2 := fileStamp{10, 100}, fileStamp{10, 200}
 			a1 := f.a.observe("/g/a.el", s1)
 			other := f.a.observe("/g/a.el2", s1) // shares a's name as a prefix
@@ -468,7 +469,7 @@ func TestArtifactStore(t *testing.T) {
 			}
 		}},
 		{"an entry evicted in flight is released at settle and never charged", func(t *testing.T) {
-			f := newFakes(t, 0)
+			f := newFakes(t, -1)
 			a1 := f.a.observe("/g/a.el", fileStamp{10, 100})
 			k := key(a1, kindRecording, "PR")
 			entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -568,8 +569,7 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ScaledConfig(64)
-	cfg.CacheBytesBudget = 1 // every new recording evicts the previous one
-	s := NewSession(cfg)
+	s := NewStore(1).Session(cfg) // every new recording evicts the previous one
 	defer s.art.releaseAll()
 	base, err := s.Workload(path, "Identity", false)
 	if err != nil {
@@ -611,4 +611,95 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	if got := record("BFS"); got != afterB {
 		t.Fatalf("same cached set, different total: %d then %d (accounting drifts)", afterB, got)
 	}
+}
+
+// TestSharedStoreScalesNeverShare: sessions of two scales over one store
+// share its budget and never an entry. Synthetic datasets key by name, so
+// without the session's Config in every key a scale-64 request would be
+// served the scale-16 graph, recording or result (or the reverse).
+func TestSharedStoreScalesNeverShare(t *testing.T) {
+	t.Run("interleaved", func(t *testing.T) {
+		st := NewStore(0)
+		defer st.releaseAll()
+		shared := []*Session{st.Session(ScaledConfig(64)), st.Session(ScaledConfig(16))}
+		alone := []*Session{NewSession(ScaledConfig(64)), NewSession(ScaledConfig(16))}
+		for _, s := range alone {
+			defer s.art.releaseAll()
+		}
+		ctx := context.Background()
+		for i, c := range []struct{ ds, app, policy string }{
+			{"lj", "PR", "GRASP"}, {"kr", "SSSP", "RRIP"}, {"lj", "SSSP", "LRU"}, {"kr", "PR", "Hawkeye"},
+		} {
+			for _, j := range []int{i % 2, 1 - i%2} { // each scale goes first in turn
+				s, ref := shared[j], alone[j]
+				w, err := s.Workload(c.ds, "DBG", c.app == "SSSP")
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantW, err := ref.Workload(c.ds, "DBG", c.app == "SSSP")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(w.Graph, wantW.Graph) {
+					t.Errorf("scale %d %s workload: %d vertices, want the alone session's %d",
+						s.Cfg.ScaleDiv, c.ds, w.Graph.NumVertices(), wantW.Graph.NumVertices())
+				}
+				r, err := s.ResultCtx(ctx, c.ds, "DBG", c.app, apps.LayoutMerged, c.policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantR, err := ref.ResultCtx(ctx, c.ds, "DBG", c.app, apps.LayoutMerged, c.policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.AppTime = wantR.AppTime; r != wantR {
+					t.Errorf("scale %d %s/%s/%s result\n got: %+v\nwant: %+v", s.Cfg.ScaleDiv, c.ds, c.app, c.policy, r, wantR)
+				}
+				sr, err := s.SampledResultCtx(ctx, c.ds, "DBG", c.app, apps.LayoutMerged, c.policy, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantS, err := ref.SampledResultCtx(ctx, c.ds, "DBG", c.app, apps.LayoutMerged, c.policy, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sr.AppTime = wantS.AppTime; !reflect.DeepEqual(sr, wantS) {
+					t.Errorf("scale %d %s/%s/%s sampled\n got: %+v\nwant: %+v", s.Cfg.ScaleDiv, c.ds, c.app, c.policy, sr, wantS)
+				}
+			}
+		}
+	})
+	t.Run("fig5-golden", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("golden rendering skipped in -short mode")
+		}
+		st := NewStore(0)
+		defer st.releaseAll()
+		s16, s64 := st.Session(ScaledConfig(16)), st.Session(ScaledConfig(goldenScaleDiv))
+		// The scale-16 session leaves graphs, recordings and results under
+		// fig5's datasets, reordering and apps before scale 64 asks.
+		for _, ds := range highSkewNames() {
+			if _, err := s16.Workload(ds, "DBG", true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s16.Result(ds, "DBG", "PR", apps.LayoutMerged, "RRIP"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := ByID("fig5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := RunAll(s64, []Experiment{e}, &buf, RunObserver{}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(goldenPath("fig5"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("fig5 through a store shared with scale 16 diverges from its golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+		}
+	})
 }

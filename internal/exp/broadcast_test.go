@@ -56,7 +56,7 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	s := NewSession(ScaledConfig(64))
 	defer s.art.releaseAll()
 	want := simRun(t, s.Cfg, "lj", "DBG", "PR", apps.LayoutMerged, "GRASP")
-	g := group(dataset{name: "lj"}, "DBG", "PR", apps.LayoutMerged)
+	g := group(s.dataset("lj"), "DBG", "PR", apps.LayoutMerged)
 	held, leader := s.art.claim(g.of(kindResult, "GRASP"))
 	if !leader {
 		t.Fatal("a fresh session already holds the GRASP result")
@@ -90,14 +90,13 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 }
 
 // TestSessionTraceBudgetEvictsLRU: cached recordings are bounded by
-// Config.CacheBytesBudget — recording a second group under a tiny budget
+// the store's budget — recording a second group under a tiny budget
 // evicts AND releases the least-recently-used recording (reclaiming its
 // resident bytes eagerly), while the newest recording stays cached; the
 // evicted group transparently re-records on next use.
 func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	cfg := ScaledConfig(64)
-	cfg.CacheBytesBudget = 1 // every newcomer evicts the previous recording
-	s := NewSession(cfg)
+	s := NewStore(1).Session(cfg) // every newcomer evicts the previous recording
 	inUse0 := trace.MemoryInUse()
 
 	groupA := matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})
@@ -157,8 +156,7 @@ func TestConcurrentBroadcastEvictionHammer(t *testing.T) {
 	}
 
 	cfg := ScaledConfig(64)
-	cfg.CacheBytesBudget = 1
-	s := NewSession(cfg)
+	s := NewStore(1).Session(cfg)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
 	// Batch hammers: each goroutine sweeps a different app's 5-policy

@@ -275,8 +275,7 @@ func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 
 	baseline := NewSession(ScaledConfig(64))
 	cfg := ScaledConfig(64)
-	cfg.CacheBytesBudget = 1
-	s := NewSession(cfg)
+	s := NewStore(1).Session(cfg)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
 	for round := 0; round < 2; round++ {

@@ -31,7 +31,8 @@ import (
 	"grasp/internal/trace"
 )
 
-// Config controls experiment scale.
+// Config is an experiment's geometry: the dataset scale and the simulated
+// hierarchy. What a session may retain is its Store's business.
 type Config struct {
 	// ScaleDiv divides dataset sizes; 1 = full reproduction scale
 	// (131072 vertices, 256KB LLC). Benchmarks use larger divisors.
@@ -40,26 +41,7 @@ type Config struct {
 	// to ScaleDiv (the LLC shrinks with the datasets to preserve the
 	// footprint-to-capacity ratio).
 	HCfg cache.HierarchyConfig
-	// CacheBytesBudget caps the bytes the session retains for what it can
-	// recompute: every recording's encoded bytes (resident + spilled — the
-	// trace package's RAM budget, trace.SetMemoryBudget, spills the
-	// overflow to temp files that persist while their traces stay cached),
-	// every parsed or reordered graph of a file-backed dataset, and a
-	// nominal 64 KiB per known file path. Past it the least recent
-	// recording, or the least recently requested file dataset whole, is
-	// evicted and Released, so a long-lived daemon fed arbitrary groups
-	// and distinct paths grows neither RAM nor temp disk without bound
-	// (DESIGN.md Sec. 10; in-flight replays are protected by trace
-	// pinning, Sec. 11). Synthetic graphs are a small fixed set and are
-	// never charged. 0 selects DefaultCacheBytesBudget; negative disables
-	// the cap.
-	CacheBytesBudget int64
 }
-
-// DefaultCacheBytesBudget is the per-session cap when
-// Config.CacheBytesBudget is zero (4 GiB): a full -exp all sweep at scale
-// 1 keeps 3.44 GB of recordings, so no paper sweep evicts.
-const DefaultCacheBytesBudget = int64(4) << 30
 
 // DefaultConfig returns the full reproduction scale.
 func DefaultConfig() Config {
@@ -90,8 +72,9 @@ func ScaledConfig(div uint32) Config {
 // one datapoint — whether from Prefetch workers or from experiments run in
 // parallel by the caller — are deduplicated so each datapoint is computed
 // exactly once, and a batch waits for a datapoint another caller is
-// computing instead of computing it again. Everything it remembers lives in one artifact store
-// (artifacts.go, DESIGN.md Sec. 6).
+// computing instead of computing it again. Everything it remembers lives in
+// its Store (artifacts.go, DESIGN.md Sec. 6), which other sessions, of
+// other scales, may share.
 //
 // The session is also the scheduler of the record-once/replay-many engine
 // (DESIGN.md Sec. 11): the access stream reaching the LLC is a pure
@@ -104,7 +87,7 @@ func ScaledConfig(div uint32) Config {
 // one request at a time — finds the recording instead of re-executing.
 type Session struct {
 	Cfg        Config
-	art        *artifacts
+	art        *Store
 	simRuns    atomic.Uint64 // number of distinct simulated result datapoints (dedup observability)
 	broadcasts atomic.Uint64 // result fan-outs run, each serving one group's claimed policies
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
@@ -127,13 +110,9 @@ type recording struct {
 	bounds [][2]uint64
 }
 
-// NewSession creates a session.
-func NewSession(cfg Config) *Session {
-	if cfg.CacheBytesBudget == 0 {
-		cfg.CacheBytesBudget = DefaultCacheBytesBudget
-	}
-	return &Session{Cfg: cfg, art: newArtifacts(cfg.CacheBytesBudget)}
-}
+// NewSession creates a session over a fresh store of the default budget:
+// the whole cache of a process that runs one geometry (graspsim, bench).
+func NewSession(cfg Config) *Session { return NewStore(0).Session(cfg) }
 
 // SimRuns returns the number of distinct result datapoints the session
 // has simulated (each a replay of its group's recording, alone or in a
@@ -171,23 +150,23 @@ func (s *Session) PhaseSeconds() map[string]float64 {
 }
 
 // CacheBytesRetained returns the bytes currently charged against the
-// session's budget (graspd's cache_bytes_retained gauge, and tests).
-func (s *Session) CacheBytesRetained() int64 { return s.art.retained() }
+// budget of the session's store, by this session and any other sharing it.
+func (s *Session) CacheBytesRetained() int64 { return s.art.CacheBytesRetained() }
 
 // dataset opens a request's handle on dsName: the spec is resolved and,
 // if it names a graph file, stat'ed — once; everything the request then
-// touches keys under the stamp seen here. A stray file shadowing a
-// builtin name is ignored, matching graph.Resolve's precedence.
+// touches keys under the stamp seen here and the session's Config. A
+// stray file shadowing a builtin name is ignored, matching graph.Resolve's
+// precedence.
 func (s *Session) dataset(dsName string) dataset {
-	ds, err := graph.Resolve(dsName)
-	if err != nil || ds.Kind != graph.KindFile {
-		return dataset{name: dsName}
+	d := dataset{name: dsName}
+	if ds, err := graph.Resolve(dsName); err == nil && ds.Kind == graph.KindFile {
+		if fi, err := os.Stat(ds.Path); err == nil {
+			d = s.art.observe(dsName, fileStamp{size: fi.Size(), modNano: fi.ModTime().UnixNano()})
+		}
 	}
-	fi, err := os.Stat(ds.Path)
-	if err != nil {
-		return dataset{name: dsName}
-	}
-	return s.art.observe(dsName, fileStamp{size: fi.Size(), modNano: fi.ModTime().UnixNano()})
+	d.cfg = s.Cfg
+	return d
 }
 
 // group identifies one recording group — every result datapoint that
@@ -339,7 +318,7 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 // caller leads are one timed sim call over the workload and the pinned
 // full recording of g (recorded on first touch), charged to phase and
 // counted in runs when it succeeds. An unknown policy is refused before
-// any of that. Replays can fail environmentally (spill I/O) and under a
+// any of that. Replays can fail environmentally (an I/O fault) and under a
 // caller's context, which is why both kinds are transient.
 func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, policies []string,
 	phase *atomic.Int64, runs *atomic.Uint64,

@@ -89,7 +89,7 @@ func TestOPTStudyOnePass(t *testing.T) {
 		}
 		for _, app := range apps.Names() {
 			for _, ds := range highSkewNames() {
-				g := group(dataset{name: ds}, "DBG", app, apps.LayoutMerged)
+				g := group(s.dataset(ds), "DBG", app, apps.LayoutMerged)
 				if !s.art.ready(optKey(g, studyLLC(cfg.HCfg.LLC, 1))) {
 					t.Errorf("%s/%s: no cell at the base geometry — fig11 and table7's 16MB* column must share it", app, ds)
 				}
@@ -191,7 +191,7 @@ func TestOPTStudyCancelPublishesNothing(t *testing.T) {
 		t.Errorf("only %d cancellation points reached, want at least %d", cancelled, want)
 	}
 	fresh := NewSession(cfg)
-	g := group(dataset{name: "kr"}, "DBG", "PR", apps.LayoutMerged)
+	g := group(s.dataset("kr"), "DBG", "PR", apps.LayoutMerged)
 	for _, llc := range studyGeometries(cfg) {
 		got, err := one(s.optCells(context.Background(), g, []cache.Config{llc}))
 		if err != nil {

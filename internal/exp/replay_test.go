@@ -152,8 +152,7 @@ func TestSessionFileBudgetEvictsLRU(t *testing.T) {
 	pathB := writeGraph("b.el", graph.GenCycle(48))
 
 	cfg := ScaledConfig(16)
-	cfg.CacheBytesBudget = 1 // every newcomer evicts the previous file
-	s := NewSession(cfg)
+	s := NewStore(1).Session(cfg) // every newcomer evicts the previous file
 
 	wA, err := s.Workload(pathA, "DBG", false)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"grasp/internal/fail"
-	"grasp/internal/trace"
 )
 
 // waitDone blocks until the job settles, with a generous bound so a hung
@@ -90,50 +89,47 @@ func TestStorePutFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestSpillFailureFailsOnlyJob: disk-full on the trace spill path fails
-// the recording job, and only it — nothing is stored under its hash, and
-// the same spec succeeds once the disk recovers, because the failed
-// recording was not cached. Every full-fidelity result is the replay of a
-// recording, so a cold kind:single job spills (and fails) exactly like a
-// multi-policy experiment.
-func TestSpillFailureFailsOnlyJob(t *testing.T) {
+// TestTraceFaultFailsOnlyJob: a transient fault reading a recording back
+// (an I/O error, injected where every replay passes each chunk) fails the
+// job, and only it — nothing is stored under its hash, and the same spec
+// succeeds once the fault clears, because the failed replay was not
+// cached. Every full-fidelity result is the replay of a recording, so a
+// cold kind:single job fails exactly like a multi-policy experiment.
+func TestTraceFaultFailsOnlyJob(t *testing.T) {
 	for name, spec := range map[string]Spec{
 		"experiment": {Kind: KindExperiment, Exp: "fig9", Scale: 256},
 		"single":     tinySpec(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer fail.Reset()
-			defer trace.SetMemoryBudget(trace.DefaultMemoryBudget)
 			m := newTestManager(t, 1)
 
-			trace.SetMemoryBudget(-1) // force every sealed chunk to disk
-			fail.Arm("trace.spill.write", nil)
+			fail.Arm("trace.replay.chunk", nil)
 			j, _, err := m.Submit(spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := waitDone(t, j, time.Minute)
-			if st.State != StateFailed || !strings.Contains(st.Error, "spill") {
-				t.Fatalf("spill-failure job: state %s error %q, want failed with spill error", st.State, st.Error)
+			if st.State != StateFailed || !strings.Contains(st.Error, fail.ErrInjected.Error()) {
+				t.Fatalf("trace-fault job: state %s error %q, want failed with the injected fault", st.State, st.Error)
 			}
-			if fail.Hits("trace.spill.write") == 0 {
-				t.Fatal("spill failpoint never fired; the test exercised nothing")
+			if fail.Hits("trace.replay.chunk") == 0 {
+				t.Fatal("replay failpoint never fired; the test exercised nothing")
 			}
 			if m.Result(j.Hash) != nil {
 				t.Fatal("failed job left an outcome under its hash")
 			}
 
 			fail.Reset()
-			trace.SetMemoryBudget(trace.DefaultMemoryBudget)
 			j2, disp, err := m.Submit(spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if disp != Queued {
-				t.Fatalf("resubmit after spill failure: disposition %v, want queued (nothing cached)", disp)
+				t.Fatalf("resubmit after trace fault: disposition %v, want queued (nothing cached)", disp)
 			}
 			if st := waitDone(t, j2, 2*time.Minute); st.State != StateDone {
-				t.Fatalf("resubmit after disk recovered failed: %s", st.Error)
+				t.Fatalf("resubmit after the fault cleared failed: %s", st.Error)
 			}
 		})
 	}

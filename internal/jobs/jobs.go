@@ -208,8 +208,8 @@ type Manager struct {
 	placeWaiting atomic.Int64
 
 	mu             sync.Mutex
+	cache          *exp.Store              // the one memory owner every session draws on
 	sessions       map[uint32]*exp.Session // one simulation session per scale divisor
-	sessionBudget  int64                   // CacheBytesBudget for future sessions; 0 = exp default
 	defaultTimeout time.Duration           // deadline for jobs with no TimeoutS; 0 = none
 	queueLimit     int                     // max queued jobs before Submit sheds; 0 = unbounded
 	journal        *Journal                // crash-recovery log; nil = no journaling
@@ -245,6 +245,7 @@ func NewManager(store *Store, workers int) *Manager {
 		workers:  workers,
 		q:        newQueue(),
 		placeSem: make(chan struct{}, workers),
+		cache:    exp.NewStore(0),
 		sessions: make(map[uint32]*exp.Session),
 		byID:     make(map[string]*Job),
 		byHash:   make(map[string]*Job),
@@ -484,23 +485,18 @@ func (m *Manager) nextID() string {
 	return fmt.Sprintf("j%06d", m.idSeq.Add(1))
 }
 
-// SetSessionCacheBudget overrides the per-session cap on retained
-// recordings and file-backed graphs (exp.Config.CacheBytesBudget) applied
-// to sessions created afterwards; n = 0 keeps the exp default, negative
-// disables the cap. Set it before serving traffic — existing sessions
-// keep the budget they were created with. The cap does not enter job
-// hashes (it changes memory management, never simulated results).
-func (m *Manager) SetSessionCacheBudget(n int64) {
-	m.mu.Lock()
-	m.sessionBudget = n
-	m.mu.Unlock()
-}
+// SetCacheBudget replaces the cap on the recordings and file-backed
+// graphs retained by every session of the manager, whatever its scale
+// (exp.Store.SetBudget: 0 = the exp default, negative = unlimited); what
+// the new cap no longer admits is evicted at once. The cap does not enter
+// job hashes (it changes memory management, never simulated results).
+func (m *Manager) SetCacheBudget(n int64) { m.cache.SetBudget(n) }
 
 // sessionFor returns the simulation session for one scale divisor,
 // creating it on first use. Sessions persist for the manager's lifetime,
 // so every job at a given scale shares workloads, results and traces;
-// what recordings and file-backed graphs pin is bounded per session by the
-// cache budget (see SetSessionCacheBudget).
+// what recordings and file-backed graphs pin, at every scale together, is
+// bounded by the one store's budget (see SetCacheBudget).
 func (m *Manager) sessionFor(scale uint32) *exp.Session {
 	if scale == 0 {
 		scale = 1
@@ -509,9 +505,7 @@ func (m *Manager) sessionFor(scale uint32) *exp.Session {
 	defer m.mu.Unlock()
 	s, ok := m.sessions[scale]
 	if !ok {
-		cfg := configForScale(scale)
-		cfg.CacheBytesBudget = m.sessionBudget
-		s = exp.NewSession(cfg)
+		s = m.cache.Session(configForScale(scale))
 		m.sessions[scale] = s
 	}
 	return s
@@ -951,23 +945,21 @@ type Metrics struct {
 	// actually dodging decode work in production, not only in BENCH files.
 	Skip trace.SkipReport
 	// CacheBytesRetained is the total bytes of recordings and file-backed
-	// graphs retained across all sessions (bounded per session by the
-	// cache budget): non-zero while they are being reused across requests,
-	// not recomputed.
+	// graphs retained by the manager's one store, at every scale (bounded
+	// by the cache budget): non-zero while they are being reused across
+	// requests, not recomputed.
 	CacheBytesRetained int64
 }
 
 // Metrics returns a snapshot of the manager's counters.
 func (m *Manager) Metrics() Metrics {
 	var simRuns, sampledRuns, corunRuns, broadcastGroups uint64
-	var cacheBytes int64
 	m.mu.Lock()
 	for _, s := range m.sessions {
 		simRuns += s.SimRuns()
 		sampledRuns += s.SampledRuns()
 		corunRuns += s.CorunRuns()
 		broadcastGroups += s.Broadcasts()
-		cacheBytes += s.CacheBytesRetained()
 	}
 	m.mu.Unlock()
 	broadcastReplays, broadcastConsumers := trace.BroadcastStats()
@@ -976,7 +968,7 @@ func (m *Manager) Metrics() Metrics {
 		BroadcastReplays:   broadcastReplays,
 		BroadcastConsumers: broadcastConsumers,
 		Skip:               trace.SkipStats(),
-		CacheBytesRetained: cacheBytes,
+		CacheBytesRetained: m.cache.CacheBytesRetained(),
 		Submitted:          m.submitted.Load(),
 		Executed:           m.executed.Load(),
 		Completed:          m.completed.Load(),

@@ -49,6 +49,7 @@ func idleManager(t *testing.T) *Manager {
 		store:    store,
 		workers:  1,
 		q:        newQueue(),
+		cache:    exp.NewStore(0),
 		sessions: make(map[uint32]*exp.Session),
 		byID:     make(map[string]*Job),
 		byHash:   make(map[string]*Job),
@@ -282,6 +283,65 @@ func TestEditedFileGraphReSimulates(t *testing.T) {
 	a2 := j2.Outcome().Single.L1.Accesses()
 	if a2 <= a1 {
 		t.Errorf("post-edit run traced %d accesses vs %d before: stale graph simulated under the new hash", a2, a1)
+	}
+}
+
+// TestCacheBudgetSpansScales: one SetCacheBudget bounds every scale's
+// recordings together. Cold jobs at two scales, interleaved, each leave
+// one recording (synthetic graphs are never charged); after every job the
+// manager's retained bytes stay within the budget plus the largest single
+// recording (the over-budget survivor of its own insertion). Each scale's
+// recordings alone sum past budget + largest, so with a budget per scale
+// the two together would settle above 2 x budget - 2 x largest — past the
+// bound, since the budget is four recordings.
+func TestCacheBudgetSpansScales(t *testing.T) {
+	var specs []Spec
+	for _, app := range []string{"BC", "SSSP", "PR", "PRD", "Radii"} {
+		for _, g := range []string{"lj", "kr", "uni"} {
+			for _, scale := range []uint32{128, 256} {
+				if g == "uni" && scale == 128 {
+					continue // the largest recordings; keep the bound tight
+				}
+				specs = append(specs, Spec{Kind: KindSingle, Graph: g, App: app, Policy: "GRASP", Scale: scale})
+			}
+		}
+	}
+	run := func(m *Manager, spec Spec) {
+		t.Helper()
+		j, _, err := m.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, j, time.Minute); st.State != StateDone {
+			t.Fatalf("%+v: %s", spec, st.Error)
+		}
+	}
+	// Each spec's recording, measured alone under the default budget.
+	var largest int64
+	sum := make(map[uint32]int64)
+	for _, spec := range specs {
+		m := newTestManager(t, 1)
+		run(m, spec)
+		b := m.Metrics().CacheBytesRetained
+		largest = max(largest, b)
+		sum[spec.Scale] += b
+	}
+	budget := 4 * largest
+	for scale, b := range sum {
+		if b <= budget+largest {
+			t.Fatalf("scale %d records %d bytes in all, not past budget %d + largest %d: the test cannot tell one budget from one per scale",
+				scale, b, budget, largest)
+		}
+	}
+
+	m := newTestManager(t, 1)
+	m.SetCacheBudget(budget)
+	for _, spec := range specs {
+		run(m, spec)
+		if got := m.Metrics().CacheBytesRetained; got > budget+largest {
+			t.Fatalf("after %s/%s at scale %d: %d bytes retained, want <= budget %d + largest recording %d",
+				spec.Graph, spec.App, spec.Scale, got, budget, largest)
+		}
 	}
 }
 

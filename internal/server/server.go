@@ -360,7 +360,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("chunk_bytes_decoded_total", "Encoded bytes of chunks decoded by masked replays.", m.Skip.BytesDecoded)
 	counter("accesses_pruned_total", "Records dropped inside the masked decode loop before materialization.", uint64(m.Skip.AccessesPruned))
 	counter("accesses_delivered_total", "Records materialized and delivered to masked-replay consumers.", uint64(m.Skip.AccessesDelivered))
-	gauge("cache_bytes_retained", "Bytes of recordings and file-backed graphs cached across sessions.", float64(m.CacheBytesRetained))
+	gauge("cache_bytes_retained", "Bytes of recordings and file-backed graphs held by the process's one artifact store, all scales together (bounded by -cache-mb).", float64(m.CacheBytesRetained))
 	gauge("jobs_queued", "Jobs waiting for a worker.", float64(m.Queued))
 	gauge("jobs_running", "Jobs currently simulating.", float64(m.Running))
 	gauge("stored_outcomes", "Outcomes in the persistent result store.", float64(m.StoredOutcomes))

@@ -14,10 +14,12 @@
 // 32-bit word — a signed block delta against the previous access plus the
 // low six address bits, the flags, and a dictionary index for the PC —
 // with a two-word wide form for longer jumps and a four-word escape form
-// for anything else. Words accumulate in fixed-size chunks; a package-wide byte
-// budget bounds how much encoded trace stays resident, and chunks beyond
-// it spill to an unlinked temporary file that is read back with pread, so
-// many goroutines can replay one spilled trace concurrently.
+// for anything else. Words accumulate in fixed-size chunks, resident
+// unless the recorder is capped (SetMemoryOverride); chunks beyond a cap
+// spill to an unlinked temporary file that is read back with pread, so
+// many goroutines can replay one spilled trace concurrently. The package
+// makes no memory decisions of its own: what a process retains is its
+// recordings' owner's budget (the exp store, DESIGN.md Sec. 10).
 package trace
 
 import (
@@ -134,27 +136,11 @@ const (
 // GC-friendly even for multi-hundred-million-access traces.
 const chunkWords = 1 << 16
 
-// memoryBudget caps the encoded trace bytes held in RAM across the whole
-// process; memoryInUse tracks the current total. Chunks sealed while the
-// budget is exhausted spill to disk instead.
-var (
-	memoryBudget atomic.Int64
-	memoryInUse  atomic.Int64
-)
-
-// DefaultMemoryBudget is the initial process-wide cap on resident encoded
-// trace bytes (8 GiB, about two billion LLC accesses at 4 B each). A full
-// `-exp all` sweep at bench scale keeps every recording resident well
-// under this; the cap exists so full-reproduction scale (whose traces run
-// to several GB) degrades to disk spill instead of exhausting RAM.
-const DefaultMemoryBudget = int64(8) << 30
-
-func init() { memoryBudget.Store(DefaultMemoryBudget) }
-
-// SetMemoryBudget replaces the process-wide resident-bytes budget; n <= 0
-// forces every sealed chunk to spill. Already-resident chunks are not
-// evicted — the budget steers where future chunks land.
-func SetMemoryBudget(n int64) { memoryBudget.Store(n) }
+// memoryInUse tracks the encoded trace bytes resident in RAM across the
+// whole process. The trace package decides nothing by it: a recording
+// stays resident unless its creator caps it (Recorder.SetMemoryOverride),
+// and what a process retains is bounded by whoever owns the recordings.
+var memoryInUse atomic.Int64
 
 // MemoryInUse returns the encoded trace bytes currently resident in RAM
 // across all live traces (observability and tests).
@@ -187,7 +173,7 @@ func (c *chunk) sizeBytes() uint64 { return uint64(c.n) * wordBytes }
 // application execution that feeds it.
 type Recorder struct {
 	upper  *cache.UpperLevels
-	budget int64 // per-recorder override; 0 = package budget
+	budget int64 // resident-bytes cap; 0 = none (every chunk stays resident)
 	limit  int64 // encode at most this many accesses; 0 = unlimited
 
 	cur       []word
@@ -230,9 +216,9 @@ func NewRawRecorder() *Recorder {
 	return &Recorder{pcIdx: make(map[uint32]word)}
 }
 
-// SetMemoryOverride caps this recorder's resident bytes independently of
-// the package budget (tests exercise the spill path deterministically this
-// way); n < 0 means "spill everything".
+// SetMemoryOverride caps this recorder's resident bytes: chunks past the
+// cap spill to a temp file (tests exercise the spill path
+// deterministically this way); n <= 0 means "spill everything".
 func (r *Recorder) SetMemoryOverride(n int64) {
 	if n == 0 {
 		n = -1
@@ -356,30 +342,17 @@ func (r *Recorder) reserve(n int) {
 	}
 }
 
-// seal closes the current chunk: it stays resident if the budget allows,
-// otherwise it is appended to the spill file and its buffer reused. Either
-// way the chunk carries its self-contained header (the decode base),
-// which always stays resident.
+// seal closes the current chunk: it stays resident unless the recorder's
+// cap (SetMemoryOverride) is exhausted, in which case it is appended to
+// the spill file and its buffer reused. Either way the chunk carries its
+// self-contained header (the decode base), which always stays resident.
 func (r *Recorder) seal() {
 	if len(r.cur) == 0 {
 		return
 	}
 	hdr := chunk{n: len(r.cur), base: r.curBase}
 	bytes := int64(len(r.cur)) * wordBytes
-	budget := r.budget
-	if budget == 0 {
-		budget = memoryBudget.Load()
-	}
-	if r.budget == 0 {
-		if memoryInUse.Add(bytes) <= budget {
-			r.ramBytes += bytes
-			hdr.words = r.cur
-			r.chunks = append(r.chunks, hdr)
-			r.cur = nil
-			return
-		}
-		memoryInUse.Add(-bytes)
-	} else if r.ramBytes+bytes <= budget {
+	if r.budget == 0 || r.ramBytes+bytes <= r.budget {
 		memoryInUse.Add(bytes)
 		r.ramBytes += bytes
 		hdr.words = r.cur
@@ -434,8 +407,8 @@ func (r *Recorder) spillChunk(hdr chunk) {
 	r.cur = r.cur[:0]
 }
 
-// Abandon discards an unfinished recording: resident bytes return to the
-// package budget and the spill file closes. Callers that unwound the
+// Abandon discards an unfinished recording: resident bytes leave
+// MemoryInUse and the spill file closes. Callers that unwound the
 // traced application before Finish (a cancelled recording) must call it —
 // a Recorder has no finalizer, only the Trace minted by Finish does. The
 // recorder must not be used afterwards.
@@ -457,7 +430,7 @@ func (r *Recorder) Abandon() {
 func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 	if n := len(r.cur); n > 0 && n < cap(r.cur) {
 		// Right-size the tail: a sealed chunk keeps its backing array, and
-		// the budgets charge len x wordBytes. Without this every recording
+		// SizeBytes (what a store's budget charges) counts len x wordBytes. Without this every recording
 		// pins a full chunkWords array for its last chunk — most of a
 		// bench-scale recording, which rarely fills one chunk.
 		r.cur = append(make([]word, 0, n), r.cur...)
@@ -486,9 +459,9 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 	if r.upper != nil {
 		t.l1, t.l2 = r.upper.L1.Stats, r.upper.L2.Stats
 	}
-	// The session caches that hold traces have no release hooks on
-	// eviction; the finalizer returns the resident bytes to the budget and
-	// drops the spill descriptor once the trace is unreachable.
+	// A trace dropped without Release (a test, an abandoned value) still
+	// gives back its resources: the finalizer returns the resident bytes
+	// to MemoryInUse and drops the spill descriptor once it is unreachable.
 	runtime.SetFinalizer(t, (*Trace).Release)
 	return t, nil
 }
@@ -540,8 +513,7 @@ func (t *Trace) L2Stats() cache.Stats { return t.l2 }
 func (t *Trace) AppTime() time.Duration { return t.appTime }
 
 // Release drops the owner reference: once no Pin is outstanding the
-// trace's resident bytes return to the package budget and its spill file
-// closes. It is idempotent and runs automatically when the trace becomes
+// trace's resident bytes leave MemoryInUse and its spill file closes. It is idempotent and runs automatically when the trace becomes
 // unreachable; replaying after the resources are gone returns an error.
 func (t *Trace) Release() {
 	if !t.released.CompareAndSwap(false, true) {

@@ -101,6 +101,40 @@ func TestRoundTripSpilled(t *testing.T) {
 	checkRoundTrip(t, accs, tr)
 }
 
+// TestSpillWriteFailure: a failed spill write (disk full) fails Finish
+// with an error wrapping the cause, and the recording's resident chunks
+// give their bytes back — MemoryInUse returns to where it started — with
+// every chunk spilled or only those past a one-chunk cap.
+func TestSpillWriteFailure(t *testing.T) {
+	defer fail.Reset()
+	accs := make([]mem.Access, 2*chunkWords+5000)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: 0x1000_0000 + uint64(i%977)*64, PC: uint32(i % 3)}
+	}
+	for name, override := range map[string]int64{"all-spill": -1, "part-spill": chunkWords * wordBytes} {
+		t.Run(name, func(t *testing.T) {
+			before := MemoryInUse()
+			fail.Arm("trace.spill.write", nil)
+			defer fail.Disarm("trace.spill.write")
+			r := NewRawRecorder()
+			r.SetMemoryOverride(override)
+			for _, a := range accs {
+				r.Record(a)
+			}
+			tr, err := r.Finish(time.Millisecond)
+			if tr != nil || !errors.Is(err, fail.ErrInjected) || !strings.Contains(err.Error(), "trace: spill") {
+				t.Fatalf("Finish = (%v, %v), want no trace and a spill error wrapping the injected fault", tr, err)
+			}
+			if fail.Hits("trace.spill.write") == 0 {
+				t.Fatal("spill failpoint never fired; the test exercised nothing")
+			}
+			if got := MemoryInUse(); got != before {
+				t.Fatalf("MemoryInUse = %d after the failed Finish, want the baseline %d", got, before)
+			}
+		})
+	}
+}
+
 // TestChunkBoundaryEscape fills a chunk to one slot short of capacity and
 // then emits escape records, which must not split across the boundary.
 func TestChunkBoundaryEscape(t *testing.T) {
