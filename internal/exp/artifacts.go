@@ -18,7 +18,7 @@ type kind uint8
 const (
 	kindBase      kind = iota // *graph.CSR: loaded base graph of (dataset, weighted)
 	kindWorkload              // *sim.Workload: reordered (dataset, reorder, weighted)
-	kindRecording             // recording: LLC-bound trace of a group
+	kindRecording             // recording: LLC-bound trace of a group; n = K: its sampled subsequence
 	kindResult                // sim.Result of (group, policy)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
 	kindCorun                 // sim.CorunResult of (mix, policy, weights)

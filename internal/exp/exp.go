@@ -91,6 +91,7 @@ type Session struct {
 	simRuns    atomic.Uint64 // number of distinct simulated result datapoints (dedup observability)
 	broadcasts atomic.Uint64 // result fan-outs run, each serving one group's claimed policies
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
+	subBuilds  atomic.Uint64 // sampled subsequences built (each one masked decode of a full recording)
 	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
 
 	// phase accumulates cumulative engine nanoseconds per prefetch phase
@@ -196,8 +197,13 @@ func (p Datapoint) group(d dataset) artifactKey {
 // application once behind the L1/L2 filter on first use. The one recording
 // backs result replays for any policy and the OPT study, which decodes
 // only its first optTraceCap accesses; at scale 1 the largest is 39 MB.
+// A key with n = K names the group's sampled subsequence instead
+// (sampledSource), pruned from the full recording on first use.
 func (s *Session) recording(ctx context.Context, g artifactKey) (recording, error) {
 	return get(ctx, s.art, g, func() (recording, charge, error) {
+		if g.n != 0 {
+			return s.subsequence(ctx, g)
+		}
 		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
 		if err != nil {
 			return recording{}, charge{}, err
@@ -216,6 +222,28 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 		return recording{tr: tr, bounds: bounds},
 			charge{bytes: tr.SizeBytes(), release: tr.Release}, nil
 	})
+}
+
+// subsequence builds the recording under g, a group's sampled
+// subsequence at K = g.n: one masked decode of the group's pinned full
+// recording, re-encoded (trace.Subsequence). It is charged and evicted
+// like any recording, independently of the full one it was pruned from.
+func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, charge, error) {
+	full := g
+	full.n = 0
+	var rec recording
+	err := s.withRecordings(ctx, []artifactKey{full}, func(recs []recording) error {
+		start := time.Now()
+		tr, err := recs[0].tr.Subsequence(ctx, sim.SampledMask(s.Cfg.HCfg.LLC, g.n))
+		s.phase.sampled.Add(int64(time.Since(start)))
+		rec = recording{tr: tr, bounds: recs[0].bounds}
+		return err
+	})
+	if err != nil {
+		return recording{}, charge{}, err
+	}
+	s.subBuilds.Add(1)
+	return rec, charge{bytes: rec.tr.SizeBytes(), release: rec.tr.Release}, nil
 }
 
 // withRecordings runs fn with every listed group's recording PINNED at

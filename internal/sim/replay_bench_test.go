@@ -14,20 +14,23 @@ import (
 
 // BenchmarkReplay is the replay rung: one PR recording per (dataset,
 // scale) under DBG, at the geometry exp.ScaledConfig gives the scale,
-// replayed in the three shapes production takes — a lone full-fidelity
+// replayed in the shapes production takes — a lone full-fidelity
 // ReplayResultCtx (GRASP), one BroadcastResultsCtx over every registered
-// policy, and a lone sampled K=16 replay (GRASP) — after the decode alone
-// (a full broadcast into one no-op consumer).
+// policy, a lone sampled K=16 replay (GRASP) of the recording, and the
+// same estimate replayed from the K=16 subsequence (trace.Subsequence, the
+// sampled tier's per-group recording) — after the decode alone (a full
+// broadcast into one no-op consumer).
 //
 //	go test ./internal/sim -run '^$' -bench Replay -benchtime 5x -cpu 1
 //
-// Recording happens once per group, outside the timer; ns/access divides
-// a shape's whole time (decode, fan-out, every LLC) by the recording's
-// length. lone is the row to watch if a fused single-policy decode kernel
-// is ever proposed again (DESIGN.md Sec. 11).
+// Recording and the subsequence's one build happen once per group,
+// outside the timer; ns/access divides a shape's whole time (decode,
+// fan-out, every LLC) by the recording's length, so sampled16 and subseq16
+// compare directly. lone is the row to watch if a fused single-policy
+// decode kernel is ever proposed again (DESIGN.md Sec. 11).
 func BenchmarkReplay(b *testing.B) {
 	for _, name := range []string{"lj", "tw"} {
-		for _, scale := range []uint32{16, 4} {
+		for _, scale := range []uint32{16, 4, 1} {
 			b.Run(fmt.Sprintf("%s/scale%d", name, scale), func(b *testing.B) {
 				ds, err := graph.DatasetByName(name)
 				if err != nil {
@@ -53,6 +56,11 @@ func BenchmarkReplay(b *testing.B) {
 					specs = append(specs, sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: pinfo.Name, HCfg: hcfg})
 				}
 				grasp := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: "GRASP", HCfg: hcfg}
+				sub, err := tr.Subsequence(ctx, sim.SampledMask(hcfg.LLC, 16))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sub.Release()
 				noop := []func([]mem.Access){func([]mem.Access) {}}
 				shapes := []struct {
 					name string
@@ -69,6 +77,10 @@ func BenchmarkReplay(b *testing.B) {
 					}},
 					{"sampled16", func() error {
 						_, _, err := sim.SampledReplayResultSkipCtx(ctx, tr, grasp, w.Dataset.Name, bounds, 16)
+						return err
+					}},
+					{"subseq16", func() error {
+						_, _, err := sim.SampledReplayResultSkipCtx(ctx, sub, grasp, w.Dataset.Name, bounds, 16)
 						return err
 					}},
 				}

@@ -68,11 +68,13 @@ func SampledReplayResultSkipCtx(ctx context.Context, tr *trace.Trace, spec Spec,
 // filter derives its own set selection from its own LLC geometry, so specs
 // may differ in policy and geometry alike. It is the sampled decode
 // planner: each spec's selection projects onto the presence buckets via
-// trace.SampledSetsMask and the union drives the masked fan-out, so
-// non-sampled records prune inside the decode loop. Each SetFilter still
-// applies its exact per-set test to what survives, so a spec whose
-// geometry samples fewer buckets than the union sees identical results to
-// a dedicated replay.
+// SampledMask and the union drives the masked fan-out, so non-sampled
+// records prune inside the decode loop. Each SetFilter still applies its
+// exact per-set test to what survives, so a spec whose geometry samples
+// fewer buckets than the union sees identical results to a dedicated
+// replay. tr may also be a trace.Subsequence of the recording built under
+// a mask covering that union: the results are the recording's, bit for
+// bit.
 func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs []Spec, workloadName string, abrArrays [][2]uint64, sampleK uint32) ([]SampledResult, trace.SkipReport, error) {
 	var rep trace.SkipReport
 	if sampleK == 0 {
@@ -90,14 +92,13 @@ func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs 
 		if err != nil {
 			return nil, rep, err
 		}
-		sampled := trace.SampledSets(llc.NumSets(), sampleK)
-		f, err := trace.NewSetFilter(llc, sampled)
+		f, err := trace.NewSetFilter(llc, trace.SampledSets(llc.NumSets(), sampleK))
 		if err != nil {
 			return nil, rep, err
 		}
 		filters[i] = f
 		consumers[i] = f.Consume
-		mask.Or(trace.SampledSetsMask(llc.NumSets(), sampled))
+		mask.Or(SampledMask(spec.HCfg.LLC, sampleK))
 	}
 	rep, err := tr.BroadcastMaskedNCtx(ctx, 0, mask, consumers)
 	if err != nil {
@@ -110,12 +111,22 @@ func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs 
 	return out, rep, nil
 }
 
+// SampledMask is the presence mask of the sets a 1/k sampled replay of
+// an LLC of geometry llc simulates: what the decode planner unions per
+// spec, and what a sampled subsequence (trace.Subsequence) must keep for
+// its replays to equal the full recording's.
+func SampledMask(llc cache.Config, k uint32) trace.PresenceMask {
+	sets := llc.Sets()
+	return trace.SampledSetsMask(sets, trace.SampledSets(sets, k))
+}
+
 // sampledResultOf prices one finished set filter: the estimate is a pure
 // function of the filter's per-set counts and the recording, however the
-// accesses reached the filter.
+// accesses reached the filter — N is the recording's LLC access count
+// (RecordedLen), whether tr is that recording or its sampled subsequence.
 func sampledResultOf(f *trace.SetFilter, tr *trace.Trace, spec Spec, workloadName string, sampleK uint32) SampledResult {
 	acc, miss := f.Counts()
-	est := stats.EstimateSetSample(acc, miss, int(f.LLC().NumSets()), uint64(tr.Len()))
+	est := stats.EstimateSetSample(acc, miss, int(f.LLC().NumSets()), uint64(tr.RecordedLen()))
 	return SampledResult{
 		Spec:       spec,
 		Workload:   workloadName,

@@ -86,9 +86,11 @@ func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func
 // BroadcastNCtx would deliver whose class is masked, in order — with sets
 // <= PresenceBuckets that IS the sampled-set subsequence. The per-run
 // SkipReport is returned and, on success, added to the process-wide
-// SkipStats.
+// SkipStats. On a Subsequence the report also counts what its build
+// pruned, so a replay accounts for the whole recording either way.
 func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
 	rep, err := t.broadcast(ctx, limit, mask, false, consumers)
+	rep.AccessesPruned += t.recorded - t.n
 	if err == nil {
 		countSkip(rep)
 	}

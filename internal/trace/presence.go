@@ -21,8 +21,11 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
+
+	"grasp/internal/mem"
 )
 
 // PresenceBuckets is the width of the prune mask: block addresses are
@@ -100,6 +103,42 @@ func SampledSetsMask(sets uint32, sampled []uint32) PresenceMask {
 	return m
 }
 
+// Subsequence prunes t once under mask and re-encodes the surviving
+// records, in recording order, into a trace of their own: a masked replay
+// of the result under any mask inside this one delivers exactly what the
+// same replay of t would, without scanning the pruned records again. It
+// is the sampled tier's per-(group, K) recording (DESIGN.md Sec. 14). The
+// decode is the one cursor and kernel, the encode the one Recorder; the
+// result keeps t's L1/L2 stats, AppTime and RecordedLen, so an estimate
+// priced from it is priced from the whole recording. The build checks ctx
+// once per chunk of t; a cancelled or failed build leaves nothing behind.
+func (t *Trace) Subsequence(ctx context.Context, mask PresenceMask) (*Trace, error) {
+	c, err := t.newCursor(ctx, 0, mask)
+	if err != nil {
+		return nil, err
+	}
+	r := NewRawRecorder()
+	accs := make([]mem.Access, 0, chunkWords)
+	for {
+		if accs, err = c.next(accs); err != nil {
+			r.Abandon()
+			return nil, err
+		}
+		if len(accs) == 0 {
+			break
+		}
+		for _, a := range accs {
+			r.Record(a)
+		}
+	}
+	sub, err := r.Finish(t.appTime)
+	if err != nil {
+		return nil, err
+	}
+	sub.l1, sub.l2, sub.recorded = t.l1, t.l2, t.recorded
+	return sub, nil
+}
+
 // SkipReport accounts one masked replay's codec-layer savings.
 type SkipReport struct {
 	// ChunksSkipped is always zero: whole-chunk skipping was measured to
@@ -111,8 +150,10 @@ type SkipReport struct {
 	// BytesDecoded their encoded footprint.
 	ChunksDecoded, BytesDecoded uint64
 	// AccessesPruned counts records the masked decoder scanned but dropped
-	// before materialization (bucket outside the mask); AccessesDelivered
-	// counts records materialized and shipped to consumers.
+	// before materialization (bucket outside the mask), plus, on a replay
+	// of a Subsequence, the records its build dropped once;
+	// AccessesDelivered counts records materialized and shipped to
+	// consumers. A whole-stream replay's two sum to RecordedLen.
 	AccessesPruned, AccessesDelivered int64
 }
 

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"grasp/internal/cache"
+	"grasp/internal/fail"
 	"grasp/internal/mem"
 )
 
@@ -256,5 +258,76 @@ func TestMaskedEmptyDelivery(t *testing.T) {
 	}
 	if rep.AccessesPruned != tr.Len() {
 		t.Fatalf("report accounts %d accesses, trace has %d", rep.AccessesPruned, tr.Len())
+	}
+}
+
+// TestSubsequenceMatchesMaskedDecode: a Subsequence holds exactly what a
+// masked replay of its parent delivers, in order, from resident and
+// spilled parents alike, and keeps the parent's recording context; a
+// masked replay of it accounts for the whole parent recording, and so
+// does a subsequence of a subsequence.
+func TestSubsequenceMatchesMaskedDecode(t *testing.T) {
+	ctx := context.Background()
+	accs := append(interesting(), classStream(3, []uint64{1, 2, 3})...)
+	for _, override := range []int64{0, -1} {
+		tr := record(t, accs, override)
+		for _, mask := range []PresenceMask{maskOf(0, 3, 17, 200), maskOf(1, 3), fullMask, maskOf(77)} {
+			want, _ := maskedDecode(t, tr, 0, mask)
+			sub, err := tr.Subsequence(ctx, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sub.Accesses(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("override=%d: subsequence holds %d records, the masked replay delivers %d", override, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("override=%d record %d: got %+v, want %+v", override, i, got[i], want[i])
+				}
+			}
+			if sub.RecordedLen() != tr.Len() || sub.AppTime() != tr.AppTime() || sub.L1Stats() != tr.L1Stats() || sub.L2Stats() != tr.L2Stats() {
+				t.Fatalf("override=%d: subsequence lost its recording's context", override)
+			}
+			_, rep := maskedDecode(t, sub, 0, mask)
+			if rep.AccessesDelivered != sub.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
+				t.Fatalf("override=%d: replay of the subsequence reports %+v; want %d delivered of %d", override, rep, sub.Len(), tr.Len())
+			}
+			nested, err := sub.Subsequence(ctx, maskOf(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, rep := maskedDecode(t, nested, 0, maskOf(3)); nested.RecordedLen() != tr.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
+				t.Fatalf("override=%d: nested subsequence RecordedLen %d, report %+v; want the recording's %d",
+					override, nested.RecordedLen(), rep, tr.Len())
+			}
+			nested.Release()
+			sub.Release()
+		}
+	}
+}
+
+// TestSubsequenceCancelLeavesNothing: a build cancelled up front or failed
+// part-way (after it has sealed chunks of its own) returns the error and
+// gives back every byte it took.
+func TestSubsequenceCancelLeavesNothing(t *testing.T) {
+	tr := record(t, classStream(4, []uint64{1, 2, 3, 4}), 0)
+	before := MemoryInUse()
+	cause := errors.New("test: job deleted")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if sub, err := tr.Subsequence(ctx, fullMask); sub != nil || !errors.Is(err, cause) {
+		t.Fatalf("cancelled build: %v, %v; want no trace and the cause", sub, err)
+	}
+	defer fail.Disarm("trace.replay.chunk")
+	fail.ArmAfter("trace.replay.chunk", 3, nil)
+	if sub, err := tr.Subsequence(context.Background(), fullMask); sub != nil || !errors.Is(err, fail.ErrInjected) {
+		t.Fatalf("build failing on the fourth chunk: %v, %v; want no trace and the fault", sub, err)
+	}
+	if after := MemoryInUse(); after != before {
+		t.Fatalf("failed builds left %d bytes in use", after-before)
 	}
 }

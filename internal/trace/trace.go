@@ -451,6 +451,7 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 		chunks:   r.chunks,
 		pcs:      r.pcs,
 		n:        r.n,
+		recorded: r.n,
 		ramBytes: r.ramBytes,
 		spilled:  r.spillOff,
 		spill:    r.spill,
@@ -480,6 +481,7 @@ type Trace struct {
 	chunks    []chunk
 	pcs       []uint32
 	n         int64
+	recorded  int64 // n, or the length of the recording a Subsequence was pruned from
 	ramBytes  int64
 	spilled   int64
 	spill     *os.File
@@ -492,6 +494,11 @@ type Trace struct {
 
 // Len returns the number of recorded accesses.
 func (t *Trace) Len() int64 { return t.n }
+
+// RecordedLen returns the LLC access count of the application run the
+// trace stands for: Len, except for a Subsequence, which keeps the length
+// of the recording it was pruned from (the sampled estimator's N).
+func (t *Trace) RecordedLen() int64 { return t.recorded }
 
 // SizeBytes returns the encoded footprint (resident + spilled).
 func (t *Trace) SizeBytes() int64 { return t.ramBytes + t.spilled }
@@ -598,8 +605,8 @@ func (t *Trace) materialize(ci int, scratch *[]word, buf *[]byte) ([]word, error
 }
 
 // cursor is the engine's one chunk walker (DESIGN.md Sec. 11). Every
-// replay shape — the broadcast producer, each stream of an interleave —
-// advances through a trace by calling next, so the bounded-prefix limit,
+// replay shape — the broadcast producer, each stream of an interleave, a
+// Subsequence build — advances through a trace by calling next, so the bounded-prefix limit,
 // the per-chunk context poll, the trace.replay.chunk failpoint, spill
 // read-back and the one decode kernel exist exactly once. A full-fidelity
 // cursor is a masked one whose mask is fullMask. Cursors never share
