@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -359,10 +360,12 @@ func runRemote(o *options, w io.Writer) error {
 // it then runs here or on a daemon — and validates it exactly as graspd
 // would, before any graph is resolved.
 func singleSpec(o *options) (jobs.Spec, error) {
+	scale, k, err := specUints(o)
 	spec := jobs.Spec{Kind: jobs.KindSingle, Graph: o.graphSpec, App: o.app, Policy: o.policy,
-		Reorder: o.reorder, Scale: uint32(o.scale), Fidelity: o.fidelity, SampleK: uint32(o.sampleK),
-		TimeoutS: o.timeout.Seconds()}
-	var err error
+		Reorder: o.reorder, Scale: scale, Fidelity: o.fidelity, SampleK: k, TimeoutS: o.timeout.Seconds()}
+	if err != nil {
+		return spec, err
+	}
 	if spec.CorunApps, spec.CorunRatio, err = parseCorun(o); err != nil {
 		return spec, err
 	}
@@ -376,13 +379,28 @@ func sweepTier(o *options) error {
 	if o.corun != "" || o.corunRatio != "" || o.arrays {
 		return fmt.Errorf("-corun, -corun-ratio and -arrays require -graph")
 	}
-	tier := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Scale: uint32(o.scale),
-		Fidelity: o.fidelity, SampleK: uint32(o.sampleK)}
+	scale, k, err := specUints(o)
+	if err != nil {
+		return err
+	}
+	tier := jobs.Spec{Kind: jobs.KindSingle, Graph: "lj", Scale: scale, Fidelity: o.fidelity, SampleK: k}
 	if err := tier.Canonicalize(); err != nil {
 		return err
 	}
 	o.sampleK = uint(tier.SampleK)
 	return nil
+}
+
+// specUints narrows -scale and -sample-k to a jobs.Spec's uint32 fields,
+// refusing a value past math.MaxUint32 instead of truncating it.
+func specUints(o *options) (scale, sampleK uint32, err error) {
+	if o.scale > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("-scale %d exceeds %d", o.scale, uint32(math.MaxUint32))
+	}
+	if o.sampleK > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("-sample-k %d exceeds %d", o.sampleK, uint32(math.MaxUint32))
+	}
+	return uint32(o.scale), uint32(o.sampleK), nil
 }
 
 // runSingle runs one -graph job — on ingested real-world datasets as much

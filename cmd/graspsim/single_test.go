@@ -90,6 +90,8 @@ func TestSingleSpecRefusals(t *testing.T) {
 		{"unknown policy", "unknown policy \"NOPE\"", []string{"-policy", "NOPE"}},
 		{"unknown reorder", "NOPE", []string{"-reorder", "NOPE"}},
 		{"corun too wide", "exceeds the maximum", []string{"-corun", wide}},
+		{"scale past uint32", "-scale 4294967360 exceeds 4294967295", []string{"-scale", "4294967360"}},
+		{"K past uint32", "-sample-k 4294967300 exceeds 4294967295", []string{"-fidelity", "sampled", "-sample-k", "4294967300"}},
 	} {
 		_, err := singleSpec(parseArgs(t, append([]string{"-graph", noGraph}, tc.args...)...))
 		if err == nil {
@@ -147,6 +149,8 @@ func TestSweepTier(t *testing.T) {
 		{"-arrays"},
 		{"-scale", "3"},
 		{"-scale", "24", "-fidelity", "sampled"},
+		{"-scale", "4294967360"},
+		{"-fidelity", "sampled", "-sample-k", "4294967300"},
 	} {
 		if err := sweepTier(parseArgs(t, args...)); err == nil {
 			t.Errorf("%v: accepted on an -exp run", args)

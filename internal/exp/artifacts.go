@@ -149,8 +149,8 @@ func (a *Store) Session(cfg Config) *Session {
 // once. Past it the least recent recording, or the least recently
 // requested file dataset whole, is evicted and Released, so a long-lived
 // daemon fed arbitrary groups, scales and distinct paths does not grow
-// without bound (DESIGN.md Sec. 10; in-flight replays are protected by
-// trace pinning, Sec. 11). Synthetic graphs are a small fixed set per
+// without bound (DESIGN.md Sec. 10; an in-flight replay keeps the trace it
+// holds, Sec. 11). Synthetic graphs are a small fixed set per
 // scale and are never charged. 0 selects DefaultStoreBudget; negative
 // disables the cap.
 func (a *Store) SetBudget(n int64) {
@@ -293,7 +293,7 @@ func (a *Store) settle(k artifactKey, e *entry, c charge, panicked bool) {
 		// Evicted while in flight (its file was edited, or its dataset was
 		// the budget's victim): nothing is charged, so a later
 		// eviction has nothing to subtract or release. Whoever receives
-		// the value loses the pin race on it and asks again.
+		// the value still uses it; only the store forgets it.
 		if c.release != nil {
 			released = append(released, c.release)
 		}

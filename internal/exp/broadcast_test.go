@@ -139,9 +139,9 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 // replays against continuous recording eviction (a one-byte budget evicts
 // on every new recording) and session cache churn from concurrent
 // Result calls across several groups. Every result must come out
-// identical to the execution-driven reference: the pin/release protocol
-// means an eviction can reclaim a trace mid-batch only after its replays
-// finish, and evicted groups silently re-record. Run under -race in CI.
+// identical to the execution-driven reference: an eviction only drops the
+// store's reference, so a batch finishes on the trace it holds, and
+// evicted groups silently re-record. Run under -race in CI.
 func TestConcurrentBroadcastEvictionHammer(t *testing.T) {
 	t.Parallel()
 	schemes := []string{"GRASP", "LRU", "SHiP-MEM", "Leeway"}

@@ -122,7 +122,7 @@ func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([
 // corunFanOut computes the mix under every listed policy from ONE merge of
 // its recordings. Solo baselines come first, one results fan-out per
 // group — each the replay of the SAME recording the co-run merges. Then the
-// mix's recordings are pinned once, for the whole fan-out, and a single
+// mix's recordings are held once, for the whole fan-out, and a single
 // timed sim.CorunBroadcastResultsCtx serves all the policies. The dataset
 // name the results carry is the first stream's solo baseline's: no
 // workload is prepared here that the recordings did not already need.

@@ -265,8 +265,9 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 // TestCorunEvictionCannotReleasePinnedRecordings races per-mix fan-outs against
 // continuous recording eviction: under a one-byte budget every new
 // recording evicts (and Releases) the others, including the ones a
-// fan-out in flight is merging. The fan-out pins its mix's recordings for
-// the whole fan-out, so every result must equal an unpressured session's.
+// fan-out in flight is merging. Release only ends a trace's charge, and
+// the fan-out holds its mix's recordings until it ends, so every result
+// must equal an unpressured session's.
 // Run under -race in CI.
 func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 	t.Parallel()

@@ -225,7 +225,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 }
 
 // subsequence builds the recording under g, a group's sampled
-// subsequence at K = g.n: one masked decode of the group's pinned full
+// subsequence at K = g.n: one masked decode of the group's full
 // recording, re-encoded (trace.Subsequence). It is charged and evicted
 // like any recording, independently of the full one it was pruned from.
 func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, charge, error) {
@@ -246,28 +246,16 @@ func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, ch
 	return rec, charge{bytes: rec.tr.SizeBytes(), release: rec.tr.Release}, nil
 }
 
-// withRecordings runs fn with every listed group's recording PINNED at
-// once (recs[i] belongs to groups[i]), so a concurrent budget eviction
-// cannot reclaim a trace mid-replay. Losing a pin race (the recording was
-// evicted and released between lookup and pin) retries: the eviction also
-// removed the store entry, so the next lookup re-records.
+// withRecordings runs fn with every listed group's recording at once
+// (recs[i] belongs to groups[i]), recording each on first use. A budget
+// eviction racing fn only drops the store's reference and charge: a trace
+// is an in-memory value, so fn's replays finish with the one they hold.
 func (s *Session) withRecordings(ctx context.Context, groups []artifactKey, fn func(recs []recording) error) error {
-	recs := make([]recording, 0, len(groups))
-	defer func() {
-		for _, rec := range recs {
-			rec.tr.Unpin()
-		}
-	}()
-	for _, g := range groups {
-		for {
-			rec, err := s.recording(ctx, g)
-			if err != nil {
-				return err
-			}
-			if rec.tr.Pin() {
-				recs = append(recs, rec)
-				break
-			}
+	recs := make([]recording, len(groups))
+	for i, g := range groups {
+		var err error
+		if recs[i], err = s.recording(ctx, g); err != nil {
+			return err
 		}
 	}
 	return fn(recs)
@@ -275,7 +263,7 @@ func (s *Session) withRecordings(ctx context.Context, groups []artifactKey, fn f
 
 // WithRecording lends fn the full recording of one (dataset, reorder, app,
 // layout) group, recorded on first use, and the ABR bounds of the run that
-// produced it, pinned while fn runs (graspsim -arrays' per-array tally).
+// produced it (graspsim -arrays' per-array tally).
 func (s *Session) WithRecording(ctx context.Context, dsName, reorderName, app string, layout apps.Layout,
 	fn func(tr *trace.Trace, bounds [][2]uint64) error) error {
 	g := group(s.dataset(dsName), reorderName, app, layout)
@@ -343,8 +331,8 @@ func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.
 // and sampled; a co-run spans several groups and has its own tier —
 // corun.go): the kd cells of group g for every listed policy (n: the
 // sampling divisor K, 0 for full results), claimed at once. The cells this
-// caller leads are one timed sim call over the workload and the pinned
-// full recording of g (recorded on first touch), charged to phase and
+// caller leads are one timed sim call over the workload and the full
+// recording of g (recorded on first touch), charged to phase and
 // counted in runs when it succeeds. An unknown policy is refused before
 // any of that. Replays can fail environmentally (an I/O fault) and under a
 // caller's context, which is why both kinds are transient.
@@ -539,7 +527,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// fan-out (results), so an N-policy group pays one decode instead of N
 	// and its replays run concurrently even inside one worker slot
 	// (DESIGN.md Sec. 12), and every OPT study cell declared on the group's
-	// trace in one more pass over the recording the unit holds pinned
+	// trace in one more pass over the recording the unit holds
 	// (optCells).
 	var units []artifactKey                // the groups, in batch order
 	byGroup := make(map[artifactKey][]int) // a group's points: indices into uniq, batch order

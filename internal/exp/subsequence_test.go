@@ -143,7 +143,7 @@ func TestSubsequenceEvictedIndependently(t *testing.T) {
 	if S <= 0 || S >= F {
 		t.Fatalf("subsequence charged %d bytes, full recording %d: want 0 < sub < full", S, F)
 	}
-	// The full recording is the more recent (the build pinned it after
+	// The full recording is the more recent (the build looked it up after
 	// claiming the subsequence): one byte short evicts the subsequence.
 	st.SetBudget(F + S - 1)
 	if st.ready(sub) || !st.ready(full) || st.CacheBytesRetained() != F {

@@ -1,6 +1,6 @@
 // Package fail provides named, test-armable failpoints: fixed hooks
 // compiled into I/O and execution paths (store writes, journal appends,
-// trace spill I/O, job execution) that tests arm to inject an error or a
+// trace replay chunks, job execution) that tests arm to inject an error or a
 // panic exactly where a real fault would strike. The chaos suite drives
 // disk-full, torn-shutdown and panicking-simulation scenarios through
 // them (DESIGN.md Sec. 13).
@@ -8,7 +8,7 @@
 // Disarmed is the only state production code ever sees, so Hit's fast
 // path is a single atomic load of a process-wide counter — no map lookup,
 // no lock — and the hooks are safe to leave on hot-ish paths like the
-// per-chunk spill write.
+// per-chunk replay check.
 package fail
 
 import (
@@ -70,8 +70,8 @@ func Hit(name string) error {
 func Arm(name string, err error) { ArmAfter(name, 0, err) }
 
 // ArmAfter is Arm, except the first `passes` Hits succeed before the
-// point starts firing — for faults that strike mid-stream (the Nth spill
-// write, the Nth journal append).
+// point starts firing — for faults that strike mid-stream (the Nth replay
+// chunk, the Nth journal append).
 func ArmAfter(name string, passes int, err error) {
 	if err == nil {
 		err = ErrInjected

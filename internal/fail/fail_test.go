@@ -32,7 +32,7 @@ func TestArmAndReset(t *testing.T) {
 }
 
 // TestArmAfterSkipsPasses: ArmAfter lets the first N hits through, then
-// fires — the mid-stream fault shape (Nth spill write).
+// fires — the mid-stream fault shape (Nth replay chunk).
 func TestArmAfterSkipsPasses(t *testing.T) {
 	defer Reset()
 	ArmAfter("p", 2, nil)

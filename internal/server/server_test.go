@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +187,33 @@ func TestValidationAndNotFound(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("misspelled field got HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestResultKeyMustBeHash: GET /results/x%2F<hash> names no stored
+// outcome, so it is a plain 404 that touches no file. The store must not
+// read <hash>'s file under that key, find it self-identifying as another
+// hash and quarantine a valid result.
+func TestResultKeyMustBeHash(t *testing.T) {
+	dir := t.TempDir()
+	_, mgr, ts := bootDaemon(t, dir, 1)
+	hash := strings.Repeat("0123456789abcdef", 4)
+	if err := mgr.Store().Put(&jobs.Outcome{Hash: hash, Output: "stored"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/results/x%2F" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /results/x%%2F<hash>: HTTP %d, want 404", resp.StatusCode)
+	}
+	if _, err := os.Stat(filepath.Join(dir, hash+".json")); err != nil {
+		t.Errorf("the valid result's file is gone: %v", err)
+	}
+	if n := mgr.Store().Corrupt(); n != 0 {
+		t.Errorf("%d entries quarantined, want 0", n)
 	}
 }
 

@@ -267,12 +267,12 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 // (limit <= 0: all); the L1/L2 filter still runs over the whole execution,
 // so the stored prefix is exactly the first limit accesses of an unlimited
 // recording. Capped traces serve bounded-prefix consumers without holding
-// (or spilling) the full stream; they must NOT back full-result replays.
+// the full stream; they must NOT back full-result replays.
 //
 // Cancellation is cooperative: the recorder polls the context as it
 // encodes and unwinds the application with the abort sentinel once it is
-// cancelled; the partial recording is abandoned (resident bytes and spill
-// space released) and the context's error returned. A non-cancellable
+// cancelled; the partial recording is abandoned (its bytes leave
+// trace.MemoryInUse) and the context's error returned. A non-cancellable
 // context adds one nil check per access to the recorder's hot path.
 func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout apps.Layout, hcfg cache.HierarchyConfig, limit int64) (tr *trace.Trace, err error) {
 	fg := ligra.NewGraph(w.Graph)

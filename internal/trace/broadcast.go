@@ -1,10 +1,10 @@
 // Broadcast replay: the one way a decoded stream reaches its consumers.
-// A decode pays spill read-back, word unpacking and delta reconstruction,
-// so BroadcastNCtx runs one cursor over the trace, decoding each chunk
-// exactly once into a slab of mem.Access values, and fans the slab out to
-// every consumer: an N-policy sweep of one recording pays one decode, not
-// N, and a lone replay is the same fan-out with one consumer. Consumers
-// run in parallel on multi-core hosts (DESIGN.md Sec. 12); a lone
+// A decode pays word unpacking and delta reconstruction, so BroadcastNCtx
+// runs one cursor over the trace, decoding each chunk exactly once into a
+// slab of mem.Access values, and fans the slab out to every consumer: an
+// N-policy sweep of one recording pays one decode, not N, and a lone
+// replay is the same fan-out with one consumer. Consumers run in parallel
+// on multi-core hosts (DESIGN.md Sec. 12); a lone
 // full-fidelity one runs on the decoding goroutine.
 //
 // The fan-out itself (fanOut) does not know where slabs come from: it
@@ -100,11 +100,8 @@ func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask Prese
 // broadcast is the solo slab source over the fan-out ring: one cursor,
 // one decoded chunk per slab, records outside mask pruned.
 func (t *Trace) broadcast(ctx context.Context, limit int64, mask PresenceMask, inline bool, consumers []func(accs []mem.Access)) (SkipReport, error) {
-	c, err := t.newCursor(ctx, limit, mask)
-	if err != nil {
-		return SkipReport{}, err
-	}
-	err = fanOut(consumers, inline, func(r *ring) error {
+	c := t.newCursor(ctx, limit, mask)
+	err := fanOut(consumers, inline, func(r *ring) error {
 		for {
 			s := r.take()
 			accs, err := c.next(s.accs)

@@ -11,9 +11,8 @@ import (
 )
 
 // FuzzCodecRoundTrip decodes arbitrary bytes into an access stream,
-// encodes it through the recorder (alternating the resident and
-// all-spilled layouts by a byte of the input) and asserts the decode
-// reproduces the stream exactly. The codec must be total: any address,
+// encodes it through the recorder and asserts the decode reproduces the
+// stream exactly. The codec must be total: any address,
 // PC and flag combination round-trips, including delta overflows and PC
 // dictionary exhaustion.
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -70,9 +69,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 		r := NewRawRecorder()
-		if n > 0 && data[0]&4 != 0 {
-			r.SetMemoryOverride(-1) // exercise the spill layout too
-		}
 		for _, a := range accs {
 			r.Record(a)
 		}
@@ -99,8 +95,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // FuzzMaskedDecode drives the masked (in-loop pruning) decode with hostile
 // recordings across geometries from 2 to 512 sets: arbitrary bytes become
 // an access stream (13-byte records as in FuzzCodecRoundTrip; an input
-// byte toggles the spill layout, picks the set count and the sampling
-// divisor), decoded masked and reconciled against a filter applied after
+// byte picks the set count and the sampling divisor), decoded masked and reconciled against a filter applied after
 // the independent reference decode. The conservative mask must NEVER
 // drop a sampled-set access — delivered accesses, their order, and the
 // prune/deliver accounting must match the reference exactly for any
@@ -109,8 +104,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func FuzzMaskedDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Seed one stream clustered in a single congruence class (everything
-	// prunes for most masks), one striding every class with spill + a
-	// large divisor, and one hammering escape records.
+	// prunes for most masks), one striding every class with a large
+	// divisor, and one hammering escape records.
 	cluster := make([]byte, 0, 13*64)
 	for i := 0; i < 64; i++ {
 		var rec [13]byte
@@ -123,7 +118,7 @@ func FuzzMaskedDecode(f *testing.F) {
 	for i := 0; i < 64; i++ {
 		var rec [13]byte
 		binary.LittleEndian.PutUint64(rec[:8], uint64(i)*64+uint64(i)<<41)
-		rec[12] = byte(i&3) | 4
+		rec[12] = byte(i & 3)
 		stride = append(stride, rec[:]...)
 	}
 	f.Add(stride)
@@ -156,9 +151,6 @@ func FuzzMaskedDecode(f *testing.F) {
 		var sel byte
 		if n > 0 {
 			sel = data[0]
-		}
-		if sel&4 != 0 {
-			r.SetMemoryOverride(-1)
 		}
 		for _, a := range accs {
 			r.Record(a)
@@ -224,7 +216,7 @@ func FuzzMaskedDecode(f *testing.F) {
 
 // FuzzSetFilterReplay drives the sampled tier's set filter with hostile
 // recordings: arbitrary bytes become an access stream (same 13-byte record
-// layout as FuzzCodecRoundTrip, spill layout toggled by an input byte),
+// layout as FuzzCodecRoundTrip),
 // which is broadcast through a SetFilter whose divisor also comes from the
 // input. The filter must never panic, never index outside the slab ring or
 // its counter slots, and its per-set counters must reconcile exactly with
@@ -234,7 +226,7 @@ func FuzzMaskedDecode(f *testing.F) {
 func FuzzSetFilterReplay(f *testing.F) {
 	f.Add([]byte{})
 	// Seed one stream that hammers a single set (all blocks alias to set 3
-	// of 16) and one that strides across every set with spill enabled.
+	// of 16) and one that strides across every set.
 	alias := make([]byte, 0, 13*32)
 	for i := 0; i < 32; i++ {
 		var rec [13]byte
@@ -247,7 +239,7 @@ func FuzzSetFilterReplay(f *testing.F) {
 	for i := 0; i < 64; i++ {
 		var rec [13]byte
 		binary.LittleEndian.PutUint64(rec[:8], uint64(i)*64+uint64(i)<<40)
-		rec[12] = byte(i&3) | 4 // bit 2: spill layout
+		rec[12] = byte(i & 3)
 		stride = append(stride, rec[:]...)
 	}
 	f.Add(stride)
@@ -268,9 +260,6 @@ func FuzzSetFilterReplay(f *testing.F) {
 			}
 		}
 		r := NewRawRecorder()
-		if n > 0 && data[0]&4 != 0 {
-			r.SetMemoryOverride(-1)
-		}
 		for _, a := range accs {
 			r.Record(a)
 		}

@@ -79,11 +79,7 @@ func openInterleave(ctx context.Context, streams []InterleaveStream, limit int64
 		if st.Weight <= 0 {
 			return nil, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
-		c, err := st.Trace.newCursor(ctx, limit, fullMask)
-		if err != nil {
-			return nil, err
-		}
-		cursors[i].cursor = c
+		cursors[i].cursor = st.Trace.newCursor(ctx, limit, fullMask)
 	}
 	return cursors, nil
 }

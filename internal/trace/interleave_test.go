@@ -15,7 +15,7 @@ import (
 )
 
 // recordAccesses builds an immutable trace from an access slice through
-// the raw recorder (resident layout; spill covered by the fuzz target).
+// the raw recorder.
 func recordAccesses(t testing.TB, accs []mem.Access) *Trace {
 	t.Helper()
 	r := NewRawRecorder()
@@ -173,7 +173,8 @@ func TestInterleaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestInterleaveValidation: the argument contract errors.
+// TestInterleaveValidation: the argument contract errors. Release is not
+// one of them: a released trace stays an ordinary value and replays whole.
 func TestInterleaveValidation(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, 4))
 	consume := func(int, []mem.Access) {}
@@ -187,8 +188,10 @@ func TestInterleaveValidation(t *testing.T) {
 		t.Error("zero weight accepted")
 	}
 	tr.Release()
-	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 1}}, 0, consume); err == nil {
-		t.Error("released trace accepted")
+	var n int
+	count := func(_ int, accs []mem.Access) { n += len(accs) }
+	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 1}}, 0, count); err != nil || n != 4 {
+		t.Errorf("released trace: err = %v, %d of 4 accesses delivered; want a whole replay", err, n)
 	}
 }
 
@@ -355,8 +358,7 @@ func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 
 // FuzzInterleaveReplay feeds hostile recording pairs and arbitrary ratio
 // weights through the interleaver: two byte strings decode (13-byte
-// records, the codec fuzz targets' layout; spill toggled by an input
-// byte) into traces A and B, replayed as three streams — A, B, and A
+// records, the codec fuzz targets' layout) into traces A and B, replayed as three streams — A, B, and A
 // again through a second cursor — under fuzzed weights and limit. Every
 // stream's delivered concatenation must equal its trace's independent
 // decode, batches must respect weights, and the merge must terminate.
@@ -374,15 +376,12 @@ func FuzzInterleaveReplay(f *testing.F) {
 	f.Add(seedA[:13], seedA, byte(200), byte(0), uint16(1))
 	f.Fuzz(func(t *testing.T, dataA, dataB []byte, wA, wB byte, limit16 uint16) {
 		const recSize = 13
-		decode := func(data []byte, spill bool) *Trace {
+		decode := func(data []byte) *Trace {
 			n := len(data) / recSize
 			if n > 1<<12 {
 				n = 1 << 12
 			}
 			r := NewRawRecorder()
-			if spill {
-				r.SetMemoryOverride(-1)
-			}
 			for i := 0; i < n; i++ {
 				rec := data[i*recSize:]
 				r.Record(mem.Access{
@@ -398,10 +397,9 @@ func FuzzInterleaveReplay(f *testing.F) {
 			}
 			return tr
 		}
-		spill := len(dataA) > 0 && dataA[0]&4 != 0
-		trA := decode(dataA, spill)
+		trA := decode(dataA)
 		defer trA.Release()
-		trB := decode(dataB, !spill)
+		trB := decode(dataB)
 		defer trB.Release()
 		weightA := int(wA%8) + 1
 		weightB := int(wB%8) + 1

@@ -113,13 +113,11 @@ func SampledSetsMask(sets uint32, sampled []uint32) PresenceMask {
 // priced from it is priced from the whole recording. The build checks ctx
 // once per chunk of t; a cancelled or failed build leaves nothing behind.
 func (t *Trace) Subsequence(ctx context.Context, mask PresenceMask) (*Trace, error) {
-	c, err := t.newCursor(ctx, 0, mask)
-	if err != nil {
-		return nil, err
-	}
+	c := t.newCursor(ctx, 0, mask)
 	r := NewRawRecorder()
 	accs := make([]mem.Access, 0, chunkWords)
 	for {
+		var err error
 		if accs, err = c.next(accs); err != nil {
 			r.Abandon()
 			return nil, err

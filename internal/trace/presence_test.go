@@ -53,8 +53,8 @@ func maskedDecode(t *testing.T, tr *Trace, limit int64, mask PresenceMask) ([]me
 
 // TestChunkHeadersSelfContained asserts every sealed chunk's header lets
 // it decode in isolation: the per-chunk base plus the chunk's words must
-// reproduce exactly the corresponding slice of the full decode, resident
-// and spilled alike, and the chunks must partition the stream.
+// reproduce exactly the corresponding slice of the full decode, and the
+// chunks must partition the stream.
 func TestChunkHeadersSelfContained(t *testing.T) {
 	// interesting() alone fits one chunk; repeat it until the encoding
 	// crosses several chunk boundaries (escape forms land mid-stream, so
@@ -63,40 +63,29 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 	for len(accs) < 3*chunkWords {
 		accs = append(accs, interesting()...)
 	}
-	for _, override := range []int64{0, -1} {
-		tr := record(t, accs, override)
-		if len(tr.chunks) < 2 {
-			t.Fatalf("want a multi-chunk trace, got %d chunks", len(tr.chunks))
-		}
-		ref, err := tr.Accesses(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var scratch []word
-		var buf []byte
-		var off int64
-		for ci := range tr.chunks {
-			c := &tr.chunks[ci]
-			words, err := tr.materialize(ci, &scratch, &buf)
-			if err != nil {
-				t.Fatal(err)
+	tr := record(t, accs)
+	if len(tr.chunks) < 2 {
+		t.Fatalf("want a multi-chunk trace, got %d chunks", len(tr.chunks))
+	}
+	ref, err := tr.Accesses(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64
+	for ci := range tr.chunks {
+		c := &tr.chunks[ci]
+		// Decode this chunk alone, seeded only by its header base, with
+		// the kernel every cursor runs; Accesses shares none of it.
+		got, _ := tr.decodeAppendMasked(c.words, nil, c.base, 0, tr.Len(), fullMask)
+		for i, a := range got {
+			if a != ref[off+int64(i)] {
+				t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
 			}
-			if len(words) != c.n {
-				t.Fatalf("chunk %d: %d words materialized, header says %d", ci, len(words), c.n)
-			}
-			// Decode this chunk alone, seeded only by its header base, with
-			// the kernel every cursor runs; Accesses shares none of it.
-			got, _ := tr.decodeAppendMasked(words, nil, c.base, 0, tr.Len(), fullMask)
-			for i, a := range got {
-				if a != ref[off+int64(i)] {
-					t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
-				}
-			}
-			off += int64(len(got))
 		}
-		if off != tr.Len() {
-			t.Fatalf("isolated chunk decodes sum to %d accesses, trace has %d", off, tr.Len())
-		}
+		off += int64(len(got))
+	}
+	if off != tr.Len() {
+		t.Fatalf("isolated chunk decodes sum to %d accesses, trace has %d", off, tr.Len())
 	}
 }
 
@@ -131,33 +120,31 @@ func TestSampledSetsMaskConservative(t *testing.T) {
 
 // TestReplayMaskedEquivalence: a one-consumer masked fan-out must deliver
 // exactly the masked subsequence of a full decode, in order, with the
-// report reconciling every recorded access — resident and spilled.
+// report reconciling every recorded access.
 func TestReplayMaskedEquivalence(t *testing.T) {
 	accs := interesting()
 	mask := maskOf(0, 3, 17, 200)
-	for _, override := range []int64{0, -1} {
-		tr := record(t, accs, override)
-		var want []mem.Access
-		for _, a := range accs {
-			if mask.test(cache.BlockAddr(a.Addr)) {
-				want = append(want, a)
-			}
+	tr := record(t, accs)
+	var want []mem.Access
+	for _, a := range accs {
+		if mask.test(cache.BlockAddr(a.Addr)) {
+			want = append(want, a)
 		}
-		got, rep := maskedDecode(t, tr, 0, mask)
-		if len(got) != len(want) {
-			t.Fatalf("masked replay delivered %d accesses, want %d", len(got), len(want))
+	}
+	got, rep := maskedDecode(t, tr, 0, mask)
+	if len(got) != len(want) {
+		t.Fatalf("masked replay delivered %d accesses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d: got %+v, want %+v", i, got[i], want[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("access %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		if rep.AccessesDelivered != int64(len(want)) {
-			t.Fatalf("report delivered %d, want %d", rep.AccessesDelivered, len(want))
-		}
-		if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
-			t.Fatalf("report accounts %d accesses, trace has %d", total, tr.Len())
-		}
+	}
+	if rep.AccessesDelivered != int64(len(want)) {
+		t.Fatalf("report delivered %d, want %d", rep.AccessesDelivered, len(want))
+	}
+	if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+		t.Fatalf("report accounts %d accesses, trace has %d", total, tr.Len())
 	}
 }
 
@@ -167,7 +154,7 @@ func TestReplayMaskedEquivalence(t *testing.T) {
 // delivered.
 func TestReplayMaskedLimit(t *testing.T) {
 	accs := classStream(4, []uint64{1, 2, 1, 3})
-	tr := record(t, accs, 0)
+	tr := record(t, accs)
 	mask := maskOf(3)
 	limit := int64(len(accs)) - chunkWords/2 // cuts into the last (masked) segment
 	var want []mem.Access
@@ -198,50 +185,48 @@ func TestReplayMaskedLimit(t *testing.T) {
 func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 	accs := interesting()
 	cfg := cache.Config{SizeBytes: 16 << 10, Ways: 16} // 16 sets
-	for _, override := range []int64{0, -1} {
-		tr := record(t, accs, override)
-		for _, k := range []uint32{1, 4, 16} {
-			sampled := SampledSets(cfg.Sets(), k)
+	tr := record(t, accs)
+	for _, k := range []uint32{1, 4, 16} {
+		sampled := SampledSets(cfg.Sets(), k)
 
-			refLLC := cache.MustNew(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
-			ref, err := NewSetFilter(refLLC, sampled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Consume(accs)
+		refLLC := cache.MustNew(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
+		ref, err := NewSetFilter(refLLC, sampled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Consume(accs)
 
-			gotLLC := cache.MustNew(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
-			got, err := NewSetFilter(gotLLC, sampled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mask := SampledSetsMask(cfg.Sets(), sampled)
-			rep, err := tr.BroadcastMaskedNCtx(context.Background(), 0, mask, []func([]mem.Access){got.Consume})
-			if err != nil {
-				t.Fatal(err)
-			}
+		gotLLC := cache.MustNew(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
+		got, err := NewSetFilter(gotLLC, sampled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := SampledSetsMask(cfg.Sets(), sampled)
+		rep, err := tr.BroadcastMaskedNCtx(context.Background(), 0, mask, []func([]mem.Access){got.Consume})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if gotLLC.Stats != refLLC.Stats {
-				t.Fatalf("k=%d override=%d: masked fan-out LLC stats %+v != filter-after-decode %+v",
-					k, override, gotLLC.Stats, refLLC.Stats)
+		if gotLLC.Stats != refLLC.Stats {
+			t.Fatalf("k=%d: masked fan-out LLC stats %+v != filter-after-decode %+v",
+				k, gotLLC.Stats, refLLC.Stats)
+		}
+		gotAcc, gotMiss := got.Counts()
+		refAcc, refMiss := ref.Counts()
+		for i := range refAcc {
+			if gotAcc[i] != refAcc[i] || gotMiss[i] != refMiss[i] {
+				t.Fatalf("k=%d slot %d: masked counts (%d,%d) != reference (%d,%d)",
+					k, i, gotAcc[i], gotMiss[i], refAcc[i], refMiss[i])
 			}
-			gotAcc, gotMiss := got.Counts()
-			refAcc, refMiss := ref.Counts()
-			for i := range refAcc {
-				if gotAcc[i] != refAcc[i] || gotMiss[i] != refMiss[i] {
-					t.Fatalf("k=%d override=%d slot %d: masked counts (%d,%d) != reference (%d,%d)",
-						k, override, i, gotAcc[i], gotMiss[i], refAcc[i], refMiss[i])
-				}
-			}
-			if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
-				t.Fatalf("k=%d: report accounts %d accesses, trace has %d", k, total, tr.Len())
-			}
-			// With 16 sets the mask is exact: everything delivered lands in a
-			// sampled set, so the filter forwards all of it.
-			if uint64(rep.AccessesDelivered) != gotLLC.Stats.Accesses() {
-				t.Fatalf("k=%d: delivered %d but LLC saw %d — mask not exact at 16 sets",
-					k, rep.AccessesDelivered, gotLLC.Stats.Accesses())
-			}
+		}
+		if total := rep.AccessesPruned + rep.AccessesDelivered; total != tr.Len() {
+			t.Fatalf("k=%d: report accounts %d accesses, trace has %d", k, total, tr.Len())
+		}
+		// With 16 sets the mask is exact: everything delivered lands in a
+		// sampled set, so the filter forwards all of it.
+		if uint64(rep.AccessesDelivered) != gotLLC.Stats.Accesses() {
+			t.Fatalf("k=%d: delivered %d but LLC saw %d — mask not exact at 16 sets",
+				k, rep.AccessesDelivered, gotLLC.Stats.Accesses())
 		}
 	}
 }
@@ -251,7 +236,7 @@ func TestBroadcastMaskedMatchesFilterAfterDecode(t *testing.T) {
 // with every access accounted as pruned.
 func TestMaskedEmptyDelivery(t *testing.T) {
 	accs := classStream(2, []uint64{1, 2})
-	tr := record(t, accs, 0)
+	tr := record(t, accs)
 	got, rep := maskedDecode(t, tr, 0, maskOf(77))
 	if len(got) != 0 || rep.AccessesDelivered != 0 {
 		t.Fatalf("empty mask delivered %d accesses", len(got))
@@ -262,51 +247,49 @@ func TestMaskedEmptyDelivery(t *testing.T) {
 }
 
 // TestSubsequenceMatchesMaskedDecode: a Subsequence holds exactly what a
-// masked replay of its parent delivers, in order, from resident and
-// spilled parents alike, and keeps the parent's recording context; a
+// masked replay of its parent delivers, in order, and keeps the parent's
+// recording context; a
 // masked replay of it accounts for the whole parent recording, and so
 // does a subsequence of a subsequence.
 func TestSubsequenceMatchesMaskedDecode(t *testing.T) {
 	ctx := context.Background()
 	accs := append(interesting(), classStream(3, []uint64{1, 2, 3})...)
-	for _, override := range []int64{0, -1} {
-		tr := record(t, accs, override)
-		for _, mask := range []PresenceMask{maskOf(0, 3, 17, 200), maskOf(1, 3), fullMask, maskOf(77)} {
-			want, _ := maskedDecode(t, tr, 0, mask)
-			sub, err := tr.Subsequence(ctx, mask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sub.Accesses(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("override=%d: subsequence holds %d records, the masked replay delivers %d", override, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("override=%d record %d: got %+v, want %+v", override, i, got[i], want[i])
-				}
-			}
-			if sub.RecordedLen() != tr.Len() || sub.AppTime() != tr.AppTime() || sub.L1Stats() != tr.L1Stats() || sub.L2Stats() != tr.L2Stats() {
-				t.Fatalf("override=%d: subsequence lost its recording's context", override)
-			}
-			_, rep := maskedDecode(t, sub, 0, mask)
-			if rep.AccessesDelivered != sub.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
-				t.Fatalf("override=%d: replay of the subsequence reports %+v; want %d delivered of %d", override, rep, sub.Len(), tr.Len())
-			}
-			nested, err := sub.Subsequence(ctx, maskOf(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, rep := maskedDecode(t, nested, 0, maskOf(3)); nested.RecordedLen() != tr.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
-				t.Fatalf("override=%d: nested subsequence RecordedLen %d, report %+v; want the recording's %d",
-					override, nested.RecordedLen(), rep, tr.Len())
-			}
-			nested.Release()
-			sub.Release()
+	tr := record(t, accs)
+	for _, mask := range []PresenceMask{maskOf(0, 3, 17, 200), maskOf(1, 3), fullMask, maskOf(77)} {
+		want, _ := maskedDecode(t, tr, 0, mask)
+		sub, err := tr.Subsequence(ctx, mask)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := sub.Accesses(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("subsequence holds %d records, the masked replay delivers %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		if sub.RecordedLen() != tr.Len() || sub.AppTime() != tr.AppTime() || sub.L1Stats() != tr.L1Stats() || sub.L2Stats() != tr.L2Stats() {
+			t.Fatal("subsequence lost its recording's context")
+		}
+		_, rep := maskedDecode(t, sub, 0, mask)
+		if rep.AccessesDelivered != sub.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
+			t.Fatalf("replay of the subsequence reports %+v; want %d delivered of %d", rep, sub.Len(), tr.Len())
+		}
+		nested, err := sub.Subsequence(ctx, maskOf(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, rep := maskedDecode(t, nested, 0, maskOf(3)); nested.RecordedLen() != tr.Len() || rep.AccessesPruned+rep.AccessesDelivered != tr.Len() {
+			t.Fatalf("nested subsequence RecordedLen %d, report %+v; want the recording's %d",
+				nested.RecordedLen(), rep, tr.Len())
+		}
+		nested.Release()
+		sub.Release()
 	}
 }
 
@@ -314,7 +297,7 @@ func TestSubsequenceMatchesMaskedDecode(t *testing.T) {
 // part-way (after it has sealed chunks of its own) returns the error and
 // gives back every byte it took.
 func TestSubsequenceCancelLeavesNothing(t *testing.T) {
-	tr := record(t, classStream(4, []uint64{1, 2, 3, 4}), 0)
+	tr := record(t, classStream(4, []uint64{1, 2, 3, 4}))
 	before := MemoryInUse()
 	cause := errors.New("test: job deleted")
 	ctx, cancel := context.WithCancelCause(context.Background())

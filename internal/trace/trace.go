@@ -14,19 +14,16 @@
 // 32-bit word — a signed block delta against the previous access plus the
 // low six address bits, the flags, and a dictionary index for the PC —
 // with a two-word wide form for longer jumps and a four-word escape form
-// for anything else. Words accumulate in fixed-size chunks, resident
-// unless the recorder is capped (SetMemoryOverride); chunks beyond a cap
-// spill to an unlinked temporary file that is read back with pread, so
-// many goroutines can replay one spilled trace concurrently. The package
-// makes no memory decisions of its own: what a process retains is its
-// recordings' owner's budget (the exp store, DESIGN.md Sec. 10).
+// for anything else. Words accumulate in fixed-size in-memory chunks; a
+// finished Trace is an immutable value that any number of goroutines
+// replay at once, and Go's GC owns its lifetime. The package makes no
+// memory decisions of its own: what a process retains is its recordings'
+// owner's budget (the exp store, DESIGN.md Sec. 10).
 package trace
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -82,8 +79,7 @@ func AbortError(p any) (error, bool) {
 const ctxPollInterval = chunkWords
 
 // word is the unit of the encoded stream; wordBytes is its size, the
-// factor every byte count of the codec (budgets, spill offsets, SizeBytes)
-// is charged in.
+// factor every byte count of the codec (budgets, SizeBytes) is charged in.
 type word = uint32
 
 const wordBytes = 4
@@ -131,39 +127,34 @@ const (
 )
 
 // chunkWords is the fixed chunk capacity (1<<16 words = 256KB): large
-// enough that per-chunk overheads vanish, small enough that a replay's
-// spill read-back buffer and the encoder's working set stay cache- and
-// GC-friendly even for multi-hundred-million-access traces.
+// enough that per-chunk overheads vanish, small enough that a decoded
+// slab and the encoder's working set stay cache- and GC-friendly even for
+// multi-hundred-million-access traces.
 const chunkWords = 1 << 16
 
-// memoryInUse tracks the encoded trace bytes resident in RAM across the
-// whole process. The trace package decides nothing by it: a recording
-// stays resident unless its creator caps it (Recorder.SetMemoryOverride),
-// and what a process retains is bounded by whoever owns the recordings.
+// memoryInUse tracks the encoded bytes of every unreleased trace across
+// the whole process. The trace package decides nothing by it: what a
+// process retains is bounded by whoever owns the recordings.
 var memoryInUse atomic.Int64
 
-// MemoryInUse returns the encoded trace bytes currently resident in RAM
-// across all live traces (observability and tests).
+// MemoryInUse returns the encoded bytes of all unreleased traces — a leak
+// detector for observability and tests, not a budget.
 func MemoryInUse() int64 { return memoryInUse.Load() }
 
-// chunk is one segment of the encoded word stream: resident (words != nil)
-// or spilled (n words at byte offset off in the trace's spill file), plus
-// the self-contained decode header stamped at seal time. The header makes
-// every chunk decodable in isolation — base is the block-delta state the
-// first record's delta applies to, so a cursor decodes each chunk from its
-// own header without threading lastBlock through the chunks before it.
-// The header always stays resident; only the words spill (DESIGN.md
-// Sec. 11; traces are process-lifetime only, so the header needs no
-// on-disk form or version negotiation).
+// chunk is one segment of the encoded word stream plus the self-contained
+// decode header stamped at seal time. The header makes every chunk
+// decodable in isolation — base is the block-delta state the first
+// record's delta applies to, so a cursor decodes each chunk from its own
+// header without threading lastBlock through the chunks before it
+// (DESIGN.md Sec. 11; traces are process-lifetime only, so the header
+// needs no on-disk form or version negotiation).
 type chunk struct {
 	words []word
-	off   int64
-	n     int    // word count (resident and spilled alike)
 	base  uint64 // lastBlock before the chunk's first record
 }
 
 // sizeBytes returns the chunk's encoded footprint.
-func (c *chunk) sizeBytes() uint64 { return uint64(c.n) * wordBytes }
+func (c *chunk) sizeBytes() uint64 { return uint64(len(c.words)) * wordBytes }
 
 // Recorder encodes an LLC-bound access stream. Built with NewRecorder it
 // is a mem.Sink that filters every access through fresh L1/L2 upper levels
@@ -172,9 +163,8 @@ func (c *chunk) sizeBytes() uint64 { return uint64(c.n) * wordBytes }
 // into an immutable Trace. A Recorder is single-goroutine, like the
 // application execution that feeds it.
 type Recorder struct {
-	upper  *cache.UpperLevels
-	budget int64 // resident-bytes cap; 0 = none (every chunk stays resident)
-	limit  int64 // encode at most this many accesses; 0 = unlimited
+	upper *cache.UpperLevels
+	limit int64 // encode at most this many accesses; 0 = unlimited
 
 	cur       []word
 	chunks    []chunk
@@ -187,10 +177,6 @@ type Recorder struct {
 	havePC    bool
 	n         int64
 	ramBytes  int64
-	spill     *os.File
-	spillOff  int64
-	spillBuf  []byte // reused encode buffer for spilled chunks
-	err       error
 
 	ctxDone <-chan struct{} // non-nil: poll for cancellation while recording
 	ctx     context.Context
@@ -214,16 +200,6 @@ func NewRecorder(cfg cache.HierarchyConfig) (*Recorder, error) {
 // access passed to Access (or Record) is encoded.
 func NewRawRecorder() *Recorder {
 	return &Recorder{pcIdx: make(map[uint32]word)}
-}
-
-// SetMemoryOverride caps this recorder's resident bytes: chunks past the
-// cap spill to a temp file (tests exercise the spill path
-// deterministically this way); n <= 0 means "spill everything".
-func (r *Recorder) SetMemoryOverride(n int64) {
-	if n == 0 {
-		n = -1
-	}
-	r.budget = n
 }
 
 // SetContext attaches a cancellation context: Access polls it every
@@ -342,127 +318,57 @@ func (r *Recorder) reserve(n int) {
 	}
 }
 
-// seal closes the current chunk: it stays resident unless the recorder's
-// cap (SetMemoryOverride) is exhausted, in which case it is appended to
-// the spill file and its buffer reused. Either way the chunk carries its
-// self-contained header (the decode base), which always stays resident.
+// seal closes the current chunk, charging its bytes to MemoryInUse; the
+// chunk carries its self-contained header (the decode base).
 func (r *Recorder) seal() {
 	if len(r.cur) == 0 {
 		return
 	}
-	hdr := chunk{n: len(r.cur), base: r.curBase}
 	bytes := int64(len(r.cur)) * wordBytes
-	if r.budget == 0 || r.ramBytes+bytes <= r.budget {
-		memoryInUse.Add(bytes)
-		r.ramBytes += bytes
-		hdr.words = r.cur
-		r.chunks = append(r.chunks, hdr)
-		r.cur = nil
-		return
-	}
-	r.spillChunk(hdr)
+	memoryInUse.Add(bytes)
+	r.ramBytes += bytes
+	r.chunks = append(r.chunks, chunk{words: r.cur, base: r.curBase})
+	r.cur = nil
 }
 
-// spillChunk writes the current chunk to the spill file (created lazily
-// and unlinked immediately, so the space is reclaimed as soon as the last
-// descriptor closes even if the process dies). hdr carries the chunk's
-// self-contained header, which stays resident; only the words hit disk.
-func (r *Recorder) spillChunk(hdr chunk) {
-	if r.err != nil {
-		r.cur = r.cur[:0]
-		return
-	}
-	if r.spill == nil {
-		f, err := os.CreateTemp("", "grasp-trace-*.spill")
-		if err != nil {
-			r.err = fmt.Errorf("trace: spill: %w", err)
-			r.cur = r.cur[:0]
-			return
-		}
-		// Best-effort unlink-while-open (POSIX); if the OS refuses, the
-		// file is removed when the trace is released.
-		os.Remove(f.Name())
-		r.spill = f
-	}
-	if cap(r.spillBuf) < len(r.cur)*wordBytes {
-		r.spillBuf = make([]byte, chunkWords*wordBytes)
-	}
-	buf := r.spillBuf[:len(r.cur)*wordBytes]
-	for i, w := range r.cur {
-		binary.LittleEndian.PutUint32(buf[i*wordBytes:], w)
-	}
-	if err := fail.Hit("trace.spill.write"); err != nil {
-		r.err = fmt.Errorf("trace: spill: %w", err)
-		r.cur = r.cur[:0]
-		return
-	}
-	if _, err := r.spill.WriteAt(buf, r.spillOff); err != nil {
-		r.err = fmt.Errorf("trace: spill: %w", err)
-		r.cur = r.cur[:0]
-		return
-	}
-	hdr.off = r.spillOff
-	r.chunks = append(r.chunks, hdr)
-	r.spillOff += int64(len(buf))
-	r.cur = r.cur[:0]
-}
-
-// Abandon discards an unfinished recording: resident bytes leave
-// MemoryInUse and the spill file closes. Callers that unwound the
-// traced application before Finish (a cancelled recording) must call it —
-// a Recorder has no finalizer, only the Trace minted by Finish does. The
-// recorder must not be used afterwards.
+// Abandon discards an unfinished recording: its bytes leave MemoryInUse.
+// Callers that unwound the traced application before Finish (a cancelled
+// recording) must call it — a Recorder has no finalizer, only the Trace
+// minted by Finish does. The recorder must not be used afterwards.
 func (r *Recorder) Abandon() {
 	memoryInUse.Add(-r.ramBytes)
 	r.ramBytes = 0
 	r.chunks = nil
 	r.cur = nil
-	if r.spill != nil {
-		os.Remove(r.spill.Name()) // no-op where unlink-at-create succeeded
-		r.spill.Close()
-		r.spill = nil
-	}
 }
 
 // Finish seals the recording into an immutable Trace carrying the upper
 // levels' stats (zero for raw recorders) and the wall-clock of the traced
-// application execution. The recorder must not be used afterwards.
+// application execution. The recorder must not be used afterwards. The
+// error result is always nil: sealing in memory cannot fail.
 func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 	if n := len(r.cur); n > 0 && n < cap(r.cur) {
 		// Right-size the tail: a sealed chunk keeps its backing array, and
-		// SizeBytes (what a store's budget charges) counts len x wordBytes. Without this every recording
-		// pins a full chunkWords array for its last chunk — most of a
-		// bench-scale recording, which rarely fills one chunk.
+		// SizeBytes (what a store's budget charges) counts len x wordBytes.
+		// Without this every recording holds a full chunkWords array for
+		// its last chunk — most of a bench-scale recording, which rarely
+		// fills one chunk.
 		r.cur = append(make([]word, 0, n), r.cur...)
 	}
 	r.seal()
-	if r.err != nil {
-		if r.spill != nil {
-			// Mirror Release: no Trace will exist to clean up, so drop the
-			// spill here (the Remove is a no-op where unlink-at-create
-			// already succeeded).
-			os.Remove(r.spill.Name())
-			r.spill.Close()
-		}
-		memoryInUse.Add(-r.ramBytes)
-		return nil, r.err
-	}
 	t := &Trace{
 		chunks:   r.chunks,
 		pcs:      r.pcs,
 		n:        r.n,
 		recorded: r.n,
 		ramBytes: r.ramBytes,
-		spilled:  r.spillOff,
-		spill:    r.spill,
 		appTime:  appTime,
 	}
 	if r.upper != nil {
 		t.l1, t.l2 = r.upper.L1.Stats, r.upper.L2.Stats
 	}
 	// A trace dropped without Release (a test, an abandoned value) still
-	// gives back its resources: the finalizer returns the resident bytes
-	// to MemoryInUse and drops the spill descriptor once it is unreachable.
+	// leaves MemoryInUse: the finalizer releases it once it is unreachable.
 	runtime.SetFinalizer(t, (*Trace).Release)
 	return t, nil
 }
@@ -472,24 +378,18 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 // because the upper levels never see the LLC) and the application
 // execution wall-clock. Replay methods are safe for concurrent use.
 //
-// Lifecycle: the creator owns one implicit reference dropped by Release;
-// replayers that may race with Release (a session evicting cached
-// recordings under a byte budget) bracket their reads with Pin/Unpin. The
-// trace's resources — resident-byte accounting and the spill file — are
-// destroyed when the owner reference is gone AND no pins remain.
+// A Trace is a plain in-memory value: Go's GC owns its lifetime, so a
+// replay holding it runs to the end whatever its owner does meanwhile.
+// Release only ends its charge to MemoryInUse.
 type Trace struct {
-	chunks    []chunk
-	pcs       []uint32
-	n         int64
-	recorded  int64 // n, or the length of the recording a Subsequence was pruned from
-	ramBytes  int64
-	spilled   int64
-	spill     *os.File
-	l1, l2    cache.Stats
-	appTime   time.Duration
-	pins      atomic.Int64
-	released  atomic.Bool
-	destroyed atomic.Bool
+	chunks   []chunk
+	pcs      []uint32
+	n        int64
+	recorded int64 // n, or the length of the recording a Subsequence was pruned from
+	ramBytes int64
+	l1, l2   cache.Stats
+	appTime  time.Duration
+	released atomic.Bool
 }
 
 // Len returns the number of recorded accesses.
@@ -500,15 +400,8 @@ func (t *Trace) Len() int64 { return t.n }
 // of the recording it was pruned from (the sampled estimator's N).
 func (t *Trace) RecordedLen() int64 { return t.recorded }
 
-// SizeBytes returns the encoded footprint (resident + spilled).
-func (t *Trace) SizeBytes() int64 { return t.ramBytes + t.spilled }
-
-// ResidentBytes returns only the RAM-resident part of the encoding — the
-// quantity memory budgets should charge (spilled bytes live on disk).
-func (t *Trace) ResidentBytes() int64 { return t.ramBytes }
-
-// SpilledBytes returns how much of the encoding lives in the spill file.
-func (t *Trace) SpilledBytes() int64 { return t.spilled }
+// SizeBytes returns the encoded footprint — what a memory budget charges.
+func (t *Trace) SizeBytes() int64 { return t.ramBytes }
 
 // L1Stats returns the recording's L1 filter stats.
 func (t *Trace) L1Stats() cache.Stats { return t.l1 }
@@ -519,121 +412,41 @@ func (t *Trace) L2Stats() cache.Stats { return t.l2 }
 // AppTime returns the wall-clock of the traced application execution.
 func (t *Trace) AppTime() time.Duration { return t.appTime }
 
-// Release drops the owner reference: once no Pin is outstanding the
-// trace's resident bytes leave MemoryInUse and its spill file closes. It is idempotent and runs automatically when the trace becomes
-// unreachable; replaying after the resources are gone returns an error.
+// Release returns the trace's bytes to MemoryInUse. It is idempotent and
+// runs automatically when the trace becomes unreachable; the trace stays
+// replayable, so a replay racing its owner's Release finishes normally.
 func (t *Trace) Release() {
 	if !t.released.CompareAndSwap(false, true) {
 		return
 	}
 	runtime.SetFinalizer(t, nil)
-	if t.pins.Load() == 0 {
-		t.destroy()
-	}
-}
-
-// Pin guards a replay against a concurrent Release (cached-recording
-// eviction): while the pin is held the trace's chunks and spill file stay
-// valid even if the owner releases it. It reports false when the owner
-// reference is already gone — the caller must obtain (re-record) a fresh
-// trace instead. Every successful Pin must be paired with one Unpin.
-func (t *Trace) Pin() bool {
-	t.pins.Add(1)
-	if t.released.Load() {
-		t.Unpin()
-		return false
-	}
-	return true
-}
-
-// Unpin drops a Pin reference, destroying the trace's resources if the
-// owner has released it and this was the last pin.
-func (t *Trace) Unpin() {
-	if t.pins.Add(-1) == 0 && t.released.Load() {
-		t.destroy()
-	}
-}
-
-// destroy reclaims the trace's resources exactly once: Release and the
-// last Unpin can both observe the terminal state, so the actual teardown
-// is CAS-guarded.
-func (t *Trace) destroy() {
-	if !t.destroyed.CompareAndSwap(false, true) {
-		return
-	}
 	memoryInUse.Add(-t.ramBytes)
-	if t.spill != nil {
-		os.Remove(t.spill.Name()) // no-op where unlink-at-create succeeded
-		t.spill.Close()
-	}
-}
-
-// errReleased is returned when replaying a trace whose resources have been
-// reclaimed (released with no pins outstanding).
-var errReleased = fmt.Errorf("trace: replay of a released trace")
-
-// materialize returns the words of chunk ci: resident chunks are returned as-is
-// (shared, read-only); spilled chunks are read into the caller's scratch
-// buffers via pread, so concurrent replays never contend.
-func (t *Trace) materialize(ci int, scratch *[]word, buf *[]byte) ([]word, error) {
-	c := &t.chunks[ci]
-	if c.words != nil {
-		return c.words, nil
-	}
-	if t.destroyed.Load() {
-		return nil, errReleased
-	}
-	need := c.n * wordBytes
-	if cap(*buf) < need {
-		*buf = make([]byte, chunkWords*wordBytes)
-	}
-	b := (*buf)[:need]
-	if err := fail.Hit("trace.spill.read"); err != nil {
-		return nil, fmt.Errorf("trace: spill read: %w", err)
-	}
-	if _, err := t.spill.ReadAt(b, c.off); err != nil {
-		return nil, fmt.Errorf("trace: spill read: %w", err)
-	}
-	if cap(*scratch) < c.n {
-		*scratch = make([]word, chunkWords)
-	}
-	words := (*scratch)[:c.n]
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(b[i*wordBytes:])
-	}
-	return words, nil
 }
 
 // cursor is the engine's one chunk walker (DESIGN.md Sec. 11). Every
 // replay shape — the broadcast producer, each stream of an interleave, a
 // Subsequence build — advances through a trace by calling next, so the bounded-prefix limit,
-// the per-chunk context poll, the trace.replay.chunk failpoint, spill
-// read-back and the one decode kernel exist exactly once. A full-fidelity
-// cursor is a masked one whose mask is fullMask. Cursors never share
-// scratch space, so any number of them read one (possibly spilled) trace
-// concurrently.
+// the per-chunk context poll, the trace.replay.chunk failpoint and the one
+// decode kernel exist exactly once. A full-fidelity cursor is a masked one
+// whose mask is fullMask. A cursor only reads the trace, so any number of
+// them walk one trace concurrently.
 type cursor struct {
-	t       *Trace
-	ctx     context.Context
-	mask    PresenceMask // records outside it are pruned while decoding
-	ci      int          // next chunk to decode
-	done    int64        // recorded accesses consumed so far, pruned ones included
-	limit   int64
-	rep     SkipReport // what the prune dropped and kept
-	scratch []word
-	rbuf    []byte
+	t     *Trace
+	ctx   context.Context
+	mask  PresenceMask // records outside it are pruned while decoding
+	ci    int          // next chunk to decode
+	done  int64        // recorded accesses consumed so far, pruned ones included
+	limit int64
+	rep   SkipReport // what the prune dropped and kept
 }
 
 // newCursor opens a cursor over the first limit accesses of t (limit <= 0:
 // all) that delivers only records whose block congruence class mask marks.
-func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) (cursor, error) {
-	if t.destroyed.Load() {
-		return cursor{}, errReleased
-	}
+func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) cursor {
 	if limit <= 0 || limit > t.n {
 		limit = t.n
 	}
-	return cursor{t: t, ctx: ctx, mask: mask, limit: limit}, nil
+	return cursor{t: t, ctx: ctx, mask: mask, limit: limit}
 }
 
 // next decodes the cursor's next chunk into dst[:0] and returns the
@@ -654,13 +467,9 @@ func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 			return nil, fmt.Errorf("trace: replay: %w", err)
 		}
 		ch := &c.t.chunks[c.ci]
-		words, err := c.t.materialize(c.ci, &c.scratch, &c.rbuf)
-		if err != nil {
-			return nil, err
-		}
 		c.ci++
 		before := c.done
-		dst, c.done = c.t.decodeAppendMasked(words, dst, ch.base, c.done, c.limit, c.mask)
+		dst, c.done = c.t.decodeAppendMasked(ch.words, dst, ch.base, c.done, c.limit, c.mask)
 		c.rep.ChunksDecoded++
 		c.rep.BytesDecoded += ch.sizeBytes()
 		c.rep.AccessesDelivered += int64(len(dst))
@@ -727,30 +536,20 @@ func (t *Trace) decodeAppendMasked(words []word, dst []mem.Access, base uint64, 
 	return dst, done
 }
 
-// each decodes at most limit accesses (limit <= 0: all) through fn. It
-// deliberately shares nothing with the cursor and its kernel: Accesses is
-// the independent reference decoder the equivalence tests and fuzz targets
-// compare every replay shape against.
-func (t *Trace) each(limit int64, fn func(a mem.Access)) error {
-	if t.destroyed.Load() {
-		return errReleased
-	}
+// Accesses decodes the first limit accesses (limit <= 0: all) into a
+// slice; the error result is always nil. It deliberately shares nothing
+// with the cursor and its kernel: it is the independent reference decoder
+// the equivalence tests and fuzz targets compare every replay shape
+// against.
+func (t *Trace) Accesses(limit int64) ([]mem.Access, error) {
 	if limit <= 0 || limit > t.n {
 		limit = t.n
 	}
-	var scratch []word
-	var buf []byte
-	var done int64
-	for ci := range t.chunks {
-		if done >= limit {
-			break
-		}
-		words, err := t.materialize(ci, &scratch, &buf)
-		if err != nil {
-			return err
-		}
-		lastBlock := t.chunks[ci].base
-		for i := 0; i < len(words) && done < limit; {
+	out := make([]mem.Access, 0, limit)
+	for _, ch := range t.chunks {
+		words := ch.words
+		lastBlock := ch.base
+		for i := 0; i < len(words) && int64(len(out)) < limit; {
 			w := words[i]
 			var block uint64
 			var pc uint32
@@ -768,26 +567,13 @@ func (t *Trace) each(limit int64, fn func(a mem.Access)) error {
 				i++
 			}
 			lastBlock = block
-			fn(mem.Access{
+			out = append(out, mem.Access{
 				Addr:     block<<cache.BlockBits | uint64((w>>low6Shift)&low6Mask),
 				PC:       pc,
 				Write:    w&flagWrite != 0,
 				Property: w&flagProp != 0,
 			})
-			done++
 		}
 	}
-	return nil
-}
-
-// Accesses decodes the first limit accesses (limit <= 0: all) into a
-// slice, for tests and equivalence checks.
-func (t *Trace) Accesses(limit int64) ([]mem.Access, error) {
-	n := t.n
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]mem.Access, 0, n)
-	err := t.each(limit, func(a mem.Access) { out = append(out, a) })
-	return out, err
+	return out, nil
 }

@@ -12,14 +12,10 @@ import (
 	"grasp/internal/mem"
 )
 
-// record encodes the accesses through a raw recorder (optionally with a
-// resident-bytes override) and seals the trace.
-func record(t *testing.T, accs []mem.Access, override int64) *Trace {
+// record encodes the accesses through a raw recorder and seals the trace.
+func record(t *testing.T, accs []mem.Access) *Trace {
 	t.Helper()
 	r := NewRawRecorder()
-	if override != 0 {
-		r.SetMemoryOverride(override)
-	}
 	for _, a := range accs {
 		r.Record(a)
 	}
@@ -89,50 +85,7 @@ func interesting() []mem.Access {
 
 func TestRoundTrip(t *testing.T) {
 	accs := interesting()
-	checkRoundTrip(t, accs, record(t, accs, 0))
-}
-
-func TestRoundTripSpilled(t *testing.T) {
-	accs := interesting()
-	tr := record(t, accs, -1) // spill every chunk
-	if tr.SpilledBytes() == 0 {
-		t.Fatal("override did not spill")
-	}
-	checkRoundTrip(t, accs, tr)
-}
-
-// TestSpillWriteFailure: a failed spill write (disk full) fails Finish
-// with an error wrapping the cause, and the recording's resident chunks
-// give their bytes back — MemoryInUse returns to where it started — with
-// every chunk spilled or only those past a one-chunk cap.
-func TestSpillWriteFailure(t *testing.T) {
-	defer fail.Reset()
-	accs := make([]mem.Access, 2*chunkWords+5000)
-	for i := range accs {
-		accs[i] = mem.Access{Addr: 0x1000_0000 + uint64(i%977)*64, PC: uint32(i % 3)}
-	}
-	for name, override := range map[string]int64{"all-spill": -1, "part-spill": chunkWords * wordBytes} {
-		t.Run(name, func(t *testing.T) {
-			before := MemoryInUse()
-			fail.Arm("trace.spill.write", nil)
-			defer fail.Disarm("trace.spill.write")
-			r := NewRawRecorder()
-			r.SetMemoryOverride(override)
-			for _, a := range accs {
-				r.Record(a)
-			}
-			tr, err := r.Finish(time.Millisecond)
-			if tr != nil || !errors.Is(err, fail.ErrInjected) || !strings.Contains(err.Error(), "trace: spill") {
-				t.Fatalf("Finish = (%v, %v), want no trace and a spill error wrapping the injected fault", tr, err)
-			}
-			if fail.Hits("trace.spill.write") == 0 {
-				t.Fatal("spill failpoint never fired; the test exercised nothing")
-			}
-			if got := MemoryInUse(); got != before {
-				t.Fatalf("MemoryInUse = %d after the failed Finish, want the baseline %d", got, before)
-			}
-		})
-	}
+	checkRoundTrip(t, accs, record(t, accs))
 }
 
 // TestChunkBoundaryEscape fills a chunk to one slot short of capacity and
@@ -148,7 +101,7 @@ func TestChunkBoundaryEscape(t *testing.T) {
 		addr += uint64(1) << 60 // escape every time
 		accs = append(accs, mem.Access{Addr: addr, PC: uint32(i)})
 	}
-	checkRoundTrip(t, accs, record(t, accs, 0))
+	checkRoundTrip(t, accs, record(t, accs))
 }
 
 // TestPCDictionaryOverflow drives more distinct PCs than the dictionary
@@ -158,7 +111,7 @@ func TestPCDictionaryOverflow(t *testing.T) {
 	for i := 0; i < maxPCs+500; i++ {
 		accs = append(accs, mem.Access{Addr: uint64(i) * 64, PC: uint32(i) * 2654435761})
 	}
-	checkRoundTrip(t, accs, record(t, accs, 0))
+	checkRoundTrip(t, accs, record(t, accs))
 }
 
 // TestCodecWordForms pins the three record forms at their edges: each
@@ -224,7 +177,7 @@ func TestCodecWordForms(t *testing.T) {
 		"pcs": pcs,
 	} {
 		accs, words := at(steps)
-		tr := record(t, accs, 0)
+		tr := record(t, accs)
 		checkRoundTrip(t, accs, tr)
 		if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
 			t.Errorf("%s: SizeBytes = %d, want %d (%d words)", name, got, want, words)
@@ -250,20 +203,18 @@ func TestCodecWordForms(t *testing.T) {
 		}
 		steps = append(steps, step{delta, 3, c.form}, step{1, 3, compact})
 		accs, words := at(steps)
-		for _, override := range []int64{0, -1} {
-			tr := record(t, accs, override)
-			checkRoundTrip(t, accs, tr)
-			if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
-				t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, want)
-			}
-			first := chunkWords
-			if c.short < c.form {
-				first = chunkWords - c.short // sealed early
-			}
-			if len(tr.chunks) != 2 || tr.chunks[0].n != first || tr.chunks[1].n != words-first {
-				t.Errorf("%s (override %d): chunks %d, first holds %d words; want 2 chunks, %d + %d",
-					c.name, override, len(tr.chunks), tr.chunks[0].n, first, words-first)
-			}
+		tr := record(t, accs)
+		checkRoundTrip(t, accs, tr)
+		if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
+			t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, want)
+		}
+		first := chunkWords
+		if c.short < c.form {
+			first = chunkWords - c.short // sealed early
+		}
+		if len(tr.chunks) != 2 || len(tr.chunks[0].words) != first || len(tr.chunks[1].words) != words-first {
+			t.Errorf("%s: chunks %d, first holds %d words; want 2 chunks, %d + %d",
+				c.name, len(tr.chunks), len(tr.chunks[0].words), first, words-first)
 		}
 	}
 }
@@ -318,8 +269,8 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 	}
 }
 
-// TestMemoryAccounting: resident bytes are charged while the trace lives
-// and returned on Release; Release is idempotent and blocks replay.
+// TestMemoryAccounting: a trace's bytes are charged while it lives and
+// returned on Release, exactly once however often Release runs.
 func TestMemoryAccounting(t *testing.T) {
 	before := MemoryInUse()
 	accs := interesting()
@@ -334,27 +285,21 @@ func TestMemoryAccounting(t *testing.T) {
 	if tr.SizeBytes() == 0 {
 		t.Fatal("trace reports zero footprint")
 	}
-	if MemoryInUse() != before+tr.SizeBytes()-tr.SpilledBytes() {
-		t.Fatalf("in-use %d, want %d", MemoryInUse(), before+tr.SizeBytes()-tr.SpilledBytes())
+	if MemoryInUse() != before+tr.SizeBytes() {
+		t.Fatalf("in-use %d, want %d", MemoryInUse(), before+tr.SizeBytes())
 	}
 	tr.Release()
 	tr.Release()
 	if MemoryInUse() != before {
 		t.Fatalf("Release leaked accounting: %d != %d", MemoryInUse(), before)
 	}
-	if err := replayInto(tr, cache.MustNew(cache.Config{SizeBytes: 1024, Ways: 2}, cache.NewLRU(8, 2))); err == nil {
-		t.Fatal("replay of released trace succeeded")
-	}
-	if _, err := tr.Accesses(0); err == nil {
-		t.Fatal("decode of released trace succeeded")
-	}
 }
 
 // TestFinishRightSizesTail: what a sealed trace keeps allocated is what it
-// reports — the budgets charge ResidentBytes, so the tail chunk must not
-// keep a full chunkWords backing array for a handful of words. Checked for
-// a trace shorter than one chunk, one ending exactly on a chunk boundary,
-// a multi-chunk trace with a partial tail, and a partly spilled one.
+// reports — the budgets charge SizeBytes, so the tail chunk must not keep
+// a full chunkWords backing array for a handful of words. Checked for a
+// trace shorter than one chunk, one ending exactly on a chunk boundary,
+// and a multi-chunk trace with a partial tail.
 func TestFinishRightSizesTail(t *testing.T) {
 	stream := func(n int) []mem.Access {
 		accs := make([]mem.Access, n)
@@ -363,60 +308,28 @@ func TestFinishRightSizesTail(t *testing.T) {
 		}
 		return accs
 	}
-	for name, c := range map[string]struct {
-		n        int
-		override int64
-	}{
-		"short":      {n: 100},
-		"exact":      {n: chunkWords},
-		"multi":      {n: 2*chunkWords + 5000},
-		"part-spill": {n: 2*chunkWords + 5000, override: chunkWords * wordBytes},
+	for name, n := range map[string]int{
+		"short": 100,
+		"exact": chunkWords,
+		"multi": 2*chunkWords + 5000,
 	} {
-		accs := stream(c.n)
-		tr := record(t, accs, c.override)
+		accs := stream(n)
+		tr := record(t, accs)
 		var held int64
 		for _, ch := range tr.chunks {
 			held += int64(cap(ch.words)) * wordBytes
 		}
-		if held != tr.ResidentBytes() {
-			t.Errorf("%s: chunks hold %d bytes of backing array, ResidentBytes = %d", name, held, tr.ResidentBytes())
+		if held != tr.SizeBytes() {
+			t.Errorf("%s: chunks hold %d bytes of backing array, SizeBytes = %d", name, held, tr.SizeBytes())
 		}
 		checkRoundTrip(t, accs, tr)
 	}
 }
 
-// TestConcurrentSpilledReplay replays one spilled trace from several
-// goroutines; pread-based chunk reads must not interfere, and each replay
-// must match an LLC fed the recorded stream directly.
-func TestConcurrentSpilledReplay(t *testing.T) {
-	accs := interesting()
-	tr := record(t, accs, -1)
-	llcCfg := cache.Config{SizeBytes: 8192, Ways: 8}
-	ref := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-	for _, a := range accs {
-		ref.Access(a)
-	}
-	done := make(chan cache.Stats, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			llc := cache.MustNew(llcCfg, cache.NewLRU(llcCfg.Sets(), llcCfg.Ways))
-			if err := replayInto(tr, llc); err != nil {
-				t.Error(err)
-			}
-			done <- llc.Stats
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		if got := <-done; got != ref.Stats {
-			t.Fatalf("concurrent replay stats %+v != reference %+v", got, ref.Stats)
-		}
-	}
-}
-
 // TestCursorCancelAndFailpoint drives the four replay shapes that sit on
 // the shared chunk cursor — broadcast, masked broadcast, interleave and the
-// interleaved fan-out — through the same three faults, over a resident and a
-// spilled multi-chunk trace: a context cancelled up front delivers nothing
+// interleaved fan-out — through the same three faults over a multi-chunk
+// trace: a context cancelled up front delivers nothing
 // and returns ContextErr with its cause; one cancelled from inside the
 // first delivery stops within the chunks already in flight; and the
 // trace.replay.chunk failpoint armed to fire on the second chunk surfaces
@@ -455,46 +368,44 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 		}},
 	}
 	cause := errors.New("test: job deleted")
-	for layout, override := range map[string]int64{"resident": 0, "spilled": -1} {
-		tr := record(t, accs, override)
-		if len(tr.chunks) != chunks {
-			t.Fatalf("%s: want %d chunks, got %d", layout, chunks, len(tr.chunks))
-		}
-		for _, e := range entries {
-			t.Run(layout+"/"+e.name, func(t *testing.T) {
-				var delivered int64
-				count := func(n int) { delivered += int64(n) }
+	tr := record(t, accs)
+	if len(tr.chunks) != chunks {
+		t.Fatalf("want %d chunks, got %d", chunks, len(tr.chunks))
+	}
+	for _, e := range entries {
+		t.Run("resident/"+e.name, func(t *testing.T) {
+			var delivered int64
+			count := func(n int) { delivered += int64(n) }
 
-				ctx, cancel := context.WithCancelCause(context.Background())
-				cancel(cause)
-				err := e.run(ctx, tr, count)
-				if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
-					t.Fatalf("cancelled up front: err = %v, want ContextErr carrying the cause", err)
-				}
-				if delivered != 0 {
-					t.Fatalf("cancelled up front: %d accesses delivered", delivered)
-				}
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(cause)
+			err := e.run(ctx, tr, count)
+			if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+				t.Fatalf("cancelled up front: err = %v, want ContextErr carrying the cause", err)
+			}
+			if delivered != 0 {
+				t.Fatalf("cancelled up front: %d accesses delivered", delivered)
+			}
 
-				ctx, cancel = context.WithCancelCause(context.Background())
-				err = e.run(ctx, tr, func(n int) { count(n); cancel(cause) })
-				if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
-					t.Fatalf("cancelled mid-stream: err = %v, want ContextErr carrying the cause", err)
-				}
-				if bound := (1 + e.ahead) * chunkWords; delivered == 0 || delivered > bound {
-					t.Fatalf("cancelled mid-stream: %d accesses delivered, want 1..%d", delivered, bound)
-				}
+			ctx, cancel = context.WithCancelCause(context.Background())
+			err = e.run(ctx, tr, func(n int) { count(n); cancel(cause) })
+			if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+				t.Fatalf("cancelled mid-stream: err = %v, want ContextErr carrying the cause", err)
+			}
+			if bound := (1 + e.ahead) * chunkWords; delivered == 0 || delivered > bound {
+				t.Fatalf("cancelled mid-stream: %d accesses delivered, want 1..%d", delivered, bound)
+			}
 
-				delivered = 0
-				fail.ArmAfter("trace.replay.chunk", 1, nil)
-				defer fail.Disarm("trace.replay.chunk")
-				err = e.run(context.Background(), tr, count)
-				if !errors.Is(err, fail.ErrInjected) || !strings.HasPrefix(err.Error(), "trace: replay: ") {
-					t.Fatalf("failpoint: err = %v, want trace: replay: %v", err, fail.ErrInjected)
-				}
-				if delivered == 0 || delivered > chunkWords {
-					t.Fatalf("failpoint on the second chunk: %d accesses delivered, want 1..%d", delivered, chunkWords)
-				}
-			})
-		}
+			delivered = 0
+			fail.ArmAfter("trace.replay.chunk", 1, nil)
+			defer fail.Disarm("trace.replay.chunk")
+			err = e.run(context.Background(), tr, count)
+			if !errors.Is(err, fail.ErrInjected) || !strings.HasPrefix(err.Error(), "trace: replay: ") {
+				t.Fatalf("failpoint: err = %v, want trace: replay: %v", err, fail.ErrInjected)
+			}
+			if delivered == 0 || delivered > chunkWords {
+				t.Fatalf("failpoint on the second chunk: %d accesses delivered, want 1..%d", delivered, chunkWords)
+			}
+		})
 	}
 }
