@@ -38,9 +38,6 @@ func NewHintLRU(sets, ways uint32) *HintLRU {
 	return &HintLRU{stamps: make([]uint64, sets*ways), high: make([]bool, sets*ways), ways: ways}
 }
 
-// Name implements cache.Policy.
-func (p *HintLRU) Name() string { return "HintLRU" }
-
 // OnHit implements cache.Policy.
 func (p *HintLRU) OnHit(set, way uint32, a mem.Access) {
 	p.clock++

@@ -30,7 +30,6 @@ func BlockAddr(addr uint64) uint64 { return addr >> BlockBits }
 // allocated at all (used by pinning schemes when no way is evictable, and
 // by Belady OPT for never-reused lines).
 type Policy interface {
-	Name() string
 	// OnHit is called when the access hits in set/way.
 	OnHit(set, way uint32, a mem.Access)
 	// OnFill is called after a missing block is inserted into set/way.
@@ -233,7 +232,7 @@ func (c *Cache) Access(a mem.Access) bool {
 		return false
 	}
 	if w >= c.ways {
-		panic(fmt.Sprintf("cache: policy %s returned invalid victim way %d", c.policy.Name(), w))
+		panic(fmt.Sprintf("cache: policy %T returned invalid victim way %d", c.policy, w))
 	}
 	c.Stats.Evictions++
 	if c.dirty[base+w] {

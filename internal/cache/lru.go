@@ -46,9 +46,6 @@ func NewLRU(sets, ways uint32) *LRU {
 	return p
 }
 
-// Name implements Policy.
-func (p *LRU) Name() string { return "LRU" }
-
 // touch splices the way to the MRU end of its set's recency list.
 func (p *LRU) touch(set, way uint32) {
 	if uint32(p.mru[set]) == way {

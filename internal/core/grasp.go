@@ -145,18 +145,6 @@ const (
 	ModeFull
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeHintsOnly:
-		return "RRIP+Hints"
-	case ModeInsertionOnly:
-		return "GRASP (Insertion-Only)"
-	default:
-		return "GRASP"
-	}
-}
-
 // Policy is GRASP's specialized cache policy over an unmodified DRRIP base
 // (Table II). Eviction is the base scheme's — GRASP deliberately does not
 // consult hints at replacement time, which both keeps stale High-Reuse
@@ -172,12 +160,6 @@ func NewPolicy(sets, ways uint32, mode Mode) *Policy {
 }
 
 var _ cache.Policy = (*Policy)(nil)
-
-// Name implements cache.Policy.
-func (p *Policy) Name() string { return p.mode.String() }
-
-// Mode returns the feature set.
-func (p *Policy) Mode() Mode { return p.mode }
 
 // OnHit implements cache.Policy (Table II, Hit Policy column).
 func (p *Policy) OnHit(set, way uint32, a mem.Access) {

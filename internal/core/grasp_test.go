@@ -184,21 +184,6 @@ func TestGRASPHintsOnlyInsertion(t *testing.T) {
 	}
 }
 
-func TestGRASPNames(t *testing.T) {
-	for mode, want := range map[Mode]string{
-		ModeHintsOnly:     "RRIP+Hints",
-		ModeInsertionOnly: "GRASP (Insertion-Only)",
-		ModeFull:          "GRASP",
-	} {
-		if got := NewPolicy(1, 4, mode).Name(); got != want {
-			t.Errorf("mode %d name = %q, want %q", mode, got, want)
-		}
-		if NewPolicy(1, 4, mode).Mode() != mode {
-			t.Errorf("mode accessor broken for %d", mode)
-		}
-	}
-}
-
 // End-to-end: GRASP protects hot blocks against a cold-block thrash storm
 // where plain RRIP loses them.
 func TestGRASPProtectsHotBlocks(t *testing.T) {

@@ -36,9 +36,6 @@ func NewPLRUPolicy(sets, ways uint32) *PLRUPolicy {
 
 var _ cache.Policy = (*PLRUPolicy)(nil)
 
-// Name implements cache.Policy.
-func (p *PLRUPolicy) Name() string { return "GRASP-PLRU" }
-
 // OnHit implements cache.Policy.
 func (p *PLRUPolicy) OnHit(set, way uint32, a mem.Access) {
 	switch a.Hint {
@@ -75,23 +72,21 @@ func (p *PLRUPolicy) OnEvict(set, way uint32) { p.base.OnEvict(set, way) }
 // insertion, while hinted classes are steered exactly like GRASP-LRU
 // (DIP's base is an LRU stack). Implemented by composing the explicit
 // recency stack of LRUPolicy for hinted accesses with a BIP-style bimodal
-// default insertion.
+// default insertion. Its PSEL saturates at ±dipPselMax, twice DIP's ±512.
 type DIPPolicy struct {
-	stack   *LRUPolicy
-	counter uint64
-	psel    int32
-	sets    uint32
+	stack *LRUPolicy
+	duel  policy.Duel // first policy LRU insertion, second BIP
+	bip   policy.Bimodal
 }
+
+const dipPselMax = 1024
 
 // NewDIPPolicy creates GRASP over DIP.
 func NewDIPPolicy(sets, ways uint32) *DIPPolicy {
-	return &DIPPolicy{stack: NewLRUPolicy(sets, ways), sets: sets}
+	return &DIPPolicy{stack: NewLRUPolicy(sets, ways), duel: policy.NewDuel(sets, dipPselMax)}
 }
 
 var _ cache.Policy = (*DIPPolicy)(nil)
-
-// Name implements cache.Policy.
-func (p *DIPPolicy) Name() string { return "GRASP-DIP" }
 
 // OnHit implements cache.Policy: hinted behaviour as in GRASP-LRU.
 func (p *DIPPolicy) OnHit(set, way uint32, a mem.Access) { p.stack.OnHit(set, way, a) }
@@ -103,25 +98,7 @@ func (p *DIPPolicy) OnFill(set, way uint32, a mem.Access) {
 		return
 	}
 	// DIP dueling for unhinted fills: LRU insertion vs bimodal insertion.
-	useLRUIns := p.psel >= 0
-	switch policy.DuelLeader(set, p.sets) {
-	case +1:
-		useLRUIns = true
-		if p.psel > -1024 {
-			p.psel--
-		}
-	case -1:
-		useLRUIns = false
-		if p.psel < 1024 {
-			p.psel++
-		}
-	}
-	if useLRUIns {
-		p.stack.OnFill(set, way, mem.Access{Hint: mem.HintDefault}) // MRU
-		return
-	}
-	p.counter++
-	if p.counter%32 == 0 {
+	if p.duel.First(set) || p.bip.Next() {
 		p.stack.OnFill(set, way, mem.Access{Hint: mem.HintDefault}) // MRU
 	} else {
 		p.stack.OnFill(set, way, mem.Access{Hint: mem.HintLow}) // LRU position

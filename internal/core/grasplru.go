@@ -39,9 +39,6 @@ func NewLRUPolicy(sets, ways uint32) *LRUPolicy {
 
 var _ cache.Policy = (*LRUPolicy)(nil)
 
-// Name implements cache.Policy.
-func (p *LRUPolicy) Name() string { return "GRASP-LRU" }
-
 // position returns the stack index of way in set (0 = MRU).
 func (p *LRUPolicy) position(set uint32, way uint8) int {
 	return int(p.pos[set*p.ways+uint32(way)])

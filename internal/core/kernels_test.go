@@ -29,6 +29,10 @@ var kernelCases = []kernelCase{
 		ref: func(s, w uint32) cache.Policy { return newRefDIP(s, w) }},
 	{name: "PLRU", pow2Ways: true, new: func(s, w uint32) cache.Policy { return policy.NewPLRU(s, w) },
 		ref: func(s, w uint32) cache.Policy { return newRefPLRU(s, w) }},
+	{name: "SHiP-MEM", new: func(s, w uint32) cache.Policy { return policy.NewSHiP(s, w, false) },
+		ref: func(s, w uint32) cache.Policy { return newRefSHiPMem(s, w) }},
+	{name: "SHiP-PC", new: func(s, w uint32) cache.Policy { return policy.NewSHiP(s, w, true) },
+		ref: func(s, w uint32) cache.Policy { return newRefSHiPPC(s, w) }},
 	{name: "Hawkeye", new: func(s, w uint32) cache.Policy { return policy.NewHawkeye(s, w) },
 		ref: func(s, w uint32) cache.Policy { return newRefHawkeye(s, w) }},
 	{name: "Leeway", new: func(s, w uint32) cache.Policy { return policy.NewLeeway(s, w) },
@@ -89,6 +93,16 @@ func snapshot(p cache.Policy, sets uint32) any {
 		return p.PredictorSnapshot()
 	case interface{ TableSnapshot() map[uint32]uint8 }:
 		return p.TableSnapshot()
+	case interface{ SHCTSnapshot() map[uint64]uint8 }:
+		return p.SHCTSnapshot()
+	case interface{ SHCTSnapshot() map[uint32]uint8 }:
+		// SHiP-PC's signatures are PCs: widen them to compare with a
+		// table that also holds 64-bit region signatures.
+		out := make(map[uint64]uint8)
+		for k, v := range p.SHCTSnapshot() {
+			out[uint64(k)] = v
+		}
+		return out
 	case interface{ PinnedCount() uint64 }:
 		return p.PinnedCount()
 	case interface{ StackOrder(uint32) []uint8 }:

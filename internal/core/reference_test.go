@@ -7,7 +7,9 @@ package core
 // and FuzzPolicyKernels compare the rewrites against. Only identifiers
 // changed: every type and constructor carries a ref prefix, and the
 // internal/policy code lives here, unqualified, so that the GRASP variants
-// compose reference bases instead of the rewritten ones.
+// compose reference bases instead of the rewritten ones. The two SHiP
+// variants are kept as the two types they were before they merged, and the
+// Name methods went when cache.Policy dropped Name.
 
 import (
 	"encoding/binary"
@@ -136,9 +138,6 @@ func newRefSRRIP(sets, ways uint32) *refSRRIP {
 	return &refSRRIP{meta: newRefRRIPMeta(sets, ways)}
 }
 
-// Name implements cache.Policy.
-func (p *refSRRIP) Name() string { return "SRRIP" }
-
 // OnHit implements cache.Policy.
 func (p *refSRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPVNear) }
 
@@ -162,9 +161,6 @@ type refBRRIP struct {
 func newRefBRRIP(sets, ways uint32) *refBRRIP {
 	return &refBRRIP{meta: newRefRRIPMeta(sets, ways)}
 }
-
-// Name implements cache.Policy.
-func (p *refBRRIP) Name() string { return "BRRIP" }
 
 // OnHit implements cache.Policy.
 func (p *refBRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPVNear) }
@@ -206,9 +202,6 @@ const (
 func newRefDRRIP(sets, ways uint32) *refDRRIP {
 	return &refDRRIP{meta: newRefRRIPMeta(sets, ways), sets: sets}
 }
-
-// Name implements cache.Policy.
-func (p *refDRRIP) Name() string { return "RRIP" }
 
 // leader returns +1 for SRRIP leader sets, -1 for BRRIP leaders, 0 for
 // follower sets. The dueling period shrinks with the set count so tiny
@@ -285,9 +278,6 @@ type refDIP struct {
 func newRefDIP(sets, ways uint32) *refDIP {
 	return &refDIP{stamps: make([]uint64, sets*ways), sets: sets, ways: ways}
 }
-
-// Name implements cache.Policy.
-func (p *refDIP) Name() string { return "DIP" }
 
 // OnHit implements cache.Policy: promote to MRU.
 func (p *refDIP) OnHit(set, way uint32, _ mem.Access) {
@@ -374,9 +364,6 @@ func newRefPLRU(sets, ways uint32) *refPLRU {
 }
 
 var _ cache.Policy = (*refPLRU)(nil)
-
-// Name implements cache.Policy.
-func (p *refPLRU) Name() string { return "PLRU" }
 
 // touch flips the tree bits on way's root path to protect it.
 func (p *refPLRU) touch(set, way uint32) {
@@ -471,9 +458,6 @@ func newRefXMem(sets, ways uint32, percent int) *refXMem {
 
 var _ cache.Policy = (*refXMem)(nil)
 
-// Name implements cache.Policy.
-func (p *refXMem) Name() string { return fmt.Sprintf("PIN-%d", p.percent) }
-
 // Quota returns the per-set pinned-way limit.
 func (p *refXMem) Quota() uint32 { return p.quota }
 
@@ -543,6 +527,185 @@ func (p *refXMem) PinnedCount() uint64 {
 	return n
 }
 
+// SHiPMem is the Signature-based Hit Predictor [Wu et al., MICRO'11] in its
+// memory-region variant (SHiP-MEM), as evaluated by the paper: because
+// PC-based correlation is useless for graph analytics (one PC touches hot
+// and cold vertices alike), the signature is the 16KB memory region of the
+// block. A Signature History Counter Table (SHCT) of 3-bit saturating
+// counters tracks whether blocks from a region tend to be re-referenced;
+// per the paper's methodology the table has an unlimited number of entries
+// (a map) to assess the scheme's maximum potential.
+//
+// Insertion: signature predicted zero-reuse -> distant (RRPV max);
+// otherwise long (max-1). Hits promote to RRPV 0 and train the SHCT up;
+// evictions of never-reused blocks train it down.
+type refSHiPMem struct {
+	meta *refRRIPMeta
+	shct map[uint64]uint8 // region signature -> 3-bit counter
+	// Per-block bookkeeping (this is the kind of embedded metadata GRASP
+	// avoids, Sec. III-D): the inserting signature and a reused bit.
+	sig    []uint64
+	reused []bool
+	ways   uint32
+}
+
+const (
+	shipRegionBits = 14 // 16KB regions, as in the original proposal
+	shctMax        = 7  // 3-bit saturating counter
+	shctInit       = 1  // weakly reused
+)
+
+// NewSHiPMem creates a SHiP-MEM policy.
+func newRefSHiPMem(sets, ways uint32) *refSHiPMem {
+	return &refSHiPMem{
+		meta:   newRefRRIPMeta(sets, ways),
+		shct:   make(map[uint64]uint8),
+		sig:    make([]uint64, sets*ways),
+		reused: make([]bool, sets*ways),
+		ways:   ways,
+	}
+}
+
+var _ cache.Policy = (*refSHiPMem)(nil)
+
+func refSignature(addr uint64) uint64 { return addr >> shipRegionBits }
+
+// OnHit implements cache.Policy: promote, mark reused, train up.
+func (p *refSHiPMem) OnHit(set, way uint32, _ mem.Access) {
+	p.meta.Set(set, way, RRPVNear)
+	i := set*p.ways + way
+	if !p.reused[i] {
+		p.reused[i] = true
+		if c := p.shct[p.sig[i]]; c < shctMax {
+			p.shct[p.sig[i]] = c + 1
+		}
+	}
+}
+
+// OnFill implements cache.Policy: insert by SHCT prediction.
+func (p *refSHiPMem) OnFill(set, way uint32, a mem.Access) {
+	s := refSignature(a.Addr)
+	i := set*p.ways + way
+	p.sig[i] = s
+	p.reused[i] = false
+	c, ok := p.shct[s]
+	if !ok {
+		c = shctInit
+		p.shct[s] = c
+	}
+	if c == 0 {
+		p.meta.Set(set, way, RRPVMax) // predicted no reuse: distant
+	} else {
+		p.meta.Set(set, way, RRPVLong)
+	}
+}
+
+// Victim implements cache.Policy.
+func (p *refSHiPMem) Victim(set uint32, _ mem.Access) (uint32, bool) {
+	return p.meta.Victim(set), false
+}
+
+// OnEvict implements cache.Policy: a block evicted without reuse trains its
+// signature down.
+func (p *refSHiPMem) OnEvict(set, way uint32) {
+	i := set*p.ways + way
+	if !p.reused[i] {
+		if c := p.shct[p.sig[i]]; c > 0 {
+			p.shct[p.sig[i]] = c - 1
+		}
+	}
+}
+
+// SHCTSnapshot returns a copy of the signature table (tests/inspection).
+func (p *refSHiPMem) SHCTSnapshot() map[uint64]uint8 {
+	out := make(map[uint64]uint8, len(p.shct))
+	for k, v := range p.shct {
+		out[k] = v
+	}
+	return out
+}
+
+// SHiPPC is the original PC-signature variant of SHiP [Wu et al.,
+// MICRO'11]. The paper evaluates the memory-region variant instead
+// precisely because PC correlation is useless for graph analytics
+// (Sec. II-F: one PC accesses hot and cold vertices alike); this
+// implementation exists to demonstrate that claim quantitatively — see the
+// "ablation" experiment and its test, where SHiP-PC fails to separate the
+// Property Array's hot and cold blocks.
+type refSHiPPC struct {
+	meta   *refRRIPMeta
+	shct   map[uint32]uint8
+	sig    []uint32
+	reused []bool
+	ways   uint32
+}
+
+// NewSHiPPC creates a SHiP-PC policy.
+func newRefSHiPPC(sets, ways uint32) *refSHiPPC {
+	return &refSHiPPC{
+		meta:   newRefRRIPMeta(sets, ways),
+		shct:   make(map[uint32]uint8),
+		sig:    make([]uint32, sets*ways),
+		reused: make([]bool, sets*ways),
+		ways:   ways,
+	}
+}
+
+var _ cache.Policy = (*refSHiPPC)(nil)
+
+// OnHit implements cache.Policy.
+func (p *refSHiPPC) OnHit(set, way uint32, _ mem.Access) {
+	p.meta.Set(set, way, RRPVNear)
+	i := set*p.ways + way
+	if !p.reused[i] {
+		p.reused[i] = true
+		if c := p.shct[p.sig[i]]; c < shctMax {
+			p.shct[p.sig[i]] = c + 1
+		}
+	}
+}
+
+// OnFill implements cache.Policy.
+func (p *refSHiPPC) OnFill(set, way uint32, a mem.Access) {
+	i := set*p.ways + way
+	p.sig[i] = a.PC
+	p.reused[i] = false
+	c, ok := p.shct[a.PC]
+	if !ok {
+		c = shctInit
+		p.shct[a.PC] = c
+	}
+	if c == 0 {
+		p.meta.Set(set, way, RRPVMax)
+	} else {
+		p.meta.Set(set, way, RRPVLong)
+	}
+}
+
+// Victim implements cache.Policy.
+func (p *refSHiPPC) Victim(set uint32, _ mem.Access) (uint32, bool) {
+	return p.meta.Victim(set), false
+}
+
+// OnEvict implements cache.Policy.
+func (p *refSHiPPC) OnEvict(set, way uint32) {
+	i := set*p.ways + way
+	if !p.reused[i] {
+		if c := p.shct[p.sig[i]]; c > 0 {
+			p.shct[p.sig[i]] = c - 1
+		}
+	}
+}
+
+// SHCTSnapshot returns a copy of the signature table (tests/inspection).
+func (p *refSHiPPC) SHCTSnapshot() map[uint32]uint8 {
+	out := make(map[uint32]uint8, len(p.shct))
+	for k, v := range p.shct {
+		out[k] = v
+	}
+	return out
+}
+
 // Hawkeye [Jain & Lin, ISCA'16] learns from Belady's optimal algorithm:
 // a sampler replays recent accesses to a subset of sets through OPTgen to
 // decide whether OPT *would have* cached each block, and trains a PC-indexed
@@ -600,9 +763,6 @@ func newRefHawkeye(sets, ways uint32) *refHawkeye {
 
 var _ cache.Policy = (*refHawkeye)(nil)
 var _ cache.AccessObserver = (*refHawkeye)(nil)
-
-// Name implements cache.Policy.
-func (p *refHawkeye) Name() string { return "Hawkeye" }
 
 func (p *refHawkeye) predictFriendly(pc uint32) bool {
 	c, ok := p.pred[pc]
@@ -846,9 +1006,6 @@ func newRefLeeway(sets, ways uint32) *refLeeway {
 
 var _ cache.Policy = (*refLeeway)(nil)
 
-// Name implements cache.Policy.
-func (p *refLeeway) Name() string { return "Leeway" }
-
 // stackPos returns the recency rank of a resident block (0 = MRU).
 func (p *refLeeway) stackPos(set, way uint32) uint8 {
 	return p.rank[set*p.ways+way]
@@ -1055,12 +1212,6 @@ func newRefGRASP(sets, ways uint32, mode Mode) *refGRASP {
 
 var _ cache.Policy = (*refGRASP)(nil)
 
-// Name implements cache.Policy.
-func (p *refGRASP) Name() string { return p.mode.String() }
-
-// Mode returns the feature set.
-func (p *refGRASP) Mode() Mode { return p.mode }
-
 // OnHit implements cache.Policy (Table II, Hit Policy column).
 func (p *refGRASP) OnHit(set, way uint32, a mem.Access) {
 	meta := p.base.Meta()
@@ -1150,9 +1301,6 @@ func newRefLRUPolicy(sets, ways uint32) *refLRUPolicy {
 }
 
 var _ cache.Policy = (*refLRUPolicy)(nil)
-
-// Name implements cache.Policy.
-func (p *refLRUPolicy) Name() string { return "GRASP-LRU" }
 
 // position returns the stack index of way in set (0 = MRU).
 func (p *refLRUPolicy) position(set uint32, way uint8) int {
@@ -1253,9 +1401,6 @@ func newRefPLRUPolicy(sets, ways uint32) *refPLRUPolicy {
 
 var _ cache.Policy = (*refPLRUPolicy)(nil)
 
-// Name implements cache.Policy.
-func (p *refPLRUPolicy) Name() string { return "GRASP-PLRU" }
-
 // OnHit implements cache.Policy.
 func (p *refPLRUPolicy) OnHit(set, way uint32, a mem.Access) {
 	switch a.Hint {
@@ -1306,9 +1451,6 @@ func newRefDIPPolicy(sets, ways uint32) *refDIPPolicy {
 }
 
 var _ cache.Policy = (*refDIPPolicy)(nil)
-
-// Name implements cache.Policy.
-func (p *refDIPPolicy) Name() string { return "GRASP-DIP" }
 
 // OnHit implements cache.Policy: hinted behaviour as in GRASP-LRU.
 func (p *refDIPPolicy) OnHit(set, way uint32, a mem.Access) { p.stack.OnHit(set, way, a) }

@@ -16,18 +16,17 @@ type DIP struct {
 	// LRU position a BIP fill inserts at). Nonzero stamps are unique, so
 	// when any way holds 0 the least recent stamp's first way is the
 	// lowest such bit and Victim needs no scan.
-	zero    []uint64
-	sets    uint32
-	ways    uint32
-	clock   uint64
-	psel    int32
-	counter uint64
+	zero  []uint64
+	ways  uint32
+	clock uint64
+	duel  Duel // first policy LRU insertion, second BIP
+	bip   Bimodal
 }
 
 // NewDIP creates a DIP policy.
 func NewDIP(sets, ways uint32) *DIP {
 	p := &DIP{stamps: make([]uint64, sets*ways), zero: make([]uint64, sets),
-		sets: sets, ways: ways}
+		ways: ways, duel: NewDuel(sets, pselMax)}
 	all := ^uint64(0)
 	if ways < 64 {
 		all = 1<<ways - 1
@@ -37,9 +36,6 @@ func NewDIP(sets, ways uint32) *DIP {
 	}
 	return p
 }
-
-// Name implements cache.Policy.
-func (p *DIP) Name() string { return "DIP" }
 
 // stamp records way's new stamp and keeps zero in step.
 func (p *DIP) stamp(set, way uint32, t uint64) {
@@ -59,30 +55,12 @@ func (p *DIP) OnHit(set, way uint32, _ mem.Access) {
 	p.stamp(set, way, p.clock)
 }
 
-// OnFill implements cache.Policy.
+// OnFill implements cache.Policy: MRU insertion, or BIP's insertion at
+// the LRU position except one fill in 32, as the duel decides.
 func (p *DIP) OnFill(set, way uint32, _ mem.Access) {
-	useLRUIns := p.psel >= 0
-	switch DuelLeader(set, p.sets) {
-	case +1: // LRU-insertion leader
-		useLRUIns = true
-		if p.psel > -pselMax {
-			p.psel--
-		}
-	case -1: // BIP leader
-		useLRUIns = false
-		if p.psel < pselMax {
-			p.psel++
-		}
-	}
 	p.clock++
-	if useLRUIns {
+	if p.duel.First(set) || p.bip.Next() {
 		p.stamp(set, way, p.clock) // MRU insertion
-		return
-	}
-	// BIP: insert at LRU except 1/32 of fills.
-	p.counter++
-	if p.counter%brripEpsilon == 0 {
-		p.stamp(set, way, p.clock)
 	} else {
 		p.stamp(set, way, 0) // LRU position
 	}

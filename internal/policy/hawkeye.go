@@ -64,9 +64,6 @@ func NewHawkeye(sets, ways uint32) *Hawkeye {
 var _ cache.Policy = (*Hawkeye)(nil)
 var _ cache.AccessObserver = (*Hawkeye)(nil)
 
-// Name implements cache.Policy.
-func (p *Hawkeye) Name() string { return "Hawkeye" }
-
 func (p *Hawkeye) predictFriendly(pc uint32) bool {
 	c, ok := p.pred.get(pc)
 	if !ok {

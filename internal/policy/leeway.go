@@ -105,9 +105,6 @@ func NewLeeway(sets, ways uint32) *Leeway {
 
 var _ cache.Policy = (*Leeway)(nil)
 
-// Name implements cache.Policy.
-func (p *Leeway) Name() string { return "Leeway" }
-
 // stackPos returns the recency rank of a resident block (0 = MRU).
 func (p *Leeway) stackPos(set, way uint32) uint8 {
 	return p.rank[set*p.ways+way]

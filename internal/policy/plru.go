@@ -55,9 +55,6 @@ func NewPLRU(sets, ways uint32) *PLRU {
 
 var _ cache.Policy = (*PLRU)(nil)
 
-// Name implements cache.Policy.
-func (p *PLRU) Name() string { return "PLRU" }
-
 // touch points the tree bits on way's root path away from it.
 func (p *PLRU) touch(set, way uint32) {
 	p.bits[set] = p.bits[set]&^p.pathMask[way] | p.pathVal[way]

@@ -75,7 +75,7 @@ func TestPLRUHitRateTracksLRUOnLoops(t *testing.T) {
 }
 
 func TestSHiPPCLearnsPerPC(t *testing.T) {
-	p := NewSHiPPC(1, 4)
+	p := NewSHiP(1, 4, true)
 	c := cache.MustNew(cache.Config{SizeBytes: 4 * cache.BlockSize, Ways: 4}, p)
 	pcDead := mem.PC("stream")
 	pcLive := mem.PC("reuse")
@@ -87,11 +87,11 @@ func TestSHiPPCLearnsPerPC(t *testing.T) {
 		c.Access(mem.Access{Addr: 1 << cache.BlockBits, PC: pcLive})
 	}
 	sh := p.SHCTSnapshot()
-	if sh[pcDead] != 0 {
-		t.Fatalf("streaming PC counter = %d, want 0", sh[pcDead])
+	if sh[uint64(pcDead)] != 0 {
+		t.Fatalf("streaming PC counter = %d, want 0", sh[uint64(pcDead)])
 	}
-	if sh[pcLive] < 2 {
-		t.Fatalf("reusing PC counter = %d, want >= 2", sh[pcLive])
+	if sh[uint64(pcLive)] < 2 {
+		t.Fatalf("reusing PC counter = %d, want >= 2", sh[uint64(pcLive)])
 	}
 }
 
@@ -99,7 +99,7 @@ func TestSHiPPCCannotSeparateSharedPC(t *testing.T) {
 	// The paper's core argument (Sec. II-F): hot and cold blocks accessed
 	// by the SAME PC get the same prediction. Verify the table has exactly
 	// one entry after a mixed hot/cold stream through one PC.
-	p := NewSHiPPC(4, 4)
+	p := NewSHiP(4, 4, true)
 	c := cache.MustNew(cache.Config{SizeBytes: 16 * cache.BlockSize, Ways: 4}, p)
 	pc := mem.PC("property.load")
 	r := newTestRNG(9)

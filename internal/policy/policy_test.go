@@ -85,8 +85,8 @@ func TestDRRIPDuelingConverges(t *testing.T) {
 			c.Access(mem.Access{Addr: blockAddr(i)})
 		}
 	}
-	if p.psel >= 0 {
-		t.Fatalf("PSEL = %d; expected negative (BRRIP preferred) under thrashing", p.psel)
+	if p.duel.psel >= 0 {
+		t.Fatalf("PSEL = %d; expected negative (BRRIP preferred) under thrashing", p.duel.psel)
 	}
 	// BRRIP must retain part of the working set: hits > 0, better than pure
 	// LRU which would get zero hits on this pattern.
@@ -124,7 +124,7 @@ func TestDIPBehavesUnderThrash(t *testing.T) {
 }
 
 func TestSHiPLearnsDeadRegion(t *testing.T) {
-	p := NewSHiPMem(1, 4)
+	p := NewSHiP(1, 4, false)
 	c := llcWith(t, 4, p)
 	// Region A (low addresses): streamed once, never reused. Region B:
 	// reused heavily. After training, A's signature should be 0 and B's
@@ -141,11 +141,11 @@ func TestSHiPLearnsDeadRegion(t *testing.T) {
 		}
 	}
 	sh := p.SHCTSnapshot()
-	if sh[signature(regionA)] != 0 {
-		t.Fatalf("dead region counter = %d, want 0", sh[signature(regionA)])
+	if sh[p.signature(mem.Access{Addr: regionA})] != 0 {
+		t.Fatalf("dead region counter = %d, want 0", sh[p.signature(mem.Access{Addr: regionA})])
 	}
-	if sh[signature(regionB)] < 2 {
-		t.Fatalf("live region counter = %d, want >= 2", sh[signature(regionB)])
+	if sh[p.signature(mem.Access{Addr: regionB})] < 2 {
+		t.Fatalf("live region counter = %d, want >= 2", sh[p.signature(mem.Access{Addr: regionB})])
 	}
 }
 
@@ -433,53 +433,6 @@ func TestOPTBadGeometry(t *testing.T) {
 		}
 	}()
 	SimulateOPT([]uint64{1}, 3, 2)
-}
-
-func TestPolicyRegistry(t *testing.T) {
-	names := []string{"LRU", "SRRIP", "BRRIP", "RRIP", "DIP", "SHiP-MEM",
-		"Hawkeye", "Leeway", "PIN-25", "PIN-50", "PIN-75", "PIN-100"}
-	for _, n := range names {
-		ctor, err := ByName(n)
-		if err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
-		p := ctor.New(16, 4)
-		if p.Name() != n {
-			t.Fatalf("constructor %s built policy named %s", n, p.Name())
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-// All policies must behave sanely (no panics, miss count bounded by trace
-// length, hits+misses+bypasses consistent) on arbitrary traces.
-func TestAllPoliciesFuzz(t *testing.T) {
-	for _, ctor := range All() {
-		ctor := ctor
-		t.Run(ctor.Name, func(t *testing.T) {
-			f := func(seed uint64, n uint16) bool {
-				r := newTestRNG(seed)
-				const sets, ways = 8, 4
-				c := cache.MustNew(cache.Config{SizeBytes: sets * ways * cache.BlockSize, Ways: ways},
-					ctor.New(sets, ways))
-				length := int(n%1500) + 10
-				for i := 0; i < length; i++ {
-					c.Access(mem.Access{
-						Addr:  (r.next() % 256) << cache.BlockBits,
-						PC:    uint32(r.next() % 4),
-						Hint:  mem.Hint(r.next() % 4),
-						Write: r.next()%2 == 0,
-					})
-				}
-				return c.Stats.Accesses() == uint64(length)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // Tiny deterministic RNG for tests.

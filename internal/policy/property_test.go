@@ -45,31 +45,6 @@ func propertyTrace(seed uint64) ([]uint64, []mem.Access) {
 	return blocks, accs
 }
 
-// TestBeladyOptimality asserts OPT's lower bound against every registered
-// policy. Bypasses are counted with misses: either way the block came from
-// memory.
-func TestBeladyOptimality(t *testing.T) {
-	const sets, ways = 4, 4
-	for _, seed := range propertySeeds {
-		blocks, accs := propertyTrace(seed)
-		opt := SimulateOPT(blocks, sets, ways)
-		if opt.Accesses() != uint64(len(blocks)) {
-			t.Fatalf("seed %#x: OPT dropped accesses: %d != %d", seed, opt.Accesses(), len(blocks))
-		}
-		for _, ctor := range All() {
-			c := cache.MustNew(cache.Config{SizeBytes: sets * ways * cache.BlockSize, Ways: ways},
-				ctor.New(sets, ways))
-			for _, a := range accs {
-				c.Access(a)
-			}
-			if opt.Misses > c.Stats.Misses {
-				t.Errorf("seed %#x: OPT misses (%d) exceed %s's (%d); Belady bound violated",
-					seed, opt.Misses, ctor.Name, c.Stats.Misses)
-			}
-		}
-	}
-}
-
 // lruHitVector replays the trace on an LRU cache with the given ways and
 // records the per-access hit outcome.
 func lruHitVector(accs []mem.Access, sets, ways uint32) []bool {

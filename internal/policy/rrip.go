@@ -1,16 +1,17 @@
 // Package policy implements the LLC replacement policies evaluated in the
 // paper: the history-agnostic RRIP family (SRRIP/BRRIP/DRRIP) that GRASP
-// builds on, the history-based predictive schemes SHiP-MEM, Hawkeye and
-// Leeway, the pinning-based XMem (PIN-X), DIP, and the offline Belady OPT
-// upper bound.
+// builds on, the history-based predictive schemes SHiP (memory-region or
+// PC signature), Hawkeye and Leeway, the pinning-based XMem (PIN-X), DIP,
+// and the offline Belady OPT upper bound. DRRIP, DIP and GRASP-DIP choose
+// their fills through one set-dueling selector, Duel, and count bimodal
+// fills with one Bimodal type, as BRRIP does. Policies carry no names:
+// internal/sim's registry is the one table that names them.
 package policy
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 
-	"grasp/internal/cache"
 	"grasp/internal/mem"
 )
 
@@ -168,9 +169,6 @@ func NewSRRIP(sets, ways uint32) *SRRIP {
 	return &SRRIP{meta: NewRRIPMeta(sets, ways)}
 }
 
-// Name implements cache.Policy.
-func (p *SRRIP) Name() string { return "SRRIP" }
-
 // OnHit implements cache.Policy.
 func (p *SRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPVNear) }
 
@@ -186,8 +184,8 @@ func (p *SRRIP) OnEvict(uint32, uint32) {}
 // BRRIP is Bimodal RRIP: insert at distant (max) with high probability and
 // at long (max-1) infrequently (1/32), providing thrash resistance.
 type BRRIP struct {
-	meta    *RRIPMeta
-	counter uint64
+	meta *RRIPMeta
+	bip  Bimodal
 }
 
 // NewBRRIP creates a BRRIP policy.
@@ -195,16 +193,12 @@ func NewBRRIP(sets, ways uint32) *BRRIP {
 	return &BRRIP{meta: NewRRIPMeta(sets, ways)}
 }
 
-// Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "BRRIP" }
-
 // OnHit implements cache.Policy.
 func (p *BRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPVNear) }
 
 // OnFill implements cache.Policy.
 func (p *BRRIP) OnFill(set, way uint32, _ mem.Access) {
-	p.counter++
-	if p.counter%brripEpsilon == 0 {
+	if p.bip.Next() {
 		p.meta.Set(set, way, RRPVLong)
 	} else {
 		p.meta.Set(set, way, RRPVMax)
@@ -217,37 +211,31 @@ func (p *BRRIP) Victim(set uint32, _ mem.Access) (uint32, bool) { return p.meta.
 // OnEvict implements cache.Policy.
 func (p *BRRIP) OnEvict(uint32, uint32) {}
 
-// DRRIP is Dynamic RRIP: set dueling between SRRIP and BRRIP insertion with
-// a saturating policy-selector counter (PSEL). This is the "RRIP" baseline
-// of the paper's evaluation (Sec. IV-C cites the CRC DRRIP source).
-type DRRIP struct {
-	meta    *RRIPMeta
-	sets    uint32
-	psel    int32 // saturating counter; >= 0 prefers SRRIP
-	counter uint64
+// Bimodal counts the fills of a bimodal insertion policy (BRRIP, and
+// DIP's BIP): one fill in brripEpsilon (32) inserts as the static policy
+// would, every other fill inserts at the distant end.
+type Bimodal uint64
+
+// Next counts one bimodal fill and reports whether it is the one in 32
+// that inserts as the static policy would.
+func (b *Bimodal) Next() bool {
+	*b++
+	return *b%brripEpsilon == 0
 }
 
 const (
 	duelPeriod = 32
-	pselMax    = 512
+	pselMax    = 512 // DRRIP's and DIP's PSEL bound
 )
 
-// NewDRRIP creates a DRRIP policy.
-func NewDRRIP(sets, ways uint32) *DRRIP {
-	return &DRRIP{meta: NewRRIPMeta(sets, ways), sets: sets}
-}
-
-// Name implements cache.Policy.
-func (p *DRRIP) Name() string { return "RRIP" }
-
 // DuelLeader returns the set-dueling role of set in a cache of sets sets,
-// as used by DRRIP, DIP and GRASP-DIP: +1 for a leader of the first
-// policy, -1 for a leader of the second, 0 for a follower. Every period-th
-// set leads the first policy and the sets offset by period/2 lead the
-// second, where the period is 32 or the set count if that is smaller. So a
-// 2-set cache has one leader of each kind and no follower, and a 1-set
-// cache's only set leads the first policy: it has no leader of the second,
-// and its selector can only move toward the second.
+// as used by Duel: +1 for a leader of the first policy, -1 for a leader of
+// the second, 0 for a follower. Every period-th set leads the first policy
+// and the sets offset by period/2 lead the second, where the period is 32
+// or the set count if that is smaller. So a 2-set cache has one leader of
+// each kind and no follower, and a 1-set cache's only set leads the first
+// policy: it has no leader of the second, and its selector can only move
+// toward the second.
 func DuelLeader(set, sets uint32) int {
 	period := uint32(duelPeriod)
 	if sets < period {
@@ -262,32 +250,60 @@ func DuelLeader(set, sets uint32) int {
 	return 0
 }
 
+// Duel is the set-dueling policy selector [Qureshi et al., ISCA'07] that
+// DRRIP, DIP and GRASP-DIP decide their fills by: a saturating counter
+// (PSEL) in [-bound, bound], starting at 0, that every miss in a leader
+// set moves toward the other policy.
+type Duel struct {
+	sets  uint32
+	bound int32
+	psel  int32 // >= 0 prefers the first policy
+}
+
+// NewDuel returns a selector for a cache of sets sets whose PSEL
+// saturates at ±bound.
+func NewDuel(sets uint32, bound int32) Duel { return Duel{sets: sets, bound: bound} }
+
+// First reports whether a fill in set uses the first policy. Leader sets
+// use their fixed policy and their miss trains PSEL toward the other;
+// followers use the policy PSEL prefers.
+func (d *Duel) First(set uint32) bool {
+	switch DuelLeader(set, d.sets) {
+	case +1:
+		if d.psel > -d.bound {
+			d.psel-- // miss in a first-policy leader: vote for the second
+		}
+		return true
+	case -1:
+		if d.psel < d.bound {
+			d.psel++ // miss in a second-policy leader: vote for the first
+		}
+		return false
+	}
+	return d.psel >= 0
+}
+
+// DRRIP is Dynamic RRIP: set dueling between SRRIP and BRRIP insertion.
+// This is the "RRIP" baseline of the paper's evaluation (Sec. IV-C cites
+// the CRC DRRIP source).
+type DRRIP struct {
+	meta *RRIPMeta
+	duel Duel // first policy SRRIP, second BRRIP
+	bip  Bimodal
+}
+
+// NewDRRIP creates a DRRIP policy.
+func NewDRRIP(sets, ways uint32) *DRRIP {
+	return &DRRIP{meta: NewRRIPMeta(sets, ways), duel: NewDuel(sets, pselMax)}
+}
+
 // OnHit implements cache.Policy.
 func (p *DRRIP) OnHit(set, way uint32, _ mem.Access) { p.meta.Set(set, way, RRPVNear) }
 
-// OnFill implements cache.Policy. Leader sets use their fixed policy and
-// a miss in a leader set trains PSEL toward the other policy; followers
-// use the winning policy.
+// OnFill implements cache.Policy: SRRIP or BRRIP insertion, as the duel
+// decides.
 func (p *DRRIP) OnFill(set, way uint32, _ mem.Access) {
-	useSRRIP := p.psel >= 0
-	switch DuelLeader(set, p.sets) {
-	case +1:
-		useSRRIP = true
-		if p.psel > -pselMax {
-			p.psel-- // miss in SRRIP leader: vote for BRRIP
-		}
-	case -1:
-		useSRRIP = false
-		if p.psel < pselMax {
-			p.psel++ // miss in BRRIP leader: vote for SRRIP
-		}
-	}
-	if useSRRIP {
-		p.meta.Set(set, way, RRPVLong)
-		return
-	}
-	p.counter++
-	if p.counter%brripEpsilon == 0 {
+	if p.duel.First(set) || p.bip.Next() {
 		p.meta.Set(set, way, RRPVLong)
 	} else {
 		p.meta.Set(set, way, RRPVMax)
@@ -302,42 +318,3 @@ func (p *DRRIP) OnEvict(uint32, uint32) {}
 
 // Meta exposes the RRPV state for policies and tests layered on DRRIP.
 func (p *DRRIP) Meta() *RRIPMeta { return p.meta }
-
-// Constructor builds a policy for a given LLC geometry. The experiment
-// harness works with named constructors so every run gets fresh state.
-type Constructor struct {
-	Name string
-	New  func(sets, ways uint32) cache.Policy
-}
-
-// ByName returns a policy constructor by its experiment name.
-func ByName(name string) (Constructor, error) {
-	for _, c := range All() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Constructor{}, fmt.Errorf("policy: unknown policy %q", name)
-}
-
-// All returns constructors for every LLC policy in this package. GRASP
-// variants live in internal/core (they are the paper's contribution, not a
-// prior scheme) and register themselves through their own constructors.
-func All() []Constructor {
-	return []Constructor{
-		{Name: "LRU", New: func(s, w uint32) cache.Policy { return cache.NewLRU(s, w) }},
-		{Name: "SRRIP", New: func(s, w uint32) cache.Policy { return NewSRRIP(s, w) }},
-		{Name: "BRRIP", New: func(s, w uint32) cache.Policy { return NewBRRIP(s, w) }},
-		{Name: "RRIP", New: func(s, w uint32) cache.Policy { return NewDRRIP(s, w) }},
-		{Name: "DIP", New: func(s, w uint32) cache.Policy { return NewDIP(s, w) }},
-		{Name: "PLRU", New: func(s, w uint32) cache.Policy { return NewPLRU(s, w) }},
-		{Name: "SHiP-MEM", New: func(s, w uint32) cache.Policy { return NewSHiPMem(s, w) }},
-		{Name: "SHiP-PC", New: func(s, w uint32) cache.Policy { return NewSHiPPC(s, w) }},
-		{Name: "Hawkeye", New: func(s, w uint32) cache.Policy { return NewHawkeye(s, w) }},
-		{Name: "Leeway", New: func(s, w uint32) cache.Policy { return NewLeeway(s, w) }},
-		{Name: "PIN-25", New: func(s, w uint32) cache.Policy { return NewXMem(s, w, 25) }},
-		{Name: "PIN-50", New: func(s, w uint32) cache.Policy { return NewXMem(s, w, 50) }},
-		{Name: "PIN-75", New: func(s, w uint32) cache.Policy { return NewXMem(s, w, 75) }},
-		{Name: "PIN-100", New: func(s, w uint32) cache.Policy { return NewXMem(s, w, 100) }},
-	}
-}

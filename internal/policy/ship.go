@@ -5,26 +5,32 @@ import (
 	"grasp/internal/mem"
 )
 
-// SHiPMem is the Signature-based Hit Predictor [Wu et al., MICRO'11] in its
-// memory-region variant (SHiP-MEM), as evaluated by the paper: because
-// PC-based correlation is useless for graph analytics (one PC touches hot
-// and cold vertices alike), the signature is the 16KB memory region of the
-// block. A Signature History Counter Table (SHCT) of 3-bit saturating
-// counters tracks whether blocks from a region tend to be re-referenced;
+// SHiP is the Signature-based Hit Predictor [Wu et al., MICRO'11]. A
+// Signature History Counter Table (SHCT) of 3-bit saturating counters
+// tracks whether blocks filled under a signature tend to be re-referenced;
 // per the paper's methodology the table has an unlimited number of entries
 // (a map) to assess the scheme's maximum potential.
+//
+// The signature is the block's 16KB memory region (SHiP-MEM) or the PC of
+// the filling access (SHiP-PC, the original proposal). The paper
+// evaluates SHiP-MEM because PC correlation is useless for graph analytics
+// (Sec. II-F: one PC touches hot and cold vertices alike); SHiP-PC exists
+// to demonstrate that claim quantitatively — see the "ablation" experiment
+// and its test, where SHiP-PC fails to separate the Property Array's hot
+// and cold blocks.
 //
 // Insertion: signature predicted zero-reuse -> distant (RRPV max);
 // otherwise long (max-1). Hits promote to RRPV 0 and train the SHCT up;
 // evictions of never-reused blocks train it down.
-type SHiPMem struct {
+type SHiP struct {
 	meta *RRIPMeta
-	shct map[uint64]uint8 // region signature -> 3-bit counter
+	shct map[uint64]uint8 // signature -> 3-bit counter
 	// Per-block bookkeeping (this is the kind of embedded metadata GRASP
 	// avoids, Sec. III-D): the inserting signature and a reused bit.
 	sig    []uint64
 	reused []bool
 	ways   uint32
+	byPC   bool
 }
 
 const (
@@ -33,26 +39,31 @@ const (
 	shctInit       = 1  // weakly reused
 )
 
-// NewSHiPMem creates a SHiP-MEM policy.
-func NewSHiPMem(sets, ways uint32) *SHiPMem {
-	return &SHiPMem{
+// NewSHiP creates a SHiP policy whose signature is the PC when byPC is
+// set (SHiP-PC) and the memory region otherwise (SHiP-MEM).
+func NewSHiP(sets, ways uint32, byPC bool) *SHiP {
+	return &SHiP{
 		meta:   NewRRIPMeta(sets, ways),
 		shct:   make(map[uint64]uint8),
 		sig:    make([]uint64, sets*ways),
 		reused: make([]bool, sets*ways),
 		ways:   ways,
+		byPC:   byPC,
 	}
 }
 
-var _ cache.Policy = (*SHiPMem)(nil)
+var _ cache.Policy = (*SHiP)(nil)
 
-// Name implements cache.Policy.
-func (p *SHiPMem) Name() string { return "SHiP-MEM" }
-
-func signature(addr uint64) uint64 { return addr >> shipRegionBits }
+// signature returns the SHCT index of an access.
+func (p *SHiP) signature(a mem.Access) uint64 {
+	if p.byPC {
+		return uint64(a.PC)
+	}
+	return a.Addr >> shipRegionBits
+}
 
 // OnHit implements cache.Policy: promote, mark reused, train up.
-func (p *SHiPMem) OnHit(set, way uint32, _ mem.Access) {
+func (p *SHiP) OnHit(set, way uint32, _ mem.Access) {
 	p.meta.Set(set, way, RRPVNear)
 	i := set*p.ways + way
 	if !p.reused[i] {
@@ -64,8 +75,8 @@ func (p *SHiPMem) OnHit(set, way uint32, _ mem.Access) {
 }
 
 // OnFill implements cache.Policy: insert by SHCT prediction.
-func (p *SHiPMem) OnFill(set, way uint32, a mem.Access) {
-	s := signature(a.Addr)
+func (p *SHiP) OnFill(set, way uint32, a mem.Access) {
+	s := p.signature(a)
 	i := set*p.ways + way
 	p.sig[i] = s
 	p.reused[i] = false
@@ -82,13 +93,13 @@ func (p *SHiPMem) OnFill(set, way uint32, a mem.Access) {
 }
 
 // Victim implements cache.Policy.
-func (p *SHiPMem) Victim(set uint32, _ mem.Access) (uint32, bool) {
+func (p *SHiP) Victim(set uint32, _ mem.Access) (uint32, bool) {
 	return p.meta.Victim(set), false
 }
 
 // OnEvict implements cache.Policy: a block evicted without reuse trains its
 // signature down.
-func (p *SHiPMem) OnEvict(set, way uint32) {
+func (p *SHiP) OnEvict(set, way uint32) {
 	i := set*p.ways + way
 	if !p.reused[i] {
 		if c := p.shct[p.sig[i]]; c > 0 {
@@ -98,7 +109,7 @@ func (p *SHiPMem) OnEvict(set, way uint32) {
 }
 
 // SHCTSnapshot returns a copy of the signature table (tests/inspection).
-func (p *SHiPMem) SHCTSnapshot() map[uint64]uint8 {
+func (p *SHiP) SHCTSnapshot() map[uint64]uint8 {
 	out := make(map[uint64]uint8, len(p.shct))
 	for k, v := range p.shct {
 		out[k] = v

@@ -24,11 +24,10 @@ type XMem struct {
 	meta *RRIPMeta
 	// pinned is 0xff for a pinned way and 0 otherwise, so it doubles as
 	// the byte mask the RRIP victim search and aging skip.
-	pinned  []uint8
-	pinCnt  []uint32 // pinned ways per set
-	quota   uint32   // max pinned ways per set
-	ways    uint32
-	percent int
+	pinned []uint8
+	pinCnt []uint32 // pinned ways per set
+	quota  uint32   // max pinned ways per set
+	ways   uint32
 }
 
 // NewXMem creates a PIN-X policy pinning up to percent% of each set.
@@ -37,19 +36,15 @@ func NewXMem(sets, ways uint32, percent int) *XMem {
 		panic(fmt.Sprintf("policy: invalid pin percentage %d", percent))
 	}
 	return &XMem{
-		meta:    NewRRIPMeta(sets, ways),
-		pinned:  make([]uint8, sets*ways),
-		pinCnt:  make([]uint32, sets),
-		quota:   uint32(uint64(ways) * uint64(percent) / 100),
-		ways:    ways,
-		percent: percent,
+		meta:   NewRRIPMeta(sets, ways),
+		pinned: make([]uint8, sets*ways),
+		pinCnt: make([]uint32, sets),
+		quota:  uint32(uint64(ways) * uint64(percent) / 100),
+		ways:   ways,
 	}
 }
 
 var _ cache.Policy = (*XMem)(nil)
-
-// Name implements cache.Policy.
-func (p *XMem) Name() string { return fmt.Sprintf("PIN-%d", p.percent) }
 
 // Quota returns the per-set pinned-way limit.
 func (p *XMem) Quota() uint32 { return p.quota }

@@ -380,8 +380,9 @@ func writeRawResult(w http.ResponseWriter, data []byte, sum string) {
 
 // replicateRequest is the body of POST /internal/replicate: a push
 // NOTIFICATION, not a push of the bytes — the receiver pulls the result
-// from Source and verifies it against Sum, so a compromised or confused
-// notifier can waste a fetch but never plant bytes.
+// from Source and verifies it against Sum. Peers are trusted: Source must
+// be the address of a configured peer other than the receiver, or the
+// notification is refused before any fetch.
 type replicateRequest struct {
 	// Hash is the outcome's content address.
 	Hash string `json:"hash"`
@@ -440,8 +441,9 @@ func (s *Server) notifyReplica(p cluster.Peer, hash, sum string) error {
 	return nil
 }
 
-// handleReplicate implements POST /internal/replicate: pull the announced
-// outcome from its source, verify the digest, persist the bytes verbatim.
+// handleReplicate implements POST /internal/replicate: refuse a source
+// that is not a peer, pull the announced outcome from it, verify the
+// digest, persist the bytes verbatim.
 // Idempotent — an already-present verified copy answers 200 without a
 // fetch, so re-notifies after partial failures are free.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
@@ -454,6 +456,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Hash == "" || req.Source == "" || req.Sum == "" {
 		httpError(w, http.StatusBadRequest, errors.New("hash, source and sum are all required"))
+		return
+	}
+	if !s.isPeer(req.Source) {
+		httpError(w, http.StatusForbidden, fmt.Errorf("source %q is not a peer of this node", req.Source))
 		return
 	}
 	if _, sum, ok := s.mgr.Store().GetRaw(req.Hash); ok && sum == req.Sum {
@@ -475,6 +481,18 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "replicated"})
+}
+
+// isPeer reports whether addr is the base URL of a configured peer other
+// than this node: the only sources a replicate notification may name.
+func (s *Server) isPeer(addr string) bool {
+	addr = strings.TrimRight(addr, "/")
+	for _, p := range s.cl.Peers() {
+		if p.ID != s.cl.Self().ID && strings.TrimRight(p.Addr, "/") == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // federateResult serves a locally missing result from the hash's replica

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -405,6 +406,49 @@ func TestClusterCacheFillRepairsReplica(t *testing.T) {
 	}
 	if got := replica.srv.cacheFills.Load(); got != 1 {
 		t.Errorf("cache fills = %d, want 1", got)
+	}
+}
+
+// TestClusterReplicateRefusesForeignSource: a replicate notification
+// whose source is not a configured peer — here a server outside the ring
+// serving a well-formed, correctly summed forgery — is refused before
+// anything is fetched, so the store never holds the forged outcome. So is
+// one naming the receiving node itself.
+func TestClusterReplicateRefusesForeignSource(t *testing.T) {
+	tc := bootCluster(t, 2)
+	victim := tc.nodes[0]
+	_, hash := tc.specOwnedBy(t, "n1", "")
+	forged, err := json.Marshal(jobs.Outcome{Hash: hash, Output: "FORGED"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched atomic.Int64
+	rogue := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetched.Add(1)
+		writeRawResult(w, forged, sha256Hex(forged))
+	}))
+	defer rogue.Close()
+
+	for _, source := range []string{rogue.URL, victim.ts.URL} {
+		body, err := json.Marshal(replicateRequest{Hash: hash, Source: source, Sum: sha256Hex(forged)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(victim.ts.URL+"/internal/replicate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("source %s: replicate answered %s, want a 4xx refusal", source, resp.Status)
+		}
+	}
+	if n := fetched.Load(); n != 0 {
+		t.Errorf("the foreign source was fetched %d times, want 0", n)
+	}
+	if o := victim.mgr.Store().Get(hash); o != nil {
+		t.Fatalf("the store holds an outcome the ring never produced: %+v", o)
 	}
 }
 

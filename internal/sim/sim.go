@@ -31,29 +31,36 @@ type PolicyInfo struct {
 	New       func(sets, ways uint32) cache.Policy
 }
 
-// registry is the immutable policy registry, built exactly once: resolving
-// a policy is on the per-simulation setup path and was reallocating the
-// whole slice (plus closures) on every PolicyByName call.
+// registry is the one table of LLC policies and their names, built exactly
+// once: resolving a policy is on the per-simulation setup path. Prior
+// schemes come first, then the GRASP variants. NeedsABRs marks the
+// policies that read GRASP's software hints: the GRASP variants and XMem's
+// PIN-X, which pins High-Reuse blocks through the GRASP interface.
 var registry = sync.OnceValues(func() ([]PolicyInfo, map[string]PolicyInfo) {
-	var out []PolicyInfo
-	for _, c := range policy.All() {
-		needs := len(c.Name) >= 4 && c.Name[:4] == "PIN-" // XMem uses the GRASP interface
-		out = append(out, PolicyInfo{Name: c.Name, NeedsABRs: needs, New: c.New})
-	}
-	out = append(out,
-		PolicyInfo{Name: "RRIP+Hints", NeedsABRs: true,
+	out := []PolicyInfo{
+		{Name: "LRU", New: func(s, w uint32) cache.Policy { return cache.NewLRU(s, w) }},
+		{Name: "SRRIP", New: func(s, w uint32) cache.Policy { return policy.NewSRRIP(s, w) }},
+		{Name: "BRRIP", New: func(s, w uint32) cache.Policy { return policy.NewBRRIP(s, w) }},
+		{Name: "RRIP", New: func(s, w uint32) cache.Policy { return policy.NewDRRIP(s, w) }},
+		{Name: "DIP", New: func(s, w uint32) cache.Policy { return policy.NewDIP(s, w) }},
+		{Name: "PLRU", New: func(s, w uint32) cache.Policy { return policy.NewPLRU(s, w) }},
+		{Name: "SHiP-MEM", New: func(s, w uint32) cache.Policy { return policy.NewSHiP(s, w, false) }},
+		{Name: "SHiP-PC", New: func(s, w uint32) cache.Policy { return policy.NewSHiP(s, w, true) }},
+		{Name: "Hawkeye", New: func(s, w uint32) cache.Policy { return policy.NewHawkeye(s, w) }},
+		{Name: "Leeway", New: func(s, w uint32) cache.Policy { return policy.NewLeeway(s, w) }},
+		{Name: "PIN-25", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return policy.NewXMem(s, w, 25) }},
+		{Name: "PIN-50", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return policy.NewXMem(s, w, 50) }},
+		{Name: "PIN-75", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return policy.NewXMem(s, w, 75) }},
+		{Name: "PIN-100", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return policy.NewXMem(s, w, 100) }},
+		{Name: "RRIP+Hints", NeedsABRs: true,
 			New: func(s, w uint32) cache.Policy { return core.NewPolicy(s, w, core.ModeHintsOnly) }},
-		PolicyInfo{Name: "GRASP (Insertion-Only)", NeedsABRs: true,
+		{Name: "GRASP (Insertion-Only)", NeedsABRs: true,
 			New: func(s, w uint32) cache.Policy { return core.NewPolicy(s, w, core.ModeInsertionOnly) }},
-		PolicyInfo{Name: "GRASP", NeedsABRs: true,
-			New: func(s, w uint32) cache.Policy { return core.NewPolicy(s, w, core.ModeFull) }},
-		PolicyInfo{Name: "GRASP-LRU", NeedsABRs: true,
-			New: func(s, w uint32) cache.Policy { return core.NewLRUPolicy(s, w) }},
-		PolicyInfo{Name: "GRASP-PLRU", NeedsABRs: true,
-			New: func(s, w uint32) cache.Policy { return core.NewPLRUPolicy(s, w) }},
-		PolicyInfo{Name: "GRASP-DIP", NeedsABRs: true,
-			New: func(s, w uint32) cache.Policy { return core.NewDIPPolicy(s, w) }},
-	)
+		{Name: "GRASP", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return core.NewPolicy(s, w, core.ModeFull) }},
+		{Name: "GRASP-LRU", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return core.NewLRUPolicy(s, w) }},
+		{Name: "GRASP-PLRU", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return core.NewPLRUPolicy(s, w) }},
+		{Name: "GRASP-DIP", NeedsABRs: true, New: func(s, w uint32) cache.Policy { return core.NewDIPPolicy(s, w) }},
+	}
 	byName := make(map[string]PolicyInfo, len(out))
 	for _, p := range out {
 		byName[p.Name] = p
@@ -62,8 +69,9 @@ var registry = sync.OnceValues(func() ([]PolicyInfo, map[string]PolicyInfo) {
 })
 
 // Policies returns the full registry: the prior schemes from
-// internal/policy plus the GRASP variants from internal/core. The returned
-// slice is shared; callers must not modify it.
+// internal/policy (and LRU from internal/cache) plus the GRASP variants
+// from internal/core, in a fixed order. The returned slice is shared;
+// callers must not modify it.
 func Policies() []PolicyInfo {
 	all, _ := registry()
 	return all
