@@ -6,9 +6,10 @@
 // experiment ids follow the paper (table1, fig5, ... — `-list` shows all;
 // DESIGN.md Sec. 4 is the index).
 //
-// Local experiments run through the concurrent engine (exp.RunAll): the
-// union of their datapoints is simulated on a GOMAXPROCS worker pool,
-// deduplicated, before the bodies render in paper order.
+// Local experiments run through the concurrent engine: the union of their
+// datapoints is simulated on a GOMAXPROCS worker pool, deduplicated, and
+// then each experiment goes through exp.Run, the one runner graspd's
+// experiment jobs use too, rendering in the order given.
 //
 // With -graph, graspsim instead runs one (graph, reorder, app, policy)
 // simulation: the argument is a dataset name or a path to a SNAP-style
@@ -257,23 +258,30 @@ func run(o *options) error {
 		return err
 	}
 
-	start := time.Now()
-	var prefetch, render time.Duration
-	obs := exp.RunObserver{
-		Before: func(e exp.Experiment) {
-			// First Before fires after the shared prefetch phase completes.
-			if prefetch == 0 {
-				prefetch = time.Since(start)
-			}
-			fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
-		},
-		After: func(e exp.Experiment, elapsed time.Duration) {
-			render += elapsed
-			fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		},
+	// Prefetch the union of the experiments' datapoints once, so cells
+	// shared between experiments (fig5/fig6, fig11/table7) are simulated
+	// once and the pool is busy across experiment boundaries. Its error is
+	// dropped: the store keeps each failure, and the Run of the experiment
+	// that declared the failing datapoint reports it under that one's id.
+	var points []exp.Datapoint
+	for _, e := range exps {
+		if e.Points != nil {
+			points = append(points, e.Points()...)
+		}
 	}
-	if err := exp.RunAll(session, exps, os.Stdout, obs); err != nil {
-		return err
+	start := time.Now()
+	_ = session.Prefetch(points)
+	prefetch := time.Since(start)
+	var render time.Duration
+	for _, e := range exps {
+		fmt.Printf("## %s — %s\n\n", e.ID, e.Title)
+		start := time.Now()
+		if err := exp.Run(context.Background(), session, e, os.Stdout, nil); err != nil {
+			return err
+		}
+		elapsed := time.Since(start)
+		render += elapsed
+		fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 	}
 	// Where the sweep's time went: the parallel fan-out's wall-clock, the
 	// sum of the experiment bodies, and the engine's per-phase split.
@@ -430,7 +438,7 @@ func runSingle(o *options, spec jobs.Spec, w io.Writer) error {
 	if outcome.Single == nil {
 		return printOutcome(w, spec, outcome, false, nil)
 	}
-	wl, err := session.Workload(spec.Graph, spec.Reorder, spec.App == "SSSP")
+	wl, err := session.Workload(spec.Graph, spec.Reorder, apps.Weighted(spec.App))
 	if err != nil {
 		return err
 	}

@@ -51,8 +51,9 @@ type App interface {
 }
 
 // New constructs an application by name over a prepared graph (the
-// registry behind every `-app` flag). Weighted graphs are required by
-// SSSP only; layout matters only for the apps with a merging opportunity.
+// registry behind every `-app` flag). Weighted graphs are required by the
+// apps Weighted names; layout matters only for the apps with a merging
+// opportunity.
 func New(name string, fg *ligra.Graph, layout Layout) (App, error) {
 	switch name {
 	case "BC":
@@ -76,6 +77,10 @@ func New(name string, fg *ligra.Graph, layout Layout) (App, error) {
 	}
 	return nil, fmt.Errorf("apps: unknown application %q", name)
 }
+
+// Weighted reports whether the named application reads edge weights, so
+// its workload must be prepared from the weighted graph: SSSP only.
+func Weighted(name string) bool { return name == "SSSP" }
 
 // Names returns the evaluated application names in the paper's order
 // (Table III).

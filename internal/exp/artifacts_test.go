@@ -691,7 +691,7 @@ func TestSharedStoreScalesNeverShare(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := RunAll(s64, []Experiment{e}, &buf, RunObserver{}); err != nil {
+		if err := Run(context.Background(), s64, e, &buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(goldenPath("fig5"))

@@ -1,0 +1,124 @@
+package exp
+
+import (
+	"fmt"
+	"testing"
+)
+
+// The claims table: each row is one sentence of the paper's evaluation,
+// checked against the numbers a matrix figure prints (matrix.values, never
+// the rendered text) at every scale it lists, with the status this
+// reproduction reaches there. A row that changes status fails the test
+// either way: a claim that stops holding is a regression, and one that
+// starts to hold is a finding to record in ROADMAP item 1, not to absorb.
+
+type status string
+
+const (
+	holds    status = "holds"
+	deviates status = "deviates"
+)
+
+// predicate measures a claim on a matrix's numbers: the claim holds while
+// x >= -tol of its row. where names the cell or aggregates that decided x.
+type predicate func(m matrix, v matrixValues) (x float64, where string)
+
+type claimRow struct {
+	name   string
+	m      matrix
+	pred   predicate
+	tol    float64           // percentage points the claim may miss by and still hold
+	status map[uint32]status // by scale divisor
+}
+
+var claims = []claimRow{
+	{"fig5: GRASP >= RRIP on every high-skew cell", fig5, everyCell("GRASP"), 0,
+		map[uint32]status{64: holds, 16: holds}},
+	{"fig5: GRASP's mean > the means of SHiP-MEM, Hawkeye and Leeway", fig5,
+		aggregateAbove("GRASP", "SHiP-MEM", "Hawkeye", "Leeway"), 0,
+		map[uint32]status{64: holds, 16: holds}},
+	// Paper: GRASP +5.2 vs PIN-100 +2.5.
+	{"fig8: GRASP's GM >= PIN-100's GM", fig8, aggregateAbove("GRASP", "PIN-100"), 0,
+		map[uint32]status{64: deviates, 16: holds}},
+	// Paper: "robust", GRASP -0.1 ... +4.3 on fr and uni.
+	{"fig9: GRASP >= -1.5% on every fr/uni cell", fig9, everyCell("GRASP"), 1.5,
+		map[uint32]status{64: holds, 16: deviates}},
+}
+
+// colIndex returns the index of the column headed header.
+func colIndex(m matrix, header string) int {
+	for i, c := range m.cols {
+		if c.header == header {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("claims: matrix %q has no column %q", m.title, header))
+}
+
+// everyCell measures the worst (app, dataset) cell of one column.
+func everyCell(header string) predicate {
+	return func(m matrix, v matrixValues) (float64, string) {
+		c, worst := colIndex(m, header), 0
+		for r := range v.rows {
+			if v.cells[r][c] < v.cells[worst][c] {
+				worst = r
+			}
+		}
+		return v.cells[worst][c], fmt.Sprintf("worst %s cell %s x %s = %.2f",
+			header, v.rows[worst][0], v.rows[worst][1], v.cells[worst][c])
+	}
+}
+
+// aggregateAbove measures by how much one column's aggregate exceeds the
+// largest of the others'.
+func aggregateAbove(header string, others ...string) predicate {
+	return func(m matrix, v matrixValues) (float64, string) {
+		x := v.agg[colIndex(m, header)]
+		where := fmt.Sprintf("%s %.2f", header, x)
+		margin := 0.0
+		for i, o := range others {
+			y := v.agg[colIndex(m, o)]
+			if d := x - y; i == 0 || d < margin {
+				margin = d
+			}
+			where += fmt.Sprintf(" vs %s %.2f", o, y)
+		}
+		return margin, where
+	}
+}
+
+func TestClaims(t *testing.T) {
+	for _, div := range []uint32{64, 16} {
+		t.Run(fmt.Sprintf("1/%d", div), func(t *testing.T) {
+			s := NewSession(ScaledConfig(div))
+			defer s.art.releaseAll()
+			var points []Datapoint
+			for _, c := range claims {
+				points = append(points, c.m.points()...)
+			}
+			if err := s.Prefetch(points); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range claims {
+				want, ok := c.status[div]
+				if !ok {
+					continue
+				}
+				v, err := c.m.values(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, where := c.pred(c.m, v)
+				margin := x + c.tol
+				got := deviates
+				if margin >= 0 {
+					got = holds
+				}
+				t.Logf("%s at 1/%d: %s, margin %+.2f (%s)", c.name, div, got, margin, where)
+				if got != want {
+					t.Errorf("%s at 1/%d: %s, want %s: margin %+.2f (%s)", c.name, div, got, want, margin, where)
+				}
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -137,7 +136,7 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 }
 
 // TestPrefetchMatchesSequentialOutput renders one full experiment both ways
-// — cold sequential session vs prefetched via RunAll — and requires
+// — cold sequential session vs prefetched via Run — and requires
 // byte-identical output (the engine's core output-equivalence guarantee).
 func TestPrefetchMatchesSequentialOutput(t *testing.T) {
 	t.Parallel()
@@ -152,7 +151,7 @@ func TestPrefetchMatchesSequentialOutput(t *testing.T) {
 	}
 
 	var batchBuf bytes.Buffer
-	if err := RunAll(NewSession(ScaledConfig(64)), []Experiment{e}, &batchBuf, RunObserver{}); err != nil {
+	if err := Run(context.Background(), NewSession(ScaledConfig(64)), e, &batchBuf, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,7 +194,7 @@ func TestConcurrentExperimentsShareDatapoints(t *testing.T) {
 		wg.Add(1)
 		go func(i int, e Experiment) {
 			defer wg.Done()
-			errs[i] = RunAll(s, []Experiment{e}, &bufs[i], RunObserver{})
+			errs[i] = Run(context.Background(), s, e, &bufs[i], nil)
 		}(i, e)
 	}
 	wg.Wait()
@@ -230,12 +229,13 @@ func TestPrefetchErrorMatchesSequential(t *testing.T) {
 		t.Fatalf("Prefetch error %q, want first sequential failure %q", err, want)
 	}
 
-	// RunAll attributes a prefetch failure to the declaring experiment.
+	// Run attributes a prefetch failure to the declaring experiment, also
+	// after a union prefetch cached the failure (graspsim's sweep).
 	bad := Experiment{ID: "bad-exp",
 		Run:    func(s *Session, w io.Writer) error { return nil },
 		Points: func() []Datapoint { return pts }}
-	err = RunAll(s, []Experiment{bad}, io.Discard, RunObserver{})
-	if err == nil || !strings.HasPrefix(err.Error(), "bad-exp: ") {
-		t.Fatalf("RunAll error %q, want it prefixed with the declaring experiment id", err)
+	err = Run(context.Background(), s, bad, io.Discard, nil)
+	if want := "bad-exp: " + want.Error(); err == nil || err.Error() != want {
+		t.Fatalf("Run error %q, want %q: the first sequential failure, prefixed with the declaring experiment id", err, want)
 	}
 }

@@ -6,9 +6,10 @@
 // Session is safe for use from many goroutines, deduplicates concurrent
 // requests for the same datapoint singleflight-style, and can fan a batch
 // of pre-declared datapoints out over a worker pool. Experiments declare
-// their datapoints up front (Experiment.Points) so RunAll computes the
-// union in parallel and then renders each experiment, in order, from the
-// warm cache — producing output byte-identical to a sequential run.
+// their datapoints up front (Experiment.Points) so Run computes them in
+// parallel and then renders the experiment from the warm cache — producing
+// output byte-identical to a sequential run. The scheme-over-RRIP figures
+// are each one matrix value (figs.go) that declares and renders its cells.
 package exp
 
 import (
@@ -41,11 +42,6 @@ type Config struct {
 	// to ScaleDiv (the LLC shrinks with the datasets to preserve the
 	// footprint-to-capacity ratio).
 	HCfg cache.HierarchyConfig
-}
-
-// DefaultConfig returns the full reproduction scale.
-func DefaultConfig() Config {
-	return Config{ScaleDiv: 1, HCfg: cache.DefaultHierarchyConfig()}
 }
 
 // ScaledConfig returns a configuration scaled down by div (power of two):
@@ -204,7 +200,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 		if g.n != 0 {
 			return s.subsequence(ctx, g)
 		}
-		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
+		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
 		if err != nil {
 			return recording{}, charge{}, err
 		}
@@ -348,7 +344,7 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		keys[i].n = n
 	}
 	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []charge, err error) {
-		w, err := s.workload(g.ds, g.reorder, g.app == "SSSP")
+		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -504,7 +500,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	seenW := make(map[artifactKey]bool, len(uniq))
 	var warm []artifactKey
 	for _, g := range groups {
-		wk := artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: g.app == "SSSP"}
+		wk := artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: apps.Weighted(g.app)}
 		if !seenW[wk] {
 			seenW[wk] = true
 			warm = append(warm, wk)
@@ -665,9 +661,9 @@ type Experiment struct {
 	Title string
 	Run   func(s *Session, w io.Writer) error
 	// Points declares the simulation datapoints the experiment will read,
-	// for batch fan-out by RunAll (nil: the experiment does no session
-	// work, or does work — like fig10a's native timing — that must not be
-	// precomputed).
+	// for batch fan-out by Run and the golden and bench harnesses (nil:
+	// the experiment does no session work, or does work — like fig10a's
+	// native timing — that must not be precomputed).
 	Points func() []Datapoint
 }
 
@@ -677,19 +673,19 @@ func All() []Experiment {
 		{ID: "table1", Title: "Table I: skew of the graph datasets", Run: runTable1},
 		{ID: "table4", Title: "Table IV: effect of Property Array merging", Run: runTable4, Points: table4Points},
 		{ID: "fig2", Title: "Fig. 2: LLC accesses and misses inside/outside the Property Array", Run: runFig2, Points: fig2Points},
-		{ID: "fig5", Title: "Fig. 5: LLC miss reduction over RRIP", Run: runFig5, Points: fig5Points},
-		{ID: "fig6", Title: "Fig. 6: speed-up over RRIP", Run: runFig6, Points: fig5Points},
-		{ID: "fig7", Title: "Fig. 7: impact of GRASP features", Run: runFig7, Points: fig7Points},
-		{ID: "fig8", Title: "Fig. 8: pinning-based schemes, high-skew datasets", Run: runFig8, Points: fig8Points},
-		{ID: "fig9", Title: "Fig. 9: low-/no-skew datasets (fr, uni)", Run: runFig9, Points: fig9Points},
+		{ID: "fig5", Title: "Fig. 5: LLC miss reduction over RRIP", Run: fig5.run, Points: fig5.points},
+		{ID: "fig6", Title: "Fig. 6: speed-up over RRIP", Run: fig6.run, Points: fig6.points},
+		{ID: "fig7", Title: "Fig. 7: impact of GRASP features", Run: fig7.run, Points: fig7.points},
+		{ID: "fig8", Title: "Fig. 8: pinning-based schemes, high-skew datasets", Run: fig8.run, Points: fig8.points},
+		{ID: "fig9", Title: "Fig. 9: low-/no-skew datasets (fr, uni)", Run: fig9.run, Points: fig9.points},
 		{ID: "fig10a", Title: "Fig. 10a: net speed-up of reordering techniques (incl. cost)", Run: runFig10a},
-		{ID: "fig10b", Title: "Fig. 10b: GRASP on top of reordering techniques", Run: runFig10b, Points: fig10bPoints},
+		{ID: "fig10b", Title: "Fig. 10b: GRASP on top of reordering techniques", Run: fig10b.run, Points: fig10b.points},
 		{ID: "fig11", Title: "Fig. 11: misses eliminated over LRU (RRIP, GRASP, OPT)", Run: runFig11, Points: fig11Points},
 		{ID: "table7", Title: "Table VII: misses eliminated over LRU across LLC sizes", Run: runTable7, Points: table7Points},
-		{ID: "noreorder", Title: "Extra: prior schemes without vertex reordering (Sec. V-A)", Run: runNoReorder, Points: noReorderPoints},
+		{ID: "noreorder", Title: "Extra: prior schemes without vertex reordering (Sec. V-A)", Run: noReorder.run, Points: noReorder.points},
 		{ID: "ablation-region", Title: "Extra: sensitivity to the High-Reuse-Region size", Run: runAblationRegion, Points: ablationRegionPoints},
 		{ID: "ablation-bases", Title: "Extra: GRASP over LRU/PLRU/DIP base schemes (Sec. III-C)", Run: runAblationBases, Points: ablationBasesPoints},
-		{ID: "ablation-ship", Title: "Extra: SHiP-PC vs SHiP-MEM signatures (Sec. II-F)", Run: runAblationSHiP, Points: ablationSHiPPoints},
+		{ID: "ablation-ship", Title: "Extra: SHiP-PC vs SHiP-MEM signatures (Sec. II-F)", Run: ablationSHiP.run, Points: ablationSHiP.points},
 		{ID: "streaming", Title: "Extra: reordering staleness under graph updates (Sec. VI)", Run: runStreaming},
 		{ID: "scenarios", Title: "Extra: every policy on the extension workloads (KCore, TC)", Run: runScenarios, Points: scenarioPoints},
 		{ID: "corun", Title: "Extra: multi-programmed co-runs, weighted speedup and fairness", Run: runCorun, Points: corunPoints},
@@ -715,59 +711,26 @@ func ids() []string {
 	return out
 }
 
-// RunObserver brackets each experiment executed by RunAll; either callback
-// may be nil.
-type RunObserver struct {
-	// Before runs immediately before the experiment's output is written.
-	Before func(e Experiment)
-	// After runs once the output is written, with the wall-clock time the
-	// experiment body took (excluding the shared prefetch phase).
-	After func(e Experiment, elapsed time.Duration)
-}
-
-// RunAll executes the experiments with batch fan-out: the union of their
-// declared datapoints is computed first on the session's parallel worker
-// pool (deduplicated, so datapoints shared between experiments — fig5/fig6,
-// fig11/table7 — are simulated once), then each experiment body runs in
-// paper order against the warm caches and writes to w. Because bodies run
-// sequentially against identical cached results, the per-experiment output
-// is byte-identical to a plain sequential run; experiments that time native
-// execution (fig10a) also see an otherwise-idle machine.
-func RunAll(s *Session, exps []Experiment, w io.Writer, obs RunObserver) error {
-	var points []Datapoint
-	for _, e := range exps {
-		if e.Points != nil {
-			points = append(points, e.Points()...)
-		}
-	}
-	if err := s.Prefetch(points); err != nil {
-		// Attribute the failure to the experiment that declared the bad
-		// datapoint: every point is cached (success or error) by now, so
-		// re-walking the declarations in order is instant and finds the
-		// same failure a sequential run would have reported first.
-		for _, e := range exps {
-			if e.Points == nil {
-				continue
-			}
-			for _, p := range e.Points() {
-				if perr := s.Prefetch([]Datapoint{p}); perr != nil {
-					return fmt.Errorf("%s: %w", e.ID, perr)
-				}
-			}
-		}
-		return err
-	}
-	for _, e := range exps {
-		if obs.Before != nil {
-			obs.Before(e)
-		}
-		start := time.Now()
-		if err := e.Run(s, w); err != nil {
+// Run executes one experiment the one way every runner does (graspsim's
+// -exp sweep, graspd's experiment jobs): it prefetches the datapoints the
+// experiment declares on the session's worker pool, reporting progress
+// through onProgress (may be nil; see PrefetchObservedCtx), checks ctx,
+// then renders the body to w from the warm cache. Bodies read only what
+// they declared, so the output is byte-identical to a plain sequential
+// e.Run. An error names the experiment: "<id>: ...". A caller running
+// several experiments may prefetch the union of their points first — the
+// per-experiment prefetch then only reads the store.
+func Run(ctx context.Context, s *Session, e Experiment, w io.Writer, onProgress func(done, total int)) error {
+	if e.Points != nil {
+		if err := s.PrefetchObservedCtx(ctx, e.Points(), onProgress); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if obs.After != nil {
-			obs.After(e, time.Since(start))
-		}
+	}
+	if err := trace.ContextErr(ctx); err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	if err := e.Run(s, w); err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
 	}
 	return nil
 }

@@ -351,29 +351,32 @@ func TestStreamingExperimentOutput(t *testing.T) {
 }
 
 // TestAllExperimentsTinyScale executes every experiment end to end at 1/64
-// scale through RunAll, exercising the batch fan-out path and each harness
-// body (output correctness is covered by the targeted shape tests; this
-// guards against harness regressions).
+// scale through Run after a prefetch of the union, as graspsim's sweep
+// does, exercising the batch fan-out path and each harness body (output
+// correctness is covered by the targeted shape tests; this guards against
+// harness regressions).
 func TestAllExperimentsTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	t.Parallel()
 	s := NewSession(ScaledConfig(64))
-	var buf bytes.Buffer
-	starts := make(map[string]int)
-	err := RunAll(s, All(), &buf, RunObserver{
-		Before: func(e Experiment) { starts[e.ID] = buf.Len() },
-		After: func(e Experiment, _ time.Duration) {
-			if buf.Len() == starts[e.ID] {
-				t.Errorf("%s produced no output", e.ID)
-			}
-		},
-	})
-	if err != nil {
+	var points []Datapoint
+	for _, e := range All() {
+		if e.Points != nil {
+			points = append(points, e.Points()...)
+		}
+	}
+	if err := s.Prefetch(points); err != nil {
 		t.Fatal(err)
 	}
-	if len(starts) != len(All()) {
-		t.Fatalf("ran %d experiments, want %d", len(starts), len(All()))
+	for _, e := range All() {
+		var buf bytes.Buffer
+		if err := Run(context.Background(), s, e, &buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() == 0 {
+			t.Errorf("%s produced no output", e.ID)
+		}
 	}
 }

@@ -162,47 +162,6 @@ func runAblationBases(s *Session, w io.Writer) error {
 	return err
 }
 
-// ablationSHiPPoints declares both SHiP signature variants plus the RRIP
-// baseline over the full high-skew matrix.
-func ablationSHiPPoints() []Datapoint {
-	return matrixPoints(highSkewNames(), "DBG", apps.Names(),
-		[]string{"SHiP-PC", "SHiP-MEM"})
-}
-
-// runAblationSHiP compares SHiP-PC (PC signatures, useless for graph
-// analytics per Sec. II-F) against the SHiP-MEM variant the paper
-// evaluates.
-func runAblationSHiP(s *Session, w io.Writer) error {
-	t := stats.NewTable("App", "Dataset", "SHiP-PC", "SHiP-MEM")
-	var pc, mm []float64
-	for _, app := range apps.Names() {
-		for _, ds := range highSkewNames() {
-			base, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "RRIP")
-			if err != nil {
-				return err
-			}
-			p, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "SHiP-PC")
-			if err != nil {
-				return err
-			}
-			m, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "SHiP-MEM")
-			if err != nil {
-				return err
-			}
-			pcV, mmV := p.SpeedupPctOver(base), m.SpeedupPctOver(base)
-			pc = append(pc, pcV)
-			mm = append(mm, mmV)
-			t.AddRowf(app, ds, pcV, mmV)
-		}
-	}
-	t.AddRowf("GM", "all", stats.GeoMeanSpeedupPct(pc), stats.GeoMeanSpeedupPct(mm))
-	if _, err := fmt.Fprintln(w, "Speed-up (%) over RRIP: PC- vs region-signature SHiP"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w, t)
-	return err
-}
-
 // runStreaming regenerates the Sec. VI staleness argument: prefix
 // coverage of the DBG hot region under an update stream, stale vs freshly
 // reordered, for a drifting tw-like graph.

@@ -33,8 +33,9 @@ const fig10aTrials = 4
 // Sec. 12 rewrite).
 //
 // Because it measures wall-clock, this experiment declares no Points and
-// runs strictly sequentially: RunAll finishes the parallel prefetch phase
-// before any body runs, so the timed executions see an idle machine. The
+// runs strictly sequentially: a sweep finishes its parallel prefetch of the
+// union before any body runs, so the timed executions see an idle
+// machine. The
 // base graphs are the session's (any sweep has loaded them); the
 // reorderings are timed again here rather than read off the session's
 // workloads, whose Workload.ReorderCost was measured under a busy prefetch
@@ -95,56 +96,4 @@ func timeNativeApps(g *graph.CSR) time.Duration {
 		run()
 	}
 	return time.Since(start)
-}
-
-// fig10bReorders are the reordering techniques of Fig. 10b (Gorder is made
-// GRASP-compatible by a DBG pass, Sec. V-C).
-var fig10bReorders = []string{"Sort", "HubSort", "DBG", "Gorder+DBG"}
-
-// fig10bPoints declares Fig. 10b's matrix: RRIP and GRASP on top of every
-// reordering technique.
-func fig10bPoints() []Datapoint {
-	var out []Datapoint
-	for _, rn := range fig10bReorders {
-		out = append(out, matrixPoints(highSkewNames(), rn, apps.Names(), []string{"GRASP"})...)
-	}
-	return out
-}
-
-// runFig10b regenerates Fig. 10b: GRASP's speed-up over RRIP when both run
-// on top of each reordering technique. Paper averages: +4.4 (Sort),
-// +4.2 (HubSort), +5.2 (DBG), +5.0 (Gorder+DBG).
-func runFig10b(s *Session, w io.Writer) error {
-	reorders := fig10bReorders
-	t := stats.NewTable(append([]string{"App", "Dataset"}, reorders...)...)
-	agg := make(map[string][]float64)
-	for _, app := range apps.Names() {
-		for _, ds := range highSkewNames() {
-			row := []string{app, ds}
-			for _, rn := range reorders {
-				base, err := s.Result(ds, rn, app, apps.LayoutMerged, "RRIP")
-				if err != nil {
-					return err
-				}
-				r, err := s.Result(ds, rn, app, apps.LayoutMerged, "GRASP")
-				if err != nil {
-					return err
-				}
-				sp := r.SpeedupPctOver(base)
-				agg[rn] = append(agg[rn], sp)
-				row = append(row, fmt.Sprintf("%.1f", sp))
-			}
-			t.AddRow(row...)
-		}
-	}
-	gm := []string{"GM", "all"}
-	for _, rn := range reorders {
-		gm = append(gm, fmt.Sprintf("%.1f", stats.GeoMeanSpeedupPct(agg[rn])))
-	}
-	t.AddRow(gm...)
-	if _, err := fmt.Fprintln(w, "GRASP speed-up (%) over RRIP on top of each reordering technique"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w, t)
-	return err
 }

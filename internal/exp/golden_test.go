@@ -52,7 +52,7 @@ func TestGoldenRuns(t *testing.T) {
 	}
 	s := NewSession(ScaledConfig(goldenScaleDiv))
 	// Warm the union of all declared datapoints on the worker pool once;
-	// the bodies then render from the cache exactly as exp.RunAll does.
+	// the bodies then render from the cache exactly as graspsim's sweep does.
 	var points []Datapoint
 	for _, e := range exps {
 		if e.Points != nil {

@@ -72,8 +72,15 @@ func TestOPTStudyOnePass(t *testing.T) {
 	}
 
 	runs, cons := fanOuts(func(s *Session) {
-		if err := RunAll(s, []Experiment{fig11, table7}, &bytes.Buffer{}, RunObserver{}); err != nil {
+		// The union first, as graspsim's sweep does: each pair's one pass
+		// then serves fig11's geometry and table7's together.
+		if err := s.Prefetch(append(fig11.Points(), table7.Points()...)); err != nil {
 			t.Fatal(err)
+		}
+		for _, e := range []Experiment{fig11, table7} {
+			if err := Run(context.Background(), s, e, &bytes.Buffer{}, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Rendering again reads the store: no new cell, no new fan-out.
 		cells := s.art.count(kindOPT)
@@ -108,7 +115,7 @@ func TestOPTStudyOnePass(t *testing.T) {
 
 	runs, cons = fanOuts(func(s *Session) {
 		var buf bytes.Buffer
-		if err := RunAll(s, []Experiment{fig11}, &buf, RunObserver{}); err != nil {
+		if err := Run(context.Background(), s, fig11, &buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkGolden(t, "fig11", buf.Bytes())

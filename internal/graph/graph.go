@@ -80,11 +80,6 @@ func (g *CSR) OutNeighborWeights(v VertexID) []int32 {
 	return g.OutWeights[g.OutIndex[v]:g.OutIndex[v+1]]
 }
 
-// InNeighborWeights returns the weights parallel to InNeighbors(v).
-func (g *CSR) InNeighborWeights(v VertexID) []int32 {
-	return g.InWeights[g.InIndex[v]:g.InIndex[v+1]]
-}
-
 // Footprint returns the approximate resident bytes of the CSR's arrays —
 // the quantity the byte-budget caches (graph registry, exp.Session) charge
 // per retained graph.
@@ -226,17 +221,6 @@ func (g *CSR) Edges() []Edge {
 		}
 	}
 	return edges
-}
-
-// Transpose returns the graph with every edge reversed. In/out views swap.
-func (g *CSR) Transpose() *CSR {
-	t := &CSR{
-		n:        g.n,
-		m:        g.m,
-		OutIndex: g.InIndex, OutEdges: g.InEdges, OutWeights: g.InWeights,
-		InIndex: g.OutIndex, InEdges: g.OutEdges, InWeights: g.OutWeights,
-	}
-	return t
 }
 
 // Validate checks structural invariants of the CSR encoding. It returns a

@@ -96,22 +96,6 @@ func TestSelfLoopsAndParallelEdges(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	g := GenPath(5)
-	tr := g.Transpose()
-	if tr.OutDegree(4) != 1 || tr.OutNeighbors(4)[0] != 3 {
-		t.Fatalf("transpose: out-neighbors of 4 = %v, want [3]", tr.OutNeighbors(4))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Double transpose is the original.
-	tt := tr.Transpose()
-	if tt.OutDegree(0) != g.OutDegree(0) || tt.InDegree(0) != g.InDegree(0) {
-		t.Fatal("double transpose differs from original")
-	}
-}
-
 func TestWeightsParallelToEdges(t *testing.T) {
 	edges := []Edge{
 		{Src: 0, Dst: 2, Weight: 7},
@@ -128,7 +112,7 @@ func TestWeightsParallelToEdges(t *testing.T) {
 		t.Fatalf("sorted neighbors/weights mismatch: %v %v", nb, w)
 	}
 	// In-edge side: in-neighbors of 2 are 0 (w=7) and 1 (w=5).
-	inb, iw := g.InNeighbors(2), g.InNeighborWeights(2)
+	inb, iw := g.InNeighbors(2), g.InWeights[g.InIndex[2]:g.InIndex[3]]
 	if inb[0] != 0 || iw[0] != 7 || inb[1] != 1 || iw[1] != 5 {
 		t.Fatalf("in side weights mismatch: %v %v", inb, iw)
 	}
@@ -328,26 +312,6 @@ func TestDatasetByName(t *testing.T) {
 	}
 }
 
-func TestHotVerticesOrdering(t *testing.T) {
-	g := GenZipf(1000, 10, 0.8, 7, false)
-	hot := HotVertices(g, false)
-	if len(hot) == 0 {
-		t.Fatal("no hot vertices found in a power-law graph")
-	}
-	for i := 1; i < len(hot); i++ {
-		if g.OutDegree(hot[i-1]) < g.OutDegree(hot[i]) {
-			t.Fatalf("hot vertices not in descending degree order at %d", i)
-		}
-	}
-	// All hot vertices have degree >= average.
-	avg := g.AvgDegree()
-	for _, v := range hot {
-		if float64(g.OutDegree(v)) < avg {
-			t.Fatalf("vertex %d with degree %d < avg %.2f marked hot", v, g.OutDegree(v), avg)
-		}
-	}
-}
-
 func TestGiniBounds(t *testing.T) {
 	// Regular graph: Gini = 0.
 	g := GenCycle(50)
@@ -358,21 +322,6 @@ func TestGiniBounds(t *testing.T) {
 	s := GenStar(100)
 	if gini := GiniCoefficient(s, false); gini < 0.4 {
 		t.Fatalf("star gini = %f, want > 0.4", gini)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := GenStar(10) // hub degree 9, leaves degree 1
-	h := OutDegreeHistogram(g)
-	if len(h) != 2 {
-		t.Fatalf("histogram buckets = %d, want 2", len(h))
-	}
-	if h[0].Degree != 1 || h[0].Count != 9 || h[1].Degree != 9 || h[1].Count != 1 {
-		t.Fatalf("unexpected histogram %v", h)
-	}
-	ih := InDegreeHistogram(g)
-	if len(ih) != 2 {
-		t.Fatalf("in histogram buckets = %d, want 2", len(ih))
 	}
 }
 

@@ -51,62 +51,6 @@ func skew(g *CSR, degree func(VertexID) uint32) SkewStats {
 	return s
 }
 
-// DegreeHistogram returns, for each distinct degree (by the given side),
-// the number of vertices with that degree, sorted by degree ascending.
-type DegreeBucket struct {
-	Degree uint32
-	Count  uint32
-}
-
-// OutDegreeHistogram computes the out-degree histogram.
-func OutDegreeHistogram(g *CSR) []DegreeBucket { return histogram(g, g.OutDegree) }
-
-// InDegreeHistogram computes the in-degree histogram.
-func InDegreeHistogram(g *CSR) []DegreeBucket { return histogram(g, g.InDegree) }
-
-func histogram(g *CSR, degree func(VertexID) uint32) []DegreeBucket {
-	counts := make(map[uint32]uint32)
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		counts[degree(v)]++
-	}
-	out := make([]DegreeBucket, 0, len(counts))
-	for d, c := range counts {
-		out = append(out, DegreeBucket{Degree: d, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Degree < out[j].Degree })
-	return out
-}
-
-// HotVertices returns the IDs of vertices whose degree on the given side is
-// at least the average, in descending degree order (ties by ascending ID).
-// This is the set the paper calls "hot vertices".
-func HotVertices(g *CSR, useIn bool) []VertexID {
-	degree := g.OutDegree
-	if useIn {
-		degree = g.InDegree
-	}
-	n := g.NumVertices()
-	var total uint64
-	for v := uint32(0); v < n; v++ {
-		total += uint64(degree(v))
-	}
-	avg := float64(total) / float64(n)
-	var hot []VertexID
-	for v := uint32(0); v < n; v++ {
-		if float64(degree(v)) >= avg {
-			hot = append(hot, v)
-		}
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		di, dj := degree(hot[i]), degree(hot[j])
-		if di != dj {
-			return di > dj
-		}
-		return hot[i] < hot[j]
-	})
-	return hot
-}
-
 // GiniCoefficient computes the Gini coefficient of the degree distribution
 // on the given side — an aggregate skew measure in [0,1) used by tests to
 // verify that generated datasets have the intended relative skew ordering

@@ -805,22 +805,13 @@ func Simulate(ctx context.Context, s *exp.Session, spec Spec, progress func(floa
 		if err != nil {
 			return nil, err
 		}
-		if e.Points != nil {
-			points := e.Points()
-			if err := s.PrefetchObservedCtx(ctx, points, func(done, total int) {
-				if progress != nil {
-					// Hold the last percent back for the render step.
-					progress(0.99 * float64(done) / float64(total))
-				}
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if err := trace.ContextErr(ctx); err != nil {
-			return nil, err
-		}
 		var buf bytes.Buffer
-		if err := e.Run(s, &buf); err != nil {
+		if err := exp.Run(ctx, s, e, &buf, func(done, total int) {
+			if progress != nil {
+				// Hold the last percent back for the render step.
+				progress(0.99 * float64(done) / float64(total))
+			}
+		}); err != nil {
 			return nil, err
 		}
 		return &Outcome{Output: buf.String()}, nil

@@ -222,8 +222,8 @@ func knownApp(name string) bool {
 	return false
 }
 
-// Config returns the experiment configuration the spec runs under: the
-// default hierarchy at scale 1, or exp.ScaledConfig for larger divisors.
+// Config returns the experiment configuration the spec runs under:
+// exp.ScaledConfig of its scale, with 0 meaning 1 (the full hierarchy).
 func (s Spec) Config() exp.Config { return configForScale(s.Scale) }
 
 // configForScale is the single scale→configuration mapping: the hash
@@ -231,10 +231,7 @@ func (s Spec) Config() exp.Config { return configForScale(s.Scale) }
 // (Manager.sessionFor) both derive from here, so a cached result's
 // recorded hierarchy can never diverge from the one actually simulated.
 func configForScale(scale uint32) exp.Config {
-	if scale <= 1 {
-		return exp.DefaultConfig()
-	}
-	return exp.ScaledConfig(scale)
+	return exp.ScaledConfig(max(scale, 1))
 }
 
 // hashVersion is the job-hash format preamble. The persistent result
@@ -332,7 +329,7 @@ func (s Spec) PlacementKey() (string, error) {
 // hex on purpose: cluster.keyPos re-hashes it instead of reading a ring
 // position off its first digits.
 func (s Spec) placementKey(gid string) string {
-	return fmt.Sprintf("workload:%s;scale=%d;reorder=%s;weighted=%t", gid, s.Scale, s.Reorder, s.App == "SSSP")
+	return fmt.Sprintf("workload:%s;scale=%d;reorder=%s;weighted=%t", gid, s.Scale, s.Reorder, apps.Weighted(s.App))
 }
 
 // verifyGraphIdentity re-derives the content identity of a file-backed

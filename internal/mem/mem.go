@@ -131,17 +131,6 @@ func (as *AddressSpace) Register(name string, elemSize, n uint64, property bool)
 // Arrays returns all registered arrays in registration order.
 func (as *AddressSpace) Arrays() []*Array { return as.arrays }
 
-// PropertyArrays returns the registered Property Arrays.
-func (as *AddressSpace) PropertyArrays() []*Array {
-	var out []*Array
-	for _, ar := range as.arrays {
-		if ar.Property {
-			out = append(out, ar)
-		}
-	}
-	return out
-}
-
 // Find returns the array containing addr, or nil.
 func (as *AddressSpace) Find(addr uint64) *Array {
 	for _, ar := range as.arrays {

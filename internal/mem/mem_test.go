@@ -48,20 +48,6 @@ func TestArrayAddressing(t *testing.T) {
 	}
 }
 
-func TestPropertyArrays(t *testing.T) {
-	as := NewAddressSpace()
-	as.Register("v", 8, 10, false)
-	p1 := as.Register("p1", 8, 10, true)
-	p2 := as.Register("p2", 8, 10, true)
-	props := as.PropertyArrays()
-	if len(props) != 2 || props[0] != p1 || props[1] != p2 {
-		t.Fatalf("PropertyArrays = %v", props)
-	}
-	if len(as.Arrays()) != 3 {
-		t.Fatal("Arrays() wrong length")
-	}
-}
-
 func TestSinks(t *testing.T) {
 	var c CountingSink
 	c.Access(Access{Addr: 1, Write: false, Property: true})

@@ -28,18 +28,8 @@ import (
 // retrying POST /jobs is safe because jobs are content-addressed — a
 // duplicate submission dedups or hits the result store, never runs twice.
 type Client struct {
-	// Base is the primary daemon base URL, e.g. "http://localhost:8337".
-	// NewClient fills it with the first configured endpoint; a
-	// hand-constructed Client with only Base set behaves exactly as before
-	// multi-endpoint support existed.
-	Base string
-	// HTTP overrides the transport for ALL requests; nil uses the
-	// package's tuned defaults. Overriding disables the long-poll
-	// distinction, so set generous (or zero) timeouts if RunSync is used.
-	HTTP *http.Client
-
-	// bases is the full endpoint rotation (cluster mode hands the client
-	// every node); next indexes the endpoint new requests try first,
+	// bases is the endpoint rotation, e.g. ["http://localhost:8337"]
+	// (cluster mode hands the client every node); next indexes the endpoint new requests try first,
 	// advanced whenever an endpoint fails with a transport error or 5xx so
 	// traffic settles on a live node instead of re-discovering the dead one
 	// per call.
@@ -68,22 +58,12 @@ func NewClient(base string) *Client {
 	if len(bases) == 0 {
 		bases = []string{"http://"}
 	}
-	return &Client{Base: bases[0], bases: bases}
-}
-
-// endpoints returns the rotation set (a bare Client{Base: ...} literal
-// still works: its single endpoint is Base).
-func (c *Client) endpoints() []string {
-	if len(c.bases) > 0 {
-		return c.bases
-	}
-	return []string{c.Base}
+	return &Client{bases: bases}
 }
 
 // base returns the endpoint new requests should try first.
 func (c *Client) base() string {
-	eps := c.endpoints()
-	return eps[int(c.next.Load())%len(eps)]
+	return c.bases[int(c.next.Load())%len(c.bases)]
 }
 
 // rotate advances the rotation past a failed endpoint.
@@ -117,18 +97,6 @@ var (
 	shortOpClient = &http.Client{Transport: newTransport(30 * time.Second)}
 	longOpClient  = &http.Client{Transport: newTransport(0)}
 )
-
-// httpClient returns the effective transport for a call; long selects
-// the unbounded-header client used by synchronous submissions.
-func (c *Client) httpClient(long bool) *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	if long {
-		return longOpClient
-	}
-	return shortOpClient
-}
 
 // Retry schedule: up to retryMax retries after the initial attempt,
 // exponential from retryBase, capped, with jitter so a fleet of clients
@@ -182,7 +150,7 @@ func retryableStatus(code int) bool {
 // wait=true long poll whose caller gives up must not burn the rest of the
 // retry schedule against a job nobody is waiting for.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, long bool) error {
-	eps := c.endpoints()
+	eps := c.bases
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		sawTransient := false
@@ -199,7 +167,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			if body != nil {
 				req.Header.Set("Content-Type", "application/json")
 			}
-			resp, err := c.httpClient(long).Do(req)
+			hc := shortOpClient
+			if long {
+				hc = longOpClient
+			}
+			resp, err := hc.Do(req)
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err() // caller hung up, not a daemon failure

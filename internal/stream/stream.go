@@ -66,13 +66,6 @@ func (d *DynamicGraph) NumEdges() uint64 { return d.m }
 // OutDegree returns the current out-degree of v.
 func (d *DynamicGraph) OutDegree(v graph.VertexID) uint32 { return uint32(len(d.out[v])) }
 
-// AddVertex appends a new isolated vertex and returns its ID.
-func (d *DynamicGraph) AddVertex() graph.VertexID {
-	d.out = append(d.out, nil)
-	d.n++
-	return d.n - 1
-}
-
 // AddEdge inserts a directed edge (parallel edges allowed, as in the
 // generators).
 func (d *DynamicGraph) AddEdge(e graph.Edge) error {

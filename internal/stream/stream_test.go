@@ -33,17 +33,6 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 }
 
-func TestAddVertex(t *testing.T) {
-	d := NewDynamicGraph(2, false)
-	v := d.AddVertex()
-	if v != 2 || d.NumVertices() != 3 {
-		t.Fatalf("AddVertex -> %d (n=%d)", v, d.NumVertices())
-	}
-	if err := d.AddEdge(graph.Edge{Src: v, Dst: 0}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := graph.GenZipf(300, 8, 0.9, 3, true)
 	d := FromCSR(g)
