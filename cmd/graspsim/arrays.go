@@ -13,7 +13,6 @@ import (
 	"grasp/internal/ligra"
 	"grasp/internal/mem"
 	"grasp/internal/sim"
-	"grasp/internal/trace"
 )
 
 // arrayTally attributes LLC traffic to the data structure it touches — the
@@ -59,17 +58,16 @@ func tallyArrays(ctx context.Context, s *exp.Session, spec jobs.Spec, wl *sim.Wo
 	if _, err := apps.New(spec.App, fg, apps.LayoutMerged); err != nil {
 		return nil, err
 	}
-	t := &arrayTally{as: fg.AS, acc: map[string]uint64{}, miss: map[string]uint64{}}
-	err = s.WithRecording(ctx, spec.Graph, spec.Reorder, spec.App, apps.LayoutMerged,
-		func(tr *trace.Trace, bounds [][2]uint64) error {
-			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, bounds, 1)
-			if err != nil {
-				return err
-			}
-			t.llc = llc
-			return tr.BroadcastNCtx(ctx, 0, []func([]mem.Access){t.consume})
-		})
-	return t, err
+	tr, bounds, err := s.Recording(ctx, spec.Graph, spec.Reorder, spec.App, apps.LayoutMerged)
+	if err != nil {
+		return nil, err
+	}
+	llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, bounds, 1)
+	if err != nil {
+		return nil, err
+	}
+	t := &arrayTally{as: fg.AS, llc: llc, acc: map[string]uint64{}, miss: map[string]uint64{}}
+	return t, tr.BroadcastNCtx(ctx, 0, []func([]mem.Access){t.consume})
 }
 
 // print renders the Property Array's share of the LLC traffic and the

@@ -41,8 +41,6 @@ func (l Layout) String() string {
 
 // App is a traceable graph application.
 type App interface {
-	// Name returns the paper's short name: BC, SSSP, PR, PRD or Radii.
-	Name() string
 	// Run executes the algorithm, emitting accesses through t.
 	Run(t *ligra.Tracer)
 	// ABRArrays returns the Property Arrays whose bounds the framework

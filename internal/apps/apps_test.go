@@ -3,6 +3,7 @@ package apps
 import (
 	"container/heap"
 	"math"
+	"reflect"
 	"testing"
 
 	"grasp/internal/graph"
@@ -288,8 +289,8 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if app.Name() != name {
-			t.Fatalf("app %s reports name %s", name, app.Name())
+		if got := reflect.TypeOf(app).Elem().Name(); got != name {
+			t.Fatalf("New(%q) built a %s", name, got)
 		}
 		if len(app.ABRArrays()) == 0 || len(app.ABRArrays()) > 2 {
 			t.Fatalf("%s: %d ABR arrays, want 1..2", name, len(app.ABRArrays()))

@@ -48,9 +48,6 @@ func NewBC(fg *ligra.Graph, root graph.VertexID) *BC {
 	return b
 }
 
-// Name implements App.
-func (b *BC) Name() string { return "BC" }
-
 // ABRArrays implements App: the two hottest Property Arrays (the paper
 // instruments at most two arrays per application). For BC these are the
 // path counts and the level/visited state, both read per edge in the

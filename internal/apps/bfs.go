@@ -39,9 +39,6 @@ func NewBFS(fg *ligra.Graph, root graph.VertexID) *BFS {
 	return b
 }
 
-// Name implements App.
-func (b *BFS) Name() string { return "BFS" }
-
 // ABRArrays implements App.
 func (b *BFS) ABRArrays() []*mem.Array { return []*mem.Array{b.parentArr, b.levelArr} }
 

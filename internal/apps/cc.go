@@ -35,9 +35,6 @@ func NewCC(fg *ligra.Graph) *CC {
 	return c
 }
 
-// Name implements App.
-func (c *CC) Name() string { return "CC" }
-
 // ABRArrays implements App.
 func (c *CC) ABRArrays() []*mem.Array { return []*mem.Array{c.labelArr} }
 

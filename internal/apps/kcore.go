@@ -43,9 +43,6 @@ func NewKCore(fg *ligra.Graph) *KCore {
 	return k
 }
 
-// Name implements App.
-func (c *KCore) Name() string { return "KCore" }
-
 // ABRArrays implements App.
 func (c *KCore) ABRArrays() []*mem.Array { return []*mem.Array{c.degArr, c.coreArr} }
 

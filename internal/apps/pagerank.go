@@ -63,9 +63,6 @@ func NewPR(fg *ligra.Graph, iters int, layout Layout) *PR {
 	return p
 }
 
-// Name implements App.
-func (p *PR) Name() string { return "PR" }
-
 // ABRArrays implements App: one merged array, or both split arrays.
 func (p *PR) ABRArrays() []*mem.Array {
 	if p.layout == LayoutMerged {

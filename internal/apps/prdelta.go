@@ -55,9 +55,6 @@ func NewPRD(fg *ligra.Graph, iters int, layout Layout) *PRD {
 	return p
 }
 
-// Name implements App.
-func (p *PRD) Name() string { return "PRD" }
-
 // ABRArrays implements App.
 func (p *PRD) ABRArrays() []*mem.Array {
 	if p.layout == LayoutMerged {

@@ -52,9 +52,6 @@ func NewRadii(fg *ligra.Graph, samples int) *Radii {
 	return r
 }
 
-// Name implements App.
-func (r *Radii) Name() string { return "Radii" }
-
 // ABRArrays implements App.
 func (r *Radii) ABRArrays() []*mem.Array { return []*mem.Array{r.visArr, r.nextArr} }
 

@@ -57,9 +57,6 @@ func NewSSSP(fg *ligra.Graph, root graph.VertexID, layout Layout) *SSSP {
 	return s
 }
 
-// Name implements App.
-func (s *SSSP) Name() string { return "SSSP" }
-
 // ABRArrays implements App.
 func (s *SSSP) ABRArrays() []*mem.Array {
 	if s.layout == LayoutMerged {

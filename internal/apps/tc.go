@@ -104,9 +104,6 @@ func NewTC(fg *ligra.Graph) *TC {
 	return tc
 }
 
-// Name implements App.
-func (tc *TC) Name() string { return "TC" }
-
 // ABRArrays implements App.
 func (tc *TC) ABRArrays() []*mem.Array { return []*mem.Array{tc.countArr} }
 

@@ -78,13 +78,6 @@ type artifactKey struct {
 	weights  string // corun: per-stream turn weights, ","-joined
 }
 
-// charge is what one settled entry adds to the store's total, and how to
-// free what it holds beyond GC's reach.
-type charge struct {
-	bytes   int64  // a file-backed graph's footprint, a recording's SizeBytes
-	release func() // run once when the entry leaves the store
-}
-
 // entry is one in-flight or settled computation.
 type entry struct {
 	done    chan struct{} // closed when val/err are set
@@ -92,7 +85,7 @@ type entry struct {
 	err     error
 	settled bool // done is closed; readable under mu without blocking
 	recency uint64
-	charge  // exactly what settling added to the total; eviction subtracts it
+	bytes   int64 // exactly what settling added to the total; eviction subtracts it
 }
 
 // fileEntryOverhead is the nominal accounting charge for merely knowing a
@@ -147,23 +140,20 @@ func (a *Store) Session(cfg Config) *Session {
 
 // SetBudget replaces the store's byte budget and evicts down to it at
 // once. Past it the least recent recording, or the least recently
-// requested file dataset whole, is evicted and Released, so a long-lived
-// daemon fed arbitrary groups, scales and distinct paths does not grow
-// without bound (DESIGN.md Sec. 10; an in-flight replay keeps the trace it
-// holds, Sec. 11). Synthetic graphs are a small fixed set per
-// scale and are never charged. 0 selects DefaultStoreBudget; negative
-// disables the cap.
+// requested file dataset whole, is evicted, so a long-lived daemon fed
+// arbitrary groups, scales and distinct paths does not grow without bound
+// (DESIGN.md Sec. 10; an eviction drops only the store's reference, so an
+// in-flight replay keeps the trace it holds, Sec. 11). Synthetic graphs
+// are a small fixed set per scale and are never charged. 0 selects
+// DefaultStoreBudget; negative disables the cap.
 func (a *Store) SetBudget(n int64) {
 	if n == 0 {
 		n = DefaultStoreBudget
 	}
 	a.mu.Lock()
 	a.budget = n
-	released := a.enforce(artifactKey{}, "")
+	a.enforce(artifactKey{}, "")
 	a.mu.Unlock()
-	for _, release := range released {
-		release()
-	}
 }
 
 // foreignCancel reports whether err is a cancellation that cannot have
@@ -180,10 +170,10 @@ func foreignCancel(ctx context.Context, err error) bool {
 
 // get returns the artifact under k, computing it with fn on first use:
 // getEach of one key.
-func get[V any](ctx context.Context, a *Store, k artifactKey, fn func() (V, charge, error)) (V, error) {
-	vs, err := getEach(ctx, a, []artifactKey{k}, func([]int) ([]V, []charge, error) {
-		v, c, err := fn()
-		return []V{v}, []charge{c}, err
+func get[V any](ctx context.Context, a *Store, k artifactKey, fn func() (V, int64, error)) (V, error) {
+	vs, err := getEach(ctx, a, []artifactKey{k}, func([]int) ([]V, []int64, error) {
+		v, bytes, err := fn()
+		return []V{v}, []int64{bytes}, err
 	})
 	return vs[0], err
 }
@@ -191,8 +181,8 @@ func get[V any](ctx context.Context, a *Store, k artifactKey, fn func() (V, char
 // getEach returns the artifacts under keys, in order, with the error of
 // the first that failed; it is the only way in. It claims every key at
 // once; fn computes the keys this caller leads (led indexes keys) in ONE
-// call, with no lock held, and that call's values (with charges, if any),
-// error or panic settle each of them. Only then does the caller wait on
+// call, with no lock held, and that call's values (with their byte
+// charges, if any), error or panic settle each of them. Only then does the caller wait on
 // the keys other callers lead, so overlapping batches neither compute a
 // key twice nor deadlock: every leader settles its own claims before it
 // waits on anyone else's. A failed transient-kind computation is
@@ -201,7 +191,7 @@ func get[V any](ctx context.Context, a *Store, k artifactKey, fn func() (V, char
 // and recomputes it under its own — one job's cancel must not fail every
 // job that shared a datapoint with it.
 func getEach[V any](ctx context.Context, a *Store, keys []artifactKey,
-	fn func(led []int) ([]V, []charge, error)) ([]V, error) {
+	fn func(led []int) ([]V, []int64, error)) ([]V, error) {
 	vals, errs := make([]V, len(keys)), make([]error, len(keys))
 	pending := make([]int, len(keys))
 	for i := range pending {
@@ -256,9 +246,9 @@ func (a *Store) claimEach(keys []artifactKey, idx []int) (entries []*entry, led 
 // the containment layer (Prefetch's per-unit recover, the jobs manager, or
 // process exit).
 func lead[V any](a *Store, keys []artifactKey, entries []*entry, led []int,
-	fn func(led []int) ([]V, []charge, error)) {
+	fn func(led []int) ([]V, []int64, error)) {
 	var vs []V
-	var cs []charge
+	var bytes []int64
 	var err error
 	defer func() {
 		p := recover()
@@ -266,58 +256,51 @@ func lead[V any](a *Store, keys []artifactKey, entries []*entry, led []int,
 			err = fmt.Errorf("exp: computation panicked: %v", p)
 		}
 		for j, i := range led {
-			var c charge
+			var b int64
 			if entries[i].err = err; err == nil {
 				entries[i].val = vs[j]
-				if j < len(cs) {
-					c = cs[j]
+				if j < len(bytes) {
+					b = bytes[j]
 				}
 			}
-			a.settle(keys[i], entries[i], c, p != nil)
+			a.settle(keys[i], entries[i], b, p != nil)
 		}
 		if p != nil {
 			panic(p)
 		}
 	}()
-	vs, cs, err = fn(led)
+	vs, bytes, err = fn(led)
 }
 
 // settle publishes one led key's outcome: it charges a success to the
 // budget (evicting whatever no longer fits), forgets a failure that is
 // transient or a panic, and wakes the waiters.
-func (a *Store) settle(k artifactKey, e *entry, c charge, panicked bool) {
-	var released []func()
+func (a *Store) settle(k artifactKey, e *entry, bytes int64, panicked bool) {
 	a.mu.Lock()
 	switch {
 	case a.m[k] != e:
 		// Evicted while in flight (its file was edited, or its dataset was
-		// the budget's victim): nothing is charged, so a later
-		// eviction has nothing to subtract or release. Whoever receives
-		// the value still uses it; only the store forgets it.
-		if c.release != nil {
-			released = append(released, c.release)
-		}
+		// the budget's victim): nothing is charged, so a later eviction
+		// has nothing to subtract. Whoever receives the value still uses
+		// it; only the store forgets it.
 	case e.err != nil && (panicked || transient[k.kind]):
 		delete(a.m, k)
 	default:
 		// The budget is checked only by an entry that adds to the total,
 		// so the over-budget entry that must survive its own insertion is
 		// not then evicted by the next uncharged result.
-		e.charge = c
-		if c.bytes > 0 {
+		e.bytes = bytes
+		if bytes > 0 {
 			if k.ds.fileBacked() {
 				a.slot(k.ds)
 			}
-			a.total += c.bytes
-			released = a.enforce(k, k.ds.name)
+			a.total += bytes
+			a.enforce(k, k.ds.name)
 		}
 	}
 	e.settled = true
 	a.mu.Unlock()
 	close(e.done)
-	for _, release := range released {
-		release()
-	}
 }
 
 // observe notes a request for the file-backed dataset name whose file is
@@ -330,20 +313,16 @@ func (a *Store) settle(k artifactKey, e *entry, c charge, panicked bool) {
 // restore). Entries being computed under cur right now are untouched.
 func (a *Store) observe(name string, cur fileStamp) dataset {
 	d := dataset{name: name, stamp: cur}
-	var released []func()
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	slot := a.slot(d)
 	if cur.supersedes(slot.stamp) {
 		slot.stamp = cur
-		released = a.evict(func(k artifactKey) bool { return k.ds.name == name && k.ds.stamp != cur })
+		a.evict(func(k artifactKey) bool { return k.ds.name == name && k.ds.stamp != cur })
 	}
 	a.seq++
 	slot.recency = a.seq
-	released = append(released, a.enforce(artifactKey{}, name)...)
-	a.mu.Unlock()
-	for _, release := range released {
-		release()
-	}
+	a.enforce(artifactKey{}, name)
 	return d
 }
 
@@ -360,23 +339,18 @@ func (a *Store) slot(d dataset) *fileSlot {
 	return s
 }
 
-// evict removes every entry whose key satisfies match, subtracts exactly
-// what settling it charged, and returns the release hooks for the caller
-// to run once mu is dropped. Goroutines already blocked on an evicted
-// in-flight entry still receive its outcome; it just stops being
-// findable, so the next request recomputes. Caller holds mu.
-func (a *Store) evict(match func(artifactKey) bool) (released []func()) {
+// evict removes every entry whose key satisfies match and subtracts
+// exactly what settling it charged. Goroutines already blocked on an
+// evicted in-flight entry still receive its outcome, and a replay holding
+// an evicted value keeps it; the entry just stops being findable, so the
+// next request recomputes. Caller holds mu.
+func (a *Store) evict(match func(artifactKey) bool) {
 	for k, e := range a.m {
-		if !match(k) {
-			continue
-		}
-		delete(a.m, k)
-		a.total -= e.bytes
-		if e.release != nil {
-			released = append(released, e.release)
+		if match(k) {
+			delete(a.m, k)
+			a.total -= e.bytes
 		}
 	}
-	return released
 }
 
 // enforce evicts, least recent first, while the total exceeds the budget.
@@ -389,7 +363,7 @@ func (a *Store) evict(match func(artifactKey) bool) (released []func()) {
 // the dataset being requested, are never victims, so a single
 // over-budget artifact still serves its request before becoming a
 // candidate. Caller holds mu.
-func (a *Store) enforce(keep artifactKey, keepDS string) (released []func()) {
+func (a *Store) enforce(keep artifactKey, keepDS string) {
 	for a.budget > 0 && a.total > a.budget {
 		var victim artifactKey
 		victimDS, oldest := "", uint64(0) // recencies start at 1
@@ -405,16 +379,15 @@ func (a *Store) enforce(keep artifactKey, keepDS string) (released []func()) {
 		}
 		switch {
 		case oldest == 0:
-			return released
+			return
 		case victimDS != "":
-			released = append(released, a.evict(func(k artifactKey) bool { return k.ds.name == victimDS })...)
+			a.evict(func(k artifactKey) bool { return k.ds.name == victimDS })
 			delete(a.files, victimDS)
 			a.total -= fileEntryOverhead
 		default:
-			released = append(released, a.evict(func(k artifactKey) bool { return k == victim })...)
+			a.evict(func(k artifactKey) bool { return k == victim })
 		}
 	}
-	return released
 }
 
 // CacheBytesRetained returns the bytes currently charged against the

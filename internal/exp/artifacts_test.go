@@ -18,7 +18,6 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/fail"
 	"grasp/internal/graph"
-	"grasp/internal/trace"
 )
 
 // count returns how many entries of one kind the store holds (in flight,
@@ -33,18 +32,6 @@ func (a *Store) count(kd kind) int {
 		}
 	}
 	return n
-}
-
-// releaseAll empties the store, releasing every recording now rather than
-// whenever a finalizer gets to it: the non-parallel tests compare the
-// process-wide trace.MemoryInUse gauge across their own evictions.
-func (a *Store) releaseAll() {
-	a.mu.Lock()
-	released := a.evict(func(artifactKey) bool { return true })
-	a.mu.Unlock()
-	for _, release := range released {
-		release()
-	}
 }
 
 // ready reports whether k has settled successfully, without blocking on a
@@ -84,41 +71,24 @@ func waitClaims(a *Store, n uint64) {
 }
 
 // fakes drives the store with int-valued artifacts: put settles v under k
-// with the given charge, counting releases per key.
+// with the given charge.
 type fakes struct {
-	t        *testing.T
-	a        *Store
-	mu       sync.Mutex
-	released map[artifactKey]int
+	t *testing.T
+	a *Store
 }
 
 func newFakes(t *testing.T, budget int64) *fakes {
-	return &fakes{t: t, a: NewStore(budget), released: make(map[artifactKey]int)}
+	return &fakes{t: t, a: NewStore(budget)}
 }
 
 func (f *fakes) put(k artifactKey, v int, bytes int64) {
 	f.t.Helper()
-	got, err := get(context.Background(), f.a, k, func() (int, charge, error) {
-		return v, charge{bytes: bytes, release: f.counting(k)}, nil
+	got, err := get(context.Background(), f.a, k, func() (int, int64, error) {
+		return v, bytes, nil
 	})
 	if err != nil || got != v {
 		f.t.Fatalf("get(%+v) = %d, %v; want %d", k, got, err, v)
 	}
-}
-
-// counting returns a release hook that counts its calls under k.
-func (f *fakes) counting(k artifactKey) func() {
-	return func() {
-		f.mu.Lock()
-		f.released[k]++
-		f.mu.Unlock()
-	}
-}
-
-func (f *fakes) releases(k artifactKey) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.released[k]
 }
 
 // wantTotal checks the store's total both against want and against the
@@ -166,10 +136,10 @@ func TestArtifactStore(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					v, err := get(context.Background(), a, key(lj, kindResult, "PR"), func() (int, charge, error) {
+					v, err := get(context.Background(), a, key(lj, kindResult, "PR"), func() (int, int64, error) {
 						calls.Add(1)
 						<-gate
-						return 42, charge{}, nil
+						return 42, 0, nil
 					})
 					if v != 42 || err != nil {
 						t.Errorf("get = %d, %v", v, err)
@@ -191,9 +161,9 @@ func TestArtifactStore(t *testing.T) {
 				a := NewStore(-1)
 				calls := 0
 				for i := 0; i < 2; i++ {
-					_, err := get(context.Background(), a, key(lj, tc.kd, "PR"), func() (int, charge, error) {
+					_, err := get(context.Background(), a, key(lj, tc.kd, "PR"), func() (int, int64, error) {
 						calls++
-						return 0, charge{bytes: 99}, errBoom
+						return 0, 99, errBoom
 					})
 					if !errors.Is(err, errBoom) {
 						t.Fatalf("kind %d: err = %v", tc.kd, err)
@@ -214,7 +184,7 @@ func TestArtifactStore(t *testing.T) {
 			leaderPanic := make(chan any, 1)
 			go func() {
 				defer func() { leaderPanic <- recover() }()
-				_, _ = get(context.Background(), a, k, func() (int, charge, error) {
+				_, _ = get(context.Background(), a, k, func() (int, int64, error) {
 					<-gate
 					panic("policy bug")
 				})
@@ -222,9 +192,9 @@ func TestArtifactStore(t *testing.T) {
 			waiterErr := make(chan error, 1)
 			waitClaims(a, 1)
 			go func() {
-				_, err := get(context.Background(), a, k, func() (int, charge, error) {
+				_, err := get(context.Background(), a, k, func() (int, int64, error) {
 					t.Error("waiter recomputed instead of sharing the leader's flight")
-					return 0, charge{}, nil
+					return 0, 0, nil
 				})
 				waiterErr <- err
 			}()
@@ -236,7 +206,7 @@ func TestArtifactStore(t *testing.T) {
 			if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "panicked: policy bug") {
 				t.Fatalf("waiter err = %v, want the panic as an error", err)
 			}
-			if v, err := get(context.Background(), a, k, func() (int, charge, error) { return 7, charge{}, nil }); v != 7 || err != nil {
+			if v, err := get(context.Background(), a, k, func() (int, int64, error) { return 7, 0, nil }); v != 7 || err != nil {
 				t.Fatalf("key not freed after the panic: %d, %v", v, err)
 			}
 		}},
@@ -246,16 +216,16 @@ func TestArtifactStore(t *testing.T) {
 			leaderCtx, cancel := context.WithCancel(context.Background())
 			leaderErr := make(chan error, 1)
 			go func() {
-				_, err := get(leaderCtx, a, k, func() (int, charge, error) {
+				_, err := get(leaderCtx, a, k, func() (int, int64, error) {
 					<-leaderCtx.Done()
-					return 0, charge{}, leaderCtx.Err()
+					return 0, 0, leaderCtx.Err()
 				})
 				leaderErr <- err
 			}()
 			waiterVal := make(chan int, 1)
 			waitClaims(a, 1)
 			go func() {
-				v, err := get(context.Background(), a, k, func() (int, charge, error) { return 7, charge{}, nil })
+				v, err := get(context.Background(), a, k, func() (int, int64, error) { return 7, 0, nil })
 				if err != nil {
 					t.Errorf("waiter inherited the leader's cancellation: %v", err)
 				}
@@ -281,7 +251,7 @@ func TestArtifactStore(t *testing.T) {
 			done := make(chan outcome, 1)
 			var calls [][]int
 			go func() {
-				vals, err := getEach(context.Background(), a, keys, func(led []int) ([]int, []charge, error) {
+				vals, err := getEach(context.Background(), a, keys, func(led []int) ([]int, []int64, error) {
 					calls = append(calls, append([]int(nil), led...))
 					return []int{len(calls), 30}, nil, nil
 				})
@@ -291,7 +261,7 @@ func TestArtifactStore(t *testing.T) {
 				runtime.Gosched() // its own claims settle before it waits on B
 			}
 			held.val = 20
-			a.settle(keys[1], held, charge{}, false)
+			a.settle(keys[1], held, 0, false)
 			got := <-done
 			if got.err != nil || len(calls) != 1 || len(calls[0]) != 2 || calls[0][0] != 0 || calls[0][1] != 2 {
 				t.Fatalf("fn calls %v, err %v; want one call leading [0 2]", calls, got.err)
@@ -309,7 +279,7 @@ func TestArtifactStore(t *testing.T) {
 						t.Errorf("recovered %v, want the leader's panic", p)
 					}
 				}()
-				_, _ = getEach(context.Background(), a, keys, func([]int) ([]int, []charge, error) {
+				_, _ = getEach(context.Background(), a, keys, func([]int) ([]int, []int64, error) {
 					panic("policy bug")
 				})
 			}()
@@ -336,11 +306,6 @@ func TestArtifactStore(t *testing.T) {
 				t.Fatal("an over-budget insertion must evict every other recording and survive itself")
 			}
 			f.wantTotal(500)
-			for k, want := range map[artifactKey]int{kA: 1, kB: 1, kC: 1, kD: 0} {
-				if got := f.releases(k); got != want {
-					t.Fatalf("%s released %d times, want %d", k.app, got, want)
-				}
-			}
 		}},
 		{"file budget evicts the LRU dataset whole, never the one being requested", func(t *testing.T) {
 			const ov = fileEntryOverhead
@@ -364,9 +329,6 @@ func TestArtifactStore(t *testing.T) {
 				t.Fatal("an over-budget dataset must evict every other file dataset and survive itself")
 			}
 			f.wantTotal(11*ov + 50)
-			if got := f.releases(aRec); got != 1 {
-				t.Fatalf("a's recording released %d times, want 1", got)
-			}
 			f.a.observe("/g/d.el", st) // merely knowing a new path is charged, and budget-checked
 			f.wantTotal(ov)
 		}},
@@ -391,11 +353,6 @@ func TestArtifactStore(t *testing.T) {
 				t.Fatal("a file graph must evict the least recent recording, and only it")
 			}
 			f.wantTotal(ov + 90)
-			for k, want := range map[artifactKey]int{aBase: 1, ljPR: 1, ljBFS: 0} {
-				if got := f.releases(k); got != want {
-					t.Fatalf("%+v released %d times, want %d", k, got, want)
-				}
-			}
 		}},
 		{"a stream of distinct paths, parsed or not, converges to the budget", func(t *testing.T) {
 			const ov = fileEntryOverhead
@@ -409,8 +366,8 @@ func TestArtifactStore(t *testing.T) {
 				}
 				// A parse failure: cached (a base is not transient) and
 				// uncharged, so only the path's slot bounds it.
-				if _, err := get(context.Background(), f.a, k, func() (int, charge, error) {
-					return 0, charge{}, errBoom
+				if _, err := get(context.Background(), f.a, k, func() (int, int64, error) {
+					return 0, 0, errBoom
 				}); !errors.Is(err, errBoom) {
 					t.Fatalf("path %d: err = %v", i, err)
 				}
@@ -454,9 +411,6 @@ func TestArtifactStore(t *testing.T) {
 				if f.a.ready(k) {
 					t.Fatalf("generation %+v survived the advance to %+v", k.ds.stamp, s2)
 				}
-				if got := f.releases(k); got != 1 {
-					t.Fatalf("swept entry released %d times, want 1", got)
-				}
 			}
 			if !f.a.ready(otherKey) || !f.a.ready(ljKey) || !f.a.ready(key(a2, kindResult, "PR")) {
 				t.Fatal("the sweep touched another dataset or the current generation")
@@ -468,17 +422,17 @@ func TestArtifactStore(t *testing.T) {
 				t.Fatal("a size change at an unchanged mtime did not sweep")
 			}
 		}},
-		{"an entry evicted in flight is released at settle and never charged", func(t *testing.T) {
+		{"an entry evicted in flight is never charged", func(t *testing.T) {
 			f := newFakes(t, -1)
 			a1 := f.a.observe("/g/a.el", fileStamp{10, 100})
 			k := key(a1, kindRecording, "PR")
 			entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 			go func() {
 				defer close(done)
-				v, err := get(context.Background(), f.a, k, func() (int, charge, error) {
+				v, err := get(context.Background(), f.a, k, func() (int, int64, error) {
 					close(entered)
 					<-gate
-					return 9, charge{bytes: 5, release: f.counting(k)}, nil
+					return 9, 5, nil
 				})
 				if v != 9 || err != nil {
 					t.Errorf("the evicted flight's own caller got %d, %v", v, err)
@@ -488,8 +442,8 @@ func TestArtifactStore(t *testing.T) {
 			f.a.observe("/g/a.el", fileStamp{10, 200})
 			close(gate)
 			<-done
-			if f.a.ready(k) || f.releases(k) != 1 {
-				t.Fatalf("ready=%v releases=%d, want gone and released once", f.a.ready(k), f.releases(k))
+			if f.a.ready(k) {
+				t.Fatal("an entry evicted in flight is still ready after settling")
 			}
 			f.wantTotal(fileEntryOverhead)
 		}},
@@ -512,7 +466,6 @@ func TestArtifactStore(t *testing.T) {
 func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
 	defer fail.Reset()
 	s := NewSession(ScaledConfig(64))
-	defer s.art.releaseAll()
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})); err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +507,6 @@ func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
 // dataset's recordings used to be charged to two totals and subtracted
 // from only one when evicted, so a total grew by one recording per
 // re-record until the dataset was evicted early.
-// Not parallel: it reads the process-wide trace memory gauge's inputs.
 func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	lj, err := graph.DatasetByName("lj")
 	if err != nil {
@@ -570,7 +522,6 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	}
 	cfg := ScaledConfig(64)
 	s := NewStore(1).Session(cfg) // every new recording evicts the previous one
-	defer s.art.releaseAll()
 	base, err := s.Workload(path, "Identity", false)
 	if err != nil {
 		t.Fatal(err)
@@ -581,25 +532,23 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	}
 	graphs := base.Graph.Footprint() + dbg.Graph.Footprint()
 	// record caches app's recording, evicting the previous one (the
-	// requested file's graphs stay), and checks the total three ways.
+	// requested file's graphs stay), and checks the total three ways. The
+	// count follows Recording: Prefetch's dataset request may evict the
+	// recording, and a group whose result is settled is not recorded again.
 	record := func(app string) int64 {
 		t.Helper()
 		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
 			t.Fatal(err)
 		}
+		tr, _, err := s.Recording(context.Background(), path, "DBG", app, apps.LayoutMerged)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n := s.art.count(kindRecording); n != 1 {
 			t.Fatalf("%d recordings cached after recording %s, want 1", n, app)
 		}
-		var rec int64
-		if err := s.WithRecording(context.Background(), path, "DBG", app, apps.LayoutMerged,
-			func(tr *trace.Trace, _ [][2]uint64) error {
-				rec = tr.SizeBytes()
-				return nil
-			}); err != nil {
-			t.Fatal(err)
-		}
 		got, live := s.CacheBytesRetained(), s.art.liveCharges()
-		if want := graphs + rec + fileEntryOverhead; got != want || live != want {
+		if want := graphs + tr.SizeBytes() + fileEntryOverhead; got != want || live != want {
 			t.Fatalf("after %s: CacheBytesRetained = %d, live charges = %d, want graphs + %s's recording + overhead = %d",
 				app, got, live, app, want)
 		}
@@ -620,12 +569,8 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 func TestSharedStoreScalesNeverShare(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
 		st := NewStore(0)
-		defer st.releaseAll()
 		shared := []*Session{st.Session(ScaledConfig(64)), st.Session(ScaledConfig(16))}
 		alone := []*Session{NewSession(ScaledConfig(64)), NewSession(ScaledConfig(16))}
-		for _, s := range alone {
-			defer s.art.releaseAll()
-		}
 		ctx := context.Background()
 		for i, c := range []struct{ ds, app, policy string }{
 			{"lj", "PR", "GRASP"}, {"kr", "SSSP", "RRIP"}, {"lj", "SSSP", "LRU"}, {"kr", "PR", "Hawkeye"},
@@ -674,7 +619,6 @@ func TestSharedStoreScalesNeverShare(t *testing.T) {
 			t.Skip("golden rendering skipped in -short mode")
 		}
 		st := NewStore(0)
-		defer st.releaseAll()
 		s16, s64 := st.Session(ScaledConfig(16)), st.Session(ScaledConfig(goldenScaleDiv))
 		// The scale-16 session leaves graphs, recordings and results under
 		// fig5's datasets, reordering and apps before scale 64 asks.

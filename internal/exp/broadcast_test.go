@@ -54,7 +54,6 @@ func TestBroadcastSmoke(t *testing.T) {
 // parallel: it reads exact deltas of the process-wide trace counters.
 func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	s := NewSession(ScaledConfig(64))
-	defer s.art.releaseAll()
 	want := simRun(t, s.Cfg, "lj", "DBG", "PR", apps.LayoutMerged, "GRASP")
 	g := group(s.dataset("lj"), "DBG", "PR", apps.LayoutMerged)
 	held, leader := s.art.claim(g.of(kindResult, "GRASP"))
@@ -74,7 +73,7 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 		}
 	}
 	held.val = want
-	s.art.settle(g.of(kindResult, "GRASP"), held, charge{}, false)
+	s.art.settle(g.of(kindResult, "GRASP"), held, 0, false)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +90,12 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 
 // TestSessionTraceBudgetEvictsLRU: cached recordings are bounded by
 // the store's budget — recording a second group under a tiny budget
-// evicts AND releases the least-recently-used recording (reclaiming its
-// resident bytes eagerly), while the newest recording stays cached; the
-// evicted group transparently re-records on next use.
+// evicts the least-recently-used recording and its charge, while the
+// newest recording stays cached; the evicted group transparently
+// re-records on next use.
 func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	cfg := ScaledConfig(64)
 	s := NewStore(1).Session(cfg) // every newcomer evicts the previous recording
-	inUse0 := trace.MemoryInUse()
 
 	groupA := matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})
 	if err := s.Prefetch(groupA); err != nil {
@@ -123,11 +121,10 @@ func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	if n := s.art.count(kindRecording); n != 1 {
 		t.Fatalf("trace memo holds %d entries after eviction, want 1", n)
 	}
-	// Eviction must have Released A: its resident bytes are back in the
-	// process budget (B's are still charged).
-	if got := trace.MemoryInUse() - inUse0; got != s.CacheBytesRetained() {
-		t.Fatalf("process resident bytes grew by %d, want exactly the retained %d (eviction did not release)",
-			got, s.CacheBytesRetained())
+	// Eviction subtracted A's charge: what is retained is B's alone.
+	chargeB := s.art.charged(group(s.dataset("lj"), "DBG", "BFS", apps.LayoutMerged))
+	if got := s.CacheBytesRetained(); chargeB <= 0 || got != chargeB {
+		t.Fatalf("retained %d bytes after the eviction, want the surviving recording's %d", got, chargeB)
 	}
 	// The evicted group still serves correctly (re-records on demand).
 	if _, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "LRU"); err != nil {

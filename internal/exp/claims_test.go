@@ -91,7 +91,6 @@ func TestClaims(t *testing.T) {
 	for _, div := range []uint32{64, 16} {
 		t.Run(fmt.Sprintf("1/%d", div), func(t *testing.T) {
 			s := NewSession(ScaledConfig(div))
-			defer s.art.releaseAll()
 			var points []Datapoint
 			for _, c := range claims {
 				points = append(points, c.m.points()...)

@@ -32,14 +32,12 @@ func hammerPoints() []Datapoint {
 // app) recording under DBG reordering — recording on first use, exactly as
 // a declared Trace datapoint does — and returns its length.
 func optPrefixLen(s *Session, dsName, app string) (int, error) {
-	var n int
-	g := group(s.dataset(dsName), "DBG", app, apps.LayoutMerged)
-	err := s.withRecordings(context.Background(), []artifactKey{g}, func(recs []recording) error {
-		accs, err := recs[0].tr.Accesses(optTraceCap)
-		n = len(accs)
-		return err
-	})
-	return n, err
+	tr, _, err := s.Recording(context.Background(), dsName, "DBG", app, apps.LayoutMerged)
+	if err != nil {
+		return 0, err
+	}
+	accs, err := tr.Accesses(optTraceCap)
+	return len(accs), err
 }
 
 // TestSessionConcurrentDeterminism hammers one Session from many goroutines

@@ -110,7 +110,7 @@ func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([
 		}
 		keys[i] = m.base.of(kindCorun, policy)
 	}
-	return getEach(ctx, s.art, keys, func(led []int) ([]sim.CorunResult, []charge, error) {
+	return getEach(ctx, s.art, keys, func(led []int) ([]sim.CorunResult, []int64, error) {
 		rs, err := s.corunFanOut(ctx, m, pick(policies, led))
 		if err == nil {
 			s.corunRun.Add(uint64(len(led)))
@@ -122,7 +122,7 @@ func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([
 // corunFanOut computes the mix under every listed policy from ONE merge of
 // its recordings. Solo baselines come first, one results fan-out per
 // group — each the replay of the SAME recording the co-run merges. Then the
-// mix's recordings are held once, for the whole fan-out, and a single
+// mix's recordings are fetched once, for the whole fan-out, and a single
 // timed sim.CorunBroadcastResultsCtx serves all the policies. The dataset
 // name the results carry is the first stream's solo baseline's: no
 // workload is prepared here that the recordings did not already need.
@@ -141,18 +141,21 @@ func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []strin
 			pols[p].Solos[i] = solos[gi][p]
 		}
 	}
-	var out []sim.CorunResult
-	err := s.withRecordings(ctx, m.groups, func(recs []recording) (err error) {
-		streams := make([]sim.CorunStream, len(m.apps))
-		for i, gi := range m.stream {
-			streams[i] = sim.CorunStream{App: m.apps[i], Layout: m.layout, Weight: m.weights[i],
-				Trace: recs[gi].tr, Bounds: recs[gi].bounds}
+	recs := make([]recording, len(m.groups))
+	for gi, g := range m.groups {
+		var err error
+		if recs[gi], err = s.recording(ctx, g); err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		out, err = sim.CorunBroadcastResultsCtx(ctx, streams, pols, s.Cfg.HCfg, pols[0].Solos[0].Workload)
-		s.phase.corun.Add(int64(time.Since(start)))
-		return err
-	})
+	}
+	streams := make([]sim.CorunStream, len(m.apps))
+	for i, gi := range m.stream {
+		streams[i] = sim.CorunStream{App: m.apps[i], Layout: m.layout, Weight: m.weights[i],
+			Trace: recs[gi].tr, Bounds: recs[gi].bounds}
+	}
+	start := time.Now()
+	out, err := sim.CorunBroadcastResultsCtx(ctx, streams, pols, s.Cfg.HCfg, pols[0].Solos[0].Workload)
+	s.phase.corun.Add(int64(time.Since(start)))
 	return out, err
 }
 

@@ -43,7 +43,6 @@ func TestCorunSmoke(t *testing.T) {
 	groups := len(corunApps()) * datasets
 	runs0, cons0 := trace.BroadcastStats()
 	s := NewSession(ScaledConfig(goldenScaleDiv))
-	defer s.art.releaseAll()
 	var buf bytes.Buffer
 	if err := e.Run(s, &buf); err != nil {
 		t.Fatal(err)
@@ -177,7 +176,6 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 	defer fail.Reset()
 	mix, policies := []string{"BFS", "PR"}, []string{"RRIP", "GRASP", "LRU"}
 	s := NewSession(ScaledConfig(64))
-	defer s.art.releaseAll()
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", mix, policies[1:])); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +206,6 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 		t.Fatalf("fan-out published %d co-run results (CorunRuns %d), want %d", n, runs, len(policies))
 	}
 	fresh := NewSession(ScaledConfig(64))
-	defer fresh.art.releaseAll()
 	for _, pol := range policies {
 		got, err := s.CorunResultCtx(context.Background(), "lj", "DBG", mix, nil, apps.LayoutMerged, pol)
 		if err != nil {
@@ -237,7 +234,6 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	defer fail.Reset()
 	s := NewSession(ScaledConfig(256))
-	defer s.art.releaseAll()
 	if err := s.Prefetch(corunPoints()); err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +260,11 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 
 // TestCorunEvictionCannotReleasePinnedRecordings races per-mix fan-outs against
 // continuous recording eviction: under a one-byte budget every new
-// recording evicts (and Releases) the others, including the ones a
-// fan-out in flight is merging. Release only ends a trace's charge, and
-// the fan-out holds its mix's recordings until it ends, so every result
-// must equal an unpressured session's.
+// recording evicts the others, including the ones a fan-out in flight is
+// merging. An eviction only drops the store's reference and charge, and
+// the fan-out holds its mix's recordings as values until it ends, so
+// every result must equal an unpressured session's. (The name predates
+// that: recordings were once pinned against an eager release.)
 // Run under -race in CI.
 func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 	t.Parallel()

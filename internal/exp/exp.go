@@ -196,27 +196,25 @@ func (p Datapoint) group(d dataset) artifactKey {
 // A key with n = K names the group's sampled subsequence instead
 // (sampledSource), pruned from the full recording on first use.
 func (s *Session) recording(ctx context.Context, g artifactKey) (recording, error) {
-	return get(ctx, s.art, g, func() (recording, charge, error) {
+	return get(ctx, s.art, g, func() (recording, int64, error) {
 		if g.n != 0 {
 			return s.subsequence(ctx, g)
 		}
 		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
 		if err != nil {
-			return recording{}, charge{}, err
+			return recording{}, 0, err
 		}
 		start := time.Now()
 		tr, err := sim.RecordTraceNCtx(ctx, w, g.app, g.layout, s.Cfg.HCfg, 0)
 		s.phase.record.Add(int64(time.Since(start)))
 		if err != nil {
-			return recording{}, charge{}, err
+			return recording{}, 0, err
 		}
 		bounds, err := sim.ABRBoundsFor(w, g.app, g.layout)
 		if err != nil {
-			tr.Release()
-			return recording{}, charge{}, err
+			return recording{}, 0, err
 		}
-		return recording{tr: tr, bounds: bounds},
-			charge{bytes: tr.SizeBytes(), release: tr.Release}, nil
+		return recording{tr: tr, bounds: bounds}, tr.SizeBytes(), nil
 	})
 }
 
@@ -224,48 +222,30 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 // subsequence at K = g.n: one masked decode of the group's full
 // recording, re-encoded (trace.Subsequence). It is charged and evicted
 // like any recording, independently of the full one it was pruned from.
-func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, charge, error) {
+func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, int64, error) {
 	full := g
 	full.n = 0
-	var rec recording
-	err := s.withRecordings(ctx, []artifactKey{full}, func(recs []recording) error {
-		start := time.Now()
-		tr, err := recs[0].tr.Subsequence(ctx, sim.SampledMask(s.Cfg.HCfg.LLC, g.n))
-		s.phase.sampled.Add(int64(time.Since(start)))
-		rec = recording{tr: tr, bounds: recs[0].bounds}
-		return err
-	})
+	src, err := s.recording(ctx, full)
 	if err != nil {
-		return recording{}, charge{}, err
+		return recording{}, 0, err
+	}
+	start := time.Now()
+	tr, err := src.tr.Subsequence(ctx, sim.SampledMask(s.Cfg.HCfg.LLC, g.n))
+	s.phase.sampled.Add(int64(time.Since(start)))
+	if err != nil {
+		return recording{}, 0, err
 	}
 	s.subBuilds.Add(1)
-	return rec, charge{bytes: rec.tr.SizeBytes(), release: rec.tr.Release}, nil
+	return recording{tr: tr, bounds: src.bounds}, tr.SizeBytes(), nil
 }
 
-// withRecordings runs fn with every listed group's recording at once
-// (recs[i] belongs to groups[i]), recording each on first use. A budget
-// eviction racing fn only drops the store's reference and charge: a trace
-// is an in-memory value, so fn's replays finish with the one they hold.
-func (s *Session) withRecordings(ctx context.Context, groups []artifactKey, fn func(recs []recording) error) error {
-	recs := make([]recording, len(groups))
-	for i, g := range groups {
-		var err error
-		if recs[i], err = s.recording(ctx, g); err != nil {
-			return err
-		}
-	}
-	return fn(recs)
-}
-
-// WithRecording lends fn the full recording of one (dataset, reorder, app,
+// Recording returns the full recording of one (dataset, reorder, app,
 // layout) group, recorded on first use, and the ABR bounds of the run that
-// produced it (graspsim -arrays' per-array tally).
-func (s *Session) WithRecording(ctx context.Context, dsName, reorderName, app string, layout apps.Layout,
-	fn func(tr *trace.Trace, bounds [][2]uint64) error) error {
-	g := group(s.dataset(dsName), reorderName, app, layout)
-	return s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
-		return fn(recs[0].tr, recs[0].bounds)
-	})
+// produced it (graspsim -arrays' per-array tally). The trace is a plain
+// value: a budget eviction drops only the store's reference to it.
+func (s *Session) Recording(ctx context.Context, dsName, reorderName, app string, layout apps.Layout) (*trace.Trace, [][2]uint64, error) {
+	rec, err := s.recording(ctx, group(s.dataset(dsName), reorderName, app, layout))
+	return rec.tr, rec.bounds, err
 }
 
 // Workload returns the prepared (dataset, reorder) pair, preparing and
@@ -278,27 +258,27 @@ func (s *Session) Workload(dsName, reorderName string, weighted bool) (*sim.Work
 
 func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.Workload, error) {
 	k := artifactKey{ds: d, kind: kindWorkload, reorder: reorderName, weighted: weighted}
-	return get(context.Background(), s.art, k, func() (*sim.Workload, charge, error) {
+	return get(context.Background(), s.art, k, func() (*sim.Workload, int64, error) {
 		ds, err := graph.Resolve(d.name)
 		if err != nil {
-			return nil, charge{}, err
+			return nil, 0, err
 		}
 		g, err := s.baseGraph(d, ds, weighted)
 		if err != nil {
-			return nil, charge{}, err
+			return nil, 0, err
 		}
 		start := time.Now()
 		w, err := sim.PrepareWorkloadOn(g, ds, reorderName, weighted)
 		s.phase.reorder.Add(int64(time.Since(start)))
 		if err != nil {
-			return nil, charge{}, err
+			return nil, 0, err
 		}
-		var c charge
+		var bytes int64
 		if w.Graph != g && d.fileBacked() {
 			// Reordered copy; the shared base is charged by baseGraph.
-			c.bytes = w.Graph.Footprint()
+			bytes = w.Graph.Footprint()
 		}
-		return w, c, nil
+		return w, bytes, nil
 	})
 }
 
@@ -308,18 +288,18 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.W
 // technique builds a relabeled copy and never mutates the base.
 func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.CSR, error) {
 	k := artifactKey{ds: d, kind: kindBase, weighted: weighted}
-	return get(context.Background(), s.art, k, func() (*graph.CSR, charge, error) {
+	return get(context.Background(), s.art, k, func() (*graph.CSR, int64, error) {
 		start := time.Now()
 		g, err := ds.Load(weighted, s.Cfg.ScaleDiv)
 		s.phase.load.Add(int64(time.Since(start)))
 		if err != nil {
-			return nil, charge{}, err
+			return nil, 0, err
 		}
-		var c charge
+		var bytes int64
 		if d.fileBacked() {
-			c.bytes = g.Footprint()
+			bytes = g.Footprint()
 		}
-		return g, c, nil
+		return g, bytes, nil
 	})
 }
 
@@ -343,7 +323,7 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		keys[i] = g.of(kd, policy)
 		keys[i].n = n
 	}
-	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []charge, err error) {
+	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []int64, err error) {
 		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
 		if err != nil {
 			return nil, nil, err
@@ -352,12 +332,13 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		for j, policy := range pick(policies, led) {
 			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
 		}
-		err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
-			start := time.Now()
-			vs, err = simulate(w, recs[0], specs)
-			phase.Add(int64(time.Since(start)))
-			return err
-		})
+		rec, err := s.recording(ctx, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		start := time.Now()
+		vs, err = simulate(w, rec, specs)
+		phase.Add(int64(time.Since(start)))
 		if err == nil {
 			runs.Add(uint64(len(led)))
 		}
@@ -559,10 +540,11 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		var policies []string
 		var cells []int
 		var llcs []cache.Config
+		bare := false
 		for _, i := range pts {
 			switch p := uniq[i]; {
 			case p.Trace && p.OPTScale == 0:
-				// Satisfied by the recording itself.
+				bare = true // satisfied by the recording itself
 			case p.Trace:
 				cells = append(cells, i)
 				llcs = append(llcs, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
@@ -576,18 +558,23 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 				policies = append(policies, p.Policy)
 			}
 		}
-		return s.withRecordings(ctx, []artifactKey{g}, func([]recording) error {
-			if _, err := s.results(ctx, g, policies); err != nil {
-				return err
+		// Each tier records on first touch, and only for the cells it
+		// leads: a unit whose cells are all settled records nothing.
+		if bare {
+			if _, err := s.recording(ctx, g); err != nil {
+				return err, nil
 			}
-			// A failed study pass fails the cells, not the results above.
-			if _, err := s.optCells(ctx, g, llcs); err != nil {
-				for _, i := range cells {
-					pointErr[i] = err
-				}
+		}
+		if _, err := s.results(ctx, g, policies); err != nil {
+			return err, nil
+		}
+		// A failed study pass fails the cells, not the results above.
+		if _, err := s.optCells(ctx, g, llcs); err != nil {
+			for _, i := range cells {
+				pointErr[i] = err
 			}
-			return nil
-		}), pointErr
+		}
+		return nil, pointErr
 	}
 	forEachParallel(len(units), func(j int) {
 		pts := byGroup[units[j]]

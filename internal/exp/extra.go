@@ -45,33 +45,33 @@ func (s *Session) regionScaleResults(ctx context.Context, dsName string, scales 
 	if err != nil {
 		return nil, err
 	}
+	rec, err := s.recording(ctx, group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged))
+	if err != nil {
+		return nil, err
+	}
+	llcs := make([]*cache.Cache, len(scales))
+	consumers := make([]func([]mem.Access), len(scales))
+	for i, scale := range scales {
+		llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, rec.bounds, scale)
+		if err != nil {
+			return nil, err
+		}
+		llcs[i] = llc
+		consumers[i] = func(accs []mem.Access) {
+			for _, a := range accs {
+				llc.Access(a)
+			}
+		}
+	}
+	tr := rec.tr
+	start := time.Now()
+	err = tr.BroadcastNCtx(ctx, 0, consumers)
+	s.phase.replay.Add(int64(time.Since(start)))
 	out := make([]sim.Result, len(scales))
-	g := group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged)
-	err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) error {
-		llcs := make([]*cache.Cache, len(scales))
-		consumers := make([]func([]mem.Access), len(scales))
-		for i, scale := range scales {
-			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, recs[0].bounds, scale)
-			if err != nil {
-				return err
-			}
-			llcs[i] = llc
-			consumers[i] = func(accs []mem.Access) {
-				for _, a := range accs {
-					llc.Access(a)
-				}
-			}
-		}
-		tr := recs[0].tr
-		start := time.Now()
-		err := tr.BroadcastNCtx(ctx, 0, consumers)
-		s.phase.replay.Add(int64(time.Since(start)))
-		for i, llc := range llcs {
-			out[i] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
-				Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
-		}
-		return err
-	})
+	for i, llc := range llcs {
+		out[i] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
+			Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
+	}
 	return out, err
 }
 

@@ -149,11 +149,12 @@ func (s *Session) optCells(ctx context.Context, g artifactKey, llcs []cache.Conf
 	for i, llc := range llcs {
 		keys[i] = optKey(g, llc)
 	}
-	return getEach(ctx, s.art, keys, func(led []int) (cells []optDatapoint, _ []charge, err error) {
-		err = s.withRecordings(ctx, []artifactKey{g}, func(recs []recording) (err error) {
-			cells, err = s.optPass(ctx, recs[0], pick(llcs, led))
-			return err
-		})
+	return getEach(ctx, s.art, keys, func(led []int) ([]optDatapoint, []int64, error) {
+		rec, err := s.recording(ctx, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells, err := s.optPass(ctx, rec, pick(llcs, led))
 		return cells, nil, err
 	})
 }

@@ -65,7 +65,6 @@ func TestOPTStudyOnePass(t *testing.T) {
 	fanOuts := func(run func(s *Session)) (runs, consumers uint64) {
 		runs0, cons0 := trace.BroadcastStats()
 		s := NewSession(cfg)
-		defer s.art.releaseAll()
 		run(s)
 		runs, consumers = trace.BroadcastStats()
 		return runs - runs0, consumers - cons0

@@ -43,6 +43,37 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	}
 }
 
+// TestPrefetchSettledGroupRecordsNothing: a unit whose cells are all
+// settled records nothing. Under a one-byte budget every recording is
+// evicted as soon as the next one settles, so a second run of the same
+// figure finds its results cached and its recordings gone; it must render
+// from the cached cells without executing any application again.
+func TestPrefetchSettledGroupRecordsNothing(t *testing.T) {
+	t.Parallel()
+	e, err := ByID("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(1).Session(ScaledConfig(64))
+	var first, second bytes.Buffer
+	if err := Run(context.Background(), s, e, &first, nil); err != nil {
+		t.Fatal(err)
+	}
+	record, runs := s.PhaseSeconds()["record"], s.SimRuns()
+	if err := Run(context.Background(), s, e, &second, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.PhaseSeconds()["record"]; got != record {
+		t.Errorf("second run recorded for %.3fs (record phase %.3fs -> %.3fs); want nothing recorded", got-record, record, got)
+	}
+	if got := s.SimRuns(); got != runs {
+		t.Errorf("SimRuns %d -> %d across the second run; want every cell served from the store", runs, got)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("second run renders differently\n--- first ---\n%s\n--- second ---\n%s", first.Bytes(), second.Bytes())
+	}
+}
+
 // TestLoneResultRecordsOnceThenReplays: the group's recording is the only
 // source of a full-fidelity result, so a lone policy — one Prefetch point
 // or one ResultCtx call, with nothing to share the execution with — leaves

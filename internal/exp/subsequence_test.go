@@ -10,7 +10,6 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/cache"
 	"grasp/internal/sim"
-	"grasp/internal/trace"
 )
 
 // subK is the sampling divisor of the subsequence tests: on
@@ -70,23 +69,19 @@ func estimate(t *testing.T, ctx context.Context, s *Session, policy string) sim.
 func maskedEstimates(t *testing.T, policies []string) map[string]sim.SampledResult {
 	t.Helper()
 	ref := NewSession(subsequenceCfg())
-	defer ref.art.releaseAll()
 	out := make(map[string]sim.SampledResult, len(policies))
-	err := ref.WithRecording(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged,
-		func(tr *trace.Trace, bounds [][2]uint64) error {
-			for _, p := range policies {
-				spec := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: p, HCfg: ref.Cfg.HCfg}
-				r, _, err := sim.SampledReplayResultSkipCtx(context.Background(), tr, spec, "lj", bounds, subK)
-				if err != nil {
-					return err
-				}
-				r.AppTime = 0
-				out[p] = r
-			}
-			return nil
-		})
+	tr, bounds, err := ref.Recording(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range policies {
+		spec := sim.Spec{App: "PR", Layout: apps.LayoutMerged, Policy: p, HCfg: ref.Cfg.HCfg}
+		r, _, err := sim.SampledReplayResultSkipCtx(context.Background(), tr, spec, "lj", bounds, subK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.AppTime = 0
+		out[p] = r
 	}
 	return out
 }
@@ -120,7 +115,6 @@ func TestSubsequenceEvictedIndependently(t *testing.T) {
 	policies := []string{"LRU", "SRRIP", "PLRU", "GRASP"}
 	want := maskedEstimates(t, policies)
 	st := NewStore(0)
-	defer st.releaseAll()
 	s := st.Session(subsequenceCfg())
 	full := ljPR(s)
 	sub := s.sampledSource(full, subK)
@@ -191,10 +185,8 @@ func TestSubsequenceCancelLeavesNoEntry(t *testing.T) {
 	t.Parallel()
 	want := maskedEstimates(t, []string{"GRASP"})
 	s := NewSession(subsequenceCfg())
-	defer s.art.releaseAll()
 	full := ljPR(s)
-	if err := s.WithRecording(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged,
-		func(*trace.Trace, [][2]uint64) error { return nil }); err != nil {
+	if _, _, err := s.Recording(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged); err != nil {
 		t.Fatal(err)
 	}
 	F := s.art.charged(full)
@@ -235,7 +227,6 @@ func TestSubsequenceConcurrentBuildsOnce(t *testing.T) {
 	}
 	want := maskedEstimates(t, policies)
 	s := NewSession(subsequenceCfg())
-	defer s.art.releaseAll()
 	got := make([]sim.SampledResult, len(policies))
 	start := make(chan struct{})
 	var wg sync.WaitGroup

@@ -118,6 +118,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"unknown app":         {Kind: KindSingle, Graph: "lj", App: "Dijkstra"},
 		"unknown policy":      {Kind: KindSingle, Graph: "lj", Policy: "MRU"},
 		"unknown reorder":     {Kind: KindSingle, Graph: "lj", Reorder: "Shuffle"},
+		"reorder alias none":  {Kind: KindSingle, Graph: "lj", Reorder: "none"},
 		"experiment unknown":  {Kind: KindExperiment, Exp: "fig99"},
 		"experiment w/ graph": {Kind: KindExperiment, Exp: "fig2", Graph: "lj"},
 		"scale 3":             {Kind: KindSingle, Graph: "lj", Scale: 3},

@@ -252,9 +252,10 @@ func Techniques() []Technique {
 }
 
 // ByName returns the named technique ("Sort", "HubSort", "DBG", "Gorder",
-// or "Identity"/"none").
+// "Gorder+DBG" or "Identity"). Each technique has exactly one name: it is
+// part of a job's content address.
 func ByName(name string) (Technique, error) {
-	if name == "Identity" || name == "none" {
+	if name == "Identity" {
 		return Technique{Name: "Identity", Run: func(g *graph.CSR, _ DegreeSource) Permutation {
 			return Identity(g.NumVertices())
 		}}, nil

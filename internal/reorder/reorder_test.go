@@ -252,7 +252,7 @@ func TestGorderThenDBG(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"Sort", "HubSort", "DBG", "Gorder", "Identity", "none"} {
+	for _, name := range []string{"Sort", "HubSort", "DBG", "Gorder", "Gorder+DBG", "Identity"} {
 		tech, err := ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -261,8 +261,11 @@ func TestByName(t *testing.T) {
 			t.Fatalf("%s: nil Run", name)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("expected error")
+	// A second name for a technique would give one job two content addresses.
+	for _, name := range []string{"bogus", "none"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
 	}
 }
 

@@ -41,7 +41,6 @@ func newCorunFixture(t *testing.T, appNames ...string) *corunFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(tr.Release)
 		if tr.Len() == 0 {
 			t.Fatalf("%s: recording captured no LLC-bound accesses", app)
 		}

@@ -52,7 +52,6 @@ func BenchmarkPolicyAccess(b *testing.B) {
 						b.Fatal(err)
 					}
 					accs, err := tr.Accesses(0)
-					tr.Release()
 					if err != nil {
 						b.Fatal(err)
 					}

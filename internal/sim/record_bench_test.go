@@ -49,7 +49,6 @@ func BenchmarkRecord(b *testing.B) {
 								b.Fatal(err)
 							}
 							appAccesses, llcAccesses, bytes = tr.L1Stats().Accesses(), uint64(tr.Len()), tr.SizeBytes()
-							tr.Release()
 						}
 						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 						b.ReportMetric(ns/float64(appAccesses), "ns/app-access")

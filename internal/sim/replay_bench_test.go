@@ -46,7 +46,6 @@ func BenchmarkReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer tr.Release()
 				bounds, err := sim.ABRBoundsFor(w, "PR", apps.LayoutMerged)
 				if err != nil {
 					b.Fatal(err)
@@ -60,7 +59,6 @@ func BenchmarkReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer sub.Release()
 				noop := []func([]mem.Access){func([]mem.Access) {}}
 				shapes := []struct {
 					name string

@@ -119,7 +119,7 @@ func PrepareWorkloadOn(g *graph.CSR, ds graph.Dataset, reorderName string, weigh
 		return nil, err
 	}
 	perm, cost := reorder.Timed(tech, g, reorder.BySum)
-	if reorderName != "Identity" && reorderName != "none" {
+	if reorderName != "Identity" {
 		g = reorder.Apply(g, perm)
 	}
 	return &Workload{Dataset: ds, Reorder: reorderName, Graph: g,
@@ -279,8 +279,8 @@ func RunCtx(ctx context.Context, w *Workload, spec Spec) (res Result, err error)
 //
 // Cancellation is cooperative: the recorder polls the context as it
 // encodes and unwinds the application with the abort sentinel once it is
-// cancelled; the partial recording is abandoned (its bytes leave
-// trace.MemoryInUse) and the context's error returned. A non-cancellable
+// cancelled; the partial recording is dropped and the context's error
+// returned. A non-cancellable
 // context adds one nil check per access to the recorder's hot path.
 func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout apps.Layout, hcfg cache.HierarchyConfig, limit int64) (tr *trace.Trace, err error) {
 	fg := ligra.NewGraph(w.Graph)
@@ -301,7 +301,6 @@ func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout ap
 				if !ok {
 					panic(p)
 				}
-				rec.Abandon()
 				tr, err = nil, aerr
 			}
 		}()

@@ -174,7 +174,6 @@ func TestOPTBeatsEveryOnlinePolicyOnRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Release()
 	accs, err := tr.Accesses(0)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,6 @@ func TestTraceLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Release()
 	accs, err := tr.Accesses(1000)
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,6 @@ func TestSubsequenceEquivalence(t *testing.T) {
 					t.Errorf("%s/%d sets k=%d: the subsequence holds %d records and its replay reported %+v; the masked replay delivered %d (%+v)",
 						dsName, sets, k, sub.Len(), subRep, fullRep.AccessesDelivered, fullRep)
 				}
-				sub.Release()
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func tierCases() []*tierFixture {
 
 // recording prepares dataset dsName at the scale under DBG and records
 // app (merged layout) through hcfg's L1/L2. It returns the workload, the
-// recording (released at test cleanup) and the ABR bounds.
+// recording and the ABR bounds.
 func recording(t *testing.T, dsName string, scale uint32, app string, hcfg cache.HierarchyConfig) (*Workload, *trace.Trace, [][2]uint64) {
 	t.Helper()
 	ds, err := graph.DatasetByName(dsName)
@@ -73,7 +73,6 @@ func recording(t *testing.T, dsName string, scale uint32, app string, hcfg cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(tr.Release)
 	if tr.Len() == 0 {
 		t.Fatalf("%s %s: recording captured no LLC-bound accesses", dsName, app)
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"grasp/internal/mem"
@@ -99,49 +98,5 @@ func TestBroadcastCounters(t *testing.T) {
 	runs, cons := BroadcastStats()
 	if runs != runs0+1 || cons != cons0+4 {
 		t.Fatalf("BroadcastStats delta = (%d,%d), want (1,4)", runs-runs0, cons-cons0)
-	}
-}
-
-// TestBroadcastConcurrentWithRelease hammers broadcast replays against a
-// racing Release (a store evicting the recording mid-replay): Release only
-// ends the trace's MemoryInUse charge, so every broadcast must deliver the
-// full stream to every consumer. Run under -race in CI.
-func TestBroadcastConcurrentWithRelease(t *testing.T) {
-	accs := seqAccesses(0, 3*chunkWords+100) // several chunks, so Release lands mid-stream
-	const broadcasts, consumers = 3, 3
-	for round := 0; round < 20; round++ {
-		r := NewRawRecorder()
-		for _, a := range accs {
-			r.Record(a)
-		}
-		tr, err := r.Finish(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var counts [broadcasts][consumers]atomic.Int64
-		done := make(chan error, broadcasts)
-		for b := range counts {
-			go func() {
-				cs := make([]func([]mem.Access), consumers)
-				for i := range cs {
-					cs[i] = func(a []mem.Access) { counts[b][i].Add(int64(len(a))) }
-				}
-				done <- tr.BroadcastNCtx(context.Background(), 0, cs)
-			}()
-		}
-		tr.Release()
-		for range counts {
-			if err := <-done; err != nil {
-				t.Fatalf("round %d: broadcast racing Release failed: %v", round, err)
-			}
-		}
-		for b := range counts {
-			for i := range counts[b] {
-				if n := counts[b][i].Load(); n != int64(len(accs)) {
-					t.Fatalf("round %d: broadcast %d consumer %d saw %d of %d accesses",
-						round, b, i, n, len(accs))
-				}
-			}
-		}
 	}
 }

@@ -76,7 +76,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tr.Release()
 		if tr.Len() != int64(n) {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
@@ -159,7 +158,6 @@ func FuzzMaskedDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tr.Release()
 		// Geometries from 2 sets (every class aliases heavily) up to 512
 		// (beyond PresenceBuckets, where the mask over-approximates).
 		sets := uint32(2) << (sel >> 6 * 3) // 2, 16, 128, 1024... capped below
@@ -267,7 +265,6 @@ func FuzzSetFilterReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tr.Release()
 		cfg := cache.Config{SizeBytes: 16 << 10, Ways: 16} // 16 sets
 		llc, err := cache.New(cfg, cache.NewLRU(cfg.Sets(), cfg.Ways))
 		if err != nil {

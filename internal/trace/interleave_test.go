@@ -62,7 +62,6 @@ func collectInterleave(t testing.TB, streams []InterleaveStream, limit int64) (m
 func TestInterleaveSingleStream(t *testing.T) {
 	want := seqAccesses(0, 1000)
 	tr := recordAccesses(t, want)
-	defer tr.Release()
 	_, per := collectInterleave(t, []InterleaveStream{{Trace: tr, Weight: 7}}, 0)
 	if len(per[0]) != len(want) {
 		t.Fatalf("delivered %d accesses, want %d", len(per[0]), len(want))
@@ -79,9 +78,7 @@ func TestInterleaveSingleStream(t *testing.T) {
 // stream drops from the rotation while the survivors keep going.
 func TestInterleaveRoundRobinOrder(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 5))
-	defer a.Release()
 	b := recordAccesses(t, seqAccesses(1, 3))
-	defer b.Release()
 	merged, per := collectInterleave(t, []InterleaveStream{
 		{Trace: a, Weight: 2}, {Trace: b, Weight: 1},
 	}, 0)
@@ -104,7 +101,6 @@ func TestInterleaveRoundRobinOrder(t *testing.T) {
 func TestInterleaveSharedTrace(t *testing.T) {
 	want := seqAccesses(0, 777)
 	tr := recordAccesses(t, want)
-	defer tr.Release()
 	_, per := collectInterleave(t, []InterleaveStream{
 		{Trace: tr, Weight: 3}, {Trace: tr, Weight: 1},
 	}, 0)
@@ -124,9 +120,7 @@ func TestInterleaveSharedTrace(t *testing.T) {
 // (the bounded-prefix form, mirroring BroadcastNCtx).
 func TestInterleaveLimit(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 100))
-	defer a.Release()
 	b := recordAccesses(t, seqAccesses(1, 10))
-	defer b.Release()
 	_, per := collectInterleave(t, []InterleaveStream{
 		{Trace: a, Weight: 1}, {Trace: b, Weight: 1},
 	}, 25)
@@ -139,9 +133,7 @@ func TestInterleaveLimit(t *testing.T) {
 // stream's weight (chunk seams may shorten batches, never lengthen them).
 func TestInterleaveBatchesRespectWeight(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 500))
-	defer a.Release()
 	b := recordAccesses(t, seqAccesses(1, 400))
-	defer b.Release()
 	streams := []InterleaveStream{{Trace: a, Weight: 5}, {Trace: b, Weight: 3}}
 	err := InterleaveReplayCtx(context.Background(), streams, 0, func(stream int, accs []mem.Access) {
 		if len(accs) == 0 || len(accs) > streams[stream].Weight {
@@ -158,9 +150,7 @@ func TestInterleaveBatchesRespectWeight(t *testing.T) {
 // weights, limit).
 func TestInterleaveDeterministic(t *testing.T) {
 	a := recordAccesses(t, seqAccesses(0, 2000))
-	defer a.Release()
 	b := recordAccesses(t, seqAccesses(1, 1500))
-	defer b.Release()
 	streams := []InterleaveStream{{Trace: a, Weight: 4}, {Trace: b, Weight: 3}}
 	base, _ := collectInterleave(t, streams, 0)
 	prev := runtime.GOMAXPROCS(1)
@@ -173,8 +163,8 @@ func TestInterleaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestInterleaveValidation: the argument contract errors. Release is not
-// one of them: a released trace stays an ordinary value and replays whole.
+// TestInterleaveValidation: the argument contract errors, and a valid
+// stream replays whole.
 func TestInterleaveValidation(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, 4))
 	consume := func(int, []mem.Access) {}
@@ -187,11 +177,10 @@ func TestInterleaveValidation(t *testing.T) {
 	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 0}}, 0, consume); err == nil {
 		t.Error("zero weight accepted")
 	}
-	tr.Release()
 	var n int
 	count := func(_ int, accs []mem.Access) { n += len(accs) }
 	if err := InterleaveReplayCtx(context.Background(), []InterleaveStream{{Trace: tr, Weight: 1}}, 0, count); err != nil || n != 4 {
-		t.Errorf("released trace: err = %v, %d of 4 accesses delivered; want a whole replay", err, n)
+		t.Errorf("valid stream: err = %v, %d of 4 accesses delivered; want a whole replay", err, n)
 	}
 }
 
@@ -199,7 +188,6 @@ func TestInterleaveValidation(t *testing.T) {
 // boundary with the context's error.
 func TestInterleaveCancellation(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, 10))
-	defer tr.Release()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := InterleaveReplayCtx(ctx, []InterleaveStream{{Trace: tr, Weight: 1}}, 0,
@@ -239,9 +227,7 @@ func taggedMerge(t testing.TB, streams []InterleaveStream, limit int64) []mem.Ac
 // as ONE broadcast run serving its consumers.
 func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 	short := recordAccesses(t, seqAccesses(0, 500))
-	defer short.Release()
 	long := recordAccesses(t, seqAccesses(1, 2*chunkWords+123))
-	defer long.Release()
 	for _, tc := range []struct {
 		name    string
 		streams []InterleaveStream
@@ -297,7 +283,6 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 // a completed run.
 func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, (broadcastSlabs+2)*chunkWords/2))
-	defer tr.Release()
 	streams := []InterleaveStream{{Trace: tr, Weight: 1}, {Trace: tr, Weight: 1}}
 	var before, after int
 	slabs := 0
@@ -335,7 +320,6 @@ func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 	defer fail.Reset()
 	tr := recordAccesses(t, seqAccesses(0, 3*chunkWords))
-	defer tr.Release()
 	chunks := len(tr.chunks)
 	if chunks < 3 {
 		t.Fatalf("want a multi-chunk trace, got %d chunks", chunks)
@@ -398,9 +382,7 @@ func FuzzInterleaveReplay(f *testing.F) {
 			return tr
 		}
 		trA := decode(dataA)
-		defer trA.Release()
 		trB := decode(dataB)
-		defer trB.Release()
 		weightA := int(wA%8) + 1
 		weightB := int(wB%8) + 1
 		limit := int64(limit16)

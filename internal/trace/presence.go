@@ -119,7 +119,6 @@ func (t *Trace) Subsequence(ctx context.Context, mask PresenceMask) (*Trace, err
 	for {
 		var err error
 		if accs, err = c.next(accs); err != nil {
-			r.Abandon()
 			return nil, err
 		}
 		if len(accs) == 0 {

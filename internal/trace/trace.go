@@ -17,15 +17,14 @@
 // for anything else. Words accumulate in fixed-size in-memory chunks; a
 // finished Trace is an immutable value that any number of goroutines
 // replay at once, and Go's GC owns its lifetime. The package makes no
-// memory decisions of its own: what a process retains is its recordings'
-// owner's budget (the exp store, DESIGN.md Sec. 10).
+// memory decisions and keeps no memory accounting of its own: what a
+// process retains is its recordings' owner's budget, charged each trace's
+// SizeBytes (the exp store, DESIGN.md Sec. 10).
 package trace
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"grasp/internal/cache"
@@ -132,15 +131,6 @@ const (
 // multi-hundred-million-access traces.
 const chunkWords = 1 << 16
 
-// memoryInUse tracks the encoded bytes of every unreleased trace across
-// the whole process. The trace package decides nothing by it: what a
-// process retains is bounded by whoever owns the recordings.
-var memoryInUse atomic.Int64
-
-// MemoryInUse returns the encoded bytes of all unreleased traces — a leak
-// detector for observability and tests, not a budget.
-func MemoryInUse() int64 { return memoryInUse.Load() }
-
 // chunk is one segment of the encoded word stream plus the self-contained
 // decode header stamped at seal time. The header makes every chunk
 // decodable in isolation — base is the block-delta state the first
@@ -160,8 +150,9 @@ func (c *chunk) sizeBytes() uint64 { return uint64(len(c.words)) * wordBytes }
 // is a mem.Sink that filters every access through fresh L1/L2 upper levels
 // first — the configuration a simulation recording uses; NewRawRecorder
 // omits the filter for codec tests and fuzzing. Finish seals the stream
-// into an immutable Trace. A Recorder is single-goroutine, like the
-// application execution that feeds it.
+// into an immutable Trace; a recorder dropped before Finish (a cancelled
+// recording) is ordinary garbage. A Recorder is single-goroutine, like
+// the application execution that feeds it.
 type Recorder struct {
 	upper *cache.UpperLevels
 	limit int64 // encode at most this many accesses; 0 = unlimited
@@ -318,27 +309,14 @@ func (r *Recorder) reserve(n int) {
 	}
 }
 
-// seal closes the current chunk, charging its bytes to MemoryInUse; the
-// chunk carries its self-contained header (the decode base).
+// seal closes the current chunk, adding its bytes to the recording's
+// size; the chunk carries its self-contained header (the decode base).
 func (r *Recorder) seal() {
 	if len(r.cur) == 0 {
 		return
 	}
-	bytes := int64(len(r.cur)) * wordBytes
-	memoryInUse.Add(bytes)
-	r.ramBytes += bytes
+	r.ramBytes += int64(len(r.cur)) * wordBytes
 	r.chunks = append(r.chunks, chunk{words: r.cur, base: r.curBase})
-	r.cur = nil
-}
-
-// Abandon discards an unfinished recording: its bytes leave MemoryInUse.
-// Callers that unwound the traced application before Finish (a cancelled
-// recording) must call it — a Recorder has no finalizer, only the Trace
-// minted by Finish does. The recorder must not be used afterwards.
-func (r *Recorder) Abandon() {
-	memoryInUse.Add(-r.ramBytes)
-	r.ramBytes = 0
-	r.chunks = nil
 	r.cur = nil
 }
 
@@ -367,9 +345,6 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 	if r.upper != nil {
 		t.l1, t.l2 = r.upper.L1.Stats, r.upper.L2.Stats
 	}
-	// A trace dropped without Release (a test, an abandoned value) still
-	// leaves MemoryInUse: the finalizer releases it once it is unreachable.
-	runtime.SetFinalizer(t, (*Trace).Release)
 	return t, nil
 }
 
@@ -380,7 +355,6 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 //
 // A Trace is a plain in-memory value: Go's GC owns its lifetime, so a
 // replay holding it runs to the end whatever its owner does meanwhile.
-// Release only ends its charge to MemoryInUse.
 type Trace struct {
 	chunks   []chunk
 	pcs      []uint32
@@ -389,7 +363,6 @@ type Trace struct {
 	ramBytes int64
 	l1, l2   cache.Stats
 	appTime  time.Duration
-	released atomic.Bool
 }
 
 // Len returns the number of recorded accesses.
@@ -412,16 +385,10 @@ func (t *Trace) L2Stats() cache.Stats { return t.l2 }
 // AppTime returns the wall-clock of the traced application execution.
 func (t *Trace) AppTime() time.Duration { return t.appTime }
 
-// Release returns the trace's bytes to MemoryInUse. It is idempotent and
-// runs automatically when the trace becomes unreachable; the trace stays
-// replayable, so a replay racing its owner's Release finishes normally.
-func (t *Trace) Release() {
-	if !t.released.CompareAndSwap(false, true) {
-		return
-	}
-	runtime.SetFinalizer(t, nil)
-	memoryInUse.Add(-t.ramBytes)
-}
+// Release does nothing: a trace is reclaimed by the GC once unreachable.
+// It stays only because the frozen bench module still calls it; ROADMAP
+// item 5(b) deletes it with the freeze.
+func (t *Trace) Release() {}
 
 // cursor is the engine's one chunk walker (DESIGN.md Sec. 11). Every
 // replay shape — the broadcast producer, each stream of an interleave, a

@@ -23,7 +23,6 @@ func record(t *testing.T, accs []mem.Access) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(tr.Release)
 	return tr
 }
 
@@ -251,7 +250,6 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Release()
 	if tr.L1Stats() != h.L1.Stats || tr.L2Stats() != h.L2.Stats {
 		t.Fatalf("filter stats diverge: L1 %+v vs %+v, L2 %+v vs %+v",
 			tr.L1Stats(), h.L1.Stats, tr.L2Stats(), h.L2.Stats)
@@ -266,32 +264,6 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 	}
 	if llc.Stats != h.LLC.Stats {
 		t.Fatalf("replayed LLC stats %+v != hierarchy LLC stats %+v", llc.Stats, h.LLC.Stats)
-	}
-}
-
-// TestMemoryAccounting: a trace's bytes are charged while it lives and
-// returned on Release, exactly once however often Release runs.
-func TestMemoryAccounting(t *testing.T) {
-	before := MemoryInUse()
-	accs := interesting()
-	r := NewRawRecorder()
-	for _, a := range accs {
-		r.Record(a)
-	}
-	tr, err := r.Finish(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.SizeBytes() == 0 {
-		t.Fatal("trace reports zero footprint")
-	}
-	if MemoryInUse() != before+tr.SizeBytes() {
-		t.Fatalf("in-use %d, want %d", MemoryInUse(), before+tr.SizeBytes())
-	}
-	tr.Release()
-	tr.Release()
-	if MemoryInUse() != before {
-		t.Fatalf("Release leaked accounting: %d != %d", MemoryInUse(), before)
 	}
 }
 
