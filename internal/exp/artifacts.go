@@ -16,8 +16,7 @@ import (
 type kind uint8
 
 const (
-	kindBase      kind = iota // *graph.CSR: loaded base graph of (dataset, weighted)
-	kindWorkload              // *sim.Workload: reordered (dataset, reorder, weighted)
+	kindWorkload  kind = iota // *sim.Workload: (dataset, reorder, weighted), loaded and reordered in one step
 	kindRecording             // recording: LLC-bound trace of a group; n = K: its sampled subsequence
 	kindResult                // sim.Result of (group, policy)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
@@ -73,7 +72,7 @@ type artifactKey struct {
 	app      string // corun: the mix, "+"-joined in stream order
 	layout   apps.Layout
 	policy   string
-	weighted bool   // base and workload
+	weighted bool   // workload
 	n        uint32 // sampled: K; opt: LLC capacity in blocks
 	weights  string // corun: per-stream turn weights, ","-joined
 }
@@ -310,11 +309,13 @@ func (a *Store) settle(k artifactKey, e *entry, bytes int64, panicked bool) {
 // they pin whole parsed graphs and traces, one generation per edit
 // otherwise (sweeping all other generations, not just the recorded one,
 // also clears entries made under a rolled-back stamp, e.g. after a backup
-// restore). Entries being computed under cur right now are untouched.
+// restore). Entries being computed under cur right now are untouched. As
+// in settle, only a charge (a new path's slot) checks the budget.
 func (a *Store) observe(name string, cur fileStamp) dataset {
 	d := dataset{name: name, stamp: cur}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	_, known := a.files[name]
 	slot := a.slot(d)
 	if cur.supersedes(slot.stamp) {
 		slot.stamp = cur
@@ -322,7 +323,9 @@ func (a *Store) observe(name string, cur fileStamp) dataset {
 	}
 	a.seq++
 	slot.recency = a.seq
-	a.enforce(artifactKey{}, name)
+	if !known {
+		a.enforce(artifactKey{}, name)
+	}
 	return d
 }
 
@@ -357,9 +360,8 @@ func (a *Store) evict(match func(artifactKey) bool) {
 // A victim is one settled recording, or a whole file-backed dataset —
 // every generation of every kind, plus its slot, so the next request
 // re-ingests — when that dataset's slot is older than every recording. A
-// graph goes only with its dataset: every workload holds its base graph
-// (an Identity workload IS it), so evicting the base entry alone would
-// subtract bytes still held. keep, the entry being settled, and keepDS,
+// workload is never a victim alone: a file's graphs go with its dataset,
+// at its slot's recency. keep, the entry being settled, and keepDS,
 // the dataset being requested, are never victims, so a single
 // over-budget artifact still serves its request before becoming a
 // candidate. Caller holds mu.

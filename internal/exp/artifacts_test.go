@@ -18,6 +18,7 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/fail"
 	"grasp/internal/graph"
+	"grasp/internal/trace"
 )
 
 // count returns how many entries of one kind the store holds (in flight,
@@ -157,7 +158,7 @@ func TestArtifactStore(t *testing.T) {
 			for _, tc := range []struct {
 				kd        kind
 				wantCalls int
-			}{{kindBase, 1}, {kindWorkload, 1}, {kindRecording, 2}, {kindResult, 2}, {kindSampled, 2}, {kindCorun, 2}} {
+			}{{kindWorkload, 1}, {kindRecording, 2}, {kindResult, 2}, {kindSampled, 2}, {kindCorun, 2}} {
 				a := NewStore(-1)
 				calls := 0
 				for i := 0; i < 2; i++ {
@@ -312,20 +313,20 @@ func TestArtifactStore(t *testing.T) {
 			f := newFakes(t, 3*ov+100)
 			st := fileStamp{size: 10, modNano: 1}
 			da, db, dc := f.a.observe("/g/a.el", st), f.a.observe("/g/b.el", st), f.a.observe("/g/c.el", st)
-			aBase, aRec, bBase := key(da, kindBase, ""), key(da, kindRecording, "PR"), key(db, kindBase, "")
-			f.put(aBase, 1, 60)
+			aGraph, aRec, bGraph := key(da, kindWorkload, ""), key(da, kindRecording, "PR"), key(db, kindWorkload, "")
+			f.put(aGraph, 1, 60)
 			f.put(aRec, 2, 10)
-			f.put(bBase, 3, 30)
+			f.put(bGraph, 3, 30)
 			f.wantTotal(3*ov + 100)
 			f.a.observe("/g/a.el", st) // a request for a: b's slot is now the least recent
-			f.put(key(dc, kindBase, ""), 5, 50)
-			if f.a.ready(bBase) || !f.a.ready(aBase) || !f.a.ready(aRec) {
+			f.put(key(dc, kindWorkload, ""), 5, 50)
+			if f.a.ready(bGraph) || !f.a.ready(aGraph) || !f.a.ready(aRec) {
 				t.Fatal("b (least recently requested) should be the only dataset evicted")
 			}
 			f.wantTotal(2*ov + 120) // b's bytes AND its slot are gone
-			cBig := key(dc, kindWorkload, "")
+			cBig := artifactKey{ds: dc, kind: kindWorkload, reorder: "DBG"}
 			f.put(cBig, 6, 10*ov) // over budget alone: evicts a's recording, then a, and stays
-			if f.a.ready(aBase) || f.a.ready(aRec) || !f.a.ready(cBig) {
+			if f.a.ready(aGraph) || f.a.ready(aRec) || !f.a.ready(cBig) {
 				t.Fatal("an over-budget dataset must evict every other file dataset and survive itself")
 			}
 			f.wantTotal(11*ov + 50)
@@ -337,19 +338,19 @@ func TestArtifactStore(t *testing.T) {
 			f := newFakes(t, ov+100)
 			st := fileStamp{size: 10, modNano: 1}
 			da := f.a.observe("/g/a.el", st)
-			aBase := key(da, kindBase, "")
+			aGraph := key(da, kindWorkload, "")
 			ljPR, ljBFS := key(lj, kindRecording, "PR"), key(lj, kindRecording, "BFS")
-			f.put(aBase, 1, 60)
+			f.put(aGraph, 1, 60)
 			f.put(ljPR, 2, 30)
 			f.wantTotal(ov + 90)
 			f.put(ljBFS, 3, 30) // a's slot is older than either recording: the file goes whole
-			if f.a.ready(aBase) || !f.a.ready(ljPR) || !f.a.ready(ljBFS) {
+			if f.a.ready(aGraph) || !f.a.ready(ljPR) || !f.a.ready(ljBFS) {
 				t.Fatal("a recording must evict a file dataset whose slot is least recent")
 			}
 			f.wantTotal(60)
 			da = f.a.observe("/g/a.el", st) // requested again: its slot is now the most recent
-			f.put(key(da, kindBase, ""), 4, 60)
-			if !f.a.ready(key(da, kindBase, "")) || f.a.ready(ljPR) || !f.a.ready(ljBFS) {
+			f.put(key(da, kindWorkload, ""), 4, 60)
+			if !f.a.ready(key(da, kindWorkload, "")) || f.a.ready(ljPR) || !f.a.ready(ljBFS) {
 				t.Fatal("a file graph must evict the least recent recording, and only it")
 			}
 			f.wantTotal(ov + 90)
@@ -359,12 +360,12 @@ func TestArtifactStore(t *testing.T) {
 			f := newFakes(t, 4*ov)
 			st := fileStamp{size: 10, modNano: 1}
 			for i := 0; i < 64; i++ {
-				k := key(f.a.observe(fmt.Sprintf("/g/%d.el", i), st), kindBase, "")
+				k := key(f.a.observe(fmt.Sprintf("/g/%d.el", i), st), kindWorkload, "")
 				if i%2 == 0 {
 					f.put(k, i, ov/2)
 					continue
 				}
-				// A parse failure: cached (a base is not transient) and
+				// A parse failure: cached (a workload is not transient) and
 				// uncharged, so only the path's slot bounds it.
 				if _, err := get(context.Background(), f.a, k, func() (int, int64, error) {
 					return 0, 0, errBoom
@@ -386,7 +387,7 @@ func TestArtifactStore(t *testing.T) {
 			s1, s2 := fileStamp{10, 100}, fileStamp{10, 200}
 			a1 := f.a.observe("/g/a.el", s1)
 			other := f.a.observe("/g/a.el2", s1) // shares a's name as a prefix
-			a1Keys := []artifactKey{key(a1, kindBase, ""), key(a1, kindWorkload, ""), key(a1, kindRecording, "PR"),
+			a1Keys := []artifactKey{key(a1, kindWorkload, ""), key(a1, kindRecording, "PR"),
 				key(a1, kindResult, "PR"), key(a1, kindSampled, "PR"), key(a1, kindCorun, "PR+BFS")}
 			for i, k := range a1Keys {
 				f.put(k, i, 5)
@@ -508,20 +509,8 @@ func TestSessionPanicDoesNotWedgeKey(t *testing.T) {
 // from only one when evicted, so a total grew by one recording per
 // re-record until the dataset was evicted early.
 func TestSessionFileBudgetAccountingExact(t *testing.T) {
-	lj, err := graph.DatasetByName("lj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, lj.Generate(false, 64)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "budget.el")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := ScaledConfig(64)
-	s := NewStore(1).Session(cfg) // every new recording evicts the previous one
+	path := writeLJEdgeList(t)
+	s := NewStore(1).Session(ScaledConfig(64)) // every new recording evicts the previous one
 	base, err := s.Workload(path, "Identity", false)
 	if err != nil {
 		t.Fatal(err)
@@ -532,13 +521,16 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	}
 	graphs := base.Graph.Footprint() + dbg.Graph.Footprint()
 	// record caches app's recording, evicting the previous one (the
-	// requested file's graphs stay), and checks the total three ways. The
-	// count follows Recording: Prefetch's dataset request may evict the
-	// recording, and a group whose result is settled is not recorded again.
+	// requested file's graphs stay), and checks the total three ways. A
+	// group whose result is settled is not recorded again by Prefetch, so
+	// the total is read after Recording.
 	record := func(app string) int64 {
 		t.Helper()
 		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
 			t.Fatal(err)
+		}
+		if n := s.art.count(kindRecording); n != 1 {
+			t.Fatalf("%d recordings cached after prefetching %s, want 1", n, app)
 		}
 		tr, _, err := s.Recording(context.Background(), path, "DBG", app, apps.LayoutMerged)
 		if err != nil {
@@ -560,6 +552,54 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	if got := record("BFS"); got != afterB {
 		t.Fatalf("same cached set, different total: %d then %d (accounting drifts)", afterB, got)
 	}
+}
+
+// TestSessionFileBudgetKeepsKnownPathsRecording: a request for a graph
+// file the store already knows charges nothing, so it does not check the
+// budget. It used to: under a budget that the file's workload and one
+// recording exceed, every request evicted the very recording it was about
+// to replay, then recorded the application again.
+func TestSessionFileBudgetKeepsKnownPathsRecording(t *testing.T) {
+	t.Parallel()
+	path := writeLJEdgeList(t)
+	s := NewStore(1).Session(ScaledConfig(64))
+	var first *trace.Trace
+	var record float64
+	for i := 0; i < 3; i++ {
+		tr, _, err := s.Recording(context.Background(), path, "DBG", "PR", apps.LayoutMerged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first, record = tr, s.PhaseSeconds()["record"]
+			continue
+		}
+		if tr != first {
+			t.Fatalf("request %d was served a new recording: its path's request evicted the cached one", i+1)
+		}
+		if got := s.PhaseSeconds()["record"]; got != record {
+			t.Fatalf("request %d recorded again (record phase %.3fs -> %.3fs)", i+1, record, got)
+		}
+	}
+}
+
+// writeLJEdgeList writes lj at scale 64 as an edge-list file and returns
+// its path.
+func writeLJEdgeList(t *testing.T) string {
+	t.Helper()
+	lj, err := graph.DatasetByName("lj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, lj.Generate(false, 64)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lj.el")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestSharedStoreScalesNeverShare: sessions of two scales over one store

@@ -100,7 +100,7 @@ func TestCorunRejectsBeforeWork(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	for _, kd := range []kind{kindBase, kindWorkload, kindRecording, kindResult, kindCorun} {
+	for _, kd := range []kind{kindWorkload, kindRecording, kindResult, kindCorun} {
 		if n := s.art.count(kd); n != 0 {
 			t.Errorf("rejected mixes left %d entries of kind %d in the store", n, kd)
 		}
@@ -127,7 +127,7 @@ func TestUnknownPolicyRefusedBeforeWork(t *testing.T) {
 		if err := request(s); err == nil || !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
 			t.Errorf("%s: err = %v, want the registry's unknown-policy error", name, err)
 		}
-		for _, kd := range []kind{kindBase, kindWorkload, kindRecording, kindResult, kindSampled} {
+		for _, kd := range []kind{kindWorkload, kindRecording, kindResult, kindSampled} {
 			if n := s.art.count(kd); n != 0 {
 				t.Errorf("%s: the refused request left %d entries of kind %d in the store", name, n, kd)
 			}
@@ -159,9 +159,6 @@ func TestCorunPreparesOnlyTheRecordingsWorkloads(t *testing.T) {
 		}
 		if got := s.art.count(kindWorkload); got != tc.workloads {
 			t.Errorf("%v: prepared %d workloads, want %d", tc.mix, got, tc.workloads)
-		}
-		if got := s.art.count(kindBase); got != tc.workloads {
-			t.Errorf("%v: loaded %d base graphs, want %d", tc.mix, got, tc.workloads)
 		}
 	}
 }

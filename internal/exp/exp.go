@@ -89,6 +89,7 @@ type Session struct {
 	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
 	subBuilds  atomic.Uint64 // sampled subsequences built (each one masked decode of a full recording)
 	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
+	loads      atomic.Uint64 // graphs generated or parsed, each timed in phase.load
 
 	// phase accumulates cumulative engine nanoseconds per prefetch phase
 	// (across workers, so a multi-core batch's phases can sum past
@@ -200,7 +201,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 		if g.n != 0 {
 			return s.subsequence(ctx, g)
 		}
-		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
+		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app), nil)
 		if err != nil {
 			return recording{}, 0, err
 		}
@@ -253,17 +254,25 @@ func (s *Session) Recording(ctx context.Context, dsName, reorderName, app string
 // resolver, so it can be a paper dataset name or a graph-file path
 // (re-prepared if the file changes).
 func (s *Session) Workload(dsName, reorderName string, weighted bool) (*sim.Workload, error) {
-	return s.workload(s.dataset(dsName), reorderName, weighted)
+	return s.workload(s.dataset(dsName), reorderName, weighted, nil)
 }
 
-func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.Workload, error) {
+// workload returns the workload of (dataset, reorder, weighted), loaded by
+// load (a Prefetch batch's shared load; nil: for this workload alone) and
+// reordered in one get. The store keeps no original graph, so a lone
+// request for a second reordering of a graph file parses it again. A
+// file-backed workload is charged its own graph's bytes.
+func (s *Session) workload(d dataset, reorderName string, weighted bool, load func() (*graph.CSR, error)) (*sim.Workload, error) {
 	k := artifactKey{ds: d, kind: kindWorkload, reorder: reorderName, weighted: weighted}
 	return get(context.Background(), s.art, k, func() (*sim.Workload, int64, error) {
 		ds, err := graph.Resolve(d.name)
 		if err != nil {
 			return nil, 0, err
 		}
-		g, err := s.baseGraph(d, ds, weighted)
+		if load == nil {
+			load = func() (*graph.CSR, error) { return s.load(ds, weighted) }
+		}
+		g, err := load()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -274,33 +283,19 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool) (*sim.W
 			return nil, 0, err
 		}
 		var bytes int64
-		if w.Graph != g && d.fileBacked() {
-			// Reordered copy; the shared base is charged by baseGraph.
+		if d.fileBacked() {
 			bytes = w.Graph.Footprint()
 		}
 		return w, bytes, nil
 	})
 }
 
-// baseGraph returns the loaded (generated or ingested) base graph of a
-// dataset, cached per (dataset, weighted): the expensive part of workload
-// preparation that is identical across reordering techniques — each
-// technique builds a relabeled copy and never mutates the base.
-func (s *Session) baseGraph(d dataset, ds graph.Dataset, weighted bool) (*graph.CSR, error) {
-	k := artifactKey{ds: d, kind: kindBase, weighted: weighted}
-	return get(context.Background(), s.art, k, func() (*graph.CSR, int64, error) {
-		start := time.Now()
-		g, err := ds.Load(weighted, s.Cfg.ScaleDiv)
-		s.phase.load.Add(int64(time.Since(start)))
-		if err != nil {
-			return nil, 0, err
-		}
-		var bytes int64
-		if d.fileBacked() {
-			bytes = g.Footprint()
-		}
-		return g, bytes, nil
-	})
+// load generates a dataset's graph, or parses its file.
+func (s *Session) load(ds graph.Dataset, weighted bool) (*graph.CSR, error) {
+	s.loads.Add(1)
+	start := time.Now()
+	defer func() { s.phase.load.Add(int64(time.Since(start))) }()
+	return ds.Load(weighted, s.Cfg.ScaleDiv)
 }
 
 // replayEach is the shape the single-group simulation tiers share (full
@@ -324,7 +319,7 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		keys[i].n = n
 	}
 	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []int64, err error) {
-		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app))
+		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app), nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -475,13 +470,19 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	// reorderings (one Gorder pass per dataset) are the longest-pole
 	// inputs of the recording phase; preparing them all up front lets a
 	// multi-core host reorder every dataset concurrently instead of
-	// discovering each reordering serially behind a recording slot.
+	// discovering each reordering serially behind a recording slot. The
+	// workloads of one graph share one load, dropped when the phase ends.
 	// Errors are dropped here — the store caches them, and they re-surface
 	// attributed to the first datapoint that needs the failed workload.
 	seenW := make(map[artifactKey]bool, len(uniq))
 	var warm []artifactKey
+	loads := make(map[artifactKey]func() (*graph.CSR, error)) // by (dataset, weighted); none: load alone
 	for _, g := range groups {
 		wk := artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: apps.Weighted(g.app)}
+		lk := artifactKey{ds: g.ds, weighted: wk.weighted}
+		if ds, err := graph.Resolve(lk.ds.name); err == nil && loads[lk] == nil {
+			loads[lk] = sync.OnceValues(func() (*graph.CSR, error) { return s.load(ds, lk.weighted) })
+		}
 		if !seenW[wk] {
 			seenW[wk] = true
 			warm = append(warm, wk)
@@ -495,7 +496,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		if ctx.Err() != nil {
 			return
 		}
-		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted)
+		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted, loads[artifactKey{ds: warm[i].ds, weighted: warm[i].weighted}])
 	})
 	// Build the schedule: one unit per (dataset, reorder, app, layout)
 	// group: the recording (the expensive application execution, skipped

@@ -43,6 +43,42 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	}
 }
 
+// TestPrefetchLoadsEachGraphOnce: the store keeps no original graph, so a
+// batch shares one load among every workload of a (dataset, weighted)
+// graph: three reorderings of lj under an unweighted and a weighted app
+// load two graphs, not six, and every result still equals the
+// execution-driven reference. A second batch over the same workloads
+// loads nothing.
+func TestPrefetchLoadsEachGraphOnce(t *testing.T) {
+	t.Parallel()
+	var pts []Datapoint
+	for _, r := range []string{"Identity", "Sort", "DBG"} {
+		pts = append(pts, matrixPoints([]string{"lj"}, r, []string{"PR", "SSSP"}, nil)...)
+	}
+	s := NewSession(ScaledConfig(64))
+	for pass := 1; pass <= 2; pass++ {
+		if err := s.Prefetch(pts); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.art.count(kindWorkload); n != 6 {
+			t.Fatalf("pass %d: %d workloads cached, want 6", pass, n)
+		}
+		if got := s.loads.Load(); got != 2 {
+			t.Fatalf("pass %d: %d graphs loaded in all for 6 workloads of 2 graphs, want 2", pass, got)
+		}
+	}
+	for _, p := range pts {
+		got, err := s.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := simRun(t, s.Cfg, p.DS, p.Reorder, p.App, p.Layout, p.Policy)
+		if got.AppTime = want.AppTime; got != want {
+			t.Fatalf("%s/%s diverges from sim.Run\nsession: %+v\n sim.Run: %+v", p.Reorder, p.App, got, want)
+		}
+	}
+}
+
 // TestPrefetchSettledGroupRecordsNothing: a unit whose cells are all
 // settled records nothing. Under a one-byte budget every recording is
 // evicted as soon as the next one settles, so a second run of the same

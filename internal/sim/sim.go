@@ -109,10 +109,10 @@ func PrepareWorkload(ds graph.Dataset, reorderName string, weighted bool, scaleD
 }
 
 // PrepareWorkloadOn applies the named reordering to an already-loaded
-// graph, producing the workload. The base graph is never mutated
+// graph, producing the workload. The loaded graph is never mutated
 // (reorderings build relabeled copies), so callers holding one loaded
-// instance — the experiment session shares a base graph across every
-// reordering technique — can prepare many workloads from it.
+// instance — a Prefetch batch shares one load across every reordering of
+// a graph — can prepare many workloads from it.
 func PrepareWorkloadOn(g *graph.CSR, ds graph.Dataset, reorderName string, weighted bool) (*Workload, error) {
 	tech, err := reorder.ByName(reorderName)
 	if err != nil {
