@@ -495,9 +495,10 @@ func printOutcome(w io.Writer, spec jobs.Spec, o *jobs.Outcome, remote bool, g *
 	return nil
 }
 
-// runSampledSweep is -exp mode on the fast tier: every result datapoint of
-// the selected experiments is estimated from a set-sampled replay and
-// printed with its error bars.
+// runSampledSweep is -exp mode on the fast tier: every plain result
+// datapoint of the selected experiments is estimated from a set-sampled
+// replay and printed with its error bars (OPT study, region and co-run
+// cells have no sampled tier).
 func runSampledSweep(o *options, w io.Writer) error {
 	exps, err := selectExperiments(o.exp)
 	if err != nil {
@@ -512,7 +513,7 @@ func runSampledSweep(o *options, w io.Writer) error {
 		var points []exp.Datapoint
 		if e.Points != nil {
 			for _, p := range e.Points() {
-				if !p.Trace {
+				if p.Plain() {
 					points = append(points, p)
 				}
 			}

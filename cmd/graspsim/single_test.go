@@ -309,3 +309,46 @@ func TestRunSingleLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledSweepPrintsPlainResultsOnly: an -exp run on the sampled tier
+// estimates each experiment's plain results, one row per declared point
+// in declaration order, and nothing else: not the co-run cells (which it
+// would print as solo estimates of their first app), not the region cells
+// (which it would print as plain GRASP estimates).
+func TestSampledSweepPrintsPlainResultsOnly(t *testing.T) {
+	o := parseArgs(t, "-exp", "corun,ablation-region", "-fidelity", "sampled", "-scale", "64")
+	if err := sweepTier(o); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runSampledSweep(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(buf.String(), "\n## ")[1:]
+	if len(sections) != 2 {
+		t.Fatalf("%d experiment sections, want 2:\n%s", len(sections), buf.String())
+	}
+	for i, id := range []string{"corun", "ablation-region"} {
+		e, err := exp.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, p := range e.Points() {
+			if p.Plain() {
+				want = append(want, strings.Join([]string{p.DS, p.Reorder, p.App, p.Policy}, " "))
+			}
+		}
+		var got []string
+		for _, line := range strings.Split(sections[i], "\n") {
+			// Dataset, Reorder, App, Policy (some names hold a space), then
+			// the estimate's three columns.
+			if f := strings.Fields(line); len(f) >= 7 && f[1] == "DBG" {
+				got = append(got, strings.Join(f[:len(f)-3], " "))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d rows, want one per declared plain result (%d)", id, len(got), len(want))
+		}
+	}
+}

@@ -22,6 +22,7 @@ const (
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
 	kindCorun                 // sim.CorunResult of (mix, policy, weights)
 	kindOPT                   // optDatapoint: OPT study cell of a group, n = LLC capacity in blocks
+	kindRegion                // sim.Result of a group's GRASP LLC whose reuse regions are scale x the LLC
 )
 
 // transient marks the kinds whose failures are dropped instead of cached.
@@ -29,7 +30,7 @@ const (
 // identically — but recordings and replays run under a caller's context
 // and can fail environmentally (an I/O fault): a daemon must not serve a
 // transient error or somebody's cancellation from cache forever.
-var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true}
+var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true, kindRegion: true}
 
 // fileStamp is one observed (size, mtime) state of a graph file.
 type fileStamp struct {
@@ -72,9 +73,10 @@ type artifactKey struct {
 	app      string // corun: the mix, "+"-joined in stream order
 	layout   apps.Layout
 	policy   string
-	weighted bool   // workload
-	n        uint32 // sampled: K; opt: LLC capacity in blocks
-	weights  string // corun: per-stream turn weights, ","-joined
+	weighted bool    // workload
+	n        uint32  // sampled: K; opt: LLC capacity in blocks
+	weights  string  // corun: per-stream turn weights, ","-joined
+	scale    float64 // region: the High/Moderate Reuse Region size, x the LLC capacity
 }
 
 // entry is one in-flight or settled computation.

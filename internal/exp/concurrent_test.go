@@ -9,11 +9,12 @@ import (
 	"testing"
 
 	"grasp/internal/apps"
+	"grasp/internal/cache"
 )
 
-// hammerPoints is a small mixed batch: results across two reorderings and
-// three policies plus LLC traces, with deliberate overlap between rows so
-// the dedup paths are exercised.
+// hammerPoints is a small mixed batch: results under three policies plus
+// an OPT study cell per group, with deliberate overlap between rows so the
+// dedup paths are exercised.
 func hammerPoints() []Datapoint {
 	var pts []Datapoint
 	for _, ds := range []string{"lj", "kr"} {
@@ -22,22 +23,17 @@ func hammerPoints() []Datapoint {
 				pts = append(pts, Datapoint{DS: ds, Reorder: "DBG", App: app,
 					Layout: apps.LayoutMerged, Policy: pol})
 			}
-			pts = append(pts, Datapoint{DS: ds, App: app, Trace: true})
+			pts = append(pts, Datapoint{DS: ds, App: app, Trace: true, OPTScale: 1})
 		}
 	}
 	return pts
 }
 
-// optPrefixLen decodes the OPT study's bounded prefix of one (dataset,
-// app) recording under DBG reordering — recording on first use, exactly as
-// a declared Trace datapoint does — and returns its length.
-func optPrefixLen(s *Session, dsName, app string) (int, error) {
-	tr, _, err := s.Recording(context.Background(), dsName, "DBG", app, apps.LayoutMerged)
-	if err != nil {
-		return 0, err
-	}
-	accs, err := tr.Accesses(optTraceCap)
-	return len(accs), err
+// studyCell returns the OPT study cell a Trace point declares, computing
+// it on first use exactly as Prefetch does.
+func studyCell(s *Session, p Datapoint) (optDatapoint, error) {
+	g := group(s.dataset(p.DS), "DBG", p.App, apps.LayoutMerged)
+	return one(s.optCells(context.Background(), g, []cache.Config{studyLLC(s.Cfg.HCfg.LLC, p.OPTScale)}))
 }
 
 // TestSessionConcurrentDeterminism hammers one Session from many goroutines
@@ -55,11 +51,11 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 	baseline := make([]interface{}, len(pts))
 	for i, p := range pts {
 		if p.Trace {
-			n, err := optPrefixLen(seq, p.DS, p.App)
+			c, err := studyCell(seq, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline[i] = n
+			baseline[i] = c
 			continue
 		}
 		r, err := seq.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
@@ -101,13 +97,12 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 	// Determinism: concurrent results match the sequential baseline.
 	for i, p := range pts {
 		if p.Trace {
-			n, err := optPrefixLen(conc, p.DS, p.App)
+			c, err := studyCell(conc, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != baseline[i].(int) {
-				t.Fatalf("trace %s/%s: %d accesses, sequential had %d",
-					p.DS, p.App, n, baseline[i].(int))
+			if c != baseline[i].(optDatapoint) {
+				t.Fatalf("study cell %s/%s: concurrent %+v, sequential %+v", p.DS, p.App, c, baseline[i])
 			}
 			continue
 		}
@@ -121,7 +116,7 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 	}
 
 	// Dedup: despite goroutines x rounds sweeps, each distinct simulation
-	// ran exactly once (trace collection does not go through sim.Run).
+	// ran exactly once (study cells are not results).
 	distinct := make(map[Datapoint]bool)
 	for _, p := range pts {
 		if !p.Trace {

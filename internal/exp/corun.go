@@ -38,7 +38,7 @@ func (s *Session) CorunRuns() uint64 { return s.corunRun.Load() }
 // wide, a non-positive weight, an unknown policy — is refused here, before
 // anything is recorded or replayed.
 func (s *Session) CorunResultCtx(ctx context.Context, dsName, reorderName string, appNames []string, weights []int, layout apps.Layout, policy string) (sim.CorunResult, error) {
-	m, err := s.newCorunMix(dsName, reorderName, appNames, weights, layout)
+	m, err := s.newCorunMix(s.dataset(dsName), reorderName, appNames, weights, layout)
 	if err != nil {
 		return sim.CorunResult{}, err
 	}
@@ -58,8 +58,8 @@ type corunMix struct {
 	base    artifactKey   // kindCorun key of the mix, policy unset
 }
 
-// newCorunMix validates a mix and resolves its dataset handle and groups.
-func (s *Session) newCorunMix(dsName, reorderName string, appNames []string, weights []int, layout apps.Layout) (*corunMix, error) {
+// newCorunMix validates a mix on dataset d and resolves its groups.
+func (s *Session) newCorunMix(d dataset, reorderName string, appNames []string, weights []int, layout apps.Layout) (*corunMix, error) {
 	if len(appNames) == 0 {
 		return nil, fmt.Errorf("exp: co-run needs at least one app")
 	}
@@ -80,7 +80,6 @@ func (s *Session) newCorunMix(dsName, reorderName string, appNames []string, wei
 			return nil, fmt.Errorf("exp: co-run app %d (%s) has weight %d, want >= 1", i, appNames[i], w)
 		}
 	}
-	d := s.dataset(dsName)
 	m := &corunMix{apps: appNames, weights: weights, layout: layout, stream: make([]int, len(appNames)),
 		base: group(d, reorderName, strings.Join(appNames, "+"), layout).of(kindCorun, "")}
 	m.base.weights = fmt.Sprint(weights)
@@ -175,15 +174,27 @@ func corunMixes() [][]string {
 // order (the solo-baseline matrix).
 func corunApps() []string { return []string{"BFS", "PR", "KCore", "TC"} }
 
-// corunPoints declares the solo-baseline matrix: every policy x kernel x
-// high-skew dataset under DBG. A driver's Prefetch computes them in one
-// results fan-out per (dataset, app) group, recording each once — the same
-// recordings the co-run replays interleave, so the body's per-mix coruns
-// calls start from warm traces and warm baselines. The co-run cells
-// themselves are not declared: the body computes them, one merge per
-// (mix, dataset).
+// corunPolicies are the policies of the co-run sweep: the baseline and
+// every scheme.
+func corunPolicies() []string { return append([]string{"RRIP"}, registeredSchemes()...) }
+
+// corunPoints declares the sweep's cells: the solo-baseline matrix —
+// every policy x kernel x high-skew dataset under DBG, which Prefetch
+// computes in one results fan-out per (dataset, app) group,
+// recording each once — and then every mix's co-run cell per policy and
+// dataset, which Prefetch computes in one coruns call per (dataset, mix)
+// from those same recordings and baselines.
 func corunPoints() []Datapoint {
-	return matrixPoints(highSkewNames(), "DBG", corunApps(), registeredSchemes())
+	pts := matrixPoints(highSkewNames(), "DBG", corunApps(), registeredSchemes())
+	for _, mix := range corunMixes() {
+		for _, pol := range corunPolicies() {
+			for _, ds := range highSkewNames() {
+				pts = append(pts, Datapoint{DS: ds, Reorder: "DBG", App: mix[0], Layout: apps.LayoutMerged,
+					Policy: pol, Corun: strings.Join(mix[1:], "+")})
+			}
+		}
+	}
+	return pts
 }
 
 // mixLabel renders a mix for table headers: "BFS+PR", "2x(BFS+PR+...)"
@@ -205,37 +216,15 @@ func mixLabel(mix []string) string {
 	return strings.Join(mix, "+")
 }
 
-// runCorun renders the co-run sweep: for every mix, one table of weighted
-// speedup (higher is better; ideal = mix size) and one of unfairness
-// (lower is better; 1 = perfectly fair) per policy x dataset, then a
-// per-app interference detail for the 4-way mix under the baseline and
-// GRASP on the first dataset.
+// runCorun renders the co-run sweep from the cells Prefetch settled: for
+// every mix, one table of weighted speedup (higher is better; ideal = mix
+// size) and one of unfairness (lower is better; 1 = perfectly fair) per
+// policy x dataset, then a per-app interference detail for the 4-way mix
+// under the baseline and GRASP on the first dataset.
 func runCorun(s *Session, w io.Writer) error {
 	datasets := highSkewNames()
-	policies := append([]string{"RRIP"}, registeredSchemes()...)
+	policies := corunPolicies()
 	mixes := corunMixes()
-	// Fan the (mix, dataset) pairs out over the worker pool — one coruns
-	// call each, which decodes and interleaves its mix once for all the
-	// policies — so the sequential rendering below reads from the cache.
-	// Errors, and a panic contained here so the other pairs finish, recur
-	// on the rendering pass in deterministic order.
-	type unit struct {
-		mix int
-		ds  string
-	}
-	var units []unit
-	for mi := range mixes {
-		for _, ds := range datasets {
-			units = append(units, unit{mix: mi, ds: ds})
-		}
-	}
-	forEachParallel(len(units), func(i int) {
-		defer func() { _ = recover() }()
-		u := units[i]
-		if m, err := s.newCorunMix(u.ds, "DBG", mixes[u.mix], nil, apps.LayoutMerged); err == nil {
-			_, _ = s.coruns(context.Background(), m, policies)
-		}
-	})
 	for _, mix := range mixes {
 		ws := stats.NewTable(append([]string{"Policy"}, append(append([]string{}, datasets...), "Mean")...)...)
 		unf := stats.NewTable(append([]string{"Policy"}, append(append([]string{}, datasets...), "Mean")...)...)

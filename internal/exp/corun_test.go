@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"grasp/internal/apps"
@@ -44,7 +46,7 @@ func TestCorunSmoke(t *testing.T) {
 	runs0, cons0 := trace.BroadcastStats()
 	s := NewSession(ScaledConfig(goldenScaleDiv))
 	var buf bytes.Buffer
-	if err := e.Run(s, &buf); err != nil {
+	if err := Run(context.Background(), s, e, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	runs, cons := trace.BroadcastStats()
@@ -176,7 +178,7 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", mix, policies[1:])); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.newCorunMix("lj", "DBG", mix, nil, apps.LayoutMerged)
+	m, err := s.newCorunMix(s.dataset("lj"), "DBG", mix, nil, apps.LayoutMerged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,37 +223,74 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestCorunPanicIsContainedPerUnit: a panic under one per-mix step of the
-// sweep (here every step: the trace.replay.chunk failpoint) must not
-// escape its worker goroutine — that would kill the process, job daemon
-// included. The steps fail, nothing is published, and the panic recurs on
-// the rendering pass, on the caller's goroutine, where the job manager
-// contains it. Disarmed, the same session completes the sweep. Not
-// parallel: failpoints are process-global.
+// TestCorunPanicIsContainedPerUnit: a panic under one (dataset, mix) unit
+// of the sweep's Prefetch (here every unit: the trace.replay.chunk
+// failpoint, armed once the solo baselines are settled) must not escape
+// its worker goroutine — that would kill the process, job daemon
+// included. The co-run cells fail with the panic in their error and
+// nothing is published. Disarmed, the same session completes the sweep.
+// Not parallel: failpoints are process-global.
 func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	defer fail.Reset()
 	s := NewSession(ScaledConfig(256))
-	if err := s.Prefetch(corunPoints()); err != nil {
+	var solo []Datapoint
+	for _, p := range corunPoints() {
+		if p.Plain() {
+			solo = append(solo, p)
+		}
+	}
+	if err := s.Prefetch(solo); err != nil {
 		t.Fatal(err)
 	}
 	fail.ArmPanic("trace.replay.chunk", "policy bug")
-	func() {
-		defer func() {
-			if p := recover(); p == nil || !strings.Contains(p.(string), "policy bug") {
-				t.Errorf("rendering pass recovered %v, want the injected panic", p)
-			}
-		}()
-		_ = runCorun(s, &bytes.Buffer{})
-	}()
+	err := s.Prefetch(corunPoints())
 	fail.Disarm("trace.replay.chunk")
-	if n := s.art.count(kindCorun); n != 0 {
-		t.Fatalf("panicked steps left %d co-run entries in the store", n)
+	if err == nil || !strings.Contains(err.Error(), "policy bug") {
+		t.Fatalf("prefetch with panicking co-run units: err = %v, want the injected panic", err)
 	}
-	if err := runCorun(s, &bytes.Buffer{}); err != nil {
+	if n := s.art.count(kindCorun); n != 0 {
+		t.Fatalf("panicked units left %d co-run entries in the store", n)
+	}
+	if err := s.Prefetch(corunPoints()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.CorunRuns(), uint64(len(corunMixes())*len(highSkewNames())*(len(registeredSchemes())+1)); got != want {
+	if got, want := s.CorunRuns(), uint64(len(corunMixes())*len(highSkewNames())*len(corunPolicies())); got != want {
 		t.Errorf("CorunRuns after the contained panic = %d, want %d", got, want)
+	}
+}
+
+// TestCorunRunCancelSpansCorunCells: the co-run cells are Prefetch units,
+// so an experiment job's progress and cancellation span them. exp.Run of
+// corun, cancelled once onProgress has passed the solo cells, returns an
+// error carrying the cause and leaves co-run cells uncomputed, and its
+// progress total counts them.
+func TestCorunRunCancelSpansCorunCells(t *testing.T) {
+	t.Parallel()
+	e, err := ByID("corun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := len(corunApps()) * len(highSkewNames()) * len(corunPolicies())
+	cells := len(corunMixes()) * len(highSkewNames()) * len(corunPolicies())
+	s := NewSession(ScaledConfig(goldenScaleDiv))
+	cause := errors.New("test: job deleted")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var total atomic.Int64
+	err = Run(ctx, s, e, io.Discard, func(done, n int) {
+		total.Store(int64(n))
+		if done >= solo {
+			cancel(cause)
+		}
+	})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
+		t.Fatalf("cancelled run: err = %v, want the context's error carrying its cause", err)
+	}
+	if got := s.art.count(kindCorun); got >= cells {
+		t.Errorf("cancelled run computed %d co-run cells, want fewer than %d", got, cells)
+	}
+	if got := total.Load(); got != int64(solo+cells) {
+		t.Errorf("progress total = %d, want %d solo + %d co-run cells", got, solo, cells)
 	}
 }
 
@@ -278,7 +317,7 @@ func TestCorunEvictionCannotReleasePinnedRecordings(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m, err := s.newCorunMix("kr", "DBG", mix, nil, apps.LayoutMerged)
+				m, err := s.newCorunMix(s.dataset("kr"), "DBG", mix, nil, apps.LayoutMerged)
 				if err == nil {
 					_, err = s.coruns(context.Background(), m, policies)
 				}

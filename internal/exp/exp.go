@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,8 @@ func (k artifactKey) of(kd kind, policy string) artifactKey {
 	return k
 }
 
+// group returns the recording group of p; a co-run point's is its first
+// stream's.
 func (p Datapoint) group(d dataset) artifactKey {
 	if p.Trace {
 		// Declared LLC traces record under DBG/Merged (the OPT study's
@@ -393,57 +396,57 @@ func (s *Session) results(ctx context.Context, g artifactKey, policies []string)
 		})
 }
 
-// Datapoint names one unit of simulation work an experiment will consume:
-// either one (dataset, reorder, app, layout, policy) result or, with Trace
-// set, one recorded (dataset, app) LLC trace — and, with OPTScale set too,
-// one cell of the OPT study over that trace.
+// Datapoint names one cell an experiment will consume: a plain
+// (dataset, reorder, app, layout, policy) result, or the cell one of the
+// last four fields declares over the same recordings.
 type Datapoint struct {
 	DS, Reorder, App string
 	Layout           apps.Layout
 	Policy           string
-	Trace            bool // declare the LLC trace instead of a result (Reorder/Layout/Policy ignored)
-	// OPTScale, on a Trace point, also declares the OPT study cell of the
-	// trace (fig11.go) at an LLC of OPTScale x the session's LLC capacity.
-	// 0 declares the recording alone.
+	// Trace declares the OPT study cell (fig11.go) of the (dataset, app)
+	// recording under DBG/Merged at an LLC of OPTScale x the session's;
+	// Reorder, Layout and Policy are ignored.
+	Trace    bool
 	OPTScale float64
+	// RegionScale, on a GRASP point, declares its result with reuse
+	// regions of RegionScale x the LLC (extra.go).
+	RegionScale float64
+	// Corun declares the co-run cell (corun.go) of App beside the
+	// "+"-joined apps of Corun under Policy, uniform weights, as jobs.Spec.
+	Corun string
 }
 
+// Plain reports whether p declares a plain result: no OPT study, region
+// or co-run cell.
+func (p Datapoint) Plain() bool { return !p.Trace && p.RegionScale == 0 && p.Corun == "" }
+
 // Prefetch computes the given datapoints on a pool of GOMAXPROCS workers,
-// leaving them cached in the session. The batch is deduplicated up front
-// (a duplicate entry would park a worker slot blocking on the in-flight
-// original instead of doing distinct work); datapoints that merely share a
-// workload are deduplicated by the singleflight store, so no simulation
-// runs twice either way.
-//
-// Prefetch schedules the record-once/replay-many engine by group: the
-// batch is grouped by (dataset, reorder, app, layout), and each group
-// executes the application once into a shared recorded trace (unless an
-// earlier request left one) with every policy of the group — be it one or
-// twenty — replaying it in a single decode-once fan-out. The returned
-// error is the earliest (by batch position) failure, matching what a
-// sequential pass would report first.
+// leaving them cached in the session; it is the only scheduler of session
+// work, and experiment bodies read the cells it settled. The batch is
+// deduplicated up front, and the store's singleflight dedups what its
+// units share, so no cell is computed twice. Each (dataset, reorder, app,
+// layout) group is one unit: the application executes once into a shared
+// recording (unless an earlier request left one) that every policy of the
+// group replays in a single decode-once fan-out. The batch's co-run cells
+// follow, one unit per (dataset, mix). The returned error is the earliest
+// (by batch position) failure, as a sequential pass would report first.
 func (s *Session) Prefetch(points []Datapoint) error {
 	return s.PrefetchObservedCtx(context.Background(), points, nil)
 }
 
 // PrefetchObservedCtx is Prefetch with a progress callback, cooperative
-// cancellation and per-unit fault containment. After each datapoint of
-// the deduplicated batch completes (success or error), onProgress is
-// invoked with the number done so far and the batch total. It is called
-// concurrently from the worker pool, so it must be goroutine-safe; `done`
-// values are each delivered exactly once but may arrive out of order (a
-// group delivers all of its datapoints when its fan-out completes). A nil
-// onProgress is allowed. Long-running callers (the graspd job service) use
-// the callback to surface per-job completion percentages while a batch is
-// in flight.
+// cancellation and per-unit fault containment. onProgress (may be nil) is
+// called with the number done so far and the batch total after each
+// datapoint of the deduplicated batch completes, success or error, from
+// the worker pool, so it must be goroutine-safe; each `done` value comes
+// once, possibly out of order (a unit delivers its datapoints together).
 //
-// Cancellation is checked before each scheduling unit starts and at chunk
-// boundaries inside recordings and replays, so a cancelled batch unwinds
-// within one chunk of work; units already complete stay cached, unfinished
-// ones are dropped (transient semantics) and recompute identically on a
-// later request. A panic inside one unit's simulation fails only that
-// unit's datapoints — the stack is attached to their error — and the rest
-// of the batch keeps running.
+// Cancellation is checked before each unit starts and at chunk boundaries
+// inside recordings and replays, so a cancelled batch unwinds within one
+// chunk of work; completed units stay cached, unfinished ones are dropped
+// (transient semantics) and recompute identically on a later request. A
+// panic inside one unit fails only that unit's datapoints — the stack is
+// attached to their error — and the rest of the batch keeps running.
 func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, onProgress func(done, total int)) error {
 	seen := make(map[Datapoint]bool, len(points))
 	uniq := make([]Datapoint, 0, len(points))
@@ -464,16 +467,12 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		groups[i] = p.group(d)
 	}
-	// Phase 0 — dataset-parallel workload preparation: fan the batch's
-	// DISTINCT (dataset, reorder) workloads out over the pool before any
-	// recording or simulation is scheduled. At full scale the expensive
-	// reorderings (one Gorder pass per dataset) are the longest-pole
-	// inputs of the recording phase; preparing them all up front lets a
-	// multi-core host reorder every dataset concurrently instead of
-	// discovering each reordering serially behind a recording slot. The
-	// workloads of one graph share one load, dropped when the phase ends.
-	// Errors are dropped here — the store caches them, and they re-surface
-	// attributed to the first datapoint that needs the failed workload.
+	// Phase 0: prepare the batch's DISTINCT workloads on the pool before
+	// any unit runs, so a multi-core host reorders every dataset at once
+	// instead of discovering each reordering (a Gorder pass at full scale)
+	// behind a recording slot. The workloads of one graph share one load,
+	// dropped when the phase ends. Errors are dropped here: the store
+	// keeps them for the first datapoint that needs the workload.
 	seenW := make(map[artifactKey]bool, len(uniq))
 	var warm []artifactKey
 	loads := make(map[artifactKey]func() (*graph.CSR, error)) // by (dataset, weighted); none: load alone
@@ -489,42 +488,36 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 	}
 	forEachParallel(len(warm), func(i int) {
-		// Swallow panics too: a workload whose preparation panics must not
-		// kill the warm-up worker — the store drops the entry, and the panic
-		// recurs (contained) under the first unit that needs the workload.
+		// A panic recurs, contained, under the first unit that needs the
+		// workload; the store has dropped the entry.
 		defer func() { _ = recover() }()
 		if ctx.Err() != nil {
 			return
 		}
 		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted, loads[artifactKey{ds: warm[i].ds, weighted: warm[i].weighted}])
 	})
-	// Build the schedule: one unit per (dataset, reorder, app, layout)
-	// group: the recording (the expensive application execution, skipped
-	// when the full recording already exists) followed by the group's cells
-	// through their tiers — every policy result in a single decode-once
-	// fan-out (results), so an N-policy group pays one decode instead of N
-	// and its replays run concurrently even inside one worker slot
-	// (DESIGN.md Sec. 12), and every OPT study cell declared on the group's
-	// trace in one more pass over the recording the unit holds
-	// (optCells).
-	var units []artifactKey                // the groups, in batch order
-	byGroup := make(map[artifactKey][]int) // a group's points: indices into uniq, batch order
-	for i, g := range groups {
-		if _, ok := byGroup[g]; !ok {
-			units = append(units, g)
+	// The schedule: a unit per group, then, in a second pass over the
+	// recordings and solo baselines the first left, a unit per mix.
+	var passes [2][]artifactKey           // group units, then mix units, each in batch order
+	byUnit := make(map[artifactKey][]int) // a unit's points: indices into uniq, batch order
+	for i, p := range uniq {
+		k, pass := groups[i], 0
+		if p.Corun != "" {
+			k, pass = k.of(kindCorun, ""), 1
+			k.app += "+" + p.Corun
 		}
-		byGroup[g] = append(byGroup[g], i)
+		if _, ok := byUnit[k]; !ok {
+			passes[pass] = append(passes[pass], k)
+		}
+		byUnit[k] = append(byUnit[k], i)
 	}
 	errs := make([]error, len(uniq))
 	var completed atomic.Int64
-	// runUnit executes one scheduling unit with fault containment: a panic
-	// anywhere under it (a policy bug, a corrupted dataset) becomes the
-	// unit's error with the stack attached, instead of escaping the worker
-	// goroutine and killing the process. A sentinel abort (cooperative
-	// cancellation surfacing from a sink with no error return path) is
-	// unwrapped to its cause. pointErr carries per-datapoint failures that
-	// must not fail the whole unit.
-	runUnit := func(g artifactKey, pts []int) (uerr error, pointErr map[int]error) {
+	// runUnit contains a unit's faults: a panic anywhere under it (a policy
+	// bug, a corrupted dataset) becomes the unit's error, stack attached,
+	// instead of killing the process, and a sentinel abort (cancellation
+	// surfacing from a sink with no error path) is unwrapped to its cause.
+	runUnit := func(k artifactKey, pts []Datapoint) (uerr error, pointErr []error) {
 		defer func() {
 			if p := recover(); p != nil {
 				if aerr, ok := trace.AbortError(p); ok {
@@ -537,88 +530,89 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		if err := trace.ContextErr(ctx); err != nil {
 			return err, nil
 		}
-		pointErr = make(map[int]error)
-		var policies []string
-		var cells []int
-		var llcs []cache.Config
-		bare := false
-		for _, i := range pts {
-			switch p := uniq[i]; {
-			case p.Trace && p.OPTScale == 0:
-				bare = true // satisfied by the recording itself
-			case p.Trace:
-				cells = append(cells, i)
-				llcs = append(llcs, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
-			default:
-				// Validate the policy up front so one bad name fails only its
-				// own datapoint (as a sequential pass would), not the fan-out.
-				if _, err := sim.PolicyByName(p.Policy); err != nil {
-					pointErr[i] = err
-					continue
-				}
-				policies = append(policies, p.Policy)
-			}
-		}
-		// Each tier records on first touch, and only for the cells it
-		// leads: a unit whose cells are all settled records nothing.
-		if bare {
-			if _, err := s.recording(ctx, g); err != nil {
-				return err, nil
-			}
-		}
-		if _, err := s.results(ctx, g, policies); err != nil {
-			return err, nil
-		}
-		// A failed study pass fails the cells, not the results above.
-		if _, err := s.optCells(ctx, g, llcs); err != nil {
-			for _, i := range cells {
-				pointErr[i] = err
-			}
-		}
-		return nil, pointErr
+		return s.unit(ctx, k, pts)
 	}
-	forEachParallel(len(units), func(j int) {
-		pts := byGroup[units[j]]
-		uerr, pointErr := runUnit(units[j], pts)
-		for _, i := range pts {
-			if errs[i] = uerr; uerr == nil {
-				errs[i] = pointErr[i]
+	for _, units := range passes {
+		forEachParallel(len(units), func(j int) {
+			idx := byUnit[units[j]]
+			uerr, pointErr := runUnit(units[j], pick(uniq, idx))
+			for n, i := range idx {
+				if errs[i] = uerr; uerr == nil {
+					errs[i] = pointErr[n]
+				}
+				if onProgress != nil {
+					onProgress(int(completed.Add(1)), len(uniq))
+				}
 			}
-			if onProgress != nil {
-				onProgress(int(completed.Add(1)), len(uniq))
-			}
-		}
-	})
+		})
+	}
 	return cmp.Or(errs...)
 }
 
-// forEachParallel invokes work(i) for every i in [0, n) from a pool of at
-// most GOMAXPROCS goroutines. It is the fan-out primitive shared by
-// Prefetch and the experiments that schedule units of their own (co-run
-// mixes, region-scale replays).
-func forEachParallel(n int, work func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			work(i)
+// unit computes the cells of one scheduling unit, keyed k, through their
+// tiers. A mix unit (k of kindCorun) is one coruns call, which decodes and
+// interleaves the mix once for all of its policies. A group unit runs its
+// plain results in one decode-once fan-out (results), so N policies pay
+// one decode and replay concurrently even in one worker slot (DESIGN.md
+// Sec. 12), then its OPT study cells and its region cells in one more pass
+// over the recording each. Every tier records on first touch, and only for
+// the cells it leads: a unit whose cells are all settled records nothing.
+// pointErr, indexed like pts, fails single datapoints: a policy the
+// registry does not know (as a sequential pass would), a failed study or
+// region pass — not the unit's results.
+func (s *Session) unit(ctx context.Context, k artifactKey, pts []Datapoint) (error, []error) {
+	pointErr := make([]error, len(pts))
+	var policies []string
+	var study, region []int
+	var llcs []cache.Config
+	var scales []float64
+	for j, p := range pts {
+		switch {
+		case p.Plain() || p.Corun != "":
+			if _, pointErr[j] = sim.PolicyByName(p.Policy); pointErr[j] == nil {
+				policies = append(policies, p.Policy)
+			}
+		case p.Trace:
+			study, llcs = append(study, j), append(llcs, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
+		case p.Policy == "GRASP":
+			region, scales = append(region, j), append(scales, p.RegionScale)
+		default:
+			pointErr[j] = fmt.Errorf("exp: region scale %g on a %s point; only GRASP has reuse regions", p.RegionScale, p.Policy)
 		}
-		return
 	}
+	if k.kind == kindCorun {
+		m, err := s.newCorunMix(k.ds, k.reorder, strings.Split(k.app, "+"), nil, k.layout)
+		if err == nil {
+			_, err = s.coruns(ctx, m, policies)
+		}
+		return err, pointErr
+	}
+	if _, err := s.results(ctx, k, policies); err != nil {
+		return err, nil
+	}
+	if _, err := s.optCells(ctx, k, llcs); err != nil {
+		for _, j := range study {
+			pointErr[j] = err
+		}
+	}
+	if _, err := s.regionCells(ctx, k, scales); err != nil {
+		for _, j := range region {
+			pointErr[j] = err
+		}
+	}
+	return nil, pointErr
+}
+
+// forEachParallel invokes work(i) for every i in [0, n) from a pool of at
+// most GOMAXPROCS goroutines: Prefetch's worker pool.
+func forEachParallel(n int, work func(i int)) {
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				work(i)
 			}
 		}()

@@ -329,7 +329,8 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	// The paper sizes the High Reuse Region at exactly one LLC; very large
 	// regions (4x) must not beat the paper's design point by much — they
 	// reintroduce self-thrashing among "protected" blocks.
-	rs, err := testSession().regionScaleResults(context.Background(), "kr", []float64{1, 8})
+	s := testSession()
+	rs, err := s.regionCells(context.Background(), group(s.dataset("kr"), "DBG", "PR", apps.LayoutMerged), []float64{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,79 +23,89 @@ import (
 // ablation sweeps, as multiples of the LLC capacity (1 = the paper).
 var regionScales = []float64{0.25, 0.5, 1, 2, 4}
 
-// ablationRegionPoints declares the session datapoints of the region-size
-// ablation: the RRIP baselines plus the PR traces the scaled-region GRASP
-// LLCs replay (a policy plus a declared trace is one recording unit, so
-// even run alone the experiment executes PageRank once per dataset).
+// ablationRegionPoints declares the region-size ablation's cells: the
+// RRIP baselines and one GRASP region cell per scale, all of the (dataset,
+// PR, DBG) group, so run alone the experiment executes PageRank once per
+// dataset.
 func ablationRegionPoints() []Datapoint {
 	pts := matrixPoints(highSkewNames(), "DBG", []string{"PR"}, nil)
 	for _, ds := range highSkewNames() {
-		pts = append(pts, Datapoint{DS: ds, App: "PR", Trace: true})
+		for _, scale := range regionScales {
+			pts = append(pts, Datapoint{DS: ds, Reorder: "DBG", App: "PR", Layout: apps.LayoutMerged,
+				Policy: "GRASP", RegionScale: scale})
+		}
 	}
 	return pts
 }
 
-// regionScaleResults replays the (dataset, PR, DBG) recording into one
-// GRASP LLC per region scale — one decode for all of them — and returns
-// the metrics an execution-driven run with that region scale would report.
-// The region scale is not part of sim.Spec, so these replays are not store
-// entries; the recording they share is.
-func (s *Session) regionScaleResults(ctx context.Context, dsName string, scales []float64) ([]sim.Result, error) {
-	pinfo, err := sim.PolicyByName("GRASP")
-	if err != nil {
-		return nil, err
-	}
-	rec, err := s.recording(ctx, group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged))
-	if err != nil {
-		return nil, err
-	}
-	llcs := make([]*cache.Cache, len(scales))
-	consumers := make([]func([]mem.Access), len(scales))
+// regionCells returns group g's GRASP result at every listed region
+// scale, claimed at once: the cells this caller leads replay the group's
+// recording into one GRASP LLC each, whose classifiers differ only in
+// region scale, from ONE decode — the metrics an execution-driven run with
+// that region scale would report. The scale is not part of sim.Spec, so
+// these are kindRegion cells, not results. Nothing is published unless
+// the whole pass succeeded.
+func (s *Session) regionCells(ctx context.Context, g artifactKey, scales []float64) ([]sim.Result, error) {
+	keys := make([]artifactKey, len(scales))
 	for i, scale := range scales {
-		llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, rec.bounds, scale)
+		keys[i] = g.of(kindRegion, "GRASP")
+		keys[i].scale = scale
+	}
+	return getEach(ctx, s.art, keys, func(led []int) ([]sim.Result, []int64, error) {
+		pinfo, err := sim.PolicyByName("GRASP")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		llcs[i] = llc
-		consumers[i] = func(accs []mem.Access) {
-			for _, a := range accs {
-				llc.Access(a)
+		rec, err := s.recording(ctx, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		llcs := make([]*cache.Cache, len(led))
+		consumers := make([]func([]mem.Access), len(led))
+		for j, scale := range pick(scales, led) {
+			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, rec.bounds, scale)
+			if err != nil {
+				return nil, nil, err
+			}
+			llcs[j] = llc
+			consumers[j] = func(accs []mem.Access) {
+				for _, a := range accs {
+					llc.Access(a)
+				}
 			}
 		}
-	}
-	tr := rec.tr
-	start := time.Now()
-	err = tr.BroadcastNCtx(ctx, 0, consumers)
-	s.phase.replay.Add(int64(time.Since(start)))
-	out := make([]sim.Result, len(scales))
-	for i, llc := range llcs {
-		out[i] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
-			Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
-	}
-	return out, err
+		tr := rec.tr
+		start := time.Now()
+		err = tr.BroadcastNCtx(ctx, 0, consumers)
+		s.phase.replay.Add(int64(time.Since(start)))
+		if err != nil {
+			return nil, nil, err
+		}
+		out := make([]sim.Result, len(llcs))
+		for j, llc := range llcs {
+			out[j] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
+				Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
+		}
+		return out, nil, nil
+	})
 }
 
-// runAblationRegion sweeps the High/Moderate Reuse Region size (the
-// paper's design point: exactly LLC-sized regions) on PR over the
-// high-skew datasets, one fan-out per dataset over the worker pool.
+// runAblationRegion renders the High/Moderate Reuse Region size sweep
+// (the paper's design point: exactly LLC-sized regions) on PR over the
+// high-skew datasets, from the region cells Prefetch settled.
 func runAblationRegion(s *Session, w io.Writer) error {
-	datasets := highSkewNames()
-	cells := make([][]sim.Result, len(datasets))
-	errs := make([]error, len(datasets))
-	forEachParallel(len(datasets), func(i int) {
-		cells[i], errs[i] = s.regionScaleResults(context.Background(), datasets[i], regionScales)
-	})
 	t := stats.NewTable("Dataset", "0.25x", "0.5x", "1x (paper)", "2x", "4x")
-	for di, dsName := range datasets {
-		if errs[di] != nil {
-			return errs[di]
+	for _, dsName := range highSkewNames() {
+		cells, err := s.regionCells(context.Background(), group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged), regionScales)
+		if err != nil {
+			return err
 		}
 		base, err := s.Result(dsName, "DBG", "PR", apps.LayoutMerged, "RRIP")
 		if err != nil {
 			return err
 		}
 		row := []string{dsName}
-		for _, r := range cells[di] {
+		for _, r := range cells {
 			row = append(row, fmt.Sprintf("%.1f", r.MissReductionPctOver(base)))
 		}
 		t.AddRow(row...)

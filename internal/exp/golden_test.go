@@ -62,7 +62,16 @@ func TestGoldenRuns(t *testing.T) {
 	if err := s.Prefetch(points); err != nil {
 		t.Fatal(err)
 	}
-	runs, sampled, cells := s.SimRuns(), s.SampledRuns(), s.art.count(kindOPT)
+	// What the union's prefetch did; rendering must add to none of it.
+	settled := func() map[string]float64 {
+		ph := s.PhaseSeconds()
+		return map[string]float64{
+			"SimRuns": float64(s.SimRuns()), "SampledRuns": float64(s.SampledRuns()), "CorunRuns": float64(s.CorunRuns()),
+			"OPT cells": float64(s.art.count(kindOPT)), "region cells": float64(s.art.count(kindRegion)),
+			"loads": float64(s.loads.Load()), "record s": ph["record"], "replay s": ph["replay"], "corun s": ph["corun"],
+		}
+	}
+	before := settled()
 	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -94,12 +103,12 @@ func TestGoldenRuns(t *testing.T) {
 		})
 	}
 	// Points() is each experiment's only statement of what it reads: no
-	// body simulates a result, a sampled estimate or an OPT study cell the
-	// union's prefetch did not. (Co-run and region-scale cells are still
-	// computed at render time.)
-	if s.SimRuns() != runs || s.SampledRuns() != sampled || s.art.count(kindOPT) != cells {
-		t.Errorf("rendering simulated undeclared cells: results %d -> %d, sampled %d -> %d, OPT cells %d -> %d",
-			runs, s.SimRuns(), sampled, s.SampledRuns(), cells, s.art.count(kindOPT))
+	// body loads a graph, records, or computes a cell of any kind the
+	// union's prefetch did not.
+	for name, after := range settled() {
+		if after != before[name] {
+			t.Errorf("rendering did work the prefetch did not: %s %v -> %v", name, before[name], after)
+		}
 	}
 	if *updateGolden {
 		// Remove goldens of experiments that no longer exist so the

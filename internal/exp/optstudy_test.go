@@ -167,7 +167,7 @@ func TestOPTStudyCancelPublishesNothing(t *testing.T) {
 	}
 	s := NewSession(cfg)
 	// Record first: every poll below then belongs to the study itself.
-	if err := s.Prefetch([]Datapoint{{DS: "kr", App: "PR", Trace: true}}); err != nil {
+	if _, _, err := s.Recording(context.Background(), "kr", "DBG", "PR", apps.LayoutMerged); err != nil {
 		t.Fatal(err)
 	}
 	cause := errors.New("test: job deleted")
@@ -300,14 +300,14 @@ func runWithRegionScale(wl *sim.Workload, hcfg cache.HierarchyConfig, scale floa
 	return sim.Result{L1: h.L1.Stats, L2: h.L2.Stats, LLC: h.LLC.Stats, Cycles: h.MemoryCycles()}, nil
 }
 
-// TestAblationRegionReplayMatchesDirectRun: a region-scaled GRASP LLC fed
-// from the shared recording reports, field for field, what the
-// execution-driven run with that region scale reports.
+// TestAblationRegionReplayMatchesDirectRun: a region cell — a
+// region-scaled GRASP LLC fed from the shared recording — reports, field
+// for field, what the execution-driven run with that region scale reports.
 func TestAblationRegionReplayMatchesDirectRun(t *testing.T) {
 	t.Parallel()
 	s := NewSession(ScaledConfig(goldenScaleDiv))
 	for _, ds := range []string{"lj", "kr"} {
-		got, err := s.regionScaleResults(context.Background(), ds, regionScales)
+		got, err := s.regionCells(context.Background(), group(s.dataset(ds), "DBG", "PR", apps.LayoutMerged), regionScales)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,9 +114,9 @@ func TestPrefetchSettledGroupRecordsNothing(t *testing.T) {
 // source of a full-fidelity result, so a lone policy — one Prefetch point
 // or one ResultCtx call, with nothing to share the execution with — leaves
 // exactly one FULL recording behind, and the group's next policies replay
-// it instead of executing the application again. A declared trace alone
-// records the same full recording, so a result that follows it replays
-// too. Every result equals the execution-driven reference.
+// it instead of executing the application again. A declared OPT study
+// cell alone records the same full recording, not only the prefix it
+// reads, so a result that follows it replays too. Every result equals the execution-driven reference.
 func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	t.Parallel()
 	cfg := ScaledConfig(64)
@@ -171,28 +171,28 @@ func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 		t.Fatalf("SimRuns = %d, want 4 (each datapoint simulated once, reads are hits)", got)
 	}
 
-	// A declared trace point on a trace-only group records the group's
+	// A declared study cell on a study-only group records the group's
 	// full recording, and the lone policy that follows replays it.
 	s2 := NewSession(cfg)
-	if err := s2.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true}}); err != nil {
+	if err := s2.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true, OPTScale: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s2, 1, "a trace point")
+	wantRecordings(s2, 1, "a study point")
 	if !fullRecordingReady(s2, "lj", "PR") {
-		t.Fatal("a trace point did not leave the FULL recording")
+		t.Fatal("a study point did not leave the FULL recording")
 	}
 	checkAgainstRun(s2, "lj", "LRU")
-	wantRecordings(s2, 1, "a lone policy after a trace point")
+	wantRecordings(s2, 1, "a lone policy after a study point")
 
-	// A declared trace plus a lone policy in ONE batch shares a single
-	// full recording (the trace is one more consumer of the execution).
+	// A study cell plus a lone policy in ONE batch shares a single full
+	// recording (the study is one more pass over the execution's trace).
 	s3 := NewSession(cfg)
-	if err := s3.Prefetch([]Datapoint{{DS: "kr", App: "PR", Trace: true}, point("kr", "RRIP")}); err != nil {
+	if err := s3.Prefetch([]Datapoint{{DS: "kr", App: "PR", Trace: true, OPTScale: 1}, point("kr", "RRIP")}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s3, 1, "a trace+policy batch (full, shared)")
+	wantRecordings(s3, 1, "a study+policy batch (full, shared)")
 	if !fullRecordingReady(s3, "kr", "PR") {
-		t.Fatal("trace+policy batch should have produced the FULL recording")
+		t.Fatal("study+policy batch should have produced the FULL recording")
 	}
 }
 

@@ -199,6 +199,42 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestCancelCorunExperimentAfterSoloCells: an experiment job's progress
+// and cancellation span every cell it declares. A corun job whose solo
+// baselines are all simulated has its co-run cells still ahead: its
+// progress reads about half, and a cancel settles it failed with
+// ErrCanceled, not done.
+func TestCancelCorunExperimentAfterSoloCells(t *testing.T) {
+	m := newTestManager(t, 1)
+	spec := Spec{Kind: KindExperiment, Exp: "corun", Scale: 64}
+	j, _, err := m.Submit(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const solo = 400 // 4 kernels x 5 datasets x 20 policies
+	s := m.sessionFor(spec.Scale)
+	deadline := time.Now().Add(2 * time.Minute)
+	for s.SimRuns() < solo {
+		if time.Now().After(deadline) || j.Status().State == StateDone || j.Status().State == StateFailed {
+			t.Fatalf("job never finished its solo cells: state %s, SimRuns %d", j.Status().State, s.SimRuns())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p := j.Status().Progress; p >= 0.6 {
+		t.Errorf("progress %.3f with every co-run cell still ahead, want about 0.5", p)
+	}
+	if _, ok := m.Cancel(j.ID); !ok {
+		t.Fatalf("Cancel rejected; state now %s", j.Status().State)
+	}
+	st := waitDone(t, j, 30*time.Second)
+	if st.State != StateFailed || st.Error != ErrCanceled.Error() {
+		t.Fatalf("cancelled corun job: state %s error %q, want failed with %q", st.State, st.Error, ErrCanceled)
+	}
+	if got := s.CorunRuns(); got >= 400 {
+		t.Errorf("cancelled job still computed all %d co-run cells", got)
+	}
+}
+
 // TestJobTimeout: a per-spec wall-clock budget preempts the job with
 // ErrTimeout.
 func TestJobTimeout(t *testing.T) {
