@@ -15,8 +15,9 @@ import (
 type NodeState string
 
 // Peer health states. The transitions are driven purely by consecutive
-// probe results: any success makes a peer Up; failures degrade it to
-// Suspect after the first and Down after DownAfter in a row. Suspect
+// Report verdicts, from probes and node-to-node requests alike: any
+// success makes a peer Up; failures degrade it to Suspect after the
+// first and Down after DownAfter in a row. Suspect
 // peers are still routed to (one lost probe is usually a blip, and
 // content addressing makes a wasted forward harmless); Down peers are
 // skipped so submissions fail over to the successor without waiting out
@@ -54,10 +55,6 @@ type Config struct {
 	// DownAfter is how many consecutive probe failures demote a peer from
 	// suspect to down (default 3).
 	DownAfter int
-	// ReplicationFactor is how many nodes hold each completed result:
-	// the owner plus RF-1 successors (default 2, clamped to the peer
-	// count).
-	ReplicationFactor int
 }
 
 // Status is one peer's membership snapshot, JSON-ready for the /cluster
@@ -69,7 +66,7 @@ type Status struct {
 	Self bool `json:"self,omitempty"`
 	// State is the local prober's current verdict.
 	State NodeState `json:"state"`
-	// Failures is the consecutive probe-failure count behind State.
+	// Failures is the consecutive failure count behind State.
 	Failures int `json:"failures,omitempty"`
 }
 
@@ -81,13 +78,12 @@ type Cluster struct {
 	ring *ring
 	rf   int
 
-	probeEvery   time.Duration
-	probeTimeout time.Duration
-	downAfter    int
-	client       *http.Client
+	probeEvery time.Duration
+	downAfter  int
+	client     *http.Client // probes; its Timeout is ProbeTimeout
 
 	mu       sync.Mutex
-	failures map[string]int // peer ID → consecutive probe failures
+	failures map[string]int // peer ID → consecutive failed exchanges
 	stop     chan struct{}
 	stopped  sync.WaitGroup
 }
@@ -109,15 +105,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
 	}
-	if cfg.ReplicationFactor <= 0 {
-		cfg.ReplicationFactor = 2
-	}
-	if cfg.ReplicationFactor > len(cfg.Peers) {
-		cfg.ReplicationFactor = len(cfg.Peers)
-	}
-	seen := make(map[string]bool, len(cfg.Peers))
+	// Trim each address once, so every URL built from one is base + path.
+	peers := append([]Peer(nil), cfg.Peers...)
+	seen := make(map[string]bool, len(peers))
 	var self *Peer
-	for i, p := range cfg.Peers {
+	for i := range peers {
+		peers[i].Addr = strings.TrimRight(peers[i].Addr, "/")
+		p := peers[i]
 		if p.ID == "" || p.Addr == "" {
 			return nil, fmt.Errorf("cluster: peer %d has empty id or addr", i)
 		}
@@ -126,30 +120,29 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		seen[p.ID] = true
 		if p.ID == cfg.Self {
-			self = &cfg.Peers[i]
+			self = &peers[i]
 		}
 	}
 	if self == nil {
 		return nil, fmt.Errorf("cluster: -node-id %q is not in the peer list", cfg.Self)
 	}
-	c := &Cluster{
-		self:         *self,
-		ring:         newRing(cfg.Peers),
-		rf:           cfg.ReplicationFactor,
-		probeEvery:   cfg.ProbeInterval,
-		probeTimeout: cfg.ProbeTimeout,
-		downAfter:    cfg.DownAfter,
-		failures:     make(map[string]int),
-		stop:         make(chan struct{}),
-	}
-	c.client = &http.Client{Timeout: cfg.ProbeTimeout}
-	return c, nil
+	return &Cluster{
+		self:       *self,
+		ring:       newRing(peers),
+		rf:         min(2, len(peers)),
+		probeEvery: cfg.ProbeInterval,
+		downAfter:  cfg.DownAfter,
+		client:     &http.Client{Timeout: cfg.ProbeTimeout},
+		failures:   make(map[string]int),
+		stop:       make(chan struct{}),
+	}, nil
 }
 
 // Self returns the local node's peer entry.
 func (c *Cluster) Self() Peer { return c.self }
 
-// ReplicationFactor returns how many nodes hold each completed result.
+// ReplicationFactor returns how many nodes hold each completed result:
+// the owner and its successor, min(2, peers).
 func (c *Cluster) ReplicationFactor() int { return c.rf }
 
 // Peers returns the full static member list in ID order.
@@ -159,22 +152,22 @@ func (c *Cluster) Peers() []Peer {
 	return out
 }
 
-// Owners returns the first n distinct peers on the ring for a job hash:
-// index 0 is the owner, 1 the replication successor, and so on,
+// Owners returns the ReplicationFactor distinct peers that hold a job
+// hash on the ring: index 0 is the owner, 1 the replication successor,
 // REGARDLESS of health — callers that route skip Down entries themselves
 // (Candidates does it for them), while replication must know the ideal
 // placement even when a holder is temporarily down.
-func (c *Cluster) Owners(hash string, n int) []Peer { return c.ring.owners(hash, n) }
+func (c *Cluster) Owners(hash string) []Peer { return c.ring.owners(hash, c.rf) }
 
 // Candidates returns the routing order for a job hash: the owner and its
-// successors with Down peers filtered out. The local node is never
+// successor with Down peers filtered out. The local node is never
 // filtered (we cannot be partitioned from ourselves). An empty result
 // means every replica holder is down — callers fall back to local
 // execution, which content addressing makes safe.
-func (c *Cluster) Candidates(hash string, n int) []Peer {
+func (c *Cluster) Candidates(hash string) []Peer {
 	var out []Peer
-	for _, p := range c.ring.owners(hash, n) {
-		if p.ID == c.self.ID || c.State(p.ID) != StateDown {
+	for _, p := range c.Owners(hash) {
+		if c.State(p.ID) != StateDown {
 			out = append(out, p)
 		}
 	}
@@ -184,14 +177,15 @@ func (c *Cluster) Candidates(hash string, n int) []Peer {
 // State returns the local prober's verdict on one peer. The local node
 // is always Up.
 func (c *Cluster) State(id string) NodeState {
-	if id == c.self.ID {
-		return StateUp
-	}
 	c.mu.Lock()
-	n := c.failures[id]
-	c.mu.Unlock()
-	switch {
-	case n == 0:
+	defer c.mu.Unlock()
+	return c.stateLocked(id)
+}
+
+// stateLocked classifies a peer's consecutive failure count; c.mu is held.
+func (c *Cluster) stateLocked(id string) NodeState {
+	switch n := c.failures[id]; {
+	case id == c.self.ID || n == 0:
 		return StateUp
 	case n < c.downAfter:
 		return StateSuspect
@@ -207,40 +201,30 @@ func (c *Cluster) Snapshot() []Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range peers {
-		st := Status{Peer: p, Self: p.ID == c.self.ID, Failures: c.failures[p.ID]}
-		switch {
-		case st.Self || st.Failures == 0:
-			st.State = StateUp
-		case st.Failures < c.downAfter:
-			st.State = StateSuspect
-		default:
-			st.State = StateDown
-		}
-		out = append(out, st)
+		out = append(out, Status{Peer: p, Self: p.ID == c.self.ID,
+			State: c.stateLocked(p.ID), Failures: c.failures[p.ID]})
 	}
 	return out
 }
 
-// ReportFailure feeds a routing-layer failure (a forward or fetch that
-// died on a transport error) into the health view, as if a probe had
-// failed. Request traffic notices a dead peer faster than the probe
-// period; folding it in makes the next request skip the peer instead of
-// re-discovering the same timeout.
-func (c *Cluster) ReportFailure(id string) {
+// Report feeds one exchange with a peer into the health view — a probe,
+// or any node-to-node request. A transport error, an injected fault
+// (err) or an answer >= 500 counts against the peer, as a failed probe
+// would: request traffic notices a dead peer faster than the probe
+// period, so the next request skips it instead of re-discovering the
+// same timeout. Any other answer — a 404 for a result the peer does not
+// hold included — proves the peer up. The local node never degrades.
+func (c *Cluster) Report(id string, resp *http.Response, err error) {
 	if id == c.self.ID {
 		return
 	}
 	c.mu.Lock()
-	c.failures[id]++
-	c.mu.Unlock()
-}
-
-// ReportSuccess feeds a successful round trip into the health view: any
-// completed exchange proves the peer reachable, resetting it to Up.
-func (c *Cluster) ReportSuccess(id string) {
-	c.mu.Lock()
-	delete(c.failures, id)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if err != nil || resp.StatusCode >= http.StatusInternalServerError {
+		c.failures[id]++
+	} else {
+		delete(c.failures, id)
+	}
 }
 
 // Start launches the background prober. Call Stop to halt it.
@@ -278,11 +262,7 @@ func (c *Cluster) probeAll() {
 		wg.Add(1)
 		go func(p Peer) {
 			defer wg.Done()
-			if c.probe(p) {
-				c.ReportSuccess(p.ID)
-			} else {
-				c.ReportFailure(p.ID)
-			}
+			c.probe(p)
 		}(p)
 	}
 	wg.Wait()
@@ -293,14 +273,16 @@ func (c *Cluster) probeAll() {
 // unreachable one, so routing fails over from it. The cluster.probe
 // failpoints (generic and per-peer "cluster.probe.<id>") let the chaos
 // suite inject a partition without touching the network.
-func (c *Cluster) probe(p Peer) bool {
-	if fail.Hit("cluster.probe") != nil || fail.Hit("cluster.probe."+p.ID) != nil {
-		return false
+func (c *Cluster) probe(p Peer) {
+	err := fail.Hit("cluster.probe")
+	if err == nil {
+		err = fail.Hit("cluster.probe." + p.ID)
 	}
-	resp, err := c.client.Get(strings.TrimRight(p.Addr, "/") + "/readyz")
-	if err != nil {
-		return false
+	var resp *http.Response
+	if err == nil {
+		if resp, err = c.client.Get(p.Addr + "/readyz"); err == nil {
+			resp.Body.Close()
+		}
 	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	c.Report(p.ID, resp, err)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -38,13 +39,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Self: "a", Peers: []Peer{{ID: "a"}}}); err == nil {
 		t.Error("empty peer addr accepted")
 	}
-	c, err := New(Config{Self: "a", Peers: []Peer{{ID: "a", Addr: "u"}, {ID: "b", Addr: "v"}},
-		ReplicationFactor: 5})
+	c, err := New(Config{Self: "a", Peers: []Peer{{ID: "a", Addr: "u/"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ReplicationFactor() != 2 {
-		t.Errorf("RF clamped to %d, want 2 (peer count)", c.ReplicationFactor())
+	if c.ReplicationFactor() != 1 {
+		t.Errorf("RF of a one-peer cluster is %d, want 1 (min(2, peers))", c.ReplicationFactor())
+	}
+	if got := c.Self().Addr; got != "u" {
+		t.Errorf("self addr %q, want the trailing slash trimmed", got)
 	}
 }
 
@@ -118,15 +121,15 @@ func TestProbeFailpointInjectsPartition(t *testing.T) {
 	var h string
 	for i := 0; ; i++ {
 		h = jobHash(i)
-		if c.Owners(h, 1)[0].ID == "b" {
+		if c.Owners(h)[0].ID == "b" {
 			break
 		}
 	}
-	cand := c.Candidates(h, 2)
+	cand := c.Candidates(h)
 	if len(cand) != 1 || cand[0].ID != "a" {
 		t.Errorf("candidates with b down = %v, want just a", cand)
 	}
-	if owners := c.Owners(h, 2); owners[0].ID != "b" {
+	if owners := c.Owners(h); owners[0].ID != "b" {
 		t.Errorf("Owners must ignore health; got %v", owners)
 	}
 
@@ -137,27 +140,48 @@ func TestProbeFailpointInjectsPartition(t *testing.T) {
 	}
 }
 
-// TestReportFailureFeedsHealth: routing-layer failures degrade a peer
-// without waiting for the prober, and one success heals it.
-func TestReportFailureFeedsHealth(t *testing.T) {
-	c, err := New(twoNodeConfig("http://localhost:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		c.ReportFailure("b")
-	}
-	if got := c.State("b"); got != StateDown {
-		t.Fatalf("after 3 reported failures: %s, want down", got)
-	}
-	c.ReportSuccess("b")
-	if got := c.State("b"); got != StateUp {
-		t.Fatalf("after reported success: %s, want up", got)
-	}
-	// Self never degrades.
-	c.ReportFailure("a")
-	if got := c.State("a"); got != StateUp {
-		t.Fatalf("self state %s, want up", got)
+// TestReportFeedsHealth is the one health rule: a transport error, an
+// injected fault or an answer >= 500 counts against a peer, and any other
+// answer — a 404 for a result the peer does not hold included — proves it
+// up. Three failures in a row make it down without waiting for the
+// prober; the local node never degrades.
+func TestReportFeedsHealth(t *testing.T) {
+	failed := errors.New("connection refused")
+	for _, tc := range []struct {
+		name string
+		resp *http.Response
+		err  error
+		up   bool
+	}{
+		{"error", nil, failed, false},
+		{"500", &http.Response{StatusCode: 500}, nil, false},
+		{"502", &http.Response{StatusCode: 502}, nil, false},
+		{"503", &http.Response{StatusCode: 503}, nil, false},
+		{"200", &http.Response{StatusCode: 200}, nil, true},
+		{"404", &http.Response{StatusCode: 404}, nil, true},
+		{"409", &http.Response{StatusCode: 409}, nil, true},
+		{"422", &http.Response{StatusCode: 422}, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(twoNodeConfig("http://localhost:0"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Report("b", nil, failed)
+			c.Report("b", nil, failed)
+			c.Report("b", tc.resp, tc.err)
+			want := StateDown
+			if tc.up {
+				want = StateUp
+			}
+			if got := c.State("b"); got != want {
+				t.Errorf("after two failures and %s: %s, want %s", tc.name, got, want)
+			}
+			c.Report("a", tc.resp, tc.err)
+			if got := c.State("a"); got != StateUp {
+				t.Errorf("self state %s, want up", got)
+			}
+		})
 	}
 }
 
@@ -168,7 +192,7 @@ func TestSnapshotStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ReportFailure("b")
+	c.Report("b", nil, errors.New("connection refused"))
 	snap := c.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d members, want 2", len(snap))

@@ -58,6 +58,13 @@ var ErrTimeout = errors.New("jobs: deadline exceeded")
 // (the HTTP layer translates this to 503 + Retry-After).
 var ErrOverloaded = errors.New("jobs: queue full")
 
+// ErrNotReproducible is returned by ExecutePlaced when this node cannot
+// reproduce the address a run was placed under — the spec does not
+// canonicalize, its graph identity or hash cannot be computed, or it
+// hashes elsewhere (a hashVersion skew mid-upgrade, a graph file whose
+// bytes differ here). Nothing was simulated.
+var ErrNotReproducible = errors.New("jobs: cannot reproduce the placed address")
+
 // Job is one tracked submission. All mutable state is behind a mutex;
 // readers use Status for a consistent snapshot and Done to block until
 // completion. Deduplicated submissions share one *Job (same ID).
@@ -713,19 +720,21 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Outcome, error) {
 // panic barrier, the preempt context (ErrDraining at the drain deadline;
 // refused outright once draining), ctx — the owner's cancel and deadline
 // arrive through it — and the post-run graph-identity check, against the
-// identity that hashes to the hash the owner asked for. At most `workers`
-// placed runs simulate at once; more wait, up to the queue limit, beyond
-// which the run is refused with ErrOverloaded.
+// identity that hashes to the hash the owner asked for. A spec that does
+// not reproduce hash here is refused with ErrNotReproducible. At most
+// `workers` placed runs simulate at once; more wait, up to the queue
+// limit, beyond which the run is refused with ErrOverloaded.
 func (m *Manager) ExecutePlaced(ctx context.Context, spec Spec, hash string) (*Outcome, error) {
-	if err := spec.Canonicalize(); err != nil {
-		return nil, err
+	err := spec.Canonicalize()
+	var gid, got string
+	if err == nil {
+		gid, got, err = spec.identityAndHash()
 	}
-	gid, got, err := spec.identityAndHash()
+	if err == nil && got != hash {
+		err = fmt.Errorf("spec hashes to %.12s here, not %.12s", got, hash)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if got != hash {
-		return nil, fmt.Errorf("jobs: spec hashes to %.12s on this node, not the %.12s it was placed under", got, hash)
+		return nil, fmt.Errorf("%w: %w", ErrNotReproducible, err)
 	}
 	m.mu.Lock()
 	switch {

@@ -138,8 +138,13 @@ func TestExecutePlaced(t *testing.T) {
 
 	t.Run("hash it cannot reproduce", func(t *testing.T) {
 		m := newTestManager(t, 1)
-		if _, err := m.ExecutePlaced(ctx, spec, strings.Repeat("0", 64)); err == nil {
-			t.Fatal("simulated under an address the spec does not hash to")
+		if _, err := m.ExecutePlaced(ctx, spec, strings.Repeat("0", 64)); !errors.Is(err, ErrNotReproducible) {
+			t.Fatalf("under an address the spec does not hash to: %v, want ErrNotReproducible", err)
+		}
+		bad := spec
+		bad.Scale = 3 // no cache hierarchy indexes it: Canonicalize refuses
+		if _, err := m.ExecutePlaced(ctx, bad, hash); !errors.Is(err, ErrNotReproducible) {
+			t.Fatalf("a spec that does not canonicalize: %v, want ErrNotReproducible", err)
 		}
 		if got := m.Metrics().SimRuns; got != 0 {
 			t.Errorf("sim runs = %d, want 0", got)

@@ -84,7 +84,7 @@ func OpenStore(dir string) (*Store, error) {
 	for _, e := range entries {
 		name := e.Name()
 		hash, ok := strings.CutSuffix(name, ".json")
-		if !ok || e.IsDir() || !validHash(hash) {
+		if !ok || e.IsDir() || !ValidHash(hash) {
 			continue
 		}
 		if o, sum := s.readFile(hash); o != nil {
@@ -108,7 +108,7 @@ func (s *Store) Corrupt() uint64 { return s.corrupt.Load() }
 
 // Get returns the stored outcome for hash, or nil if none exists.
 func (s *Store) Get(hash string) *Outcome {
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		return nil
 	}
 	s.mu.RLock()
@@ -136,7 +136,7 @@ func (s *Store) Get(hash string) *Outcome {
 // (false) returned so the caller treats it as a miss and the job
 // re-executes.
 func (s *Store) GetRaw(hash string) (data []byte, sum string, ok bool) {
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		return nil, "", false
 	}
 	data, err := os.ReadFile(s.path(hash))
@@ -179,7 +179,7 @@ func (s *Store) Put(o *Outcome) error {
 // and writing the same bytes keeps the checksum chain intact across
 // nodes. The bytes must parse as an Outcome whose Hash field matches.
 func (s *Store) PutRaw(hash string, data []byte) error {
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		return fmt.Errorf("jobs: replicated outcome key %q is not a spec hash", hash)
 	}
 	var o Outcome
@@ -232,11 +232,12 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// validHash reports whether hash has the shape Spec.Hash mints: 64
+// ValidHash reports whether hash has the shape Spec.Hash mints: 64
 // lowercase hex digits. No other key names a stored outcome, so the store
 // does no file I/O for one — "x/<hash>" would otherwise read <hash>'s
-// file under the wrong key and quarantine it as corrupt.
-func validHash(hash string) bool {
+// file under the wrong key and quarantine it as corrupt — and a cluster
+// node asks no peer for one.
+func ValidHash(hash string) bool {
 	return len(hash) == 2*sha256.Size && strings.Trim(hash, "0123456789abcdef") == ""
 }
 

@@ -31,10 +31,11 @@ import (
 )
 
 const (
-	// forwardedHeader is the hop guard: a router sets it (to its own node
-	// ID) on every request it forwards, and a receiving node NEVER forwards
-	// a request carrying it — a submission crosses at most one hop, so
-	// divergent health views or ring disagreement cannot create a loop.
+	// forwardedHeader is the hop guard: a node sets it (to its own node
+	// ID) on every request it sends a peer, and a receiving node NEVER
+	// forwards a submission carrying it — a submission crosses at most one
+	// hop, so divergent health views or ring disagreement cannot create a
+	// loop.
 	forwardedHeader = "X-Graspd-Forwarded"
 	// resultSumHeader carries the SHA-256 of the exact response body on raw
 	// result responses; receivers (peers and the cluster smoke test alike)
@@ -105,7 +106,7 @@ func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, req *Submit
 	if err != nil {
 		return false
 	}
-	cands := s.cl.Candidates(hash, s.cl.ReplicationFactor())
+	cands := s.cl.Candidates(hash)
 	for i, p := range cands {
 		if p.ID == s.cl.Self().ID {
 			return false // we are the best live candidate — run it here
@@ -125,47 +126,26 @@ func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, req *Submit
 }
 
 // forwardSubmit relays one submission to a peer and, on success, copies
-// the peer's response through verbatim. It returns false on transport
-// errors, injected faults and 5xx responses — the signals that the peer
-// cannot take the job right now — so the caller tries the next candidate;
-// 4xx responses relay as-is (the spec is bad everywhere).
+// the peer's response through verbatim. It returns false when callPeer
+// gives no answer — a transport error, an injected fault or a 5xx, the
+// signals that the peer cannot take the job right now — so the caller
+// tries the next candidate; 4xx responses relay as-is (the spec is bad
+// everywhere).
 func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, req *SubmitRequest, p cluster.Peer) bool {
-	if fail.Hit("cluster.forward") != nil || fail.Hit("cluster.forward."+p.ID) != nil {
-		s.cl.ReportFailure(p.ID)
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	hr, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		strings.TrimRight(p.Addr, "/")+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set(forwardedHeader, s.cl.Self().ID)
 	client := s.fwdShort
 	if req.Wait {
 		client = s.fwdLong // the forward blocks exactly as long as the job
 	}
-	resp, err := client.Do(hr)
+	resp, err := s.callPeer(r.Context(), client, "forward", p, http.MethodPost, "/jobs", req)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Our client hung up; nothing to fail over for.
 			httpError(w, 499, r.Context().Err())
 			return true
 		}
-		s.cl.ReportFailure(p.ID)
 		return false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= http.StatusInternalServerError {
-		io.Copy(io.Discard, resp.Body)
-		s.cl.ReportFailure(p.ID)
-		return false
-	}
-	s.cl.ReportSuccess(p.ID)
 	s.forwarded.Add(1)
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -176,6 +156,65 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, req *Subm
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
+}
+
+// callPeer sends one node-to-node request; every exchange with a peer
+// goes through it. It fires the cluster.<op> and cluster.<op>.<peer>
+// failpoints, sets the hop guard and, for a non-nil body, its JSON, and
+// reports the exchange to Cluster.Report unless ctx ended first — a
+// caller that gave up says nothing about the peer. A transport error, an
+// injected fault or an answer >= 500 returns as err, its body drained;
+// any other answer is the caller's to read and close.
+func (s *Server) callPeer(ctx context.Context, client *http.Client, op string, p cluster.Peer, method, path string, body any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, p.Addr+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(forwardedHeader, s.cl.Self().ID)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	var resp *http.Response
+	if err = fail.Hit("cluster." + op); err == nil {
+		if err = fail.Hit("cluster." + op + "." + p.ID); err == nil {
+			resp, err = client.Do(req)
+		}
+	}
+	if ctx.Err() == nil {
+		s.cl.Report(p.ID, resp, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= http.StatusInternalServerError {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("peer answered %s", resp.Status)
+	}
+	return resp, nil
+}
+
+// readResult reads a peer's outcome body, at most maxResultBytes of it,
+// and verifies it against the checksum header — which a body cut off at
+// the cap fails too — before returning it with its digest.
+func readResult(resp *http.Response) ([]byte, string, error) {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
+	if err != nil {
+		return nil, "", err
+	}
+	sum := sha256Hex(data)
+	if want := resp.Header.Get(resultSumHeader); want != sum {
+		return nil, "", fmt.Errorf("body hashes to %s, peer's %s header says %s", sum, resultSumHeader, want)
+	}
+	return data, sum, nil
 }
 
 // executeRequest is the body of POST /internal/execute: the canonicalized
@@ -199,7 +238,7 @@ type executeRequest struct {
 // addressing makes the local run produce the identical outcome. A 4xx is
 // the simulation's own error and fails the job once, as a local one would.
 func (s *Server) place(ctx context.Context, key string, spec jobs.Spec, hash string) (*jobs.Outcome, bool, error) {
-	cands := s.cl.Candidates(key, s.cl.ReplicationFactor())
+	cands := s.cl.Candidates(key)
 	if len(cands) == 0 || cands[0].ID == s.cl.Self().ID {
 		return nil, false, nil
 	}
@@ -223,41 +262,18 @@ func (s *Server) place(ctx context.Context, key string, spec jobs.Spec, hash str
 // usable answer (the caller falls back); otherwise exactly one of the
 // outcome and simErr — the peer's own simulation error — is set.
 func (s *Server) executeOn(ctx context.Context, p cluster.Peer, spec jobs.Spec, hash string) (o *jobs.Outcome, simErr, err error) {
-	if err = fail.Hit("cluster.place"); err == nil {
-		err = fail.Hit("cluster.place." + p.ID)
-	}
+	// fwdLong: the call blocks exactly as long as the simulation; ctx bounds it.
+	resp, err := s.callPeer(ctx, s.fwdLong, "place", p, http.MethodPost, "/internal/execute",
+		executeRequest{Spec: spec, Hash: hash})
 	if err != nil {
-		s.cl.ReportFailure(p.ID)
-		return nil, nil, err
-	}
-	body, err := json.Marshal(executeRequest{Spec: spec, Hash: hash})
-	if err != nil {
-		return nil, nil, err
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(p.Addr, "/")+"/internal/execute", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := s.fwdLong.Do(hr) // blocks exactly as long as the simulation; ctx bounds it
-	if err != nil {
-		if ctx.Err() == nil {
-			s.cl.ReportFailure(p.ID)
-		}
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		s.cl.ReportFailure(p.ID)
-		return nil, nil, fmt.Errorf("peer answered %s", resp.Status)
-	}
-	s.cl.ReportSuccess(p.ID)
 	if resp.StatusCode != http.StatusOK {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
+		if err != nil {
+			return nil, nil, err
+		}
 		msg := errorMessage(data)
 		if msg == "" {
 			msg = "no error body"
@@ -267,9 +283,9 @@ func (s *Server) executeOn(ctx context.Context, p cluster.Peer, spec jobs.Spec, 
 		}
 		return nil, errors.New(msg), nil
 	}
-	if sha256Hex(data) != resp.Header.Get(resultSumHeader) {
-		// Also what a body cut off at the size cap looks like.
-		return nil, nil, fmt.Errorf("body does not hash to the peer's %s header", resultSumHeader)
+	data, _, err := readResult(resp)
+	if err != nil {
+		return nil, nil, err
 	}
 	o = new(jobs.Outcome)
 	if err := json.Unmarshal(data, o); err != nil {
@@ -283,10 +299,10 @@ func (s *Server) executeOn(ctx context.Context, p cluster.Peer, spec jobs.Spec, 
 // checksum. It never forwards, places, stores or journals — peers call it,
 // so it running only on the local session is what makes placement one hop
 // by construction, the same shape as the raw-result endpoint. 409 says this
-// node cannot reproduce the address (a hashVersion skew mid-upgrade, or a
-// graph file whose bytes differ here) and nothing was simulated; 503 that
-// it is draining or has a full backlog; both send the caller back to
-// simulate locally. Any other failure is the simulation's own.
+// node cannot reproduce the address (jobs.ErrNotReproducible) and nothing
+// was simulated; 503 that it is draining or has a full backlog; both send
+// the caller back to simulate locally. Any other failure is the
+// simulation's own.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if err := fail.Hit("cluster.execute." + s.cl.Self().ID); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -298,21 +314,13 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// No DisallowUnknownFields: a spec field this build does not know moves
-	// the hash it computes, and the comparison below refuses it.
-	err := req.Spec.Canonicalize()
-	var here string
-	if err == nil {
-		here, err = req.Spec.Hash()
-	}
-	if err == nil && here != req.Hash {
-		err = fmt.Errorf("spec hashes to %q on %s", here, s.cl.Self().ID)
-	}
-	if err != nil {
-		httpError(w, http.StatusConflict, fmt.Errorf("cannot reproduce %q: %w", req.Hash, err))
-		return
-	}
+	// the hash it computes, and ExecutePlaced refuses it.
 	o, err := s.mgr.ExecutePlaced(r.Context(), req.Spec, req.Hash)
-	if errors.Is(err, jobs.ErrDraining) || errors.Is(err, jobs.ErrOverloaded) {
+	switch {
+	case errors.Is(err, jobs.ErrNotReproducible):
+		httpError(w, http.StatusConflict, err)
+		return
+	case errors.Is(err, jobs.ErrDraining) || errors.Is(err, jobs.ErrOverloaded):
 		s.retryableError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -339,13 +347,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"members":            s.cl.Snapshot(),
 	}
 	if hash := r.URL.Query().Get("hash"); hash != "" {
-		owners := s.cl.Owners(hash, s.cl.ReplicationFactor())
+		owners := s.cl.Owners(hash)
 		ids := make([]string, len(owners))
 		for i, p := range owners {
 			ids[i] = p.ID
 		}
 		var live []string
-		for _, p := range s.cl.Candidates(hash, s.cl.ReplicationFactor()) {
+		for _, p := range s.cl.Candidates(hash) {
 			live = append(live, p.ID)
 		}
 		resp["hash"] = hash
@@ -401,7 +409,7 @@ func (s *Server) replicate(hash string) {
 	if !ok {
 		return // degraded store: nothing on disk to offer
 	}
-	for _, p := range s.cl.Owners(hash, s.cl.ReplicationFactor()) {
+	for _, p := range s.cl.Owners(hash) {
 		if p.ID == s.cl.Self().ID {
 			continue
 		}
@@ -416,25 +424,13 @@ func (s *Server) replicate(hash string) {
 
 // notifyReplica tells one peer to pull an outcome from us.
 func (s *Server) notifyReplica(p cluster.Peer, hash, sum string) error {
-	if err := fail.Hit("cluster.replicate"); err != nil {
-		return err
-	}
-	if err := fail.Hit("cluster.replicate." + p.ID); err != nil {
-		return err
-	}
-	body, err := json.Marshal(replicateRequest{Hash: hash, Source: s.cl.Self().Addr, Sum: sum})
+	resp, err := s.callPeer(context.Background(), s.fwdShort, "replicate", p, http.MethodPost, "/internal/replicate",
+		replicateRequest{Hash: hash, Source: s.cl.Self().Addr, Sum: sum})
 	if err != nil {
-		return err
-	}
-	resp, err := s.fwdShort.Post(strings.TrimRight(p.Addr, "/")+"/internal/replicate",
-		"application/json", bytes.NewReader(body))
-	if err != nil {
-		s.cl.ReportFailure(p.ID)
 		return err
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
-	s.cl.ReportSuccess(p.ID)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("peer answered %s", resp.Status)
 	}
@@ -458,7 +454,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("hash, source and sum are all required"))
 		return
 	}
-	if !s.isPeer(req.Source) {
+	source, ok := s.peerAt(req.Source)
+	if !ok {
 		httpError(w, http.StatusForbidden, fmt.Errorf("source %q is not a peer of this node", req.Source))
 		return
 	}
@@ -466,7 +463,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "already-present"})
 		return
 	}
-	data, _, err := s.fetchRaw(r.Context(), req.Source, req.Hash)
+	data, _, err := s.fetchRaw(r.Context(), source, req.Hash)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, fmt.Errorf("pulling %s from %s: %w", req.Hash, req.Source, err))
 		return
@@ -483,16 +480,16 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "replicated"})
 }
 
-// isPeer reports whether addr is the base URL of a configured peer other
-// than this node: the only sources a replicate notification may name.
-func (s *Server) isPeer(addr string) bool {
+// peerAt returns the configured peer other than this node whose base URL
+// is addr: the only sources a replicate notification may name.
+func (s *Server) peerAt(addr string) (cluster.Peer, bool) {
 	addr = strings.TrimRight(addr, "/")
 	for _, p := range s.cl.Peers() {
-		if p.ID != s.cl.Self().ID && strings.TrimRight(p.Addr, "/") == addr {
-			return true
+		if p.ID != s.cl.Self().ID && p.Addr == addr {
+			return p, true
 		}
 	}
-	return false
+	return cluster.Peer{}, false
 }
 
 // federateResult serves a locally missing result from the hash's replica
@@ -503,7 +500,7 @@ func (s *Server) isPeer(addr string) bool {
 // no holder has the result (the caller 404s).
 func (s *Server) federateResult(w http.ResponseWriter, r *http.Request, hash string) bool {
 	var holders []cluster.Peer
-	for _, p := range s.cl.Candidates(hash, s.cl.ReplicationFactor()) {
+	for _, p := range s.cl.Candidates(hash) {
 		if p.ID != s.cl.Self().ID {
 			holders = append(holders, p)
 		}
@@ -534,16 +531,12 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 	ch := make(chan fetched, len(holders))
 	launch := func(p cluster.Peer) {
 		go func() {
-			data, sum, err := s.fetchRaw(ctx, p.Addr, hash)
+			data, sum, err := s.fetchRaw(ctx, p, hash)
 			if err != nil {
 				s.fetchErrors.Add(1)
-				if ctx.Err() == nil {
-					s.cl.ReportFailure(p.ID)
-				}
 				ch <- fetched{}
 				return
 			}
-			s.cl.ReportSuccess(p.ID)
 			s.fetches.Add(1)
 			ch <- fetched{data, sum}
 		}()
@@ -582,13 +575,8 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 
 // fetchRaw pulls one outcome's exact bytes from a peer's internal raw
 // endpoint and verifies them against the checksum header before returning.
-func (s *Server) fetchRaw(ctx context.Context, addr, hash string) ([]byte, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(addr, "/")+"/internal/results/"+hash, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := s.fwdShort.Do(req)
+func (s *Server) fetchRaw(ctx context.Context, p cluster.Peer, hash string) ([]byte, string, error) {
+	resp, err := s.callPeer(ctx, s.fwdShort, "fetch", p, http.MethodGet, "/internal/results/"+hash, nil)
 	if err != nil {
 		return nil, "", err
 	}
@@ -597,18 +585,7 @@ func (s *Server) fetchRaw(ctx context.Context, addr, hash string) ([]byte, strin
 		io.Copy(io.Discard, resp.Body)
 		return nil, "", fmt.Errorf("peer answered %s", resp.Status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
-	if err != nil {
-		return nil, "", err
-	}
-	if len(data) > maxResultBytes {
-		return nil, "", fmt.Errorf("result exceeds %d bytes", maxResultBytes)
-	}
-	sum := sha256Hex(data)
-	if want := resp.Header.Get(resultSumHeader); want != sum {
-		return nil, "", fmt.Errorf("body hashes to %s, peer's %s header says %s", sum, resultSumHeader, want)
-	}
-	return data, sum, nil
+	return readResult(resp)
 }
 
 // maybeCacheFill persists federated bytes locally when this node is one
@@ -616,7 +593,7 @@ func (s *Server) fetchRaw(ctx context.Context, addr, hash string) ([]byte, strin
 // that missed the original replication (down at the time, or added to
 // the ring since).
 func (s *Server) maybeCacheFill(hash string, data []byte) {
-	for _, p := range s.cl.Owners(hash, s.cl.ReplicationFactor()) {
+	for _, p := range s.cl.Owners(hash) {
 		if p.ID != s.cl.Self().ID {
 			continue
 		}

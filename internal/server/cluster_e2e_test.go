@@ -46,12 +46,13 @@ type testCluster struct {
 // hedge delay.
 func bootCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	return bootClusterWith(t, n, nil)
+	return bootClusterWith(t, n, 20*time.Millisecond, nil)
 }
 
-// bootClusterWith is bootCluster with wrap, when non-nil, interposed on
-// every node's handler — how a test observes node-to-node requests.
-func bootClusterWith(t *testing.T, n int, wrap func(id string, h http.Handler) http.Handler) *testCluster {
+// bootClusterWith is bootCluster probing every probeEvery, with wrap, when
+// non-nil, interposed on every node's handler — how a test observes
+// node-to-node requests.
+func bootClusterWith(t *testing.T, n int, probeEvery time.Duration, wrap func(id string, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
 	peers := make([]cluster.Peer, n)
@@ -72,7 +73,7 @@ func bootClusterWith(t *testing.T, n int, wrap func(id string, h http.Handler) h
 		cl, err := cluster.New(cluster.Config{
 			Self:          peers[i].ID,
 			Peers:         peers,
-			ProbeInterval: 20 * time.Millisecond,
+			ProbeInterval: probeEvery,
 			ProbeTimeout:  time.Second,
 			DownAfter:     2,
 		})
@@ -128,7 +129,7 @@ func (tc *testCluster) specOwnedBy(t *testing.T, wantOwner, avoid string) (jobs.
 		if err != nil {
 			t.Fatal(err)
 		}
-		owners := cl.Owners(hash, cl.ReplicationFactor())
+		owners := cl.Owners(hash)
 		if owners[0].ID != wantOwner {
 			continue
 		}
@@ -235,7 +236,7 @@ func TestClusterPartitionDedupAndHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := tc.nodes[0].srv.Cluster()
-	owners := cl.Owners(hash, cl.ReplicationFactor())
+	owners := cl.Owners(hash)
 	owner := tc.node(owners[0].ID)
 	successor := tc.node(owners[1].ID)
 	var others []*clusterNode
@@ -376,6 +377,83 @@ func TestClusterReplicaServesVerifiedRead(t *testing.T) {
 	}
 }
 
+// TestClusterFederatedMissKeepsHoldersUp: a holder that answers a
+// federated read with 404 — it holds no copy — has answered, so the miss
+// does not count against it. With no probe to heal a wrong verdict,
+// three unknown-hash reads through a non-holder leave every peer up, and
+// a submission the holder owns is still forwarded to it, not failed over.
+func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
+	tc := bootClusterWith(t, 3, time.Hour, nil)
+	reader := tc.nodes[0]
+	spec, _ := tc.specOwnedBy(t, "n1", reader.id) // holders {n1, n2}
+	cl := reader.srv.Cluster()
+	var unknown string
+	for i := 0; unknown == ""; i++ {
+		h := sha256Hex([]byte(fmt.Sprint("unknown ", i)))
+		if owners := cl.Owners(h); owners[0].ID != reader.id && owners[1].ID != reader.id {
+			unknown = h
+		}
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get(reader.ts.URL + "/results/" + unknown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("read %d of an unknown hash answered %s, want 404", i+1, resp.Status)
+		}
+		for _, st := range cl.Snapshot() {
+			if st.State != cluster.StateUp {
+				t.Fatalf("after %d federated misses %s reads %s, want up", i+1, st.ID, st.State)
+			}
+		}
+	}
+
+	failovers := reader.srv.failovers.Load()
+	if _, err := reader.cli.RunSync(spec, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := reader.srv.forwarded.Load(); got != 1 {
+		t.Errorf("reader forwarded %d submissions, want 1", got)
+	}
+	if got := reader.srv.failovers.Load(); got != failovers {
+		t.Errorf("failovers went %d → %d, want unchanged", failovers, got)
+	}
+	if got := tc.node("n1").mgr.Metrics().Executed; got != 1 {
+		t.Errorf("the holder executed %d jobs, want 1", got)
+	}
+}
+
+// TestClusterNonHashReadNotFederated: GET /results/{key} with a key that
+// is no spec hash answers 404 without asking any peer.
+func TestClusterNonHashReadNotFederated(t *testing.T) {
+	var internal atomic.Int64
+	tc := bootClusterWith(t, 3, 20*time.Millisecond, func(id string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/internal/results/") {
+				internal.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	for _, key := range []string{"not-a-hash", strings.Repeat("A", 64), strings.Repeat("0", 63)} {
+		resp, err := http.Get(tc.nodes[0].ts.URL + "/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /results/%s answered %s, want 404", key, resp.Status)
+		}
+	}
+	if n := internal.Load(); n != 0 {
+		t.Errorf("%d /internal/results/ requests reached a peer, want 0", n)
+	}
+}
+
 // TestClusterCacheFillRepairsReplica: a holder that missed the original
 // replication (notify failpointed) repairs itself on its first federated
 // read — pull, verify, persist.
@@ -506,7 +584,7 @@ func (tc *testCluster) placedSpec(t *testing.T, base jobs.Spec) (spec jobs.Spec,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o, w := cl.Owners(hash, 1)[0].ID, cl.Owners(key, 1)[0].ID; o != w {
+		if o, w := cl.Owners(hash)[0].ID, cl.Owners(key)[0].ID; o != w {
 			return spec, hash, tc.node(o), tc.node(w)
 		}
 	}
@@ -626,7 +704,7 @@ func TestClusterPlacement(t *testing.T) {
 			if g, w := comparableOutcome(t, got), comparableOutcome(t, j.Outcome()); g != w {
 				t.Errorf("%s/%s/%s: cluster served %s\nsingle node  %s", spec.App, spec.Fidelity, spec.Policy, g, w)
 			}
-			for _, p := range cl.Owners(got.Hash, cl.ReplicationFactor()) {
+			for _, p := range cl.Owners(got.Hash) {
 				if _, _, ok := tc.node(p.ID).mgr.Store().GetRaw(got.Hash); !ok {
 					t.Errorf("%s holds no copy of %s, a hash it owns", p.ID, got.Hash[:12])
 				}
@@ -635,7 +713,7 @@ func TestClusterPlacement(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		home := cl.Owners(key, 1)[0].ID
+		home := cl.Owners(key)[0].ID
 		var executed, placed, served uint64
 		for _, nd := range tc.nodes {
 			m := nd.mgr.Metrics()
@@ -775,7 +853,7 @@ func TestClusterPlacement(t *testing.T) {
 
 	t.Run("cancel reaches the simulating node", func(t *testing.T) {
 		arrived, finished := make(chan string, 1), make(chan string, 1)
-		tc := bootClusterWith(t, 3, func(id string, h http.Handler) http.Handler {
+		tc := bootClusterWith(t, 3, 20*time.Millisecond, func(id string, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path != "/internal/execute" {
 					h.ServeHTTP(w, r)
@@ -860,7 +938,7 @@ func TestClusterPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := cl.Owners(key, cl.ReplicationFactor())
+		ring := cl.Owners(key)
 		home, successor := tc.node(ring[0].ID), tc.node(ring[1].ID)
 		var survivors []*clusterNode
 		for _, nd := range tc.nodes {

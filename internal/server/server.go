@@ -259,8 +259,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleResult implements GET /results/{hash}. In cluster mode a local
 // hit serves the verified persisted bytes with their checksum header; a
-// local miss federates to the hash's replica holders (hedged,
-// checksum-verified) before answering 404. Single-node mode keeps the
+// local miss of a spec hash federates to the hash's replica holders
+// (hedged, checksum-verified) before answering 404, and any other key
+// answers 404 without asking a peer. Single-node mode keeps the
 // pre-cluster rendering byte for byte.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
@@ -274,7 +275,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, o)
 			return
 		}
-		if s.federateResult(w, r, hash) {
+		if jobs.ValidHash(hash) && s.federateResult(w, r, hash) {
 			return
 		}
 		httpError(w, http.StatusNotFound, fmt.Errorf("no stored result for %q on any replica", hash))
