@@ -3,14 +3,16 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"grasp/internal/apps"
 )
 
 // The claims table: each row is one sentence of the paper's evaluation,
-// checked against the typed cells a figure prints (a matrix's values, the
-// OPT study's cells; never the rendered text) at every scale it lists,
+// checked against the typed numbers a figure prints (a matrix's values, the
+// OPT study's cells, the helpers the region ablation and the scenario sweep
+// render from; never the rendered text) at every scale it lists,
 // with the status this reproduction reaches there. A row that changes
 // status fails the test either way: a claim that stops holding is a
 // regression, and one that starts to hold is a finding to record in
@@ -63,6 +65,50 @@ var claims = []claimRow{
 	// Belady's OPT is the lower bound the study measures against.
 	{name: "fig11/table7: OPT <= LRU, RRIP and GRASP in every study cell", points: table7Points,
 		measure: optBelowEveryPolicy, status: map[uint32]status{64: holds, 16: holds}},
+	// The paper sizes both regions at exactly one LLC.
+	{name: "ablation-region: the 1x LLC region is the best of the swept sizes on every high-skew dataset",
+		points: ablationRegionPoints, measure: paperRegionBest, status: map[uint32]status{64: deviates, 16: deviates}},
+	// Fig. 5's means row, on the extension workloads.
+	{name: "scenarios: GRASP's KCore/TC mean > the means of SHiP-MEM, Hawkeye and Leeway",
+		points: scenarioPoints, measure: scenarioMeanAbove("GRASP", "SHiP-MEM", "Hawkeye", "Leeway"),
+		status: map[uint32]status{64: deviates, 16: deviates}},
+}
+
+// paperRegionBest measures the worst high-skew dataset: by how many points
+// GRASP's miss reduction at the 1x region exceeds the best other size's.
+func paperRegionBest(s *Session) (float64, string, error) {
+	rows, err := regionReductions(s)
+	if err != nil {
+		return 0, "", err
+	}
+	paper := slices.Index(regionScales, 1)
+	x, where := math.Inf(1), ""
+	for d, row := range rows {
+		for i, v := range row {
+			if i != paper && row[paper]-v < x {
+				x, where = row[paper]-v, fmt.Sprintf("worst dataset %s: 1x %.2f vs %gx %.2f",
+					highSkewNames()[d], row[paper], regionScales[i], v)
+			}
+		}
+	}
+	return x, where, nil
+}
+
+// scenarioMeanAbove measures by how much one policy's scenario mean
+// exceeds the largest of the others'.
+func scenarioMeanAbove(name string, others ...string) func(s *Session) (float64, string, error) {
+	return func(s *Session) (float64, string, error) {
+		rows, err := scenarioValues(s)
+		if err != nil {
+			return 0, "", err
+		}
+		mean := func(policy string) float64 {
+			row := rows[slices.Index(registeredSchemes(), policy)]
+			return row[len(row)-1]
+		}
+		x, where := marginAbove(name, others, mean)
+		return x, where, nil
+	}
 }
 
 // optBelowEveryPolicy measures the worst fig11/table7 study cell: by how
@@ -117,18 +163,24 @@ func everyCell(header string) predicate {
 // largest of the others'.
 func aggregateAbove(header string, others ...string) predicate {
 	return func(m matrix, v matrixValues) (float64, string) {
-		x := v.agg[colIndex(m, header)]
-		where := fmt.Sprintf("%s %.2f", header, x)
-		margin := 0.0
-		for i, o := range others {
-			y := v.agg[colIndex(m, o)]
-			if d := x - y; i == 0 || d < margin {
-				margin = d
-			}
-			where += fmt.Sprintf(" vs %s %.2f", o, y)
-		}
-		return margin, where
+		return marginAbove(header, others, func(c string) float64 { return v.agg[colIndex(m, c)] })
 	}
+}
+
+// marginAbove returns by how much name's value exceeds the largest of the
+// others', and every value it compared.
+func marginAbove(name string, others []string, value func(string) float64) (float64, string) {
+	x := value(name)
+	where := fmt.Sprintf("%s %.2f", name, x)
+	margin := 0.0
+	for i, o := range others {
+		y := value(o)
+		if d := x - y; i == 0 || d < margin {
+			margin = d
+		}
+		where += fmt.Sprintf(" vs %s %.2f", o, y)
+	}
+	return margin, where
 }
 
 func TestClaims(t *testing.T) {

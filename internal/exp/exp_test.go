@@ -60,8 +60,7 @@ func TestScaledConfig(t *testing.T) {
 func TestExperimentRegistry(t *testing.T) {
 	ids := []string{"table1", "table4", "fig2", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10a", "fig10b", "fig11", "table7", "noreorder",
-		"ablation-region", "ablation-bases", "ablation-ship", "streaming",
-		"scenarios"}
+		"ablation-region", "ablation-bases", "ablation-ship", "scenarios"}
 	for _, id := range ids {
 		e, err := ByID(id)
 		if err != nil {
@@ -309,7 +308,7 @@ func TestElimPct(t *testing.T) {
 func TestExperimentsSmoke(t *testing.T) {
 	t.Parallel()
 	s := testSession()
-	for _, id := range []string{"table1", "fig2", "fig9", "streaming", "ablation-bases"} {
+	for _, id := range []string{"table1", "fig2", "fig9", "ablation-bases"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -337,17 +336,6 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	paper, huge := rs[0].LLC.Misses, rs[1].LLC.Misses
 	if huge < paper*95/100 {
 		t.Fatalf("8x region (%d misses) markedly beats the paper design (%d)", huge, paper)
-	}
-}
-
-func TestStreamingExperimentOutput(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	if err := runStreaming(testSession(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Retention") {
-		t.Fatalf("streaming output incomplete:\n%s", buf.String())
 	}
 }
 

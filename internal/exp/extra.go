@@ -11,13 +11,12 @@ import (
 	"grasp/internal/mem"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
-	"grasp/internal/stream"
 )
 
 // Extra experiments beyond the paper's figures: ablations of GRASP's
 // design choices called out in DESIGN.md, the generality of GRASP across
-// base replacement schemes, the PC- vs region-signature comparison for
-// SHiP, and the Sec. VI streaming-graph staleness study.
+// base replacement schemes and the PC- vs region-signature comparison for
+// SHiP.
 
 // regionScales are the High/Moderate Reuse Region sizes the region
 // ablation sweeps, as multiples of the LLC capacity (1 = the paper).
@@ -90,30 +89,45 @@ func (s *Session) regionCells(ctx context.Context, g artifactKey, scales []float
 	})
 }
 
-// runAblationRegion renders the High/Moderate Reuse Region size sweep
-// (the paper's design point: exactly LLC-sized regions) on PR over the
-// high-skew datasets, from the region cells Prefetch settled.
-func runAblationRegion(s *Session, w io.Writer) error {
-	t := stats.NewTable("Dataset", "0.25x", "0.5x", "1x (paper)", "2x", "4x")
+// regionReductions returns, per high-skew dataset, GRASP's PR miss
+// reduction (%) over RRIP at every regionScales size: the numbers the
+// region ablation renders and its claims row reads.
+func regionReductions(s *Session) ([][]float64, error) {
+	var out [][]float64
 	for _, dsName := range highSkewNames() {
 		cells, err := s.regionCells(context.Background(), group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged), regionScales)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base, err := s.Result(dsName, "DBG", "PR", apps.LayoutMerged, "RRIP")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		row := []string{dsName}
-		for _, r := range cells {
-			row = append(row, fmt.Sprintf("%.1f", r.MissReductionPctOver(base)))
+		row := make([]float64, len(cells))
+		for i, r := range cells {
+			row[i] = r.MissReductionPctOver(base)
 		}
-		t.AddRow(row...)
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// runAblationRegion renders the High/Moderate Reuse Region size sweep
+// (the paper's design point: exactly LLC-sized regions) on PR over the
+// high-skew datasets.
+func runAblationRegion(s *Session, w io.Writer) error {
+	rows, err := regionReductions(s)
+	if err != nil {
+		return err
+	}
+	t := stats.NewTable("Dataset", "0.25x", "0.5x", "1x (paper)", "2x", "4x")
+	for d, dsName := range highSkewNames() {
+		t.AddValues([]string{dsName}, rows[d])
 	}
 	if _, err := fmt.Fprintln(w, "GRASP miss reduction (%) over RRIP vs High-Reuse-Region size (PR)"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintln(w, t)
+	_, err = fmt.Fprintln(w, t)
 	return err
 }
 
@@ -140,12 +154,11 @@ func ablationBasesPoints() []Datapoint {
 // (Sec. III-C: "not fundamentally dependent on RRIP"), reporting speed-up
 // of each GRASP variant over ITS OWN base scheme.
 func runAblationBases(s *Session, w io.Writer) error {
-	pairs := basePairs
 	t := stats.NewTable("Dataset", "over RRIP", "over LRU", "over PLRU", "over DIP")
 	agg := make(map[string][]float64)
 	for _, dsName := range highSkewNames() {
 		row := []string{dsName}
-		for _, p := range pairs {
+		for _, p := range basePairs {
 			g, err := s.Result(dsName, "DBG", "PR", apps.LayoutMerged, p[0])
 			if err != nil {
 				return err
@@ -161,7 +174,7 @@ func runAblationBases(s *Session, w io.Writer) error {
 		t.AddRow(row...)
 	}
 	gm := []string{"GM"}
-	for _, p := range pairs {
+	for _, p := range basePairs {
 		gm = append(gm, fmt.Sprintf("%.1f", stats.GeoMeanSpeedupPct(agg[p[0]])))
 	}
 	t.AddRow(gm...)
@@ -169,37 +182,5 @@ func runAblationBases(s *Session, w io.Writer) error {
 		return err
 	}
 	_, err := fmt.Fprintln(w, t)
-	return err
-}
-
-// runStreaming regenerates the Sec. VI staleness argument: prefix
-// coverage of the DBG hot region under an update stream, stale vs freshly
-// reordered, for a drifting tw-like graph.
-func runStreaming(s *Session, w io.Writer) error {
-	wl, err := s.Workload("tw", "DBG", true)
-	if err != nil {
-		return err
-	}
-	g := wl.Graph
-	// Prefix = the vertices whose merged property elements fill one LLC
-	// (the High Reuse Region).
-	prefix := uint32(s.Cfg.HCfg.LLC.SizeBytes / 16)
-	if prefix > g.NumVertices() {
-		prefix = g.NumVertices()
-	}
-	batchSize := int(g.NumEdges() / 100) // 1% of edges per batch
-	points := stream.StalenessStudy(g, prefix, 8, batchSize, 0.7, 1.1, 99)
-	t := stats.NewTable("Batch (1% edges each)", "Stale coverage", "Fresh coverage", "Retention")
-	for _, p := range points {
-		retention := p.StaleCoverage / p.FreshCoverage * 100
-		t.AddRow(fmt.Sprintf("%d", p.Batch),
-			fmt.Sprintf("%.3f", p.StaleCoverage),
-			fmt.Sprintf("%.3f", p.FreshCoverage),
-			fmt.Sprintf("%.1f%%", retention))
-	}
-	if _, err := fmt.Fprintln(w, "Hot-prefix edge coverage under a drifting update stream (Sec. VI)"); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, t)
 	return err
 }

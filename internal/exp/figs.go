@@ -121,17 +121,10 @@ func (m matrix) run(s *Session, w io.Writer) error {
 		header = append(header, c.header)
 	}
 	t := stats.NewTable(header...)
-	addRow := func(app, ds string, vals []float64) {
-		row := []string{app, ds}
-		for _, x := range vals {
-			row = append(row, fmt.Sprintf("%.1f", x))
-		}
-		t.AddRow(row...)
-	}
 	for r, row := range v.rows {
-		addRow(row[0], row[1], v.cells[r])
+		t.AddValues(row[:], v.cells[r])
 	}
-	addRow(m.aggLabel, "all", v.agg)
+	t.AddValues([]string{m.aggLabel, "all"}, v.agg)
 	if _, err := fmt.Fprintln(w, m.title); err != nil {
 		return err
 	}

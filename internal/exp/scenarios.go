@@ -40,9 +40,38 @@ func scenarioPoints() []Datapoint {
 	return matrixPoints(highSkewNames(), "DBG", scenarioApps, registeredSchemes())
 }
 
+// scenarioValues returns one row per registeredSchemes() policy: its LLC
+// miss reduction (%) over RRIP in every (app, dataset) cell, app-major,
+// then their mean — what the scenario sweep renders and its claims row reads.
+func scenarioValues(s *Session) ([][]float64, error) {
+	var rows [][]float64
+	for _, scheme := range registeredSchemes() {
+		var vals []float64
+		for _, app := range scenarioApps {
+			for _, ds := range highSkewNames() {
+				base, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "RRIP")
+				if err != nil {
+					return nil, err
+				}
+				r, err := s.Result(ds, "DBG", app, apps.LayoutMerged, scheme)
+				if err != nil {
+					return nil, err
+				}
+				vals = append(vals, r.MissReductionPctOver(base))
+			}
+		}
+		rows = append(rows, append(vals, stats.Mean(vals)))
+	}
+	return rows, nil
+}
+
 // runScenarios renders one row per policy: LLC miss reduction over RRIP
 // for each (app, dataset) cell, with a per-policy mean.
 func runScenarios(s *Session, w io.Writer) error {
+	rows, err := scenarioValues(s)
+	if err != nil {
+		return err
+	}
 	header := []string{"Policy"}
 	for _, app := range scenarioApps {
 		for _, ds := range highSkewNames() {
@@ -51,30 +80,12 @@ func runScenarios(s *Session, w io.Writer) error {
 	}
 	header = append(header, "Mean")
 	t := stats.NewTable(header...)
-	for _, scheme := range registeredSchemes() {
-		row := []string{scheme}
-		var vals []float64
-		for _, app := range scenarioApps {
-			for _, ds := range highSkewNames() {
-				base, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "RRIP")
-				if err != nil {
-					return err
-				}
-				r, err := s.Result(ds, "DBG", app, apps.LayoutMerged, scheme)
-				if err != nil {
-					return err
-				}
-				v := r.MissReductionPctOver(base)
-				vals = append(vals, v)
-				row = append(row, fmt.Sprintf("%.1f", v))
-			}
-		}
-		row = append(row, fmt.Sprintf("%.1f", stats.Mean(vals)))
-		t.AddRow(row...)
+	for i, scheme := range registeredSchemes() {
+		t.AddValues([]string{scheme}, rows[i])
 	}
 	if _, err := fmt.Fprintln(w, "% LLC misses eliminated over RRIP on the extension workloads (KCore, TC)"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintln(w, t)
+	_, err = fmt.Fprintln(w, t)
 	return err
 }

@@ -62,8 +62,9 @@ type zipfParams struct {
 }
 
 // zipfInUse lists every (n, alpha) a sampler is built for: each Zipf
-// dataset at divisors 1, 4, 16 and 64 (the streaming experiment draws at
-// tw's), and the stream package's tests.
+// dataset at divisors 1, 4, 16 and 64, plus two small tables off that grid
+// ({500, 0.9}, {2000, 1.0}) so the checks also cover a few-hundred-vertex
+// n and an alpha below 1.
 func zipfInUse() []zipfParams {
 	out := []zipfParams{{500, 0.9}, {2000, 1.0}}
 	for _, d := range Datasets() {

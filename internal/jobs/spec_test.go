@@ -164,7 +164,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 func TestHashVersionPinsGoldens(t *testing.T) {
 	const (
 		pinnedVersion = "grasp-job-v2"
-		pinnedDigest  = "f5203305960105742c0568f6baf5224f765f5789285663660211c1a748505b78"
+		pinnedDigest  = "52c459927695d8268b5e6e196b6701147ea7ed27294fe36c37fa9aea1f2893a3"
 	)
 	paths, err := filepath.Glob(filepath.Join("..", "exp", "testdata", "golden", "*.golden"))
 	if err != nil || len(paths) == 0 {

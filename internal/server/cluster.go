@@ -532,12 +532,12 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 	launch := func(p cluster.Peer) {
 		go func() {
 			data, sum, err := s.fetchRaw(ctx, p, hash)
-			if err != nil {
+			switch {
+			case err == nil:
+				s.fetches.Add(1)
+			case !errors.Is(err, errNotHeld):
 				s.fetchErrors.Add(1)
-				ch <- fetched{}
-				return
 			}
-			s.fetches.Add(1)
 			ch <- fetched{data, sum}
 		}()
 	}
@@ -573,6 +573,9 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 	}
 }
 
+// errNotHeld is fetchRaw's answer from a peer with no copy: a miss.
+var errNotHeld = errors.New("peer holds no copy")
+
 // fetchRaw pulls one outcome's exact bytes from a peer's internal raw
 // endpoint and verifies them against the checksum header before returning.
 func (s *Server) fetchRaw(ctx context.Context, p cluster.Peer, hash string) ([]byte, string, error) {
@@ -583,6 +586,9 @@ func (s *Server) fetchRaw(ctx context.Context, p cluster.Peer, hash string) ([]b
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, "", errNotHeld
+		}
 		return nil, "", fmt.Errorf("peer answered %s", resp.Status)
 	}
 	return readResult(resp)

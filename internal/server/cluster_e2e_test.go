@@ -379,13 +379,16 @@ func TestClusterReplicaServesVerifiedRead(t *testing.T) {
 
 // TestClusterFederatedMissKeepsHoldersUp: a holder that answers a
 // federated read with 404 — it holds no copy — has answered, so the miss
-// does not count against it. With no probe to heal a wrong verdict,
-// three unknown-hash reads through a non-holder leave every peer up, and
-// a submission the holder owns is still forwarded to it, not failed over.
+// does not count against it, nor as a failed fetch. With no probe to heal
+// a wrong verdict, three unknown-hash reads through a non-holder leave
+// every peer up and the fetch-error counter at 0, and a submission the
+// holder owns is still forwarded to it, not failed over. An injected
+// cluster.fetch fault on a held hash's read still counts as an error.
 func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
+	defer fail.Reset()
 	tc := bootClusterWith(t, 3, time.Hour, nil)
 	reader := tc.nodes[0]
-	spec, _ := tc.specOwnedBy(t, "n1", reader.id) // holders {n1, n2}
+	spec, held := tc.specOwnedBy(t, "n1", reader.id) // holders {n1, n2}
 	cl := reader.srv.Cluster()
 	var unknown string
 	for i := 0; unknown == ""; i++ {
@@ -410,6 +413,9 @@ func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
 			}
 		}
 	}
+	if got := reader.srv.fetchErrors.Load(); got != 0 {
+		t.Errorf("3 federated misses counted %d fetch errors, want 0", got)
+	}
 
 	failovers := reader.srv.failovers.Load()
 	if _, err := reader.cli.RunSync(spec, 0); err != nil {
@@ -423,6 +429,17 @@ func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
 	}
 	if got := tc.node("n1").mgr.Metrics().Executed; got != 1 {
 		t.Errorf("the holder executed %d jobs, want 1", got)
+	}
+
+	fail.Arm("cluster.fetch", nil)
+	resp, err := http.Get(reader.ts.URL + "/results/" + held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := reader.srv.fetchErrors.Load(); got < 1 {
+		t.Errorf("a faulted fetch of a held hash (answered %s) counted %d fetch errors, want >= 1", resp.Status, got)
 	}
 }
 

@@ -106,6 +106,16 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
+// AddValues appends a row of the label cells followed by vals, each
+// rendered with 1 decimal.
+func (t *Table) AddValues(labels []string, vals []float64) {
+	row := append([]string(nil), labels...)
+	for _, v := range vals {
+		row = append(row, fmt.Sprintf("%.1f", v))
+	}
+	t.rows = append(t.rows, row)
+}
+
 // String renders the table.
 func (t *Table) String() string {
 	if len(t.rows) == 0 {
