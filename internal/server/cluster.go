@@ -520,7 +520,7 @@ func (s *Server) federateResult(w http.ResponseWriter, r *http.Request, hash str
 // fetchHedged races checksum-verified fetches across the holders with a
 // staggered start: holder 0 immediately, each next one after the hedge
 // delay (or instantly once a predecessor fails). First verified body
-// wins; the context cancel reels the losers back in.
+// wins; the cancel reels the losers back in, uncounted as fetch errors.
 func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash string) ([]byte, string, bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -535,7 +535,7 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 			switch {
 			case err == nil:
 				s.fetches.Add(1)
-			case !errors.Is(err, errNotHeld):
+			case !errors.Is(err, errNotHeld) && ctx.Err() == nil:
 				s.fetchErrors.Add(1)
 			}
 			ch <- fetched{data, sum}

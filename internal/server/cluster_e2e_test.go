@@ -443,6 +443,61 @@ func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
 	}
 }
 
+// TestClusterHedgedLoserNotAFetchError: a federated read whose first
+// holder answers only after the hedge delay is won by the hedge; the
+// winner's return cancels the slow fetch, and that reeled-in loser counts
+// as no fetch error — one fetch, one hedge, zero errors.
+func TestClusterHedgedLoserNotAFetchError(t *testing.T) {
+	var slow atomic.Bool
+	loserDone := make(chan struct{})
+	tc := bootClusterWith(t, 3, 20*time.Millisecond, func(id string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if id == "n1" && slow.Load() && strings.HasPrefix(r.URL.Path, "/internal/results/") {
+				defer close(loserDone)
+				select {
+				case <-r.Context().Done(): // the reader reeled this fetch in
+					return
+				case <-time.After(5 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	reader := tc.nodes[0]
+	spec, hash := tc.specOwnedBy(t, "n1", reader.id) // holders {n1, n2}
+	owner := tc.node("n1")
+	if _, err := owner.cli.RunSync(spec, 0); err != nil {
+		t.Fatal(err)
+	}
+	owner.srv.DrainReplication()
+	if _, _, ok := tc.node("n2").mgr.Store().GetRaw(hash); !ok {
+		t.Fatal("replica holds no copy")
+	}
+	slow.Store(true)
+
+	resp, err := http.Get(reader.ts.URL + "/results/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("hedged read answered %s, want 200", resp.Status)
+	}
+	select {
+	case <-loserDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the slow holder was never asked, or never released")
+	}
+	// The loser's fetch returned when its context was cancelled, before the
+	// slow holder saw the disconnect; give its goroutine time to count.
+	time.Sleep(50 * time.Millisecond)
+	srv := reader.srv
+	if f, h, e := srv.fetches.Load(), srv.hedged.Load(), srv.fetchErrors.Load(); f != 1 || h != 1 || e != 0 {
+		t.Errorf("fetches %d, hedged %d, fetch errors %d; want 1, 1, 0", f, h, e)
+	}
+}
+
 // TestClusterNonHashReadNotFederated: GET /results/{key} with a key that
 // is no spec hash answers 404 without asking any peer.
 func TestClusterNonHashReadNotFederated(t *testing.T) {

@@ -215,7 +215,7 @@ func RunSink(w *Workload, spec Spec, wrap func(h *cache.Hierarchy, as *mem.Addre
 // pass between context polls — the same cadence as the Recorder's poll,
 // so a cancelled simulation unwinds within one chunk's worth of accesses
 // on either path.
-const cancelPollInterval = 1 << 16
+const cancelPollInterval = 1 << 15
 
 // cancelSink interposes a context poll in front of the hierarchy: the
 // RunSink wrapper of a cancellable RunCtx.

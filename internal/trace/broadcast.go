@@ -34,9 +34,9 @@ import (
 )
 
 // broadcastSlabs is the ring size: enough in-flight slabs that the
-// producer can decode ahead of the consumers, small enough that the
-// decoded working set (broadcastSlabs x chunkWords x sizeof(mem.Access))
-// stays a few MB.
+// producer can decode ahead of the consumers, few enough that the decoded
+// working set (broadcastSlabs x chunkWords x sizeof(mem.Access) = 4 x
+// 512 KB) is 2 MB, no more than one core's L2 on a 2 MB-per-core part.
 const broadcastSlabs = 4
 
 // Broadcast counters (process-wide observability): completed broadcast
@@ -125,8 +125,8 @@ type ring struct {
 }
 
 // take returns an empty slab of chunkWords capacity: a recycled one if any
-// is free, a new one while the ring is not yet full — so a stream shorter
-// than the ring (a one-policy co-run of a small mix pays its ring alone)
+// is free, a new one while the ring is not yet full — so a fan-out never
+// holds more than broadcastSlabs slabs, and a stream shorter than the ring
 // never allocates the slabs it would not use — and otherwise blocks until
 // the slowest consumer has dropped one.
 func (r *ring) take() *slab {

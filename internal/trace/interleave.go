@@ -80,6 +80,7 @@ func openInterleave(ctx context.Context, streams []InterleaveStream, limit int64
 			return nil, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
 		cursors[i].cursor = st.Trace.newCursor(ctx, limit, fullMask)
+		cursors[i].buf = make([]mem.Access, 0, chunkWords) // a chunk decodes to at most chunkWords records
 	}
 	return cursors, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"grasp/internal/fail"
 	"grasp/internal/mem"
@@ -337,6 +338,55 @@ func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 	err := InterleaveBroadcastCtx(context.Background(), streams, 0, testTag, consumers)
 	if !errors.Is(err, fail.ErrInjected) {
 		t.Fatalf("failpoint armed on the last chunk: err = %v, want %v", err, fail.ErrInjected)
+	}
+}
+
+// TestInterleaveBroadcastAllocBound: a fan-out's decoded memory is sized
+// by the chunk, not by the trace. Over multi-chunk traces, a co-run
+// fan-out of S streams allocates at most S chunkWords-capacity decode
+// buffers plus the ring's broadcastSlabs slabs, and a solo broadcast only
+// the slabs — measured as the TotalAlloc delta across the call, with a
+// stated slack for its channels, goroutines and cursor table. A decode
+// buffer grown by append, or a slab allocated per chunk, overshoots the
+// bound by several chunks. Not parallel: TotalAlloc is process-wide.
+func TestInterleaveBroadcastAllocBound(t *testing.T) {
+	const chunks = 8
+	accs := make([]mem.Access, chunks*chunkWords)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: uint64(i) << 6, PC: uint32(i % 4)} // compact: a word per record
+	}
+	tr := recordAccesses(t, accs)
+	if len(tr.chunks) < chunks {
+		t.Fatalf("want a trace of %d full chunks, got %d chunks", chunks, len(tr.chunks))
+	}
+	consumers := make([]func([]mem.Access), 3)
+	for i := range consumers {
+		consumers[i] = func([]mem.Access) {}
+	}
+	streams := []InterleaveStream{{Trace: tr, Weight: 3}, {Trace: tr, Weight: 1}}
+	ctx := context.Background()
+	chunkBytes := uint64(chunkWords) * uint64(unsafe.Sizeof(mem.Access{}))
+	const slack = 64 << 10
+	for _, c := range []struct {
+		name    string
+		streams int
+		run     func() error
+	}{
+		{"interleave broadcast", len(streams), func() error { return InterleaveBroadcastCtx(ctx, streams, 0, testTag, consumers) }},
+		{"broadcast", 0, func() error { return tr.BroadcastNCtx(ctx, 0, consumers) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		bound := uint64(c.streams+broadcastSlabs)*chunkBytes + slack
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s of %d-chunk traces allocated %d B, want <= %d B ((%d streams + %d slabs) x %d B + %d B slack)",
+				c.name, chunks, got, bound, c.streams, broadcastSlabs, chunkBytes, slack)
+		}
 	}
 }
 

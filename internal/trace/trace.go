@@ -125,11 +125,11 @@ const (
 	wideMin    = -int64(1) << 31
 )
 
-// chunkWords is the fixed chunk capacity (1<<16 words = 256KB): large
-// enough that per-chunk overheads vanish, small enough that a decoded
-// slab and the encoder's working set stay cache- and GC-friendly even for
-// multi-hundred-million-access traces.
-const chunkWords = 1 << 16
+// chunkWords is the fixed chunk capacity (1<<15 words = 128 KB encoded,
+// at most 512 KB decoded) and so sizes every decoded buffer. DESIGN.md
+// Sec. 12's ladder chose it: from 1<<16 a co-run sweep's peak RSS falls
+// ~30% at no measured time cost; below 1<<15 a serve workload's rises.
+const chunkWords = 1 << 15
 
 // chunk is one segment of the encoded word stream plus the self-contained
 // decode header stamped at seal time. The header makes every chunk
@@ -420,8 +420,8 @@ func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) c
 // decoded accesses, in recording order; an empty result means the stream
 // (or its limit) is exhausted. The cursor keeps walking past chunks whose
 // every record pruned, so a non-empty result is always work to deliver.
-// The context and the failpoint are checked once per chunk (65536 words ≈
-// half a million cycles of LLC simulation): a cancelled replay returns
+// The context and the failpoint are checked once per chunk (at most 32768
+// accesses ≈ 2 ms of lone-policy replay): a cancelled replay returns
 // within one chunk boundary while the decode kernel stays closure-free and
 // check-free.
 func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
