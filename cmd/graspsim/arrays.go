@@ -50,10 +50,6 @@ func (s *arrayTally) consume(accs []mem.Access) {
 // registers its arrays in its constructor, so a fresh graph wrapper's
 // address space is the recording run's.
 func tallyArrays(ctx context.Context, s *exp.Session, spec jobs.Spec, wl *sim.Workload) (*arrayTally, error) {
-	pinfo, err := sim.PolicyByName(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
 	fg := ligra.NewGraph(wl.Graph)
 	if _, err := apps.New(spec.App, fg, apps.LayoutMerged); err != nil {
 		return nil, err
@@ -62,7 +58,7 @@ func tallyArrays(ctx context.Context, s *exp.Session, spec jobs.Spec, wl *sim.Wo
 	if err != nil {
 		return nil, err
 	}
-	llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, bounds, 1)
+	llc, err := sim.NewReplayLLC(sim.Spec{Policy: spec.Policy, HCfg: s.Cfg.HCfg}, bounds)
 	if err != nil {
 		return nil, err
 	}

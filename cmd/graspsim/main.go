@@ -497,8 +497,8 @@ func printOutcome(w io.Writer, spec jobs.Spec, o *jobs.Outcome, remote bool, g *
 
 // runSampledSweep is -exp mode on the fast tier: every plain result
 // datapoint of the selected experiments is estimated from a set-sampled
-// replay and printed with its error bars (OPT study, region and co-run
-// cells have no sampled tier).
+// replay and printed with its error bars (OPT study cells, region-scaled
+// results and co-run cells have no sampled tier).
 func runSampledSweep(o *options, w io.Writer) error {
 	exps, err := selectExperiments(o.exp)
 	if err != nil {

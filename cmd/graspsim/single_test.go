@@ -313,8 +313,8 @@ func TestRunSingleLocal(t *testing.T) {
 // TestSampledSweepPrintsPlainResultsOnly: an -exp run on the sampled tier
 // estimates each experiment's plain results, one row per declared point
 // in declaration order, and nothing else: not the co-run cells (which it
-// would print as solo estimates of their first app), not the region cells
-// (which it would print as plain GRASP estimates).
+// would print as solo estimates of their first app), not the region-scaled
+// results (which it would print as plain GRASP estimates).
 func TestSampledSweepPrintsPlainResultsOnly(t *testing.T) {
 	o := parseArgs(t, "-exp", "corun,ablation-region", "-fidelity", "sampled", "-scale", "64")
 	if err := sweepTier(o); err != nil {

@@ -18,11 +18,10 @@ type kind uint8
 const (
 	kindWorkload  kind = iota // *sim.Workload: (dataset, reorder, weighted), loaded and reordered in one step
 	kindRecording             // recording: LLC-bound trace of a group; n = K: its sampled subsequence
-	kindResult                // sim.Result of (group, policy)
+	kindResult                // sim.Result of (group, policy, region scale)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
 	kindCorun                 // sim.CorunResult of (mix, policy, weights)
 	kindOPT                   // optDatapoint: OPT study cell of a group, n = LLC capacity in blocks
-	kindRegion                // sim.Result of a group's GRASP LLC whose reuse regions are scale x the LLC
 )
 
 // transient marks the kinds whose failures are dropped instead of cached.
@@ -30,7 +29,7 @@ const (
 // identically — but recordings and replays run under a caller's context
 // and can fail environmentally (an I/O fault): a daemon must not serve a
 // transient error or somebody's cancellation from cache forever.
-var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true, kindRegion: true}
+var transient = [...]bool{kindRecording: true, kindResult: true, kindSampled: true, kindCorun: true, kindOPT: true}
 
 // fileStamp is one observed (size, mtime) state of a graph file.
 type fileStamp struct {
@@ -76,7 +75,7 @@ type artifactKey struct {
 	weighted bool    // workload
 	n        uint32  // sampled: K; opt: LLC capacity in blocks
 	weights  string  // corun: per-stream turn weights, ","-joined
-	scale    float64 // region: the High/Moderate Reuse Region size, x the LLC capacity
+	scale    float64 // result: sim.Spec.RegionScale, 0 for the paper's 1x
 }
 
 // entry is one in-flight or settled computation.

@@ -88,6 +88,39 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	}
 }
 
+// TestPrefetchRegionScalesShareOneFanOut: a region-scaled GRASP cell is
+// one more spec of its group's results fan-out, so a fresh session's
+// Prefetch of ablation-region's points runs exactly one decode-once
+// fan-out per (dataset, DBG, PR) group — the RRIP baseline and GRASP at
+// every scale together — and counts every cell a result datapoint, the 1x
+// scale as the plain GRASP cell. Not parallel: it reads exact deltas of
+// the process-wide trace counters.
+func TestPrefetchRegionScalesShareOneFanOut(t *testing.T) {
+	s := NewSession(ScaledConfig(64))
+	runs0, _ := trace.BroadcastStats()
+	if err := s.Prefetch(ablationRegionPoints()); err != nil {
+		t.Fatal(err)
+	}
+	groups := uint64(len(highSkewNames()))
+	cells := groups * uint64(1+len(regionScales)) // RRIP and GRASP at every scale
+	if runs, _ := trace.BroadcastStats(); runs-runs0 != groups {
+		t.Errorf("%d fan-outs, want %d (one per group)", runs-runs0, groups)
+	}
+	if got := s.SimRuns(); got != cells {
+		t.Errorf("SimRuns = %d, want %d", got, cells)
+	}
+	plain, err := s.Result("kr", "DBG", "PR", apps.LayoutMerged, "GRASP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SimRuns(); got != cells {
+		t.Errorf("the plain GRASP cell was simulated again (SimRuns %d); the 1x region-scaled result is it", got)
+	}
+	if plain.Spec.RegionScale != 0 {
+		t.Errorf("the plain GRASP cell carries region scale %g, want 0", plain.Spec.RegionScale)
+	}
+}
+
 // TestSessionTraceBudgetEvictsLRU: cached recordings are bounded by
 // the store's budget — recording a second group under a tiny budget
 // evicts the least-recently-used recording and its charge, while the

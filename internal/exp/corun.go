@@ -128,8 +128,12 @@ func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([
 func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []string) ([]sim.CorunResult, error) {
 	solos := make([][]sim.Result, len(m.groups))
 	for gi, g := range m.groups {
+		specs := make([]sim.Spec, len(policies))
+		for p, policy := range policies {
+			specs[p] = s.spec(g, policy, 0)
+		}
 		var err error
-		if solos[gi], err = s.results(ctx, g, policies); err != nil {
+		if solos[gi], err = s.results(ctx, g, specs); err != nil {
 			return nil, err
 		}
 	}

@@ -301,41 +301,48 @@ func (s *Session) load(ds graph.Dataset, weighted bool) (*graph.CSR, error) {
 	return ds.Load(weighted, s.Cfg.ScaleDiv)
 }
 
+// spec is the sim.Spec of group g's cell under policy with reuse regions
+// of regionScale x the LLC. The paper's 1x is spelled 0, so that it keys,
+// and reports, as the plain cell.
+func (s *Session) spec(g artifactKey, policy string, regionScale float64) sim.Spec {
+	if regionScale == 1 {
+		regionScale = 0
+	}
+	return sim.Spec{App: g.app, Layout: g.layout, Policy: policy, RegionScale: regionScale, HCfg: s.Cfg.HCfg}
+}
+
 // replayEach is the shape the single-group simulation tiers share (full
 // and sampled; a co-run spans several groups and has its own tier —
-// corun.go): the kd cells of group g for every listed policy (n: the
-// sampling divisor K, 0 for full results), claimed at once. The cells this
-// caller leads are one timed sim call over the workload and the full
-// recording of g (recorded on first touch), charged to phase and
-// counted in runs when it succeeds. An unknown policy is refused before
-// any of that. Replays can fail environmentally (an I/O fault) and under a
-// caller's context, which is why both kinds are transient.
-func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, policies []string,
+// corun.go): the kd cells of group g for every listed spec (n: the
+// sampling divisor K, 0 for full results), keyed by policy and region
+// scale and claimed at once. The cells this caller leads are one timed sim
+// call over the workload and the full recording of g (recorded on first
+// touch), charged to phase and counted in runs when it succeeds. A spec
+// sim refuses is refused before any of that. Replays can fail
+// environmentally (an I/O fault) and under a caller's context, which is
+// why both kinds are transient.
+func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, specs []sim.Spec,
 	phase *atomic.Int64, runs *atomic.Uint64,
 	simulate func(w *sim.Workload, rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
-	keys := make([]artifactKey, len(policies))
-	for i, policy := range policies {
-		if _, err := sim.PolicyByName(policy); err != nil {
+	keys := make([]artifactKey, len(specs))
+	for i, spec := range specs {
+		if _, err := spec.Resolve(); err != nil {
 			return nil, err
 		}
-		keys[i] = g.of(kd, policy)
-		keys[i].n = n
+		keys[i] = g.of(kd, spec.Policy)
+		keys[i].n, keys[i].scale = n, spec.RegionScale
 	}
 	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []int64, err error) {
 		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app), nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		specs := make([]sim.Spec, len(led))
-		for j, policy := range pick(policies, led) {
-			specs[j] = sim.Spec{App: g.app, Layout: g.layout, Policy: policy, HCfg: s.Cfg.HCfg}
-		}
 		rec, err := s.recording(ctx, g)
 		if err != nil {
 			return nil, nil, err
 		}
 		start := time.Now()
-		vs, err = simulate(w, rec, specs)
+		vs, err = simulate(w, rec, pick(specs, led))
 		phase.Add(int64(time.Since(start)))
 		if err == nil {
 			runs.Add(uint64(len(led)))
@@ -378,15 +385,17 @@ func (s *Session) Result(dsName, reorderName, app string, layout apps.Layout, po
 // recording cut short is abandoned, never retained), and a later request
 // recomputes it from scratch with identical output.
 func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string, layout apps.Layout, policy string) (sim.Result, error) {
-	return one(s.results(ctx, group(s.dataset(dsName), reorderName, app, layout), []string{policy}))
+	g := group(s.dataset(dsName), reorderName, app, layout)
+	return one(s.results(ctx, g, []sim.Spec{s.spec(g, policy, 0)}))
 }
 
-// results returns group g's result under every listed policy: the
-// policies no earlier or concurrent request has claimed replay the group's
+// results returns group g's result under every listed spec (s.spec): the
+// specs no earlier or concurrent request has claimed replay the group's
 // shared recording in ONE decode-once fan-out, so a lone request is a
-// fan-out of one and an N-policy batch pays one decode, not N.
-func (s *Session) results(ctx context.Context, g artifactKey, policies []string) ([]sim.Result, error) {
-	return replayEach(ctx, s, g, kindResult, 0, policies, &s.phase.replay, &s.simRuns,
+// fan-out of one and an N-spec batch — policies and region scales alike —
+// pays one decode, not N.
+func (s *Session) results(ctx context.Context, g artifactKey, specs []sim.Spec) ([]sim.Result, error) {
+	return replayEach(ctx, s, g, kindResult, 0, specs, &s.phase.replay, &s.simRuns,
 		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.Result, error) {
 			rs, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
 			if err == nil {
@@ -408,16 +417,18 @@ type Datapoint struct {
 	// Reorder, Layout and Policy are ignored.
 	Trace    bool
 	OPTScale float64
-	// RegionScale, on a GRASP point, declares its result with reuse
-	// regions of RegionScale x the LLC (extra.go).
+	// RegionScale, on a hint-consuming policy's point, declares its result
+	// with reuse regions of RegionScale x the LLC (sim.Spec.RegionScale):
+	// one more spec of its group's results fan-out, and at 1 the plain
+	// cell.
 	RegionScale float64
 	// Corun declares the co-run cell (corun.go) of App beside the
 	// "+"-joined apps of Corun under Policy, uniform weights, as jobs.Spec.
 	Corun string
 }
 
-// Plain reports whether p declares a plain result: no OPT study, region
-// or co-run cell.
+// Plain reports whether p declares a plain result: no OPT study cell,
+// region scale or co-run cell.
 func (p Datapoint) Plain() bool { return !p.Trace && p.RegionScale == 0 && p.Corun == "" }
 
 // Prefetch computes the given datapoints on a pool of GOMAXPROCS workers,
@@ -552,32 +563,29 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 // unit computes the cells of one scheduling unit, keyed k, through their
 // tiers. A mix unit (k of kindCorun) is one coruns call, which decodes and
 // interleaves the mix once for all of its policies. A group unit runs its
-// plain results in one decode-once fan-out (results), so N policies pay
-// one decode and replay concurrently even in one worker slot (DESIGN.md
-// Sec. 12), then its OPT study cells and its region cells in one more pass
-// over the recording each. Every tier records on first touch, and only for
+// results, region-scaled ones included, in one decode-once fan-out
+// (results), so N specs pay one decode and replay concurrently even in one
+// worker slot (DESIGN.md Sec. 12), then its OPT study cells in one more
+// pass over the recording. Every tier records on first touch, and only for
 // the cells it leads: a unit whose cells are all settled records nothing.
-// pointErr, indexed like pts, fails single datapoints: a policy the
-// registry does not know (as a sequential pass would), a failed study or
-// region pass — not the unit's results.
+// pointErr, indexed like pts, fails single datapoints: a spec sim refuses
+// (an unknown policy, as a sequential pass would, or a region scale on a
+// policy without reuse regions), a failed study pass — not the unit's
+// results.
 func (s *Session) unit(ctx context.Context, k artifactKey, pts []Datapoint) (error, []error) {
 	pointErr := make([]error, len(pts))
+	var specs []sim.Spec
 	var policies []string
-	var study, region []int
+	var study []int
 	var llcs []cache.Config
-	var scales []float64
 	for j, p := range pts {
-		switch {
-		case p.Plain() || p.Corun != "":
-			if _, pointErr[j] = sim.PolicyByName(p.Policy); pointErr[j] == nil {
-				policies = append(policies, p.Policy)
-			}
-		case p.Trace:
+		if p.Trace {
 			study, llcs = append(study, j), append(llcs, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
-		case p.Policy == "GRASP":
-			region, scales = append(region, j), append(scales, p.RegionScale)
-		default:
-			pointErr[j] = fmt.Errorf("exp: region scale %g on a %s point; only GRASP has reuse regions", p.RegionScale, p.Policy)
+			continue
+		}
+		spec := s.spec(k, p.Policy, p.RegionScale)
+		if _, pointErr[j] = spec.Resolve(); pointErr[j] == nil {
+			specs, policies = append(specs, spec), append(policies, p.Policy)
 		}
 	}
 	if k.kind == kindCorun {
@@ -587,16 +595,11 @@ func (s *Session) unit(ctx context.Context, k artifactKey, pts []Datapoint) (err
 		}
 		return err, pointErr
 	}
-	if _, err := s.results(ctx, k, policies); err != nil {
+	if _, err := s.results(ctx, k, specs); err != nil {
 		return err, nil
 	}
 	if _, err := s.optCells(ctx, k, llcs); err != nil {
 		for _, j := range study {
-			pointErr[j] = err
-		}
-	}
-	if _, err := s.regionCells(ctx, k, scales); err != nil {
-		for _, j := range region {
 			pointErr[j] = err
 		}
 	}

@@ -329,7 +329,7 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	// regions (4x) must not beat the paper's design point by much — they
 	// reintroduce self-thrashing among "protected" blocks.
 	s := testSession()
-	rs, err := s.regionCells(context.Background(), group(s.dataset("kr"), "DBG", "PR", apps.LayoutMerged), []float64{1, 8})
+	rs, err := s.regionResults(group(s.dataset("kr"), "DBG", "PR", apps.LayoutMerged), []float64{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"grasp/internal/apps"
-	"grasp/internal/cache"
-	"grasp/internal/mem"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
 )
@@ -23,9 +20,9 @@ import (
 var regionScales = []float64{0.25, 0.5, 1, 2, 4}
 
 // ablationRegionPoints declares the region-size ablation's cells: the
-// RRIP baselines and one GRASP region cell per scale, all of the (dataset,
-// PR, DBG) group, so run alone the experiment executes PageRank once per
-// dataset.
+// RRIP baselines and GRASP at every scale, all of the (dataset, PR, DBG)
+// group, so run alone the experiment executes PageRank once per dataset
+// and replays it in one fan-out.
 func ablationRegionPoints() []Datapoint {
 	pts := matrixPoints(highSkewNames(), "DBG", []string{"PR"}, nil)
 	for _, ds := range highSkewNames() {
@@ -37,56 +34,14 @@ func ablationRegionPoints() []Datapoint {
 	return pts
 }
 
-// regionCells returns group g's GRASP result at every listed region
-// scale, claimed at once: the cells this caller leads replay the group's
-// recording into one GRASP LLC each, whose classifiers differ only in
-// region scale, from ONE decode — the metrics an execution-driven run with
-// that region scale would report. The scale is not part of sim.Spec, so
-// these are kindRegion cells, not results. Nothing is published unless
-// the whole pass succeeded.
-func (s *Session) regionCells(ctx context.Context, g artifactKey, scales []float64) ([]sim.Result, error) {
-	keys := make([]artifactKey, len(scales))
+// regionResults returns group g's GRASP result at every listed region
+// scale: result cells like any other, the 1x one the plain GRASP cell.
+func (s *Session) regionResults(g artifactKey, scales []float64) ([]sim.Result, error) {
+	specs := make([]sim.Spec, len(scales))
 	for i, scale := range scales {
-		keys[i] = g.of(kindRegion, "GRASP")
-		keys[i].scale = scale
+		specs[i] = s.spec(g, "GRASP", scale)
 	}
-	return getEach(ctx, s.art, keys, func(led []int) ([]sim.Result, []int64, error) {
-		pinfo, err := sim.PolicyByName("GRASP")
-		if err != nil {
-			return nil, nil, err
-		}
-		rec, err := s.recording(ctx, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		llcs := make([]*cache.Cache, len(led))
-		consumers := make([]func([]mem.Access), len(led))
-		for j, scale := range pick(scales, led) {
-			llc, err := sim.NewReplayLLC(s.Cfg.HCfg.LLC, pinfo, rec.bounds, scale)
-			if err != nil {
-				return nil, nil, err
-			}
-			llcs[j] = llc
-			consumers[j] = func(accs []mem.Access) {
-				for _, a := range accs {
-					llc.Access(a)
-				}
-			}
-		}
-		tr := rec.tr
-		start := time.Now()
-		err = tr.BroadcastNCtx(ctx, 0, consumers)
-		s.phase.replay.Add(int64(time.Since(start)))
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]sim.Result, len(llcs))
-		for j, llc := range llcs {
-			out[j] = sim.Result{L1: tr.L1Stats(), L2: tr.L2Stats(), LLC: llc.Stats,
-				Cycles: cache.MemoryCyclesOf(s.Cfg.HCfg, tr.L1Stats(), tr.L2Stats(), llc.Stats)}
-		}
-		return out, nil, nil
-	})
+	return s.results(context.Background(), g, specs)
 }
 
 // regionReductions returns, per high-skew dataset, GRASP's PR miss
@@ -95,7 +50,7 @@ func (s *Session) regionCells(ctx context.Context, g artifactKey, scales []float
 func regionReductions(s *Session) ([][]float64, error) {
 	var out [][]float64
 	for _, dsName := range highSkewNames() {
-		cells, err := s.regionCells(context.Background(), group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged), regionScales)
+		cells, err := s.regionResults(group(s.dataset(dsName), "DBG", "PR", apps.LayoutMerged), regionScales)
 		if err != nil {
 			return nil, err
 		}

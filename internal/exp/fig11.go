@@ -99,12 +99,10 @@ func (s *Session) optPass(ctx context.Context, rec recording, llcs []cache.Confi
 	caches := make([]*cache.Cache, 0, len(llcs)*len(schemes))
 	consumers := make([]func([]mem.Access), 0, cap(caches)+1)
 	for _, llcCfg := range llcs {
+		hcfg := s.Cfg.HCfg
+		hcfg.LLC = llcCfg
 		for _, scheme := range schemes {
-			pinfo, err := sim.PolicyByName(scheme)
-			if err != nil {
-				return nil, err
-			}
-			llc, err := sim.NewReplayLLC(llcCfg, pinfo, rec.bounds, 1)
+			llc, err := sim.NewReplayLLC(sim.Spec{Policy: scheme, HCfg: hcfg}, rec.bounds)
 			if err != nil {
 				return nil, err
 			}

@@ -67,8 +67,8 @@ func TestGoldenRuns(t *testing.T) {
 		ph := s.PhaseSeconds()
 		return map[string]float64{
 			"SimRuns": float64(s.SimRuns()), "SampledRuns": float64(s.SampledRuns()), "CorunRuns": float64(s.CorunRuns()),
-			"OPT cells": float64(s.art.count(kindOPT)), "region cells": float64(s.art.count(kindRegion)),
-			"loads": float64(s.loads.Load()), "record s": ph["record"], "replay s": ph["replay"], "corun s": ph["corun"],
+			"OPT cells": float64(s.art.count(kindOPT)), "loads": float64(s.loads.Load()),
+			"record s": ph["record"], "replay s": ph["replay"], "corun s": ph["corun"],
 		}
 	}
 	before := settled()

@@ -10,9 +10,6 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/core"
-	"grasp/internal/ligra"
-	"grasp/internal/sim"
 	"grasp/internal/trace"
 )
 
@@ -271,58 +268,5 @@ func TestLoneResultCancelPublishesNothing(t *testing.T) {
 	}
 	if inRecording == 0 || inReplay == 0 {
 		t.Errorf("cancellation landed %d times in the recording and %d in the replay, want both reached", inRecording, inReplay)
-	}
-}
-
-// runWithRegionScale is the execution-driven reference of the region-size
-// ablation: PR under GRASP with a scaled classification region, driven
-// through a live hierarchy (what the experiment did per cell before it
-// replayed the recordings the sweep already holds).
-func runWithRegionScale(wl *sim.Workload, hcfg cache.HierarchyConfig, scale float64) (sim.Result, error) {
-	fg := ligra.NewGraph(wl.Graph)
-	app, err := apps.New("PR", fg, apps.LayoutMerged)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	abrs := core.NewABRs(hcfg.LLC.SizeBytes)
-	abrs.SetRegionScale(scale)
-	for _, a := range app.ABRArrays() {
-		if err := abrs.SetArray(a); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	pol := core.NewPolicy(hcfg.LLC.Sets(), hcfg.LLC.Ways, core.ModeFull)
-	h, err := cache.NewHierarchy(hcfg, pol, abrs)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	app.Run(ligra.NewTracer(h))
-	return sim.Result{L1: h.L1.Stats, L2: h.L2.Stats, LLC: h.LLC.Stats, Cycles: h.MemoryCycles()}, nil
-}
-
-// TestAblationRegionReplayMatchesDirectRun: a region cell — a
-// region-scaled GRASP LLC fed from the shared recording — reports, field
-// for field, what the execution-driven run with that region scale reports.
-func TestAblationRegionReplayMatchesDirectRun(t *testing.T) {
-	t.Parallel()
-	s := NewSession(ScaledConfig(goldenScaleDiv))
-	for _, ds := range []string{"lj", "kr"} {
-		got, err := s.regionCells(context.Background(), group(s.dataset(ds), "DBG", "PR", apps.LayoutMerged), regionScales)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl, err := s.Workload(ds, "DBG", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, scale := range regionScales {
-			want, err := runWithRegionScale(wl, s.Cfg.HCfg, scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Errorf("%s at %gx: replay %+v, direct run %+v", ds, scale, got[i], want)
-			}
-		}
 	}
 }

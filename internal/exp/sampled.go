@@ -34,7 +34,7 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 		return sim.SampledResult{}, fmt.Errorf("exp: sample divisor must be >= 1, got 0")
 	}
 	g := s.sampledSource(group(s.dataset(dsName), reorderName, app, layout), sampleK)
-	return one(replayEach(ctx, s, g, kindSampled, sampleK, []string{policy}, &s.phase.sampled, &s.sampledRun,
+	return one(replayEach(ctx, s, g, kindSampled, sampleK, []sim.Spec{s.spec(g, policy, 0)}, &s.phase.sampled, &s.sampledRun,
 		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.SampledResult, error) {
 			rs, _, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds, sampleK)
 			return rs, err

@@ -389,7 +389,8 @@ func TestQueuedJobFailsWhenFileEditedBeforeRun(t *testing.T) {
 }
 
 // TestStoreRoundTripAcrossManagers: a second manager over the same
-// directory serves the first one's work without re-simulating.
+// directory serves the first one's work without re-simulating, from bytes
+// that hold no region scale.
 func TestStoreRoundTripAcrossManagers(t *testing.T) {
 	dir := t.TempDir()
 	store1, err := OpenStore(dir)
@@ -415,6 +416,11 @@ func TestStoreRoundTripAcrossManagers(t *testing.T) {
 	}
 	if store2.Len() != 1 {
 		t.Fatalf("reopened store holds %d outcomes, want 1", store2.Len())
+	}
+	// A paper-design outcome's bytes are those of a sim.Spec without a
+	// region scale: the field is omitted at 0, so no stored outcome moves.
+	if raw, _, ok := store2.GetRaw(j.Hash); !ok || bytes.Contains(raw, []byte(`"RegionScale"`)) {
+		t.Errorf("stored outcome (found %v) carries a RegionScale key:\n%s", ok, raw)
 	}
 	m2 := NewManager(store2, 1)
 	defer m2.Shutdown(ctx)

@@ -520,7 +520,9 @@ func (s *Server) federateResult(w http.ResponseWriter, r *http.Request, hash str
 // fetchHedged races checksum-verified fetches across the holders with a
 // staggered start: holder 0 immediately, each next one after the hedge
 // delay (or instantly once a predecessor fails). First verified body
-// wins; the cancel reels the losers back in, uncounted as fetch errors.
+// wins; the cancel then reels the losers back in, uncounted as fetch
+// errors, and every launched fetch is received before the return, so
+// none outlives the read and its counters and health report land first.
 func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash string) ([]byte, string, bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -529,7 +531,11 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 		sum  string
 	}
 	ch := make(chan fetched, len(holders))
-	launch := func(p cluster.Peer) {
+	next, outstanding := 0, 0
+	launch := func() {
+		p := holders[next]
+		next++
+		outstanding++
 		go func() {
 			data, sum, err := s.fetchRaw(ctx, p, hash)
 			switch {
@@ -541,36 +547,37 @@ func (s *Server) fetchHedged(ctx context.Context, holders []cluster.Peer, hash s
 			ch <- fetched{data, sum}
 		}()
 	}
-	launch(holders[0])
-	next, outstanding := 1, 1
+	launch()
 	hedge := time.NewTimer(s.hedge)
 	defer hedge.Stop()
-	for {
+	var won fetched
+wait:
+	for outstanding > 0 {
 		select {
 		case f := <-ch:
-			if f.data != nil {
-				return f.data, f.sum, true
-			}
 			outstanding--
+			if f.data != nil {
+				won = f
+				break wait
+			}
 			if next < len(holders) {
-				launch(holders[next])
-				next++
-				outstanding++
-			} else if outstanding == 0 {
-				return nil, "", false
+				launch()
 			}
 		case <-hedge.C:
 			if next < len(holders) {
 				s.hedged.Add(1)
-				launch(holders[next])
-				next++
-				outstanding++
+				launch()
 				hedge.Reset(s.hedge)
 			}
 		case <-ctx.Done():
-			return nil, "", false
+			break wait
 		}
 	}
+	cancel()
+	for ; outstanding > 0; outstanding-- {
+		<-ch
+	}
+	return won.data, won.sum, won.data != nil
 }
 
 // errNotHeld is fetchRaw's answer from a peer with no copy: a miss.

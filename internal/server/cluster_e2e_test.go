@@ -445,8 +445,9 @@ func TestClusterFederatedMissKeepsHoldersUp(t *testing.T) {
 
 // TestClusterHedgedLoserNotAFetchError: a federated read whose first
 // holder answers only after the hedge delay is won by the hedge; the
-// winner's return cancels the slow fetch, and that reeled-in loser counts
-// as no fetch error — one fetch, one hedge, zero errors.
+// winner's return cancels the slow fetch and waits for it, and that
+// reeled-in loser counts as no fetch error — one fetch, one hedge, zero
+// errors, all counted by the time the response arrives.
 func TestClusterHedgedLoserNotAFetchError(t *testing.T) {
 	var slow atomic.Bool
 	loserDone := make(chan struct{})
@@ -484,17 +485,16 @@ func TestClusterHedgedLoserNotAFetchError(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hedged read answered %s, want 200", resp.Status)
 	}
+	// The read returns only once its losing fetch has, so the counters
+	// are final now.
+	srv := reader.srv
+	if f, h, e := srv.fetches.Load(), srv.hedged.Load(), srv.fetchErrors.Load(); f != 1 || h != 1 || e != 0 {
+		t.Errorf("fetches %d, hedged %d, fetch errors %d; want 1, 1, 0", f, h, e)
+	}
 	select {
 	case <-loserDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the slow holder was never asked, or never released")
-	}
-	// The loser's fetch returned when its context was cancelled, before the
-	// slow holder saw the disconnect; give its goroutine time to count.
-	time.Sleep(50 * time.Millisecond)
-	srv := reader.srv
-	if f, h, e := srv.fetches.Load(), srv.hedged.Load(), srv.fetchErrors.Load(); f != 1 || h != 1 || e != 0 {
-		t.Errorf("fetches %d, hedged %d, fetch errors %d; want 1, 1, 0", f, h, e)
 	}
 }
 

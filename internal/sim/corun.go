@@ -216,11 +216,7 @@ func CorunBroadcastResultsCtx(ctx context.Context, streams []CorunStream, polici
 		if len(pol.Solos) != len(streams) {
 			return nil, fmt.Errorf("sim: co-run policy %s has %d solo baselines for %d streams", pol.Name, len(pol.Solos), len(streams))
 		}
-		pinfo, err := PolicyByName(pol.Name)
-		if err != nil {
-			return nil, err
-		}
-		llc, err := NewReplayLLC(hcfg.LLC, pinfo, bounds, 1)
+		llc, err := NewReplayLLC(Spec{Policy: pol.Name, HCfg: hcfg}, bounds)
 		if err != nil {
 			return nil, err
 		}

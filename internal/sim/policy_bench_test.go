@@ -70,7 +70,7 @@ func BenchmarkPolicyAccess(b *testing.B) {
 				b.Run(pinfo.Name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						for _, s := range streams {
-							llc, err := sim.NewReplayLLC(hcfg.LLC, pinfo, s.abrs, 1)
+							llc, err := sim.NewReplayLLC(sim.Spec{Policy: pinfo.Name, HCfg: hcfg}, s.abrs)
 							if err != nil {
 								b.Fatal(err)
 							}

@@ -84,11 +84,7 @@ func BroadcastSampledResultsSkipCtx(ctx context.Context, tr *trace.Trace, specs 
 	consumers := make([]func([]mem.Access), len(specs))
 	var mask trace.PresenceMask
 	for i, spec := range specs {
-		pinfo, err := PolicyByName(spec.Policy)
-		if err != nil {
-			return nil, rep, err
-		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
+		llc, err := NewReplayLLC(spec, abrArrays)
 		if err != nil {
 			return nil, rep, err
 		}

@@ -134,11 +134,7 @@ var setLocalPolicies = map[string]bool{"LRU": true, "SRRIP": true, "PLRU": true,
 // the sampled sets with their access and miss counts.
 func perSetCounts(t *testing.T, tr *trace.Trace, spec Spec, bounds [][2]uint64, k uint32) (sets []uint32, acc, miss []uint64) {
 	t.Helper()
-	pinfo, err := PolicyByName(spec.Policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, bounds, 1)
+	llc, err := NewReplayLLC(spec, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,22 @@ type Spec struct {
 	Layout apps.Layout
 	Policy string
 	HCfg   cache.HierarchyConfig
+	// RegionScale sizes a hint-consuming policy's High/Moderate Reuse
+	// Regions as a multiple of the LLC capacity; 0 is the paper's 1x
+	// (Sec. III-B), and a policy without ABRs refuses any other value.
+	// It is omitted from JSON at 0, so a paper-design outcome's bytes
+	// are those of a Spec without the field.
+	RegionScale float64 `json:",omitempty"`
+}
+
+// Resolve returns spec's policy from the registry, refusing an unknown
+// name and a region scale on a policy that has no reuse regions.
+func (spec Spec) Resolve() (PolicyInfo, error) {
+	pinfo, err := PolicyByName(spec.Policy)
+	if err == nil && spec.RegionScale != 0 && !pinfo.NeedsABRs {
+		err = fmt.Errorf("sim: region scale %g on %s, a policy without reuse regions", spec.RegionScale, spec.Policy)
+	}
+	return pinfo, err
 }
 
 // Result carries the metrics of one run.
@@ -165,13 +181,13 @@ func Run(w *Workload, spec Spec) (Result, error) {
 
 // RunSink is Run with the caller's sink between the application and the
 // hierarchy — the one place an execution-driven run resolves the policy,
-// programs the ABRs and builds the hierarchy. wrap receives that hierarchy
-// and the run's address space and returns the sink the application drives;
-// whatever it interposes (RunCtx's context poll, a test's live-stream
-// tally) must forward every access to h for the Result to equal Run's. A
-// nil wrap drives h itself.
+// programs the ABRs (at spec.RegionScale) and builds the hierarchy. wrap
+// receives that hierarchy and the run's address space and returns the
+// sink the application drives; whatever it interposes (RunCtx's context
+// poll, a test's live-stream tally) must forward every access to h for
+// the Result to equal Run's. A nil wrap drives h itself.
 func RunSink(w *Workload, spec Spec, wrap func(h *cache.Hierarchy, as *mem.AddressSpace) mem.Sink) (Result, error) {
-	pinfo, err := PolicyByName(spec.Policy)
+	pinfo, err := spec.Resolve()
 	if err != nil {
 		return Result{}, err
 	}
@@ -184,6 +200,7 @@ func RunSink(w *Workload, spec Spec, wrap func(h *cache.Hierarchy, as *mem.Addre
 	var cl cache.Classifier
 	if pinfo.NeedsABRs {
 		abrs := core.NewABRs(spec.HCfg.LLC.SizeBytes)
+		abrs.SetRegionScale(spec.RegionScale)
 		for _, a := range app.ABRArrays() {
 			if err := abrs.SetArray(a); err != nil {
 				return Result{}, err
@@ -310,23 +327,27 @@ func RecordTraceNCtx(ctx context.Context, w *Workload, appName string, layout ap
 	return rec.Finish(time.Since(start))
 }
 
-// NewReplayLLC builds a standalone LLC of the given geometry with the
-// policy and, for hint-consuming policies, a classifier programmed from
-// recorded ABR bounds (in SetArray order, so region sizing matches the
-// recording run). regionScale sizes the High/Moderate Reuse Regions as a
-// multiple of the LLC capacity: 1 is the paper's design point and what
-// every result replay uses; the region-size ablation sweeps it. It is
-// exported for consumers composing their own broadcast-replay fan-outs
-// (the OPT study feeds several such LLCs plus a block collector from one
-// decode pass).
-func NewReplayLLC(llcCfg cache.Config, pinfo PolicyInfo, abrArrays [][2]uint64, regionScale float64) (*cache.Cache, error) {
+// NewReplayLLC builds a standalone LLC of spec's geometry (spec.HCfg.LLC)
+// under spec's policy and, for hint-consuming policies, a classifier
+// programmed from recorded ABR bounds (in SetArray order, so region sizing
+// matches the recording run) with reuse regions of spec.RegionScale x the
+// LLC. It is the one place a replay resolves its policy, so every replay
+// tier refuses what Run refuses; it is exported for consumers composing
+// their own broadcast-replay fan-outs (the OPT study feeds several such
+// LLCs plus a block collector from one decode pass).
+func NewReplayLLC(spec Spec, abrArrays [][2]uint64) (*cache.Cache, error) {
+	pinfo, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	llcCfg := spec.HCfg.LLC
 	llc, err := cache.New(llcCfg, pinfo.New(llcCfg.Sets(), llcCfg.Ways))
 	if err != nil {
 		return nil, err
 	}
 	if pinfo.NeedsABRs {
 		abrs := core.NewABRs(llcCfg.SizeBytes)
-		abrs.SetRegionScale(regionScale)
+		abrs.SetRegionScale(spec.RegionScale)
 		for _, b := range abrArrays {
 			if err := abrs.SetBounds(b[0], b[1]); err != nil {
 				return nil, err
@@ -371,11 +392,7 @@ func BroadcastResultsCtx(ctx context.Context, tr *trace.Trace, specs []Spec, wor
 	llcs := make([]*cache.Cache, len(specs))
 	consumers := make([]func([]mem.Access), len(specs))
 	for i, spec := range specs {
-		pinfo, err := PolicyByName(spec.Policy)
-		if err != nil {
-			return nil, err
-		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, abrArrays, 1)
+		llc, err := NewReplayLLC(spec, abrArrays)
 		if err != nil {
 			return nil, err
 		}

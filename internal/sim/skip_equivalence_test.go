@@ -21,11 +21,7 @@ func filterAfterDecode(t *testing.T, tr *trace.Trace, specs []Spec, workloadName
 	}
 	filters := make([]*trace.SetFilter, len(specs))
 	for i, spec := range specs {
-		pinfo, err := PolicyByName(spec.Policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		llc, err := NewReplayLLC(spec.HCfg.LLC, pinfo, bounds, 1)
+		llc, err := NewReplayLLC(spec, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,10 +23,33 @@ func replayTestHCfg() cache.HierarchyConfig {
 	return h
 }
 
+// tierRegionScales are the reuse-region sizes, other than the paper's 1x,
+// at which the table replays every hint-consuming policy.
+var tierRegionScales = []float64{0.25, 0.5, 2, 4}
+
+// tierCells are the table's datapoints at any one geometry, policy and
+// region scale only: every registered policy at the paper's design (in
+// registry order, so cell p is policy p), then every hint-consuming policy
+// at each of tierRegionScales.
+func tierCells() []Spec {
+	var cells []Spec
+	for _, pinfo := range Policies() {
+		cells = append(cells, Spec{Policy: pinfo.Name})
+	}
+	for _, scale := range tierRegionScales {
+		for _, pinfo := range Policies() {
+			if pinfo.NeedsABRs {
+				cells = append(cells, Spec{Policy: pinfo.Name, RegionScale: scale})
+			}
+		}
+	}
+	return cells
+}
+
 // tierFixture is one case of the tier table: an app on a scaled dataset,
 // recorded once and replayed at every geometry in hcfgs (they differ in
-// the LLC only), with its oracle — oracle[g][p] is direct execution (Run)
-// of registered policy p at geometry g.
+// the LLC only), with its oracle — oracle[g][c] is direct execution (Run)
+// of tier cell c at geometry g.
 type tierFixture struct {
 	name, ds string
 	scale    uint32
@@ -96,58 +120,66 @@ func policySpecs(app string, hcfg cache.HierarchyConfig) []Spec {
 // record fills in the fixture's recording, ABR bounds and oracle.
 func (fx *tierFixture) record(t *testing.T) {
 	fx.w, fx.tr, fx.bounds = recording(t, fx.ds, fx.scale, fx.app, fx.hcfgs[0])
+	cells := tierCells()
 	fx.oracle = make([][]Result, len(fx.hcfgs))
 	for g := range fx.hcfgs {
-		fx.oracle[g] = make([]Result, len(Policies()))
-		for p := range Policies() {
+		fx.oracle[g] = make([]Result, len(cells))
+		for c := range cells {
 			var err error
-			if fx.oracle[g][p], err = Run(fx.w, fx.spec(g, p)); err != nil {
-				t.Fatalf("%s %s: direct: %v", fx.name, Policies()[p].Name, err)
+			if fx.oracle[g][c], err = Run(fx.w, fx.spec(g, c)); err != nil {
+				t.Fatalf("%s %s: direct: %v", fx.name, cells[c].Policy, err)
 			}
 		}
 	}
 }
 
-// spec is the datapoint of geometry g and registered policy p.
-func (fx *tierFixture) spec(g, p int) Spec {
-	return Spec{App: fx.app, Layout: apps.LayoutMerged, Policy: Policies()[p].Name, HCfg: fx.hcfgs[g]}
+// spec is the datapoint of geometry g and tier cell c.
+func (fx *tierFixture) spec(g, c int) Spec {
+	spec := tierCells()[c]
+	spec.App, spec.Layout, spec.HCfg = fx.app, apps.LayoutMerged, fx.hcfgs[g]
+	return spec
 }
 
-// tierCheck produces one tier's datapoint for geometry g and policy p as
-// the Result it claims to equal, after checking the tier's own invariants
-// against the oracle want.
-type tierCheck func(t *testing.T, g, p int, want Result) Result
+// tierCheck produces one tier's datapoint for geometry g and tier cell c
+// as the Result it claims to equal, after checking the tier's own
+// invariants against the oracle want.
+type tierCheck func(t *testing.T, g, c int, want Result) Result
 
 // tierRows are the replay tiers, one row each. A row's func runs whatever
 // the tier does once per case (a fan-out over every datapoint, say) and
-// returns the per-datapoint check.
+// returns the per-datapoint check. A row whose tier has no region scale
+// (a co-run policy is a name) checks the paper-design cells only.
 var tierRows = []struct {
-	name   string
-	replay func(t *testing.T, fx *tierFixture) tierCheck
+	name    string
+	regions bool
+	replay  func(t *testing.T, fx *tierFixture) tierCheck
 }{
-	{"lone", func(t *testing.T, fx *tierFixture) tierCheck {
-		return func(t *testing.T, g, p int, _ Result) Result {
-			r, err := ReplayResultCtx(context.Background(), fx.tr, fx.spec(g, p), fx.w.Dataset.Name, fx.bounds)
+	{"lone", true, func(t *testing.T, fx *tierFixture) tierCheck {
+		return func(t *testing.T, g, c int, _ Result) Result {
+			r, err := ReplayResultCtx(context.Background(), fx.tr, fx.spec(g, c), fx.w.Dataset.Name, fx.bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r
 		}
 	}},
-	{"broadcast", func(t *testing.T, fx *tierFixture) tierCheck {
-		var specs []Spec // ONE fan-out over every policy at every geometry
-		for _, hcfg := range fx.hcfgs {
-			specs = append(specs, policySpecs(fx.app, hcfg)...)
+	{"broadcast", true, func(t *testing.T, fx *tierFixture) tierCheck {
+		var specs []Spec // ONE fan-out over every cell at every geometry
+		n := len(tierCells())
+		for g := range fx.hcfgs {
+			for c := range n {
+				specs = append(specs, fx.spec(g, c))
+			}
 		}
 		rs, err := BroadcastResultsCtx(context.Background(), fx.tr, specs, fx.w.Dataset.Name, fx.bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return func(t *testing.T, g, p int, _ Result) Result { return rs[g*len(Policies())+p] }
+		return func(t *testing.T, g, c int, _ Result) Result { return rs[g*n+c] }
 	}},
-	{"sampled-k1", func(t *testing.T, fx *tierFixture) tierCheck {
-		return func(t *testing.T, g, p int, want Result) Result {
-			s, _, err := SampledReplayResultSkipCtx(context.Background(), fx.tr, fx.spec(g, p), fx.w.Dataset.Name, fx.bounds, 1)
+	{"sampled-k1", true, func(t *testing.T, fx *tierFixture) tierCheck {
+		return func(t *testing.T, g, c int, want Result) Result {
+			s, _, err := SampledReplayResultSkipCtx(context.Background(), fx.tr, fx.spec(g, c), fx.w.Dataset.Name, fx.bounds, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +195,7 @@ var tierRows = []struct {
 			return Result{Spec: s.Spec, Workload: s.Workload, L1: s.L1, L2: s.L2, LLC: s.SampledLLC, Cycles: want.Cycles}
 		}
 	}},
-	{"corun-1app", func(t *testing.T, fx *tierFixture) tierCheck {
+	{"corun-1app", false, func(t *testing.T, fx *tierFixture) tierCheck {
 		// One fan-out per geometry, the oracle as every solo baseline.
 		rs := make([][]CorunResult, len(fx.hcfgs))
 		stream := []CorunStream{{App: fx.app, Layout: apps.LayoutMerged, Weight: 1, Trace: fx.tr, Bounds: fx.bounds}}
@@ -195,10 +227,11 @@ var tierRows = []struct {
 // TestTiersMatchDirect is the replay-equivalence table, the invariant the
 // whole trace engine rests on: every replay tier (row) of every recording
 // (case) reproduces direct execution-driven simulation — stats,
-// breakdowns and modeled memory time — for every registered policy at
-// every geometry the case replays, so a codec, filter, fan-out or tagging
-// divergence fails here, as row/case/policy, before it can silently skew
-// an experiment.
+// breakdowns and modeled memory time — for every registered policy, and
+// every hint-consuming one at every region scale (subtests policy@scale),
+// at every geometry the case replays, so a codec, filter, fan-out, tagging
+// or region-sizing divergence fails here, as row/case/cell, before it can
+// silently skew an experiment.
 func TestTiersMatchDirect(t *testing.T) {
 	cases := tierCases()
 	for _, fx := range cases {
@@ -209,11 +242,18 @@ func TestTiersMatchDirect(t *testing.T) {
 			for _, fx := range cases {
 				t.Run(fx.name, func(t *testing.T) {
 					check := row.replay(t, fx)
-					for p, pinfo := range Policies() {
-						t.Run(pinfo.Name, func(t *testing.T) {
+					for c, cell := range tierCells() {
+						name := cell.Policy
+						if cell.RegionScale != 0 {
+							if !row.regions {
+								continue
+							}
+							name = fmt.Sprintf("%s@%gx", name, cell.RegionScale)
+						}
+						t.Run(name, func(t *testing.T) {
 							for g, hcfg := range fx.hcfgs {
-								want := fx.oracle[g][p]
-								got := check(t, g, p, want)
+								want := fx.oracle[g][c]
+								got := check(t, g, c, want)
 								// AppTime is wall-clock and legitimately
 								// differs; every simulated quantity must not.
 								got.AppTime = want.AppTime
