@@ -16,18 +16,22 @@ import (
 // scale) under DBG, at the geometry exp.ScaledConfig gives the scale,
 // replayed in the shapes production takes — a lone full-fidelity
 // ReplayResultCtx (GRASP), one BroadcastResultsCtx over every registered
-// policy, a lone sampled K=16 replay (GRASP) of the recording, and the
-// same estimate replayed from the K=16 subsequence (trace.Subsequence, the
-// sampled tier's per-group recording) — after the decode alone (a full
-// broadcast into one no-op consumer).
+// policy, a lone sampled K=16 replay (GRASP) of the recording, the same
+// estimate replayed from the K=16 subsequence (trace.Subsequence, the
+// sampled tier's per-group recording), and the recording co-run as 8
+// weight-1 streams through one CorunBroadcastResultsCtx over every
+// registered policy (the interleave fan-out) — after the decode alone (a
+// full broadcast into one no-op consumer).
 //
 //	go test ./internal/sim -run '^$' -bench Replay -benchtime 5x -cpu 1
 //
-// Recording and the subsequence's one build happen once per group,
-// outside the timer; ns/access divides a shape's whole time (decode,
-// fan-out, every LLC) by the recording's length, so sampled16 and subseq16
-// compare directly. lone is the row to watch if a fused single-policy
-// decode kernel is ever proposed again (DESIGN.md Sec. 11).
+// Recording, the subsequence's one build and the co-run's solo baselines
+// happen once per group, outside the timer; ns/access divides a shape's
+// whole time (decode, fan-out, every LLC) by the accesses it replays —
+// the recording's length, or for corun8 the 8x longer merged order — so
+// sampled16 and subseq16 compare directly. lone is the row to watch if a
+// fused single-policy decode kernel is ever proposed again (DESIGN.md
+// Sec. 11).
 func BenchmarkReplay(b *testing.B) {
 	for _, name := range []string{"lj", "tw"} {
 		for _, scale := range []uint32{16, 4, 1} {
@@ -59,26 +63,47 @@ func BenchmarkReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				solos, err := sim.BroadcastResultsCtx(ctx, tr, specs, w.Dataset.Name, bounds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				const coStreams = 8
+				streams := make([]sim.CorunStream, coStreams)
+				for i := range streams {
+					streams[i] = sim.CorunStream{App: "PR", Layout: apps.LayoutMerged, Weight: 1, Trace: tr, Bounds: bounds}
+				}
+				coPolicies := make([]sim.CorunPolicy, len(specs))
+				for p, sp := range specs {
+					coPolicies[p] = sim.CorunPolicy{Name: sp.Policy, Solos: make([]sim.Result, coStreams)}
+					for i := range coPolicies[p].Solos {
+						coPolicies[p].Solos[i] = solos[p]
+					}
+				}
 				noop := []func([]mem.Access){func([]mem.Access) {}}
 				shapes := []struct {
-					name string
-					run  func() error
+					name     string
+					accesses int64 // replayed per run: the ns/access divisor
+					run      func() error
 				}{
-					{"decode", func() error { return tr.BroadcastNCtx(ctx, 0, noop) }},
-					{"lone", func() error {
+					{"decode", tr.Len(), func() error { return tr.BroadcastNCtx(ctx, 0, noop) }},
+					{"lone", tr.Len(), func() error {
 						_, err := sim.ReplayResultCtx(ctx, tr, grasp, w.Dataset.Name, bounds)
 						return err
 					}},
-					{fmt.Sprintf("broadcast%d", len(specs)), func() error {
+					{fmt.Sprintf("broadcast%d", len(specs)), tr.Len(), func() error {
 						_, err := sim.BroadcastResultsCtx(ctx, tr, specs, w.Dataset.Name, bounds)
 						return err
 					}},
-					{"sampled16", func() error {
+					{"sampled16", tr.Len(), func() error {
 						_, _, err := sim.SampledReplayResultSkipCtx(ctx, tr, grasp, w.Dataset.Name, bounds, 16)
 						return err
 					}},
-					{"subseq16", func() error {
+					{"subseq16", tr.Len(), func() error {
 						_, _, err := sim.SampledReplayResultSkipCtx(ctx, sub, grasp, w.Dataset.Name, bounds, 16)
+						return err
+					}},
+					{fmt.Sprintf("corun%d", coStreams), coStreams * tr.Len(), func() error {
+						_, err := sim.CorunBroadcastResultsCtx(ctx, streams, coPolicies, hcfg, w.Dataset.Name)
 						return err
 					}},
 				}
@@ -89,7 +114,7 @@ func BenchmarkReplay(b *testing.B) {
 								b.Fatal(err)
 							}
 						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/access")
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.accesses), "ns/access")
 					})
 				}
 			})

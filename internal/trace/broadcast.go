@@ -1,6 +1,6 @@
 // Broadcast replay: the one way a decoded stream reaches its consumers.
 // A decode pays word unpacking and delta reconstruction, so BroadcastNCtx
-// runs one cursor over the trace, decoding each chunk exactly once into a
+// runs one cursor over the trace, decoding each record exactly once into a
 // slab of mem.Access values, and fans the slab out to every consumer: an
 // N-policy sweep of one recording pays one decode, not N, and a lone
 // replay is the same fan-out with one consumer. Consumers run in parallel
@@ -8,10 +8,14 @@
 // full-fidelity one runs on the decoding goroutine.
 //
 // The fan-out itself (fanOut) does not know where slabs come from: it
-// takes its slab source as a parameter. The solo source decodes one cursor,
-// a chunk per slab; the co-run source (InterleaveBroadcastCtx, DESIGN.md
+// takes its slab source as a parameter. The solo source decodes one cursor
+// into each slab; the co-run source (InterleaveBroadcastCtx, DESIGN.md
 // Sec. 15) merges many cursors round-robin and cuts the tagged merged
 // order into slabs. Everything below is shared by both.
+//
+// Slab size: a fan-out with one consumer decodes a chunk per slab
+// (chunkWords); one with several holds broadcastSlabs slabs at once, so
+// its slabs are slabAccesses long and a chunk reaches them in pieces.
 //
 // Ownership and recycling: decoded slabs live in a bounded ring. The
 // producer takes a free slab, fills it, sets its refcount to the consumer
@@ -34,9 +38,9 @@ import (
 )
 
 // broadcastSlabs is the ring size: enough in-flight slabs that the
-// producer can decode ahead of the consumers, few enough that the decoded
-// working set (broadcastSlabs x chunkWords x sizeof(mem.Access) = 4 x
-// 512 KB) is 2 MB, no more than one core's L2 on a 2 MB-per-core part.
+// producer can decode ahead of the consumers, few enough that a
+// multi-consumer ring's decoded working set (broadcastSlabs x slabAccesses
+// x sizeof(mem.Access) = 4 x 64 KB) is 256 KB, inside one core's L2.
 const broadcastSlabs = 4
 
 // Broadcast counters (process-wide observability): completed broadcast
@@ -54,7 +58,8 @@ func BroadcastStats() (runs, consumers uint64) {
 	return broadcastRuns.Load(), broadcastConsumers.Load()
 }
 
-// slab is one decoded chunk in flight from the producer to the consumers.
+// slab is one run of decoded accesses in flight from the producer to the
+// consumers.
 type slab struct {
 	accs []mem.Access
 	refs atomic.Int32
@@ -62,8 +67,8 @@ type slab struct {
 
 // BroadcastNCtx decodes at most limit accesses (limit <= 0: all) once and
 // fans every decoded slab out to each consumer, which receives exactly the
-// first limit recorded accesses, in recording order, split at chunk
-// boundaries — the OPT study fans its bounded-prefix replays out this
+// first limit recorded accesses, in recording order, split at chunk and
+// slab boundaries — the OPT study fans its bounded-prefix replays out this
 // way. The decode is the one masked kernel under fullMask. Consumers run
 // concurrently with each other and with the decode (a lone one inline,
 // between chunks), each one sequentially, so an unsynchronized LLC
@@ -97,8 +102,8 @@ func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask Prese
 	return rep, err
 }
 
-// broadcast is the solo slab source over the fan-out ring: one cursor,
-// one decoded chunk per slab, records outside mask pruned.
+// broadcast is the solo slab source over the fan-out ring: one cursor
+// filling each slab, records outside mask pruned.
 func (t *Trace) broadcast(ctx context.Context, limit int64, mask PresenceMask, inline bool, consumers []func(accs []mem.Access)) (SkipReport, error) {
 	c := t.newCursor(ctx, limit, mask)
 	err := fanOut(consumers, inline, func(r *ring) error {
@@ -121,10 +126,11 @@ type ring struct {
 	free  chan *slab
 	chans []chan *slab
 	lone  func(accs []mem.Access) // inline mode: the one consumer, run in send
+	size  int                     // slab capacity: chunkWords or slabAccesses
 	made  int                     // slabs allocated so far, <= broadcastSlabs
 }
 
-// take returns an empty slab of chunkWords capacity: a recycled one if any
+// take returns an empty slab of r.size capacity: a recycled one if any
 // is free, a new one while the ring is not yet full — so a fan-out never
 // holds more than broadcastSlabs slabs, and a stream shorter than the ring
 // never allocates the slabs it would not use — and otherwise blocks until
@@ -136,7 +142,7 @@ func (r *ring) take() *slab {
 	default:
 		if r.made < broadcastSlabs {
 			r.made++
-			return &slab{accs: make([]mem.Access, 0, chunkWords)}
+			return &slab{accs: make([]mem.Access, 0, r.size)}
 		}
 		s = <-r.free
 	}
@@ -177,7 +183,10 @@ func fanOut(consumers []func(accs []mem.Access), inline bool, source func(r *rin
 	if n == 0 {
 		return nil
 	}
-	r := &ring{free: make(chan *slab, broadcastSlabs)}
+	r := &ring{free: make(chan *slab, broadcastSlabs), size: slabAccesses}
+	if n == 1 {
+		r.size = chunkWords
+	}
 	var panicErr atomic.Pointer[error]
 	guard := func(fn func([]mem.Access)) func([]mem.Access) {
 		dead := false

@@ -34,11 +34,11 @@ type InterleaveStream struct {
 }
 
 // interleaveCursor is one stream's private decode position: its chunk
-// cursor, the decoded accesses of the current chunk, and how many of them
-// the merge has already delivered.
+// cursor, a slabAccesses buffer of its next decoded accesses, and how many
+// of them the merge has already delivered.
 type interleaveCursor struct {
 	cursor
-	buf  []mem.Access // decoded accesses of the current chunk
+	buf  []mem.Access // the stream's decoded, not yet merged accesses
 	pos  int          // next undelivered index in buf
 	dead bool         // stream (or its per-stream limit) exhausted
 }
@@ -52,12 +52,12 @@ type interleaveCursor struct {
 // live cores keep issuing after a neighbor finishes.
 //
 // consume(stream, accs) receives each stream's accesses in that stream's
-// recording order, in batches of at most Weight_stream (smaller at chunk
-// seams); the concatenation of all batches for one stream is exactly the
-// recorded prefix a BroadcastNCtx of that trace delivers. Batches borrow the
-// cursor's decode buffer and are only valid during the call — consumers
-// must not retain them. consume runs on the calling goroutine; an
-// unsynchronized LLC simulation is a valid consumer.
+// recording order, in batches of at most Weight_stream (smaller at the
+// seams of its decode buffer); the concatenation of all batches for one
+// stream is exactly the recorded prefix a BroadcastNCtx of that trace
+// delivers. Batches borrow the cursor's decode buffer and are only valid
+// during the call — consumers must not retain them. consume runs on the
+// calling goroutine; an unsynchronized LLC simulation is a valid consumer.
 func InterleaveReplayCtx(ctx context.Context, streams []InterleaveStream, limit int64, consume func(stream int, accs []mem.Access)) error {
 	cursors, err := openInterleave(ctx, streams, limit)
 	if err != nil {
@@ -80,7 +80,7 @@ func openInterleave(ctx context.Context, streams []InterleaveStream, limit int64
 			return nil, fmt.Errorf("trace: interleave stream %d has weight %d, want >= 1", i, st.Weight)
 		}
 		cursors[i].cursor = st.Trace.newCursor(ctx, limit, fullMask)
-		cursors[i].buf = make([]mem.Access, 0, chunkWords) // a chunk decodes to at most chunkWords records
+		cursors[i].buf = make([]mem.Access, 0, slabAccesses) // the cursor fills it mid-chunk
 	}
 	return cursors, nil
 }

@@ -342,13 +342,15 @@ func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 }
 
 // TestInterleaveBroadcastAllocBound: a fan-out's decoded memory is sized
-// by the chunk, not by the trace. Over multi-chunk traces, a co-run
-// fan-out of S streams allocates at most S chunkWords-capacity decode
-// buffers plus the ring's broadcastSlabs slabs, and a solo broadcast only
-// the slabs — measured as the TotalAlloc delta across the call, with a
-// stated slack for its channels, goroutines and cursor table. A decode
-// buffer grown by append, or a slab allocated per chunk, overshoots the
-// bound by several chunks. Not parallel: TotalAlloc is process-wide.
+// by how many buffers exist at once, not by the trace or the chunk. Over
+// multi-chunk traces, a multi-consumer ring allocates at most its
+// broadcastSlabs slabs of slabAccesses, a co-run fan-out of S streams at
+// most S slabAccesses decode buffers plus those slabs, and a lone consumer
+// one chunkWords slab — measured as the TotalAlloc delta across the call,
+// with a stated slack for its channels, goroutines and cursor table. A
+// buffer grown by append, a chunk-sized buffer where a slab belongs, or a
+// slab allocated per fill overshoots its bound. Not parallel: TotalAlloc
+// is process-wide.
 func TestInterleaveBroadcastAllocBound(t *testing.T) {
 	const chunks = 8
 	accs := make([]mem.Access, chunks*chunkWords)
@@ -365,15 +367,19 @@ func TestInterleaveBroadcastAllocBound(t *testing.T) {
 	}
 	streams := []InterleaveStream{{Trace: tr, Weight: 3}, {Trace: tr, Weight: 1}}
 	ctx := context.Background()
-	chunkBytes := uint64(chunkWords) * uint64(unsafe.Sizeof(mem.Access{}))
-	const slack = 64 << 10
+	access := uint64(unsafe.Sizeof(mem.Access{}))
+	slabBytes, chunkBytes := slabAccesses*access, chunkWords*access
+	const slack = 16 << 10
 	for _, c := range []struct {
-		name    string
-		streams int
-		run     func() error
+		name  string
+		bound uint64 // decoded-buffer bytes, slack excluded
+		run   func() error
 	}{
-		{"interleave broadcast", len(streams), func() error { return InterleaveBroadcastCtx(ctx, streams, 0, testTag, consumers) }},
-		{"broadcast", 0, func() error { return tr.BroadcastNCtx(ctx, 0, consumers) }},
+		{"interleave broadcast", uint64(len(streams)+broadcastSlabs) * slabBytes, func() error {
+			return InterleaveBroadcastCtx(ctx, streams, 0, testTag, consumers)
+		}},
+		{"broadcast", broadcastSlabs * slabBytes, func() error { return tr.BroadcastNCtx(ctx, 0, consumers) }},
+		{"lone broadcast", chunkBytes, func() error { return tr.BroadcastNCtx(ctx, 0, consumers[:1]) }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -382,10 +388,11 @@ func TestInterleaveBroadcastAllocBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		bound := uint64(c.streams+broadcastSlabs)*chunkBytes + slack
-		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-			t.Errorf("%s of %d-chunk traces allocated %d B, want <= %d B ((%d streams + %d slabs) x %d B + %d B slack)",
-				c.name, chunks, got, bound, c.streams, broadcastSlabs, chunkBytes, slack)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s of %d-chunk traces: %d B allocated, bound %d B + %d B slack", c.name, chunks, got, c.bound, slack)
+		if got > c.bound+slack {
+			t.Errorf("%s of %d-chunk traces allocated %d B, want <= %d B + %d B slack (slab %d B, chunk %d B, %d ring slabs)",
+				c.name, chunks, got, c.bound, slack, slabBytes, chunkBytes, broadcastSlabs)
 		}
 	}
 }

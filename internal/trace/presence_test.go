@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"grasp/internal/cache"
@@ -76,7 +78,7 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 		c := &tr.chunks[ci]
 		// Decode this chunk alone, seeded only by its header base, with
 		// the kernel every cursor runs; Accesses shares none of it.
-		got, _ := tr.decodeAppendMasked(c.words, nil, c.base, 0, tr.Len(), fullMask)
+		got, _, _, _ := tr.decodeAppendMasked(c.words, 0, c.base, make([]mem.Access, 0, chunkWords), 0, tr.Len(), fullMask)
 		for i, a := range got {
 			if a != ref[off+int64(i)] {
 				t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
@@ -86,6 +88,106 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 	}
 	if off != tr.Len() {
 		t.Fatalf("isolated chunk decodes sum to %d accesses, trace has %d", off, tr.Len())
+	}
+}
+
+// TestCursorSlabCapacities: a cursor filling buffers smaller than a chunk
+// resumes mid-chunk without losing a record or the delta state. Over a
+// multi-chunk trace of every encoding form, buffers of 1, 7, slabAccesses
+// and chunkWords accesses, under the full mask and a sampled one, with and
+// without a limit that cuts mid-chunk, must each deliver exactly the
+// (masked) prefix of the independent reference decode, and report the same
+// SkipReport as chunk capacity: the chunk counts are taken once per chunk.
+// A masked fan-out to two consumers (slabAccesses slabs) reports the same
+// as to one (chunk-sized slabs).
+func TestCursorSlabCapacities(t *testing.T) {
+	var accs []mem.Access
+	for len(accs) < 3*chunkWords {
+		accs = append(accs, interesting()...)
+	}
+	tr := record(t, accs)
+	// Records per chunk, from the chunk-capacity walk: the limit cuts
+	// the third chunk in half.
+	var perChunk []int64
+	for c := tr.newCursor(context.Background(), 0, fullMask); ; {
+		got, err := c.next(make([]mem.Access, 0, chunkWords))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			break
+		}
+		perChunk = append(perChunk, int64(len(got)))
+	}
+	if len(perChunk) < 4 || len(perChunk) != len(tr.chunks) {
+		t.Fatalf("want a chunk per chunk-capacity batch over >= 4 chunks, got %d batches of %d chunks", len(perChunk), len(tr.chunks))
+	}
+	midChunk := perChunk[0] + perChunk[1] + perChunk[2]/2
+	sampled := SampledSetsMask(64, SampledSets(64, 16))
+
+	for _, mask := range []struct {
+		name string
+		m    PresenceMask
+	}{{"full", fullMask}, {"sampled", sampled}} {
+		for _, limit := range []int64{0, midChunk} {
+			ref, err := tr.Accesses(limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []mem.Access
+			for _, a := range ref {
+				if mask.m.test(cache.BlockAddr(a.Addr)) {
+					want = append(want, a)
+				}
+			}
+			var wantRep SkipReport
+			for _, capacity := range []int{chunkWords, slabAccesses, 7, 1} {
+				name := fmt.Sprintf("%s/limit%d/cap%d", mask.name, limit, capacity)
+				c := tr.newCursor(context.Background(), limit, mask.m)
+				buf := make([]mem.Access, 0, capacity)
+				var got []mem.Access
+				for {
+					if buf, err = c.next(buf); err != nil {
+						t.Fatal(err)
+					}
+					if len(buf) == 0 {
+						break
+					}
+					if len(buf) > capacity {
+						t.Fatalf("%s: batch of %d past capacity", name, len(buf))
+					}
+					got = append(got, buf...)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: delivered %d accesses, not the reference's %d", name, len(got), len(want))
+				}
+				if capacity == chunkWords {
+					wantRep = c.rep
+					if wantRep.AccessesDelivered+wantRep.AccessesPruned != int64(len(ref)) || wantRep.ChunksDecoded == 0 {
+						t.Fatalf("%s: report %+v does not account the %d records scanned", name, wantRep, len(ref))
+					}
+				} else if c.rep != wantRep {
+					t.Fatalf("%s: report %+v, chunk capacity reports %+v", name, c.rep, wantRep)
+				}
+			}
+			one, oneRep := maskedDecode(t, tr, limit, mask.m)
+			var two [2][]mem.Access
+			twoRep, err := tr.BroadcastMaskedNCtx(context.Background(), limit, mask.m, []func([]mem.Access){
+				func(a []mem.Access) { two[0] = append(two[0], a...) },
+				func(a []mem.Access) { two[1] = append(two[1], a...) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if twoRep != oneRep || oneRep != wantRep {
+				t.Fatalf("%s/limit%d: two-consumer report %+v, one-consumer %+v, cursor %+v", mask.name, limit, twoRep, oneRep, wantRep)
+			}
+			for _, g := range append(two[:], one) {
+				if !slices.Equal(g, want) {
+					t.Fatalf("%s/limit%d: a masked fan-out consumer's stream differs from the reference", mask.name, limit)
+				}
+			}
+		}
 	}
 }
 

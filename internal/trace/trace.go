@@ -126,10 +126,19 @@ const (
 )
 
 // chunkWords is the fixed chunk capacity (1<<15 words = 128 KB encoded,
-// at most 512 KB decoded) and so sizes every decoded buffer. DESIGN.md
+// at most 512 KB decoded): the unit of the context poll, the failpoint
+// and SkipReport's chunk counts, and the size of a decoded buffer that
+// exists once (a lone consumer's slab, the Subsequence scratch). DESIGN.md
 // Sec. 12's ladder chose it: from 1<<16 a co-run sweep's peak RSS falls
 // ~30% at no measured time cost; below 1<<15 a serve workload's rises.
 const chunkWords = 1 << 15
+
+// slabAccesses sizes every decoded buffer that exists several times at
+// once (64 KB of mem.Access): the slabs of a ring with more than one
+// consumer and each stream's decode buffer in an interleave. The cursor
+// fills such a buffer mid-chunk, so it is decoupled from the encoding;
+// DESIGN.md Sec. 12's ladder row for it is the measurement.
+const slabAccesses = 1 << 12
 
 // chunk is one segment of the encoded word stream plus the self-contained
 // decode header stamped at seal time. The header makes every chunk
@@ -401,7 +410,9 @@ type cursor struct {
 	t     *Trace
 	ctx   context.Context
 	mask  PresenceMask // records outside it are pruned while decoding
-	ci    int          // next chunk to decode
+	ci    int          // chunk being decoded
+	wi    int          // next word of chunk ci; 0: the chunk is not yet opened
+	last  uint64       // block-delta state before word wi
 	done  int64        // recorded accesses consumed so far, pruned ones included
 	limit int64
 	rep   SkipReport // what the prune dropped and kept
@@ -416,50 +427,59 @@ func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) c
 	return cursor{t: t, ctx: ctx, mask: mask, limit: limit}
 }
 
-// next decodes the cursor's next chunk into dst[:0] and returns the
-// decoded accesses, in recording order; an empty result means the stream
-// (or its limit) is exhausted. The cursor keeps walking past chunks whose
-// every record pruned, so a non-empty result is always work to deliver.
-// The context and the failpoint are checked once per chunk (at most 32768
-// accesses ≈ 2 ms of lone-policy replay): a cancelled replay returns
-// within one chunk boundary while the decode kernel stays closure-free and
-// check-free.
+// next decodes the cursor's next accesses into dst[:0], up to cap(dst)
+// (which must be non-zero) and never past the end of the current chunk,
+// and returns them in recording order; an empty result means the stream
+// (or its limit) is exhausted. A buffer smaller than a chunk takes the
+// chunk in pieces: the cursor resumes at its word index and delta state.
+// It keeps walking past chunks whose every record pruned, so a non-empty
+// result is always work to deliver. The context and the failpoint are
+// checked, and SkipReport's chunk counts taken, once per chunk as it
+// opens (at most 32768 accesses ≈ 2 ms of lone-policy replay): a
+// cancelled replay returns within one chunk boundary while the decode
+// kernel stays closure-free and check-free.
 func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 	dst = dst[:0]
 	for len(dst) == 0 && c.done < c.limit && c.ci < len(c.t.chunks) {
-		if err := ContextErr(c.ctx); err != nil {
-			return nil, err
-		}
-		if err := fail.Hit("trace.replay.chunk"); err != nil {
-			return nil, fmt.Errorf("trace: replay: %w", err)
-		}
 		ch := &c.t.chunks[c.ci]
-		c.ci++
+		if c.wi == 0 {
+			if err := ContextErr(c.ctx); err != nil {
+				return nil, err
+			}
+			if err := fail.Hit("trace.replay.chunk"); err != nil {
+				return nil, fmt.Errorf("trace: replay: %w", err)
+			}
+			c.last = ch.base
+			c.rep.ChunksDecoded++
+			c.rep.BytesDecoded += ch.sizeBytes()
+		}
 		before := c.done
-		dst, c.done = c.t.decodeAppendMasked(ch.words, dst, ch.base, c.done, c.limit, c.mask)
-		c.rep.ChunksDecoded++
-		c.rep.BytesDecoded += ch.sizeBytes()
+		dst, c.wi, c.last, c.done = c.t.decodeAppendMasked(ch.words, c.wi, c.last, dst, c.done, c.limit, c.mask)
+		if c.wi == len(ch.words) {
+			c.ci, c.wi = c.ci+1, 0
+		}
 		c.rep.AccessesDelivered += int64(len(dst))
 		c.rep.AccessesPruned += c.done - before - int64(len(dst))
 	}
 	return dst, nil
 }
 
-// decodeAppendMasked is the engine's one decode kernel: it decodes one
-// chunk's words into dst, stopping once done reaches limit, and returns
-// the extended slice plus the progress count. base is the chunk's
-// self-contained block-delta seed (chunk.base), so a chunk decodes in
-// isolation; chunks never split a wide or escape record (the recorder
-// seals early), so the scan always terminates on a record boundary. Every
-// word is scanned (the delta chain demands it) but records whose block
-// congruence class is outside mask drop before the PC lookup and the
-// mem.Access materialization — the step that removes the decode share
-// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14); under fullMask
-// nothing drops. done counts pruned records too, so the limit bounds the
-// recorded prefix scanned, not the residue delivered.
-func (t *Trace) decodeAppendMasked(words []word, dst []mem.Access, base uint64, done, limit int64, mask PresenceMask) ([]mem.Access, int64) {
-	lastBlock := base
-	for i := 0; i < len(words) && done < limit; i++ {
+// decodeAppendMasked is the engine's one decode kernel: it decodes a
+// chunk's words from index i, whose records' block deltas apply to
+// lastBlock, into dst, stopping once done reaches limit or dst reaches
+// cap(dst), and returns the extended slice, the next word index, the delta
+// state there and the progress count. Opened at i = 0 with the chunk's
+// self-contained seed (chunk.base), a chunk decodes in isolation; chunks
+// never split a wide or escape record (the recorder seals early), so the
+// scan always stops on a record boundary. Every word is scanned (the delta
+// chain demands it) but records whose block congruence class is outside
+// mask drop before the PC lookup and the mem.Access materialization — the
+// step that removes the decode share from the sampled tier's Amdahl bound
+// (DESIGN.md Sec. 14); under fullMask nothing drops. done counts pruned
+// records too, so the limit bounds the recorded prefix scanned, not the
+// residue delivered.
+func (t *Trace) decodeAppendMasked(words []word, i int, lastBlock uint64, dst []mem.Access, done, limit int64, mask PresenceMask) ([]mem.Access, int, uint64, int64) {
+	for ; i < len(words) && done < limit && len(dst) < cap(dst); i++ {
 		w := words[i]
 		idx := w >> pcShift & pcMask
 		var block uint64
@@ -488,11 +508,7 @@ func (t *Trace) decodeAppendMasked(words []word, dst []mem.Access, base uint64, 
 		// it in a stack temporary with byte-wide flag stores and copies it
 		// out in one 16-byte move, which stalls on store forwarding.
 		n := len(dst)
-		if n == cap(dst) {
-			dst = append(dst, mem.Access{})
-		} else {
-			dst = dst[:n+1]
-		}
+		dst = dst[:n+1]
 		d := &dst[n]
 		d.Addr = block<<cache.BlockBits | uint64(w>>low6Shift&low6Mask)
 		d.PC = pc
@@ -500,7 +516,7 @@ func (t *Trace) decodeAppendMasked(words []word, dst []mem.Access, base uint64, 
 		d.Write = w&flagWrite != 0
 		d.Property = w&flagProp != 0
 	}
-	return dst, done
+	return dst, i, lastBlock, done
 }
 
 // Accesses decodes the first limit accesses (limit <= 0: all) into a
