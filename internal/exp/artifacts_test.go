@@ -554,6 +554,40 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 	}
 }
 
+// TestSessionFileWeightedWorkloadChargedOutOnly: a file dataset's weighted
+// workload keeps only its out-edges, and the store charges exactly those
+// bytes — 8(n+1) + 8m, not the two-sided graph the file was parsed into —
+// beside the unweighted workload's two-sided footprint.
+func TestSessionFileWeightedWorkloadChargedOutOnly(t *testing.T) {
+	t.Parallel()
+	path := writeLJEdgeList(t)
+	s := NewStore(0).Session(ScaledConfig(64))
+	w, err := s.Workload(path, "DBG", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := w.Graph
+	if c.InIndex != nil || c.InEdges != nil || c.InWeights != nil {
+		t.Fatalf("weighted file workload keeps an in-edge side: %v", c)
+	}
+	n, m := int64(c.NumVertices()), int64(c.NumEdges())
+	outOnly := 8*(n+1) + 8*m
+	if got, want := s.CacheBytesRetained(), outOnly+fileEntryOverhead; got != want {
+		t.Fatalf("CacheBytesRetained = %d, want the out-only footprint 8(n+1) + 8m = %d + overhead = %d", got, outOnly, want)
+	}
+	u, err := s.Workload(path, "DBG", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoSided := 16*(n+1) + 8*m
+	if got := u.Graph.Footprint(); got != twoSided {
+		t.Fatalf("unweighted file workload's Footprint = %d, want 16(n+1) + 8m = %d", got, twoSided)
+	}
+	if got, want := s.CacheBytesRetained(), outOnly+twoSided+fileEntryOverhead; got != want {
+		t.Fatalf("after both workloads CacheBytesRetained = %d, want %d", got, want)
+	}
+}
+
 // TestSessionFileBudgetKeepsKnownPathsRecording: a request for a graph
 // file the store already knows charges nothing, so it does not check the
 // budget. It used to: under a budget that the file's workload and one

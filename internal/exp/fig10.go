@@ -35,19 +35,23 @@ const fig10aTrials = 4
 // Because it measures wall-clock, this experiment declares no Points and
 // runs strictly sequentially: a sweep finishes its parallel prefetch of the
 // union before any body runs, so the timed executions see an idle
-// machine. The graphs are the session's Identity workloads (the loaded
-// graphs themselves); the reorderings are timed again here rather than
-// read off the session's workloads, whose Workload.ReorderCost was
-// measured under a busy prefetch pool.
+// machine. Each graph is loaded here, weighted and with both edge sides,
+// because the five applications include pull-based ones and a weighted
+// workload keeps only its out-edges; the reorderings are timed again here
+// rather than read off the session's workloads, whose
+// Workload.ReorderCost was measured under a busy prefetch pool.
 func runFig10a(s *Session, w io.Writer) error {
 	t := stats.NewTable("Dataset", "Sort", "HubSort", "DBG", "Gorder")
 	agg := make(map[string][]float64)
 	for _, dsName := range highSkewNames() {
-		wl, err := s.Workload(dsName, "Identity", true)
+		ds, err := graph.Resolve(dsName)
 		if err != nil {
 			return err
 		}
-		g := wl.Graph
+		g, err := s.load(ds, true)
+		if err != nil {
+			return err
+		}
 		baseline := timeNativeApps(g)
 		row := []string{dsName}
 		for _, tech := range reorder.Techniques() {

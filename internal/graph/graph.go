@@ -31,6 +31,11 @@ type Edge struct {
 // For every vertex v, OutIndex[v]..OutIndex[v+1] delimits its out-neighbors
 // in OutEdges; likewise for in-edges. Weights are parallel to the edge
 // arrays and may be nil for unweighted graphs.
+//
+// The three In* fields are nil on an out-edges-only view (OutOnly), which
+// is what a weighted workload holds: SSSP, its one application, only
+// pushes. Validate checks the two-sided encoding that FromEdges builds and
+// that parsed files carry; it rejects such a view.
 type CSR struct {
 	n uint32 // number of vertices
 	m uint64 // number of directed edges
@@ -80,14 +85,25 @@ func (g *CSR) OutNeighborWeights(v VertexID) []int32 {
 	return g.OutWeights[g.OutIndex[v]:g.OutIndex[v+1]]
 }
 
-// Footprint returns the approximate resident bytes of the CSR's arrays —
-// the quantity the byte-budget caches (graph registry, exp.Session) charge
-// per retained graph.
+// Footprint returns the approximate resident bytes of the CSR's arrays,
+// counting only the sides g keeps: 8(n+1) + 8m for a weighted out-edges-
+// only view. exp's artifact store charges it for a file-backed workload.
 func (g *CSR) Footprint() int64 {
 	n := 8 * (int64(len(g.OutIndex)) + int64(len(g.InIndex)))
 	n += 4 * (int64(len(g.OutEdges)) + int64(len(g.InEdges)))
 	n += 4 * (int64(len(g.OutWeights)) + int64(len(g.InWeights)))
 	return n
+}
+
+// OutOnly returns a view of g without its in-edge side: the header is
+// copied, the out-edge index, edge and weight arrays are shared, and
+// InIndex, InEdges and InWeights are nil. Vertex and edge counts are g's,
+// so a ligra.Graph over the view lays out the same addresses. Once nothing
+// else holds g, its in-edge arrays are garbage.
+func (g *CSR) OutOnly() *CSR {
+	ng := *g
+	ng.InIndex, ng.InEdges, ng.InWeights = nil, nil, nil
+	return &ng
 }
 
 // AvgDegree returns the average (out-)degree.

@@ -1,6 +1,10 @@
 package ligra
 
-import "grasp/internal/graph"
+import (
+	"errors"
+
+	"grasp/internal/graph"
+)
 
 // PullApply is the per-in-edge update of a pull-based EdgeMap: dst pulls
 // from src (weight w; 0 for unweighted graphs). It returns true if dst
@@ -48,6 +52,10 @@ type EdgeMapOpts struct {
 	SourceActive func(src graph.VertexID) bool
 }
 
+// ErrNoInEdges is the panic value of a pull traversal over a graph that
+// keeps only its out-edges.
+var ErrNoInEdges = errors.New("ligra: pull traversal needs the in-edge side (InIndex, InEdges, InWeights), which this out-edges-only graph does not keep")
+
 // DirectionThresholdDenom is Ligra's direction-switching denominator: use
 // dense/pull when the frontier's incident edges exceed m/20.
 const DirectionThresholdDenom = 20
@@ -56,9 +64,15 @@ const DirectionThresholdDenom = 20
 // vertex satisfying Cond scans its in-neighbors. All Vertex Array, Edge
 // Array, weight and frontier-flag accesses are emitted into the tracer;
 // curFront names the frontier flag array holding the input frontier.
+//
+// It panics on an out-edges-only graph (graph.CSR.OutOnly, a weighted
+// workload): there is no in-edge side to pull over.
 func (fg *Graph) EdgeMapPull(t *Tracer, front *Frontier, apply PullApply, opts EdgeMapOpts) *Frontier {
 	c := fg.C
 	n := c.NumVertices()
+	if c.InIndex == nil {
+		panic(ErrNoInEdges)
+	}
 	if front != nil && opts.CheckFrontier {
 		front.ToDense()
 	}

@@ -113,6 +113,11 @@ func PrepareWorkload(ds graph.Dataset, reorderName string, weighted bool, scaleD
 // (reorderings build relabeled copies), so callers holding one loaded
 // instance — a Prefetch batch shares one load across every reordering of
 // a graph — can prepare many workloads from it.
+//
+// A weighted workload keeps only its out-edges (graph.CSR.OutOnly): SSSP,
+// the one application that reads weights, pushes throughout (Table IV),
+// so the in-edge side is a third of the graph's bytes that no simulation
+// reads. A pull traversal on it panics, naming the missing side.
 func PrepareWorkloadOn(g *graph.CSR, ds graph.Dataset, reorderName string, weighted bool) (*Workload, error) {
 	tech, err := reorder.ByName(reorderName)
 	if err != nil {
@@ -121,6 +126,9 @@ func PrepareWorkloadOn(g *graph.CSR, ds graph.Dataset, reorderName string, weigh
 	perm, cost := reorder.Timed(tech, g, reorder.BySum)
 	if reorderName != "Identity" {
 		g = reorder.Apply(g, perm)
+	}
+	if weighted {
+		g = g.OutOnly()
 	}
 	return &Workload{Dataset: ds, Reorder: reorderName, Graph: g,
 		ReorderCost: cost, Weighted: weighted}, nil
