@@ -120,7 +120,8 @@ type Store struct {
 }
 
 // DefaultStoreBudget is a Store's budget when none is given (4 GiB):
-// a full -exp all sweep at scale 1 keeps 3.44 GB of recordings, so no
+// a full -exp all sweep keeps 0.52 GB of recordings at scale 4 and, by
+// the codec's measured scale-1 density, about 2.2 GB at scale 1, so no
 // paper sweep evicts.
 const DefaultStoreBudget = int64(4) << 30
 

@@ -19,14 +19,19 @@ import (
 //
 // ns/app-access prices the filter (every access pays it), ns/llc-access
 // is the same time per access that survives to the recording, and
-// B/llc-access is the encoded density (SizeBytes / Len: 4 when every
-// record takes the compact form). KCore on
-// tw is the row that keeps a superlinear term priced: its peel phases
-// number tw's k_max, and a phase that cost n rather than its own accesses
+// B/llc-access is the encoded density (SizeBytes / Len: 2 when every
+// record takes the short form, plus each chunk's few-byte header). lj
+// also has a scale-1 row, where the density is lowest. KCore on tw is
+// the row that keeps a superlinear term priced: its peel phases number
+// tw's k_max, and a phase that cost n rather than its own accesses
 // showed up as ns/llc-access growing with scale.
 func BenchmarkRecord(b *testing.B) {
 	for _, name := range []string{"lj", "tw", "uni"} {
-		for _, scale := range []uint32{64, 16, 4} {
+		scales := []uint32{64, 16, 4}
+		if name == "lj" {
+			scales = append(scales, 1)
+		}
+		for _, scale := range scales {
 			// A group per workload, so a -bench filter prepares only the
 			// graphs it selects.
 			b.Run(fmt.Sprintf("%s/scale%d", name, scale), func(b *testing.B) {

@@ -1,5 +1,5 @@
 // Broadcast replay: the one way a decoded stream reaches its consumers.
-// A decode pays word unpacking and delta reconstruction, so BroadcastNCtx
+// A decode pays record unpacking and delta reconstruction, so BroadcastNCtx
 // runs one cursor over the trace, decoding each record exactly once into a
 // slab of mem.Access values, and fans the slab out to every consumer: an
 // N-policy sweep of one recording pays one decode, not N, and a lone
@@ -14,7 +14,7 @@
 // order into slabs. Everything below is shared by both.
 //
 // Slab size: a fan-out with one consumer decodes a chunk per slab
-// (chunkWords); one with several holds broadcastSlabs slabs at once, so
+// (chunkRecords); one with several holds broadcastSlabs slabs at once, so
 // its slabs are slabAccesses long and a chunk reaches them in pieces.
 //
 // Ownership and recycling: decoded slabs live in a bounded ring. The
@@ -126,7 +126,7 @@ type ring struct {
 	free  chan *slab
 	chans []chan *slab
 	lone  func(accs []mem.Access) // inline mode: the one consumer, run in send
-	size  int                     // slab capacity: chunkWords or slabAccesses
+	size  int                     // slab capacity: chunkRecords or slabAccesses
 	made  int                     // slabs allocated so far, <= broadcastSlabs
 }
 
@@ -185,7 +185,7 @@ func fanOut(consumers []func(accs []mem.Access), inline bool, source func(r *rin
 	}
 	r := &ring{free: make(chan *slab, broadcastSlabs), size: slabAccesses}
 	if n == 1 {
-		r.size = chunkWords
+		r.size = chunkRecords
 	}
 	var panicErr atomic.Pointer[error]
 	guard := func(fn func([]mem.Access)) func([]mem.Access) {

@@ -51,7 +51,7 @@ func TestBroadcastDeliversIdenticalStreams(t *testing.T) {
 // panic is contained there as on a consumer goroutine: reported with its
 // stack, never applied again, the fan-out not counted as completed.
 func TestBroadcastLoneConsumerPanic(t *testing.T) {
-	tr := recordAccesses(t, seqAccesses(0, 3*chunkWords))
+	tr := recordAccesses(t, seqAccesses(0, 3*chunkRecords))
 	calls := 0
 	runs0, _ := BroadcastStats()
 	err := tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){func([]mem.Access) {

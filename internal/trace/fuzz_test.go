@@ -10,6 +10,29 @@ import (
 	"grasp/internal/mem"
 )
 
+// edgeStream encodes, as 13-byte fuzz records (8B addr, 4B pc, 1B flags),
+// a stream that crosses every record form's edges: per-PC deltas at and
+// one step past the short range (in 4-byte units) and the medium and wide
+// ranges, a delta off the 4-byte grid, flag changes on a PC, nine PCs so
+// that dictionary index 8 appears next to 7, and each PC's first record.
+func edgeStream() []byte {
+	deltas := []int64{4, shortMax * 4, shortMin * 4, (shortMax + 1) * 4, (shortMin - 1) * 4, 2, 4,
+		mediumMax, mediumMin, mediumMax + 1, mediumMin - 1, wideMax, wideMin, wideMax + 1, wideMin - 1, 4}
+	var out []byte
+	for pc := uint32(0); pc < shortPCs+1; pc++ {
+		addr := uint64(1)<<40 + uint64(pc)<<20
+		for i, d := range deltas {
+			addr += uint64(d)
+			var rec [13]byte
+			binary.LittleEndian.PutUint64(rec[:8], addr)
+			binary.LittleEndian.PutUint32(rec[8:12], 0x400000+pc*16)
+			rec[12] = byte(i/5) & 3 // the flags change every fifth record
+			out = append(out, rec[:]...)
+		}
+	}
+	return out
+}
+
 // FuzzCodecRoundTrip decodes arbitrary bytes into an access stream,
 // encodes it through the recorder and asserts the decode reproduces the
 // stream exactly. The codec must be total: any address,
@@ -26,9 +49,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		seed = append(seed, rec[:]...)
 	}
 	f.Add(seed)
-	// Three streams past the compact form: wide records (block deltas
-	// just past 19 bits and at the edges of 32), escape records (deltas
-	// past 32 bits), and more distinct PCs than the dictionary holds.
+	// Three streams past the short form: long records (block deltas at
+	// 2^18 and at the edges of 32 bits), escape records (deltas past 32
+	// bits), and more distinct PCs than the dictionary holds; then every
+	// form's edges.
 	const blockBytes = 1 << cache.BlockBits
 	blocks := func(deltas []int64, pc func(i int) uint32) []byte {
 		var out []byte
@@ -52,6 +76,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		steps[i] = 1
 	}
 	f.Add(blocks(steps, func(i int) uint32 { return uint32(i) << 8 }))
+	f.Add(edgeStream())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const recSize = 13 // 8B addr + 4B pc + 1B flags
 		n := len(data) / recSize
@@ -104,7 +129,8 @@ func FuzzMaskedDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Seed one stream clustered in a single congruence class (everything
 	// prunes for most masks), one striding every class with a large
-	// divisor, and one hammering escape records.
+	// divisor, one hammering escape records, and one crossing every record
+	// form's edges.
 	cluster := make([]byte, 0, 13*64)
 	for i := 0; i < 64; i++ {
 		var rec [13]byte
@@ -130,6 +156,7 @@ func FuzzMaskedDecode(f *testing.F) {
 		escapes = append(escapes, rec[:]...)
 	}
 	f.Add(escapes)
+	f.Add(edgeStream())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const recSize = 13
 		n := len(data) / recSize

@@ -228,7 +228,7 @@ func taggedMerge(t testing.TB, streams []InterleaveStream, limit int64) []mem.Ac
 // as ONE broadcast run serving its consumers.
 func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 	short := recordAccesses(t, seqAccesses(0, 500))
-	long := recordAccesses(t, seqAccesses(1, 2*chunkWords+123))
+	long := recordAccesses(t, seqAccesses(1, 2*chunkRecords+123))
 	for _, tc := range []struct {
 		name    string
 		streams []InterleaveStream
@@ -237,7 +237,7 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 		{"one stream", []InterleaveStream{{Trace: short, Weight: 4}}, 0},
 		{"weighted pair", []InterleaveStream{{Trace: short, Weight: 3}, {Trace: long, Weight: 1}}, 0},
 		{"shared trace", []InterleaveStream{{Trace: long, Weight: 1}, {Trace: long, Weight: 1}, {Trace: short, Weight: 2}}, 0},
-		{"limit", []InterleaveStream{{Trace: long, Weight: 2}, {Trace: short, Weight: 5}}, chunkWords + 7},
+		{"limit", []InterleaveStream{{Trace: long, Weight: 2}, {Trace: short, Weight: 5}}, chunkRecords + 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := taggedMerge(t, tc.streams, tc.limit)
@@ -246,7 +246,7 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 			consumers := make([]func([]mem.Access), n)
 			for i := range consumers {
 				consumers[i] = func(accs []mem.Access) {
-					if len(accs) == 0 || len(accs) > chunkWords {
+					if len(accs) == 0 || len(accs) > chunkRecords {
 						t.Errorf("consumer %d: slab of %d accesses", i, len(accs))
 					}
 					got[i] = append(got[i], accs...) // slabs are recycled
@@ -283,7 +283,7 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 // and the fan-out reports the panic with its stack and does not count as
 // a completed run.
 func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
-	tr := recordAccesses(t, seqAccesses(0, (broadcastSlabs+2)*chunkWords/2))
+	tr := recordAccesses(t, seqAccesses(0, (broadcastSlabs+2)*chunkRecords/2))
 	streams := []InterleaveStream{{Trace: tr, Weight: 1}, {Trace: tr, Weight: 1}}
 	var before, after int
 	slabs := 0
@@ -320,7 +320,7 @@ func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 // process-global.
 func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 	defer fail.Reset()
-	tr := recordAccesses(t, seqAccesses(0, 3*chunkWords))
+	tr := recordAccesses(t, seqAccesses(0, 3*chunkRecords))
 	chunks := len(tr.chunks)
 	if chunks < 3 {
 		t.Fatalf("want a multi-chunk trace, got %d chunks", chunks)
@@ -346,16 +346,16 @@ func TestInterleaveBroadcastFailpointPerChunk(t *testing.T) {
 // multi-chunk traces, a multi-consumer ring allocates at most its
 // broadcastSlabs slabs of slabAccesses, a co-run fan-out of S streams at
 // most S slabAccesses decode buffers plus those slabs, and a lone consumer
-// one chunkWords slab — measured as the TotalAlloc delta across the call,
+// one chunkRecords slab — measured as the TotalAlloc delta across the call,
 // with a stated slack for its channels, goroutines and cursor table. A
 // buffer grown by append, a chunk-sized buffer where a slab belongs, or a
 // slab allocated per fill overshoots its bound. Not parallel: TotalAlloc
 // is process-wide.
 func TestInterleaveBroadcastAllocBound(t *testing.T) {
 	const chunks = 8
-	accs := make([]mem.Access, chunks*chunkWords)
+	accs := make([]mem.Access, chunks*chunkRecords)
 	for i := range accs {
-		accs[i] = mem.Access{Addr: uint64(i) << 6, PC: uint32(i % 4)} // compact: a word per record
+		accs[i] = mem.Access{Addr: uint64(i) << 6, PC: uint32(i % 4)} // short: a halfword per record
 	}
 	tr := recordAccesses(t, accs)
 	if len(tr.chunks) < chunks {
@@ -368,7 +368,7 @@ func TestInterleaveBroadcastAllocBound(t *testing.T) {
 	streams := []InterleaveStream{{Trace: tr, Weight: 3}, {Trace: tr, Weight: 1}}
 	ctx := context.Background()
 	access := uint64(unsafe.Sizeof(mem.Access{}))
-	slabBytes, chunkBytes := slabAccesses*access, chunkWords*access
+	slabBytes, chunkBytes := slabAccesses*access, chunkRecords*access
 	const slack = 16 << 10
 	for _, c := range []struct {
 		name  string

@@ -3,12 +3,12 @@
 // low block bits, a sampled-set selection projects onto PresenceBuckets
 // block-address congruence classes, and the decode kernel
 // (decodeAppendMasked) tests each record's class on the reconstructed
-// block address alone: every word is still scanned — the delta chain
-// demands it — but non-sampled records drop before the PC lookup and the
+// block address alone: every record is still scanned — the per-site
+// decode state demands it — but non-sampled records drop before the
 // mem.Access materialization, so only the ~1/K sampled residue is shipped
 // to consumers. Running the filter inside the decode loop on the raw
-// words, instead of after full materialization, is what breaks PR 7's
-// decode-share Amdahl bound.
+// records, instead of after full materialization, is what breaks the
+// sampled tier's decode-share Amdahl bound.
 //
 // Conservatism: with sets <= PresenceBuckets (every geometry this repo
 // simulates) a bucket maps to exactly one set, so the mask test IS the
@@ -115,7 +115,7 @@ func SampledSetsMask(sets uint32, sampled []uint32) PresenceMask {
 func (t *Trace) Subsequence(ctx context.Context, mask PresenceMask) (*Trace, error) {
 	c := t.newCursor(ctx, 0, mask)
 	r := NewRawRecorder()
-	accs := make([]mem.Access, 0, chunkWords)
+	accs := make([]mem.Access, 0, chunkRecords)
 	for {
 		var err error
 		if accs, err = c.next(accs); err != nil {

@@ -13,13 +13,13 @@ import (
 )
 
 // classStream builds a stream whose accesses cluster per chunk: each
-// segment of chunkWords accesses stays inside one block congruence class,
+// segment of chunkRecords accesses stays inside one block congruence class,
 // so a mask excluding that class prunes the chunk's every record.
 func classStream(segments int, classes []uint64) []mem.Access {
 	var accs []mem.Access
 	for s := 0; s < segments; s++ {
 		c := classes[s%len(classes)]
-		for i := 0; i < chunkWords; i++ {
+		for i := 0; i < chunkRecords; i++ {
 			block := c + uint64(i)*PresenceBuckets
 			accs = append(accs, mem.Access{
 				Addr:  block << cache.BlockBits,
@@ -54,15 +54,17 @@ func maskedDecode(t *testing.T, tr *Trace, limit int64, mask PresenceMask) ([]me
 }
 
 // TestChunkHeadersSelfContained asserts every sealed chunk's header lets
-// it decode in isolation: the per-chunk base plus the chunk's words must
-// reproduce exactly the corresponding slice of the full decode, and the
-// chunks must partition the stream.
+// it decode in isolation: the header holds, for each PC known when the
+// chunk opened, the address and flags of that PC's last access before
+// it (read off the recorded input, not a decoder), and the header plus
+// the chunk's halfwords reproduce exactly the corresponding slice of the
+// full decode; the chunks partition the stream.
 func TestChunkHeadersSelfContained(t *testing.T) {
 	// interesting() alone fits one chunk; repeat it until the encoding
 	// crosses several chunk boundaries (escape forms land mid-stream, so
 	// seams fall at every alignment across repetitions).
 	var accs []mem.Access
-	for len(accs) < 3*chunkWords {
+	for len(accs) < 3*chunkRecords {
 		accs = append(accs, interesting()...)
 	}
 	tr := record(t, accs)
@@ -73,16 +75,40 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type site struct {
+		addr        uint64
+		write, prop bool
+	}
+	last := map[uint32]site{} // each PC's last access before off
 	var off int64
 	for ci := range tr.chunks {
-		c := &tr.chunks[ci]
-		// Decode this chunk alone, seeded only by its header base, with
-		// the kernel every cursor runs; Accesses shares none of it.
-		got, _, _, _ := tr.decodeAppendMasked(c.words, 0, c.base, make([]mem.Access, 0, chunkWords), 0, tr.Len(), fullMask)
+		h := &tr.chunks[ci]
+		if len(h.addr) != len(h.flag) {
+			t.Fatalf("chunk %d: header has %d addresses and %d flags", ci, len(h.addr), len(h.flag))
+		}
+		for idx := range h.addr {
+			want, ok := last[tr.pcs[idx]]
+			got := site{h.addr[idx], h.flag[idx]&flagWrite != 0, h.flag[idx]&flagProp != 0}
+			if !ok || got != want {
+				t.Fatalf("chunk %d: header site %d (PC %#x) holds %+v, the input's last access there is %+v", ci, idx, tr.pcs[idx], got, want)
+			}
+		}
+		// Decode this chunk alone, as a trace of its own seeded only by its
+		// header's per-site state, with the cursor and kernel every replay
+		// runs; Accesses shares none of it.
+		one := &Trace{chunks: tr.chunks[ci : ci+1], pcs: tr.pcs, n: tr.n}
+		c := one.newCursor(context.Background(), 0, fullMask)
+		got, err := c.next(make([]mem.Access, 0, chunkRecords))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, a := range got {
 			if a != ref[off+int64(i)] {
 				t.Fatalf("chunk %d access %d: isolated decode %+v != full decode %+v", ci, i, a, ref[off+int64(i)])
 			}
+		}
+		for _, a := range accs[off : off+int64(len(got))] {
+			last[a.PC] = site{a.Addr, a.Write, a.Property}
 		}
 		off += int64(len(got))
 	}
@@ -94,7 +120,7 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 // TestCursorSlabCapacities: a cursor filling buffers smaller than a chunk
 // resumes mid-chunk without losing a record or the delta state. Over a
 // multi-chunk trace of every encoding form, buffers of 1, 7, slabAccesses
-// and chunkWords accesses, under the full mask and a sampled one, with and
+// and chunkRecords accesses, under the full mask and a sampled one, with and
 // without a limit that cuts mid-chunk, must each deliver exactly the
 // (masked) prefix of the independent reference decode, and report the same
 // SkipReport as chunk capacity: the chunk counts are taken once per chunk.
@@ -102,7 +128,7 @@ func TestChunkHeadersSelfContained(t *testing.T) {
 // as to one (chunk-sized slabs).
 func TestCursorSlabCapacities(t *testing.T) {
 	var accs []mem.Access
-	for len(accs) < 3*chunkWords {
+	for len(accs) < 3*chunkRecords {
 		accs = append(accs, interesting()...)
 	}
 	tr := record(t, accs)
@@ -110,7 +136,7 @@ func TestCursorSlabCapacities(t *testing.T) {
 	// the third chunk in half.
 	var perChunk []int64
 	for c := tr.newCursor(context.Background(), 0, fullMask); ; {
-		got, err := c.next(make([]mem.Access, 0, chunkWords))
+		got, err := c.next(make([]mem.Access, 0, chunkRecords))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +167,7 @@ func TestCursorSlabCapacities(t *testing.T) {
 				}
 			}
 			var wantRep SkipReport
-			for _, capacity := range []int{chunkWords, slabAccesses, 7, 1} {
+			for _, capacity := range []int{chunkRecords, slabAccesses, 7, 1} {
 				name := fmt.Sprintf("%s/limit%d/cap%d", mask.name, limit, capacity)
 				c := tr.newCursor(context.Background(), limit, mask.m)
 				buf := make([]mem.Access, 0, capacity)
@@ -161,7 +187,7 @@ func TestCursorSlabCapacities(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: delivered %d accesses, not the reference's %d", name, len(got), len(want))
 				}
-				if capacity == chunkWords {
+				if capacity == chunkRecords {
 					wantRep = c.rep
 					if wantRep.AccessesDelivered+wantRep.AccessesPruned != int64(len(ref)) || wantRep.ChunksDecoded == 0 {
 						t.Fatalf("%s: report %+v does not account the %d records scanned", name, wantRep, len(ref))
@@ -258,7 +284,7 @@ func TestReplayMaskedLimit(t *testing.T) {
 	accs := classStream(4, []uint64{1, 2, 1, 3})
 	tr := record(t, accs)
 	mask := maskOf(3)
-	limit := int64(len(accs)) - chunkWords/2 // cuts into the last (masked) segment
+	limit := int64(len(accs)) - chunkRecords/2 // cuts into the last (masked) segment
 	var want []mem.Access
 	for _, a := range accs[:limit] {
 		if mask.test(cache.BlockAddr(a.Addr)) {

@@ -10,11 +10,14 @@
 //
 // The encoding is lossless for everything the LLC can observe: byte
 // address (GRASP's classification boundaries are byte-granular), synthetic
-// PC, write flag and Property-Array flag. Each access is usually one
-// 32-bit word — a signed block delta against the previous access plus the
-// low six address bits, the flags, and a dictionary index for the PC —
-// with a two-word wide form for longer jumps and a four-word escape form
-// for anything else. Words accumulate in fixed-size in-memory chunks; a
+// PC, write flag and Property-Array flag. It is a stream of 16-bit
+// halfwords, and each dictionary PC (a static access site) keeps its own
+// decode state: its last byte address and flags. Most accesses are one
+// halfword — a 3-bit PC index and a 12-bit delta, in 4-byte units, from
+// that site's last address, the flags repeating the site's — with two-,
+// three- and seven-halfword forms for longer jumps, other flags, PCs past
+// the first eight and PCs past the dictionary. Records accumulate in
+// fixed-count in-memory chunks, each carrying its sites' state; a
 // finished Trace is an immutable value that any number of goroutines
 // replay at once, and Go's GC owns its lifetime. The package makes no
 // memory decisions and keeps no memory accounting of its own: what a
@@ -75,63 +78,75 @@ func AbortError(p any) (error, bool) {
 // pass between context polls: frequent enough that a cancelled recording
 // unwinds within a chunk's worth of accesses, rare enough that the poll
 // never shows up next to the per-access L1/L2 filter work.
-const ctxPollInterval = chunkWords
+const ctxPollInterval = chunkRecords
 
-// word is the unit of the encoded stream; wordBytes is its size, the
-// factor every byte count of the codec (budgets, SizeBytes) is charged in.
-type word = uint32
+// halfword is the unit of the encoded stream; halfwordBytes is its size,
+// the factor a chunk's records are charged in (budgets, SizeBytes).
+type halfword = uint16
 
-const wordBytes = 4
+const halfwordBytes = 2
 
-// Every record opens with a head word (LSB first):
+// Every record opens with a head halfword, and a long record's further
+// halfwords follow its head. Heads take three shapes (LSB first):
 //
-//	bit  0      write flag
-//	bit  1      Property-Array flag
-//	bits 2-7    low 6 bits of the byte address (sub-block offset)
-//	bits 8-12   PC dictionary index 0-29, or wideIdx / escapeIdx
-//	bits 13-31  compact form: signed block delta vs the previous access
+//	short  (1 halfword)  bit 0 clear; bits 1-3 a PC dictionary index 0-7;
+//	                     bits 4-15 a signed delta in 4-byte units; the
+//	                     flags repeat that PC's last
+//	medium (2 halfwords) bit 0 set, bit 4 clear; bits 1-3 the index 0-7;
+//	                     bit 5 the write flag, bit 6 the Property-Array
+//	                     flag; bits 7-15 the high 9 bits of a signed
+//	                     25-bit byte delta, the next halfword its low 16
+//	rare                 bits 0 and 4 set; bit 1 picks the form; bits 2-3
+//	                     the flags; bits 6-10 a PC dictionary index 0-30,
+//	                     or noIdx
 //
-// and takes one of three forms:
+// A delta is from the named PC's last address. The rare forms are
 //
-//	compact (1 word)  index 0-29, a 19-bit delta in the head
-//	wide    (2 words) index wideIdx; the PC index in bits 13-17, then a
-//	                  signed 32-bit block delta
-//	escape  (4 words) index escapeIdx; the full PC, then the full block
-//	                  address, low word first
+//	wide   (3 halfwords) bit 1 clear; a signed 32-bit byte delta, low
+//	                     halfword first
+//	escape (7 halfwords) bit 1 set; the full PC and the full address, low
+//	                     halfword first; the index may be noIdx
 //
-// ligra's streams use a couple of dozen static PCs, and their deltas fit
-// 19 bits at bench scales and mostly at scale 1, so nearly every record is
-// compact. The escape form covers PCs past the dictionary and jumps past
-// 32 bits, so the codec stays total for arbitrary input (the fuzz target
-// feeds it adversarial streams).
+// Every record of a dictionary PC, escape included, updates that PC's
+// address and flags. ligra's LLC-bound streams use at most eight static
+// PCs, each striding or scattering within one or two arrays, so most
+// records are short and nearly all the rest medium; a PC's first record
+// (its state starts at address 0, no flags) is wide. The escape form
+// covers PCs past the dictionary and jumps past 32 bits, so the codec
+// stays total for arbitrary input (the fuzz targets feed it adversarial
+// streams).
 const (
 	flagWrite = 1 << 0
 	flagProp  = 1 << 1
+	flagsMask = flagWrite | flagProp
 
-	low6Shift = 2
-	low6Mask  = 0x3F
-
-	pcShift   = 8
-	pcMask    = 0x1F
-	wideIdx   = 30
-	escapeIdx = 31
-	maxPCs    = wideIdx // dictionary indices 0..29
-
-	deltaShift = 13
-	deltaBits  = 32 - deltaShift
-	deltaMax   = int64(1)<<(deltaBits-1) - 1
-	deltaMin   = -int64(1) << (deltaBits - 1)
-	wideMax    = int64(1)<<31 - 1
-	wideMin    = -int64(1) << 31
+	longBit     = 1 << 0
+	shortPCs    = 8 // the indices a short or medium record can name
+	shortShift  = 4 // short: the delta in 4-byte units
+	shortMin    = -1 << (16 - shortShift - 1)
+	shortMax    = 1<<(16-shortShift-1) - 1
+	mediumFlags = 5 // medium: the flags
+	mediumShift = 7 // medium: the delta's high bits
+	mediumMin   = -1 << (16 - mediumShift + 16 - 1)
+	mediumMax   = 1<<(16-mediumShift+16-1) - 1
+	rareBits    = 0x11 // bits 0 and 4 of a wide or escape head
+	escapeBit   = 1 << 1
+	rareFlags   = 2 // rare: the flags, bits 2-3
+	rareShift   = 6 // rare: the dictionary index
+	noIdx       = 31
+	maxPCs      = noIdx // dictionary indices 0..30
+	wideMin     = -1 << 31
+	wideMax     = 1<<31 - 1
 )
 
-// chunkWords is the fixed chunk capacity (1<<15 words = 128 KB encoded,
-// at most 512 KB decoded): the unit of the context poll, the failpoint
-// and SkipReport's chunk counts, and the size of a decoded buffer that
-// exists once (a lone consumer's slab, the Subsequence scratch). DESIGN.md
-// Sec. 12's ladder chose it: from 1<<16 a co-run sweep's peak RSS falls
-// ~30% at no measured time cost; below 1<<15 a serve workload's rises.
-const chunkWords = 1 << 15
+// chunkRecords is the fixed chunk length in records (2^15 accesses: about
+// 72 KB encoded at bench scales, 512 KB decoded): the unit of the context
+// poll, the failpoint and SkipReport's chunk counts, and the size of a
+// decoded buffer that exists once (a lone consumer's slab, the
+// Subsequence scratch). DESIGN.md Sec. 12's ladder chose it: from 2^16 a
+// co-run sweep's peak RSS falls ~30% at no measured time cost; below 2^15
+// a serve workload's rises.
+const chunkRecords = 1 << 15
 
 // slabAccesses sizes every decoded buffer that exists several times at
 // once (64 KB of mem.Access): the slabs of a ring with more than one
@@ -140,20 +155,44 @@ const chunkWords = 1 << 15
 // DESIGN.md Sec. 12's ladder row for it is the measurement.
 const slabAccesses = 1 << 12
 
-// chunk is one segment of the encoded word stream plus the self-contained
-// decode header stamped at seal time. The header makes every chunk
-// decodable in isolation — base is the block-delta state the first
-// record's delta applies to, so a cursor decodes each chunk from its own
-// header without threading lastBlock through the chunks before it
-// (DESIGN.md Sec. 11; traces are process-lifetime only, so the header
-// needs no on-disk form or version negotiation).
-type chunk struct {
-	words []word
-	base  uint64 // lastBlock before the chunk's first record
+// sites is the codec's per-site state: each dictionary PC's last byte
+// address and its last flags. Index 31 (noIdx) is a slot an
+// undictionaried escape writes and nothing reads, so every index a head
+// can carry is in range.
+type sites struct {
+	addr [32]uint64
+	flag [32]uint8
 }
 
-// sizeBytes returns the chunk's encoded footprint.
-func (c *chunk) sizeBytes() uint64 { return uint64(len(c.words)) * wordBytes }
+// chunk is one segment of the encoded stream plus the self-contained
+// decode header taken when it opened: the sites' state before its first
+// record, for the dictionary PCs known then (later ones start at zero, as
+// they do in the recorder). The header makes every chunk decodable in
+// isolation — a cursor decodes each chunk from its own header without
+// threading state through the chunks before it (DESIGN.md Sec. 11; traces
+// are process-lifetime only, so the header needs no on-disk form or
+// version negotiation).
+type chunk struct {
+	hw   []halfword
+	addr []uint64 // each known site's last address before the first record
+	flag []uint8  // and its last flags
+}
+
+// siteBytes is what the header charges per known site.
+const siteBytes = 8 + 1
+
+// sizeBytes returns the chunk's encoded footprint, header included.
+func (c *chunk) sizeBytes() uint64 {
+	return uint64(len(c.hw))*halfwordBytes + uint64(len(c.addr))*siteBytes
+}
+
+// open returns the decode state the chunk's first record applies to.
+func (c *chunk) open() sites {
+	var s sites
+	copy(s.addr[:], c.addr)
+	copy(s.flag[:], c.flag)
+	return s
+}
 
 // Recorder encodes an LLC-bound access stream. Built with NewRecorder it
 // is a mem.Sink that filters every access through fresh L1/L2 upper levels
@@ -166,17 +205,18 @@ type Recorder struct {
 	upper *cache.UpperLevels
 	limit int64 // encode at most this many accesses; 0 = unlimited
 
-	cur       []word
-	chunks    []chunk
-	lastBlock uint64
-	curBase   uint64 // lastBlock when the current chunk opened
-	pcs       []uint32
-	pcIdx     map[uint32]word
-	lastPC    uint32
-	lastIdx   word
-	havePC    bool
-	n         int64
-	ramBytes  int64
+	buf      []halfword // the open chunk's records; sealing copies them out
+	recs     int        // records in the open chunk
+	open     chunk      // the open chunk's header
+	chunks   []chunk
+	st       sites
+	pcs      []uint32
+	pcIdx    map[uint32]uint
+	lastPC   uint32
+	lastIdx  uint
+	havePC   bool
+	n        int64
+	ramBytes int64
 
 	ctxDone <-chan struct{} // non-nil: poll for cancellation while recording
 	ctx     context.Context
@@ -199,7 +239,7 @@ func NewRecorder(cfg cache.HierarchyConfig) (*Recorder, error) {
 // NewRawRecorder creates a recorder with no upper-level filter: every
 // access passed to Access (or Record) is encoded.
 func NewRawRecorder() *Recorder {
-	return &Recorder{pcIdx: make(map[uint32]word)}
+	return &Recorder{pcIdx: make(map[uint32]uint)}
 }
 
 // SetContext attaches a cancellation context: Access polls it every
@@ -255,78 +295,69 @@ func (r *Recorder) Access(a mem.Access) {
 
 // Record encodes one access unconditionally.
 func (r *Recorder) Record(a mem.Access) {
-	block := cache.BlockAddr(a.Addr)
-	w := word(a.Addr&low6Mask) << low6Shift
+	if r.recs == 0 {
+		// Open a chunk: its header is the sites' state now.
+		if r.buf == nil {
+			r.buf = make([]halfword, 0, 2*chunkRecords)
+		}
+		n := len(r.pcs)
+		r.open = chunk{addr: make([]uint64, n), flag: make([]uint8, n)}
+		copy(r.open.addr, r.st.addr[:])
+		copy(r.open.flag, r.st.flag[:])
+	}
+	var f uint8
 	if a.Write {
-		w |= flagWrite
+		f |= flagWrite
 	}
 	if a.Property {
-		w |= flagProp
+		f |= flagProp
 	}
 	// PC dictionary with a last-PC memo: accesses arrive in runs from the
 	// same static site, so the map is rarely consulted.
-	var idx word
-	haveIdx := false
+	idx := uint(noIdx)
 	if r.havePC && a.PC == r.lastPC {
-		idx, haveIdx = r.lastIdx, true
+		idx = r.lastIdx
 	} else if i, ok := r.pcIdx[a.PC]; ok {
-		idx, haveIdx = i, true
+		idx = i
 	} else if len(r.pcs) < maxPCs {
-		idx, haveIdx = word(len(r.pcs)), true
+		idx = uint(len(r.pcs))
 		r.pcIdx[a.PC] = idx
 		r.pcs = append(r.pcs, a.PC)
 	}
-	if haveIdx {
+	if idx != noIdx {
 		r.lastPC, r.lastIdx, r.havePC = a.PC, idx, true
 	}
-	if r.n == 0 {
-		// Seed the delta chain (and so the first chunk's base) with the
-		// first block: the jump from address 0 to the first array would
-		// otherwise cost every recording a wide record.
-		r.lastBlock = block
-	}
-	delta := int64(block - r.lastBlock)
+	delta := int64(a.Addr - r.st.addr[idx])
+	rare := rareBits | halfword(f)<<rareFlags | halfword(idx)<<rareShift
 	switch {
-	case haveIdx && delta >= deltaMin && delta <= deltaMax:
-		r.reserve(1)
-		r.cur = append(r.cur, w|idx<<pcShift|word(delta)<<deltaShift)
-	case haveIdx && delta >= wideMin && delta <= wideMax:
-		r.reserve(2)
-		r.cur = append(r.cur, w|wideIdx<<pcShift|idx<<deltaShift, word(delta))
+	case idx < shortPCs && f == r.st.flag[idx] && delta&3 == 0 && delta>>2 >= shortMin && delta>>2 <= shortMax:
+		r.buf = append(r.buf, halfword(delta>>2)<<shortShift|halfword(idx)<<1)
+	case idx < shortPCs && delta >= mediumMin && delta <= mediumMax:
+		r.buf = append(r.buf, halfword(delta>>16)<<mediumShift|halfword(f)<<mediumFlags|halfword(idx)<<1|longBit, halfword(delta))
+	case idx != noIdx && delta >= wideMin && delta <= wideMax:
+		r.buf = append(r.buf, rare, halfword(delta), halfword(delta>>16))
 	default:
-		r.reserve(4)
-		r.cur = append(r.cur, w|escapeIdx<<pcShift, a.PC, word(block), word(block>>32))
+		r.buf = append(r.buf, rare|escapeBit, halfword(a.PC), halfword(a.PC>>16),
+			halfword(a.Addr), halfword(a.Addr>>16), halfword(a.Addr>>32), halfword(a.Addr>>48))
 	}
-	r.lastBlock = block
+	r.st.addr[idx], r.st.flag[idx] = a.Addr, f
 	r.n++
-}
-
-// reserve makes room for an n-word record in the current chunk, sealing
-// early rather than splitting the record across a chunk boundary (chunks
-// decode without carrying a partial record). A record opening an empty
-// chunk makes the recorder's pre-record lastBlock the chunk's
-// self-contained decode base (Record has not updated it yet here).
-func (r *Recorder) reserve(n int) {
-	if len(r.cur) > chunkWords-n {
+	if r.recs++; r.recs == chunkRecords {
 		r.seal()
 	}
-	if r.cur == nil {
-		r.cur = make([]word, 0, chunkWords)
-	}
-	if len(r.cur) == 0 {
-		r.curBase = r.lastBlock
-	}
 }
 
-// seal closes the current chunk, adding its bytes to the recording's
-// size; the chunk carries its self-contained header (the decode base).
+// seal closes the open chunk as an exact-size copy of the scratch buffer,
+// so what a trace keeps allocated is what SizeBytes charges, and adds its
+// bytes to the recording's size.
 func (r *Recorder) seal() {
-	if len(r.cur) == 0 {
+	if r.recs == 0 {
 		return
 	}
-	r.ramBytes += int64(len(r.cur)) * wordBytes
-	r.chunks = append(r.chunks, chunk{words: r.cur, base: r.curBase})
-	r.cur = nil
+	r.open.hw = append(make([]halfword, 0, len(r.buf)), r.buf...)
+	r.ramBytes += int64(r.open.sizeBytes())
+	r.chunks = append(r.chunks, r.open)
+	r.open, r.buf, r.recs = chunk{}, r.buf[:0], 0
 }
 
 // Finish seals the recording into an immutable Trace carrying the upper
@@ -334,23 +365,15 @@ func (r *Recorder) seal() {
 // application execution. The recorder must not be used afterwards. The
 // error result is always nil: sealing in memory cannot fail.
 func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
-	if n := len(r.cur); n > 0 && n < cap(r.cur) {
-		// Right-size the tail: a sealed chunk keeps its backing array, and
-		// SizeBytes (what a store's budget charges) counts len x wordBytes.
-		// Without this every recording holds a full chunkWords array for
-		// its last chunk — most of a bench-scale recording, which rarely
-		// fills one chunk.
-		r.cur = append(make([]word, 0, n), r.cur...)
-	}
 	r.seal()
 	t := &Trace{
 		chunks:   r.chunks,
-		pcs:      r.pcs,
 		n:        r.n,
 		recorded: r.n,
 		ramBytes: r.ramBytes,
 		appTime:  appTime,
 	}
+	copy(t.pcs[:], r.pcs)
 	if r.upper != nil {
 		t.l1, t.l2 = r.upper.L1.Stats, r.upper.L2.Stats
 	}
@@ -366,7 +389,7 @@ func (r *Recorder) Finish(appTime time.Duration) (*Trace, error) {
 // replay holding it runs to the end whatever its owner does meanwhile.
 type Trace struct {
 	chunks   []chunk
-	pcs      []uint32
+	pcs      [32]uint32 // the PC dictionary; a head's index is always in range
 	n        int64
 	recorded int64 // n, or the length of the recording a Subsequence was pruned from
 	ramBytes int64
@@ -411,8 +434,8 @@ type cursor struct {
 	ctx   context.Context
 	mask  PresenceMask // records outside it are pruned while decoding
 	ci    int          // chunk being decoded
-	wi    int          // next word of chunk ci; 0: the chunk is not yet opened
-	last  uint64       // block-delta state before word wi
+	hi    int          // next halfword of chunk ci; 0: the chunk is not yet opened
+	st    sites        // decode state before halfword hi
 	done  int64        // recorded accesses consumed so far, pruned ones included
 	limit int64
 	rep   SkipReport // what the prune dropped and kept
@@ -431,32 +454,32 @@ func (t *Trace) newCursor(ctx context.Context, limit int64, mask PresenceMask) c
 // (which must be non-zero) and never past the end of the current chunk,
 // and returns them in recording order; an empty result means the stream
 // (or its limit) is exhausted. A buffer smaller than a chunk takes the
-// chunk in pieces: the cursor resumes at its word index and delta state.
-// It keeps walking past chunks whose every record pruned, so a non-empty
-// result is always work to deliver. The context and the failpoint are
-// checked, and SkipReport's chunk counts taken, once per chunk as it
-// opens (at most 32768 accesses ≈ 2 ms of lone-policy replay): a
-// cancelled replay returns within one chunk boundary while the decode
-// kernel stays closure-free and check-free.
+// chunk in pieces: the cursor resumes at its halfword index and decode
+// state. It keeps walking past chunks whose every record pruned, so a
+// non-empty result is always work to deliver. The context and the
+// failpoint are checked, and SkipReport's chunk counts taken, once per
+// chunk as it opens (at most 32768 accesses ≈ 2 ms of lone-policy
+// replay): a cancelled replay returns within one chunk boundary while the
+// decode kernel stays closure-free and check-free.
 func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 	dst = dst[:0]
 	for len(dst) == 0 && c.done < c.limit && c.ci < len(c.t.chunks) {
 		ch := &c.t.chunks[c.ci]
-		if c.wi == 0 {
+		if c.hi == 0 {
 			if err := ContextErr(c.ctx); err != nil {
 				return nil, err
 			}
 			if err := fail.Hit("trace.replay.chunk"); err != nil {
 				return nil, fmt.Errorf("trace: replay: %w", err)
 			}
-			c.last = ch.base
+			c.st = ch.open()
 			c.rep.ChunksDecoded++
 			c.rep.BytesDecoded += ch.sizeBytes()
 		}
 		before := c.done
-		dst, c.wi, c.last, c.done = c.t.decodeAppendMasked(ch.words, c.wi, c.last, dst, c.done, c.limit, c.mask)
-		if c.wi == len(ch.words) {
-			c.ci, c.wi = c.ci+1, 0
+		dst, c.hi, c.done = c.t.decodeAppendMasked(ch.hw, c.hi, &c.st, dst, c.done, c.limit, c.mask)
+		if c.hi == len(ch.hw) {
+			c.ci, c.hi = c.ci+1, 0
 		}
 		c.rep.AccessesDelivered += int64(len(dst))
 		c.rep.AccessesPruned += c.done - before - int64(len(dst))
@@ -465,44 +488,56 @@ func (c *cursor) next(dst []mem.Access) ([]mem.Access, error) {
 }
 
 // decodeAppendMasked is the engine's one decode kernel: it decodes a
-// chunk's words from index i, whose records' block deltas apply to
-// lastBlock, into dst, stopping once done reaches limit or dst reaches
-// cap(dst), and returns the extended slice, the next word index, the delta
-// state there and the progress count. Opened at i = 0 with the chunk's
-// self-contained seed (chunk.base), a chunk decodes in isolation; chunks
-// never split a wide or escape record (the recorder seals early), so the
-// scan always stops on a record boundary. Every word is scanned (the delta
-// chain demands it) but records whose block congruence class is outside
-// mask drop before the PC lookup and the mem.Access materialization — the
-// step that removes the decode share from the sampled tier's Amdahl bound
-// (DESIGN.md Sec. 14); under fullMask nothing drops. done counts pruned
-// records too, so the limit bounds the recorded prefix scanned, not the
-// residue delivered.
-func (t *Trace) decodeAppendMasked(words []word, i int, lastBlock uint64, dst []mem.Access, done, limit int64, mask PresenceMask) ([]mem.Access, int, uint64, int64) {
-	for ; i < len(words) && done < limit && len(dst) < cap(dst); i++ {
-		w := words[i]
-		idx := w >> pcShift & pcMask
-		var block uint64
+// chunk's halfwords from index i, whose records apply to the decode state
+// st (updated in place), into dst, stopping once done reaches limit or
+// dst reaches cap(dst), and returns the extended slice, the next halfword
+// index and the progress count. Opened at i = 0 with the chunk's
+// self-contained header (chunk.open), a chunk decodes in isolation; a
+// chunk holds whole records, so the scan always stops on a record
+// boundary. Every record is scanned (the per-site state demands it) but
+// records whose block congruence class is outside mask drop before the
+// mem.Access materialization — the step that removes the decode share
+// from the sampled tier's Amdahl bound (DESIGN.md Sec. 14); under fullMask
+// nothing drops. done counts pruned records too, so the limit bounds the
+// recorded prefix scanned, not the residue delivered. A record's form is
+// a branch, which mispredicts where a site scatters over an array; the
+// branch-free kernels DESIGN.md Sec. 11 measured were slower at every
+// scale.
+func (t *Trace) decodeAppendMasked(hw []halfword, i int, st *sites, dst []mem.Access, done, limit int64, mask PresenceMask) ([]mem.Access, int, int64) {
+	for ; i < len(hw) && done < limit && len(dst) < cap(dst); i++ {
+		h := uint64(hw[i])
+		var addr uint64
 		var pc uint32
-		switch idx {
-		case wideIdx:
-			idx = w >> deltaShift & pcMask
-			block = lastBlock + uint64(int32(words[i+1]))
-			i++
-		case escapeIdx:
-			pc = words[i+1]
-			block = uint64(words[i+2]) | uint64(words[i+3])<<32
-			i += 3
-		default:
-			block = lastBlock + uint64(int32(w)>>deltaShift)
-		}
-		lastBlock = block
-		done++
-		if !mask.test(block) {
-			continue
-		}
-		if idx != escapeIdx {
+		var f uint8
+		if h&longBit == 0 {
+			idx := h >> 1 & (shortPCs - 1)
+			addr = st.addr[idx] + uint64(int64(h<<48)>>(48+shortShift))<<2
+			st.addr[idx] = addr
+			f, pc = st.flag[idx], t.pcs[idx]
+		} else if h&rareBits != rareBits {
+			idx := h >> 1 & (shortPCs - 1)
+			addr = st.addr[idx] + (uint64(int64(h<<48)>>(48+mediumShift))<<16 | uint64(hw[i+1]))
+			f = uint8(h>>mediumFlags) & flagsMask
+			st.addr[idx], st.flag[idx] = addr, f
 			pc = t.pcs[idx]
+			i++
+		} else {
+			f = uint8(h>>rareFlags) & flagsMask
+			idx := h >> rareShift & 31
+			if h&escapeBit == 0 {
+				addr = st.addr[idx] + uint64(int32(uint32(hw[i+1])|uint32(hw[i+2])<<16))
+				pc = t.pcs[idx]
+				i += 2
+			} else {
+				pc = uint32(hw[i+1]) | uint32(hw[i+2])<<16
+				addr = uint64(hw[i+3]) | uint64(hw[i+4])<<16 | uint64(hw[i+5])<<32 | uint64(hw[i+6])<<48
+				i += 6
+			}
+			st.addr[idx], st.flag[idx] = addr, f
+		}
+		done++
+		if !mask.test(addr >> cache.BlockBits) {
+			continue
 		}
 		// Fill the record in place: an append of a composite literal builds
 		// it in a stack temporary with byte-wide flag stores and copies it
@@ -510,13 +545,13 @@ func (t *Trace) decodeAppendMasked(words []word, i int, lastBlock uint64, dst []
 		n := len(dst)
 		dst = dst[:n+1]
 		d := &dst[n]
-		d.Addr = block<<cache.BlockBits | uint64(w>>low6Shift&low6Mask)
+		d.Addr = addr
 		d.PC = pc
 		d.Hint = 0
-		d.Write = w&flagWrite != 0
-		d.Property = w&flagProp != 0
+		d.Write = f&flagWrite != 0
+		d.Property = f&flagProp != 0
 	}
-	return dst, i, lastBlock, done
+	return dst, i, done
 }
 
 // Accesses decodes the first limit accesses (limit <= 0: all) into a
@@ -530,32 +565,48 @@ func (t *Trace) Accesses(limit int64) ([]mem.Access, error) {
 	}
 	out := make([]mem.Access, 0, limit)
 	for _, ch := range t.chunks {
-		words := ch.words
-		lastBlock := ch.base
-		for i := 0; i < len(words) && int64(len(out)) < limit; {
-			w := words[i]
-			var block uint64
-			var pc uint32
-			if idx := (w >> pcShift) & pcMask; idx == escapeIdx {
-				pc = words[i+1]
-				block = uint64(words[i+3])<<32 | uint64(words[i+2])
-				i += 4
-			} else if idx == wideIdx {
-				pc = t.pcs[(w>>deltaShift)&pcMask]
-				block = lastBlock + uint64(int64(int32(words[i+1])))
-				i += 2
-			} else {
-				pc = t.pcs[idx]
-				block = lastBlock + uint64(int64(int32(w))>>deltaShift)
+		// This chunk's sites, from its header alone.
+		last := make(map[uint32]uint64) // dictionary index -> last address
+		write := make(map[uint32]bool)
+		prop := make(map[uint32]bool)
+		for i, a := range ch.addr {
+			last[uint32(i)] = a
+			write[uint32(i)] = ch.flag[i]&flagWrite != 0
+			prop[uint32(i)] = ch.flag[i]&flagProp != 0
+		}
+		hw := ch.hw
+		for i := 0; i < len(hw) && int64(len(out)) < limit; {
+			h := uint32(hw[i])
+			var a mem.Access
+			var idx uint32
+			switch {
+			case h&1 == 0: // short
+				idx = h >> 1 & 7
+				a.Addr = last[idx] + uint64(int64(int16(h))>>4*4)
+				a.PC, a.Write, a.Property = t.pcs[idx], write[idx], prop[idx]
 				i++
+			case h&0x10 == 0: // medium
+				idx = h >> 1 & 7
+				a.Addr = last[idx] + uint64(int64(int16(h))>>7*65536+int64(hw[i+1]))
+				a.PC, a.Write, a.Property = t.pcs[idx], h>>5&1 != 0, h>>6&1 != 0
+				i += 2
+			default:
+				a.Write, a.Property = h>>2&1 != 0, h>>3&1 != 0
+				idx = h >> 6 & 31
+				if h&2 != 0 { // escape
+					a.PC = uint32(hw[i+1]) + uint32(hw[i+2])<<16
+					for k := 6; k >= 3; k-- {
+						a.Addr = a.Addr<<16 | uint64(hw[i+k])
+					}
+					i += 7
+				} else { // wide
+					a.PC = t.pcs[idx]
+					a.Addr = last[idx] + uint64(int64(int32(uint32(hw[i+2])<<16|uint32(hw[i+1]))))
+					i += 3
+				}
 			}
-			lastBlock = block
-			out = append(out, mem.Access{
-				Addr:     block<<cache.BlockBits | uint64((w>>low6Shift)&low6Mask),
-				PC:       pc,
-				Write:    w&flagWrite != 0,
-				Property: w&flagProp != 0,
-			})
+			last[idx], write[idx], prop[idx] = a.Addr, a.Write, a.Property
+			out = append(out, a)
 		}
 	}
 	return out, nil

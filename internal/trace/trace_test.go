@@ -87,12 +87,13 @@ func TestRoundTrip(t *testing.T) {
 	checkRoundTrip(t, accs, record(t, accs))
 }
 
-// TestChunkBoundaryEscape fills a chunk to one slot short of capacity and
-// then emits escape records, which must not split across the boundary.
+// TestChunkBoundaryEscape fills a chunk to one record short of its length
+// and then emits escape records: the chunk closes after the first, the
+// rest open the next one, and the stream round-trips.
 func TestChunkBoundaryEscape(t *testing.T) {
 	var accs []mem.Access
 	addr := uint64(0)
-	for i := 0; i < chunkWords-1; i++ {
+	for i := 0; i < chunkRecords-1; i++ {
 		addr += 64
 		accs = append(accs, mem.Access{Addr: addr})
 	}
@@ -100,7 +101,11 @@ func TestChunkBoundaryEscape(t *testing.T) {
 		addr += uint64(1) << 60 // escape every time
 		accs = append(accs, mem.Access{Addr: addr, PC: uint32(i)})
 	}
-	checkRoundTrip(t, accs, record(t, accs))
+	tr := record(t, accs)
+	checkRoundTrip(t, accs, tr)
+	if len(tr.chunks) != 2 {
+		t.Fatalf("want 2 chunks, got %d", len(tr.chunks))
+	}
 }
 
 // TestPCDictionaryOverflow drives more distinct PCs than the dictionary
@@ -113,108 +118,125 @@ func TestPCDictionaryOverflow(t *testing.T) {
 	checkRoundTrip(t, accs, record(t, accs))
 }
 
-// TestCodecWordForms pins the three record forms at their edges: each
-// stream round-trips through the reference decoder AND encodes to exactly
-// the words its forms cost (compact 1, wide 2, escape 4), so a form that
-// silently widens fails here even when the decode still agrees. The
-// boundary cases put a wide and an escape record where the open chunk is
-// one and three words short of full, and just fits them: the recorder
-// seals early, never splitting a record.
+// recordBytes sums the halfwords a trace's chunks hold, headers excluded.
+func recordBytes(tr *Trace) int64 {
+	var n int64
+	for _, ch := range tr.chunks {
+		n += int64(len(ch.hw)) * halfwordBytes
+	}
+	return n
+}
+
+// TestCodecWordForms pins the record forms at their edges: each stream
+// round-trips through the reference decoder AND encodes to exactly the
+// halfwords its forms cost (short 1, medium 2, wide 3, escape 7), so a
+// form that silently widens fails here even when the decode still agrees.
+// A record's delta is from its own PC's last address, which starts at 0
+// with no flags. The edges: a short delta of -2048 and +2047 4-byte units
+// and one step past each, a delta that is not a multiple of 4, the medium
+// and wide ranges, a flag change on a PC, dictionary index 7 against 8,
+// dictionary overflow, and a PC's first record in a chunk, which decodes
+// against the chunk header's state for it and so stays short.
 func TestCodecWordForms(t *testing.T) {
 	const (
-		compact = 1
-		wide    = 2
-		escape  = 4
+		short  = 1
+		medium = 2
+		wide   = 3
+		escape = 7
 	)
 	type step struct {
-		delta int64 // block delta vs the previous access
+		delta int64 // bytes from the PC's last address
 		pc    uint32
-		words int // the form it must take
+		flags uint8 // flagWrite | flagProp
+		hw    int   // the halfwords its form takes
 	}
-	// at builds the access stream for steps, starting at block 0 and
-	// varying the sub-block offset and flags so every head bit moves.
-	at := func(steps []step) (accs []mem.Access, words int) {
-		var block uint64
-		for i, s := range steps {
-			block += uint64(s.delta)
-			if block > ^uint64(0)>>cache.BlockBits {
-				t.Fatalf("step %d: block %#x is outside the address space", i, block)
-			}
+	// at builds the access stream for steps.
+	at := func(steps []step) (accs []mem.Access, hw int) {
+		last := map[uint32]uint64{}
+		for _, s := range steps {
+			last[s.pc] += uint64(s.delta)
 			accs = append(accs, mem.Access{
-				Addr:     block<<cache.BlockBits | uint64(i*13)&low6Mask,
+				Addr:     last[s.pc],
 				PC:       s.pc,
-				Write:    i%2 == 1,
-				Property: i%3 == 1,
+				Write:    s.flags&flagWrite != 0,
+				Property: s.flags&flagProp != 0,
 			})
-			words += s.words
+			hw += s.hw
 		}
-		return accs, words
+		return accs, hw
 	}
-	const c18, c31 = int64(1) << 18, int64(1) << 31
-	pcs := make([]step, 0, 36)
-	for i := 0; i < 31; i++ { // the 30th distinct PC is compact, the 31st escapes
-		w := compact
-		if i == 30 {
-			w = escape
+	const base = int64(1) << 30 // a PC's first record jumps here: wide
+	pcs := make([]step, 0, 2*(maxPCs+1))
+	for i := uint32(0); i < maxPCs+1; i++ {
+		form := medium // 1 MiB + 64i from address 0
+		switch {
+		case i >= shortPCs && i < maxPCs:
+			form = wide // index 7 is the last a medium record names
+		case i == maxPCs:
+			form = escape // the dictionary is full
 		}
-		pcs = append(pcs, step{1, uint32(1000 + i), w})
+		pcs = append(pcs, step{1<<20 + 64*int64(i), 1000 + i, flagProp, form})
 	}
-	pcs = append(pcs,
-		step{1, 1000, compact},
-		step{1, 1030, escape}, // an unknown PC stays unknown
-		step{c18, 1029, wide}, // the last index in the wide form's field
-		step{-c18 - 1, 1029, wide},
-	)
+	for i := uint32(0); i < maxPCs+1; i++ {
+		form := short // index 7 is the last a short record names
+		switch {
+		case i >= shortPCs && i < maxPCs:
+			form = wide
+		case i == maxPCs:
+			form = escape // an unknown PC stays unknown
+		}
+		pcs = append(pcs, step{4, 1000 + i, flagProp, form})
+	}
 	for name, steps := range map[string][]step{
-		// A recording's first record seeds the delta chain, so even a far
-		// first block is compact.
-		"compact": {{1 << 40, 7, compact}, {c18 - 1, 7, compact}, {c18 - 1, 7, compact}, {-c18, 7, compact}},
-		"wide": {{0, 7, compact}, {c18, 7, wide}, {c18, 7, wide}, {-c18 - 1, 7, wide},
-			{c31 - 1, 7, wide}, {-c31, 7, wide}},
-		"escape": {{0, 7, compact}, {c31, 7, escape}, {c31, 7, escape}, {-c31 - 1, 7, escape},
-			{int64(1) << 56, 7, escape}, {-(int64(1) << 56), 7, escape}, {int64(1)<<58 - c31, 7, escape}},
+		"short": {{base, 3, 0, wide},
+			{shortMax * 4, 3, 0, short}, {shortMin * 4, 3, 0, short},
+			{(shortMax + 1) * 4, 3, 0, medium}, {(shortMin - 1) * 4, 3, 0, medium},
+			{2, 3, 0, medium}, {4, 3, 0, short}, // off the 4-byte grid, then on it again
+			{-4, 3, flagWrite, medium}, {-4, 3, flagWrite, short}, // a flag change, then repeated
+			{4, 3, flagProp, medium}, {4, 3, flagWrite | flagProp, medium}, {0, 3, flagWrite | flagProp, short}},
+		"medium": {{base, 3, flagWrite, wide},
+			{mediumMax, 3, flagWrite, medium}, {mediumMin, 3, flagWrite, medium},
+			{mediumMax + 1, 3, flagWrite, wide}, {mediumMin - 1, 3, flagWrite, wide}},
+		"wide": {{0, 3, 0, short},
+			{wideMax, 3, 0, wide}, {wideMin, 3, 0, wide},
+			{wideMax + 1, 3, 0, escape}, {wideMin - 1, 3, 0, escape},
+			{int64(1) << 56, 3, 0, escape}, {-(int64(1) << 56), 3, 0, escape},
+			{4, 3, 0, short}}, // an escape of a dictionary PC moves its state
 		"pcs": pcs,
 	} {
-		accs, words := at(steps)
+		accs, hw := at(steps)
 		tr := record(t, accs)
 		checkRoundTrip(t, accs, tr)
-		if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
-			t.Errorf("%s: SizeBytes = %d, want %d (%d words)", name, got, want, words)
+		if got, want := recordBytes(tr), int64(hw)*halfwordBytes; got != want {
+			t.Errorf("%s: records take %d bytes, want %d (%d halfwords)", name, got, want, hw)
+		}
+		if got, want := tr.SizeBytes(), recordBytes(tr); got != want {
+			t.Errorf("%s: SizeBytes = %d, want the records' %d (the one chunk's header is empty)", name, got, want)
 		}
 	}
 
-	for _, c := range []struct {
-		name        string
-		form, short int
-	}{
-		{"wide/1-short", wide, 1},
-		{"wide/fits", wide, 2},
-		{"escape/3-short", escape, 3},
-		{"escape/fits", escape, 4},
-	} {
-		steps := make([]step, chunkWords-c.short, chunkWords-c.short+2)
-		for i := range steps {
-			steps[i] = step{1, 3, compact}
-		}
-		delta := c18 // wide
-		if c.form == escape {
-			delta = c31
-		}
-		steps = append(steps, step{delta, 3, c.form}, step{1, 3, compact})
-		accs, words := at(steps)
-		tr := record(t, accs)
-		checkRoundTrip(t, accs, tr)
-		if got, want := tr.SizeBytes(), int64(words)*wordBytes; got != want {
-			t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, want)
-		}
-		first := chunkWords
-		if c.short < c.form {
-			first = chunkWords - c.short // sealed early
-		}
-		if len(tr.chunks) != 2 || len(tr.chunks[0].words) != first || len(tr.chunks[1].words) != words-first {
-			t.Errorf("%s: chunks %d, first holds %d words; want 2 chunks, %d + %d",
-				c.name, len(tr.chunks), len(tr.chunks[0].words), first, words-first)
-		}
+	// A PC's first record in a chunk: PC 1 appears once, PC 0 fills the
+	// rest of the first chunk, and PC 1's next record opens the second
+	// chunk 4 bytes on — short, against the header's state for it.
+	steps := []step{{base, 0, 0, wide}, {base + 64, 1, 0, wide}}
+	for len(steps) < chunkRecords {
+		steps = append(steps, step{4, 0, 0, short})
+	}
+	steps = append(steps, step{4, 1, 0, short}, step{4, 0, 0, short})
+	accs, hw := at(steps)
+	tr := record(t, accs)
+	checkRoundTrip(t, accs, tr)
+	if got, want := recordBytes(tr), int64(hw)*halfwordBytes; got != want {
+		t.Errorf("chunk seam: records take %d bytes, want %d", got, want)
+	}
+	if len(tr.chunks) != 2 || len(tr.chunks[0].hw) != chunkRecords+4 || len(tr.chunks[1].hw) != 2 {
+		t.Fatalf("chunk seam: %d chunks; want 2 of %d and 2 halfwords", len(tr.chunks), chunkRecords+4)
+	}
+	if h := tr.chunks[1]; len(h.addr) != 2 || h.addr[1] != accs[1].Addr {
+		t.Errorf("chunk seam: second header carries %#x, want PC 1's address %#x", h.addr, accs[1].Addr)
+	}
+	if got, want := tr.SizeBytes(), recordBytes(tr)+2*siteBytes; got != want {
+		t.Errorf("chunk seam: SizeBytes = %d, want %d (records, an empty header, a two-site header)", got, want)
 	}
 }
 
@@ -268,10 +290,11 @@ func TestRecorderFiltersUpperLevels(t *testing.T) {
 }
 
 // TestFinishRightSizesTail: what a sealed trace keeps allocated is what it
-// reports — the budgets charge SizeBytes, so the tail chunk must not keep
-// a full chunkWords backing array for a handful of words. Checked for a
-// trace shorter than one chunk, one ending exactly on a chunk boundary,
-// and a multi-chunk trace with a partial tail.
+// reports — the budgets charge SizeBytes, so no chunk may keep the
+// recorder's scratch buffer or any other array larger than its records
+// and header. Checked for a trace shorter than one chunk, one ending
+// exactly on a chunk boundary, and a multi-chunk trace with a partial
+// tail.
 func TestFinishRightSizesTail(t *testing.T) {
 	stream := func(n int) []mem.Access {
 		accs := make([]mem.Access, n)
@@ -282,14 +305,14 @@ func TestFinishRightSizesTail(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"short": 100,
-		"exact": chunkWords,
-		"multi": 2*chunkWords + 5000,
+		"exact": chunkRecords,
+		"multi": 2*chunkRecords + 5000,
 	} {
 		accs := stream(n)
 		tr := record(t, accs)
 		var held int64
 		for _, ch := range tr.chunks {
-			held += int64(cap(ch.words)) * wordBytes
+			held += int64(cap(ch.hw))*halfwordBytes + int64(cap(ch.addr))*8 + int64(cap(ch.flag))
 		}
 		if held != tr.SizeBytes() {
 			t.Errorf("%s: chunks hold %d bytes of backing array, SizeBytes = %d", name, held, tr.SizeBytes())
@@ -308,7 +331,7 @@ func TestFinishRightSizesTail(t *testing.T) {
 // as "trace: replay: …" after exactly the work of the first.
 func TestCursorCancelAndFailpoint(t *testing.T) {
 	const chunks = 6
-	accs := make([]mem.Access, chunks*chunkWords)
+	accs := make([]mem.Access, chunks*chunkRecords)
 	for i := range accs {
 		accs[i] = mem.Access{Addr: uint64(i) << cache.BlockBits, PC: uint32(i % 7)}
 	}
@@ -335,7 +358,7 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 			// The first stream's turn is a whole chunk, so slabs fill (and
 			// are sent) at chunk loads, where the context and the failpoint
 			// are checked: what was merged before a fault is delivered.
-			streams := []InterleaveStream{{Trace: tr, Weight: chunkWords}, {Trace: tr, Weight: 2}}
+			streams := []InterleaveStream{{Trace: tr, Weight: chunkRecords}, {Trace: tr, Weight: 2}}
 			return InterleaveBroadcastCtx(ctx, streams, 0, StreamTag{AddrShift: 48, PCShift: 24}, collect(seen))
 		}},
 	}
@@ -364,7 +387,7 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
 				t.Fatalf("cancelled mid-stream: err = %v, want ContextErr carrying the cause", err)
 			}
-			if bound := (1 + e.ahead) * chunkWords; delivered == 0 || delivered > bound {
+			if bound := (1 + e.ahead) * chunkRecords; delivered == 0 || delivered > bound {
 				t.Fatalf("cancelled mid-stream: %d accesses delivered, want 1..%d", delivered, bound)
 			}
 
@@ -375,8 +398,8 @@ func TestCursorCancelAndFailpoint(t *testing.T) {
 			if !errors.Is(err, fail.ErrInjected) || !strings.HasPrefix(err.Error(), "trace: replay: ") {
 				t.Fatalf("failpoint: err = %v, want trace: replay: %v", err, fail.ErrInjected)
 			}
-			if delivered == 0 || delivered > chunkWords {
-				t.Fatalf("failpoint on the second chunk: %d accesses delivered, want 1..%d", delivered, chunkWords)
+			if delivered == 0 || delivered > chunkRecords {
+				t.Fatalf("failpoint on the second chunk: %d accesses delivered, want 1..%d", delivered, chunkRecords)
 			}
 		})
 	}
