@@ -2,20 +2,30 @@ package exp
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"grasp/internal/apps"
 	"grasp/internal/graph"
 	"grasp/internal/sim"
-	"grasp/internal/stats"
 )
 
 func testSession() *Session { return NewSession(ScaledConfig(16)) }
+
+// sessions are the Sessions shared, one per scale, by the tests that only
+// read results: TestClaims, TestGoldenRuns and the 1/16 output tests. A
+// cell one of them settles is one the others read for free.
+var sessions = map[uint32]func() *Session{
+	64: sync.OnceValue(func() *Session { return NewSession(ScaledConfig(64)) }),
+	16: sync.OnceValue(func() *Session { return NewSession(ScaledConfig(16)) }),
+}
+
+// sharedSession returns the shared Session of one scale.
+func sharedSession(div uint32) *Session { return sessions[div]() }
 
 // simRun is the tests' execution-driven reference: sim.PrepareWorkload +
 // sim.Run through a live hierarchy — no Session, no recording. Every
@@ -60,14 +70,14 @@ func TestScaledConfig(t *testing.T) {
 func TestExperimentRegistry(t *testing.T) {
 	ids := []string{"table1", "table4", "fig2", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10a", "fig10b", "fig11", "table7", "noreorder",
-		"ablation-region", "ablation-bases", "ablation-ship", "scenarios"}
-	for _, id := range ids {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if e.Run == nil || e.Title == "" {
-			t.Fatalf("%s: incomplete experiment", id)
+		"ablation-region", "ablation-bases", "ablation-ship", "scenarios", "corun"}
+	all := All()
+	if len(all) != len(ids) {
+		t.Fatalf("All() has %d experiments, want %d", len(all), len(ids))
+	}
+	for i, id := range ids {
+		if e := all[i]; e.ID != id || e.Run == nil || e.Title == "" {
+			t.Fatalf("All()[%d] = %q (Run set %v, title %q), want %q, complete", i, e.ID, e.Run != nil, e.Title, id)
 		}
 	}
 	if _, err := ByID("nope"); err == nil {
@@ -151,7 +161,7 @@ func TestSessionRevalidatesAndEvictsFileWorkloads(t *testing.T) {
 func TestTable1Output(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	if err := runTable1(testSession(), &buf); err != nil {
+	if err := runTable1(sharedSession(16), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -164,7 +174,7 @@ func TestTable1Output(t *testing.T) {
 
 func TestFig2Output(t *testing.T) {
 	t.Parallel()
-	s := testSession()
+	s := sharedSession(16)
 	var buf bytes.Buffer
 	if err := runFig2(s, &buf); err != nil {
 		t.Fatal(err)
@@ -183,118 +193,6 @@ func TestFig2Output(t *testing.T) {
 	}
 }
 
-func TestFig5ShapeGRASPWins(t *testing.T) {
-	t.Parallel()
-	// The headline shape at reduced scale: averaged over the full matrix,
-	// GRASP eliminates misses relative to RRIP and beats Hawkeye.
-	s := testSession()
-	if err := s.Prefetch(matrixPoints(highSkewNames(), "DBG", apps.Names(),
-		[]string{"GRASP", "Hawkeye"})); err != nil {
-		t.Fatal(err)
-	}
-	var grasp, hawkeye []float64
-	for _, app := range apps.Names() {
-		for _, ds := range highSkewNames() {
-			base, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "RRIP")
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "GRASP")
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "Hawkeye")
-			if err != nil {
-				t.Fatal(err)
-			}
-			grasp = append(grasp, g.MissReductionPctOver(base))
-			hawkeye = append(hawkeye, h.MissReductionPctOver(base))
-		}
-	}
-	if m := stats.Mean(grasp); m <= 0 {
-		t.Fatalf("GRASP average miss reduction %.2f%%, want positive", m)
-	}
-	if stats.Mean(grasp) <= stats.Mean(hawkeye) {
-		t.Fatalf("GRASP (%.2f%%) did not beat Hawkeye (%.2f%%)",
-			stats.Mean(grasp), stats.Mean(hawkeye))
-	}
-}
-
-func TestFig9ShapeGRASPRobust(t *testing.T) {
-	t.Parallel()
-	// On the no-skew dataset, GRASP must not cause a large slowdown
-	// (paper: max slowdown 0.1%; at 1/16 scale the skew of the synthetic
-	// datasets is weaker, so we allow 5%), while pinning is expected to do
-	// worse than GRASP on average.
-	s := testSession()
-	if err := s.Prefetch(matrixPoints([]string{"fr", "uni"}, "DBG", apps.Names(),
-		[]string{"GRASP", "PIN-100"})); err != nil {
-		t.Fatal(err)
-	}
-	var graspMin float64 = 1e9
-	var graspSum, pinSum float64
-	var n int
-	for _, app := range apps.Names() {
-		for _, ds := range []string{"fr", "uni"} {
-			base, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "RRIP")
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "GRASP")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := s.Result(ds, "DBG", app, apps.LayoutMerged, "PIN-100")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := g.SpeedupPctOver(base)
-			graspSum += sp
-			pinSum += p.SpeedupPctOver(base)
-			if sp < graspMin {
-				graspMin = sp
-			}
-			n++
-		}
-	}
-	if graspMin < -5.0 {
-		t.Fatalf("GRASP slowdown %.2f%% on low-skew exceeds robustness bound", graspMin)
-	}
-	if graspSum/float64(n) < pinSum/float64(n) {
-		t.Fatalf("GRASP avg (%.2f%%) below PIN-100 avg (%.2f%%) on low-skew",
-			graspSum/float64(n), pinSum/float64(n))
-	}
-}
-
-func TestOPTStudyShape(t *testing.T) {
-	t.Parallel()
-	s := testSession()
-	if err := s.Prefetch(fig11Points()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := s.optColumn(studyLLC(s.Cfg.HCfg.LLC, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 25 {
-		t.Fatalf("expected 25 datapoints, got %d", len(data))
-	}
-	var rrip, grasp, opt []float64
-	for _, dp := range data {
-		if dp.opt > dp.lru || dp.opt > dp.rrip || dp.opt > dp.grasp {
-			t.Fatalf("OPT not optimal: %+v", dp)
-		}
-		rrip = append(rrip, elimPct(dp.rrip, dp.lru))
-		grasp = append(grasp, elimPct(dp.grasp, dp.lru))
-		opt = append(opt, elimPct(dp.opt, dp.lru))
-	}
-	// Paper shape: OPT > GRASP > RRIP on average.
-	if !(stats.Mean(opt) > stats.Mean(grasp) && stats.Mean(grasp) > stats.Mean(rrip)) {
-		t.Fatalf("ordering violated: OPT %.1f, GRASP %.1f, RRIP %.1f",
-			stats.Mean(opt), stats.Mean(grasp), stats.Mean(rrip))
-	}
-}
-
 func TestElimPct(t *testing.T) {
 	if elimPct(50, 100) != 50 {
 		t.Fatal("elimPct wrong")
@@ -307,7 +205,7 @@ func TestElimPct(t *testing.T) {
 // Smoke-run the fast experiments end to end.
 func TestExperimentsSmoke(t *testing.T) {
 	t.Parallel()
-	s := testSession()
+	s := sharedSession(16)
 	for _, id := range []string{"table1", "fig2", "fig9", "ablation-bases"} {
 		e, err := ByID(id)
 		if err != nil {
@@ -328,7 +226,7 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	// The paper sizes the High Reuse Region at exactly one LLC; very large
 	// regions (4x) must not beat the paper's design point by much — they
 	// reintroduce self-thrashing among "protected" blocks.
-	s := testSession()
+	s := sharedSession(16)
 	rs, err := s.regionResults(group(s.dataset("kr"), "DBG", "PR", apps.LayoutMerged), []float64{1, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -336,36 +234,5 @@ func TestAblationRegionPeaksNearPaperDesign(t *testing.T) {
 	paper, huge := rs[0].LLC.Misses, rs[1].LLC.Misses
 	if huge < paper*95/100 {
 		t.Fatalf("8x region (%d misses) markedly beats the paper design (%d)", huge, paper)
-	}
-}
-
-// TestAllExperimentsTinyScale executes every experiment end to end at 1/64
-// scale through Run after a prefetch of the union, as graspsim's sweep
-// does, exercising the batch fan-out path and each harness body (output
-// correctness is covered by the targeted shape tests; this guards against
-// harness regressions).
-func TestAllExperimentsTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep skipped in -short mode")
-	}
-	t.Parallel()
-	s := NewSession(ScaledConfig(64))
-	var points []Datapoint
-	for _, e := range All() {
-		if e.Points != nil {
-			points = append(points, e.Points()...)
-		}
-	}
-	if err := s.Prefetch(points); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range All() {
-		var buf bytes.Buffer
-		if err := Run(context.Background(), s, e, &buf, nil); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", e.ID)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +51,7 @@ func TestGoldenRuns(t *testing.T) {
 	if len(exps) < 15 {
 		t.Fatalf("only %d deterministic experiments; the harness must cover at least 15", len(exps))
 	}
-	s := NewSession(ScaledConfig(goldenScaleDiv))
+	s := sharedSession(goldenScaleDiv)
 	// Warm the union of all declared datapoints on the worker pool once;
 	// the bodies then render from the cache exactly as graspsim's sweep does.
 	var points []Datapoint
@@ -108,6 +109,21 @@ func TestGoldenRuns(t *testing.T) {
 	for name, after := range settled() {
 		if after != before[name] {
 			t.Errorf("rendering did work the prefetch did not: %s %v -> %v", name, before[name], after)
+		}
+	}
+	// An experiment without a golden still runs through the runner, once,
+	// after the check above: its body does work no prefetch declares.
+	for _, e := range All() {
+		if _, skip := nondeterministicIDs[e.ID]; skip {
+			t.Run(e.ID, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := Run(context.Background(), s, e, &buf, nil); err != nil {
+					t.Fatal(err)
+				}
+				if buf.Len() == 0 {
+					t.Fatal("experiment produced no output")
+				}
+			})
 		}
 	}
 	if *updateGolden {

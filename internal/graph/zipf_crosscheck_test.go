@@ -101,6 +101,11 @@ func TestZipfCrossingsMatchReference(t *testing.T) {
 			if z.cross == nil {
 				t.Fatal("no table for an (n, alpha) in use")
 			}
+			// The index's cost: between n and 2n buckets spanning the
+			// grid, so a lookup scans past under one crossing on average.
+			if b := uint64(len(z.bucket)); b < uint64(c.n) || b > 2*uint64(c.n) || b<<z.shift != zipfGrid {
+				t.Fatalf("%d buckets of 2^%d grid steps: want between n and 2n, spanning the 2^53-step grid", b, z.shift)
+			}
 			ref := zipfReference(c.n, c.alpha)
 			bound := zipfBound(z)
 			check := func(k uint32, i uint64, fromTable bool) {

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -186,10 +187,13 @@ func crossCheck(t *testing.T, g *graph.CSR, window int) {
 	}
 }
 
+var long = flag.Bool("long", false, "also cross-check Gorder on lj and sd at scale 16")
+
 // TestGorderCrossCheck runs the cross-check on every seed-table graph at
-// several window sizes and, unless -short, on the inputs the experiments
-// actually reorder: the five high-skew datasets at scale 64, lj and sd at
-// scale 16 (the reference heap needs seconds there).
+// several window sizes — the inputs that kill the catalogued Gorder
+// mutants (tools/mutants) — and, unless -short, on the inputs the goldens
+// reorder: the five high-skew datasets at scale 64. lj and sd at scale 16,
+// where the reference heap needs seconds, run under -long.
 func TestGorderCrossCheck(t *testing.T) {
 	table := crossCheckGraphs()
 	// The table must keep exercising the hubCap truncation and the
@@ -225,7 +229,9 @@ func TestGorderCrossCheck(t *testing.T) {
 	for _, d := range graph.HighSkewDatasets() {
 		datasets = append(datasets, scaled{d.Name, 64})
 	}
-	datasets = append(datasets, scaled{"lj", 16}, scaled{"sd", 16})
+	if *long {
+		datasets = append(datasets, scaled{"lj", 16}, scaled{"sd", 16})
+	}
 	for _, c := range datasets {
 		t.Run(fmt.Sprintf("%s@%d/w%d", c.name, c.scale, DefaultGorderWindow), func(t *testing.T) {
 			if testing.Short() {
