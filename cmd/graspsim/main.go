@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +44,6 @@ import (
 	"grasp/internal/server"
 	"grasp/internal/sim"
 	"grasp/internal/stats"
-	"grasp/internal/trace"
 )
 
 // options carries every graspsim flag; newFlags binds them so main and
@@ -297,8 +297,9 @@ func run(o *options) error {
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, " %s %.2fs", name, phases[name])
 	}
-	fmt.Fprintln(os.Stderr)
-	return nil
+	work, err := json.Marshal(session.Ledger())
+	fmt.Fprintf(os.Stderr, "\ngraspsim: work ledger %s\n", work)
+	return err
 }
 
 // configFor returns the engine configuration for a -scale divisor — the
@@ -436,7 +437,12 @@ func runSingle(o *options, spec jobs.Spec, w io.Writer) error {
 		return err
 	}
 	if outcome.Single == nil {
-		return printOutcome(w, spec, outcome, false, nil)
+		err := printOutcome(w, spec, outcome, false, nil)
+		if skip := session.Ledger().Skip; err == nil && skip.ChunksDecoded > 0 {
+			fmt.Fprintf(w, "codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
+				100*skip.SkipRatio(), skip.ChunksDecoded)
+		}
+		return err
 	}
 	wl, err := session.Workload(spec.Graph, spec.Reorder, apps.Weighted(spec.App))
 	if err != nil {
@@ -477,11 +483,6 @@ func printOutcome(w io.Writer, spec jobs.Spec, o *jobs.Outcome, remote bool, g *
 		fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s%s\n", o.Sampled.Workload,
 			spec.App, spec.Reorder, spec.Policy, note(fmt.Sprintf("sampled 1/%d", o.Sampled.SampleK)))
 		printSampledMetrics(w, *o.Sampled)
-		// This process's decodes: none behind a remote answer.
-		if skip := trace.SkipStats(); skip.ChunksDecoded > 0 {
-			fmt.Fprintf(w, "codec prune: %.1f%% of recorded accesses never materialized (%d chunks decoded)\n",
-				100*skip.SkipRatio(), skip.ChunksDecoded)
-		}
 	case o.Single != nil:
 		fmt.Fprintf(w, "workload: %s app=%s reorder=%s policy=%s%s\n", o.Single.Workload,
 			spec.App, spec.Reorder, spec.Policy, note(""))

@@ -117,6 +117,7 @@ type Store struct {
 	files  map[string]*fileSlot
 	seq    uint64
 	total  int64
+	work   Ledger // what the sessions did (ledger.go)
 }
 
 // DefaultStoreBudget is a Store's budget when none is given (4 GiB):
@@ -234,6 +235,8 @@ func (a *Store) claimEach(keys []artifactKey, idx []int) (entries []*entry, led 
 			e = &entry{done: make(chan struct{})}
 			a.m[keys[i]] = e
 			led = append(led, i)
+		} else {
+			a.work.Served++
 		}
 		e.recency = a.seq
 		entries[i] = e

@@ -6,37 +6,27 @@ import (
 	"time"
 
 	"grasp/internal/apps"
-	"grasp/internal/trace"
 )
 
 // TestBroadcastSmoke is the CI assertion that the decode-once broadcast
 // path is actually taken for a multi-policy group: one Prefetch batch
 // sweeping four policies over one (dataset, reorder, app, layout) group
-// must record once, serve every policy through ONE broadcast fan-out, and
-// bump both the session counter and the process-wide trace counters the
-// graspd /metrics endpoint exports.
+// must record once and serve every policy through ONE broadcast fan-out,
+// as its store's ledger (what graspd /metrics exports) counts it.
 func TestBroadcastSmoke(t *testing.T) {
 	t.Parallel()
-	runs0, cons0 := trace.BroadcastStats()
 	s := NewSession(ScaledConfig(64))
 	schemes := []string{"GRASP", "LRU", "SHiP-MEM"}
 	if err := s.Prefetch(matrixPoints([]string{"kr"}, "DBG", []string{"PR"}, schemes)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Broadcasts(); got != 1 {
-		t.Fatalf("Broadcasts = %d, want 1 (one fan-out for the whole group)", got)
+	l := s.Ledger()
+	n := uint64(len(schemes) + 1)
+	if got, want := l.Full, (TierWork{Cells: n, FanOuts: 1, Consumers: n, Decoded: l.Recorded}); got != want {
+		t.Fatalf("full tier = %+v, want %+v (every policy once, in one fan-out of the one recording)", got, want)
 	}
-	runs, cons := trace.BroadcastStats()
-	if runs <= runs0 {
-		t.Fatal("trace.BroadcastStats runs did not advance; broadcast path not taken")
-	}
-	// Other parallel tests may broadcast too, so assert only this batch's
-	// contribution as a lower bound: >= one run with all four policies.
-	if cons-cons0 < uint64(len(schemes)+1) {
-		t.Fatalf("BroadcastStats consumers advanced by %d, want >= %d", cons-cons0, len(schemes)+1)
-	}
-	if got, want := s.SimRuns(), uint64(len(schemes)+1); got != want {
-		t.Fatalf("SimRuns = %d, want %d (every policy exactly once)", got, want)
+	if l.Recordings != 1 {
+		t.Fatalf("%d recordings, want 1", l.Recordings)
 	}
 	// The phase accounting must attribute the batch: a recording happened
 	// and the replays were timed under the replay phase.
@@ -50,8 +40,7 @@ func TestBroadcastSmoke(t *testing.T) {
 // another caller has claimed but not yet settled; it waits for that
 // caller's value. The test holds lj/DBG/PR's GRASP result in flight while
 // a Prefetch of the group's {RRIP, GRASP} runs: the fan-out serves RRIP
-// alone, and the batch then reads the value the test settles. Not
-// parallel: it reads exact deltas of the process-wide trace counters.
+// alone, and the batch then reads the value the test settles.
 func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	s := NewSession(ScaledConfig(64))
 	want := simRun(t, s.Cfg, "lj", "DBG", "PR", apps.LayoutMerged, "GRASP")
@@ -60,7 +49,6 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	if !leader {
 		t.Fatal("a fresh session already holds the GRASP result")
 	}
-	runs0, cons0 := trace.BroadcastStats()
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"}))
@@ -77,11 +65,8 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if runs, cons := trace.BroadcastStats(); runs-runs0 != 1 || cons-cons0 != 1 {
-		t.Errorf("%d fan-outs served %d consumers, want 1 serving 1 (RRIP; GRASP was in flight)", runs-runs0, cons-cons0)
-	}
-	if got := s.SimRuns(); got != 1 {
-		t.Errorf("SimRuns = %d, want 1", got)
+	if got := s.Ledger().Full; got.FanOuts != 1 || got.Consumers != 1 || got.Cells != 1 {
+		t.Errorf("full tier = %+v, want 1 fan-out serving 1 consumer (RRIP; GRASP was in flight)", got)
 	}
 	if got, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil || got != want {
 		t.Errorf("GRASP = %+v, %v; want the in-flight caller's value %+v", got, err, want)
@@ -93,28 +78,23 @@ func TestPrefetchJoinsInFlightCell(t *testing.T) {
 // Prefetch of ablation-region's points runs exactly one decode-once
 // fan-out per (dataset, DBG, PR) group — the RRIP baseline and GRASP at
 // every scale together — and counts every cell a result datapoint, the 1x
-// scale as the plain GRASP cell. Not parallel: it reads exact deltas of
-// the process-wide trace counters.
+// scale as the plain GRASP cell.
 func TestPrefetchRegionScalesShareOneFanOut(t *testing.T) {
 	s := NewSession(ScaledConfig(64))
-	runs0, _ := trace.BroadcastStats()
 	if err := s.Prefetch(ablationRegionPoints()); err != nil {
 		t.Fatal(err)
 	}
 	groups := uint64(len(highSkewNames()))
 	cells := groups * uint64(1+len(regionScales)) // RRIP and GRASP at every scale
-	if runs, _ := trace.BroadcastStats(); runs-runs0 != groups {
-		t.Errorf("%d fan-outs, want %d (one per group)", runs-runs0, groups)
-	}
-	if got := s.SimRuns(); got != cells {
-		t.Errorf("SimRuns = %d, want %d", got, cells)
+	if got := s.Ledger().Full; got.FanOuts != groups || got.Cells != cells {
+		t.Errorf("full tier = %+v, want %d fan-outs (one per group) computing %d cells", got, groups, cells)
 	}
 	plain, err := s.Result("kr", "DBG", "PR", apps.LayoutMerged, "GRASP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SimRuns(); got != cells {
-		t.Errorf("the plain GRASP cell was simulated again (SimRuns %d); the 1x region-scaled result is it", got)
+	if got := s.Ledger().Full.Cells; got != cells {
+		t.Errorf("the plain GRASP cell was simulated again (%d cells); the 1x region-scaled result is it", got)
 	}
 	if plain.Spec.RegionScale != 0 {
 		t.Errorf("the plain GRASP cell carries region scale %g, want 0", plain.Spec.RegionScale)

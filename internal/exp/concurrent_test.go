@@ -123,8 +123,8 @@ func TestSessionConcurrentDeterminism(t *testing.T) {
 			distinct[p] = true
 		}
 	}
-	if got := conc.SimRuns(); got != uint64(len(distinct)) {
-		t.Fatalf("SimRuns = %d, want %d (singleflight failed to dedup)", got, len(distinct))
+	if got := conc.Ledger().Full.Cells; got != uint64(len(distinct)) {
+		t.Fatalf("full cells = %d, want %d (singleflight failed to dedup)", got, len(distinct))
 	}
 }
 
@@ -199,8 +199,8 @@ func TestConcurrentExperimentsShareDatapoints(t *testing.T) {
 	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) || bufs[0].Len() == 0 {
 		t.Fatalf("concurrent experiments disagree: %q vs %q", bufs[0].String(), bufs[1].String())
 	}
-	if got := s.SimRuns(); got != 2 {
-		t.Fatalf("SimRuns = %d, want 2 (RRIP + GRASP, each once)", got)
+	if got := s.Ledger().Full.Cells; got != 2 {
+		t.Fatalf("full cells = %d, want 2 (RRIP + GRASP, each once)", got)
 	}
 }
 

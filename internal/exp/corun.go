@@ -21,11 +21,6 @@ import (
 	"grasp/internal/stats"
 )
 
-// CorunRuns returns how many distinct shared-LLC co-run replays the
-// session has computed (cache hits and merged requests do not count) —
-// the co-run twin of SimRuns, surfaced by graspd /metrics.
-func (s *Session) CorunRuns() uint64 { return s.corunRun.Load() }
-
 // CorunResultCtx returns the interference metrics of one co-run mix: the
 // named apps' recorded streams interleaved round-robin (weights[i]
 // accesses per turn; nil = uniform) into one shared LLC under the given
@@ -111,9 +106,6 @@ func (s *Session) coruns(ctx context.Context, m *corunMix, policies []string) ([
 	}
 	return getEach(ctx, s.art, keys, func(led []int) ([]sim.CorunResult, []int64, error) {
 		rs, err := s.corunFanOut(ctx, m, pick(policies, led))
-		if err == nil {
-			s.corunRun.Add(uint64(len(led)))
-		}
 		return rs, nil, err
 	})
 }
@@ -152,13 +144,23 @@ func (s *Session) corunFanOut(ctx context.Context, m *corunMix, policies []strin
 		}
 	}
 	streams := make([]sim.CorunStream, len(m.apps))
+	var decoded int64
 	for i, gi := range m.stream {
 		streams[i] = sim.CorunStream{App: m.apps[i], Layout: m.layout, Weight: m.weights[i],
 			Trace: recs[gi].tr, Bounds: recs[gi].bounds}
+		decoded += recs[gi].tr.Len()
 	}
 	start := time.Now()
 	out, err := sim.CorunBroadcastResultsCtx(ctx, streams, pols, s.Cfg.HCfg, pols[0].Solos[0].Workload)
 	s.phase.corun.Add(int64(time.Since(start)))
+	if err == nil {
+		s.art.tally(func(l *Ledger) {
+			l.Corun.add(len(out), len(out), decoded)
+			for _, r := range out {
+				l.llc(r.Policy, r.LLC)
+			}
+		})
+	}
 	return out, err
 }
 

@@ -15,7 +15,6 @@ import (
 	"grasp/internal/apps"
 	"grasp/internal/fail"
 	"grasp/internal/sim"
-	"grasp/internal/trace"
 )
 
 // timeless zeroes the one field of a co-run result that legitimately
@@ -33,8 +32,7 @@ func timeless(r sim.CorunResult) sim.CorunResult {
 // session running the corun experiment must perform exactly one fan-out
 // per (mix, dataset) — each serving every policy — beside the one
 // broadcast per solo-baseline group, and still count 400 distinct co-run
-// results, byte-identical to the golden. Not parallel: it reads exact
-// deltas of the process-wide trace counters.
+// results, byte-identical to the golden.
 func TestCorunSmoke(t *testing.T) {
 	e, err := ByID("corun")
 	if err != nil {
@@ -43,21 +41,20 @@ func TestCorunSmoke(t *testing.T) {
 	datasets, mixes := len(highSkewNames()), len(corunMixes())
 	policies := len(registeredSchemes()) + 1
 	groups := len(corunApps()) * datasets
-	runs0, cons0 := trace.BroadcastStats()
 	s := NewSession(ScaledConfig(goldenScaleDiv))
 	var buf bytes.Buffer
 	if err := Run(context.Background(), s, e, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	runs, cons := trace.BroadcastStats()
-	if got, want := runs-runs0, uint64(groups+mixes*datasets); got != want {
+	runs, cons := s.Ledger().FanOuts()
+	if got, want := runs, uint64(groups+mixes*datasets); got != want {
 		t.Errorf("fan-outs = %d, want %d (%d solo groups + one per (mix, dataset))", got, want, groups)
 	}
-	if got, want := cons-cons0, uint64((groups+mixes*datasets)*policies); got != want {
+	if got, want := cons, uint64((groups+mixes*datasets)*policies); got != want {
 		t.Errorf("fan-out consumers = %d, want %d (every policy on every fan-out)", got, want)
 	}
-	if got, want := s.CorunRuns(), uint64(mixes*datasets*policies); got != want {
-		t.Errorf("CorunRuns = %d, want %d", got, want)
+	if got, want := s.Ledger().Corun.Cells, uint64(mixes*datasets*policies); got != want {
+		t.Errorf("co-run cells = %d, want %d", got, want)
 	}
 	if got, want := s.art.count(kindCorun), mixes*datasets*policies; got != want {
 		t.Errorf("store holds %d co-run results, want %d", got, want)
@@ -194,15 +191,15 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 		t.Fatalf("fan-out with a mid-merge replay fault: err = %v, want %v", err, fail.ErrInjected)
 	}
 	fail.Disarm("trace.replay.chunk")
-	if n, runs := s.art.count(kindCorun), s.CorunRuns(); n != 0 || runs != 0 {
-		t.Fatalf("failed fan-outs published %d co-run results (CorunRuns %d), want none", n, runs)
+	if n, work := s.art.count(kindCorun), s.Ledger().Corun; n != 0 || work != (TierWork{}) {
+		t.Fatalf("failed fan-outs published %d co-run results (ledger %+v), want none", n, work)
 	}
 
 	if _, err := s.coruns(context.Background(), m, policies); err != nil {
 		t.Fatal(err)
 	}
-	if n, runs := s.art.count(kindCorun), s.CorunRuns(); n != len(policies) || runs != uint64(len(policies)) {
-		t.Fatalf("fan-out published %d co-run results (CorunRuns %d), want %d", n, runs, len(policies))
+	if n, runs := s.art.count(kindCorun), s.Ledger().Corun.Cells; n != len(policies) || runs != uint64(len(policies)) {
+		t.Fatalf("fan-out published %d co-run results (%d cells), want %d", n, runs, len(policies))
 	}
 	fresh := NewSession(ScaledConfig(64))
 	for _, pol := range policies {
@@ -218,8 +215,8 @@ func TestCorunFaultPublishesNothing(t *testing.T) {
 			t.Errorf("%s: fan-out's result diverges from a one-policy run on a fresh session\n got: %+v\nwant: %+v", pol, got, want)
 		}
 	}
-	if runs := s.CorunRuns(); runs != uint64(len(policies)) {
-		t.Errorf("reading the published results recomputed: CorunRuns = %d, want %d", runs, len(policies))
+	if runs := s.Ledger().Corun.Cells; runs != uint64(len(policies)) {
+		t.Errorf("reading the published results recomputed: co-run cells = %d, want %d", runs, len(policies))
 	}
 }
 
@@ -254,8 +251,8 @@ func TestCorunPanicIsContainedPerUnit(t *testing.T) {
 	if err := s.Prefetch(corunPoints()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.CorunRuns(), uint64(len(corunMixes())*len(highSkewNames())*len(corunPolicies())); got != want {
-		t.Errorf("CorunRuns after the contained panic = %d, want %d", got, want)
+	if got, want := s.Ledger().Corun.Cells, uint64(len(corunMixes())*len(highSkewNames())*len(corunPolicies())); got != want {
+		t.Errorf("co-run cells after the contained panic = %d, want %d", got, want)
 	}
 }
 

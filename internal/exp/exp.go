@@ -83,14 +83,8 @@ func ScaledConfig(div uint32) Config {
 // replays too, so the next policy of the group — on a daemon they arrive
 // one request at a time — finds the recording instead of re-executing.
 type Session struct {
-	Cfg        Config
-	art        *Store
-	simRuns    atomic.Uint64 // number of distinct simulated result datapoints (dedup observability)
-	broadcasts atomic.Uint64 // result fan-outs run, each serving one group's claimed policies
-	sampledRun atomic.Uint64 // distinct set-sampled estimates computed (fast-tier observability)
-	subBuilds  atomic.Uint64 // sampled subsequences built (each one masked decode of a full recording)
-	corunRun   atomic.Uint64 // distinct shared-LLC co-run replays computed (DESIGN.md Sec. 15)
-	loads      atomic.Uint64 // graphs generated or parsed, each timed in phase.load
+	Cfg Config
+	art *Store
 
 	// phase accumulates cumulative engine nanoseconds per prefetch phase
 	// (across workers, so a multi-core batch's phases can sum past
@@ -112,19 +106,6 @@ type recording struct {
 // NewSession creates a session over a fresh store of the default budget:
 // the whole cache of a process that runs one geometry (graspsim, bench).
 func NewSession(cfg Config) *Session { return NewStore(0).Session(cfg) }
-
-// SimRuns returns the number of distinct result datapoints the session
-// has simulated (each a replay of its group's recording, alone or in a
-// fan-out) — cache hits and singleflight-merged requests do not count, so
-// under any access pattern this equals the number of distinct result
-// datapoints.
-func (s *Session) SimRuns() uint64 { return s.simRuns.Load() }
-
-// Broadcasts returns how many decode-once result fan-outs this session
-// has run: one per group of a Prefetch batch whatever its policy count,
-// and one per lone result (a fan-out of one). The CI bench smoke asserts
-// a multi-policy batch is served by exactly one.
-func (s *Session) Broadcasts() uint64 { return s.broadcasts.Load() }
 
 // PhaseSeconds returns the session's cumulative engine time per phase:
 // "load" (dataset generation/ingestion), "reorder" (vertex reordering +
@@ -151,6 +132,10 @@ func (s *Session) PhaseSeconds() map[string]float64 {
 // CacheBytesRetained returns the bytes currently charged against the
 // budget of the session's store, by this session and any other sharing it.
 func (s *Session) CacheBytesRetained() int64 { return s.art.CacheBytesRetained() }
+
+// Ledger returns the work ledger of the session's store: this session's
+// work and that of any other session sharing it.
+func (s *Session) Ledger() Ledger { return s.art.Ledger() }
 
 // dataset opens a request's handle on dsName: the spec is resolved and,
 // if it names a graph file, stat'ed — once; everything the request then
@@ -218,6 +203,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 		if err != nil {
 			return recording{}, 0, err
 		}
+		s.art.tally(func(l *Ledger) { l.Recordings, l.Recorded = l.Recordings+1, l.Recorded+uint64(tr.Len()) })
 		return recording{tr: tr, bounds: bounds}, tr.SizeBytes(), nil
 	})
 }
@@ -239,7 +225,7 @@ func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, in
 	if err != nil {
 		return recording{}, 0, err
 	}
-	s.subBuilds.Add(1)
+	s.art.tally(func(l *Ledger) { l.Subsequences++ })
 	return recording{tr: tr, bounds: src.bounds}, tr.SizeBytes(), nil
 }
 
@@ -285,6 +271,7 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool, load fu
 		if err != nil {
 			return nil, 0, err
 		}
+		s.art.tally(func(l *Ledger) { l.Reorders++ })
 		var bytes int64
 		if d.fileBacked() {
 			bytes = w.Graph.Footprint()
@@ -295,10 +282,13 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool, load fu
 
 // load generates a dataset's graph, or parses its file.
 func (s *Session) load(ds graph.Dataset, weighted bool) (*graph.CSR, error) {
-	s.loads.Add(1)
 	start := time.Now()
-	defer func() { s.phase.load.Add(int64(time.Since(start))) }()
-	return ds.Load(weighted, s.Cfg.ScaleDiv)
+	g, err := ds.Load(weighted, s.Cfg.ScaleDiv)
+	s.phase.load.Add(int64(time.Since(start)))
+	if err == nil {
+		s.art.tally(func(l *Ledger) { l.Loads++ })
+	}
+	return g, err
 }
 
 // spec is the sim.Spec of group g's cell under policy with reuse regions
@@ -317,13 +307,11 @@ func (s *Session) spec(g artifactKey, policy string, regionScale float64) sim.Sp
 // sampling divisor K, 0 for full results), keyed by policy and region
 // scale and claimed at once. The cells this caller leads are one timed sim
 // call over the workload and the full recording of g (recorded on first
-// touch), charged to phase and counted in runs when it succeeds. A spec
-// sim refuses is refused before any of that. Replays can fail
-// environmentally (an I/O fault) and under a caller's context, which is
-// why both kinds are transient.
+// touch), charged to phase; simulate counts its own fan-out. A spec sim
+// refuses is refused before any of that. Replays can fail environmentally
+// (an I/O fault) and under a caller's context: both kinds are transient.
 func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, specs []sim.Spec,
-	phase *atomic.Int64, runs *atomic.Uint64,
-	simulate func(w *sim.Workload, rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
+	phase *atomic.Int64, simulate func(w *sim.Workload, rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
 	keys := make([]artifactKey, len(specs))
 	for i, spec := range specs {
 		if _, err := spec.Resolve(); err != nil {
@@ -344,9 +332,6 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		start := time.Now()
 		vs, err = simulate(w, rec, pick(specs, led))
 		phase.Add(int64(time.Since(start)))
-		if err == nil {
-			runs.Add(uint64(len(led)))
-		}
 		return vs, nil, err
 	})
 }
@@ -395,11 +380,16 @@ func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string
 // fan-out of one and an N-spec batch — policies and region scales alike —
 // pays one decode, not N.
 func (s *Session) results(ctx context.Context, g artifactKey, specs []sim.Spec) ([]sim.Result, error) {
-	return replayEach(ctx, s, g, kindResult, 0, specs, &s.phase.replay, &s.simRuns,
+	return replayEach(ctx, s, g, kindResult, 0, specs, &s.phase.replay,
 		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.Result, error) {
 			rs, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
 			if err == nil {
-				s.broadcasts.Add(1)
+				s.art.tally(func(l *Ledger) {
+					l.Full.add(len(rs), len(rs), rec.tr.Len())
+					for _, r := range rs {
+						l.llc(r.Spec.Policy, r.LLC)
+					}
+				})
 			}
 			return rs, err
 		})

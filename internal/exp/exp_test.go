@@ -102,7 +102,7 @@ func TestSessionCachesResults(t *testing.T) {
 	if n := s.art.count(kindResult); n != 1 {
 		t.Fatalf("expected 1 cached result, have %d", n)
 	}
-	if n := s.SimRuns(); n != 1 {
+	if n := s.Ledger().Full.Cells; n != 1 {
 		t.Fatalf("expected 1 simulation run, have %d", n)
 	}
 }

@@ -135,6 +135,15 @@ func (s *Session) optPass(ctx context.Context, rec recording, llcs []cache.Confi
 			opt: policy.SimulateOPTChain(blocks, chain, llcCfg.Sets(), llcCfg.Ways).Misses,
 		}
 	}
+	s.art.tally(func(l *Ledger) {
+		l.OPT.add(len(out), len(consumers), int64(len(blocks)))
+		for i, c := range caches {
+			l.llc(schemes[i%len(schemes)], c.Stats)
+		}
+		for _, o := range out {
+			l.llc("OPT", cache.Stats{Hits: uint64(len(blocks)) - o.opt, Misses: o.opt})
+		}
+	})
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -63,16 +64,14 @@ func TestGoldenRuns(t *testing.T) {
 	if err := s.Prefetch(points); err != nil {
 		t.Fatal(err)
 	}
-	// What the union's prefetch did; rendering must add to none of it.
-	settled := func() map[string]float64 {
-		ph := s.PhaseSeconds()
-		return map[string]float64{
-			"SimRuns": float64(s.SimRuns()), "SampledRuns": float64(s.SampledRuns()), "CorunRuns": float64(s.CorunRuns()),
-			"OPT cells": float64(s.art.count(kindOPT)), "loads": float64(s.loads.Load()),
-			"record s": ph["record"], "replay s": ph["replay"], "corun s": ph["corun"],
-		}
+	// What the union's prefetch did; rendering must add to none of it but
+	// the requests the store answers.
+	settled := func() (Ledger, [3]float64) {
+		l, ph := s.Ledger(), s.PhaseSeconds()
+		l.Served = 0
+		return l, [3]float64{ph["record"], ph["replay"], ph["corun"]}
 	}
-	before := settled()
+	before, phases := settled()
 	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -106,10 +105,9 @@ func TestGoldenRuns(t *testing.T) {
 	// Points() is each experiment's only statement of what it reads: no
 	// body loads a graph, records, or computes a cell of any kind the
 	// union's prefetch did not.
-	for name, after := range settled() {
-		if after != before[name] {
-			t.Errorf("rendering did work the prefetch did not: %s %v -> %v", name, before[name], after)
-		}
+	if after, afterPhases := settled(); !reflect.DeepEqual(after, before) || afterPhases != phases {
+		t.Errorf("rendering did work the prefetch did not: record/replay/corun s %v -> %v, ledger\n%+v\n-> %+v",
+			phases, afterPhases, before, after)
 	}
 	// An experiment without a golden still runs through the runner, once,
 	// after the check above: its body does work no prefetch declares.

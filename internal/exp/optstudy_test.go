@@ -10,7 +10,6 @@ import (
 
 	"grasp/internal/apps"
 	"grasp/internal/cache"
-	"grasp/internal/trace"
 )
 
 // studyGeometries returns the distinct LLC geometries of the Table VII
@@ -45,8 +44,7 @@ func checkGolden(t *testing.T, id string, got []byte) {
 // exactly one fan-out per pair — feeding an LRU, an RRIP and a GRASP LLC
 // per distinct ladder geometry plus the block collector — not one per
 // pair per size per experiment; table7's 16MB* column is the very store
-// entries fig11 reads; and fig11 alone simulates the base size only. Not
-// parallel: it reads exact deltas of the process-wide trace counters.
+// entries fig11 reads; and fig11 alone simulates the base size only.
 func TestOPTStudyOnePass(t *testing.T) {
 	fig11, err := ByID("fig11")
 	if err != nil {
@@ -60,11 +58,9 @@ func TestOPTStudyOnePass(t *testing.T) {
 	pairs := uint64(len(apps.Names()) * len(highSkewNames()))
 	sizes := uint64(len(studyGeometries(cfg)))
 	fanOuts := func(run func(s *Session)) (runs, consumers uint64) {
-		runs0, cons0 := trace.BroadcastStats()
 		s := NewSession(cfg)
 		run(s)
-		runs, consumers = trace.BroadcastStats()
-		return runs - runs0, consumers - cons0
+		return s.Ledger().FanOuts()
 	}
 
 	runs, cons := fanOuts(func(s *Session) {
@@ -98,8 +94,8 @@ func TestOPTStudyOnePass(t *testing.T) {
 				}
 			}
 		}
-		if s.SimRuns() != 0 {
-			t.Errorf("study cells counted as %d result datapoints", s.SimRuns())
+		if s.Ledger().Full.Cells != 0 {
+			t.Errorf("study cells counted as %d result datapoints", s.Ledger().Full.Cells)
 		}
 	})
 	if runs != pairs {
@@ -185,8 +181,8 @@ func TestOPTStudyCancelPublishesNothing(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
 			t.Fatalf("poll %d: err = %v, want the context's error carrying its cause", n, err)
 		}
-		if got := s.art.count(kindOPT); got != 0 {
-			t.Fatalf("poll %d: cancelled study published %d cells", n, got)
+		if got, work := s.art.count(kindOPT), s.Ledger().OPT; got != 0 || work != (TierWork{}) {
+			t.Fatalf("poll %d: cancelled study published %d cells, counted %+v", n, got, work)
 		}
 	}
 	// Unit start, at least one chunk, one check per distinct geometry.
@@ -254,16 +250,16 @@ func TestLoneResultCancelPublishesNothing(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
 			t.Fatalf("poll %d: err = %v, want the context's error carrying its cause", n, err)
 		}
-		if got := s.art.count(kindResult); got != 0 {
-			t.Fatalf("poll %d: cancelled request published %d results", n, got)
+		if got, work := s.art.count(kindResult), s.Ledger().Full; got != 0 || work != (TierWork{}) {
+			t.Fatalf("poll %d: cancelled request published %d results, counted %+v", n, got, work)
 		}
 		if fullRecordingReady(s, "kr", "PR") {
 			inReplay++
 			continue
 		}
 		inRecording++
-		if e, b := s.art.count(kindRecording), s.CacheBytesRetained(); e != 0 || b != 0 {
-			t.Fatalf("poll %d: cancelled recording left %d entries, %d bytes retained", n, e, b)
+		if e, b, l := s.art.count(kindRecording), s.CacheBytesRetained(), s.Ledger(); e != 0 || b != 0 || l.Recordings != 0 {
+			t.Fatalf("poll %d: cancelled recording left %d entries, %d bytes retained, %d counted", n, e, b, l.Recordings)
 		}
 	}
 	if inRecording == 0 || inReplay == 0 {

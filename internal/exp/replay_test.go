@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"grasp/internal/apps"
@@ -27,8 +28,8 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	if n := s.art.count(kindRecording); n != 1 {
 		t.Fatalf("prefetch cached %d recordings, want 1 (one per group)", n)
 	}
-	if got, want := s.SimRuns(), uint64(len(schemes)+1); got != want {
-		t.Fatalf("SimRuns = %d, want %d (RRIP + each scheme, each once)", got, want)
+	if got, want := s.Ledger().Full.Cells, uint64(len(schemes)+1); got != want {
+		t.Fatalf("full cells = %d, want %d (RRIP + each scheme, each once)", got, want)
 	}
 	for _, p := range pts {
 		replayed, err := s.Result(p.DS, p.Reorder, p.App, p.Layout, p.Policy)
@@ -63,7 +64,7 @@ func TestPrefetchLoadsEachGraphOnce(t *testing.T) {
 		if n := s.art.count(kindWorkload); n != 6 {
 			t.Fatalf("pass %d: %d workloads cached, want 6", pass, n)
 		}
-		if got := s.loads.Load(); got != 2 {
+		if got := s.Ledger().Loads; got != 2 {
 			t.Fatalf("pass %d: %d graphs loaded in all for 6 workloads of 2 graphs, want 2", pass, got)
 		}
 	}
@@ -95,15 +96,13 @@ func TestPrefetchSettledGroupRecordsNothing(t *testing.T) {
 	if err := Run(context.Background(), s, e, &first, nil); err != nil {
 		t.Fatal(err)
 	}
-	record, runs := s.PhaseSeconds()["record"], s.SimRuns()
+	before := s.Ledger()
 	if err := Run(context.Background(), s, e, &second, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PhaseSeconds()["record"]; got != record {
-		t.Errorf("second run recorded for %.3fs (record phase %.3fs -> %.3fs); want nothing recorded", got-record, record, got)
-	}
-	if got := s.SimRuns(); got != runs {
-		t.Errorf("SimRuns %d -> %d across the second run; want every cell served from the store", runs, got)
+	after := s.Ledger()
+	if after.Served = before.Served; !reflect.DeepEqual(after, before) {
+		t.Errorf("second run did work: ledger %+v\n-> %+v; want every cell served from the store", before, after)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Errorf("second run renders differently\n--- first ---\n%s\n--- second ---\n%s", first.Bytes(), second.Bytes())
@@ -167,8 +166,8 @@ func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	for _, p := range []Datapoint{point("lj", "RRIP"), point("kr", "RRIP"), point("lj", "GRASP"), point("lj", "SHiP-MEM")} {
 		checkAgainstRun(s, p.DS, p.Policy)
 	}
-	if got := s.SimRuns(); got != 4 {
-		t.Fatalf("SimRuns = %d, want 4 (each datapoint simulated once, reads are hits)", got)
+	if got := s.Ledger().Full.Cells; got != 4 {
+		t.Fatalf("full cells = %d, want 4 (each datapoint simulated once, reads are hits)", got)
 	}
 
 	// A declared study cell on a study-only group records the group's

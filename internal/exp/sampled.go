@@ -16,11 +16,6 @@ import (
 	"grasp/internal/sim"
 )
 
-// SampledRuns returns how many distinct set-sampled estimates the session
-// has computed (cache hits and merged requests do not count) — the
-// fast-tier twin of SimRuns, surfaced by graspd /metrics.
-func (s *Session) SampledRuns() uint64 { return s.sampledRun.Load() }
-
 // SampledResultCtx returns the set-sampled fast-tier estimate of one
 // datapoint, computing and caching it on first use. The group's shared
 // FULL recording backs the replay (recorded on first use, exactly as the
@@ -34,9 +29,18 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 		return sim.SampledResult{}, fmt.Errorf("exp: sample divisor must be >= 1, got 0")
 	}
 	g := s.sampledSource(group(s.dataset(dsName), reorderName, app, layout), sampleK)
-	return one(replayEach(ctx, s, g, kindSampled, sampleK, []sim.Spec{s.spec(g, policy, 0)}, &s.phase.sampled, &s.sampledRun,
+	return one(replayEach(ctx, s, g, kindSampled, sampleK, []sim.Spec{s.spec(g, policy, 0)}, &s.phase.sampled,
 		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.SampledResult, error) {
-			rs, _, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds, sampleK)
+			rs, rep, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds, sampleK)
+			if err == nil {
+				s.art.tally(func(l *Ledger) {
+					l.Sampled.add(len(rs), len(rs), rep.AccessesDelivered)
+					l.Skip.Add(rep)
+					for _, r := range rs {
+						l.llc(r.Spec.Policy, r.SampledLLC)
+					}
+				})
+			}
 			return rs, err
 		}))
 }

@@ -120,14 +120,14 @@ func TestSubsequenceEvictedIndependently(t *testing.T) {
 	sub := s.sampledSource(full, subK)
 	check := func(policy string, builds uint64, recorded bool) {
 		t.Helper()
-		records := s.phase.record.Load()
+		records := s.Ledger().Recordings
 		if got := estimate(t, ctx, s, policy); got != want[policy] {
 			t.Errorf("%s: subsequence estimate diverges from the masked full replay\n got: %+v\nwant: %+v", policy, got, want[policy])
 		}
-		if n := s.subBuilds.Load(); n != builds {
+		if n := s.Ledger().Subsequences; n != builds {
 			t.Fatalf("%s: %d subsequences built, want %d", policy, n, builds)
 		}
-		if rerecorded := s.phase.record.Load() != records; rerecorded != recorded {
+		if rerecorded := s.Ledger().Recordings != records; rerecorded != recorded {
 			t.Fatalf("%s: full recording re-recorded = %v, want %v", policy, rerecorded, recorded)
 		}
 	}
@@ -204,14 +204,14 @@ func TestSubsequenceCancelLeavesNoEntry(t *testing.T) {
 	if n, e := s.art.subsequences(), s.art.count(kindSampled); n != 0 || e != 0 {
 		t.Fatalf("after the cancel: %d subsequences, %d estimates cached; want none", n, e)
 	}
-	if !s.art.ready(full) || s.CacheBytesRetained() != F || s.subBuilds.Load() != 0 || s.SampledRuns() != 0 {
+	if !s.art.ready(full) || s.CacheBytesRetained() != F || s.Ledger().Subsequences != 0 || s.Ledger().Sampled.Cells != 0 {
 		t.Fatalf("after the cancel: full recording cached %v, retained %d (want %d), %d builds, %d estimates",
-			s.art.ready(full), s.CacheBytesRetained(), F, s.subBuilds.Load(), s.SampledRuns())
+			s.art.ready(full), s.CacheBytesRetained(), F, s.Ledger().Subsequences, s.Ledger().Sampled.Cells)
 	}
 	if got := estimate(t, context.Background(), s, "GRASP"); got != want["GRASP"] {
 		t.Errorf("estimate after the cancel diverges\n got: %+v\nwant: %+v", got, want["GRASP"])
 	}
-	if n := s.subBuilds.Load(); n != 1 || s.art.subsequences() != 1 {
+	if n := s.Ledger().Subsequences; n != 1 || s.art.subsequences() != 1 {
 		t.Fatalf("after a live estimate: %d builds, %d subsequences; want 1 and 1", n, s.art.subsequences())
 	}
 }
@@ -240,12 +240,12 @@ func TestSubsequenceConcurrentBuildsOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if n := s.subBuilds.Load(); n != 1 || s.art.subsequences() != 1 {
+	if n := s.Ledger().Subsequences; n != 1 || s.art.subsequences() != 1 {
 		t.Fatalf("%d concurrent first estimates: %d builds, %d subsequences cached; want 1 and 1",
 			len(policies), n, s.art.subsequences())
 	}
-	if n := s.SampledRuns(); n != uint64(len(policies)) {
-		t.Fatalf("SampledRuns = %d, want %d", n, len(policies))
+	if n := s.Ledger().Sampled.Cells; n != uint64(len(policies)) {
+		t.Fatalf("sampled cells = %d, want %d", n, len(policies))
 	}
 	for i, p := range policies {
 		if got[i] != want[p] {

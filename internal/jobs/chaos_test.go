@@ -214,9 +214,9 @@ func TestCancelCorunExperimentAfterSoloCells(t *testing.T) {
 	const solo = 400 // 4 kernels x 5 datasets x 20 policies
 	s := m.sessionFor(spec.Scale)
 	deadline := time.Now().Add(2 * time.Minute)
-	for s.SimRuns() < solo {
+	for s.Ledger().Full.Cells < solo {
 		if time.Now().After(deadline) || j.Status().State == StateDone || j.Status().State == StateFailed {
-			t.Fatalf("job never finished its solo cells: state %s, SimRuns %d", j.Status().State, s.SimRuns())
+			t.Fatalf("job never finished its solo cells: state %s, full cells %d", j.Status().State, s.Ledger().Full.Cells)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -230,7 +230,7 @@ func TestCancelCorunExperimentAfterSoloCells(t *testing.T) {
 	if st.State != StateFailed || st.Error != ErrCanceled.Error() {
 		t.Fatalf("cancelled corun job: state %s error %q, want failed with %q", st.State, st.Error, ErrCanceled)
 	}
-	if got := s.CorunRuns(); got >= 400 {
+	if got := s.Ledger().Corun.Cells; got >= 400 {
 		t.Errorf("cancelled job still computed all %d co-run cells", got)
 	}
 }

@@ -148,8 +148,8 @@ func TestCorunJobEndToEnd(t *testing.T) {
 	if r.Unfairness < 1 {
 		t.Errorf("unfairness %v < 1", r.Unfairness)
 	}
-	if got := m.Metrics(); got.CorunRuns != 1 {
-		t.Errorf("CorunRuns = %d, want 1", got.CorunRuns)
+	if got := m.Metrics(); got.Work.Corun.Cells != 1 {
+		t.Errorf("co-run cells = %d, want 1", got.Work.Corun.Cells)
 	}
 	j2, disp2, err := m.Submit(spec, 0)
 	if err != nil {

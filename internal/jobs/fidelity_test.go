@@ -39,8 +39,8 @@ func TestSampledJobEndToEnd(t *testing.T) {
 	if o.Sampled.SampleK != 4 {
 		t.Errorf("outcome sample_k = %d, want 4", o.Sampled.SampleK)
 	}
-	if got := m.Metrics(); got.SampledRuns != 1 {
-		t.Errorf("SampledRuns = %d, want 1", got.SampledRuns)
+	if got := m.Metrics(); got.Work.Sampled.Cells != 1 {
+		t.Errorf("sampled cells = %d, want 1", got.Work.Sampled.Cells)
 	}
 	j2, disp2, err := m.Submit(spec, 0)
 	if err != nil {

@@ -919,31 +919,11 @@ type Metrics struct {
 	Queued, Running int
 	// StoredOutcomes is the size of the persistent result store.
 	StoredOutcomes int
-	// SimRuns is the number of distinct result datapoints simulated across
-	// all sessions — each one replay of its group's recording (the
-	// engine-level dedup observability counter).
-	SimRuns uint64
-	// SampledRuns counts distinct set-sampled fast-tier estimates computed
-	// across all sessions (DESIGN.md Sec. 14).
-	SampledRuns uint64
-	// CorunRuns counts distinct shared-LLC co-run replays computed across
-	// all sessions (DESIGN.md Sec. 15).
-	CorunRuns uint64
-	// BroadcastGroups counts recording groups served through the
-	// decode-once broadcast path across all sessions; BroadcastReplays is
-	// the process-wide count of completed broadcast fan-outs and
-	// BroadcastConsumers the total replays they served (trace-engine
-	// counters: every full-fidelity replay is a fan-out, so a lone
-	// policy's replay counts as one with one consumer, and the OPT study's
-	// bounded-prefix fan-outs count too). Together with SimRuns these
-	// expose whether multi-policy sweeps are actually riding the broadcast
-	// decoder.
-	BroadcastGroups, BroadcastReplays, BroadcastConsumers uint64
-	// Skip is the process-wide codec-layer accounting of masked (sampled)
-	// replays: chunks decoded, their encoded bytes, and records pruned vs
-	// delivered (DESIGN.md Sec. 14). Exposes whether the sampled tier is
-	// actually dodging decode work in production, not only in BENCH files.
-	Skip trace.SkipReport
+	// Work is the ledger of the manager's one store: the engine work this
+	// manager's sessions did, at every scale, and nobody else's — cells
+	// computed per tier, the fan-outs that computed them, masked decodes
+	// (DESIGN.md Sec. 7).
+	Work exp.Ledger
 	// CacheBytesRetained is the total bytes of recordings and file-backed
 	// graphs retained by the manager's one store, at every scale (bounded
 	// by the cache budget): non-zero while they are being reused across
@@ -953,21 +933,8 @@ type Metrics struct {
 
 // Metrics returns a snapshot of the manager's counters.
 func (m *Manager) Metrics() Metrics {
-	var simRuns, sampledRuns, corunRuns, broadcastGroups uint64
-	m.mu.Lock()
-	for _, s := range m.sessions {
-		simRuns += s.SimRuns()
-		sampledRuns += s.SampledRuns()
-		corunRuns += s.CorunRuns()
-		broadcastGroups += s.Broadcasts()
-	}
-	m.mu.Unlock()
-	broadcastReplays, broadcastConsumers := trace.BroadcastStats()
 	return Metrics{
-		BroadcastGroups:    broadcastGroups,
-		BroadcastReplays:   broadcastReplays,
-		BroadcastConsumers: broadcastConsumers,
-		Skip:               trace.SkipStats(),
+		Work:               m.cache.Ledger(),
 		CacheBytesRetained: m.cache.CacheBytesRetained(),
 		Submitted:          m.submitted.Load(),
 		Executed:           m.executed.Load(),
@@ -986,8 +953,5 @@ func (m *Manager) Metrics() Metrics {
 		Queued:             m.q.Depth(),
 		Running:            int(m.running.Load()),
 		StoredOutcomes:     m.store.Len(),
-		SimRuns:            simRuns,
-		SampledRuns:        sampledRuns,
-		CorunRuns:          corunRuns,
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"grasp/internal/exp"
 	"grasp/internal/graph"
+	"grasp/internal/trace"
 )
 
 // tinySpec is a spec small enough to simulate in milliseconds (512-vertex
@@ -533,5 +534,32 @@ func TestExperimentJobProgress(t *testing.T) {
 	}
 	if o.Single != nil {
 		t.Error("experiment outcome carries single-run metrics")
+	}
+}
+
+// TestMetricsCountOnlyOwnWork: two managers in one process (the
+// in-process cluster's nodes) share no engine counter. Jobs on A, one full
+// and one sampled, show up in A's fan-out, consumer and masked-decode
+// counts and leave every one of B's at zero.
+func TestMetricsCountOnlyOwnWork(t *testing.T) {
+	a, b := newTestManager(t, 1), newTestManager(t, 1)
+	sampled := tinySpec()
+	sampled.Fidelity, sampled.SampleK = FidelitySampled, 4
+	for _, spec := range []Spec{tinySpec(), sampled} {
+		j, _, err := a.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, j, time.Minute); st.State != StateDone {
+			t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+		}
+	}
+	work := a.Metrics().Work
+	if runs, cons := work.FanOuts(); runs != 2 || cons != 2 || work.Skip.ChunksDecoded == 0 {
+		t.Errorf("A's jobs: %d fan-outs, %d consumers, skip %+v; want 2, 2 and some chunks decoded", runs, cons, work.Skip)
+	}
+	work = b.Metrics().Work
+	if runs, cons := work.FanOuts(); runs != 0 || cons != 0 || work.Skip != (trace.SkipReport{}) {
+		t.Errorf("idle B reads %d fan-outs, %d consumers, skip %+v; want nothing", runs, cons, work.Skip)
 	}
 }

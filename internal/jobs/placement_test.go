@@ -110,8 +110,8 @@ func TestExecutePlaced(t *testing.T) {
 		if mt.Submitted+mt.Executed+mt.Completed != 0 || mt.StoredOutcomes != 0 || m.Result(hash) != nil {
 			t.Errorf("placed run left a job behind: %+v", mt)
 		}
-		if mt.SimRuns != 1 {
-			t.Errorf("sim runs = %d, want 1", mt.SimRuns)
+		if mt.Work.Full.Cells != 1 {
+			t.Errorf("sim runs = %d, want 1", mt.Work.Full.Cells)
 		}
 		j, _, err := newTestManager(t, 1).Submit(spec, 0)
 		if err != nil {
@@ -146,7 +146,7 @@ func TestExecutePlaced(t *testing.T) {
 		if _, err := m.ExecutePlaced(ctx, bad, hash); !errors.Is(err, ErrNotReproducible) {
 			t.Fatalf("a spec that does not canonicalize: %v, want ErrNotReproducible", err)
 		}
-		if got := m.Metrics().SimRuns; got != 0 {
+		if got := m.Metrics().Work.Full.Cells; got != 0 {
 			t.Errorf("sim runs = %d, want 0", got)
 		}
 	})
@@ -185,7 +185,7 @@ func TestExecutePlaced(t *testing.T) {
 			t.Errorf("cancelled waiter returned %v, want ErrCanceled", err)
 		}
 		<-m.placeSem
-		if got := m.Metrics().SimRuns; got != 0 {
+		if got := m.Metrics().Work.Full.Cells; got != 0 {
 			t.Errorf("sim runs = %d, want 0", got)
 		}
 	})
@@ -251,7 +251,7 @@ func TestPlacedRunPreemptedMidSimulation(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrDraining) {
 		t.Fatalf("preempted run returned %v, want ErrDraining", err)
 	}
-	if mt := m.Metrics(); mt.SimRuns != 0 || mt.CacheBytesRetained != 0 {
-		t.Errorf("preempted run published: %d sim runs, %d cache bytes retained", mt.SimRuns, mt.CacheBytesRetained)
+	if mt := m.Metrics(); mt.Work.Full.Cells != 0 || mt.CacheBytesRetained != 0 {
+		t.Errorf("preempted run published: %d sim runs, %d cache bytes retained", mt.Work.Full.Cells, mt.CacheBytesRetained)
 	}
 }

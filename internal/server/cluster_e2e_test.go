@@ -633,7 +633,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 // or sampled — non-zero only where a simulation actually ran.
 func sims(nd *clusterNode) uint64 {
 	m := nd.mgr.Metrics()
-	return m.SimRuns + m.SampledRuns
+	return m.Work.Full.Cells + m.Work.Sampled.Cells
 }
 
 // placedSpec varies base's policy until the spec's hash is owned by one

@@ -351,16 +351,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("jobs_store_corrupt_total", "Result files quarantined after failing checksum verification.", m.StoreCorrupt)
 	counter("jobs_journal_errors_total", "Failed journal appends.", m.JournalErrors)
 	counter("rate_limited_total", "Submissions rejected by the per-client rate limit.", s.rateLimited.Load())
-	counter("sim_runs_total", "Distinct result datapoints simulated (recording replays) across all sessions.", m.SimRuns)
-	counter("sampled_runs_total", "Distinct set-sampled fast-tier estimates across all sessions.", m.SampledRuns)
-	counter("corun_runs_total", "Distinct shared-LLC co-run replays across all sessions.", m.CorunRuns)
-	counter("broadcast_groups_total", "Recording groups served via decode-once broadcast replay.", m.BroadcastGroups)
-	counter("broadcast_replays_total", "Completed broadcast fan-outs (every full-fidelity replay, lone ones and OPT-study prefix replays included).", m.BroadcastReplays)
-	counter("broadcast_consumers_total", "Total replays served by broadcast fan-outs.", m.BroadcastConsumers)
-	counter("chunks_decoded_total", "Trace chunks decoded by masked (sampled) replays.", m.Skip.ChunksDecoded)
-	counter("chunk_bytes_decoded_total", "Encoded bytes of chunks decoded by masked replays.", m.Skip.BytesDecoded)
-	counter("accesses_pruned_total", "Records dropped inside the masked decode loop before materialization.", uint64(m.Skip.AccessesPruned))
-	counter("accesses_delivered_total", "Records materialized and delivered to masked-replay consumers.", uint64(m.Skip.AccessesDelivered))
+	work := m.Work
+	fanOuts, consumers := work.FanOuts()
+	counter("sim_runs_total", "Distinct result datapoints simulated (recording replays) by this node.", work.Full.Cells)
+	counter("sampled_runs_total", "Distinct set-sampled fast-tier estimates computed by this node.", work.Sampled.Cells)
+	counter("corun_runs_total", "Distinct shared-LLC co-run replays computed by this node.", work.Corun.Cells)
+	counter("broadcast_groups_total", "Recording groups served via decode-once broadcast replay.", work.Full.FanOuts)
+	counter("broadcast_replays_total", "Completed decode fan-outs of every tier (lone replays and OPT-study prefix replays included).", fanOuts)
+	counter("broadcast_consumers_total", "Total replays served by those fan-outs.", consumers)
+	counter("chunks_decoded_total", "Trace chunks decoded by masked (sampled) replays.", work.Skip.ChunksDecoded)
+	counter("chunk_bytes_decoded_total", "Encoded bytes of chunks decoded by masked replays.", work.Skip.BytesDecoded)
+	counter("accesses_pruned_total", "Records dropped inside the masked decode loop before materialization.", uint64(work.Skip.AccessesPruned))
+	counter("accesses_delivered_total", "Records materialized and delivered to masked-replay consumers.", uint64(work.Skip.AccessesDelivered))
 	gauge("cache_bytes_retained", "Bytes of recordings and file-backed graphs held by the process's one artifact store, all scales together (bounded by -cache-mb).", float64(m.CacheBytesRetained))
 	gauge("jobs_queued", "Jobs waiting for a worker.", float64(m.Queued))
 	gauge("jobs_running", "Jobs currently simulating.", float64(m.Running))

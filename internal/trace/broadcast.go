@@ -43,21 +43,6 @@ import (
 // x sizeof(mem.Access) = 4 x 64 KB) is 256 KB, inside one core's L2.
 const broadcastSlabs = 4
 
-// Broadcast counters (process-wide observability): completed broadcast
-// fan-outs and the total consumers they served. The CI bench smoke and the
-// graspd /metrics endpoint read these to assert the decode-once path is
-// actually taken for multi-policy groups.
-var (
-	broadcastRuns      atomic.Uint64
-	broadcastConsumers atomic.Uint64
-)
-
-// BroadcastStats returns the process-wide broadcast counters: how many
-// broadcast replays completed and the total consumers they fanned out to.
-func BroadcastStats() (runs, consumers uint64) {
-	return broadcastRuns.Load(), broadcastConsumers.Load()
-}
-
 // slab is one run of decoded accesses in flight from the producer to the
 // consumers.
 type slab struct {
@@ -89,16 +74,13 @@ func (t *Trace) BroadcastNCtx(ctx context.Context, limit int64, consumers []func
 // only the masked residue and every consumer's filter loop shrinks by the
 // prune ratio. Consumers see exactly the subsequence of accesses a full
 // BroadcastNCtx would deliver whose class is masked, in order — with sets
-// <= PresenceBuckets that IS the sampled-set subsequence. The per-run
-// SkipReport is returned and, on success, added to the process-wide
-// SkipStats. On a Subsequence the report also counts what its build
-// pruned, so a replay accounts for the whole recording either way.
+// <= PresenceBuckets that IS the sampled-set subsequence. The run's
+// SkipReport is returned for the caller to account. On a Subsequence the
+// report also counts what its build pruned, so a replay accounts for the
+// whole recording either way.
 func (t *Trace) BroadcastMaskedNCtx(ctx context.Context, limit int64, mask PresenceMask, consumers []func(accs []mem.Access)) (SkipReport, error) {
 	rep, err := t.broadcast(ctx, limit, mask, false, consumers)
 	rep.AccessesPruned += t.recorded - t.n
-	if err == nil {
-		countSkip(rep)
-	}
 	return rep, err
 }
 
@@ -176,8 +158,8 @@ func (r *ring) send(s *slab) {
 // would kill the whole process — and later slabs pass that consumer by
 // (still dropping its references: the producer blocks on slab reuse, so a
 // consumer that simply died would deadlock it). The first panic is
-// reported as the fan-out's error, stack attached. Only a fan-out that
-// completes cleanly counts in BroadcastStats.
+// reported as the fan-out's error, stack attached. The package counts
+// nothing: the session that asked for a fan-out accounts it (exp.Ledger).
 func fanOut(consumers []func(accs []mem.Access), inline bool, source func(r *ring) error) error {
 	n := len(consumers)
 	if n == 0 {
@@ -239,7 +221,5 @@ func fanOut(consumers []func(accs []mem.Access), inline bool, source func(r *rin
 	if pe := panicErr.Load(); pe != nil {
 		return *pe
 	}
-	broadcastRuns.Add(1)
-	broadcastConsumers.Add(uint64(n))
 	return nil
 }

@@ -49,11 +49,10 @@ func TestBroadcastDeliversIdenticalStreams(t *testing.T) {
 
 // TestBroadcastLoneConsumerPanic: a lone consumer runs inline, and its
 // panic is contained there as on a consumer goroutine: reported with its
-// stack, never applied again, the fan-out not counted as completed.
+// stack, never applied again.
 func TestBroadcastLoneConsumerPanic(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, 3*chunkRecords))
 	calls := 0
-	runs0, _ := BroadcastStats()
 	err := tr.BroadcastNCtx(context.Background(), 0, []func([]mem.Access){func([]mem.Access) {
 		if calls++; calls == 2 {
 			panic("policy bug")
@@ -64,9 +63,6 @@ func TestBroadcastLoneConsumerPanic(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("the panicked consumer was invoked %d times, want 2 (never again after its panic)", calls)
-	}
-	if runs, _ := BroadcastStats(); runs != runs0 {
-		t.Error("a fan-out with a panicked consumer counted as a completed run")
 	}
 }
 
@@ -85,18 +81,5 @@ func TestBroadcastHonorsLimit(t *testing.T) {
 				t.Fatalf("access %d diverges", i)
 			}
 		}
-	}
-}
-
-// TestBroadcastCounters: completed fan-outs must be observable through
-// BroadcastStats (the CI smoke's assertion that the decode-once path is
-// taken).
-func TestBroadcastCounters(t *testing.T) {
-	runs0, cons0 := BroadcastStats()
-	tr := record(t, interesting())
-	collectBroadcast(t, tr, 4, 0)
-	runs, cons := BroadcastStats()
-	if runs != runs0+1 || cons != cons0+4 {
-		t.Fatalf("BroadcastStats delta = (%d,%d), want (1,4)", runs-runs0, cons-cons0)
 	}
 }

@@ -252,12 +252,8 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 					got[i] = append(got[i], accs...) // slabs are recycled
 				}
 			}
-			runs0, cons0 := BroadcastStats()
 			if err := InterleaveBroadcastCtx(context.Background(), tc.streams, tc.limit, testTag, consumers); err != nil {
 				t.Fatal(err)
-			}
-			if runs, cons := BroadcastStats(); runs != runs0+1 || cons != cons0+n {
-				t.Errorf("BroadcastStats delta = (%d,%d), want (1,%d)", runs-runs0, cons-cons0, n)
 			}
 			for i := range got {
 				if len(got[i]) != len(want) {
@@ -280,8 +276,7 @@ func TestInterleaveBroadcastMatchesReplay(t *testing.T) {
 // is contained on its own goroutine — the ring keeps draining (the merged
 // order is longer than the ring, so a consumer that merely died would
 // deadlock the producer), the other consumers still receive every access,
-// and the fan-out reports the panic with its stack and does not count as
-// a completed run.
+// and the fan-out reports the panic with its stack.
 func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 	tr := recordAccesses(t, seqAccesses(0, (broadcastSlabs+2)*chunkRecords/2))
 	streams := []InterleaveStream{{Trace: tr, Weight: 1}, {Trace: tr, Weight: 1}}
@@ -296,7 +291,6 @@ func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 		},
 		func(accs []mem.Access) { after += len(accs) },
 	}
-	runs0, _ := BroadcastStats()
 	err := InterleaveBroadcastCtx(context.Background(), streams, 0, testTag, consumers)
 	if err == nil || !strings.Contains(err.Error(), "panicked: policy bug") || !strings.Contains(err.Error(), "goroutine ") {
 		t.Fatalf("err = %v, want the consumer's panic with its stack", err)
@@ -306,9 +300,6 @@ func TestInterleaveBroadcastConsumerPanic(t *testing.T) {
 	}
 	if slabs != 2 {
 		t.Errorf("the panicked consumer was invoked %d times, want 2 (never again after its panic)", slabs)
-	}
-	if runs, _ := BroadcastStats(); runs != runs0 {
-		t.Error("a fan-out with a panicked consumer counted as a completed run")
 	}
 }
 

@@ -23,7 +23,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"grasp/internal/mem"
 )
@@ -154,7 +153,7 @@ type SkipReport struct {
 	AccessesPruned, AccessesDelivered int64
 }
 
-// Add accumulates o into r (session- and process-level aggregation).
+// Add accumulates o into r (a store's ledger of masked decodes).
 func (r *SkipReport) Add(o SkipReport) {
 	r.ChunksDecoded += o.ChunksDecoded
 	r.BytesDecoded += o.BytesDecoded
@@ -171,35 +170,4 @@ func (r SkipReport) SkipRatio() float64 {
 		return 0
 	}
 	return float64(r.AccessesPruned) / float64(total)
-}
-
-// Process-wide masked-replay counters (observability): every masked
-// replay adds its SkipReport here; graspd /metrics exports them as
-// chunks_decoded_total, accesses_pruned_total and friends, so the
-// decode-bound retreat is visible in production, not only in BENCH
-// files. Every cursor keeps a report, but only BroadcastMaskedNCtx adds
-// it here: full-fidelity replays do not count.
-var (
-	skipChunksDecoded atomic.Uint64
-	skipBytesDecoded  atomic.Uint64
-	skipAccPruned     atomic.Int64
-	skipAccDelivered  atomic.Int64
-)
-
-// countSkip folds one masked replay's report into the process totals.
-func countSkip(r SkipReport) {
-	skipChunksDecoded.Add(r.ChunksDecoded)
-	skipBytesDecoded.Add(r.BytesDecoded)
-	skipAccPruned.Add(r.AccessesPruned)
-	skipAccDelivered.Add(r.AccessesDelivered)
-}
-
-// SkipStats returns the process-wide masked-replay totals.
-func SkipStats() SkipReport {
-	return SkipReport{
-		ChunksDecoded:     skipChunksDecoded.Load(),
-		BytesDecoded:      skipBytesDecoded.Load(),
-		AccessesPruned:    skipAccPruned.Load(),
-		AccessesDelivered: skipAccDelivered.Load(),
-	}
 }
