@@ -17,6 +17,7 @@ type kind uint8
 
 const (
 	kindWorkload  kind = iota // *sim.Workload: (dataset, reorder, weighted), loaded and reordered in one step
+	kindSkew                  // [2]graph.SkewStats: in- and out-degree skew of a dataset's graph, Table I's row
 	kindRecording             // recording: LLC-bound trace of a group; n = K: its sampled subsequence
 	kindResult                // sim.Result of (group, policy, region scale)
 	kindSampled               // sim.SampledResult of (group, policy), n = sampling divisor K
@@ -394,6 +395,26 @@ func (a *Store) enforce(keep artifactKey, keepDS string) {
 		default:
 			a.evict(func(k artifactKey) bool { return k == victim })
 		}
+	}
+}
+
+// ready reports whether k has settled successfully, without blocking on a
+// computation in flight.
+func (a *Store) ready(k artifactKey) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e := a.m[k]
+	return e != nil && e.settled && e.err == nil
+}
+
+// forget evicts k alone as evict would, subtracting its charge, without
+// scanning the store: the next request recomputes it.
+func (a *Store) forget(k artifactKey) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if e := a.m[k]; e != nil {
+		delete(a.m, k)
+		a.total -= e.bytes
 	}
 }
 

@@ -35,15 +35,6 @@ func (a *Store) count(kd kind) int {
 	return n
 }
 
-// ready reports whether k has settled successfully, without blocking on a
-// computation in flight.
-func (a *Store) ready(k artifactKey) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.m[k]
-	return e != nil && e.settled && e.err == nil
-}
-
 // claim holds k in flight as another caller would: the returned entry is
 // settled with a.settle. leader is false when k was already claimed.
 func (a *Store) claim(k artifactKey) (e *entry, leader bool) {

@@ -97,10 +97,12 @@ type Session struct {
 
 // recording pairs a recorded LLC-bound trace with the ABR bounds of the
 // run that produced it, so hint-consuming policies replay under the exact
-// classifier configuration of a direct run.
+// classifier configuration of a direct run, and with the dataset name its
+// results carry: a replay reads no workload.
 type recording struct {
 	tr     *trace.Trace
 	bounds [][2]uint64
+	ds     string
 }
 
 // NewSession creates a session over a fresh store of the default budget:
@@ -204,7 +206,7 @@ func (s *Session) recording(ctx context.Context, g artifactKey) (recording, erro
 			return recording{}, 0, err
 		}
 		s.art.tally(func(l *Ledger) { l.Recordings, l.Recorded = l.Recordings+1, l.Recorded+uint64(tr.Len()) })
-		return recording{tr: tr, bounds: bounds}, tr.SizeBytes(), nil
+		return recording{tr: tr, bounds: bounds, ds: w.Dataset.Name}, tr.SizeBytes(), nil
 	})
 }
 
@@ -226,7 +228,7 @@ func (s *Session) subsequence(ctx context.Context, g artifactKey) (recording, in
 		return recording{}, 0, err
 	}
 	s.art.tally(func(l *Ledger) { l.Subsequences++ })
-	return recording{tr: tr, bounds: src.bounds}, tr.SizeBytes(), nil
+	return recording{tr: tr, bounds: src.bounds, ds: src.ds}, tr.SizeBytes(), nil
 }
 
 // Recording returns the full recording of one (dataset, reorder, app,
@@ -248,7 +250,8 @@ func (s *Session) Workload(dsName, reorderName string, weighted bool) (*sim.Work
 
 // workload returns the workload of (dataset, reorder, weighted), loaded by
 // load (a Prefetch batch's shared load; nil: for this workload alone) and
-// reordered in one get. The store keeps no original graph, so a lone
+// reordered in one get; an unweighted load also settles the dataset's
+// Table I row (skew). The store keeps no original graph, so a lone
 // request for a second reordering of a graph file parses it again. A
 // file-backed workload is charged its own graph's bytes.
 func (s *Session) workload(d dataset, reorderName string, weighted bool, load func() (*graph.CSR, error)) (*sim.Workload, error) {
@@ -264,6 +267,9 @@ func (s *Session) workload(d dataset, reorderName string, weighted bool, load fu
 		g, err := load()
 		if err != nil {
 			return nil, 0, err
+		}
+		if !weighted {
+			_, _ = s.skew(d, g)
 		}
 		start := time.Now()
 		w, err := sim.PrepareWorkloadOn(g, ds, reorderName, weighted)
@@ -306,12 +312,11 @@ func (s *Session) spec(g artifactKey, policy string, regionScale float64) sim.Sp
 // corun.go): the kd cells of group g for every listed spec (n: the
 // sampling divisor K, 0 for full results), keyed by policy and region
 // scale and claimed at once. The cells this caller leads are one timed sim
-// call over the workload and the full recording of g (recorded on first
-// touch), charged to phase; simulate counts its own fan-out. A spec sim
-// refuses is refused before any of that. Replays can fail environmentally
+// call over the full recording of g (recorded on first touch), charged
+// to phase; simulate counts its own fan-out. A spec sim refuses is refused before any of that. Replays can fail environmentally
 // (an I/O fault) and under a caller's context: both kinds are transient.
 func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, n uint32, specs []sim.Spec,
-	phase *atomic.Int64, simulate func(w *sim.Workload, rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
+	phase *atomic.Int64, simulate func(rec recording, specs []sim.Spec) ([]V, error)) ([]V, error) {
 	keys := make([]artifactKey, len(specs))
 	for i, spec := range specs {
 		if _, err := spec.Resolve(); err != nil {
@@ -321,16 +326,12 @@ func replayEach[V any](ctx context.Context, s *Session, g artifactKey, kd kind, 
 		keys[i].n, keys[i].scale = n, spec.RegionScale
 	}
 	return getEach(ctx, s.art, keys, func(led []int) (vs []V, _ []int64, err error) {
-		w, err := s.workload(g.ds, g.reorder, apps.Weighted(g.app), nil)
-		if err != nil {
-			return nil, nil, err
-		}
 		rec, err := s.recording(ctx, g)
 		if err != nil {
 			return nil, nil, err
 		}
 		start := time.Now()
-		vs, err = simulate(w, rec, pick(specs, led))
+		vs, err = simulate(rec, pick(specs, led))
 		phase.Add(int64(time.Since(start)))
 		return vs, nil, err
 	})
@@ -381,8 +382,8 @@ func (s *Session) ResultCtx(ctx context.Context, dsName, reorderName, app string
 // pays one decode, not N.
 func (s *Session) results(ctx context.Context, g artifactKey, specs []sim.Spec) ([]sim.Result, error) {
 	return replayEach(ctx, s, g, kindResult, 0, specs, &s.phase.replay,
-		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.Result, error) {
-			rs, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds)
+		func(rec recording, specs []sim.Spec) ([]sim.Result, error) {
+			rs, err := sim.BroadcastResultsCtx(ctx, rec.tr, specs, rec.ds, rec.bounds)
 			if err == nil {
 				s.art.tally(func(l *Ledger) {
 					l.Full.add(len(rs), len(rs), rec.tr.Len())
@@ -429,8 +430,9 @@ func (p Datapoint) Plain() bool { return !p.Trace && p.RegionScale == 0 && p.Cor
 // layout) group is one unit: the application executes once into a shared
 // recording (unless an earlier request left one) that every policy of the
 // group replays in a single decode-once fan-out. The batch's co-run cells
-// follow, one unit per (dataset, mix). The returned error is the earliest
-// (by batch position) failure, as a sequential pass would report first.
+// follow, one unit per (dataset, mix). The workloads the batch prepared
+// are forgotten once their groups have recorded. The returned error is the
+// earliest (by batch position) failure, as a sequential pass would report.
 func (s *Session) Prefetch(points []Datapoint) error {
 	return s.PrefetchObservedCtx(context.Background(), points, nil)
 }
@@ -468,24 +470,53 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		groups[i] = p.group(d)
 	}
-	// Phase 0: prepare the batch's DISTINCT workloads on the pool before
-	// any unit runs, so a multi-core host reorders every dataset at once
-	// instead of discovering each reordering (a Gorder pass at full scale)
-	// behind a recording slot. The workloads of one graph share one load,
-	// dropped when the phase ends. Errors are dropped here: the store
-	// keeps them for the first datapoint that needs the workload.
+	// The schedule: a unit per group, then, in a second pass over the
+	// recordings and solo baselines the first left, a unit per mix. The
+	// batch owns the workloads its units record from that the store lacks
+	// as it begins: left counts each one's group units (nil: not owned).
+	var passes [2][]artifactKey           // group units, then mix units, each in batch order
+	byUnit := make(map[artifactKey][]int) // a unit's points: indices into uniq, batch order
+	left := make(map[artifactKey]*atomic.Int64)
+	for i, p := range uniq {
+		k, pass := groups[i], 0
+		if p.Corun != "" {
+			k, pass = k.of(kindCorun, ""), 1
+			k.app += "+" + p.Corun
+		}
+		if _, ok := byUnit[k]; !ok {
+			passes[pass] = append(passes[pass], k)
+			for _, wk := range k.workloads() {
+				n, known := left[wk]
+				if !known && !s.art.ready(wk) {
+					n = new(atomic.Int64)
+				}
+				if left[wk] = n; n != nil && pass == 0 {
+					n.Add(1)
+				}
+			}
+		}
+		byUnit[k] = append(byUnit[k], i)
+	}
+	// Phase 0: prepare the batch's DISTINCT workloads that some group will
+	// record from (its recording and one of its cells are not settled) on
+	// the pool before any unit runs, so a multi-core host reorders every
+	// dataset at once instead of discovering each reordering (a Gorder pass
+	// at full scale) behind a recording slot. The workloads of one graph
+	// share one load, dropped when the phase ends. Errors are dropped here:
+	// the store keeps them for the first datapoint that needs the workload.
 	seenW := make(map[artifactKey]bool, len(uniq))
 	var warm []artifactKey
 	loads := make(map[artifactKey]func() (*graph.CSR, error)) // by (dataset, weighted); none: load alone
-	for _, g := range groups {
-		wk := artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: apps.Weighted(g.app)}
+	for i, g := range groups {
+		wk := g.workloads()[0]
+		if seenW[wk] || s.art.ready(g) || s.art.ready(s.cell(g, uniq[i])) {
+			continue
+		}
+		seenW[wk] = true
+		warm = append(warm, wk)
 		lk := artifactKey{ds: g.ds, weighted: wk.weighted}
 		if ds, err := graph.Resolve(lk.ds.name); err == nil && loads[lk] == nil {
 			loads[lk] = sync.OnceValues(func() (*graph.CSR, error) { return s.load(ds, lk.weighted) })
-		}
-		if !seenW[wk] {
-			seenW[wk] = true
-			warm = append(warm, wk)
 		}
 	}
 	forEachParallel(len(warm), func(i int) {
@@ -497,21 +528,6 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		_, _ = s.workload(warm[i].ds, warm[i].reorder, warm[i].weighted, loads[artifactKey{ds: warm[i].ds, weighted: warm[i].weighted}])
 	})
-	// The schedule: a unit per group, then, in a second pass over the
-	// recordings and solo baselines the first left, a unit per mix.
-	var passes [2][]artifactKey           // group units, then mix units, each in batch order
-	byUnit := make(map[artifactKey][]int) // a unit's points: indices into uniq, batch order
-	for i, p := range uniq {
-		k, pass := groups[i], 0
-		if p.Corun != "" {
-			k, pass = k.of(kindCorun, ""), 1
-			k.app += "+" + p.Corun
-		}
-		if _, ok := byUnit[k]; !ok {
-			passes[pass] = append(passes[pass], k)
-		}
-		byUnit[k] = append(byUnit[k], i)
-	}
 	errs := make([]error, len(uniq))
 	var completed atomic.Int64
 	// runUnit contains a unit's faults: a panic anywhere under it (a policy
@@ -533,10 +549,15 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		return s.unit(ctx, k, pts)
 	}
-	for _, units := range passes {
+	for pass, units := range passes {
 		forEachParallel(len(units), func(j int) {
 			idx := byUnit[units[j]]
 			uerr, pointErr := runUnit(units[j], pick(uniq, idx))
+			for _, wk := range units[j].workloads() {
+				if n := left[wk]; n != nil && pass == 0 && n.Add(-1) == 0 {
+					s.art.forget(wk)
+				}
+			}
 			for n, i := range idx {
 				if errs[i] = uerr; uerr == nil {
 					errs[i] = pointErr[n]
@@ -547,7 +568,35 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 			}
 		})
 	}
+	// What a mix unit prepared goes with the batch.
+	for wk, n := range left {
+		if n != nil {
+			s.art.forget(wk)
+		}
+	}
 	return cmp.Or(errs...)
+}
+
+// workloads returns the keys of the workloads unit k records from: its
+// group's, or one per stream of a mix.
+func (k artifactKey) workloads() []artifactKey {
+	var out []artifactKey
+	for _, app := range strings.Split(k.app, "+") {
+		out = append(out, artifactKey{ds: k.ds, kind: kindWorkload, reorder: k.reorder, weighted: apps.Weighted(app)})
+	}
+	return out
+}
+
+// cell returns the key of the cell p declares in its group g: a result or
+// an OPT study cell. A co-run point's is its first stream's solo baseline,
+// the first cell its mix unit replays.
+func (s *Session) cell(g artifactKey, p Datapoint) artifactKey {
+	if p.Trace {
+		return optKey(g, studyLLC(s.Cfg.HCfg.LLC, p.OPTScale))
+	}
+	k := g.of(kindResult, p.Policy)
+	k.scale = s.spec(g, p.Policy, p.RegionScale).RegionScale
+	return k
 }
 
 // unit computes the cells of one scheduling unit, keyed k, through their

@@ -48,8 +48,9 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 // batch shares one load among every workload of a (dataset, weighted)
 // graph: three reorderings of lj under an unweighted and a weighted app
 // load two graphs, not six, and every result still equals the
-// execution-driven reference. A second batch over the same workloads
-// loads nothing.
+// execution-driven reference. The batch forgets the six workloads once
+// their groups have recorded, and a second batch over the same cells
+// prepares and loads nothing.
 func TestPrefetchLoadsEachGraphOnce(t *testing.T) {
 	t.Parallel()
 	var pts []Datapoint
@@ -61,8 +62,8 @@ func TestPrefetchLoadsEachGraphOnce(t *testing.T) {
 		if err := s.Prefetch(pts); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.art.count(kindWorkload); n != 6 {
-			t.Fatalf("pass %d: %d workloads cached, want 6", pass, n)
+		if n := s.art.count(kindWorkload); n != 0 {
+			t.Fatalf("pass %d: %d workloads cached, want 0 (the batch forgets what it prepared)", pass, n)
 		}
 		if got := s.Ledger().Loads; got != 2 {
 			t.Fatalf("pass %d: %d graphs loaded in all for 6 workloads of 2 graphs, want 2", pass, got)
@@ -77,6 +78,66 @@ func TestPrefetchLoadsEachGraphOnce(t *testing.T) {
 		if got.AppTime = want.AppTime; got != want {
 			t.Fatalf("%s/%s diverges from sim.Run\nsession: %+v\n sim.Run: %+v", p.Reorder, p.App, got, want)
 		}
+	}
+}
+
+// TestPrefetchForgetsItsWorkloads: a forgotten workload regenerates
+// byte-identically. After a 1/64 batch over lj/DBG forgets the workload it
+// prepared, Workload rebuilds a CSR equal array for array to a fresh
+// session's, and a result for an app the batch never recorded equals a
+// fresh session's. A workload a lone request prepared before the batch is
+// not the batch's to forget.
+func TestPrefetchForgetsItsWorkloads(t *testing.T) {
+	t.Parallel()
+	cfg := ScaledConfig(64)
+	pts := matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})
+	s := NewSession(cfg)
+	if err := s.Prefetch(pts); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.art.count(kindWorkload); n != 0 {
+		t.Fatalf("%d workloads cached after the batch, want 0", n)
+	}
+	got, err := s.Workload("lj", "DBG", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSession(cfg)
+	want, err := fresh.Workload("lj", "DBG", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Graph, want.Graph) {
+		t.Error("the regenerated lj/DBG CSR differs from a fresh session's")
+	}
+	if l := s.Ledger(); l.Loads != 2 || l.Reorders != 2 {
+		t.Errorf("%d loads and %d reorders, want 2 and 2: the batch's and the regeneration's", l.Loads, l.Reorders)
+	}
+	r, err := s.Result("lj", "DBG", "BFS", apps.LayoutMerged, "GRASP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR, err := fresh.Result("lj", "DBG", "BFS", apps.LayoutMerged, "GRASP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.AppTime = wantR.AppTime; r != wantR {
+		t.Errorf("BFS after the forget diverges from a fresh session's\n got: %+v\nwant: %+v", r, wantR)
+	}
+
+	lone := NewSession(cfg)
+	w, err := lone.Workload("lj", "DBG", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lone.Prefetch(pts); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := lone.Workload("lj", "DBG", false); err != nil || again != w {
+		t.Errorf("the lone request's workload was forgotten by the batch (%v)", err)
+	}
+	if l := lone.Ledger(); l.Reorders != 1 {
+		t.Errorf("%d reorders, want 1: the batch reads the lone request's workload", l.Reorders)
 	}
 }
 

@@ -30,8 +30,8 @@ func (s *Session) SampledResultCtx(ctx context.Context, dsName, reorderName, app
 	}
 	g := s.sampledSource(group(s.dataset(dsName), reorderName, app, layout), sampleK)
 	return one(replayEach(ctx, s, g, kindSampled, sampleK, []sim.Spec{s.spec(g, policy, 0)}, &s.phase.sampled,
-		func(w *sim.Workload, rec recording, specs []sim.Spec) ([]sim.SampledResult, error) {
-			rs, rep, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, w.Dataset.Name, rec.bounds, sampleK)
+		func(rec recording, specs []sim.Spec) ([]sim.SampledResult, error) {
+			rs, rep, err := sim.BroadcastSampledResultsSkipCtx(ctx, rec.tr, specs, rec.ds, rec.bounds, sampleK)
 			if err == nil {
 				s.art.tally(func(l *Ledger) {
 					l.Sampled.add(len(rs), len(rs), rep.AccessesDelivered)

@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,8 @@ func (tc *testCluster) specOwnedBy(t *testing.T, wantOwner, avoid string) (jobs.
 // TestClusterForwardsToOwnerAndReplicates: a submission through a
 // non-owning node executes on the hash's owner, and the completed result
 // replicates to the successor — the ingress node, which holds no replica,
-// stores nothing.
+// stores nothing. The ingress node's /metrics counts the forward and
+// reports every member up.
 func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 	tc := bootCluster(t, 3)
 	ingress := tc.nodes[0]
@@ -189,6 +191,22 @@ func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 	}
 	if _, _, ok := ingress.mgr.Store().GetRaw(hash); ok {
 		t.Error("non-holder ingress node stored a copy")
+	}
+
+	resp, err := http.Get(ingress.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if m := regexp.MustCompile(`(?m)^graspd_cluster_forwarded_total ([1-9][0-9]*)$`).Find(body); m == nil {
+		t.Errorf("ingress /metrics counts no forward:\n%s", body)
+	}
+	for _, nd := range tc.nodes {
+		lines := regexp.MustCompile(fmt.Sprintf(`(?m)^graspd_cluster_peer_up\{peer=%q\} (.*)$`, nd.id)).FindAllSubmatch(body, -1)
+		if len(lines) != 1 || string(lines[0][1]) != "1" {
+			t.Errorf("ingress /metrics: peer_up lines for %s %q, want one reading 1:\n%s", nd.id, lines, body)
+		}
 	}
 }
 
