@@ -122,9 +122,9 @@ type Store struct {
 }
 
 // DefaultStoreBudget is a Store's budget when none is given (4 GiB):
-// a full -exp all sweep keeps 0.52 GB of recordings at scale 4 and, by
-// the codec's measured scale-1 density, about 2.2 GB at scale 1, so no
-// paper sweep evicts.
+// a full -exp all sweep records 0.52 GB at scale 4 and, by the codec's
+// measured scale-1 density, about 2.2 GB at scale 1, and holds at most
+// that at once, so no paper sweep evicts.
 const DefaultStoreBudget = int64(4) << 30
 
 // NewStore returns an empty store whose budget caps the bytes it retains

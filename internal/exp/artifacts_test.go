@@ -511,17 +511,18 @@ func TestSessionFileBudgetAccountingExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs := base.Graph.Footprint() + dbg.Graph.Footprint()
-	// record caches app's recording, evicting the previous one (the
-	// requested file's graphs stay), and checks the total three ways. A
-	// group whose result is settled is not recorded again by Prefetch, so
-	// the total is read after Recording.
+	// record caches app's recording through lone requests (a batch
+	// forgets what it records), evicting the previous one (the requested
+	// file's graphs stay), and checks the total three ways. A group whose
+	// result is settled is not recorded again by ResultCtx, so the total
+	// is read after Recording.
 	record := func(app string) int64 {
 		t.Helper()
-		if err := s.Prefetch(matrixPoints([]string{path}, "DBG", []string{app}, []string{"GRASP"})); err != nil {
+		if _, err := s.ResultCtx(context.Background(), path, "DBG", app, apps.LayoutMerged, "GRASP"); err != nil {
 			t.Fatal(err)
 		}
 		if n := s.art.count(kindRecording); n != 1 {
-			t.Fatalf("%d recordings cached after prefetching %s, want 1", n, app)
+			t.Fatalf("%d recordings cached after a %s result, want 1", n, app)
 		}
 		tr, _, err := s.Recording(context.Background(), path, "DBG", app, apps.LayoutMerged)
 		if err != nil {

@@ -105,24 +105,24 @@ func TestPrefetchRegionScalesShareOneFanOut(t *testing.T) {
 // the store's budget — recording a second group under a tiny budget
 // evicts the least-recently-used recording and its charge, while the
 // newest recording stays cached; the evicted group transparently
-// re-records on next use.
+// re-records on next use. The recordings are made by lone requests: a
+// batch forgets what it records.
 func TestSessionTraceBudgetEvictsLRU(t *testing.T) {
 	cfg := ScaledConfig(64)
 	s := NewStore(1).Session(cfg) // every newcomer evicts the previous recording
 
-	groupA := matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})
-	if err := s.Prefetch(groupA); err != nil {
+	if _, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil {
 		t.Fatal(err)
 	}
 	if !fullRecordingReady(s, "lj", "PR") {
-		t.Fatal("group A recording not cached after its batch")
+		t.Fatal("group A recording not cached after its result")
 	}
 	bytesA := s.CacheBytesRetained()
 	if bytesA <= 0 {
 		t.Fatal("recording not charged to the budget")
 	}
 
-	if err := s.Prefetch(matrixPoints([]string{"lj"}, "DBG", []string{"BFS"}, []string{"GRASP"})); err != nil {
+	if _, err := s.Result("lj", "DBG", "BFS", apps.LayoutMerged, "GRASP"); err != nil {
 		t.Fatal(err)
 	}
 	if fullRecordingReady(s, "lj", "PR") {

@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -430,9 +431,10 @@ func (p Datapoint) Plain() bool { return !p.Trace && p.RegionScale == 0 && p.Cor
 // layout) group is one unit: the application executes once into a shared
 // recording (unless an earlier request left one) that every policy of the
 // group replays in a single decode-once fan-out. The batch's co-run cells
-// follow, one unit per (dataset, mix). The workloads the batch prepared
-// are forgotten once their groups have recorded. The returned error is the
-// earliest (by batch position) failure, as a sequential pass would report.
+// follow, one unit per (dataset, mix). A workload or recording the batch
+// made is forgotten once the last unit that reads it finishes; what the
+// store held before the batch stays. The returned error is the earliest
+// (by batch position) failure, as a sequential pass would report.
 func (s *Session) Prefetch(points []Datapoint) error {
 	return s.PrefetchObservedCtx(context.Background(), points, nil)
 }
@@ -472,11 +474,12 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	}
 	// The schedule: a unit per group, then, in a second pass over the
 	// recordings and solo baselines the first left, a unit per mix. The
-	// batch owns the workloads its units record from that the store lacks
-	// as it begins: left counts each one's group units (nil: not owned).
+	// batch owns the workloads and recordings its units read that the
+	// store lacks as it begins: readers counts each one's units (nil: not
+	// owned), and the last of them to finish forgets it.
 	var passes [2][]artifactKey           // group units, then mix units, each in batch order
 	byUnit := make(map[artifactKey][]int) // a unit's points: indices into uniq, batch order
-	left := make(map[artifactKey]*atomic.Int64)
+	readers := make(map[artifactKey]*atomic.Int64)
 	for i, p := range uniq {
 		k, pass := groups[i], 0
 		if p.Corun != "" {
@@ -485,12 +488,12 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		if _, ok := byUnit[k]; !ok {
 			passes[pass] = append(passes[pass], k)
-			for _, wk := range k.workloads() {
-				n, known := left[wk]
-				if !known && !s.art.ready(wk) {
+			for _, r := range k.reads() {
+				n, known := readers[r]
+				if !known && !s.art.ready(r) {
 					n = new(atomic.Int64)
 				}
-				if left[wk] = n; n != nil && pass == 0 {
+				if readers[r] = n; n != nil {
 					n.Add(1)
 				}
 			}
@@ -508,7 +511,7 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 	var warm []artifactKey
 	loads := make(map[artifactKey]func() (*graph.CSR, error)) // by (dataset, weighted); none: load alone
 	for i, g := range groups {
-		wk := g.workloads()[0]
+		wk := g.workload()
 		if seenW[wk] || s.art.ready(g) || s.art.ready(s.cell(g, uniq[i])) {
 			continue
 		}
@@ -549,13 +552,13 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 		}
 		return s.unit(ctx, k, pts)
 	}
-	for pass, units := range passes {
+	for _, units := range passes {
 		forEachParallel(len(units), func(j int) {
 			idx := byUnit[units[j]]
 			uerr, pointErr := runUnit(units[j], pick(uniq, idx))
-			for _, wk := range units[j].workloads() {
-				if n := left[wk]; n != nil && pass == 0 && n.Add(-1) == 0 {
-					s.art.forget(wk)
+			for _, r := range units[j].reads() {
+				if n := readers[r]; n != nil && n.Add(-1) == 0 {
+					s.art.forget(r)
 				}
 			}
 			for n, i := range idx {
@@ -568,21 +571,26 @@ func (s *Session) PrefetchObservedCtx(ctx context.Context, points []Datapoint, o
 			}
 		})
 	}
-	// What a mix unit prepared goes with the batch.
-	for wk, n := range left {
-		if n != nil {
-			s.art.forget(wk)
-		}
-	}
 	return cmp.Or(errs...)
 }
 
-// workloads returns the keys of the workloads unit k records from: its
-// group's, or one per stream of a mix.
-func (k artifactKey) workloads() []artifactKey {
+// workload returns the key of the workload group g records from.
+func (g artifactKey) workload() artifactKey {
+	return artifactKey{ds: g.ds, kind: kindWorkload, reorder: g.reorder, weighted: apps.Weighted(g.app)}
+}
+
+// reads returns the keys of what unit k reads, each once: the recording
+// of its group, or of every stream of a mix, and the workload each
+// records from.
+func (k artifactKey) reads() []artifactKey {
 	var out []artifactKey
 	for _, app := range strings.Split(k.app, "+") {
-		out = append(out, artifactKey{ds: k.ds, kind: kindWorkload, reorder: k.reorder, weighted: apps.Weighted(app)})
+		g := group(k.ds, k.reorder, app, k.layout)
+		for _, r := range [...]artifactKey{g.workload(), g} {
+			if !slices.Contains(out, r) {
+				out = append(out, r)
+			}
+		}
 	}
 	return out
 }

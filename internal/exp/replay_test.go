@@ -14,8 +14,8 @@ import (
 
 // TestPrefetchRecordsOncePerGroup: a batch sweeping several policies over
 // one (dataset, reorder, app, layout) group must execute the application
-// once (one cached recording), serve every policy by replay, and agree
-// exactly with the execution-driven reference.
+// once (one recording in the ledger), serve every policy by replay, and
+// agree exactly with the execution-driven reference.
 func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	t.Parallel()
 	schemes := []string{"GRASP", "LRU", "SHiP-MEM", "Leeway"}
@@ -25,8 +25,8 @@ func TestPrefetchRecordsOncePerGroup(t *testing.T) {
 	if err := s.Prefetch(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.art.count(kindRecording); n != 1 {
-		t.Fatalf("prefetch cached %d recordings, want 1 (one per group)", n)
+	if n := s.Ledger().Recordings; n != 1 {
+		t.Fatalf("prefetch made %d recordings, want 1 (one per group)", n)
 	}
 	if got, want := s.Ledger().Full.Cells, uint64(len(schemes)+1); got != want {
 		t.Fatalf("full cells = %d, want %d (RRIP + each scheme, each once)", got, want)
@@ -141,9 +141,77 @@ func TestPrefetchForgetsItsWorkloads(t *testing.T) {
 	}
 }
 
+// TestPrefetchForgetsItsRecordings: a batch forgets each recording it
+// made once the last unit that reads it finishes, and leaves alone the
+// recordings the store held when it began.
+func TestPrefetchForgetsItsRecordings(t *testing.T) {
+	t.Parallel()
+	cfg := ScaledConfig(64)
+	pts := matrixPoints([]string{"lj"}, "DBG", []string{"PR"}, []string{"GRASP"})
+
+	// The batch's recording goes with it, charge and all, and a lone
+	// request afterwards records the group again, identically.
+	s := NewSession(cfg)
+	if err := s.Prefetch(pts); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := s.art.count(kindRecording), s.CacheBytesRetained(); n != 0 || b != 0 {
+		t.Fatalf("after the batch: %d recordings cached, %d bytes retained; want 0 and 0", n, b)
+	}
+	if n := s.Ledger().Recordings; n != 1 {
+		t.Fatalf("the batch made %d recordings, want 1", n)
+	}
+	got, err := s.ResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "LRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Ledger().Recordings; n != 2 {
+		t.Fatalf("%d recordings after a lone LRU result, want 2: it records the forgotten group once", n)
+	}
+	want, err := NewSession(cfg).ResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "LRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AppTime = want.AppTime; got != want {
+		t.Errorf("LRU after the forget diverges from a fresh session's\n got: %+v\nwant: %+v", got, want)
+	}
+
+	// A recording a lone request made is not the batch's to forget.
+	lone := NewSession(cfg)
+	if _, err := lone.ResultCtx(context.Background(), "lj", "DBG", "PR", apps.LayoutMerged, "LRU"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lone.Prefetch(pts); err != nil {
+		t.Fatal(err)
+	}
+	if !fullRecordingReady(lone, "lj", "PR") {
+		t.Error("the batch forgot the recording a lone request made")
+	}
+	if n := lone.Ledger().Recordings; n != 1 {
+		t.Errorf("%d recordings, want 1: the batch replays the lone request's", n)
+	}
+
+	// Two mixes over the same two streams read each stream's recording
+	// after its group unit: it lives until the last of them finishes.
+	mixes := matrixPoints([]string{"lj"}, "DBG", []string{"BFS", "PR"}, []string{"GRASP"})
+	for _, m := range [][2]string{{"BFS", "PR"}, {"PR", "BFS+PR+BFS"}} {
+		mixes = append(mixes, Datapoint{DS: "lj", Reorder: "DBG", App: m[0], Layout: apps.LayoutMerged, Policy: "GRASP", Corun: m[1]})
+	}
+	co := NewSession(cfg)
+	if err := co.Prefetch(mixes); err != nil {
+		t.Fatal(err)
+	}
+	if n := co.Ledger().Recordings; n != 2 {
+		t.Errorf("the co-run batch made %d recordings, want 2: one per distinct group", n)
+	}
+	if n := co.art.count(kindRecording); n != 0 {
+		t.Errorf("%d recordings cached after the co-run batch, want 0", n)
+	}
+}
+
 // TestPrefetchSettledGroupRecordsNothing: a unit whose cells are all
-// settled records nothing. Under a one-byte budget every recording is
-// evicted as soon as the next one settles, so a second run of the same
+// settled records nothing. A batch forgets the recordings it made (and a
+// one-byte budget would evict them anyway), so a second run of the same
 // figure finds its results cached and its recordings gone; it must render
 // from the cached cells without executing any application again.
 func TestPrefetchSettledGroupRecordsNothing(t *testing.T) {
@@ -171,22 +239,26 @@ func TestPrefetchSettledGroupRecordsNothing(t *testing.T) {
 }
 
 // TestLoneResultRecordsOnceThenReplays: the group's recording is the only
-// source of a full-fidelity result, so a lone policy — one Prefetch point
-// or one ResultCtx call, with nothing to share the execution with — leaves
-// exactly one FULL recording behind, and the group's next policies replay
-// it instead of executing the application again. A declared OPT study
-// cell alone records the same full recording, not only the prefix it
-// reads, so a result that follows it replays too. Every result equals the execution-driven reference.
+// source of a full-fidelity result. A lone Prefetch point records it once
+// and, as the batch made it, forgets it when the point settles. A lone
+// ResultCtx leaves exactly one FULL recording behind, and the group's
+// next policies, by either door, replay it instead of executing the
+// application again. A declared OPT study cell reads that same full
+// recording, and alone records the full recording, not only the prefix
+// it reads. Every result equals the execution-driven reference.
 func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	t.Parallel()
 	cfg := ScaledConfig(64)
 	point := func(ds, policy string) Datapoint {
 		return Datapoint{DS: ds, Reorder: "DBG", App: "PR", Layout: apps.LayoutMerged, Policy: policy}
 	}
-	wantRecordings := func(s *Session, n int, after string) {
+	wantRecordings := func(s *Session, cached, made int, after string) {
 		t.Helper()
-		if got := s.art.count(kindRecording); got != n {
-			t.Fatalf("%d recordings cached after %s, want %d", got, after, n)
+		if got := s.art.count(kindRecording); got != cached {
+			t.Fatalf("%d recordings cached after %s, want %d", got, after, cached)
+		}
+		if got := s.Ledger().Recordings; got != uint64(made) {
+			t.Fatalf("%d recordings made after %s, want %d", got, after, made)
 		}
 	}
 	checkAgainstRun := func(s *Session, ds, policy string) {
@@ -205,54 +277,54 @@ func TestLoneResultRecordsOnceThenReplays(t *testing.T) {
 	if err := s.Prefetch([]Datapoint{point("lj", "RRIP")}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s, 1, "a lone Prefetch point")
-	if !fullRecordingReady(s, "lj", "PR") {
-		t.Fatal("a lone Prefetch point did not leave the FULL recording")
-	}
+	wantRecordings(s, 0, 1, "a lone Prefetch point")
 	if _, err := s.ResultCtx(context.Background(), "kr", "DBG", "PR", apps.LayoutMerged, "RRIP"); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s, 2, "a lone ResultCtx on a second group")
+	wantRecordings(s, 1, 2, "a lone ResultCtx on a second group")
 	if !fullRecordingReady(s, "kr", "PR") {
 		t.Fatal("a lone ResultCtx did not leave the FULL recording")
 	}
 	// A second and a third policy, by either door, replay what is there.
-	if _, err := s.Result("lj", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil {
+	if _, err := s.Result("kr", "DBG", "PR", apps.LayoutMerged, "GRASP"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefetch([]Datapoint{point("lj", "SHiP-MEM")}); err != nil {
+	if err := s.Prefetch([]Datapoint{point("kr", "SHiP-MEM")}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s, 2, "two more policies on a recorded group")
-	for _, p := range []Datapoint{point("lj", "RRIP"), point("kr", "RRIP"), point("lj", "GRASP"), point("lj", "SHiP-MEM")} {
+	wantRecordings(s, 1, 2, "two more policies on a recorded group")
+	for _, p := range []Datapoint{point("lj", "RRIP"), point("kr", "RRIP"), point("kr", "GRASP"), point("kr", "SHiP-MEM")} {
 		checkAgainstRun(s, p.DS, p.Policy)
 	}
 	if got := s.Ledger().Full.Cells; got != 4 {
 		t.Fatalf("full cells = %d, want 4 (each datapoint simulated once, reads are hits)", got)
 	}
 
-	// A declared study cell on a study-only group records the group's
-	// full recording, and the lone policy that follows replays it.
+	// A declared study cell on a group a lone policy recorded reads that
+	// recording, and leaves it.
 	s2 := NewSession(cfg)
+	checkAgainstRun(s2, "lj", "LRU")
 	if err := s2.Prefetch([]Datapoint{{DS: "lj", App: "PR", Trace: true, OPTScale: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	wantRecordings(s2, 1, "a study point")
-	if !fullRecordingReady(s2, "lj", "PR") {
-		t.Fatal("a study point did not leave the FULL recording")
-	}
-	checkAgainstRun(s2, "lj", "LRU")
-	wantRecordings(s2, 1, "a lone policy after a study point")
+	wantRecordings(s2, 1, 1, "a study point on a recorded group")
+	full := s2.Ledger().Recorded
 
-	// A study cell plus a lone policy in ONE batch shares a single full
-	// recording (the study is one more pass over the execution's trace).
-	s3 := NewSession(cfg)
-	if err := s3.Prefetch([]Datapoint{{DS: "kr", App: "PR", Trace: true, OPTScale: 1}, point("kr", "RRIP")}); err != nil {
-		t.Fatal(err)
-	}
-	wantRecordings(s3, 1, "a study+policy batch (full, shared)")
-	if !fullRecordingReady(s3, "kr", "PR") {
-		t.Fatal("study+policy batch should have produced the FULL recording")
+	// A study cell alone, or beside a lone policy in ONE batch, records
+	// one FULL recording (the study is one more pass over the execution's
+	// trace).
+	for _, pts := range [][]Datapoint{
+		{{DS: "lj", App: "PR", Trace: true, OPTScale: 1}},
+		{{DS: "lj", App: "PR", Trace: true, OPTScale: 1}, point("lj", "RRIP")},
+	} {
+		s3 := NewSession(cfg)
+		if err := s3.Prefetch(pts); err != nil {
+			t.Fatal(err)
+		}
+		wantRecordings(s3, 0, 1, "a study batch")
+		if got := s3.Ledger().Recorded; got != full {
+			t.Fatalf("a study batch recorded %d accesses, want the full recording's %d", got, full)
+		}
 	}
 }
 

@@ -82,6 +82,58 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
+// TestWaitFailureCode: a waited-on job's terminal error maps to drain
+// (503), cancellation (409), deadline (504) or anything else (422).
+func TestWaitFailureCode(t *testing.T) {
+	for _, c := range []struct {
+		msg  string
+		want int
+	}{
+		{jobs.ErrDraining.Error(), http.StatusServiceUnavailable},
+		{jobs.ErrCanceled.Error(), http.StatusConflict},
+		{jobs.ErrTimeout.Error(), http.StatusGatewayTimeout},
+		{"exp: unknown policy \"NOPE\"", http.StatusUnprocessableEntity},
+	} {
+		if got := waitFailureCode(c.msg); got != c.want {
+			t.Errorf("waitFailureCode(%q) = %d, want %d", c.msg, got, c.want)
+		}
+	}
+}
+
+// TestWaitCanceledAnswers409: a POST /jobs with wait=true whose job is
+// cancelled by DELETE /jobs/{id} while it waits answers 409.
+func TestWaitCanceledAnswers409(t *testing.T) {
+	client, mgr, ts := bootDaemon(t, t.TempDir(), 1)
+	running, err := client.Submit(longSpec(), 0) // holds the one worker, so the waited job queues
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Cancel(running.ID)
+	codes := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json",
+			strings.NewReader(`{"kind":"experiment","exp":"fig2","scale":64,"wait":true}`))
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}()
+	// The waiter's own submission makes the next job; once it exists the
+	// handler is (or is about to be) blocked on it.
+	const waited = "j000002"
+	for mgr.Job(waited) == nil {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := client.Cancel(waited); err != nil {
+		t.Fatal(err)
+	}
+	if code := <-codes; code != http.StatusConflict {
+		t.Errorf("a waited-on job cancelled while it waits answered %d, want 409", code)
+	}
+}
+
 // TestRateLimit429: beyond the per-client token bucket, POST /jobs answers
 // 429 with a Retry-After hint, and the rejection is counted in /metrics.
 func TestRateLimit429(t *testing.T) {
